@@ -9,7 +9,8 @@
 //! entirely; larger ones exceed capacity, so in-core GCGT reports OOM while
 //! the out-of-core engine (`EngineKind::OutOfCore` + `memory_budget`) keeps
 //! answering, paying streamed partition transfers that the table attributes
-//! explicitly (faults, evictions, streamed milliseconds) — the EMOGI-style
+//! explicitly (faults, the coalesced uploads they crossed the link in,
+//! evictions, streamed milliseconds) — the EMOGI-style
 //! "traversal beyond device memory" workload, made cheaper because the
 //! partitions cross the link compressed.
 
@@ -42,6 +43,8 @@ pub struct OocRow {
     pub streamed: bool,
     /// Partitions faulted onto the device.
     pub faults: u64,
+    /// Coalesced link transfers those faults were uploaded in.
+    pub uploads: u64,
     /// Partitions evicted.
     pub evictions: u64,
     /// Streamed transfer milliseconds (post-overlap).
@@ -113,6 +116,7 @@ pub fn rows(ctx: &ExperimentContext) -> Vec<OocRow> {
             ooc_ms: run.total_ms(),
             streamed: session.is_streaming(),
             faults: run.stats.partition_faults,
+            uploads: run.stats.partition_uploads,
             evictions: run.stats.partition_evictions,
             transfer_ms: run.stats.transfer_ms,
         });
@@ -132,6 +136,7 @@ pub fn render(rows: &[OocRow]) -> Table {
             "OOC",
             "Mode",
             "Faults",
+            "Uploads",
             "Evict",
             "Stream ms",
         ],
@@ -145,6 +150,7 @@ pub fn render(rows: &[OocRow]) -> Table {
             fmt_ms(r.ooc_ms),
             if r.streamed { "stream" } else { "fit" }.to_string(),
             r.faults.to_string(),
+            r.uploads.to_string(),
             r.evictions.to_string(),
             fmt_ms(r.transfer_ms),
         ]);
@@ -180,6 +186,7 @@ mod tests {
         assert!(big.incore_ms.is_none(), "largest graph should OOM in-core");
         assert!(big.streamed);
         assert!(big.faults >= 1);
+        assert!((1..=big.faults).contains(&big.uploads));
         assert!(big.evictions >= 1);
         assert!(big.transfer_ms > 0.0);
         assert!(big.ooc_ms > big.transfer_ms);

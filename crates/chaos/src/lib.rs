@@ -45,9 +45,9 @@ pub enum FaultDomain {
     /// allocator stalls and the caller retries after backoff. Distinct
     /// from a genuine capacity `OomError`, which is never injected.
     DeviceAlloc,
-    /// A PCIe transfer failure on a partition-cache fault
-    /// (`PartitionCache::fault`): the upload is wasted, re-charged, and
-    /// retried after backoff.
+    /// A PCIe transfer failure on a coalesced partition upload
+    /// (`PartitionCache::stream`): the whole upload is wasted, re-charged,
+    /// and retried after backoff.
     Transfer,
     /// A device↔device link fault on a sharded boundary exchange
     /// (`ShardEngine`): the exchange is re-charged and retried.

@@ -10,7 +10,7 @@
 //!
 //! * [`Observer`] — a trait with no-op defaults, threaded through every
 //!   charge point of the modeled stack (`Device` launches and alloc/free,
-//!   per-level expansion spans, partition-cache faults/evictions, sharded
+//!   per-level expansion spans, partition-cache uploads/faults/evictions, sharded
 //!   frontier exchanges, and the serving pool's deterministic FIFO
 //!   timeline). With no observer installed nothing is computed or stored:
 //!   every emission site is gated on `Option<ObserverHandle>`.
@@ -134,21 +134,44 @@ pub struct AllocEvent {
     pub allocated: u64,
 }
 
-/// One out-of-core partition-cache state change (`PartitionCache`).
+/// One partition entering or leaving the out-of-core partition cache
+/// (`PartitionCache`). Partitions cross the link in coalesced uploads, so a
+/// fault is a marker inside its [`UploadEvent`], which carries the charge.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CacheEvent {
     /// Trace track (query index under serving, device id otherwise).
     pub track: u64,
-    /// Modeled clock when the transfer (or eviction) began, milliseconds.
+    /// Modeled clock when the partition's upload (or its eviction) began,
+    /// milliseconds.
     pub start_ms: f64,
-    /// `"fault-cold"` (first fault of a run, full transfer price),
-    /// `"fault"` (warm, overlap-discounted) or `"evict"`.
+    /// `"fault-cold"` (part of a cold upload, full transfer price),
+    /// `"fault"` (part of a warm, overlap-discounted upload) or `"evict"`.
     pub kind: &'static str,
     /// Partition id.
     pub partition: u64,
-    /// Compressed bytes moved (uploaded or reclaimed).
+    /// The partition's own compressed bytes (uploaded or reclaimed).
     pub bytes: u64,
-    /// Milliseconds of host-link stall charged (0 for evictions).
+}
+
+/// One coalesced out-of-core upload (`PartitionCache`): a run of adjacent
+/// partitions crossing the host link as a single transfer.
+#[derive(Clone, Debug, PartialEq)]
+pub struct UploadEvent {
+    /// Trace track (query index under serving, device id otherwise).
+    pub track: u64,
+    /// Modeled clock when the transfer began, milliseconds.
+    pub start_ms: f64,
+    /// Whether nothing was resident to decode under the upload, so it paid
+    /// the full transfer price instead of the overlap-discounted one.
+    pub cold: bool,
+    /// First partition id of the run.
+    pub first_partition: u64,
+    /// Partitions in the run (one `fault` [`CacheEvent`] each).
+    pub partitions: u64,
+    /// Compressed bytes moved: the run's partitions plus the
+    /// reference-chain closure below its first node.
+    pub bytes: u64,
+    /// Milliseconds of host-link stall charged (post-overlap).
     pub transfer_ms: f64,
 }
 
@@ -242,6 +265,11 @@ pub trait Observer: Send + Sync {
         let _ = event;
     }
 
+    /// One coalesced partition upload.
+    fn upload(&self, event: &UploadEvent) {
+        let _ = event;
+    }
+
     /// One sharded boundary exchange.
     fn exchange(&self, event: &ExchangeEvent) {
         let _ = event;
@@ -308,6 +336,12 @@ impl Observer for FanoutObserver {
     fn cache(&self, event: &CacheEvent) {
         for s in &self.sinks {
             s.cache(event);
+        }
+    }
+
+    fn upload(&self, event: &UploadEvent) {
+        for s in &self.sinks {
+            s.upload(event);
         }
     }
 

@@ -10,7 +10,7 @@ use std::sync::Mutex;
 
 use crate::{
     AllocEvent, CacheEvent, ExchangeEvent, FaultEvent, LaunchEvent, LevelEvent, Observer,
-    ServeEvent,
+    ServeEvent, UploadEvent,
 };
 
 /// Accumulates observed events into named metrics and renders a
@@ -103,9 +103,13 @@ impl Observer for MetricsRegistry {
             self.add("gcgt_partition_evictions_total", 1.0);
         } else {
             self.add("gcgt_partition_faults_total", 1.0);
-            self.add("gcgt_partition_bytes_streamed_total", e.bytes as f64);
-            self.add("gcgt_partition_transfer_ms_total", e.transfer_ms);
         }
+    }
+
+    fn upload(&self, e: &UploadEvent) {
+        self.add("gcgt_partition_uploads_total", 1.0);
+        self.add("gcgt_partition_bytes_streamed_total", e.bytes as f64);
+        self.add("gcgt_partition_transfer_ms_total", e.transfer_ms);
     }
 
     fn exchange(&self, e: &ExchangeEvent) {

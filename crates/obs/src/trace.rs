@@ -12,7 +12,7 @@ use std::sync::Mutex;
 
 use crate::{
     AllocEvent, CacheEvent, ClassTally, ExchangeEvent, FaultEvent, LaunchEvent, LevelEvent,
-    Observer, ServeEvent,
+    Observer, ServeEvent, UploadEvent,
 };
 
 /// One recorded event, normalized at emission time.
@@ -182,14 +182,26 @@ impl Observer for TraceRecorder {
 
     fn cache(&self, e: &CacheEvent) {
         let ts = e.start_ms * 1e3;
-        let dur = e.transfer_ms * 1e3;
         let line = format!(
-            "{{\"name\": \"{}\", \"cat\": \"ooc\", \"ph\": \"X\", \"pid\": 1, \
-             \"tid\": {}, \"ts\": {}, \"dur\": {}, \"args\": {{\"partition\": {}, \
+            "{{\"name\": \"{}\", \"cat\": \"ooc\", \"ph\": \"i\", \"s\": \"t\", \
+             \"pid\": 1, \"tid\": {}, \"ts\": {}, \"args\": {{\"partition\": {}, \
              \"bytes\": {}}}}}",
-            e.kind, e.track, ts, dur, e.partition, e.bytes
+            e.kind, e.track, ts, e.partition, e.bytes
         );
         self.push("ooc", e.track, ts, e.kind.into(), line);
+    }
+
+    fn upload(&self, e: &UploadEvent) {
+        let ts = e.start_ms * 1e3;
+        let dur = e.transfer_ms * 1e3;
+        let name = if e.cold { "upload-cold" } else { "upload" };
+        let line = format!(
+            "{{\"name\": \"{}\", \"cat\": \"ooc\", \"ph\": \"X\", \"pid\": 1, \
+             \"tid\": {}, \"ts\": {}, \"dur\": {}, \"args\": {{\"first_partition\": {}, \
+             \"partitions\": {}, \"bytes\": {}}}}}",
+            name, e.track, ts, dur, e.first_partition, e.partitions, e.bytes
+        );
+        self.push("ooc", e.track, ts, name.into(), line);
     }
 
     fn exchange(&self, e: &ExchangeEvent) {
@@ -320,7 +332,6 @@ mod tests {
             kind: "fault-cold",
             partition: 0,
             bytes: 2048,
-            transfer_ms: 0.2,
         });
         let json = r.chrome_trace_json();
         assert_eq!(json.matches('{').count(), json.matches('}').count());

@@ -1,6 +1,6 @@
 //! The streaming expander: GCGT traversal over a graph that is **not**
-//! device-resident, faulting compressed partitions in per frontier
-//! iteration.
+//! device-resident, streaming each launch's compressed partitions in as
+//! coalesced, double-buffered waves.
 
 use std::sync::Mutex;
 
@@ -17,8 +17,10 @@ use crate::partition::PartitionMap;
 /// as [`gcgt_core::GcgtEngine`] and plugs into the identical
 /// [`Expander`]/`Algorithm` contract, but only a bounded byte budget of
 /// partitions is device-resident at a time. Before every kernel launch the
-/// frontier's partitions are faulted in (LRU, chunked PCIe uploads); BFS,
-/// CC, BC, PageRank and label propagation run unmodified on top.
+/// frontier's partitions are made resident by one launch-scoped plan
+/// ([`PartitionCache::stream`]: hits first, then coalesced chunked PCIe
+/// uploads); BFS, CC, BC, PageRank and label propagation run unmodified on
+/// top.
 pub struct OocEngine<'g> {
     cgr: &'g CgrGraph,
     parts: &'g PartitionMap,
@@ -34,8 +36,8 @@ pub struct OocEngine<'g> {
 impl<'g> OocEngine<'g> {
     /// Binds a streaming engine: partitions stream into `cache_budget`
     /// bytes of device memory while the per-query traversal scratch stays
-    /// resident beside it. Fails when even one partition (plus scratch)
-    /// cannot fit.
+    /// resident beside it. Fails when even one partition with its
+    /// reference-chain closure (plus scratch) cannot fit.
     pub fn new(
         cgr: &'g CgrGraph,
         parts: &'g PartitionMap,
@@ -46,7 +48,7 @@ impl<'g> OocEngine<'g> {
         cache_budget: usize,
     ) -> Result<Self, OomError> {
         let scratch = memory::traversal_buffers_bytes(cgr.num_nodes());
-        let floor = parts.max_partition_bytes();
+        let floor = parts.max_resident_bytes();
         if floor > cache_budget || scratch + cache_budget > device_config.mem_capacity {
             return Err(OomError {
                 requested: scratch + floor.max(cache_budget),
@@ -132,13 +134,14 @@ impl Expander for OocEngine<'_> {
         0
     }
 
-    /// Faults the frontier's partitions onto the device (ascending partition
-    /// order, deduplicated) before the launch's warps decode. Runs serially,
-    /// so residency transitions and their statistics are deterministic.
+    /// Streams the frontier's partitions onto the device before the
+    /// launch's warps decode: one residency plan for the whole launch
+    /// ([`PartitionCache::stream`]). Runs serially, so residency transitions
+    /// and their statistics are deterministic.
     ///
     /// For graphs loaded with [`gcgt_cgr::ValidationMode::Deferred`] this is
     /// also where lazy structural validation lands: each needed partition is
-    /// proven decodable before its first fault (an already-validated
+    /// proven decodable before anything is uploaded (an already-validated
     /// partition is a cheap bitmap check). Corruption discovered here
     /// raises a typed [`gcgt_simt::chaos::TypedFailure::CorruptGraph`]
     /// unwind — the `Expander` contract has no fallible path, which is
@@ -148,15 +151,13 @@ impl Expander for OocEngine<'_> {
     /// sticky: the same corrupt partition reports the same error on every
     /// subsequent touch.
     fn prepare_frontier(&self, device: &mut Device, frontier: &[NodeId]) {
-        // Mark-then-sweep over a partition-count bitmask: O(frontier) to
-        // mark, and iterating the mask in index order keeps the fault order
-        // ascending and deterministic (all-nodes frontiers like PageRank's
-        // would pay a sort here otherwise).
+        // A partition-count bitmask: O(frontier) to mark, and the plan reads
+        // it in index order (all-nodes frontiers like PageRank's would pay a
+        // sort here otherwise).
         let mut needed = vec![false; self.parts.len()];
         for &u in frontier {
             needed[self.parts.partition_of(u)] = true;
         }
-        let mut cache = self.cache.lock().expect("cache poisoned");
         for (pid, _) in needed.iter().enumerate().filter(|(_, &n)| n) {
             let p = &self.parts.parts()[pid];
             self.cgr
@@ -166,8 +167,14 @@ impl Expander for OocEngine<'_> {
                         "corrupt CGR payload in partition {pid}: {e}"
                     )))
                 });
-            cache.fault(pid, self.parts, device, &self.pcie, &self.config);
         }
+        self.cache.lock().expect("cache poisoned").stream(
+            &needed,
+            self.parts,
+            device,
+            &self.pcie,
+            &self.config,
+        );
     }
 
     fn expand_chunk<S: Sink>(&self, warp: &mut WarpSim, chunk: &[NodeId], sink: &mut S) {
@@ -300,14 +307,63 @@ mod tests {
         Expander::release_residency(&engine, &mut device);
         assert_eq!(device.allocated(), 0);
         // A second query after the release behaves exactly like the first
-        // did: the cache is cold again, so fault counts repeat bitwise.
+        // did: the cache is empty again, so its first upload is cold again
+        // and every streaming statistic repeats bitwise.
         let a = {
             let e = tight_engine(&cgr, &parts);
             bfs(&e, 0).stats
         };
-        let b = bfs_in(&engine, &mut device, 0).stats;
+        // (A fresh accounting view, as a serving worker takes per query:
+        // `since`-deltas on a used device round differently.)
+        let b = bfs_in(&engine, &mut device.query_view(), 0).stats;
         assert_eq!(a.partition_faults, b.partition_faults);
+        assert_eq!(a.partition_uploads, b.partition_uploads);
         assert_eq!(a.partition_evictions, b.partition_evictions);
+        assert_eq!(a.bytes_streamed, b.bytes_streamed);
+        assert_eq!(a.transfer_ms.to_bits(), b.transfer_ms.to_bits());
+    }
+
+    #[test]
+    fn the_residency_floor_counts_reference_closures() {
+        // Reference chains cross the tight cuts of a boilerplate-heavy web
+        // graph, so some partition must co-stage a closure: a budget that
+        // holds the largest bare partition but not the largest partition
+        // *with* its closure cannot stream this graph.
+        let g = web_graph(&WebParams::eu2015_like(1_200), 9);
+        let cfg = Strategy::Full.cgr_config(&CgrConfig::paper_default().with_ref_window(32));
+        let cgr = CgrGraph::encode(&g, &cfg);
+        let parts = PartitionMap::build(&cgr, 2 << 10);
+        let floor = parts.max_resident_bytes();
+        assert!(
+            floor > parts.max_partition_bytes(),
+            "no closure at the floor"
+        );
+        let engine = |budget: usize| {
+            OocEngine::new(
+                &cgr,
+                &parts,
+                DeviceConfig::titan_v_scaled(1 << 30),
+                Strategy::Full,
+                PcieConfig::default(),
+                OocConfig::default(),
+                budget,
+            )
+        };
+        assert!(engine(floor - 1).is_err());
+
+        // At the floor it streams, answers like the oracle, and what it
+        // keeps resident — closures included — stays within the budget.
+        let engine = engine(floor).unwrap();
+        let mut device = engine.new_device();
+        let run = bfs_in(&engine, &mut device, 0);
+        assert_eq!(run.depth, refalgo::bfs(&g, 0).depth);
+        assert!(device.allocated() <= floor);
+        let own_bytes: u64 = parts.parts().iter().map(|p| p.bytes as u64).sum();
+        assert!(run.stats.partition_faults >= parts.len() as u64);
+        assert!(
+            run.stats.bytes_streamed > own_bytes,
+            "a full sweep at the floor streams every closure with its partition"
+        );
     }
 
     #[test]

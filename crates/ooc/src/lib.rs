@@ -11,15 +11,25 @@
 //! * [`PartitionMap`] — splits a [`gcgt_cgr::CgrGraph`] into contiguous
 //!   vertex ranges of bounded compressed size (adjacency lists are never
 //!   split);
-//! * [`PartitionCache`] — LRU residency under a hard byte budget, charging
-//!   `alloc`/`free` and chunked [`gcgt_simt::PcieConfig::transfer_ms`]
-//!   uploads (overlappable with decode, see [`OocConfig::overlap`]) on the
-//!   simulated device;
+//! * [`PartitionCache`] — residency under a hard byte budget, planned once
+//!   per kernel launch: partitions the launch needs that are already
+//!   resident are consumed *first*, so nothing the launch still needs is
+//!   ever evicted; the missing ones are coalesced into runs of adjacent
+//!   partitions and each run crosses the link as one chunked
+//!   [`gcgt_simt::PcieConfig::transfer_ms`] upload; and a run is capped at
+//!   half the budget, so half the cache stays resident and decoding while
+//!   it streams (the double-buffering [`OocConfig::overlap`] discounts);
 //! * [`OocEngine`] — an [`gcgt_core::Expander`] whose `prepare_frontier`
-//!   hook faults the frontier's partitions in per iteration, so every
+//!   hook hands each launch's partition set to the cache, so every
 //!   application (BFS/CC/BC/PageRank/label propagation) runs unmodified.
 //!
-//! Faults, evictions and streamed milliseconds surface in
+//! The link is won by fewer, larger, contiguous requests rather than fewer
+//! bytes — EMOGI's observation — which is what coalescing buys: a ~40 KB
+//! partition alone pays the link's 10 µs setup latency for ~3 µs of
+//! bandwidth. Kernel-side cost is untouched: `est_ms`, cycles, launches
+//! and tallies are bitwise the in-core engine's.
+//!
+//! Faults, uploads, evictions, streamed bytes and milliseconds surface in
 //! [`gcgt_simt::RunStats`], making the fit→stream transition measurable
 //! (see the `ooc` experiment in `gcgt-bench`). Sessions select this engine
 //! through `EngineKind::OutOfCore` + `SessionBuilder::memory_budget` in
@@ -30,6 +40,6 @@ pub mod cache;
 pub mod engine;
 pub mod partition;
 
-pub use cache::{CacheStats, OocConfig, PartitionCache};
+pub use cache::{CacheStats, OocConfig, PartitionCache, ResidencyPlan};
 pub use engine::OocEngine;
 pub use partition::{Partition, PartitionMap};

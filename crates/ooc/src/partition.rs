@@ -7,6 +7,8 @@
 //! from the CGR compression rate, which is the paper's own argument for
 //! streaming compressed adjacency (Section 3.2 / Appendix A).
 
+use std::ops::Range;
+
 use gcgt_cgr::CgrGraph;
 use gcgt_graph::{Csr, NodeId};
 
@@ -58,6 +60,10 @@ impl Partition {
 #[derive(Clone, Debug)]
 pub struct PartitionMap {
     parts: Vec<Partition>,
+    /// Per partition, its reference-chain closure as `(node, payload bits)`,
+    /// ascending by node — kept so the closure of a *run* of partitions is
+    /// a merge of short lists instead of a second walk over the chains.
+    closures: Vec<Vec<(NodeId, usize)>>,
 }
 
 fn range_bytes(cgr: &CgrGraph, first: usize, end: usize) -> usize {
@@ -70,11 +76,12 @@ fn range_bytes(cgr: &CgrGraph, first: usize, end: usize) -> usize {
 }
 
 /// Nodes *below* `first` that some reference chain starting in
-/// `[first, end)` passes through, ascending and deduplicated. References
-/// are strictly backward and bounded by `ref_window · ref_chain_limit`
-/// hops, so the closure is a short sorted list just under the range.
-/// Empty whenever the encoding carries no references.
-pub(crate) fn closure_nodes(cgr: &CgrGraph, first: usize, end: usize) -> Vec<NodeId> {
+/// `[first, end)` passes through, each with its payload bits, ascending and
+/// deduplicated. References are strictly backward and bounded by
+/// `ref_window · ref_chain_limit` hops, so the closure is a short sorted
+/// list just under the range. Empty whenever the encoding carries no
+/// references.
+fn chain_closure(cgr: &CgrGraph, first: usize, end: usize) -> Vec<(NodeId, usize)> {
     if cgr.config().ref_window == 0 {
         return Vec::new();
     }
@@ -90,18 +97,16 @@ pub(crate) fn closure_nodes(cgr: &CgrGraph, first: usize, end: usize) -> Vec<Nod
     }
     out.sort_unstable();
     out.dedup();
-    out
+    out.into_iter()
+        .map(|t| (t, cgr.offset(t as usize + 1) - cgr.offset(t as usize)))
+        .collect()
 }
 
-/// Device bytes of a partition's reference-chain closure: each closure
-/// node's payload bits plus its offset entry.
-fn closure_bytes(cgr: &CgrGraph, first: usize, end: usize) -> usize {
-    let nodes = closure_nodes(cgr, first, end);
-    let bits: usize = nodes
-        .iter()
-        .map(|&t| cgr.offset(t as usize + 1) - cgr.offset(t as usize))
-        .sum();
-    bits.div_ceil(8) + 8 * nodes.len()
+/// Device bytes of a reference-chain closure given as `(node, payload
+/// bits)`: the nodes' payload bits plus one offset entry each.
+fn closure_bytes(closure: &[(NodeId, usize)]) -> usize {
+    let bits: usize = closure.iter().map(|&(_, bits)| bits).sum();
+    bits.div_ceil(8) + 8 * closure.len()
 }
 
 impl PartitionMap {
@@ -110,7 +115,7 @@ impl PartitionMap {
     /// range is always covered; an empty graph yields one empty partition.
     pub fn build(cgr: &CgrGraph, target_bytes: usize) -> PartitionMap {
         let n = cgr.num_nodes();
-        let mut parts = Vec::new();
+        let mut ranges = Vec::new();
         let mut first = 0usize;
         let mut u = 0usize;
         while u < n {
@@ -118,16 +123,16 @@ impl PartitionMap {
             if next - first > 1 && range_bytes(cgr, first, next) > target_bytes {
                 // `u` no longer fits: close [first, u) and start a fresh
                 // partition at `u`.
-                parts.push(Self::make(cgr, first, u));
+                ranges.push((first, u));
                 first = u;
             } else {
                 u = next;
             }
         }
-        if first < n || parts.is_empty() {
-            parts.push(Self::make(cgr, first, n));
+        if first < n || ranges.is_empty() {
+            ranges.push((first, n));
         }
-        PartitionMap { parts }
+        Self::from_ranges(cgr, ranges)
     }
 
     /// Splits `cgr` into exactly `count` contiguous partitions, balanced by
@@ -168,22 +173,28 @@ impl PartitionMap {
             bounds.push(lo);
         }
         bounds.push(n);
-        let parts = bounds
-            .windows(2)
-            .map(|w| Self::make(cgr, w[0], w[1]))
-            .collect();
-        PartitionMap { parts }
+        Self::from_ranges(cgr, bounds.windows(2).map(|w| (w[0], w[1])))
     }
 
-    fn make(cgr: &CgrGraph, first: usize, end: usize) -> Partition {
-        Partition {
-            first_node: first as NodeId,
-            end_node: end as NodeId,
-            bit_start: cgr.offset(first),
-            bit_end: cgr.offset(end),
-            bytes: range_bytes(cgr, first, end),
-            closure_bytes: closure_bytes(cgr, first, end),
-        }
+    /// The map over the given contiguous, node-aligned `[first, end)`
+    /// ranges.
+    fn from_ranges(cgr: &CgrGraph, ranges: impl IntoIterator<Item = (usize, usize)>) -> Self {
+        let (parts, closures) = ranges
+            .into_iter()
+            .map(|(first, end)| {
+                let closure = chain_closure(cgr, first, end);
+                let part = Partition {
+                    first_node: first as NodeId,
+                    end_node: end as NodeId,
+                    bit_start: cgr.offset(first),
+                    bit_end: cgr.offset(end),
+                    bytes: range_bytes(cgr, first, end),
+                    closure_bytes: closure_bytes(&closure),
+                };
+                (part, closure)
+            })
+            .unzip();
+        PartitionMap { parts, closures }
     }
 
     /// The partitions, in node order.
@@ -256,9 +267,27 @@ impl PartitionMap {
     /// Nodes below partition `i`'s range that its reference chains pass
     /// through — the bits a streaming runtime must co-stage for the
     /// partition to decode in isolation. Empty without references.
-    pub fn closure_of(&self, cgr: &CgrGraph, i: usize) -> Vec<NodeId> {
-        let p = &self.parts[i];
-        closure_nodes(cgr, p.first_node as usize, p.end_node as usize)
+    pub fn closure_of(&self, i: usize) -> Vec<NodeId> {
+        self.closures[i].iter().map(|&(t, _)| t).collect()
+    }
+
+    /// Link bytes of the reference-chain closure of the contiguous run of
+    /// partitions `run`: the chain nodes **below the run's first node**.
+    /// Closure nodes that fall inside the run cross the link as part of
+    /// their own partition, so coalescing never moves them twice. Equals
+    /// [`Partition::closure_bytes`] for a one-partition run and is zero
+    /// without references.
+    pub fn run_closure_bytes(&self, run: Range<usize>) -> usize {
+        let below = self.parts[run.start].first_node;
+        let mut closure: Vec<(NodeId, usize)> = self.closures[run]
+            .iter()
+            .flatten()
+            .copied()
+            .filter(|&(t, _)| t < below)
+            .collect();
+        closure.sort_unstable();
+        closure.dedup();
+        closure_bytes(&closure)
     }
 
     /// Total resident bytes if every partition were loaded at once.
@@ -421,7 +450,7 @@ mod tests {
         for (i, p) in map.parts().iter().enumerate() {
             assert_eq!(p.closure_bytes, 0);
             assert_eq!(p.resident_bytes(), p.bytes);
-            assert!(map.closure_of(&cgr, i).is_empty());
+            assert!(map.closure_of(i).is_empty());
         }
         assert_eq!(map.max_resident_bytes(), map.max_partition_bytes());
     }
@@ -441,7 +470,7 @@ mod tests {
         assert!(map.len() > 4);
         let mut crossing = 0usize;
         for (i, p) in map.parts().iter().enumerate() {
-            let closure = map.closure_of(&cgr, i);
+            let closure = map.closure_of(i);
             assert!(closure.iter().all(|&t| t < p.first_node), "{p:?}");
             crossing += usize::from(!closure.is_empty());
             if !closure.is_empty() {
@@ -460,6 +489,33 @@ mod tests {
             }
         }
         assert!(crossing > 0, "no cut crossed a reference chain");
+
+        // A run's closure is what its chains reach *below the run*: the
+        // partition's own closure for a one-partition run, never more than
+        // its members' closures together, and strictly less once a member's
+        // closure nodes lie inside the run.
+        let mut covered = 0usize;
+        for i in 0..map.len() {
+            assert_eq!(
+                map.run_closure_bytes(i..i + 1),
+                map.parts()[i].closure_bytes
+            );
+        }
+        for i in 1..map.len() {
+            let apart = map.parts()[i - 1].closure_bytes + map.parts()[i].closure_bytes;
+            let together = map.run_closure_bytes(i - 1..i + 1);
+            assert!(together <= apart);
+            let below = map.parts()[i - 1].first_node;
+            if map.closure_of(i).iter().any(|&t| t >= below) {
+                assert!(together < apart);
+                covered += 1;
+            }
+        }
+        assert!(
+            covered > 0,
+            "no closure node fell inside a two-partition run"
+        );
+        assert_eq!(map.run_closure_bytes(0..map.len()), 0);
     }
 
     #[test]

@@ -858,8 +858,9 @@ impl SessionBuilder {
 
     /// Partitions the compressed graph for streaming under `budget` device
     /// bytes: per-query scratch stays resident, and the rest is the
-    /// partition cache, split into ~quarter-cache partitions so the LRU has
-    /// room to rotate. Fails when even one partition plus scratch cannot
+    /// partition cache, split into ~quarter-cache partitions so a
+    /// half-cache upload wave coalesces about two of them. Fails when even
+    /// one partition with its reference-chain closure plus scratch cannot
     /// fit.
     fn plan_streaming(
         cgr: &CgrGraph,
@@ -878,9 +879,9 @@ impl SessionBuilder {
         };
         let target = (cache_budget / 4).max(1);
         let parts = PartitionMap::build(cgr, target);
-        if parts.max_partition_bytes() > cache_budget {
+        if parts.max_resident_bytes() > cache_budget {
             return Err(SessionError::Oom(OomError {
-                requested: scratch + parts.max_partition_bytes(),
+                requested: scratch + parts.max_resident_bytes(),
                 capacity: budget,
             }));
         }

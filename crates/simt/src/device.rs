@@ -209,7 +209,9 @@ pub struct Device {
     mem: MemStats,
     allocated: usize,
     partition_faults: u64,
+    partition_uploads: u64,
     partition_evictions: u64,
+    bytes_streamed: u64,
     transfer_ms: f64,
     push_steps: u64,
     pull_steps: u64,
@@ -238,7 +240,9 @@ impl Device {
             mem: MemStats::default(),
             allocated: 0,
             partition_faults: 0,
+            partition_uploads: 0,
             partition_evictions: 0,
+            bytes_streamed: 0,
             transfer_ms: 0.0,
             push_steps: 0,
             pull_steps: 0,
@@ -491,10 +495,14 @@ impl Device {
         view
     }
 
-    /// Records one out-of-core partition fault whose upload stalled the run
-    /// for `transfer_ms` milliseconds of host-link time (post-overlap).
-    pub fn charge_partition_fault(&mut self, transfer_ms: f64) {
-        self.partition_faults += 1;
+    /// Records one coalesced out-of-core upload: `partitions` adjacent
+    /// partitions (`bytes` compressed bytes in all) crossed the host link as
+    /// a single transfer that stalled the run for `transfer_ms`
+    /// milliseconds (post-overlap).
+    pub fn charge_partition_upload(&mut self, partitions: u64, bytes: u64, transfer_ms: f64) {
+        self.partition_faults += partitions;
+        self.partition_uploads += 1;
+        self.bytes_streamed += bytes;
         self.transfer_ms += transfer_ms;
     }
 
@@ -584,7 +592,9 @@ impl Device {
             mem: self.mem,
             allocated_bytes: self.allocated,
             partition_faults: self.partition_faults,
+            partition_uploads: self.partition_uploads,
             partition_evictions: self.partition_evictions,
+            bytes_streamed: self.bytes_streamed,
             transfer_ms: self.transfer_ms,
             push_steps: self.push_steps,
             pull_steps: self.pull_steps,
@@ -622,8 +632,14 @@ pub struct RunStats {
     pub allocated_bytes: usize,
     /// Out-of-core partitions faulted onto the device (0 for in-core runs).
     pub partition_faults: u64,
+    /// Coalesced host-link uploads those faults crossed in — one per run of
+    /// adjacent missing partitions, each paying the link's setup latency
+    /// once per chunk of the *run*.
+    pub partition_uploads: u64,
     /// Out-of-core partitions evicted to make room (0 for in-core runs).
     pub partition_evictions: u64,
+    /// Compressed bytes streamed over the host link by those uploads.
+    pub bytes_streamed: u64,
     /// Milliseconds of host-link transfer streamed during the run (partition
     /// uploads, post-overlap; 0 for in-core runs). The up-front whole-graph
     /// upload of an in-core session is *not* included — that is
@@ -687,7 +703,9 @@ impl RunStats {
             mem: MemStats::default(),
             allocated_bytes: 0,
             partition_faults: 0,
+            partition_uploads: 0,
             partition_evictions: 0,
+            bytes_streamed: 0,
             transfer_ms: 0.0,
             push_steps: 0,
             pull_steps: 0,
@@ -720,9 +738,13 @@ impl RunStats {
             partition_faults: self
                 .partition_faults
                 .saturating_sub(earlier.partition_faults),
+            partition_uploads: self
+                .partition_uploads
+                .saturating_sub(earlier.partition_uploads),
             partition_evictions: self
                 .partition_evictions
                 .saturating_sub(earlier.partition_evictions),
+            bytes_streamed: self.bytes_streamed.saturating_sub(earlier.bytes_streamed),
             transfer_ms: (self.transfer_ms - earlier.transfer_ms).max(0.0),
             push_steps: self.push_steps.saturating_sub(earlier.push_steps),
             pull_steps: self.pull_steps.saturating_sub(earlier.pull_steps),
@@ -774,8 +796,12 @@ impl RunStats {
         }
         if self.partition_faults + self.partition_evictions > 0 {
             out.push_str(&format!(
-                "{:<12} {:>12} faults, {} evictions\n",
-                "ooc", self.partition_faults, self.partition_evictions
+                "{:<12} {:>12} faults in {} uploads ({:.1} KB mean), {} evictions\n",
+                "ooc",
+                self.partition_faults,
+                self.partition_uploads,
+                self.bytes_streamed as f64 / 1e3 / self.partition_uploads.max(1) as f64,
+                self.partition_evictions
             ));
         }
         if self.sync_steps > 0 {
@@ -891,11 +917,13 @@ mod tests {
     fn stream_counters_accumulate_and_subtract() {
         let mut d = Device::new(DeviceConfig::titan_v_scaled(1 << 20));
         let before = d.stats();
-        d.charge_partition_fault(1.5);
-        d.charge_partition_fault(0.5);
+        d.charge_partition_upload(3, 4096, 1.5);
+        d.charge_partition_upload(1, 1024, 0.5);
         d.charge_partition_eviction();
         let s = d.stats().since(&before);
-        assert_eq!(s.partition_faults, 2);
+        assert_eq!(s.partition_faults, 4);
+        assert_eq!(s.partition_uploads, 2);
+        assert_eq!(s.bytes_streamed, 5120);
         assert_eq!(s.partition_evictions, 1);
         assert!((s.transfer_ms - 2.0).abs() < 1e-12);
         // The estimated execution time is unaffected: transfer is reported
@@ -950,7 +978,7 @@ mod tests {
         let mut d = cfg.new_device();
         d.alloc(4096).unwrap();
         d.account_launch(&launch(100, 50, 4));
-        d.charge_partition_fault(0.25);
+        d.charge_partition_upload(1, 512, 0.25);
 
         let view = d.query_view();
         assert_eq!(view.allocated(), 4096);
@@ -982,7 +1010,7 @@ mod tests {
         for d in [&mut plain, &mut chaotic] {
             d.alloc(4096).unwrap();
             d.chaos_gate(FaultDomain::Transfer, 1.0);
-            d.charge_partition_fault(0.25);
+            d.charge_partition_upload(1, 512, 0.25);
             assert!(!d.inject_query_fault());
         }
         assert_eq!(plain.stats(), chaotic.stats());

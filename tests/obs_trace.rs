@@ -7,7 +7,6 @@
 use gcgt::bench::trace::smoke;
 use gcgt::prelude::*;
 use gcgt::serve::ServeStats;
-use gcgt::simt::{MemStats, Tally};
 use proptest::prelude::{prop_assert, proptest, Strategy as PropStrategy};
 
 /// The smoke trace must match the committed fixture byte for byte. If an
@@ -106,6 +105,56 @@ fn observer_never_perturbs_results() {
     }
 }
 
+/// The streaming counters reach an observer through two event kinds — one
+/// `upload` per coalesced transfer (bytes, charged milliseconds) and one
+/// `fault` marker per partition in it — and a `MetricsRegistry` fed by them
+/// must total exactly what `RunStats` reports, the float included.
+#[test]
+fn streaming_metrics_equal_run_stats_bitwise() {
+    let graph = web_graph(&WebParams::uk2002_like(1_500), 29);
+    let incore = Session::builder().graph(graph.clone()).build().unwrap();
+    let scratch = incore.footprint() - incore.structure_bytes();
+    let metrics = std::sync::Arc::new(MetricsRegistry::new());
+    let session = Session::builder()
+        .graph(graph)
+        .memory_budget(scratch + incore.structure_bytes() / 4)
+        .engine(EngineKind::OutOfCore {
+            inner: Strategy::Full,
+        })
+        .observer(ObserverHandle::from_arc(metrics.clone()))
+        .build()
+        .unwrap();
+    assert!(session.is_streaming());
+    let stats = session.run(Cc).stats;
+    assert!(
+        stats.partition_uploads < stats.partition_faults,
+        "nothing coalesced"
+    );
+    assert!(stats.partition_evictions > 0);
+
+    let total = |name: &str| metrics.value(name).unwrap_or(0.0);
+    assert_eq!(
+        total("gcgt_partition_transfer_ms_total").to_bits(),
+        stats.transfer_ms.to_bits()
+    );
+    assert_eq!(
+        total("gcgt_partition_bytes_streamed_total"),
+        stats.bytes_streamed as f64
+    );
+    assert_eq!(
+        total("gcgt_partition_faults_total"),
+        stats.partition_faults as f64
+    );
+    assert_eq!(
+        total("gcgt_partition_uploads_total"),
+        stats.partition_uploads as f64
+    );
+    assert_eq!(
+        total("gcgt_partition_evictions_total"),
+        stats.partition_evictions as f64
+    );
+}
+
 /// `RunStats::since` is how batches attribute work to queries; the deltas
 /// must compose — per-query exchange/transfer/step counters sum back to
 /// the batch totals, exactly for integers and to rounding for floats.
@@ -142,24 +191,10 @@ fn since_deltas_compose_across_batched_queries() {
 fn rs(est: f64, transfer: f64, exchange: f64) -> RunStats {
     RunStats {
         est_ms: est,
-        cycles: 0.0,
         launches: 1,
-        tally: Tally::default(),
-        mem: MemStats::default(),
-        allocated_bytes: 0,
-        partition_faults: 0,
-        partition_evictions: 0,
         transfer_ms: transfer,
-        push_steps: 0,
-        pull_steps: 0,
-        pushed_edges: 0,
-        pulled_edges: 0,
         exchange_ms: exchange,
-        boundary_nodes: 0,
-        sync_steps: 0,
-        faults_injected: 0,
-        retries: 0,
-        backoff_ms: 0.0,
+        ..RunStats::zeroed()
     }
 }
 

@@ -4,6 +4,8 @@
 //! residency and transfer cost — never results.
 
 use gcgt::prelude::*;
+use proptest::prelude::{prop_assert, prop_assert_eq, proptest, ProptestConfig};
+use proptest::strategy::Strategy as PropStrategy;
 
 fn graph() -> Csr {
     // Symmetrized so connected components are meaningful; big enough that a
@@ -154,4 +156,77 @@ fn reordered_streaming_session_answers_in_original_ids() {
     assert!(session.is_streaming());
     let run = session.run(Bfs::from(17));
     assert_eq!(run.output.depth, want.depth);
+}
+
+/// An arbitrary small symmetric graph (so connected components and pull
+/// levels are meaningful).
+fn arb_graph() -> impl PropStrategy<Value = Csr> {
+    (8usize..120).prop_flat_map(|n| {
+        proptest::collection::vec((0..n as u32, 0..n as u32), 1..360)
+            .prop_map(move |edges| Csr::from_edges(n, &edges).symmetrized())
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// On arbitrary graphs and budgets, in the push, direction-optimizing
+    /// and 4-streaming-shard shapes: every application's answer, kernel
+    /// estimate, cycle count, launch count, instruction tallies and memory
+    /// counters are bitwise the in-core values — the residency plan moves
+    /// only the transfer side — and a second run reproduces every statistic
+    /// bitwise.
+    #[test]
+    fn streaming_moves_only_the_transfer_side(
+        g in arb_graph(),
+        eighths in 1usize..8,
+        shape in 0usize..3,
+    ) {
+        let shaped = || {
+            let b = Session::builder().graph(g.clone());
+            match shape {
+                1 => b.direction(DirectionMode::Adaptive),
+                _ => b,
+            }
+        };
+        let incore = shaped().engine(EngineKind::Gcgt(Strategy::Full)).build().unwrap();
+        let scratch = incore.footprint() - incore.structure_bytes();
+        let budget = scratch + (incore.structure_bytes() * eighths / 8).max(1);
+        let mut streaming = shaped().memory_budget(budget).engine(EngineKind::OutOfCore {
+            inner: Strategy::Full,
+        });
+        if shape == 2 {
+            streaming = streaming.shards(4);
+        }
+        let streaming = match streaming.build() {
+            Ok(session) => session,
+            // One adjacency list can outweigh a very tight cache.
+            Err(SessionError::Oom(_)) => return Ok(()),
+            Err(e) => panic!("unexpected build failure: {e}"),
+        };
+        prop_assert!(streaming.is_streaming());
+        let n = g.num_nodes() as u32;
+        let queries = [
+            Query::Bfs(3 % n),
+            Query::Cc,
+            Query::Bc(5 % n),
+            Query::Pagerank(Pagerank::default()),
+            Query::LabelProp(LabelProp::default()),
+        ];
+        for q in queries {
+            let want = incore.run(q);
+            let got = streaming.run(q);
+            let mut answer = got.output.clone();
+            *answer.stats_mut() = *want.output.stats();
+            prop_assert_eq!(&answer, &want.output);
+            prop_assert_eq!(got.stats.est_ms.to_bits(), want.stats.est_ms.to_bits());
+            prop_assert_eq!(got.stats.cycles.to_bits(), want.stats.cycles.to_bits());
+            prop_assert_eq!(got.stats.launches, want.stats.launches);
+            prop_assert_eq!(got.stats.tally, want.stats.tally);
+            prop_assert_eq!(got.stats.mem, want.stats.mem);
+            prop_assert!(got.stats.partition_faults >= 1);
+            prop_assert!(got.stats.partition_uploads <= got.stats.partition_faults);
+            prop_assert_eq!(&streaming.run(q).stats, &got.stats);
+        }
+    }
 }
