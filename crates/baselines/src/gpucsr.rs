@@ -79,7 +79,7 @@ impl Expander for GpuCsrEngine<'_> {
         memory::csr_structure_bytes(self.graph)
     }
 
-    fn expand_chunk<S: Sink>(&self, warp: &mut WarpSim, chunk: &[NodeId], sink: &mut S) {
+    fn expand_chunk(&self, warp: &mut WarpSim, chunk: &[NodeId], sink: &mut dyn Sink) {
         expand_csr_chunk(self.graph, warp, chunk, sink);
     }
 
@@ -165,11 +165,11 @@ pub(crate) fn pull_csr_chunk(
 
 /// Merrill-style expansion of one warp's frontier chunk over CSR. Shared
 /// with the Gunrock-style baseline.
-pub(crate) fn expand_csr_chunk<S: Sink>(
+pub(crate) fn expand_csr_chunk(
     graph: &Csr,
     warp: &mut WarpSim,
     chunk: &[NodeId],
-    sink: &mut S,
+    sink: &mut dyn Sink,
 ) {
     let k = chunk.len();
     let width = warp.width();

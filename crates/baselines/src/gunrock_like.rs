@@ -52,11 +52,11 @@ impl<'g> GunrockEngine<'g> {
 /// Wraps an app sink with the filter-operator overhead: each handled batch
 /// pays an extra generic pass (frontier re-read + validity write) before the
 /// real filtering runs.
-struct FilterOverhead<'s, S> {
-    inner: &'s mut S,
+struct FilterOverhead<'s> {
+    inner: &'s mut dyn Sink,
 }
 
-impl<S: Sink> Sink for FilterOverhead<'_, S> {
+impl Sink for FilterOverhead<'_> {
     fn handle(&mut self, warp: &mut WarpSim, items: &[(NodeId, NodeId)]) {
         // The filter kernel's extra traffic: re-read the candidate slot and
         // write a validity marker.
@@ -98,7 +98,7 @@ impl Expander for GunrockEngine<'_> {
         memory::gunrock_structure_bytes(self.graph)
     }
 
-    fn expand_chunk<S: Sink>(&self, warp: &mut WarpSim, chunk: &[NodeId], sink: &mut S) {
+    fn expand_chunk(&self, warp: &mut WarpSim, chunk: &[NodeId], sink: &mut dyn Sink) {
         let mut wrapped = FilterOverhead { inner: sink };
         expand_csr_chunk(self.graph, warp, chunk, &mut wrapped);
     }

@@ -1,23 +1,9 @@
 //! `repro` — regenerates every table and figure of the paper's evaluation.
-//!
-//! ```text
-//! repro [EXPERIMENT...] [--scale F] [--sources N] [--smoke]
-//!
-//! EXPERIMENT: table1 table3 fig8 fig9 fig11 fig12 fig13 fig14 fig15
-//!             ooc serve shard direction decode ablations load chaos ref
-//!             all   (default: all)
-//!             bench-json  (runs the whole suite, times each experiment,
-//!                          and writes the machine-readable BENCH.json
-//!                          perf baseline: per-experiment modeled ms +
-//!                          host wall-clock)
-//!             trace       (runs the fixed observability smoke workload,
-//!                          writes the canonical Chrome trace to
-//!                          trace.json, and prints the per-engine latency
-//!                          decompositions + metrics snapshot)
-//! --scale F   dataset scale factor   (default: 1.0)
-//! --sources N BFS sources averaged   (default: 3)
-//! --smoke     CI smoke mode: tiny scale, one source (overrides both)
-//! ```
+//! `repro --help` prints the experiments (the [`EXPERIMENTS`] table) and the
+//! flags; unknown names and malformed flags print the same usage to stderr
+//! and exit with status 2.
+
+use std::process::ExitCode;
 
 use gcgt_bench::bench_json;
 use gcgt_bench::datasets::Scale;
@@ -25,163 +11,220 @@ use gcgt_bench::experiments::{
     ablations, chaos, decode, direction, fig11, fig12, fig13, fig14, fig15, fig8, fig9, load, ooc,
     refs, serve, shard, table1, table3, ExperimentContext,
 };
+use gcgt_bench::Table;
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut scale = 1.0f64;
-    let mut sources = 3usize;
+/// How an experiment runs.
+enum Run {
+    /// Needs no datasets.
+    Standalone(fn()),
+    /// Runs over the shared dataset context (built once, on first need).
+    Datasets(fn(&ExperimentContext)),
+}
+
+/// `(name, by_name_only, run)`. `by_name_only` is `Some(why)` for experiments
+/// that run only when asked for by name — `all` skips them, because they
+/// write a file to the cwd.
+type Experiment = (&'static str, Option<&'static str>, Run);
+
+/// Every experiment, in run order: the one list behind the help text, name
+/// validation, the decision to build the datasets, and dispatch.
+const EXPERIMENTS: &[Experiment] = &[
+    ("table3", None, Run::Standalone(|| show(table3::run()))),
+    (
+        "trace",
+        Some("fixed observability smoke workload; writes trace.json"),
+        Run::Standalone(trace),
+    ),
+    ("table1", None, Run::Datasets(|ctx| show(table1::run(ctx)))),
+    ("fig8", None, Run::Datasets(|ctx| show(fig8::run(ctx)))),
+    ("fig9", None, Run::Datasets(|ctx| show(fig9::run(ctx)))),
+    ("fig11", None, Run::Datasets(|ctx| show(fig11::run(ctx)))),
+    ("fig12", None, Run::Datasets(|ctx| show(fig12::run(ctx)))),
+    ("fig13", None, Run::Datasets(|ctx| show(fig13::run(ctx)))),
+    ("fig14", None, Run::Datasets(|ctx| show(fig14::run(ctx)))),
+    ("fig15", None, Run::Datasets(|ctx| show(fig15::run(ctx)))),
+    ("ooc", None, Run::Datasets(|ctx| show(ooc::run(ctx)))),
+    ("serve", None, Run::Datasets(|ctx| show(serve::run(ctx)))),
+    ("shard", None, Run::Datasets(|ctx| show(shard::run(ctx)))),
+    (
+        "direction",
+        None,
+        Run::Datasets(|ctx| show(direction::run(ctx))),
+    ),
+    ("load", None, Run::Datasets(|ctx| show(load::run(ctx)))),
+    ("chaos", None, Run::Datasets(|ctx| show(chaos::run(ctx)))),
+    ("ref", None, Run::Datasets(|ctx| show(refs::run(ctx)))),
+    (
+        "decode",
+        None,
+        Run::Datasets(|ctx| {
+            show(decode::render_host(&decode::host_rows(ctx)));
+            show(decode::run(ctx));
+        }),
+    ),
+    (
+        "ablations",
+        None,
+        Run::Datasets(|ctx| {
+            show(ablations::warp_width(ctx));
+            show(ablations::cache_size(ctx));
+            show(ablations::delta_code(ctx));
+        }),
+    ),
+    (
+        "bench-json",
+        Some("the whole suite, timed per experiment; writes BENCH.json"),
+        Run::Datasets(bench_json),
+    ),
+];
+
+fn show(table: Table) {
+    println!("{}", table.render());
+}
+
+/// Deliberately ignores `--scale` / `--sources` / `--smoke`: the workload
+/// is fixed so the exported trace can be diffed byte-for-byte against the
+/// committed golden fixture.
+fn trace() {
+    let report = gcgt_bench::trace::smoke(2);
+    let path = std::path::Path::new("trace.json");
+    std::fs::write(path, &report.trace_json).expect("write trace.json");
+    for (label, table) in &report.explains {
+        println!("== {label} ==\n{table}");
+    }
+    println!("== metrics ==\n{}", report.metrics);
+    eprintln!(
+        "[trace] wrote {} bytes to {}",
+        report.trace_json.len(),
+        path.display()
+    );
+}
+
+fn bench_json(ctx: &ExperimentContext) {
+    eprintln!("running the bench-json suite ...");
+    let entries = bench_json::run_suite(ctx);
+    let path = std::path::Path::new("BENCH.json");
+    bench_json::write_file(path, &entries, ctx.scale.0, ctx.sources).expect("write BENCH.json");
+    println!("{}", bench_json::render(&entries, ctx.scale.0, ctx.sources));
+    eprintln!(
+        "[bench-json] wrote {} entries to {}",
+        entries.len(),
+        path.display()
+    );
+}
+
+fn usage() -> String {
+    let mut out = String::from(
+        "repro [EXPERIMENT...] [--scale F] [--sources N] [--smoke]\n\
+         \n\
+         --scale F    dataset scale factor   (default: 1.0)\n\
+         --sources N  BFS sources averaged   (default: 3)\n\
+         --smoke      CI smoke mode: tiny scale, one source (overrides both)\n\
+         \n\
+         experiments (default: all):\n ",
+    );
+    for (name, _, _) in EXPERIMENTS.iter().filter(|e| e.1.is_none()) {
+        out.push_str(&format!(" {name}"));
+    }
+    out.push_str(" all\nonly when named:\n");
+    for (name, by_name_only, _) in EXPERIMENTS {
+        if let Some(why) = by_name_only {
+            out.push_str(&format!("  {name}: {why}\n"));
+        }
+    }
+    out
+}
+
+struct Options {
+    scale: f64,
+    sources: usize,
+    wanted: Vec<String>,
+}
+
+/// Parses the command line; `Ok(None)` is `--help`.
+fn parse(args: impl Iterator<Item = String>) -> Result<Option<Options>, String> {
+    fn value<T: std::str::FromStr>(flag: &str, v: Option<String>, kind: &str) -> Result<T, String> {
+        let v = v.ok_or_else(|| format!("{flag} needs {kind}"))?;
+        v.parse()
+            .map_err(|_| format!("{flag} needs {kind}, got `{v}`"))
+    }
+    let mut opts = Options {
+        scale: 1.0,
+        sources: 3,
+        wanted: Vec::new(),
+    };
     let mut smoke = false;
-    let mut wanted: Vec<String> = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
+    let mut args = args;
+    while let Some(a) = args.next() {
         match a.as_str() {
-            "--scale" => {
-                scale = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--scale needs a float");
-            }
-            "--sources" => {
-                sources = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--sources needs an integer");
-            }
+            "--scale" => opts.scale = value(&a, args.next(), "a float")?,
+            "--sources" => opts.sources = value(&a, args.next(), "an integer")?,
             "--smoke" => smoke = true,
-            "--help" | "-h" => {
-                println!(
-                    "repro [EXPERIMENT...] [--scale F] [--sources N] [--smoke]\n\
-                     experiments: table1 table3 fig8 fig9 fig11 fig12 fig13 fig14 fig15 ooc \
-                     serve shard direction decode ablations load chaos ref all\n\
-                     bench-json: run the suite and write the BENCH.json perf baseline\n\
-                     trace: run the observability smoke workload and write trace.json"
-                );
-                return;
+            "--help" | "-h" => return Ok(None),
+            flag if flag.starts_with('-') => return Err(format!("unknown flag `{flag}`")),
+            name if name == "all" || EXPERIMENTS.iter().any(|e| e.0 == name) => {
+                opts.wanted.push(a);
             }
-            other => wanted.push(other.to_string()),
+            name => return Err(format!("unknown experiment `{name}`")),
         }
     }
     // Smoke mode wins regardless of flag order, as the help text promises.
     if smoke {
-        scale = Scale::TEST.0;
-        sources = 1;
+        opts.scale = Scale::TEST.0;
+        opts.sources = 1;
     }
-    if wanted.is_empty() {
-        wanted.push("all".to_string());
+    if opts.wanted.is_empty() {
+        opts.wanted.push("all".to_string());
     }
-    let all = wanted.iter().any(|w| w == "all");
-    let want = |name: &str| all || wanted.iter().any(|w| w == name);
+    Ok(Some(opts))
+}
 
-    println!("GCGT reproduction — scale {scale}, {sources} BFS source(s) per measurement");
+fn main() -> ExitCode {
+    let opts = match parse(std::env::args().skip(1)) {
+        Ok(Some(opts)) => opts,
+        Ok(None) => {
+            print!("{}", usage());
+            return ExitCode::SUCCESS;
+        }
+        Err(msg) => {
+            eprint!("repro: {msg}\n\n{}", usage());
+            return ExitCode::from(2);
+        }
+    };
+    let all = opts.wanted.iter().any(|w| w == "all");
+
+    println!(
+        "GCGT reproduction — scale {}, {} BFS source(s) per measurement",
+        opts.scale, opts.sources
+    );
     println!(
         "Parameters (Table 2): VLC = zeta3, min interval length = 4, \
          reordering = LLP, residual segment length = 32 bytes\n"
     );
 
-    // table3 needs no datasets.
-    if want("table3") {
-        println!("{}", table3::run().render());
-    }
-    // trace needs no datasets either — and deliberately ignores --scale /
-    // --sources / --smoke: its workload is fixed so the exported trace can
-    // be diffed byte-for-byte against the committed golden fixture. Runs
-    // only when asked for by name (it writes trace.json to the cwd).
-    if wanted.iter().any(|w| w == "trace") {
+    let timed = |name: &str, run: &dyn Fn()| {
         let t = std::time::Instant::now();
-        let report = gcgt_bench::trace::smoke(2);
-        let path = std::path::Path::new("trace.json");
-        std::fs::write(path, &report.trace_json).expect("write trace.json");
-        for (label, table) in &report.explains {
-            println!("== {label} ==\n{table}");
-        }
-        println!("== metrics ==\n{}", report.metrics);
-        eprintln!(
-            "[trace] wrote {} bytes to {} in {:.1}s",
-            report.trace_json.len(),
-            path.display(),
-            t.elapsed().as_secs_f64()
-        );
-    }
-    let needs_ctx = [
-        "table1",
-        "fig8",
-        "fig9",
-        "fig11",
-        "fig12",
-        "fig13",
-        "fig14",
-        "fig15",
-        "ooc",
-        "serve",
-        "shard",
-        "direction",
-        "decode",
-        "ablations",
-        "load",
-        "chaos",
-        "ref",
-        "bench-json",
-    ]
-    .iter()
-    .any(|e| wanted.iter().any(|w| w == e) || (all && *e != "bench-json"));
-    if !needs_ctx {
-        return;
-    }
-
-    let t0 = std::time::Instant::now();
-    eprintln!("building datasets (scale {scale}) ...");
-    let ctx = ExperimentContext::new(Scale(scale), sources);
-    eprintln!("datasets ready in {:.1}s\n", t0.elapsed().as_secs_f64());
-
-    let run_one = |name: &str, f: &dyn Fn(&ExperimentContext) -> gcgt_bench::Table| {
-        if want(name) {
-            let t = std::time::Instant::now();
-            let table = f(&ctx);
-            println!("{}", table.render());
-            eprintln!("[{name}] done in {:.1}s\n", t.elapsed().as_secs_f64());
-        }
+        run();
+        eprintln!("[{name}] done in {:.1}s\n", t.elapsed().as_secs_f64());
     };
-
-    run_one("table1", &table1::run);
-    run_one("fig8", &fig8::run);
-    run_one("fig9", &fig9::run);
-    run_one("fig11", &fig11::run);
-    run_one("fig12", &fig12::run);
-    run_one("fig13", &fig13::run);
-    run_one("fig14", &fig14::run);
-    run_one("fig15", &fig15::run);
-    run_one("ooc", &ooc::run);
-    run_one("serve", &serve::run);
-    run_one("shard", &shard::run);
-    run_one("direction", &direction::run);
-    run_one("load", &load::run);
-    run_one("chaos", &chaos::run);
-    run_one("ref", &refs::run);
-    if want("decode") {
-        let t = std::time::Instant::now();
-        println!("{}", decode::render_host(&decode::host_rows(&ctx)).render());
-        println!("{}", decode::run(&ctx).render());
-        eprintln!("[decode] done in {:.1}s\n", t.elapsed().as_secs_f64());
+    let mut ctx: Option<ExperimentContext> = None;
+    for (name, by_name_only, run) in EXPERIMENTS {
+        if !(opts.wanted.iter().any(|w| w == name) || (all && by_name_only.is_none())) {
+            continue;
+        }
+        match run {
+            Run::Standalone(run) => timed(name, run),
+            Run::Datasets(run) => {
+                let ctx = ctx.get_or_insert_with(|| {
+                    let t = std::time::Instant::now();
+                    eprintln!("building datasets (scale {}) ...", opts.scale);
+                    let ctx = ExperimentContext::new(Scale(opts.scale), opts.sources);
+                    eprintln!("datasets ready in {:.1}s\n", t.elapsed().as_secs_f64());
+                    ctx
+                });
+                timed(name, &|| run(ctx));
+            }
+        }
     }
-    if want("ablations") {
-        println!("{}", ablations::warp_width(&ctx).render());
-        println!("{}", ablations::cache_size(&ctx).render());
-        println!("{}", ablations::delta_code(&ctx).render());
-    }
-    // bench-json runs only when asked for by name ("all" excludes it: it
-    // re-runs the whole suite with per-experiment timing).
-    if wanted.iter().any(|w| w == "bench-json") {
-        let t = std::time::Instant::now();
-        eprintln!("running the bench-json suite ...");
-        let entries = bench_json::run_suite(&ctx);
-        let path = std::path::Path::new("BENCH.json");
-        bench_json::write_file(path, &entries, scale, sources).expect("write BENCH.json");
-        println!("{}", bench_json::render(&entries, scale, sources));
-        eprintln!(
-            "[bench-json] wrote {} entries to {} in {:.1}s",
-            entries.len(),
-            path.display(),
-            t.elapsed().as_secs_f64()
-        );
-    }
+    ExitCode::SUCCESS
 }

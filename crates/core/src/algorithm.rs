@@ -61,7 +61,7 @@ pub trait Algorithm: Clone + Send + Sync {
     }
 
     /// Runs on `engine`, accounting on `device` (graph already resident).
-    fn execute<E: Expander + ?Sized>(&self, engine: &E, device: &mut Device) -> Self::Output;
+    fn execute(&self, engine: &dyn Expander, device: &mut Device) -> Self::Output;
 
     /// Translates per-node output arrays from the internal id space back to
     /// original ids (`perm[original] = internal`). Identity by default.
@@ -109,7 +109,7 @@ impl Algorithm for Bfs {
         Some(self.source)
     }
 
-    fn execute<E: Expander + ?Sized>(&self, engine: &E, device: &mut Device) -> BfsRun {
+    fn execute(&self, engine: &dyn Expander, device: &mut Device) -> BfsRun {
         bfs_in(engine, device, self.source)
     }
 
@@ -132,7 +132,7 @@ impl Algorithm for Cc {
         "cc"
     }
 
-    fn execute<E: Expander + ?Sized>(&self, engine: &E, device: &mut Device) -> CcRun {
+    fn execute(&self, engine: &dyn Expander, device: &mut Device) -> CcRun {
         cc_in(engine, device)
     }
 
@@ -185,7 +185,7 @@ impl Algorithm for Bc {
         Some(self.source)
     }
 
-    fn execute<E: Expander + ?Sized>(&self, engine: &E, device: &mut Device) -> BcRun {
+    fn execute(&self, engine: &dyn Expander, device: &mut Device) -> BcRun {
         bc_in(engine, device, self.source)
     }
 
@@ -225,7 +225,7 @@ impl Algorithm for Pagerank {
         "pagerank"
     }
 
-    fn execute<E: Expander + ?Sized>(&self, engine: &E, device: &mut Device) -> PagerankRun {
+    fn execute(&self, engine: &dyn Expander, device: &mut Device) -> PagerankRun {
         pagerank_in(engine, device, self.damping, self.max_iters, self.tolerance)
     }
 
@@ -259,7 +259,7 @@ impl Algorithm for LabelProp {
         "labelprop"
     }
 
-    fn execute<E: Expander + ?Sized>(&self, engine: &E, device: &mut Device) -> LabelPropRun {
+    fn execute(&self, engine: &dyn Expander, device: &mut Device) -> LabelPropRun {
         label_propagation_in(engine, device, self.max_rounds)
     }
 
@@ -376,7 +376,7 @@ impl Algorithm for Query {
         }
     }
 
-    fn execute<E: Expander + ?Sized>(&self, engine: &E, device: &mut Device) -> QueryOutput {
+    fn execute(&self, engine: &dyn Expander, device: &mut Device) -> QueryOutput {
         match *self {
             Query::Bfs(s) => QueryOutput::Bfs(Bfs { source: s }.execute(engine, device)),
             Query::Cc => QueryOutput::Cc(Cc.execute(engine, device)),
@@ -400,7 +400,7 @@ impl Algorithm for Query {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{DynExpander, GcgtEngine};
+    use crate::engine::GcgtEngine;
     use crate::strategy::Strategy;
     use gcgt_cgr::{CgrConfig, CgrGraph};
     use gcgt_graph::gen::toys;
@@ -413,8 +413,8 @@ mod tests {
         let cfg = Strategy::Full.cgr_config(&CgrConfig::paper_default());
         let cgr = CgrGraph::encode(&g, &cfg);
         let engine = GcgtEngine::new(&cgr, DeviceConfig::default(), Strategy::Full).unwrap();
-        let dyn_engine: &dyn DynExpander = &engine;
-        let mut device = dyn_engine.dyn_new_device();
+        let dyn_engine: &dyn Expander = &engine;
+        let mut device = dyn_engine.new_device();
         let run = Bfs::from(0).execute(dyn_engine, &mut device);
         assert_eq!(run.depth, refalgo::bfs(&g, 0).depth);
     }
@@ -440,7 +440,7 @@ mod tests {
         let cfg = Strategy::Full.cgr_config(&CgrConfig::paper_default());
         let cgr = CgrGraph::encode(&g, &cfg);
         let engine = GcgtEngine::new(&cgr, DeviceConfig::default(), Strategy::Full).unwrap();
-        let mut device = crate::engine::Expander::new_device(&engine);
+        let mut device = engine.new_device();
         let queries = [
             Query::Bfs(0),
             Query::Cc,

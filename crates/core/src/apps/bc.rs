@@ -78,14 +78,14 @@ impl Sink for LabelSink<'_> {
 }
 
 /// Runs single-source betweenness centrality from `source`.
-pub fn bc<E: Expander + ?Sized>(engine: &E, source: NodeId) -> BcRun {
+pub fn bc(engine: &dyn Expander, source: NodeId) -> BcRun {
     let mut device = engine.new_device();
     bc_in(engine, &mut device, source)
 }
 
 /// [`bc`] on an existing device with the graph already resident. The
 /// returned statistics cover only this run.
-pub fn bc_in<E: Expander + ?Sized>(engine: &E, device: &mut Device, source: NodeId) -> BcRun {
+pub fn bc_in(engine: &dyn Expander, device: &mut Device, source: NodeId) -> BcRun {
     let n = engine.num_nodes();
     assert!((source as usize) < n);
     let before = device.stats();

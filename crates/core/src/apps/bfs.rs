@@ -95,7 +95,7 @@ impl Sink for QueueSink<'_> {
 /// graph, returning depths identical to the serial oracle plus the
 /// simulated-device cost. Allocates a fresh device per call; batched
 /// workloads that keep the graph resident should use [`bfs_in`].
-pub fn bfs<E: Expander + ?Sized>(engine: &E, source: NodeId) -> BfsRun {
+pub fn bfs(engine: &dyn Expander, source: NodeId) -> BfsRun {
     let mut device = engine.new_device();
     bfs_in(engine, &mut device, source)
 }
@@ -110,7 +110,7 @@ pub fn bfs<E: Expander + ?Sized>(engine: &E, source: NodeId) -> BfsRun {
 /// frontier's out-degree sum exceeds `num_edges / `[`PULL_ALPHA`]. The
 /// per-level decision is host-side (it charges nothing), so a run whose
 /// heuristic always picks push is bitwise identical to a `Push` run.
-pub fn bfs_in<E: Expander + ?Sized>(engine: &E, device: &mut Device, source: NodeId) -> BfsRun {
+pub fn bfs_in(engine: &dyn Expander, device: &mut Device, source: NodeId) -> BfsRun {
     let n = engine.num_nodes();
     assert!((source as usize) < n, "source out of range");
     let mode = engine.direction();

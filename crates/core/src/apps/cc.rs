@@ -65,14 +65,14 @@ impl Sink for HookSink<'_> {
 
 /// Runs connected components. The engine's CGR must encode the symmetrized
 /// graph for true (undirected) components.
-pub fn cc<E: Expander + ?Sized>(engine: &E) -> CcRun {
+pub fn cc(engine: &dyn Expander) -> CcRun {
     let mut device = engine.new_device();
     cc_in(engine, &mut device)
 }
 
 /// [`cc`] on an existing device with the graph already resident. The
 /// returned statistics cover only this run.
-pub fn cc_in<E: Expander + ?Sized>(engine: &E, device: &mut Device) -> CcRun {
+pub fn cc_in(engine: &dyn Expander, device: &mut Device) -> CcRun {
     let n = engine.num_nodes();
     let before = device.stats();
     let scratch = crate::apps::alloc_scratch(engine, device);
@@ -146,7 +146,7 @@ pub fn cc_in<E: Expander + ?Sized>(engine: &E, device: &mut Device) -> CcRun {
 
 /// Accounts one pointer-jumping kernel launch: warps stride over all nodes,
 /// each lane reading `comp[x]` (coalesced) and `comp[comp[x]]` (scattered).
-fn account_jump_launch<E: Expander + ?Sized>(engine: &E, device: &mut Device, n: usize) {
+fn account_jump_launch(engine: &dyn Expander, device: &mut Device, n: usize) {
     let width = engine.device_config().warp_width;
     let warps = n.div_ceil(width);
     let mut cost = IterationCost {

@@ -47,15 +47,15 @@ impl Sink for VoteSink {
 }
 
 /// Runs at most `max_rounds` synchronous label-propagation rounds.
-pub fn label_propagation<E: Expander + ?Sized>(engine: &E, max_rounds: usize) -> LabelPropRun {
+pub fn label_propagation(engine: &dyn Expander, max_rounds: usize) -> LabelPropRun {
     let mut device = engine.new_device();
     label_propagation_in(engine, &mut device, max_rounds)
 }
 
 /// [`label_propagation`] on an existing device with the graph already
 /// resident. The returned statistics cover only this run.
-pub fn label_propagation_in<E: Expander + ?Sized>(
-    engine: &E,
+pub fn label_propagation_in(
+    engine: &dyn Expander,
     device: &mut Device,
     max_rounds: usize,
 ) -> LabelPropRun {

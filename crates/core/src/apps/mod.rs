@@ -30,7 +30,7 @@ use gcgt_simt::Device;
 /// queues, output buffers, label arrays) on the device, returning the byte
 /// count the matching `device.free(..)` must release on exit. Engines verify
 /// at construction that structure + scratch fit, so this cannot OOM.
-pub(crate) fn alloc_scratch<E: Expander + ?Sized>(engine: &E, device: &mut Device) -> usize {
+pub(crate) fn alloc_scratch(engine: &dyn Expander, device: &mut Device) -> usize {
     let scratch = engine.scratch_bytes();
     device
         .alloc(scratch)

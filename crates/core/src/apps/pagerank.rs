@@ -43,8 +43,8 @@ impl Sink for PushSink {
 
 /// Runs damped PageRank for at most `max_iters` iterations, stopping when
 /// the L1 change drops below `tolerance`.
-pub fn pagerank<E: Expander + ?Sized>(
-    engine: &E,
+pub fn pagerank(
+    engine: &dyn Expander,
     damping: f64,
     max_iters: usize,
     tolerance: f64,
@@ -55,8 +55,8 @@ pub fn pagerank<E: Expander + ?Sized>(
 
 /// [`pagerank`] on an existing device with the graph already resident. The
 /// returned statistics cover only this run.
-pub fn pagerank_in<E: Expander + ?Sized>(
-    engine: &E,
+pub fn pagerank_in(
+    engine: &dyn Expander,
     device: &mut Device,
     damping: f64,
     max_iters: usize,

@@ -1,6 +1,6 @@
 //! The expansion engine abstraction and the GCGT engine.
 //!
-//! Apps (BFS/CC/BC/PageRank) are generic over an [`Expander`]: something
+//! Apps (BFS/CC/BC/PageRank) run over a `&dyn` [`Expander`]: something
 //! that can expand a warp-sized chunk of frontier nodes into `(u, v)` pairs
 //! on the simulated device. [`GcgtEngine`] expands compressed adjacency
 //! (the paper's contribution); the `gcgt-baselines` crate provides CSR-based
@@ -9,18 +9,27 @@
 
 use gcgt_cgr::CgrGraph;
 use gcgt_graph::NodeId;
-use gcgt_simt::{parallel_warps, Device, DeviceConfig, IterationCost, OomError, OpClass, WarpSim};
+use gcgt_simt::{parallel_warps, Device, DeviceConfig, IterationCost, OomError, WarpSim};
 
 use crate::frontier::Frontier;
-use crate::kernels::{expand_warp, CollectSink, Sink};
+use crate::kernels::{expand_warp, Sink};
 use crate::memory;
 use crate::strategy::{DirectionMode, Strategy};
 
 /// A device-resident graph structure that can expand frontier chunks.
 ///
+/// The trait is **object-safe**: apps, launchers and the session layer all
+/// take `&dyn Expander`, so an engine chosen at run time (GCGT, the CSR
+/// baselines, streaming, sharded, user-defined) runs every app with no
+/// per-call-site dispatch. That is why [`Expander::expand_chunk`] takes its
+/// sink as `&mut dyn Sink` rather than a type parameter: every production
+/// caller (sessions, serving, the bench harness) picks its engine at run
+/// time, so a generic sink would be monomorphized for unit tests only.
+///
 /// `Send + Sync` is part of the contract: engines are shared across host
 /// warp threads within a launch (`Sync`) and handed to pool workers by the
-/// concurrent serving layer (`Send`). Engines hold plain data or interior
+/// concurrent serving layer (`Send`) — as supertraits they make
+/// `dyn Expander` itself thread-safe. Engines hold plain data or interior
 /// mutability behind locks, so the bounds cost implementors nothing.
 pub trait Expander: Send + Sync {
     /// Node count of the resident graph.
@@ -77,52 +86,20 @@ pub trait Expander: Send + Sync {
     }
 
     /// Expands one warp's chunk of frontier nodes, feeding `sink`.
-    fn expand_chunk<S: Sink>(&self, warp: &mut WarpSim, chunk: &[NodeId], sink: &mut S);
+    fn expand_chunk(&self, warp: &mut WarpSim, chunk: &[NodeId], sink: &mut dyn Sink);
 
     /// Pull-mode expansion of one warp's chunk of **unvisited candidates**:
-    /// for each candidate, find its first neighbour in `frontier` and push
-    /// `(parent, candidate)` onto `out`. Returns the number of neighbours
-    /// examined (the `RunStats::pulled_edges` contribution).
-    ///
-    /// The default is a correct-everywhere fallback: expand the candidates'
-    /// full adjacency through the push machinery and select each
-    /// candidate's first frontier parent in emission order — no early-exit
-    /// saving. Engines with a native streaming decode (GCGT, the CSR
-    /// baselines) override it with a real early-exit scan.
+    /// for each candidate, scan its adjacency for the first neighbour in
+    /// `frontier` (early exit) and push `(parent, candidate)` onto `out`.
+    /// Returns the number of neighbours examined (the
+    /// `RunStats::pulled_edges` contribution).
     fn pull_chunk(
         &self,
         warp: &mut WarpSim,
         chunk: &[NodeId],
         frontier: &Frontier,
         out: &mut Vec<(NodeId, NodeId)>,
-    ) -> u64 {
-        let mut sink = CollectSink::default();
-        self.expand_chunk(warp, chunk, &mut sink);
-        // Membership probes over the dense frontier bitmap, one Handle
-        // step per warp-width batch of candidates.
-        for batch in sink.pairs.chunks(warp.width().max(1)) {
-            warp.issue_mem(
-                OpClass::Handle,
-                batch.len(),
-                batch.iter().map(|&(_, v)| Frontier::bitmap_addr(v)),
-            );
-        }
-        let examined = sink.pairs.len() as u64;
-        let mut taken = vec![false; chunk.len()];
-        for &(u, v) in &sink.pairs {
-            if frontier.contains(v) {
-                let idx = chunk
-                    .iter()
-                    .position(|&c| c == u)
-                    .expect("expanded pair outside the chunk");
-                if !taken[idx] {
-                    taken[idx] = true;
-                    out.push((v, u));
-                }
-            }
-        }
-        examined
-    }
+    ) -> u64;
 
     /// Releases whatever query-spanning residency this engine still holds
     /// on `device` — called by serving workers when a query ends, so the
@@ -149,256 +126,99 @@ pub trait Expander: Send + Sync {
     }
 }
 
-/// The object-safe face of [`Expander`], for runtime engine selection.
-///
-/// `Expander::expand_chunk` is generic over its [`Sink`], which rules out
-/// `dyn Expander`. This companion trait erases that generic behind a
-/// `&mut dyn Sink`, and is blanket-implemented for every `Expander` — so any
-/// engine (GCGT, the CSR baselines, user-defined ones) can be handled as a
-/// `&dyn DynExpander` with no per-call-site match ladders. The reverse
-/// direction also holds: `dyn DynExpander` implements `Expander`, so every
-/// generic app runs on a dynamically chosen engine unchanged.
-///
-/// `Send + Sync` supertraits make the *object* type thread-safe too:
-/// `dyn DynExpander` crosses worker-thread boundaries in the concurrent
-/// serving layer without per-call-site `+ Send + Sync` bounds.
-pub trait DynExpander: Send + Sync {
-    /// Node count of the resident graph (`dyn_`-prefixed so the blanket
-    /// impl never shadows the [`Expander`] inherent names at call sites).
-    fn dyn_num_nodes(&self) -> usize;
-
-    /// Edge count (see [`Expander::num_edges`]).
-    fn dyn_num_edges(&self) -> usize;
-
-    /// Out-degree of `u` (see [`Expander::out_degree`]).
-    fn dyn_out_degree(&self, u: NodeId) -> usize;
-
-    /// Expansion-direction policy (see [`Expander::direction`]).
-    fn dyn_direction(&self) -> DirectionMode;
-
-    /// The simulated device's configuration.
-    fn dyn_device_config(&self) -> &DeviceConfig;
-
-    /// Resident bytes (graph + traversal buffers) for OOM accounting.
-    fn dyn_footprint(&self) -> usize;
-
-    /// Query-invariant structure bytes (see [`Expander::structure_bytes`]).
-    fn dyn_structure_bytes(&self) -> usize;
-
-    /// Per-query scratch bytes (see [`Expander::scratch_bytes`]).
-    fn dyn_scratch_bytes(&self) -> usize;
-
-    /// Pre-launch residency hook (see [`Expander::prepare_frontier`]).
-    fn dyn_prepare_frontier(&self, device: &mut Device, frontier: &[NodeId]);
-
-    /// End-of-query residency release (see [`Expander::release_residency`]).
-    fn dyn_release_residency(&self, device: &mut Device);
-
-    /// Type-erased [`Expander::expand_chunk`].
-    fn expand_chunk_dyn(&self, warp: &mut WarpSim, chunk: &[NodeId], sink: &mut dyn Sink);
-
-    /// Type-erased [`Expander::pull_chunk`] (already object-safe — the
-    /// frontier and output are concrete types).
-    fn pull_chunk_dyn(
-        &self,
-        warp: &mut WarpSim,
-        chunk: &[NodeId],
-        frontier: &Frontier,
-        out: &mut Vec<(NodeId, NodeId)>,
-    ) -> u64;
-
-    /// Creates a per-run device with the graph resident (see
-    /// [`Expander::new_device`]).
-    fn dyn_new_device(&self) -> Device;
-}
-
-impl<E: Expander> DynExpander for E {
-    fn dyn_num_nodes(&self) -> usize {
-        Expander::num_nodes(self)
-    }
-
-    fn dyn_num_edges(&self) -> usize {
-        Expander::num_edges(self)
-    }
-
-    fn dyn_out_degree(&self, u: NodeId) -> usize {
-        Expander::out_degree(self, u)
-    }
-
-    fn dyn_direction(&self) -> DirectionMode {
-        Expander::direction(self)
-    }
-
-    fn dyn_device_config(&self) -> &DeviceConfig {
-        Expander::device_config(self)
-    }
-
-    fn dyn_footprint(&self) -> usize {
-        Expander::footprint(self)
-    }
-
-    fn dyn_structure_bytes(&self) -> usize {
-        Expander::structure_bytes(self)
-    }
-
-    fn dyn_scratch_bytes(&self) -> usize {
-        Expander::scratch_bytes(self)
-    }
-
-    fn dyn_prepare_frontier(&self, device: &mut Device, frontier: &[NodeId]) {
-        Expander::prepare_frontier(self, device, frontier);
-    }
-
-    fn dyn_release_residency(&self, device: &mut Device) {
-        Expander::release_residency(self, device);
-    }
-
-    fn expand_chunk_dyn(&self, warp: &mut WarpSim, chunk: &[NodeId], mut sink: &mut dyn Sink) {
-        Expander::expand_chunk(self, warp, chunk, &mut sink);
-    }
-
-    fn pull_chunk_dyn(
-        &self,
-        warp: &mut WarpSim,
-        chunk: &[NodeId],
-        frontier: &Frontier,
-        out: &mut Vec<(NodeId, NodeId)>,
-    ) -> u64 {
-        Expander::pull_chunk(self, warp, chunk, frontier, out)
-    }
-
-    fn dyn_new_device(&self) -> Device {
-        Expander::new_device(self)
-    }
-}
-
-impl Expander for dyn DynExpander + '_ {
-    fn num_nodes(&self) -> usize {
-        self.dyn_num_nodes()
-    }
-
-    fn num_edges(&self) -> usize {
-        self.dyn_num_edges()
-    }
-
-    fn out_degree(&self, u: NodeId) -> usize {
-        self.dyn_out_degree(u)
-    }
-
-    fn direction(&self) -> DirectionMode {
-        self.dyn_direction()
-    }
-
-    fn device_config(&self) -> &DeviceConfig {
-        self.dyn_device_config()
-    }
-
-    fn footprint(&self) -> usize {
-        self.dyn_footprint()
-    }
-
-    fn structure_bytes(&self) -> usize {
-        self.dyn_structure_bytes()
-    }
-
-    fn scratch_bytes(&self) -> usize {
-        self.dyn_scratch_bytes()
-    }
-
-    fn prepare_frontier(&self, device: &mut Device, frontier: &[NodeId]) {
-        self.dyn_prepare_frontier(device, frontier);
-    }
-
-    fn release_residency(&self, device: &mut Device) {
-        self.dyn_release_residency(device);
-    }
-
-    fn expand_chunk<S: Sink>(&self, warp: &mut WarpSim, chunk: &[NodeId], sink: &mut S) {
-        self.expand_chunk_dyn(warp, chunk, sink);
-    }
-
-    fn pull_chunk(
-        &self,
-        warp: &mut WarpSim,
-        chunk: &[NodeId],
-        frontier: &Frontier,
-        out: &mut Vec<(NodeId, NodeId)>,
-    ) -> u64 {
-        self.pull_chunk_dyn(warp, chunk, frontier, out)
-    }
-
-    fn new_device(&self) -> Device {
-        self.dyn_new_device()
-    }
-}
-
-/// Launches one expansion kernel over `frontier`: chunks it into warps, runs
-/// them host-parallel (deterministically merged in warp order), accounts the
-/// launch on `device`, and returns the per-warp sinks for the contraction
-/// merge.
-pub fn launch_expansion<E, S, F>(
-    expander: &E,
+/// One kernel launch over `work`: residency hook, chunking into warps,
+/// host-parallel `per_warp` runs (results in warp order, hence
+/// deterministic), launch accounting on `device`, and — only with an
+/// observer installed — the level event, whose edge count `edges` derives
+/// from the per-warp results.
+fn launch<T: Send>(
+    expander: &dyn Expander,
     device: &mut Device,
-    frontier: &[NodeId],
-    make_sink: F,
-) -> Vec<S>
-where
-    E: Expander + ?Sized,
-    S: Sink + Send,
-    F: Fn() -> S + Sync,
-{
+    work: &[NodeId],
+    direction: &'static str,
+    per_warp: impl Fn(&mut WarpSim, &[NodeId]) -> T + Sync,
+    edges: impl FnOnce(&[T]) -> u64,
+) -> Vec<T> {
     // Observer bookkeeping costs nothing when disabled: the span start and
-    // the frontier out-degree sum are computed only with an observer
-    // installed, and never feed back into any accounted number.
+    // the edge count are computed only with an observer installed, and
+    // never feed back into any accounted number.
     let obs_start = device.observer().is_some().then(|| device.modeled_ms());
-    // Residency first: out-of-core engines fault the frontier's partitions
+    // Residency first: out-of-core engines fault the work list's partitions
     // onto the device before any warp decodes (serial, hence deterministic).
-    expander.prepare_frontier(device, frontier);
-    let width = expander.device_config().warp_width;
-    let cache_lines = expander.device_config().cache_lines_per_warp;
+    expander.prepare_frontier(device, work);
+    let device_config = expander.device_config();
+    let width = device_config.warp_width;
+    let cache_lines = device_config.cache_lines_per_warp;
     // Decode-cost model: devices carrying the VLC decode tables charge
     // decode steps as one table probe (OpClass::TableDecode) instead of a
     // serial bit-scan — same schedule, cheaper slots. No-op for kernels
     // that never decode (the CSR baselines).
-    let table_decode = expander.device_config().table_decode;
-    let chunks: Vec<&[NodeId]> = frontier.chunks(width).collect();
+    let table_decode = device_config.table_decode;
+    let chunks: Vec<&[NodeId]> = work.chunks(width).collect();
     let results = parallel_warps(chunks.len(), |w| {
         let mut warp = WarpSim::new(width, cache_lines).with_table_decode(table_decode);
-        let mut sink = make_sink();
-        expander.expand_chunk(&mut warp, chunks[w], &mut sink);
-        (warp.into_counters(), sink)
+        let out = per_warp(&mut warp, chunks[w]);
+        (warp.into_counters(), out)
     });
 
     let mut cost = IterationCost {
         warps: chunks.len(),
         ..Default::default()
     };
-    let mut sinks = Vec::with_capacity(results.len());
-    let device_config = expander.device_config();
-    for ((tally, mem), sink) in results {
+    let mut outs = Vec::with_capacity(results.len());
+    for ((tally, mem), out) in results {
         let critical = device_config.warp_critical_cycles(&tally, &mem);
         cost.max_warp_cycles = cost.max_warp_cycles.max(critical);
         cost.tally.merge(&tally);
         cost.mem.merge(&mem);
-        sinks.push(sink);
+        outs.push(out);
     }
     device.account_launch(&cost);
     if let (Some(start_ms), Some(obs)) = (obs_start, device.observer()) {
-        let edges = frontier
-            .iter()
-            .map(|&u| expander.out_degree(u) as u64)
-            .sum();
         obs.level(&gcgt_simt::obs::LevelEvent {
             track: device.track(),
             start_ms,
             end_ms: device.modeled_ms(),
-            direction: "push",
-            work_items: frontier.len() as u64,
-            edges,
+            direction,
+            work_items: work.len() as u64,
+            edges: edges(&outs),
             classes: device_config.class_breakdown(&cost.tally),
         });
     }
-    sinks
+    outs
+}
+
+/// Launches one expansion kernel over `frontier`: chunks it into warps, runs
+/// them host-parallel (deterministically merged in warp order), accounts the
+/// launch on `device`, and returns the per-warp sinks for the contraction
+/// merge.
+pub fn launch_expansion<S, F>(
+    expander: &dyn Expander,
+    device: &mut Device,
+    frontier: &[NodeId],
+    make_sink: F,
+) -> Vec<S>
+where
+    S: Sink + Send,
+    F: Fn() -> S + Sync,
+{
+    launch(
+        expander,
+        device,
+        frontier,
+        "push",
+        |warp, chunk| {
+            let mut sink = make_sink();
+            expander.expand_chunk(warp, chunk, &mut sink);
+            sink
+        },
+        |_| {
+            frontier
+                .iter()
+                .map(|&u| expander.out_degree(u) as u64)
+                .sum()
+        },
+    )
 }
 
 /// Launches one pull-mode kernel over the unvisited `candidates`: chunks
@@ -412,56 +232,29 @@ where
 /// holding the **candidates'** adjacency (not the frontier's), which is
 /// most of the structure on early dense levels — the residency tradeoff the
 /// adaptive heuristic's push levels avoid.
-pub fn launch_pull<E>(
-    expander: &E,
+pub fn launch_pull(
+    expander: &dyn Expander,
     device: &mut Device,
     candidates: &[NodeId],
     frontier: &Frontier,
-) -> (Vec<(NodeId, NodeId)>, u64)
-where
-    E: Expander + ?Sized,
-{
-    let obs_start = device.observer().is_some().then(|| device.modeled_ms());
-    expander.prepare_frontier(device, candidates);
-    let width = expander.device_config().warp_width;
-    let cache_lines = expander.device_config().cache_lines_per_warp;
-    let table_decode = expander.device_config().table_decode;
-    let chunks: Vec<&[NodeId]> = candidates.chunks(width).collect();
-    let results = parallel_warps(chunks.len(), |w| {
-        let mut warp = WarpSim::new(width, cache_lines).with_table_decode(table_decode);
-        let mut out = Vec::new();
-        let examined = expander.pull_chunk(&mut warp, chunks[w], frontier, &mut out);
-        (warp.into_counters(), (out, examined))
-    });
-
-    let mut cost = IterationCost {
-        warps: chunks.len(),
-        ..Default::default()
-    };
-    let mut pairs = Vec::new();
-    let mut examined = 0u64;
-    let device_config = expander.device_config();
-    for ((tally, mem), (out, seen)) in results {
-        let critical = device_config.warp_critical_cycles(&tally, &mem);
-        cost.max_warp_cycles = cost.max_warp_cycles.max(critical);
-        cost.tally.merge(&tally);
-        cost.mem.merge(&mem);
-        pairs.extend(out);
-        examined += seen;
+) -> (Vec<(NodeId, NodeId)>, u64) {
+    fn examined(outs: &[(Vec<(NodeId, NodeId)>, u64)]) -> u64 {
+        outs.iter().map(|(_, seen)| seen).sum()
     }
-    device.account_launch(&cost);
-    if let (Some(start_ms), Some(obs)) = (obs_start, device.observer()) {
-        obs.level(&gcgt_simt::obs::LevelEvent {
-            track: device.track(),
-            start_ms,
-            end_ms: device.modeled_ms(),
-            direction: "pull",
-            work_items: candidates.len() as u64,
-            edges: examined,
-            classes: device_config.class_breakdown(&cost.tally),
-        });
-    }
-    (pairs, examined)
+    let outs = launch(
+        expander,
+        device,
+        candidates,
+        "pull",
+        |warp, chunk| {
+            let mut out = Vec::new();
+            let seen = expander.pull_chunk(warp, chunk, frontier, &mut out);
+            (out, seen)
+        },
+        examined,
+    );
+    let total = examined(&outs);
+    (outs.into_iter().flat_map(|(out, _)| out).collect(), total)
 }
 
 /// A GCGT traversal engine bound to one compressed graph.
@@ -481,12 +274,7 @@ impl<'g> GcgtEngine<'g> {
         device_config: DeviceConfig,
         strategy: Strategy,
     ) -> Result<Self, OomError> {
-        assert_eq!(
-            cgr.config().segment_len_bytes.is_some(),
-            strategy.needs_segmented_layout(),
-            "CGR layout does not match strategy {strategy:?}: re-encode with \
-             strategy.cgr_config(..)"
-        );
+        strategy.assert_layout(cgr.config());
         let mut probe = Device::new(device_config);
         probe.alloc(memory::gcgt_footprint(cgr))?;
         Ok(Self {
@@ -549,7 +337,7 @@ impl Expander for GcgtEngine<'_> {
         memory::gcgt_structure_bytes(self.cgr)
     }
 
-    fn expand_chunk<S: Sink>(&self, warp: &mut WarpSim, chunk: &[NodeId], sink: &mut S) {
+    fn expand_chunk(&self, warp: &mut WarpSim, chunk: &[NodeId], sink: &mut dyn Sink) {
         expand_warp(self.strategy, warp, self.cgr, chunk, sink);
     }
 

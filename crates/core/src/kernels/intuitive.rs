@@ -36,7 +36,7 @@ struct Lane {
 }
 
 /// Expands `chunk` (one frontier node per lane) with Algorithm 1.
-pub fn expand<S: Sink>(warp: &mut WarpSim, cgr: &CgrGraph, chunk: &[NodeId], sink: &mut S) {
+pub fn expand(warp: &mut WarpSim, cgr: &CgrGraph, chunk: &[NodeId], sink: &mut dyn Sink) {
     let cursors = load_cursors(warp, cgr, chunk);
     let mut lanes: Vec<Lane> = cursors
         .into_iter()

@@ -24,18 +24,14 @@ use crate::strategy::Strategy;
 /// the implementation issues the step, accounts the status-lookup memory
 /// traffic, performs the filtering, and buffers survivors for the
 /// contraction merge.
+///
+/// Object-safe by design: kernels and [`crate::engine::Expander::expand_chunk`]
+/// take the sink as `&mut dyn Sink`, which is what keeps `Expander` itself
+/// usable as `&dyn Expander`. One virtual call per warp-wide Handle step is
+/// noise next to the decode work that fills it.
 pub trait Sink {
     /// Processes up to `warp.width()` candidates in one warp step.
     fn handle(&mut self, warp: &mut WarpSim, items: &[(NodeId, NodeId)]);
-}
-
-// Mutable references forward, so kernels can be fed a `&mut dyn Sink`
-// through the object-safe [`crate::engine::DynExpander`] dispatch layer.
-impl<S: Sink + ?Sized> Sink for &mut S {
-    #[inline]
-    fn handle(&mut self, warp: &mut WarpSim, items: &[(NodeId, NodeId)]) {
-        (**self).handle(warp, items);
-    }
 }
 
 /// Per-lane decoding cursor over the **unsegmented** CGR layout. It owns the
@@ -238,12 +234,12 @@ pub fn charge_ref_chase(warp: &mut WarpSim, cgr: &CgrGraph, chunk: &[NodeId]) {
 
 /// Expands one warp's frontier chunk under the given strategy, feeding every
 /// decoded neighbour to `sink`.
-pub fn expand_warp<S: Sink>(
+pub fn expand_warp(
     strategy: Strategy,
     warp: &mut WarpSim,
     cgr: &CgrGraph,
     chunk: &[NodeId],
-    sink: &mut S,
+    sink: &mut dyn Sink,
 ) {
     debug_assert_eq!(
         cgr.config().segment_len_bytes.is_some(),

@@ -100,7 +100,7 @@ struct SegTask {
 }
 
 /// Expands `chunk` over the segmented CGR layout.
-pub fn expand<S: Sink>(warp: &mut WarpSim, cgr: &CgrGraph, chunk: &[NodeId], sink: &mut S) {
+pub fn expand(warp: &mut WarpSim, cgr: &CgrGraph, chunk: &[NodeId], sink: &mut dyn Sink) {
     let cfg = *cgr.config();
     let seg_bits = cfg
         .segment_len_bits()

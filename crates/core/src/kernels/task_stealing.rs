@@ -21,24 +21,24 @@ use gcgt_simt::{OpClass, WarpSim};
 use super::{LaneCursor, Sink};
 
 /// The `handleResiduals+` procedure.
-pub fn handle_residuals_plus<S: Sink>(
+pub fn handle_residuals_plus(
     warp: &mut WarpSim,
     cgr: &CgrGraph,
     cursors: &mut [LaneCursor],
     res_left: &mut [u64],
-    sink: &mut S,
+    sink: &mut dyn Sink,
 ) {
     stage1_own_work(warp, cgr, cursors, res_left, sink);
     stage2_steal(warp, cgr, cursors, res_left, sink);
 }
 
 /// Stage 1: every lane processes its own residuals while all are busy.
-pub(crate) fn stage1_own_work<S: Sink>(
+pub(crate) fn stage1_own_work(
     warp: &mut WarpSim,
     cgr: &CgrGraph,
     cursors: &mut [LaneCursor],
     res_left: &mut [u64],
-    sink: &mut S,
+    sink: &mut dyn Sink,
 ) {
     loop {
         let preds: Vec<bool> = res_left.iter().map(|&r| r > 0).collect();
@@ -69,12 +69,12 @@ pub(crate) fn stage1_own_work<S: Sink>(
 
 /// Stage 2: working lanes fill shared memory at scan offsets; the whole warp
 /// drains `warpNum` residuals per Handle step.
-pub(crate) fn stage2_steal<S: Sink>(
+pub(crate) fn stage2_steal(
     warp: &mut WarpSim,
     cgr: &CgrGraph,
     cursors: &mut [LaneCursor],
     res_left: &mut [u64],
-    sink: &mut S,
+    sink: &mut dyn Sink,
 ) {
     let width = warp.width() as u64;
     let counts: Vec<u32> = res_left.iter().map(|&r| r as u32).collect();

@@ -28,11 +28,11 @@ use super::{LaneCursor, Sink};
 
 /// Phase one: decode and cooperatively expand every interval. Returns the
 /// number of residuals left per lane (`degNum` minus interval coverage).
-pub fn handle_intervals<S: Sink>(
+pub fn handle_intervals(
     warp: &mut WarpSim,
     cgr: &CgrGraph,
     cursors: &mut [LaneCursor],
-    sink: &mut S,
+    sink: &mut dyn Sink,
 ) -> Vec<u64> {
     let mut res_left: Vec<u64> = cursors.iter().map(|c| c.deg_num).collect();
     // Pending decoded-but-unexpanded interval per lane: (source, ptr, len).
@@ -60,10 +60,10 @@ pub fn handle_intervals<S: Sink>(
 
 /// The paper's `expandInterval`: drains every pending interval through the
 /// two cooperative stages. Shared by the two-phase and segmented kernels.
-pub(crate) fn expand_decoded_intervals<S: Sink>(
+pub(crate) fn expand_decoded_intervals(
     warp: &mut WarpSim,
     pending: &mut [(NodeId, NodeId, u32)],
-    sink: &mut S,
+    sink: &mut dyn Sink,
 ) {
     let width = warp.width() as u32;
     // --- stage 1: long intervals occupy the whole warp ---
@@ -109,12 +109,12 @@ pub(crate) fn expand_decoded_intervals<S: Sink>(
 /// Phase two: plain per-lane residual decoding (Algorithm 2 lines 17–21).
 /// One ResDecode step plus one Handle step per round, lanes dropping out as
 /// their residuals are exhausted — the load imbalance Task-Stealing fixes.
-pub fn handle_residuals<S: Sink>(
+pub fn handle_residuals(
     warp: &mut WarpSim,
     cgr: &CgrGraph,
     cursors: &mut [LaneCursor],
     res_left: &mut [u64],
-    sink: &mut S,
+    sink: &mut dyn Sink,
 ) {
     while res_left.iter().any(|&r| r > 0) {
         let active: Vec<usize> = res_left

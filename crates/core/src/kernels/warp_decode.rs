@@ -109,12 +109,12 @@ const WC_MIN_RESIDUALS_FACTOR: usize = 2; // width / 2
 /// are packed across sequences into full-width Handle steps through shared
 /// memory. Runs too short to fill a window usefully go through the
 /// Task-Stealing stages instead.
-pub fn handle_residuals_warp_centric<S: Sink>(
+pub fn handle_residuals_warp_centric(
     warp: &mut WarpSim,
     cgr: &CgrGraph,
     cursors: &mut [LaneCursor],
     res_left: &mut [u64],
-    sink: &mut S,
+    sink: &mut dyn Sink,
 ) {
     let width = warp.width();
     let min_run = (width / WC_MIN_RESIDUALS_FACTOR).max(4) as u64;

@@ -99,6 +99,23 @@ impl Strategy {
         matches!(self, Strategy::Full)
     }
 
+    /// Checks that `cfg` is the layout this strategy's kernels read. Every
+    /// engine constructor calls this: the kernels only `debug_assert` it, so
+    /// a release build that got past construction with the wrong layout
+    /// would decode `itvNum` as `degNum` instead of failing.
+    ///
+    /// # Panics
+    /// Panics when a segmented payload meets a non-`Full` strategy or the
+    /// reverse.
+    pub fn assert_layout(&self, cfg: &CgrConfig) {
+        assert_eq!(
+            cfg.segment_len_bytes.is_some(),
+            self.needs_segmented_layout(),
+            "CGR layout does not match strategy {self:?}: re-encode with \
+             strategy.cgr_config(..)"
+        );
+    }
+
     /// The CGR configuration this strategy expects, derived from a base
     /// configuration by forcing the layout it traverses.
     pub fn cgr_config(&self, base: &CgrConfig) -> CgrConfig {

@@ -38,6 +38,10 @@ impl<'g> OocEngine<'g> {
     /// bytes of device memory while the per-query traversal scratch stays
     /// resident beside it. Fails when even one partition with its
     /// reference-chain closure (plus scratch) cannot fit.
+    ///
+    /// # Panics
+    /// Panics if the CGR layout does not match the strategy (segmented ↔
+    /// `Strategy::Full`), like [`gcgt_core::GcgtEngine::new`].
     pub fn new(
         cgr: &'g CgrGraph,
         parts: &'g PartitionMap,
@@ -47,6 +51,7 @@ impl<'g> OocEngine<'g> {
         config: OocConfig,
         cache_budget: usize,
     ) -> Result<Self, OomError> {
+        strategy.assert_layout(cgr.config());
         let scratch = memory::traversal_buffers_bytes(cgr.num_nodes());
         let floor = parts.max_resident_bytes();
         if floor > cache_budget || scratch + cache_budget > device_config.mem_capacity {
@@ -177,7 +182,7 @@ impl Expander for OocEngine<'_> {
         );
     }
 
-    fn expand_chunk<S: Sink>(&self, warp: &mut WarpSim, chunk: &[NodeId], sink: &mut S) {
+    fn expand_chunk(&self, warp: &mut WarpSim, chunk: &[NodeId], sink: &mut dyn Sink) {
         expand_warp(self.strategy, warp, self.cgr, chunk, sink);
     }
 
@@ -304,7 +309,7 @@ mod tests {
         let mut device = engine.new_device();
         let _ = bfs_in(&engine, &mut device, 0);
         assert!(device.allocated() > 0, "cached partitions should remain");
-        Expander::release_residency(&engine, &mut device);
+        engine.release_residency(&mut device);
         assert_eq!(device.allocated(), 0);
         // A second query after the release behaves exactly like the first
         // did: the cache is empty again, so its first upload is cold again
@@ -364,6 +369,33 @@ mod tests {
             run.stats.bytes_streamed > own_bytes,
             "a full sweep at the floor streams every closure with its partition"
         );
+    }
+
+    #[test]
+    fn layout_mismatch_panics_at_construction() {
+        let g = web_graph(&WebParams::uk2002_like(200), 13);
+        let base = CgrConfig::paper_default();
+        // Segmented payload under an unsegmented strategy, and the reverse.
+        for (layout, strategy) in [
+            (Strategy::Full, Strategy::TwoPhase),
+            (Strategy::TwoPhase, Strategy::Full),
+        ] {
+            let cgr = CgrGraph::encode(&g, &layout.cgr_config(&base));
+            let parts = PartitionMap::build(&cgr, 2 << 10);
+            let built = std::panic::catch_unwind(|| {
+                OocEngine::new(
+                    &cgr,
+                    &parts,
+                    DeviceConfig::titan_v_scaled(1 << 30),
+                    strategy,
+                    PcieConfig::default(),
+                    OocConfig::default(),
+                    parts.max_resident_bytes(),
+                )
+                .is_ok()
+            });
+            assert!(built.is_err(), "{layout:?} payload under {strategy:?}");
+        }
     }
 
     #[test]

@@ -28,9 +28,10 @@
 //!
 //! Underneath, the session dispatches at runtime over the engines of the
 //! workspace — the GCGT compressed engine at any [`Strategy`], and the
-//! uncompressed `GPUCSR` / Gunrock-style baselines — through the object-safe
-//! [`DynExpander`] layer of `gcgt-core`, so adding an engine variant touches
-//! one `match` in this crate instead of every call site.
+//! uncompressed `GPUCSR` / Gunrock-style baselines — as a `dyn`
+//! [`gcgt_core::Expander`], the one object-safe engine trait of `gcgt-core`,
+//! so adding an engine variant touches one `match` in this crate instead of
+//! every call site.
 //!
 //! For serving-scale workloads, [`Session::run_batch`] executes many queries
 //! against **one device residency**: the graph is uploaded and allocated
@@ -142,7 +143,7 @@ use std::sync::Arc;
 
 use gcgt_baselines::{GpuCsrEngine, GunrockEngine};
 use gcgt_cgr::{CgrConfig, CgrGraph};
-use gcgt_core::{memory, Algorithm, DynExpander, GcgtEngine, Strategy};
+use gcgt_core::{memory, Algorithm, Expander, GcgtEngine, Strategy};
 use gcgt_graph::{Csr, NodeId, Reordering};
 use gcgt_ooc::{OocEngine, PartitionMap};
 use gcgt_shard::{ShardEngine, ShardOocParams};
@@ -1008,29 +1009,6 @@ struct ShardPlanData {
     interconnect: InterconnectConfig,
 }
 
-/// The runtime-selected engine, borrowing the prepared graph's structures.
-/// All apps reach it as a `&dyn DynExpander`; this enum is the only place
-/// in the workspace that matches over engine kinds.
-enum EngineHolder<'s> {
-    Gcgt(GcgtEngine<'s>),
-    GpuCsr(GpuCsrEngine<'s>),
-    Gunrock(GunrockEngine<'s>),
-    Ooc(OocEngine<'s>),
-    Sharded(ShardEngine<'s>),
-}
-
-impl EngineHolder<'_> {
-    fn as_dyn(&self) -> &dyn DynExpander {
-        match self {
-            EngineHolder::Gcgt(e) => e,
-            EngineHolder::GpuCsr(e) => e,
-            EngineHolder::Gunrock(e) => e,
-            EngineHolder::Ooc(e) => e,
-            EngineHolder::Sharded(e) => e,
-        }
-    }
-}
-
 impl PreparedGraph {
     /// The engine kind this prepared graph drives.
     pub fn kind(&self) -> EngineKind {
@@ -1177,10 +1155,11 @@ impl PreparedGraph {
     /// structure. Cheap: engines borrow the graph; only per-engine mutable
     /// state (the out-of-core partition cache) is constructed fresh — which
     /// is exactly why engines are built per query or per worker, never
-    /// shared.
-    fn engine(&self) -> EngineHolder<'_> {
+    /// shared. All apps reach it as a `&dyn Expander`; this `match` is the
+    /// only place in the crate that knows the engine kinds.
+    fn engine(&self) -> Box<dyn Expander + '_> {
         match self.kind {
-            EngineKind::Gcgt(strategy) => EngineHolder::Gcgt(
+            EngineKind::Gcgt(strategy) => Box::new(
                 GcgtEngine::new(
                     self.cgr.as_ref().expect("GCGT session always encodes"),
                     self.device_config,
@@ -1189,12 +1168,12 @@ impl PreparedGraph {
                 .expect("capacity verified at build time")
                 .with_direction(self.direction),
             ),
-            EngineKind::GpuCsr => EngineHolder::GpuCsr(
+            EngineKind::GpuCsr => Box::new(
                 GpuCsrEngine::new(&self.graph, self.device_config)
                     .expect("capacity verified at build time")
                     .with_direction(self.direction),
             ),
-            EngineKind::Gunrock => EngineHolder::Gunrock(
+            EngineKind::Gunrock => Box::new(
                 GunrockEngine::new(&self.graph, self.device_config)
                     .expect("capacity verified at build time")
                     .with_direction(self.direction),
@@ -1203,12 +1182,12 @@ impl PreparedGraph {
                 let cgr = self.cgr.as_ref().expect("OutOfCore session always encodes");
                 match &self.ooc {
                     // The graph fits: identical to the in-core engine.
-                    None => EngineHolder::Gcgt(
+                    None => Box::new(
                         GcgtEngine::new(cgr, self.device_config, inner)
                             .expect("capacity verified at build time")
                             .with_direction(self.direction),
                     ),
-                    Some(plan) => EngineHolder::Ooc(
+                    Some(plan) => Box::new(
                         OocEngine::new(
                             cgr,
                             &plan.parts,
@@ -1279,7 +1258,7 @@ impl PreparedGraph {
                         }
                     }
                 };
-                EngineHolder::Sharded(engine.with_direction(self.direction))
+                Box::new(engine.with_direction(self.direction))
             }
         }
     }
@@ -1319,9 +1298,8 @@ impl PreparedGraph {
     /// Out-of-core batches also share one partition cache, so later queries
     /// hit partitions earlier ones faulted.
     pub fn run_batch<A: Algorithm>(&self, queries: &[A]) -> BatchRun<A::Output> {
-        let holder = self.engine();
-        let engine = holder.as_dyn();
-        let mut device = engine.dyn_new_device();
+        let engine = self.engine();
+        let mut device = engine.new_device();
         if let Some(observer) = &self.observer {
             device.set_observer(observer.clone());
         }
@@ -1334,7 +1312,7 @@ impl PreparedGraph {
         let mut per_query = Vec::with_capacity(queries.len());
         for query in queries {
             let before = device.stats();
-            let output = self.remap(query.clone()).execute(engine, &mut device);
+            let output = self.remap(query.clone()).execute(&*engine, &mut device);
             per_query.push(device.stats().since(&before));
             outputs.push(self.unpermute::<A>(output));
         }
@@ -1376,8 +1354,7 @@ impl<'p> Executor<'p> {
     /// shared [`DeviceConfig`] and makes the structure resident (paying
     /// [`Executor::upload_ms`] once).
     pub fn new(prepared: &'p PreparedGraph) -> Self {
-        let holder = prepared.engine();
-        let mut device = holder.as_dyn().dyn_new_device();
+        let mut device = prepared.engine().new_device();
         if let Some(observer) = prepared.observer() {
             device.set_observer(observer.clone());
         }
@@ -1454,18 +1431,17 @@ impl<'p> Executor<'p> {
     /// retry budget, corrupt payload at first touch) — the serving pool
     /// catches both and maps them to per-query errors.
     pub fn run<A: Algorithm>(&mut self, algo: A) -> Run<A::Output> {
-        let holder = self.prepared.engine();
-        let engine = holder.as_dyn();
+        let engine = self.prepared.engine();
         let mut device = self.device.query_view();
         if device.inject_query_fault() {
             gcgt_simt::chaos::raise(TypedFailure::InjectedQueryFailure);
         }
-        let output = self.prepared.remap(algo).execute(engine, &mut device);
+        let output = self.prepared.remap(algo).execute(&*engine, &mut device);
         let stats = device.stats();
         // Release what the query held beyond the structure (streamed
         // partitions; scratch was already freed by the app) so the next
         // query starts from the same baseline this one did.
-        engine.dyn_release_residency(&mut device);
+        engine.release_residency(&mut device);
         debug_assert_eq!(
             device.allocated(),
             self.baseline,

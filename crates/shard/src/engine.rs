@@ -205,6 +205,18 @@ impl<'g> ShardEngine<'g> {
         &self.interconnect
     }
 
+    /// The engine every shard decodes with. Streaming shards differ only in
+    /// their private caches, so shard 0 stands in for all of them wherever
+    /// residency is not involved.
+    fn inner(&self) -> &dyn Expander {
+        match &self.inner {
+            InnerHolder::Gcgt(e) => e,
+            InnerHolder::GpuCsr(e) => e,
+            InnerHolder::Gunrock(e) => e,
+            InnerHolder::Ooc(v) => &v[0],
+        }
+    }
+
     /// Charges one BSP step on `device`: the barrier, then the all-to-all
     /// boundary-bitmap exchange for this step's `work` list (frontier nodes
     /// in push mode, unvisited candidates in pull mode).
@@ -266,30 +278,15 @@ impl<'g> ShardEngine<'g> {
 
 impl Expander for ShardEngine<'_> {
     fn num_nodes(&self) -> usize {
-        match &self.inner {
-            InnerHolder::Gcgt(e) => e.num_nodes(),
-            InnerHolder::GpuCsr(e) => e.num_nodes(),
-            InnerHolder::Gunrock(e) => e.num_nodes(),
-            InnerHolder::Ooc(v) => v[0].num_nodes(),
-        }
+        self.inner().num_nodes()
     }
 
     fn num_edges(&self) -> usize {
-        match &self.inner {
-            InnerHolder::Gcgt(e) => e.num_edges(),
-            InnerHolder::GpuCsr(e) => e.num_edges(),
-            InnerHolder::Gunrock(e) => e.num_edges(),
-            InnerHolder::Ooc(v) => v[0].num_edges(),
-        }
+        self.inner().num_edges()
     }
 
     fn out_degree(&self, u: NodeId) -> usize {
-        match &self.inner {
-            InnerHolder::Gcgt(e) => e.out_degree(u),
-            InnerHolder::GpuCsr(e) => e.out_degree(u),
-            InnerHolder::Gunrock(e) => e.out_degree(u),
-            InnerHolder::Ooc(v) => v[0].out_degree(u),
-        }
+        self.inner().out_degree(u)
     }
 
     fn direction(&self) -> DirectionMode {
@@ -297,30 +294,15 @@ impl Expander for ShardEngine<'_> {
     }
 
     fn device_config(&self) -> &DeviceConfig {
-        match &self.inner {
-            InnerHolder::Gcgt(e) => e.device_config(),
-            InnerHolder::GpuCsr(e) => e.device_config(),
-            InnerHolder::Gunrock(e) => e.device_config(),
-            InnerHolder::Ooc(v) => v[0].device_config(),
-        }
+        self.inner().device_config()
     }
 
     fn footprint(&self) -> usize {
-        match &self.inner {
-            InnerHolder::Gcgt(e) => e.footprint(),
-            InnerHolder::GpuCsr(e) => e.footprint(),
-            InnerHolder::Gunrock(e) => e.footprint(),
-            InnerHolder::Ooc(v) => v[0].footprint(),
-        }
+        self.inner().footprint()
     }
 
     fn structure_bytes(&self) -> usize {
-        match &self.inner {
-            InnerHolder::Gcgt(e) => e.structure_bytes(),
-            InnerHolder::GpuCsr(e) => e.structure_bytes(),
-            InnerHolder::Gunrock(e) => e.structure_bytes(),
-            InnerHolder::Ooc(v) => v[0].structure_bytes(),
-        }
+        self.inner().structure_bytes()
     }
 
     fn prepare_frontier(&self, device: &mut Device, work: &[NodeId]) {
@@ -347,13 +329,8 @@ impl Expander for ShardEngine<'_> {
         self.charge_step(device, work);
     }
 
-    fn expand_chunk<S: Sink>(&self, warp: &mut WarpSim, chunk: &[NodeId], sink: &mut S) {
-        match &self.inner {
-            InnerHolder::Gcgt(e) => e.expand_chunk(warp, chunk, sink),
-            InnerHolder::GpuCsr(e) => e.expand_chunk(warp, chunk, sink),
-            InnerHolder::Gunrock(e) => e.expand_chunk(warp, chunk, sink),
-            InnerHolder::Ooc(v) => v[0].expand_chunk(warp, chunk, sink),
-        }
+    fn expand_chunk(&self, warp: &mut WarpSim, chunk: &[NodeId], sink: &mut dyn Sink) {
+        self.inner().expand_chunk(warp, chunk, sink);
     }
 
     fn pull_chunk(
@@ -363,12 +340,7 @@ impl Expander for ShardEngine<'_> {
         frontier: &Frontier,
         out: &mut Vec<(NodeId, NodeId)>,
     ) -> u64 {
-        match &self.inner {
-            InnerHolder::Gcgt(e) => e.pull_chunk(warp, chunk, frontier, out),
-            InnerHolder::GpuCsr(e) => e.pull_chunk(warp, chunk, frontier, out),
-            InnerHolder::Gunrock(e) => e.pull_chunk(warp, chunk, frontier, out),
-            InnerHolder::Ooc(v) => v[0].pull_chunk(warp, chunk, frontier, out),
-        }
+        self.inner().pull_chunk(warp, chunk, frontier, out)
     }
 
     fn release_residency(&self, device: &mut Device) {

@@ -62,67 +62,6 @@ pub use gcgt_session as session;
 pub use gcgt_shard as shard;
 pub use gcgt_simt as simt;
 
-/// Deprecated free-function shims from the pre-`Session` API.
-///
-/// These wire one engine to one app per call, re-verifying residency every
-/// time; [`session::Session`] (and [`session::Session::run_batch`] for many
-/// queries) replaces them. Kept for one release so downstream code keeps
-/// compiling with a warning.
-pub mod shim {
-    use gcgt_core::{BcRun, BfsRun, CcRun, Expander, LabelPropRun, PagerankRun};
-    use gcgt_graph::NodeId;
-
-    /// BFS from `source` on an ad-hoc engine.
-    #[deprecated(
-        since = "0.2.0",
-        note = "build a Session and call session.run(Bfs::from(source))"
-    )]
-    pub fn bfs<E: Expander + ?Sized>(engine: &E, source: NodeId) -> BfsRun {
-        gcgt_core::bfs(engine, source)
-    }
-
-    /// Connected components on an ad-hoc engine.
-    #[deprecated(
-        since = "0.2.0",
-        note = "build a Session with .symmetrize(true) and call session.run(Cc)"
-    )]
-    pub fn cc<E: Expander + ?Sized>(engine: &E) -> CcRun {
-        gcgt_core::cc(engine)
-    }
-
-    /// Betweenness centrality from `source` on an ad-hoc engine.
-    #[deprecated(
-        since = "0.2.0",
-        note = "build a Session and call session.run(Bc::from(source))"
-    )]
-    pub fn bc<E: Expander + ?Sized>(engine: &E, source: NodeId) -> BcRun {
-        gcgt_core::bc(engine, source)
-    }
-
-    /// PageRank on an ad-hoc engine.
-    #[deprecated(
-        since = "0.2.0",
-        note = "build a Session and call session.run(Pagerank::default())"
-    )]
-    pub fn pagerank<E: Expander + ?Sized>(
-        engine: &E,
-        damping: f64,
-        max_iters: usize,
-        tolerance: f64,
-    ) -> PagerankRun {
-        gcgt_core::pagerank(engine, damping, max_iters, tolerance)
-    }
-
-    /// Label propagation on an ad-hoc engine.
-    #[deprecated(
-        since = "0.2.0",
-        note = "build a Session and call session.run(LabelProp::default())"
-    )]
-    pub fn label_propagation<E: Expander + ?Sized>(engine: &E, max_rounds: usize) -> LabelPropRun {
-        gcgt_core::label_propagation(engine, max_rounds)
-    }
-}
-
 /// The commonly-used types and functions in one import.
 pub mod prelude {
     // --- the Session API (the primary interface) ---
@@ -149,9 +88,7 @@ pub mod prelude {
 
     // --- the engine layer (for building custom engines / direct control) ---
     pub use gcgt_baselines::{GpuCsrEngine, GunrockEngine, LigraGraph, LigraPlusGraph};
-    pub use gcgt_core::{
-        DirectionMode, DynExpander, Expander, Frontier, GcgtEngine, Strategy, PULL_ALPHA,
-    };
+    pub use gcgt_core::{DirectionMode, Expander, Frontier, GcgtEngine, Strategy, PULL_ALPHA};
     pub use gcgt_ooc::{OocConfig, OocEngine, PartitionMap};
     pub use gcgt_shard::{ShardEngine, ShardInner, ShardPlan};
 
@@ -166,11 +103,6 @@ pub mod prelude {
     pub use gcgt_graph::order::{GorderConfig, LlpConfig, SlashBurnConfig};
     pub use gcgt_graph::{refalgo, Csr, CsrBuilder, NodeId, Reordering, VnodeConfig, VnodeGraph};
     pub use gcgt_simt::{Device, DeviceConfig, InterconnectConfig, PcieConfig, RunStats};
-
-    // --- deprecated free-function shims (pre-Session API); the allow is
-    // for the re-export itself — call sites still get the warning ---
-    #[allow(deprecated)]
-    pub use crate::shim::{bc, bfs, cc, label_propagation, pagerank};
 }
 
 #[cfg(test)]
@@ -187,17 +119,5 @@ mod tests {
             .unwrap();
         let run = session.run(Bfs::from(0));
         assert_eq!(run.output.depth, refalgo::bfs(&g, 0).depth);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_still_work() {
-        let g = toys::figure1();
-        let cfg = Strategy::Full.cgr_config(&CgrConfig::paper_default());
-        let cgr = CgrGraph::encode(&g, &cfg);
-        let engine =
-            GcgtEngine::new(&cgr, DeviceConfig::titan_v_scaled(1 << 20), Strategy::Full).unwrap();
-        let run = bfs(&engine, 0);
-        assert_eq!(run.depth, refalgo::bfs(&g, 0).depth);
     }
 }

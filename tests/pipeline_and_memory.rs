@@ -3,8 +3,7 @@
 //! relies on.
 
 use gcgt::core::memory;
-// The low-level engine layer is exercised deliberately here; `bfs` must be
-// the non-deprecated `gcgt::core` one, not the prelude shim.
+// The low-level engine layer is exercised deliberately here.
 use gcgt::core::bfs;
 use gcgt::prelude::*;
 

@@ -1,11 +1,15 @@
-//! Cross-crate correctness matrix: every GCGT strategy and every GPU
-//! baseline must produce oracle-identical results for every application,
-//! across the structurally distinct graph families.
+//! Cross-crate correctness matrix: every engine behind the one `Expander`
+//! trait — each GCGT strategy, both GPU baselines, the streaming engine and
+//! the sharded engines — must produce oracle-identical results for every
+//! application across the structurally distinct graph families, and honour
+//! the memory contract the trait documents.
 
-// The low-level engine layer is exercised deliberately here; the apps must
-// be the non-deprecated `gcgt::core` ones, not the prelude shims.
-use gcgt::core::{bc, bfs, cc, pagerank};
+// The low-level engine layer is exercised deliberately here.
+use gcgt::core::{
+    bc, bc_in, bfs, bfs_in, cc, cc_in, label_propagation_in, pagerank, pagerank_in, BcRun,
+};
 use gcgt::prelude::*;
+use gcgt::shard::ShardOocParams;
 
 fn families() -> Vec<(&'static str, Csr)> {
     vec![
@@ -37,17 +41,129 @@ fn device() -> DeviceConfig {
     DeviceConfig::titan_v_scaled(1 << 30)
 }
 
+/// Everything the engine table borrows, built once per graph.
+struct Fixture {
+    graph: Csr,
+    /// One payload per [`Strategy::LADDER`] rung, in ladder order.
+    cgrs: Vec<CgrGraph>,
+    /// Streaming partitions of the `Full` payload.
+    parts: PartitionMap,
+    /// Four-device placement of the `Full` payload.
+    plan: ShardPlan,
+}
+
+impl Fixture {
+    fn new(graph: Csr) -> Self {
+        let cgrs: Vec<CgrGraph> = Strategy::LADDER
+            .iter()
+            .map(|s| CgrGraph::encode(&graph, &s.cgr_config(&CgrConfig::paper_default())))
+            .collect();
+        let full = &cgrs[Strategy::LADDER.len() - 1];
+        let parts = PartitionMap::build(full, 1 << 10);
+        let plan = ShardPlan::build(full, 4);
+        Fixture {
+            graph,
+            cgrs,
+            parts,
+            plan,
+        }
+    }
+
+    /// The engine table: every `Expander` the workspace ships, one row each.
+    /// A new engine is one more row here, and every test below covers it.
+    fn engines(
+        &self,
+        dc: DeviceConfig,
+        direction: DirectionMode,
+    ) -> Vec<(&'static str, Box<dyn Expander + '_>)> {
+        let full = &self.cgrs[Strategy::LADDER.len() - 1];
+        // Room for two partitions: the streaming rows evict on every graph
+        // with more than two.
+        let cache_budget = 2 * self.parts.max_partition_bytes();
+        let mut rows: Vec<(&'static str, Box<dyn Expander + '_>)> = Vec::new();
+        for (strategy, cgr) in Strategy::LADDER.into_iter().zip(&self.cgrs) {
+            let engine = GcgtEngine::new(cgr, dc, strategy).unwrap();
+            rows.push((strategy.name(), Box::new(engine.with_direction(direction))));
+        }
+        let gpucsr = GpuCsrEngine::new(&self.graph, dc).unwrap();
+        rows.push(("gpucsr", Box::new(gpucsr.with_direction(direction))));
+        let gunrock = GunrockEngine::new(&self.graph, dc).unwrap();
+        rows.push(("gunrock", Box::new(gunrock.with_direction(direction))));
+        let ooc = OocEngine::new(
+            full,
+            &self.parts,
+            dc,
+            Strategy::Full,
+            PcieConfig::default(),
+            OocConfig::default(),
+            cache_budget,
+        )
+        .unwrap();
+        rows.push(("ooc", Box::new(ooc.with_direction(direction))));
+        let sharded = ShardEngine::gcgt(
+            full,
+            &self.graph,
+            &self.plan,
+            InterconnectConfig::nvlink(),
+            dc,
+            Strategy::Full,
+        )
+        .unwrap();
+        rows.push(("shard4-gcgt", Box::new(sharded.with_direction(direction))));
+        let sharded_ooc = ShardEngine::out_of_core(ShardOocParams {
+            cgr: full,
+            graph: &self.graph,
+            plan: &self.plan,
+            parts: &self.parts,
+            interconnect: InterconnectConfig::nvlink(),
+            device_config: dc,
+            strategy: Strategy::Full,
+            pcie: PcieConfig::default(),
+            config: OocConfig::default(),
+            cache_budget,
+        })
+        .unwrap();
+        rows.push((
+            "shard4-ooc",
+            Box::new(sharded_ooc.with_direction(direction)),
+        ));
+        rows
+    }
+}
+
+fn is_gpu_baseline(row: &str) -> bool {
+    matches!(row, "gpucsr" | "gunrock")
+}
+
+fn assert_bc_matches(got: &BcRun, want: &refalgo::BcResult, ctx: &str) {
+    assert_eq!(got.depth, want.depth, "{ctx}");
+    assert_eq!(got.sigma, want.sigma, "{ctx}: σ is exact in f64");
+    for (i, (&a, &b)) in got.delta.iter().zip(&want.delta).enumerate() {
+        assert!(
+            (a - b).abs() <= 1e-9 * (1.0 + a.abs().max(b.abs())),
+            "{ctx}: δ[{i}] {a} vs {b}"
+        );
+    }
+}
+
+fn assert_ranks_match(got: &[f64], want: &[f64], ctx: &str) {
+    for (i, (&a, &b)) in got.iter().zip(want).enumerate() {
+        assert!((a - b).abs() < 1e-6, "{ctx}: rank[{i}] {a} vs {b}");
+    }
+}
+
 #[test]
 fn bfs_matches_oracle_for_every_strategy_and_family() {
     for (name, graph) in families() {
         let want = refalgo::bfs(&graph, 0);
-        for strategy in Strategy::LADDER {
-            let cfg = strategy.cgr_config(&CgrConfig::paper_default());
-            let cgr = CgrGraph::encode(&graph, &cfg);
-            let engine = GcgtEngine::new(&cgr, device(), strategy).unwrap();
-            let got = bfs(&engine, 0);
-            assert_eq!(got.depth, want.depth, "{name} / {strategy:?}");
-            assert_eq!(got.reached, want.reached, "{name} / {strategy:?}");
+        let fx = Fixture::new(graph);
+        for (row, engine) in fx.engines(device(), DirectionMode::Push) {
+            if is_gpu_baseline(row) {
+                continue;
+            }
+            let got = bfs(&*engine, 0);
+            assert_eq!(got.depth, want.depth, "{name} / {row}");
+            assert_eq!(got.reached, want.reached, "{name} / {row}");
         }
     }
 }
@@ -56,10 +172,12 @@ fn bfs_matches_oracle_for_every_strategy_and_family() {
 fn bfs_matches_oracle_for_gpu_baselines() {
     for (name, graph) in families() {
         let want = refalgo::bfs(&graph, 0);
-        let gpucsr = GpuCsrEngine::new(&graph, device()).unwrap();
-        assert_eq!(bfs(&gpucsr, 0).depth, want.depth, "{name} / gpucsr");
-        let gunrock = GunrockEngine::new(&graph, device()).unwrap();
-        assert_eq!(bfs(&gunrock, 0).depth, want.depth, "{name} / gunrock");
+        let fx = Fixture::new(graph);
+        for (row, engine) in fx.engines(device(), DirectionMode::Push) {
+            if is_gpu_baseline(row) {
+                assert_eq!(bfs(&*engine, 0).depth, want.depth, "{name} / {row}");
+            }
+        }
     }
 }
 
@@ -78,17 +196,12 @@ fn bfs_matches_oracle_for_cpu_baselines() {
 fn cc_matches_oracle_across_engines() {
     for (name, graph) in families() {
         let want = refalgo::connected_components(&graph);
-        let sym = graph.symmetrized();
-
-        let cfg = Strategy::Full.cgr_config(&CgrConfig::paper_default());
-        let cgr = CgrGraph::encode(&sym, &cfg);
-        let engine = GcgtEngine::new(&cgr, device(), Strategy::Full).unwrap();
-        let got = cc(&engine);
-        assert_eq!(got.component, want.component, "{name} / gcgt");
-        assert_eq!(got.count, want.count, "{name} / gcgt");
-
-        let gpucsr = GpuCsrEngine::new(&sym, device()).unwrap();
-        assert_eq!(cc(&gpucsr).component, want.component, "{name} / gpucsr");
+        let fx = Fixture::new(graph.symmetrized());
+        for (row, engine) in fx.engines(device(), DirectionMode::Push) {
+            let got = cc(&*engine);
+            assert_eq!(got.component, want.component, "{name} / {row}");
+            assert_eq!(got.count, want.count, "{name} / {row}");
+        }
     }
 }
 
@@ -96,17 +209,9 @@ fn cc_matches_oracle_across_engines() {
 fn bc_matches_oracle_across_engines() {
     for (name, graph) in families() {
         let want = refalgo::betweenness_from_source(&graph, 0);
-        let cfg = Strategy::Full.cgr_config(&CgrConfig::paper_default());
-        let cgr = CgrGraph::encode(&graph, &cfg);
-        let engine = GcgtEngine::new(&cgr, device(), Strategy::Full).unwrap();
-        let got = bc(&engine, 0);
-        assert_eq!(got.depth, want.depth, "{name}");
-        assert_eq!(got.sigma, want.sigma, "{name}: σ is exact in f64");
-        for (i, (&a, &b)) in got.delta.iter().zip(&want.delta).enumerate() {
-            assert!(
-                (a - b).abs() <= 1e-9 * (1.0 + a.abs().max(b.abs())),
-                "{name}: δ[{i}] {a} vs {b}"
-            );
+        let fx = Fixture::new(graph);
+        for (row, engine) in fx.engines(device(), DirectionMode::Push) {
+            assert_bc_matches(&bc(&*engine, 0), &want, &format!("{name} / {row}"));
         }
     }
 }
@@ -115,12 +220,10 @@ fn bc_matches_oracle_across_engines() {
 fn pagerank_matches_oracle() {
     for (name, graph) in families().into_iter().take(5) {
         let (want, _) = refalgo::pagerank(&graph, refalgo::PagerankConfig::default());
-        let cfg = Strategy::Full.cgr_config(&CgrConfig::paper_default());
-        let cgr = CgrGraph::encode(&graph, &cfg);
-        let engine = GcgtEngine::new(&cgr, device(), Strategy::Full).unwrap();
-        let got = pagerank(&engine, 0.85, 100, 1e-9);
-        for (i, (&a, &b)) in got.ranks.iter().zip(&want).enumerate() {
-            assert!((a - b).abs() < 1e-6, "{name}: rank[{i}] {a} vs {b}");
+        let fx = Fixture::new(graph);
+        for (row, engine) in fx.engines(device(), DirectionMode::Push) {
+            let got = pagerank(&*engine, 0.85, 100, 1e-9);
+            assert_ranks_match(&got.ranks, &want, &format!("{name} / {row}"));
         }
     }
 }
@@ -129,18 +232,87 @@ fn pagerank_matches_oracle() {
 fn warp_width_does_not_affect_results() {
     let graph = web_graph(&WebParams::uk2002_like(600), 77);
     let want = refalgo::bfs(&graph, 0);
+    let fx = Fixture::new(graph);
     for width in [4usize, 8, 16, 32, 64] {
         let mut dc = device();
         dc.warp_width = width;
-        for strategy in [Strategy::Intuitive, Strategy::TaskStealing, Strategy::Full] {
-            let cfg = strategy.cgr_config(&CgrConfig::paper_default());
-            let cgr = CgrGraph::encode(&graph, &cfg);
-            let engine = GcgtEngine::new(&cgr, dc, strategy).unwrap();
+        for (row, engine) in fx.engines(dc, DirectionMode::Push) {
+            assert_eq!(bfs(&*engine, 0).depth, want.depth, "width {width} {row}");
+        }
+    }
+}
+
+/// The contract `Expander` documents, held for every row: the footprint
+/// splits into structure + scratch, a fresh device holds exactly the
+/// structure, every app returns the device to that baseline once residency
+/// is released, all five apps equal the serial oracles, and pulling changes
+/// no BFS depth.
+#[test]
+fn every_engine_honours_the_expander_contract() {
+    // A toy, a locality-heavy crawl and a skewed social graph: the shapes
+    // that separate the kernels and the push/pull directions.
+    let picked = |name: &str| matches!(name, "figure1" | "web" | "skewed");
+    for (name, graph) in families().into_iter().filter(|(name, _)| picked(name)) {
+        let sym = graph.symmetrized();
+        let bfs_want = refalgo::bfs(&sym, 0);
+        let cc_want = refalgo::connected_components(&sym);
+        let bc_want = refalgo::betweenness_from_source(&sym, 0);
+        // The full-length PageRank / label-propagation runs are pinned per
+        // engine above and in the oracle suites; the contract needs only a
+        // few rounds of each.
+        let short = refalgo::PagerankConfig {
+            max_iters: 10,
+            ..Default::default()
+        };
+        let (ranks_want, _) = refalgo::pagerank(&sym, short);
+        let (labels_want, _) = refalgo::label_propagation(&sym, 5);
+        let fx = Fixture::new(sym);
+        let push = fx.engines(device(), DirectionMode::Push);
+        let pull = fx.engines(device(), DirectionMode::Pull);
+        for ((row, engine), (_, pulling)) in push.iter().zip(&pull) {
+            let (engine, pulling) = (&**engine, &**pulling);
+            let ctx = format!("{name} / {row}");
+            let structure = engine.structure_bytes();
             assert_eq!(
-                bfs(&engine, 0).depth,
-                want.depth,
-                "width {width} {strategy:?}"
+                engine.footprint(),
+                structure + engine.scratch_bytes(),
+                "{ctx}"
             );
+            let mut dev = engine.new_device();
+            assert_eq!(dev.allocated(), structure, "{ctx}");
+            let at_baseline = |dev: &mut Device, app: &str| {
+                engine.release_residency(dev);
+                assert_eq!(dev.allocated(), structure, "{ctx}: after {app}");
+            };
+
+            let got = bfs_in(engine, &mut dev, 0);
+            at_baseline(&mut dev, "bfs");
+            assert_eq!(got.depth, bfs_want.depth, "{ctx}");
+            assert_eq!(got.reached, bfs_want.reached, "{ctx}");
+            assert_eq!(bfs(pulling, 0).depth, got.depth, "{ctx}: pull vs push");
+
+            let got = cc_in(engine, &mut dev);
+            at_baseline(&mut dev, "cc");
+            assert_eq!(got.component, cc_want.component, "{ctx}");
+            assert_eq!(got.count, cc_want.count, "{ctx}");
+
+            let got = bc_in(engine, &mut dev, 0);
+            at_baseline(&mut dev, "bc");
+            assert_bc_matches(&got, &bc_want, &ctx);
+
+            let got = pagerank_in(
+                engine,
+                &mut dev,
+                short.damping,
+                short.max_iters,
+                short.tolerance,
+            );
+            at_baseline(&mut dev, "pagerank");
+            assert_ranks_match(&got.ranks, &ranks_want, &ctx);
+
+            let got = label_propagation_in(engine, &mut dev, 5);
+            at_baseline(&mut dev, "labelprop");
+            assert_eq!(got.labels, labels_want, "{ctx}");
         }
     }
 }
