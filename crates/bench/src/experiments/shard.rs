@@ -9,13 +9,17 @@
 //! (`Exchange ms`, NVLink-class links by default) grows with the device
 //! count. The `Exch %` column is the multi-GPU overhead story in one
 //! number: what fraction of the modeled runtime is interconnect, not
-//! traversal.
+//! traversal. At bitmap sizes that bill is almost all per-message setup, so
+//! the table also shows the lever itself — `Messages` and `Messages/step`,
+//! read from a [`MetricsRegistry`] observer — which the log-depth exchange
+//! schedule bounds by d·⌈log₂ d⌉ per step instead of d·(d−1).
 
 use std::sync::Arc;
 
 use super::ExperimentContext;
 use crate::table::{fmt_ms, Table};
 use gcgt_session::{Bfs, Session};
+use gcgt_simt::obs::{MetricsRegistry, ObserverHandle};
 
 /// Device counts swept per dataset.
 pub const DEVICE_SWEEP: [usize; 4] = [1, 2, 4, 8];
@@ -29,15 +33,26 @@ pub struct ShardRow {
     pub devices: usize,
     /// Distinct remotely-owned discoveries exchanged across the batch.
     pub boundary_nodes: u64,
-    /// Bulk-synchronous exchange rounds across the batch.
+    /// Bulk-synchronous steps across the batch.
     pub sync_steps: u64,
+    /// Interconnect messages sent across the batch.
+    pub messages: u64,
     /// Modeled kernel time of the batch — identical at every device count.
     pub est_ms: f64,
-    /// Modeled all-to-all frontier-exchange time of the batch.
+    /// Modeled frontier-exchange time of the batch.
     pub exchange_ms: f64,
 }
 
 impl ShardRow {
+    /// Mean interconnect messages per bulk-synchronous step.
+    pub fn messages_per_step(&self) -> f64 {
+        if self.sync_steps == 0 {
+            0.0
+        } else {
+            self.messages as f64 / self.sync_steps as f64
+        }
+    }
+
     /// Exchange share of the modeled runtime, percent.
     pub fn exchange_pct(&self) -> f64 {
         let total = self.est_ms + self.exchange_ms;
@@ -58,10 +73,12 @@ pub fn rows(ctx: &ExperimentContext) -> Vec<ShardRow> {
         let sources = super::bfs_sources(&ds.graph, ctx.sources.max(1));
         let queries: Vec<Bfs> = sources.into_iter().map(Bfs::from).collect();
         for devices in DEVICE_SWEEP {
+            let metrics = Arc::new(MetricsRegistry::new());
             let session = Session::builder()
                 .graph_shared(Arc::clone(&shared))
                 .device(ctx.device)
                 .shards(devices)
+                .observer(ObserverHandle::from_arc(metrics.clone()))
                 .build()
                 .expect("experiment graphs must fit the device");
             let batch = session.run_batch(&queries);
@@ -70,6 +87,7 @@ pub fn rows(ctx: &ExperimentContext) -> Vec<ShardRow> {
                 devices,
                 boundary_nodes: batch.stats.boundary_nodes,
                 sync_steps: batch.stats.sync_steps,
+                messages: metrics.value("gcgt_exchange_messages_total").unwrap_or(0.0) as u64,
                 est_ms: batch.stats.est_ms,
                 exchange_ms: batch.stats.exchange_ms,
             });
@@ -83,12 +101,15 @@ pub fn render(rows: &[ShardRow]) -> Table {
     let mut t = Table::new(
         "Shard — BFS frontier-exchange overhead vs modeled device count (NVLink links)",
         // Time columns spell out "ms": `Table::modeled_ms_sum` keys the
-        // BENCH.json regression baseline off that suffix.
+        // BENCH.json regression baseline off that substring — which is why
+        // the message columns are not abbreviated to "msgs".
         &[
             "Dataset",
             "Devices",
             "Boundary nodes",
             "Sync steps",
+            "Messages",
+            "Messages/step",
             "Est ms",
             "Exchange ms",
             "Exch %",
@@ -100,6 +121,8 @@ pub fn render(rows: &[ShardRow]) -> Table {
             r.devices.to_string(),
             r.boundary_nodes.to_string(),
             r.sync_steps.to_string(),
+            r.messages.to_string(),
+            format!("{:.1}", r.messages_per_step()),
             fmt_ms(r.est_ms),
             fmt_ms(r.exchange_ms),
             format!("{:.1}%", r.exchange_pct()),
@@ -131,6 +154,7 @@ mod tests {
             assert_eq!(single.devices, 1);
             assert_eq!(single.exchange_ms, 0.0, "{}", single.dataset);
             assert_eq!(single.boundary_nodes, 0, "{}", single.dataset);
+            assert_eq!(single.messages, 0, "{}", single.dataset);
             for row in &per_ds {
                 // Sharding never changes the modeled kernel time…
                 assert_eq!(
@@ -157,6 +181,9 @@ mod tests {
             let eight = per_ds.last().unwrap();
             assert!(eight.exchange_ms > 0.0, "{}", eight.dataset);
             assert!(eight.sync_steps > 0, "{}", eight.dataset);
+            // One send per device per round: at most 8·⌈log₂ 8⌉ a step.
+            assert!(eight.messages > 0, "{}", eight.dataset);
+            assert!(eight.messages_per_step() <= 24.0, "{}", eight.dataset);
             assert!(eight.exchange_pct() > 0.0 && eight.exchange_pct() < 100.0);
         }
     }

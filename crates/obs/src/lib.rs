@@ -185,10 +185,12 @@ pub struct ExchangeEvent {
     pub start_ms: f64,
     /// 1-based BSP step index within the query.
     pub step: u64,
-    /// Bitmap bytes moved all-to-all.
+    /// Bitmap-segment bytes moved, counting every hop of the schedule.
     pub bytes: u64,
-    /// Point-to-point messages sent.
+    /// Messages sent (each carries one or more merged segments).
     pub messages: u64,
+    /// Schedule rounds in which at least one message was sent.
+    pub rounds: u64,
     /// Distinct remotely-owned nodes discovered this step.
     pub boundary_nodes: u64,
     /// Interconnect milliseconds charged.

@@ -115,6 +115,7 @@ impl Observer for MetricsRegistry {
     fn exchange(&self, e: &ExchangeEvent) {
         self.add("gcgt_exchange_steps_total", 1.0);
         self.add("gcgt_exchange_bytes_total", e.bytes as f64);
+        self.add("gcgt_exchange_messages_total", e.messages as f64);
         self.add("gcgt_exchange_ms_total", e.exchange_ms);
         self.add("gcgt_boundary_nodes_total", e.boundary_nodes as f64);
     }
@@ -158,6 +159,30 @@ mod tests {
         assert!(text.contains("# TYPE gcgt_launches_total counter"));
         assert!(text.contains("# TYPE gcgt_allocated_bytes gauge"));
         assert!(text.contains("gcgt_launches_total 2"));
+    }
+
+    #[test]
+    fn exchange_events_total_every_priced_quantity() {
+        // Messages are what `exchange_ms` is mostly made of at bitmap
+        // sizes; the registry used to drop them.
+        let m = MetricsRegistry::new();
+        let e = ExchangeEvent {
+            track: 0,
+            start_ms: 0.0,
+            step: 1,
+            bytes: 100,
+            messages: 7,
+            rounds: 2,
+            boundary_nodes: 5,
+            exchange_ms: 0.25,
+        };
+        m.exchange(&e);
+        m.exchange(&e);
+        assert_eq!(m.value("gcgt_exchange_steps_total"), Some(2.0));
+        assert_eq!(m.value("gcgt_exchange_bytes_total"), Some(200.0));
+        assert_eq!(m.value("gcgt_exchange_messages_total"), Some(14.0));
+        assert_eq!(m.value("gcgt_exchange_ms_total"), Some(0.5));
+        assert_eq!(m.value("gcgt_boundary_nodes_total"), Some(10.0));
     }
 
     #[test]

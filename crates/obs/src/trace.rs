@@ -210,8 +210,8 @@ impl Observer for TraceRecorder {
         let line = format!(
             "{{\"name\": \"exchange\", \"cat\": \"shard\", \"ph\": \"X\", \"pid\": 1, \
              \"tid\": {}, \"ts\": {}, \"dur\": {}, \"args\": {{\"step\": {}, \
-             \"bytes\": {}, \"messages\": {}, \"boundary_nodes\": {}}}}}",
-            e.track, ts, dur, e.step, e.bytes, e.messages, e.boundary_nodes
+             \"bytes\": {}, \"messages\": {}, \"rounds\": {}, \"boundary_nodes\": {}}}}}",
+            e.track, ts, dur, e.step, e.bytes, e.messages, e.rounds, e.boundary_nodes
         );
         self.push("shard", e.track, ts, "exchange".into(), line);
     }
@@ -323,6 +323,7 @@ mod tests {
             step: 1,
             bytes: 128,
             messages: 2,
+            rounds: 1,
             boundary_nodes: 9,
             exchange_ms: 0.01,
         });

@@ -303,6 +303,17 @@ pub enum SessionError {
     AsymmetricPull,
     /// A sharded session was requested with zero devices.
     ZeroShards,
+    /// A link model handed to [`SessionBuilder::pcie`] or
+    /// [`SessionBuilder::interconnect`] would price transfers as infinite
+    /// or NaN: bandwidth must be finite and positive, latency finite and
+    /// non-negative.
+    InvalidLink {
+        /// The builder call that supplied the link (`"pcie"` or
+        /// `"interconnect"`).
+        link: &'static str,
+        /// The offending field (`"bandwidth_gb_s"` or `"latency_us"`).
+        field: &'static str,
+    },
     /// [`SessionBuilder::graph_compressed`] was combined with a builder
     /// option that only applies to raw-CSR input — the compressed graph's
     /// encoding (and the preprocessing baked into it) is already fixed.
@@ -357,6 +368,11 @@ impl std::fmt::Display for SessionError {
                 f,
                 "a sharded session needs at least one device (shards(n) with n >= 1)"
             ),
+            SessionError::InvalidLink { link, field } => write!(
+                f,
+                "{link}(..) has an unusable {field}: bandwidth_gb_s must be finite and > 0, \
+                 latency_us finite and >= 0"
+            ),
             SessionError::CompressedInputConflict { what } => write!(
                 f,
                 "graph_compressed(..) supplies an already-encoded graph, which conflicts with \
@@ -376,6 +392,28 @@ impl From<OomError> for SessionError {
     fn from(e: OomError) -> Self {
         SessionError::Oom(e)
     }
+}
+
+/// Rejects link parameters whose `bytes / bandwidth + n × latency` is not a
+/// finite, non-negative time.
+fn check_link(
+    link: &'static str,
+    bandwidth_gb_s: f64,
+    latency_us: f64,
+) -> Result<(), SessionError> {
+    if !(bandwidth_gb_s.is_finite() && bandwidth_gb_s > 0.0) {
+        return Err(SessionError::InvalidLink {
+            link,
+            field: "bandwidth_gb_s",
+        });
+    }
+    if !(latency_us.is_finite() && latency_us >= 0.0) {
+        return Err(SessionError::InvalidLink {
+            link,
+            field: "latency_us",
+        });
+    }
+    Ok(())
 }
 
 /// Typed builder for [`Session`] — see the crate docs for the full shape.
@@ -518,7 +556,9 @@ impl SessionBuilder {
         self
     }
 
-    /// The host↔device link model used for upload accounting.
+    /// The host↔device link model used for upload accounting. `build`
+    /// returns [`SessionError::InvalidLink`] unless the bandwidth is finite
+    /// and positive and the latency finite and non-negative.
     #[must_use]
     pub fn pcie(mut self, pcie: PcieConfig) -> Self {
         self.pcie = Some(pcie);
@@ -563,7 +603,8 @@ impl SessionBuilder {
     /// The device↔device link model of a sharded session's frontier
     /// exchange (defaults to [`InterconnectConfig::nvlink`]). Only
     /// meaningful with [`SessionBuilder::shards`] /
-    /// [`EngineKind::Sharded`].
+    /// [`EngineKind::Sharded`], but validated like
+    /// [`SessionBuilder::pcie`] whenever supplied.
     #[must_use]
     pub fn interconnect(mut self, link: InterconnectConfig) -> Self {
         self.interconnect = Some(link);
@@ -642,6 +683,17 @@ impl SessionBuilder {
                 return Err(SessionError::ZeroShards);
             }
         }
+        // Link parameters divide into every modeled transfer: a zero,
+        // negative or non-finite one would poison `total_ms`, the serve
+        // timeline and deadlines with inf/NaN.
+        let pcie = self.pcie.unwrap_or_default();
+        check_link("pcie", pcie.bandwidth_gb_s, pcie.latency_us)?;
+        let interconnect = self.interconnect.unwrap_or_default();
+        check_link(
+            "interconnect",
+            interconnect.bandwidth_gb_s,
+            interconnect.latency_us,
+        )?;
         // --- input + CSR mirror ---
         // The mirror decodes every adjacency, so a deferred-validation load
         // is normally proven in full first (a no-op for eager loads and
@@ -683,7 +735,6 @@ impl SessionBuilder {
         // placement and exchange accounting on top.
         let base = kind.inner_kind();
         let device_config = self.device.unwrap_or_default();
-        let pcie = self.pcie.unwrap_or_default();
 
         // --- preprocessing (the prepared graph owns the id mapping) ---
         let symmetrized: Arc<Csr> = if self.symmetrize {
@@ -834,7 +885,7 @@ impl SessionBuilder {
                     Some(cgr) => ShardPlan::build(cgr, devices),
                     None => ShardPlan::build_csr(&graph, devices),
                 },
-                interconnect: self.interconnect.unwrap_or_default(),
+                interconnect,
             }),
             _ => None,
         };
@@ -2100,6 +2151,75 @@ mod tests {
             .unwrap_err();
         assert_eq!(err, SessionError::ZeroShards);
         assert!(err.to_string().contains("device"), "{err}");
+    }
+
+    /// Every unusable value of one link field is refused at `build()` with
+    /// the variant naming that field, and the boundary value it must still
+    /// accept (`ok`) builds.
+    fn assert_link_field_rejected(
+        link: &'static str,
+        field: &'static str,
+        bad: &[f64],
+        ok: f64,
+        with: impl Fn(SessionBuilder, f64) -> SessionBuilder,
+    ) {
+        let base = || Session::builder().graph(toys::figure1()).shards(2);
+        for &value in bad {
+            let err = with(base(), value).build().unwrap_err();
+            assert_eq!(err, SessionError::InvalidLink { link, field }, "{value}");
+            assert!(err.to_string().contains(field), "{err}");
+        }
+        let run = with(base(), ok).build().expect("boundary value builds");
+        assert!(run.run(Bfs::from(0)).total_ms().is_finite());
+    }
+
+    const BAD_BANDWIDTH: [f64; 5] = [0.0, -1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+    const BAD_LATENCY: [f64; 4] = [-1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+
+    #[test]
+    fn interconnect_bandwidth_must_be_finite_and_positive() {
+        assert_link_field_rejected(
+            "interconnect",
+            "bandwidth_gb_s",
+            &BAD_BANDWIDTH,
+            1e-6,
+            |b, v| {
+                b.interconnect(InterconnectConfig {
+                    bandwidth_gb_s: v,
+                    ..InterconnectConfig::nvlink()
+                })
+            },
+        );
+    }
+
+    #[test]
+    fn interconnect_latency_must_be_finite_and_non_negative() {
+        assert_link_field_rejected("interconnect", "latency_us", &BAD_LATENCY, 0.0, |b, v| {
+            b.interconnect(InterconnectConfig {
+                latency_us: v,
+                ..InterconnectConfig::nvlink()
+            })
+        });
+    }
+
+    #[test]
+    fn pcie_bandwidth_must_be_finite_and_positive() {
+        assert_link_field_rejected("pcie", "bandwidth_gb_s", &BAD_BANDWIDTH, 1e-6, |b, v| {
+            b.pcie(PcieConfig {
+                bandwidth_gb_s: v,
+                ..PcieConfig::default()
+            })
+        });
+    }
+
+    #[test]
+    fn pcie_latency_must_be_finite_and_non_negative() {
+        assert_link_field_rejected("pcie", "latency_us", &BAD_LATENCY, 0.0, |b, v| {
+            b.pcie(PcieConfig {
+                latency_us: v,
+                ..PcieConfig::default()
+            })
+        });
     }
 
     #[test]

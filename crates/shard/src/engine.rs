@@ -4,9 +4,26 @@
 //! application runs on a sharded deployment unmodified. Each kernel launch
 //! is one bulk-synchronous step: every shard expands exactly the work nodes
 //! it owns (the union across shards is the serial work list, each node
-//! expanded once), then shards that discovered nodes owned elsewhere send
-//! the destination a dense frontier bitmap over its owned range, all-to-all,
-//! over the modeled [`InterconnectConfig`].
+//! expanded once), then every shard that discovered nodes owned elsewhere
+//! holds, per such owner, one dense frontier-bitmap segment over the owner's
+//! range. The segments are delivered over the modeled
+//! [`InterconnectConfig`] by the log-depth dissemination schedule of
+//! [`crate::exchange`] — a reduce-scatter with OR in at most `⌈log₂ d⌉`
+//! rounds of one send per device — rather than one point-to-point message
+//! per (source, owner) pair.
+//!
+//! # Why messages, not bytes
+//!
+//! The link model is α–β: `bytes / bandwidth + messages × latency`. A
+//! segment is about a kilobyte, so over NVLink (40 GB/s, 2 µs setup) a
+//! step's bandwidth term is ~2 % of its bill and per-message setup ~98 %:
+//! the message count is the binding cost. The schedule cuts it from up to
+//! `d·(d−1)` to at most `d·⌈log₂ d⌉` (56 → 24 at eight devices) and leaves
+//! bytes where they were — a device still sends at most `d−1` merged
+//! segments a step. A gather/scatter star through one root would send only
+//! `2(d−1)` messages but is deliberately not used: the engine's aggregate
+//! clock sums messages and cannot see them serialising on the root's link,
+//! while the dissemination rounds keep every link equally busy.
 //!
 //! # Cost attribution
 //!
@@ -30,6 +47,7 @@ use gcgt_graph::{Csr, NodeId};
 use gcgt_ooc::{OocConfig, OocEngine, PartitionMap};
 use gcgt_simt::{Device, DeviceConfig, InterconnectConfig, OomError, PcieConfig, WarpSim};
 
+use crate::exchange::{ActivityMatrix, ExchangeCost};
 use crate::plan::ShardPlan;
 
 /// The engine running inside each shard of a sharded session — the `Copy`
@@ -84,8 +102,8 @@ enum InnerHolder<'g> {
 }
 
 /// A sharded traversal engine: N modeled devices, each expanding its owned
-/// slice of every frontier, exchanging boundary discoveries as frontier
-/// bitmaps between steps. Implements [`Expander`], so all applications and
+/// slice of every frontier, exchanging boundary discoveries as merged
+/// frontier-bitmap segments between steps. Implements [`Expander`], so all applications and
 /// the session/serving layers run on it unmodified.
 pub struct ShardEngine<'g> {
     graph: &'g Csr,
@@ -217,48 +235,22 @@ impl<'g> ShardEngine<'g> {
         }
     }
 
-    /// Charges one BSP step on `device`: the barrier, then the all-to-all
-    /// boundary-bitmap exchange for this step's `work` list (frontier nodes
-    /// in push mode, unvisited candidates in pull mode).
+    /// Charges one BSP step on `device`: the barrier, then the boundary
+    /// exchange for this step's `work` list (frontier nodes in push mode,
+    /// unvisited candidates in pull mode), priced as the log-depth
+    /// dissemination schedule of [`crate::exchange`].
     fn charge_step(&self, device: &mut Device, work: &[NodeId]) {
-        let d = self.plan.devices();
-        if d <= 1 || work.is_empty() {
+        if self.plan.devices() <= 1 || work.is_empty() {
             return;
         }
         device.charge_sync_step();
-        // A shard sends device j one bitmap iff it discovered any node j
-        // owns; boundary_nodes counts the distinct remote discoveries.
-        let mut pair_active = vec![false; d * d];
-        let mut seen = vec![false; self.graph.num_nodes()];
-        let mut boundary = 0u64;
-        for &u in work {
-            let i = self.plan.owner_of(u);
-            for &v in self.graph.neighbors(u) {
-                let j = self.plan.owner_of(v);
-                if j != i {
-                    pair_active[i * d + j] = true;
-                    if !seen[v as usize] {
-                        seen[v as usize] = true;
-                        boundary += 1;
-                    }
-                }
-            }
-        }
-        let mut bytes = 0usize;
-        let mut messages = 0usize;
-        for i in 0..d {
-            for j in 0..d {
-                if pair_active[i * d + j] {
-                    messages += 1;
-                    bytes += self.plan.bitmap_bytes(j);
-                }
-            }
-        }
-        let exchange_ms = self.interconnect.exchange_ms(bytes, messages);
-        // An injected link fault wastes the whole all-to-all round: the
-        // chaos gate re-charges the failed exchange (plus backoff) into
-        // `exchange_ms` per failed attempt before the successful round is
-        // charged below. No-op without an active fault plan.
+        let (activity, boundary) = ActivityMatrix::of_step(self.graph, self.plan, work);
+        let cost = ExchangeCost::plan(&activity, self.plan);
+        let exchange_ms = self.interconnect.exchange_ms(cost.bytes, cost.messages);
+        // An injected link fault wastes the whole exchange — every round of
+        // it: the chaos gate re-charges the failed exchange (plus backoff)
+        // into `exchange_ms` per failed attempt before the successful one
+        // is charged below. No-op without an active fault plan.
         device.chaos_gate(gcgt_simt::chaos::FaultDomain::Exchange, exchange_ms);
         let obs_start = device.observer().is_some().then(|| device.modeled_ms());
         device.charge_exchange(exchange_ms, boundary);
@@ -267,8 +259,9 @@ impl<'g> ShardEngine<'g> {
                 track: device.track(),
                 start_ms,
                 step: device.stats().sync_steps,
-                bytes: bytes as u64,
-                messages: messages as u64,
+                bytes: cost.bytes as u64,
+                messages: cost.messages as u64,
+                rounds: cost.rounds as u64,
                 boundary_nodes: boundary,
                 exchange_ms,
             });

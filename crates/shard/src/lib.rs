@@ -7,9 +7,14 @@
 //! runs any inner engine — in-core GCGT, the CSR baselines, or streaming
 //! out-of-core under a per-device budget — as an owner-computes
 //! bulk-synchronous loop. Every step, each shard expands exactly the
-//! frontier nodes it owns; discoveries of remotely-owned nodes are
-//! exchanged as per-destination dense frontier bitmaps over a modeled
-//! [`gcgt_simt::InterconnectConfig`] (NVLink or PCIe peer links).
+//! frontier nodes it owns; discoveries of remotely-owned nodes become
+//! per-owner dense frontier-bitmap segments, delivered over a modeled
+//! [`gcgt_simt::InterconnectConfig`] (NVLink or PCIe peer links) by one
+//! log-depth dissemination schedule ([`exchange`]): `⌈log₂ d⌉` rounds, one
+//! merged message per device per round, at most `d·⌈log₂ d⌉` messages a
+//! step where point-to-point delivery needs up to `d·(d−1)`. Per-message
+//! setup is ~98 % of the exchange bill at bitmap sizes, so that count is
+//! the lever; bytes stay what they were.
 //!
 //! The engine implements the `Expander` contract, so all five applications,
 //! the session layer and the serving pools run sharded unmodified — and
@@ -20,7 +25,9 @@
 
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 pub mod engine;
+pub mod exchange;
 pub mod plan;
 
 pub use engine::{ShardEngine, ShardInner, ShardOocParams};
+pub use exchange::{ActivityMatrix, ExchangeCost};
 pub use plan::{Shard, ShardPlan};

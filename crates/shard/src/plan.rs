@@ -159,7 +159,8 @@ impl ShardPlan {
 
     /// Bytes of a dense frontier bitmap over device `s`'s owned range —
     /// the unit of boundary exchange: a shard that discovered any node
-    /// owned by `s` sends it one such bitmap.
+    /// owned by `s` addresses it one such segment (see [`crate::exchange`]
+    /// for how segments are merged and routed).
     pub fn bitmap_bytes(&self, s: usize) -> usize {
         self.shards[s].num_nodes().div_ceil(8)
     }
