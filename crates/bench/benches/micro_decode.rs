@@ -1,8 +1,8 @@
-//! Microbenchmarks of CGR decoding paths: the serial `getNextNeighbor`
-//! iterator, segmented decode, and the warp-centric speculative window.
+//! Microbenchmarks of CGR decoding paths: bulk decode over the one node
+//! cursor on each layout, and the warp-centric speculative window.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use gcgt_cgr::{decode, CgrConfig, CgrGraph, NeighborIter};
+use gcgt_cgr::{decode, CgrConfig, CgrGraph};
 use gcgt_core::kernels::warp_decode::parallel_decode;
 use gcgt_graph::gen::{web_graph, WebParams};
 use gcgt_simt::WarpSim;
@@ -16,29 +16,19 @@ fn bench(c: &mut Criterion) {
     group.throughput(Throughput::Elements(graph.num_edges() as u64));
     group.sample_size(20);
 
-    group.bench_function("serial_get_next_neighbor", |b| {
-        b.iter(|| {
-            let mut acc = 0u64;
-            for u in 0..graph.num_nodes() as u32 {
-                for v in NeighborIter::new(&unseg, u) {
-                    acc = acc.wrapping_add(u64::from(v));
+    for (name, cgr) in [("unsegmented_decode", &unseg), ("segmented_decode", &seg)] {
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let mut acc = 0u64;
+                for u in 0..graph.num_nodes() as u32 {
+                    for v in decode::decode_node_unsorted(cgr, u) {
+                        acc = acc.wrapping_add(u64::from(v));
+                    }
                 }
-            }
-            acc
-        })
-    });
-
-    group.bench_function("segmented_decode", |b| {
-        b.iter(|| {
-            let mut acc = 0u64;
-            for u in 0..graph.num_nodes() as u32 {
-                for v in decode::decode_node_unsorted(&seg, u) {
-                    acc = acc.wrapping_add(u64::from(v));
-                }
-            }
-            acc
-        })
-    });
+                acc
+            })
+        });
+    }
 
     group.bench_function("warp_centric_window", |b| {
         // Decode the bit stream in speculative 32-lane windows.

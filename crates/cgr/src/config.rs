@@ -228,8 +228,8 @@ impl CgrConfig {
     }
 
     /// Decodes a residual gap at `pos`; returns `(residual, next_pos)`.
-    /// Slow-path oracle — the table-accelerated twin is
-    /// `CgrGraph::read_residual_gap`.
+    /// Slow-path oracle — the table-accelerated production read is
+    /// `NodeCursor::next_residual`.
     #[inline]
     pub fn read_residual_gap(
         &self,
@@ -288,18 +288,6 @@ impl CgrConfig {
     pub fn read_block_len(&self, bits: &BitVec, pos: usize) -> Option<(u64, usize)> {
         let (v, p) = self.code.decode_at(bits, pos)?;
         Some((Self::map_count(v)?, p))
-    }
-
-    /// Maps a raw VLC codeword value from a residual stream to the residual
-    /// node id. Used by the warp-centric decoder (Algorithm 4), which
-    /// produces raw codeword values without knowing whether each is the
-    /// sign-folded first gap (`prev == None`) or a plain gap.
-    #[inline]
-    pub fn residual_from_raw(&self, raw: u64, prev: Option<NodeId>, source: NodeId) -> NodeId {
-        match prev {
-            None => (i64::from(source) + unfold_sign(raw - 1)) as NodeId,
-            Some(p) => p + raw as NodeId,
-        }
     }
 }
 

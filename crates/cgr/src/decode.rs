@@ -1,11 +1,516 @@
-//! Serial CGR decoders — the oracles that every GPU-simulated decoding path
-//! is validated against, plus the faithful `getNextNeighbor` iterator of the
-//! paper's Algorithm 1.
+//! The one parser of the CGR node layout, and the serial decoders built
+//! on it.
+//!
+//! The node format —
+//! `[degNum] · [refOffset · blocks] · itvNum · intervals · residuals | segNum · segments`
+//! — is spelled out exactly once, in [`NodeCursor`]: a field-level reader
+//! whose every step is checked against the node's bit range, the node count
+//! and the format's own invariants (interval coverage within `degNum`,
+//! strictly ascending residuals, backward bounded references), and returns a
+//! typed error instead of panicking. Everything else that walks a node is a
+//! face of that cursor:
+//!
+//! * **streaming** — [`NeighborScanner`], one neighbour per call with the
+//!   branch class that produced it (the pull kernel's early-exit primitive
+//!   and, through [`validate_range`], the structural validator of untrusted
+//!   payloads). It owns only emission state: the current interval run, the
+//!   segment counter, and the multi-gap [`PackedRun`] lookahead whose raw
+//!   values it hands back to the cursor for checking.
+//! * **bulk** — [`decode_node_unsorted`] / [`decode_all`] /
+//!   [`decode_degree`]: a loop over the cursor, one `extend` per interval
+//!   and one run per residual stretch, with no per-neighbour state machine.
+//! * **kernels** — `gcgt-core`'s `LaneCursor` wraps the same cursor, so the
+//!   validator and the simulated kernels cannot disagree about a payload:
+//!   what [`validate_structure`] accepts, every consumer decodes without
+//!   panicking.
+//!
+//! Trusted callers (encode output, validated loads) `expect` the cursor's
+//! results; untrusted bytes go through the `try_*` scanner face. The
+//! table-free `CgrConfig::read_*` functions stay as the slow oracles the
+//! tests compare against.
 
 use crate::config::CgrConfig;
 use crate::encode::CgrGraph;
 use gcgt_bits::PackedRun;
 use gcgt_graph::{Csr, CsrBuilder, NodeId};
+
+/// What a trusted caller's `expect` says when the cursor reports an error.
+const INVALID: &str = "structurally invalid CGR payload";
+
+/// Builds an error out of line, keeping the formatting machinery off the
+/// decoders' hot paths.
+#[cold]
+#[inline(never)]
+fn fail<T>(msg: impl FnOnce() -> String) -> Result<T, String> {
+    Err(msg())
+}
+
+/// Parsed reference prologue of a GCGR v3 node: the backward target and the
+/// alternating copy/skip block lengths over its full adjacency.
+struct RefPrologue {
+    target: NodeId,
+    blocks: Vec<u64>,
+}
+
+impl RefPrologue {
+    /// Values the copy (even-indexed) blocks select — the node's copied
+    /// count, known without chasing the reference.
+    fn copied_count(&self) -> u64 {
+        let copies = self.blocks.iter().step_by(2);
+        copies.fold(0, |n, &len| n.saturating_add(len))
+    }
+
+    /// The copied values: the target's full adjacency (its own chain
+    /// chased within `depth_left` further hops), sorted, through the
+    /// copy blocks.
+    fn materialize(&self, cgr: &CgrGraph, depth_left: u32) -> Result<Vec<NodeId>, String> {
+        let Some(depth_left) = depth_left.checked_sub(1) else {
+            return Err(format!(
+                "reference chain exceeds ref_chain_limit {}",
+                cgr.config().ref_chain_limit
+            ));
+        };
+        let mut full = Vec::new();
+        NodeCursor::open_with_depth(cgr, self.target, depth_left)
+            .and_then(|mut t| t.drain_into(&mut full))
+            .map_err(|e| format!("referenced node {}: {e}", self.target))?;
+        full.sort_unstable();
+        copied_from_blocks(&full, &self.blocks)
+    }
+}
+
+/// Field-level, bounds-checked reader of one node's compressed adjacency —
+/// the only code that knows the CGR node layout (either layout, with or
+/// without the v3 reference prologue).
+///
+/// [`NodeCursor::open`] consumes the header (`[degNum]`, reference
+/// prologue, `itvNum`) and materializes the copied values; after that the
+/// fields are read in storage order: [`next_interval`](Self::next_interval)
+/// while [`intervals_left`](Self::intervals_left), then the copied values,
+/// then the residuals — one run of [`residuals_left`](Self::residuals_left)
+/// on the unsegmented layout, or per segment
+/// ([`read_seg_num`](Self::read_seg_num) →
+/// [`seek_segment`](Self::seek_segment) →
+/// [`read_res_num`](Self::read_res_num)) on the segmented one. Segments are
+/// independent, so a clone per segment decodes them in any interleaving.
+#[derive(Clone, Debug)]
+pub struct NodeCursor<'a> {
+    cgr: &'a CgrGraph,
+    u: NodeId,
+    pos: usize,
+    end: usize,
+    /// `degNum` — the unsegmented layout only; the segmented one has none.
+    deg_num: Option<u64>,
+    itv_left: u64,
+    prev_itv_end: Option<NodeId>,
+    /// Residuals left in the current run: `degNum` minus copied values and
+    /// interval coverage (unsegmented), or what is left of the segment
+    /// entered by [`NodeCursor::read_res_num`].
+    res_left: u64,
+    prev_res: Option<NodeId>,
+    /// Values copied from the referenced node's list (GCGR v3), not yet
+    /// emitted; empty without a reference.
+    copied: std::vec::IntoIter<NodeId>,
+    /// Start of the fixed-stride segment area, set by `read_seg_num`.
+    seg_base: usize,
+    /// The node's bit range is empty: no neighbours and no header at all.
+    empty: bool,
+}
+
+// The field reads are `#[inline(always)]` on measurement: a
+// `Result<_, String>` is 24 bytes and travels through memory unless the
+// bulk loop sees through the call (per-node decode 0.77x → 0.92x of the
+// hand-rolled readers this cursor replaced). Error construction is kept out
+// of line ([`fail`]) for the same reason.
+impl<'a> NodeCursor<'a> {
+    /// Opens node `u`: reads its header and chases its reference chain
+    /// within the configured `ref_chain_limit`.
+    #[inline(always)]
+    pub fn open(cgr: &'a CgrGraph, u: NodeId) -> Result<Self, String> {
+        Self::open_with_depth(cgr, u, cgr.config().ref_chain_limit)
+    }
+
+    /// [`NodeCursor::open`] with an explicit remaining reference depth.
+    /// Materializing a referenced list re-enters here with
+    /// `depth_left - 1`, so a chain longer than `ref_chain_limit` bottoms
+    /// out as a typed error — which, with references strictly backward
+    /// (acyclic by construction), bounds the work on untrusted data.
+    #[inline(always)]
+    fn open_with_depth(cgr: &'a CgrGraph, u: NodeId, depth_left: u32) -> Result<Self, String> {
+        let mut c = Self::at(cgr, u);
+        if let Some(pro) = c.read_header()? {
+            let copied = pro.materialize(cgr, depth_left)?;
+            c.debit(copied.len() as u64, "copied values")?;
+            c.copied = copied.into_iter();
+        }
+        Ok(c)
+    }
+
+    /// Positions on node `u` with nothing read yet.
+    #[inline(always)]
+    fn at(cgr: &'a CgrGraph, u: NodeId) -> Self {
+        let (start, end) = cgr.node_range(u);
+        NodeCursor {
+            cgr,
+            u,
+            pos: start,
+            end,
+            deg_num: cgr.config().segment_len_bytes.is_none().then_some(0),
+            itv_left: 0,
+            prev_itv_end: None,
+            res_left: 0,
+            prev_res: None,
+            copied: Vec::new().into_iter(),
+            seg_base: start,
+            empty: start == end,
+        }
+    }
+
+    /// Reads `degNum` where the layout has one. Returns whether a reference
+    /// prologue and `itvNum` follow: an empty bit range or `degNum` 0 ends
+    /// the node right there.
+    #[inline(always)]
+    fn read_deg_num(&mut self) -> Result<bool, String> {
+        if !self.empty && self.deg_num.is_some() {
+            self.res_left = self.read("degNum", CgrGraph::read_count)?;
+            self.deg_num = Some(self.res_left);
+        }
+        Ok(!self.empty && self.deg_num != Some(0))
+    }
+
+    /// Reads the header fields without chasing the reference: the cursor
+    /// ends up on the first interval, with no copied values.
+    #[inline(always)]
+    fn read_header(&mut self) -> Result<Option<RefPrologue>, String> {
+        if !self.read_deg_num()? {
+            return Ok(None);
+        }
+        let mut pro = None;
+        if let Some(target) = self.read_ref_target()? {
+            let block_num = self.read("blockNum", CgrGraph::read_count)?;
+            let mut blocks = Vec::with_capacity((block_num as usize).min(1 << 10));
+            for _ in 0..block_num {
+                blocks.push(self.read("copy-block length", CgrGraph::read_block_len)?);
+            }
+            pro = Some(RefPrologue { target, blocks });
+        }
+        self.itv_left = self.read("itvNum", CgrGraph::read_count)?;
+        Ok(pro)
+    }
+
+    /// Reads `refOffset` (only present with `ref_window > 0`); `None` on
+    /// offset 0. Rejects forward/self references (an offset reaching past
+    /// node 0) and an offset wider than `ref_window`.
+    #[inline(always)]
+    fn read_ref_target(&mut self) -> Result<Option<NodeId>, String> {
+        let window = self.cgr.config().ref_window;
+        if window == 0 {
+            return Ok(None);
+        }
+        let offset = self.read("refOffset", CgrGraph::read_ref_offset)?;
+        if offset == 0 {
+            return Ok(None);
+        }
+        let u = self.u;
+        let Some(target) = u64::from(u).checked_sub(offset) else {
+            return fail(|| format!("forward/self reference: offset {offset} escapes node {u}"));
+        };
+        if offset > u64::from(window) {
+            return fail(|| format!("reference offset {offset} exceeds ref_window {window}"));
+        }
+        Ok(Some(target as NodeId))
+    }
+
+    /// One checked codeword read at the current position: the read must
+    /// start inside the node's bit range, decode, and end inside it.
+    #[inline(always)]
+    fn read<T>(
+        &mut self,
+        what: &str,
+        field: impl FnOnce(&CgrGraph, usize) -> Option<(T, usize)>,
+    ) -> Result<T, String> {
+        match field(self.cgr, self.pos) {
+            Some((v, p)) if p <= self.end => {
+                self.pos = p;
+                Ok(v)
+            }
+            read => Err(self.read_error(what, read.is_some())),
+        }
+    }
+
+    /// Why a read at the current position failed; `decoded` tells a
+    /// codeword that ran past the range from one that did not decode.
+    #[cold]
+    #[inline(never)]
+    fn read_error(&self, what: &str, decoded: bool) -> String {
+        if self.pos >= self.end {
+            format!("{what} read starts past the node's bit range")
+        } else if decoded {
+            format!("{what} codeword runs past the node's bit range")
+        } else {
+            format!("truncated {what} codeword")
+        }
+    }
+
+    /// Unsegmented layout: takes `n` neighbours (an interval, the copied
+    /// values) out of the `degNum` budget, so what is left is the residual
+    /// count. Coverage beyond `degNum` is the typed error that keeps a
+    /// degree-driven and an `itvNum`-driven consumer from disagreeing.
+    #[inline(always)]
+    fn debit(&mut self, n: u64, what: &str) -> Result<(), String> {
+        if let Some(deg) = self.deg_num {
+            match self.res_left.checked_sub(n) {
+                Some(left) => self.res_left = left,
+                None => return fail(|| format!("{what} overrun degNum {deg}")),
+            }
+        }
+        Ok(())
+    }
+
+    /// The node this cursor reads.
+    #[inline]
+    pub fn node(&self) -> NodeId {
+        self.u
+    }
+
+    /// Current bit position (the paper's `bitPtr`).
+    #[inline]
+    pub fn bit_pos(&self) -> usize {
+        self.pos
+    }
+
+    /// Decoded `degNum`; `None` on the segmented layout, which stores none.
+    #[inline]
+    pub fn deg_num(&self) -> Option<u64> {
+        self.deg_num
+    }
+
+    /// Intervals not yet decoded.
+    #[inline]
+    pub fn intervals_left(&self) -> u64 {
+        self.itv_left
+    }
+
+    /// Decodes the next interval `(start, len)`: first gap relative to the
+    /// node, later gaps relative to the previous interval's end.
+    #[inline(always)]
+    pub fn next_interval(&mut self) -> Result<(NodeId, u32), String> {
+        if self.itv_left == 0 {
+            return fail(|| "interval read past itvNum".into());
+        }
+        let u = self.u;
+        let start = match self.prev_itv_end {
+            None => self.read("interval start", |g, p| g.read_first_gap(p, u))?,
+            Some(pe) => self.read("interval gap", |g, p| g.read_interval_gap(p, pe))?,
+        };
+        let len = self.read("interval len", CgrGraph::read_interval_len)?;
+        if len == 0 {
+            return fail(|| "zero-length interval".into());
+        }
+        // Monotonicity across intervals is enforced by the gap shift itself
+        // (gap >= 2); a u32 wrap lands the run out of range and trips here.
+        let last = u64::from(start) + u64::from(len) - 1;
+        if last >= self.cgr.num_nodes() as u64 {
+            return fail(|| format!("interval [{start}; {len}] out of range"));
+        }
+        self.debit(u64::from(len), "intervals")?;
+        self.itv_left -= 1;
+        self.prev_itv_end = Some(last as NodeId);
+        Ok((start, len))
+    }
+
+    /// Copied (reference-materialized) values not yet emitted.
+    #[inline]
+    pub fn copied_left(&self) -> u64 {
+        self.copied.len() as u64
+    }
+
+    /// The next copied value — they sit between the interval and the
+    /// residual area in storage order and cost no bit read.
+    #[inline]
+    pub fn next_copied(&mut self) -> Option<NodeId> {
+        self.copied.next()
+    }
+
+    /// Residuals left in the current run (the whole residual area on the
+    /// unsegmented layout once the intervals are decoded; the entered
+    /// segment on the segmented one).
+    #[inline]
+    pub fn residuals_left(&self) -> u64 {
+        self.res_left
+    }
+
+    /// Decodes the next residual of the current run.
+    #[inline(always)]
+    pub fn next_residual(&mut self) -> Result<NodeId, String> {
+        let Some((raw, p)) = self.cgr.table().decode_at(self.cgr.bits(), self.pos) else {
+            return fail(|| self.read_error("residual", false));
+        };
+        self.take_residual(raw, p)
+    }
+
+    /// Accepts one residual whose raw codeword value was decoded by the
+    /// caller (the scanner's multi-gap probe, the warp-centric window) from
+    /// the current position up to `next_pos`: applies the gap — sign-folded
+    /// and relative to the node for the first of a run, plain thereafter —
+    /// and every check [`NodeCursor::next_residual`] makes.
+    #[inline(always)]
+    pub fn take_residual(&mut self, raw: u64, next_pos: usize) -> Result<NodeId, String> {
+        if self.res_left == 0 {
+            return fail(|| "residual read past the run's count".into());
+        }
+        let Some(r) = (match self.prev_res {
+            None => CgrConfig::map_first_gap(self.u, raw),
+            Some(prev) => CgrConfig::map_residual_gap(prev, raw),
+        }) else {
+            return fail(|| "truncated residual codeword".into());
+        };
+        if self.pos >= self.end || next_pos > self.end {
+            return fail(|| self.read_error("residual", true));
+        }
+        self.pos = next_pos;
+        if r as usize >= self.cgr.num_nodes() {
+            return fail(|| format!("decoded neighbour {r} out of range"));
+        }
+        if let Some(prev) = self.prev_res {
+            if r <= prev {
+                return fail(|| format!("non-monotonic residual {r} after {prev}"));
+            }
+        }
+        self.prev_res = Some(r);
+        self.res_left -= 1;
+        Ok(r)
+    }
+
+    /// Whether the node's bit range is empty (no neighbours, no header).
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.empty
+    }
+
+    /// Segmented layout, after the intervals: reads `segNum` and pins the
+    /// segment area's base. An empty node has no segment area.
+    #[inline(always)]
+    pub fn read_seg_num(&mut self) -> Result<u64, String> {
+        if self.is_empty() {
+            return Ok(0);
+        }
+        let seg_num = self.read("segNum", CgrGraph::read_count)?;
+        self.seg_base = self.pos;
+        Ok(seg_num)
+    }
+
+    /// Jumps to the header of segment `s` (fixed stride from the base).
+    #[inline(always)]
+    pub fn seek_segment(&mut self, s: u64) -> Result<(), String> {
+        let stride = self.cgr.config().segment_len_bits().unwrap_or(0) as u64;
+        let pos = s
+            .checked_mul(stride)
+            .and_then(|off| off.checked_add(self.seg_base as u64));
+        match pos {
+            Some(pos) if pos < self.end as u64 => {
+                self.pos = pos as usize;
+                self.res_left = 0;
+                Ok(())
+            }
+            _ => fail(|| format!("segment {s} lies past the node's bit range")),
+        }
+    }
+
+    /// Reads the segment's `resNum` and starts its residual run (first
+    /// residual re-based on the node).
+    #[inline(always)]
+    pub fn read_res_num(&mut self) -> Result<u64, String> {
+        self.res_left = self.read("resNum", CgrGraph::read_count)?;
+        self.prev_res = None;
+        Ok(self.res_left)
+    }
+
+    /// Bulk face: appends everything not yet read, in storage order —
+    /// one `extend` per interval, the copied values, one run per residual
+    /// stretch.
+    #[inline]
+    fn drain_into(&mut self, out: &mut Vec<NodeId>) -> Result<(), String> {
+        while self.itv_left > 0 {
+            let (start, len) = self.next_interval()?;
+            out.extend(start..=start + (len - 1));
+        }
+        out.extend(&mut self.copied);
+        if self.deg_num.is_some() {
+            return self.drain_run(out);
+        }
+        for s in 0..self.read_seg_num()? {
+            self.seek_segment(s)?;
+            self.read_res_num()?;
+            self.drain_run(out)?;
+        }
+        Ok(())
+    }
+
+    #[inline(always)]
+    fn drain_run(&mut self, out: &mut Vec<NodeId>) -> Result<(), String> {
+        // Every residual takes at least one bit, so the hint is bounded by
+        // the node's own size whatever the (untrusted) count says.
+        out.reserve(self.res_left.min((self.end - self.pos) as u64) as usize);
+        while self.res_left > 0 {
+            out.push(self.next_residual()?);
+        }
+        Ok(())
+    }
+
+    /// Header-only degree: `degNum`, or — the segmented layout has none —
+    /// interval lengths plus the copy blocks' count plus every `resNum`.
+    fn degree(cgr: &'a CgrGraph, u: NodeId) -> Result<u64, String> {
+        let mut c = Self::at(cgr, u);
+        let pro = c.read_header()?;
+        if let Some(deg) = c.deg_num {
+            return Ok(deg);
+        }
+        let mut total = pro.map_or(0, |p| p.copied_count());
+        while c.itv_left > 0 {
+            total = total.saturating_add(u64::from(c.next_interval()?.1));
+        }
+        for s in 0..c.read_seg_num()? {
+            c.seek_segment(s)?;
+            total = total.saturating_add(c.read_res_num()?);
+        }
+        Ok(total)
+    }
+
+    /// The node `u` references, read off its header without chasing
+    /// anything; `None` without a reference or on a malformed header.
+    pub(crate) fn ref_target(cgr: &'a CgrGraph, u: NodeId) -> Option<NodeId> {
+        let mut c = Self::at(cgr, u);
+        match c.read_deg_num() {
+            Ok(true) => c.read_ref_target().ok()?,
+            _ => None,
+        }
+    }
+}
+
+/// Applies alternating copy/skip `blocks` to the referenced node's full
+/// sorted adjacency, returning the copied values (ascending). A block span
+/// exceeding the referenced degree is the copy-block-overrun corruption
+/// error (lengths are untrusted: the span saturates instead of wrapping).
+fn copied_from_blocks(full: &[NodeId], blocks: &[u64]) -> Result<Vec<NodeId>, String> {
+    let span = blocks.iter().fold(0u64, |n, &len| n.saturating_add(len));
+    if span > full.len() as u64 {
+        return Err(format!(
+            "copy blocks span {span} values but the referenced adjacency holds {}",
+            full.len()
+        ));
+    }
+    let mut copied = Vec::new();
+    let mut i = 0usize;
+    for (bi, &len) in blocks.iter().enumerate() {
+        let len = len as usize;
+        if bi % 2 == 0 {
+            copied.extend_from_slice(&full[i..i + len]);
+        }
+        i += len;
+    }
+    Ok(copied)
+}
 
 /// Decodes node `u`'s adjacency list, sorted ascending.
 pub fn decode_node(cgr: &CgrGraph, u: NodeId) -> Vec<NodeId> {
@@ -15,118 +520,18 @@ pub fn decode_node(cgr: &CgrGraph, u: NodeId) -> Vec<NodeId> {
 }
 
 /// Decodes node `u`'s adjacency in storage order (intervals first, then
-/// residuals — the order the kernels emit).
+/// copied values, then residuals — the order the kernels emit).
 pub fn decode_node_unsorted(cgr: &CgrGraph, u: NodeId) -> Vec<NodeId> {
-    let cfg = cgr.config();
-    if cfg.segment_len_bytes.is_none() {
-        NeighborIter::new(cgr, u).collect()
-    } else {
-        decode_segmented(cgr, u)
-    }
-}
-
-/// Decodes the degree of node `u` without materializing neighbours.
-pub fn decode_degree(cgr: &CgrGraph, u: NodeId) -> usize {
-    let cfg = cgr.config();
-    let (start, end) = cgr.node_range(u);
-    if start == end {
-        return 0;
-    }
-    if cfg.segment_len_bytes.is_none() {
-        let (deg, _) = cgr.read_count(start).expect("degNum");
-        return deg as usize;
-    }
-    // Segmented: sum interval lengths, copied values (from the v3
-    // reference prologue's copy blocks — no chain chasing needed for a
-    // count), and per-segment residual counts.
-    let mut total = 0usize;
-    let pos = if cfg.ref_window > 0 {
-        let (pro, p) = read_ref_prologue(cgr, u, start, end).expect("ref prologue");
-        if let Some(pro) = pro {
-            total += pro
-                .blocks
-                .iter()
-                .step_by(2)
-                .map(|&b| b as usize)
-                .sum::<usize>();
-        }
-        p
-    } else {
-        start
-    };
-    let (itv_num, mut pos) = cgr.read_count(pos).expect("itvNum");
-    let mut prev_end: Option<NodeId> = None;
-    for _ in 0..itv_num {
-        let (s, p) = match prev_end {
-            None => cgr.read_first_gap(pos, u).expect("itv start"),
-            Some(pe) => cgr.read_interval_gap(pos, pe).expect("itv gap"),
-        };
-        let (len, p2) = cgr.read_interval_len(p).expect("itv len");
-        debug_assert!(len >= 1, "zero-length interval in node {u}");
-        total += len as usize;
-        prev_end = Some(s + len - 1);
-        pos = p2;
-    }
-    let (seg_num, pos) = cgr.read_count(pos).expect("segNum");
-    let seg_bits = cfg
-        .segment_len_bits()
-        .expect("segmented layouts always carry a segment length");
-    for si in 0..seg_num as usize {
-        let sp = pos + si * seg_bits;
-        let (res_num, _) = cgr.read_count(sp).expect("resNum");
-        total += res_num as usize;
-    }
-    total
-}
-
-fn decode_segmented(cgr: &CgrGraph, u: NodeId) -> Vec<NodeId> {
-    let cfg = cgr.config();
-    let (start, end) = cgr.node_range(u);
     let mut out = Vec::new();
-    if start == end {
-        return out;
-    }
-    // v3 reference prologue: materialize the copied values up front, emit
-    // them between the interval and correction areas below.
-    let (copied, pos) = if cfg.ref_window > 0 {
-        ref_copied_list(cgr, u, start).expect("ref prologue")
-    } else {
-        (Vec::new(), start)
-    };
-    let (itv_num, mut pos) = cgr.read_count(pos).expect("itvNum");
-    let mut prev_end: Option<NodeId> = None;
-    for _ in 0..itv_num {
-        let (s, p) = match prev_end {
-            None => cgr.read_first_gap(pos, u).expect("itv start"),
-            Some(pe) => cgr.read_interval_gap(pos, pe).expect("itv gap"),
-        };
-        let (len, p2) = cgr.read_interval_len(p).expect("itv len");
-        debug_assert!(len >= 1, "zero-length interval in node {u}");
-        out.extend(s..s + len);
-        prev_end = Some(s + len - 1);
-        pos = p2;
-    }
-    out.extend_from_slice(&copied);
-    let (seg_num, pos) = cgr.read_count(pos).expect("segNum");
-    let seg_bits = cfg
-        .segment_len_bits()
-        .expect("segmented layouts always carry a segment length");
-    for si in 0..seg_num as usize {
-        let mut sp = pos + si * seg_bits;
-        let (res_num, p) = cgr.read_count(sp).expect("resNum");
-        sp = p;
-        let mut prev: Option<NodeId> = None;
-        for _ in 0..res_num {
-            let (r, p) = match prev {
-                None => cgr.read_first_gap(sp, u).expect("seg first res"),
-                Some(pr) => cgr.read_residual_gap(sp, pr).expect("res gap"),
-            };
-            out.push(r);
-            prev = Some(r);
-            sp = p;
-        }
-    }
+    let mut c = NodeCursor::open(cgr, u).expect(INVALID);
+    c.drain_into(&mut out).expect(INVALID);
     out
+}
+
+/// Decodes the degree of node `u` without materializing neighbours (and
+/// without chasing its reference chain).
+pub fn decode_degree(cgr: &CgrGraph, u: NodeId) -> usize {
+    NodeCursor::degree(cgr, u).expect(INVALID) as usize
 }
 
 /// Decodes the whole graph back into CSR form (round-trip oracle).
@@ -169,141 +574,6 @@ pub fn decode_all_validated(cgr: &CgrGraph) -> (Csr, Option<String>) {
     (b.build(), first_error)
 }
 
-/// Faithful serial transcription of the paper's `getNextNeighbor`
-/// (Algorithm 1, lines 11–24) over the **unsegmented** layout: three control
-/// branches — mid-interval, interval start, residual — exactly as the
-/// pseudocode, driven by a single advancing bit pointer.
-pub struct NeighborIter<'a> {
-    cgr: &'a CgrGraph,
-    u: NodeId,
-    bit_ptr: usize,
-    deg_left: u64,
-    itv_left: u64,
-    cur_itv_ptr: NodeId,
-    cur_itv_len: u32,
-    cur_res: NodeId,
-    first_interval: bool,
-    first_residual: bool,
-    /// Copied values of the v3 reference prologue (empty without one),
-    /// drained between the interval and correction areas.
-    copied: Vec<NodeId>,
-    copied_i: usize,
-}
-
-impl<'a> NeighborIter<'a> {
-    /// Starts decoding node `u`. Panics if the graph uses the segmented
-    /// layout (Algorithm 1 predates segmentation).
-    pub fn new(cgr: &'a CgrGraph, u: NodeId) -> Self {
-        let cfg = cgr.config();
-        assert!(
-            cfg.segment_len_bytes.is_none(),
-            "NeighborIter reads the unsegmented layout"
-        );
-        let (start, end) = cgr.node_range(u);
-        let mut copied = Vec::new();
-        let (deg, itv, pos) = if start == end {
-            (0, 0, start)
-        } else {
-            let (deg, p) = cgr.read_count(start).expect("degNum");
-            if deg == 0 {
-                (0, 0, p)
-            } else {
-                let p = if cfg.ref_window > 0 {
-                    let (c, p2) = ref_copied_list(cgr, u, p).expect("ref prologue");
-                    copied = c;
-                    p2
-                } else {
-                    p
-                };
-                let (itv, p2) = cgr.read_count(p).expect("itvNum");
-                (deg, itv, p2)
-            }
-        };
-        NeighborIter {
-            cgr,
-            u,
-            bit_ptr: pos,
-            deg_left: deg,
-            itv_left: itv,
-            cur_itv_ptr: u,
-            cur_itv_len: 0,
-            cur_res: u,
-            first_interval: true,
-            first_residual: true,
-            copied,
-            copied_i: 0,
-        }
-    }
-
-    /// Current bit pointer (useful for tests asserting consumed bits).
-    pub fn bit_ptr(&self) -> usize {
-        self.bit_ptr
-    }
-}
-
-impl Iterator for NeighborIter<'_> {
-    type Item = NodeId;
-
-    fn next(&mut self) -> Option<NodeId> {
-        if self.deg_left == 0 {
-            return None;
-        }
-        self.deg_left -= 1;
-        // Branch (i): in the middle of an interval.
-        if self.cur_itv_len > 0 {
-            let v = self.cur_itv_ptr;
-            self.cur_itv_ptr += 1;
-            self.cur_itv_len -= 1;
-            return Some(v);
-        }
-        // Branch (ii): at the beginning of an interval.
-        if self.itv_left > 0 {
-            let (start, p) = if self.first_interval {
-                self.first_interval = false;
-                self.cgr
-                    .read_first_gap(self.bit_ptr, self.u)
-                    .expect("itv start")
-            } else {
-                self.cgr
-                    .read_interval_gap(self.bit_ptr, self.cur_itv_ptr - 1)
-                    .expect("itv gap")
-            };
-            let (len, p2) = self.cgr.read_interval_len(p).expect("itv len");
-            debug_assert!(len >= 1, "zero-length interval in node {}", self.u);
-            self.bit_ptr = p2;
-            self.itv_left -= 1;
-            self.cur_itv_ptr = start + 1;
-            self.cur_itv_len = len - 1;
-            return Some(start);
-        }
-        // Branch (ii½): copied values of the reference prologue (GCGR v3;
-        // never taken on v2 payloads).
-        if self.copied_i < self.copied.len() {
-            let v = self.copied[self.copied_i];
-            self.copied_i += 1;
-            return Some(v);
-        }
-        // Branch (iii): in the residual segment.
-        let (r, p) = if self.first_residual {
-            self.first_residual = false;
-            self.cgr
-                .read_first_gap(self.bit_ptr, self.u)
-                .expect("first res")
-        } else {
-            self.cgr
-                .read_residual_gap(self.bit_ptr, self.cur_res)
-                .expect("res gap")
-        };
-        self.bit_ptr = p;
-        self.cur_res = r;
-        Some(r)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.deg_left as usize, Some(self.deg_left as usize))
-    }
-}
-
 /// What producing the next neighbour cost the decoder — the branch classes a
 /// pull-mode kernel serializes into warp steps.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -326,176 +596,35 @@ pub enum DecodeStep {
     CopyBlock,
 }
 
-/// Parsed reference prologue of a GCGR v3 node: the backward target and the
-/// alternating copy/skip block lengths over its full adjacency.
-struct RefPrologue {
-    target: NodeId,
-    blocks: Vec<u64>,
-}
-
-/// Reads the reference prologue at `pos` (bounds-checked against `end`,
-/// the node's bit range end). Returns `(None, next_pos)` on refOffset 0.
-/// Rejects forward/self references (an offset reaching past node 0), an
-/// offset wider than `ref_window`, and truncated codewords — the typed
-/// corruption errors [`validate_structure`] surfaces.
-fn read_ref_prologue(
-    cgr: &CgrGraph,
-    u: NodeId,
-    mut pos: usize,
-    end: usize,
-) -> Result<(Option<RefPrologue>, usize), String> {
-    let check = |p: usize, what: &str| {
-        if p > end {
-            Err(format!("{what} codeword runs past the node's bit range"))
-        } else {
-            Ok(p)
-        }
-    };
-    if pos >= end {
-        return Err("refOffset read starts past the node's bit range".into());
-    }
-    let (offset, p) = cgr
-        .read_ref_offset(pos)
-        .ok_or("truncated refOffset codeword")?;
-    pos = check(p, "refOffset")?;
-    if offset == 0 {
-        return Ok((None, pos));
-    }
-    let target = u64::from(u)
-        .checked_sub(offset)
-        .ok_or_else(|| format!("forward/self reference: offset {offset} escapes node {u}"))?
-        as NodeId;
-    if offset > u64::from(cgr.config().ref_window) {
-        return Err(format!(
-            "reference offset {offset} exceeds ref_window {}",
-            cgr.config().ref_window
-        ));
-    }
-    if pos >= end {
-        return Err("blockNum read starts past the node's bit range".into());
-    }
-    let (block_num, p) = cgr.read_count(pos).ok_or("truncated blockNum codeword")?;
-    pos = check(p, "blockNum")?;
-    let mut blocks = Vec::with_capacity((block_num as usize).min(1 << 10));
-    for _ in 0..block_num {
-        if pos >= end {
-            return Err("copy-block length read starts past the node's bit range".into());
-        }
-        let (len, p) = cgr
-            .read_block_len(pos)
-            .ok_or("truncated copy-block length codeword")?;
-        pos = check(p, "copy-block length")?;
-        blocks.push(len);
-    }
-    Ok((Some(RefPrologue { target, blocks }), pos))
-}
-
-/// Applies alternating copy/skip `blocks` to the referenced node's full
-/// sorted adjacency, returning the copied values (ascending). A block span
-/// exceeding the referenced degree is the copy-block-overrun corruption
-/// error.
-fn copied_from_blocks(full: &[NodeId], blocks: &[u64]) -> Result<Vec<NodeId>, String> {
-    let span: u64 = blocks.iter().sum();
-    if span > full.len() as u64 {
-        return Err(format!(
-            "copy blocks span {span} values but the referenced adjacency holds {}",
-            full.len()
-        ));
-    }
-    let mut copied = Vec::new();
-    let mut i = 0usize;
-    for (bi, &len) in blocks.iter().enumerate() {
-        let len = len as usize;
-        if bi % 2 == 0 {
-            copied.extend_from_slice(&full[i..i + len]);
-        }
-        i += len;
-    }
-    Ok(copied)
-}
-
-/// Materializes the values a reference prologue copies: decodes the
-/// referenced node's full adjacency (chasing its own references within
-/// `depth_left` further hops), sorts it, and applies the copy blocks.
-fn materialize_copied(
-    cgr: &CgrGraph,
-    pro: &RefPrologue,
-    depth_left: u32,
-) -> Result<Vec<NodeId>, String> {
-    let mut scan = NeighborScanner::try_new_with_depth(cgr, pro.target, depth_left)
-        .map_err(|e| format!("referenced node {}: {e}", pro.target))?;
-    let mut full = Vec::new();
-    while let Some((v, _)) = scan
-        .try_next_with_step()
-        .map_err(|e| format!("referenced node {}: {e}", pro.target))?
-    {
-        full.push(v);
-    }
-    full.sort_unstable();
-    copied_from_blocks(&full, &pro.blocks)
-}
-
-/// The copied-value list of node `u`'s reference prologue at `pos`, plus
-/// the bit position after the prologue — the shared entry point for the
-/// simulated kernels' cursor loads (`pos` is the node's range start for the
-/// segmented layout, the position after `degNum` for the unsegmented one).
-/// Returns an empty list and the unchanged layout position when the node
-/// does not reference (refOffset 0). Fails with the typed chain-bound /
-/// forward-reference / copy-block-overrun errors on corrupt payloads.
-pub fn ref_copied_list(
-    cgr: &CgrGraph,
-    u: NodeId,
-    pos: usize,
-) -> Result<(Vec<NodeId>, usize), String> {
-    let (_, end) = cgr.node_range(u);
-    let (pro, pos) = read_ref_prologue(cgr, u, pos, end)?;
-    match pro {
-        None => Ok((Vec::new(), pos)),
-        Some(pro) => {
-            let limit = cgr.config().ref_chain_limit;
-            if limit == 0 {
-                return Err(format!("node {u} references but ref_chain_limit is 0"));
-            }
-            Ok((materialize_copied(cgr, &pro, limit - 1)?, pos))
-        }
-    }
-}
-
-/// Streaming decoder over **either** CGR layout with O(1) work per
-/// neighbour — the early-exit primitive of direction-optimizing traversal:
-/// a pull pass stops consuming at the first frontier parent instead of
-/// materializing the whole adjacency list, and the saving is exactly the
-/// neighbours never decoded.
+/// Streaming face of [`NodeCursor`] over **either** CGR layout with O(1)
+/// work per neighbour — the early-exit primitive of direction-optimizing
+/// traversal: a pull pass stops consuming at the first frontier parent
+/// instead of materializing the whole adjacency list, and the saving is
+/// exactly the neighbours never decoded.
 ///
-/// Every decode is bounds-checked against the node's bit range and the node
-/// count, so the same machinery backs [`validate_structure`] (and through
-/// it [`crate::io::read_cgr`]'s structural validation of untrusted
-/// payloads). [`NeighborScanner::next_with_step`] reports the branch class
-/// of each neighbour so simulated kernels can charge the right warp-step
-/// cost; the plain [`Iterator`] face yields neighbours only.
+/// Every field goes through the checked cursor, so the same machinery backs
+/// [`validate_structure`] (and through it [`crate::io::read_cgr`]'s
+/// structural validation of untrusted payloads).
+/// [`NeighborScanner::next_with_step`] reports the branch class of each
+/// neighbour so simulated kernels can charge the right warp-step cost; the
+/// plain [`Iterator`] face yields neighbours only.
 ///
-/// Decoding goes through the graph's [`gcgt_bits::DecodeTable`]: headers,
-/// gaps and lengths resolve in one table probe each, and residual *runs*
-/// are decoded through the multi-gap probe — up to
+/// Residual *runs* are decoded through the multi-gap probe — up to
 /// [`gcgt_bits::MAX_PACKED`] consecutive short gap codewords per probe,
-/// buffered and emitted one neighbour at a time with per-codeword bit
-/// positions, so every bounds check, monotonicity check and error fires on
-/// exactly the neighbour where the slow path would fire it.
+/// buffered here and handed to [`NodeCursor::take_residual`] one at a time
+/// with per-codeword bit positions, so every bounds check, monotonicity
+/// check and error fires on exactly the neighbour where the unbuffered path
+/// would fire it.
 pub struct NeighborScanner<'a> {
-    cgr: &'a CgrGraph,
-    u: NodeId,
-    end: usize,
-    pos: usize,
-    /// Neighbours still due (`None` for the segmented layout, which has no
-    /// up-front degree and is driven by segment counts instead).
-    deg_left: Option<u64>,
-    itv_left: u64,
-    first_itv: bool,
-    prev_itv_end: NodeId,
+    cur: NodeCursor<'a>,
     run_next: NodeId,
     run_left: u32,
-    res: ResState,
-    prev_res: Option<NodeId>,
+    /// Segment count of the residual area: `None` until `segNum` is read,
+    /// `Some(0)` from the start on the unsegmented layout.
+    segs: Option<u64>,
+    next_seg: u64,
+    /// Whether the first copied value (the reference chase) was emitted.
+    chased: bool,
     examined: u64,
     /// Multi-gap lookahead over the current residual run: one
     /// [`CgrGraph::decode_packed_at`] probe result, drained per emit with
@@ -506,27 +635,6 @@ pub struct NeighborScanner<'a> {
     gap_base: usize,
     gap_n: usize,
     gap_i: usize,
-    /// Values copied from the referenced node's list (GCGR v3), drained
-    /// between the interval and correction areas; empty without a
-    /// reference.
-    copied: Vec<NodeId>,
-    copied_i: usize,
-}
-
-/// Residual-area progress of a [`NeighborScanner`].
-enum ResState {
-    /// Unsegmented: residuals stream until `deg_left` runs out.
-    Unseg,
-    /// Segmented, `segNum` not read yet (intervals still streaming).
-    SegPending,
-    /// Segmented, inside the fixed-stride segment area.
-    Seg {
-        base: usize,
-        seg_bits: usize,
-        segs_left: u64,
-        next_seg: usize,
-        in_seg: u64,
-    },
 }
 
 impl<'a> NeighborScanner<'a> {
@@ -536,98 +644,33 @@ impl<'a> NeighborScanner<'a> {
     /// Panics on a structurally invalid payload — encode output and
     /// [`validate_structure`]-checked loads never are.
     pub fn new(cgr: &'a CgrGraph, u: NodeId) -> Self {
-        Self::try_new(cgr, u).expect("structurally invalid CGR payload")
+        Self::try_new(cgr, u).expect(INVALID)
     }
 
     /// Fallible [`NeighborScanner::new`] for payloads of unknown
     /// provenance. Reference chains are chased within the configured
     /// `ref_chain_limit`; a deeper chain is the typed chain-bound error.
     pub fn try_new(cgr: &'a CgrGraph, u: NodeId) -> Result<Self, String> {
-        Self::try_new_with_depth(cgr, u, cgr.config().ref_chain_limit)
-    }
-
-    /// [`NeighborScanner::try_new`] with an explicit remaining reference
-    /// depth: the node may chase at most `depth_left` further hops.
-    /// Recursive materialization of a referenced list re-enters here with
-    /// `depth_left - 1`, so a chain longer than `ref_chain_limit` bottoms
-    /// out as a typed error — which, together with references being
-    /// strictly backward (acyclic by construction, enforced in
-    /// [`read_ref_prologue`]), bounds validation work on untrusted data.
-    fn try_new_with_depth(cgr: &'a CgrGraph, u: NodeId, depth_left: u32) -> Result<Self, String> {
-        let cfg = cgr.config();
-        let (start, end) = cgr.node_range(u);
-        let mut s = NeighborScanner {
-            cgr,
-            u,
-            end,
-            pos: start,
-            deg_left: None,
-            itv_left: 0,
-            first_itv: true,
-            prev_itv_end: u,
+        let cur = NodeCursor::open(cgr, u)?;
+        Ok(NeighborScanner {
+            segs: cur.deg_num().map(|_| 0),
+            cur,
             run_next: u,
             run_left: 0,
-            res: if cfg.segment_len_bytes.is_none() {
-                ResState::Unseg
-            } else {
-                ResState::SegPending
-            },
-            prev_res: None,
+            next_seg: 0,
+            chased: false,
             examined: 0,
             gap_run: PackedRun::default(),
             gap_base: 0,
             gap_n: 0,
             gap_i: 0,
-            copied: Vec::new(),
-            copied_i: 0,
-        };
-        if start == end {
-            s.deg_left = Some(0);
-            return Ok(s);
-        }
-        if cfg.segment_len_bytes.is_none() {
-            let deg = s.read_count("degNum")?;
-            if deg == 0 {
-                s.deg_left = Some(0);
-                return Ok(s);
-            }
-            if cfg.ref_window > 0 {
-                s.read_refs(depth_left)?;
-            }
-            let itv = s.read_count("itvNum")?;
-            s.deg_left = Some(deg);
-            s.itv_left = itv;
-        } else {
-            if cfg.ref_window > 0 {
-                s.read_refs(depth_left)?;
-            }
-            s.itv_left = s.read_count("itvNum")?;
-        }
-        Ok(s)
-    }
-
-    /// Consumes the v3 reference prologue at the current position and
-    /// materializes the copied values (chasing at most `depth_left`
-    /// further hops).
-    fn read_refs(&mut self, depth_left: u32) -> Result<(), String> {
-        let (pro, pos) = read_ref_prologue(self.cgr, self.u, self.pos, self.end)?;
-        self.pos = pos;
-        if let Some(pro) = pro {
-            if depth_left == 0 {
-                return Err(format!(
-                    "reference chain exceeds ref_chain_limit {}",
-                    self.cgr.config().ref_chain_limit
-                ));
-            }
-            self.copied = materialize_copied(self.cgr, &pro, depth_left - 1)?;
-        }
-        Ok(())
+        })
     }
 
     /// Current bit position (for simulated graph-memory addressing).
     #[inline]
     pub fn bit_pos(&self) -> usize {
-        self.pos
+        self.cur.bit_pos()
     }
 
     /// Neighbours produced so far — the "edges examined before early exit"
@@ -643,228 +686,86 @@ impl<'a> NeighborScanner<'a> {
     /// Panics on a structurally invalid payload; use
     /// [`NeighborScanner::try_next_with_step`] for untrusted data.
     pub fn next_with_step(&mut self) -> Option<(NodeId, DecodeStep)> {
-        self.try_next_with_step()
-            .expect("structurally invalid CGR payload")
-    }
-
-    fn read_count(&mut self, what: &str) -> Result<u64, String> {
-        let (v, p) = self
-            .cgr
-            .read_count(self.checked_pos(what)?)
-            .ok_or_else(|| format!("truncated {what} codeword"))?;
-        self.pos = p;
-        self.checked_consumed(what)?;
-        Ok(v)
-    }
-
-    /// The read position, verified to lie inside the node's bit range.
-    fn checked_pos(&self, what: &str) -> Result<usize, String> {
-        if self.pos >= self.end {
-            Err(format!("{what} read starts past the node's bit range"))
-        } else {
-            Ok(self.pos)
-        }
-    }
-
-    /// Verifies the last read did not run into the next node's bits.
-    fn checked_consumed(&self, what: &str) -> Result<(), String> {
-        if self.pos > self.end {
-            Err(format!("{what} codeword runs past the node's bit range"))
-        } else {
-            Ok(())
-        }
-    }
-
-    fn checked_neighbor(&self, v: NodeId) -> Result<NodeId, String> {
-        if (v as usize) < self.cgr.num_nodes() {
-            Ok(v)
-        } else {
-            Err(format!("decoded neighbour {v} out of range"))
-        }
+        self.try_next_with_step().expect(INVALID)
     }
 
     /// Fallible [`NeighborScanner::next_with_step`]: `Ok(None)` when the
     /// adjacency is exhausted, `Err` on the first structural violation
     /// (truncated codeword, out-of-range neighbour, non-monotonic gaps,
-    /// zero-length interval, reads escaping the node's bit range).
+    /// zero-length interval, coverage beyond `degNum`, reads escaping the
+    /// node's bit range).
     pub fn try_next_with_step(&mut self) -> Result<Option<(NodeId, DecodeStep)>, String> {
-        if self.deg_left == Some(0) {
-            return Ok(None);
-        }
-        let cfg = *self.cgr.config();
+        let next = self.step()?;
+        self.examined += u64::from(next.is_some());
+        Ok(next)
+    }
+
+    fn step(&mut self) -> Result<Option<(NodeId, DecodeStep)>, String> {
         // Branch (i): inside an interval run.
         if self.run_left > 0 {
             let v = self.run_next;
             self.run_next += 1;
             self.run_left -= 1;
-            return Ok(Some((self.emit(v), DecodeStep::IntervalRun)));
+            return Ok(Some((v, DecodeStep::IntervalRun)));
         }
         // Branch (ii): at the beginning of an interval.
-        if self.itv_left > 0 {
-            let (start, p) = if self.first_itv {
-                self.first_itv = false;
-                self.cgr
-                    .read_first_gap(self.checked_pos("interval start")?, self.u)
-            } else {
-                self.cgr
-                    .read_interval_gap(self.checked_pos("interval gap")?, self.prev_itv_end)
-            }
-            .ok_or("truncated interval codeword")?;
-            self.pos = p;
-            self.checked_consumed("interval gap")?;
-            let (len, p2) = self
-                .cgr
-                .read_interval_len(self.checked_pos("interval len")?)
-                .ok_or("truncated interval length")?;
-            self.pos = p2;
-            self.checked_consumed("interval len")?;
-            if len == 0 {
-                return Err("zero-length interval".into());
-            }
-            let last = u64::from(start) + u64::from(len) - 1;
-            if last >= self.cgr.num_nodes() as u64 {
-                return Err(format!("interval [{start}; {len}] out of range"));
-            }
-            // Monotonicity across intervals is enforced by the gap shift
-            // itself (gap >= 2); a u32 wrap lands the run out of range and
-            // trips the check above.
-            self.itv_left -= 1;
-            self.prev_itv_end = start + len - 1;
+        if self.cur.intervals_left() > 0 {
+            let (start, len) = self.cur.next_interval()?;
             self.run_next = start + 1;
             self.run_left = len - 1;
-            return Ok(Some((self.emit(start), DecodeStep::IntervalStart)));
+            return Ok(Some((start, DecodeStep::IntervalStart)));
         }
         // Branch (ii½): copied values from the referenced list (GCGR v3) —
         // drained between the interval and correction areas. The first emit
         // is the reference chase (the chain decode happened at construction
         // and is charged there); the rest are array reads of the
         // materialized copy.
-        if self.copied_i < self.copied.len() {
-            let v = self.checked_neighbor(self.copied[self.copied_i])?;
-            let step = if self.copied_i == 0 {
-                DecodeStep::RefChase
-            } else {
+        if let Some(v) = self.cur.next_copied() {
+            let step = if self.chased {
                 DecodeStep::CopyBlock
+            } else {
+                DecodeStep::RefChase
             };
-            self.copied_i += 1;
-            return Ok(Some((self.emit(v), step)));
+            self.chased = true;
+            return Ok(Some((v, step)));
         }
-        // Branch (iii): the residual area.
-        loop {
-            match self.res {
-                ResState::Unseg => {
-                    // deg_left > 0 guaranteed by the entry check.
-                }
-                ResState::SegPending => {
-                    let seg_num = self.read_count("segNum")?;
-                    let seg_bits = cfg.segment_len_bits().expect("segmented layout");
-                    self.res = ResState::Seg {
-                        base: self.pos,
-                        seg_bits,
-                        segs_left: seg_num,
-                        next_seg: 0,
-                        in_seg: 0,
-                    };
-                    continue;
-                }
-                ResState::Seg {
-                    base,
-                    seg_bits,
-                    segs_left,
-                    next_seg,
-                    in_seg,
-                } => {
-                    if in_seg == 0 {
-                        if segs_left == 0 {
-                            self.deg_left = Some(0);
-                            return Ok(None);
-                        }
-                        // Jump to the next fixed-stride segment header.
-                        self.pos = base + next_seg * seg_bits;
-                        self.prev_res = None;
-                        // The gap buffer is capped per run, so it drains
-                        // before a segment boundary; clear it defensively.
-                        debug_assert_eq!(self.gap_i, self.gap_n, "gap buffer crossed a segment");
-                        self.gap_n = 0;
-                        self.gap_i = 0;
-                        let res_num = self.read_count("resNum")?;
-                        self.res = ResState::Seg {
-                            base,
-                            seg_bits,
-                            segs_left: segs_left - 1,
-                            next_seg: next_seg + 1,
-                            in_seg: res_num,
-                        };
-                        continue;
-                    }
-                }
+        // Branch (iii): the residual area — one run (unsegmented), or the
+        // next fixed-stride segment whenever the current one is drained.
+        while self.cur.residuals_left() == 0 {
+            let segs = match self.segs {
+                Some(n) => n,
+                None => *self.segs.insert(self.cur.read_seg_num()?),
+            };
+            if self.next_seg == segs {
+                return Ok(None);
             }
-            break;
+            self.cur.seek_segment(self.next_seg)?;
+            self.cur.read_res_num()?;
+            self.next_seg += 1;
+            // The gap buffer is capped per run, so it drained before the
+            // segment boundary.
+            debug_assert_eq!(self.gap_i, self.gap_n, "gap buffer crossed a segment");
         }
-        // Residual decode: a single probe for the sign-folded first gap,
-        // multi-gap probes thereafter — one probe resolves up to
-        // `MAX_PACKED` consecutive gap codewords, buffered (capped to the
-        // current run) and emitted with per-codeword bit positions so the
-        // bounds and monotonicity checks below fire exactly where the
-        // unbuffered path would.
-        let (r, p) = match self.prev_res {
-            None => self
-                .cgr
-                .read_first_gap(self.checked_pos("first residual")?, self.u)
-                .ok_or("truncated residual codeword")?,
-            Some(prev) => {
-                if self.gap_i == self.gap_n {
-                    // Refill from the current position.
-                    let pos = self.checked_pos("residual gap")?;
-                    let run_left = match self.res {
-                        ResState::Unseg => self.deg_left.expect("unseg tracks degree"),
-                        ResState::Seg { in_seg, .. } => in_seg,
-                        ResState::SegPending => unreachable!("segment state resolved above"),
-                    };
-                    self.gap_base = pos;
-                    self.gap_i = 0;
-                    self.gap_run = self.cgr.decode_packed_at(pos);
-                    self.gap_n = self.gap_run.len().min(run_left as usize);
-                }
-                if self.gap_n == 0 {
-                    // Codeword wider than the probe window: slow path.
-                    self.cgr
-                        .read_residual_gap(self.checked_pos("residual gap")?, prev)
-                        .ok_or("truncated residual codeword")?
-                } else {
-                    let v = self.gap_run.value(self.gap_i);
-                    let p = self.gap_base + self.gap_run.end(self.gap_i);
-                    self.gap_i += 1;
-                    // Same shift mapping (and checked arithmetic) as the
-                    // slow path — an overflowing gap is the same failure.
-                    let r = CgrConfig::map_residual_gap(prev, v)
-                        .ok_or("truncated residual codeword")?;
-                    (r, p)
-                }
-            }
+        // A single probe for the sign-folded first gap of a run, multi-gap
+        // probes thereafter — one probe resolves up to `MAX_PACKED`
+        // consecutive gap codewords, buffered (capped to the current run)
+        // and handed to the cursor one at a time with their bit positions.
+        if self.cur.prev_res.is_some() && self.gap_i == self.gap_n {
+            self.gap_base = self.cur.bit_pos();
+            self.gap_i = 0;
+            self.gap_run = self.cur.cgr.decode_packed_at(self.gap_base);
+            self.gap_n = (self.gap_run.len() as u64).min(self.cur.residuals_left()) as usize;
+        }
+        let r = if self.gap_i == self.gap_n {
+            // First gap of a run, or a codeword wider than the probe window.
+            self.cur.next_residual()?
+        } else {
+            let raw = self.gap_run.value(self.gap_i);
+            let p = self.gap_base + self.gap_run.end(self.gap_i);
+            self.gap_i += 1;
+            self.cur.take_residual(raw, p)?
         };
-        self.pos = p;
-        self.checked_consumed("residual")?;
-        let r = self.checked_neighbor(r)?;
-        if let Some(prev) = self.prev_res {
-            if r <= prev {
-                return Err(format!("non-monotonic residual {r} after {prev}"));
-            }
-        }
-        self.prev_res = Some(r);
-        if let ResState::Seg { in_seg, .. } = &mut self.res {
-            *in_seg -= 1;
-        }
-        Ok(Some((self.emit(r), DecodeStep::Residual)))
-    }
-
-    #[inline]
-    fn emit(&mut self, v: NodeId) -> NodeId {
-        if let Some(left) = &mut self.deg_left {
-            *left -= 1;
-        }
-        self.examined += 1;
-        v
+        Ok(Some((r, DecodeStep::Residual)))
     }
 }
 
@@ -928,8 +829,9 @@ pub fn validate_structure(cgr: &CgrGraph) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::CgrConfig;
-    use gcgt_bits::Code;
+    use crate::io::{write_cgr, ValidationMode};
+    use crate::stats::CompressionStats;
+    use gcgt_bits::{BitWriter, Code, EliasFano};
     use gcgt_graph::gen::{toys, web_graph, WebParams};
 
     fn all_configs() -> Vec<CgrConfig> {
@@ -968,7 +870,7 @@ mod tests {
     }
 
     #[test]
-    fn neighbor_iter_matches_paper_order() {
+    fn storage_order_matches_the_paper() {
         // Intervals stream out before residuals, as in getNextNeighbor.
         let g = toys::example_3_1();
         let cfg = CgrConfig {
@@ -978,20 +880,21 @@ mod tests {
             ..CgrConfig::paper_default()
         };
         let cgr = CgrGraph::encode(&g, &cfg);
-        let order: Vec<NodeId> = NeighborIter::new(&cgr, 16).collect();
+        let order = decode_node_unsorted(&cgr, 16);
         assert_eq!(order, vec![18, 19, 20, 21, 27, 28, 29, 12, 24, 101]);
     }
 
     #[test]
-    fn neighbor_iter_consumes_exactly_node_range() {
+    fn cursor_consumes_exactly_the_node_range() {
         let g = web_graph(&WebParams::uk2002_like(300), 2);
-        let cfg = CgrConfig::unsegmented();
-        let cgr = CgrGraph::encode(&g, &cfg);
-        for u in 0..g.num_nodes() as NodeId {
-            let mut it = NeighborIter::new(&cgr, u);
-            while it.next().is_some() {}
-            let (_, end) = cgr.node_range(u);
-            assert_eq!(it.bit_ptr(), end, "node {u}");
+        for cfg in all_configs() {
+            let cgr = CgrGraph::encode(&g, &cfg);
+            for u in 0..g.num_nodes() as NodeId {
+                let mut cur = NodeCursor::open(&cgr, u).unwrap();
+                cur.drain_into(&mut Vec::new()).unwrap();
+                let (_, end) = cgr.node_range(u);
+                assert_eq!(cur.bit_pos(), end, "{cfg:?} node {u}");
+            }
         }
     }
 
@@ -1086,9 +989,11 @@ mod tests {
     }
 
     /// Slow-path reference decoder built **only** on the
-    /// `CgrConfig::read_*` oracles (no decode table): the differential
-    /// baseline the table-routed production decoders must match bitwise.
-    fn decode_node_slow(cgr: &CgrGraph, u: NodeId) -> Vec<NodeId> {
+    /// `CgrConfig::read_*` oracles (no decode table, no cursor): the
+    /// differential baseline the production decoders must match bitwise.
+    /// Yields each neighbour with the bit position right after the codeword
+    /// that produced it (unchanged inside an interval run).
+    fn decode_node_slow(cgr: &CgrGraph, u: NodeId) -> Vec<(NodeId, usize)> {
         let cfg = cgr.config();
         let bits = cgr.bits();
         let (start, end) = cgr.node_range(u);
@@ -1096,7 +1001,6 @@ mod tests {
         if start == end {
             return out;
         }
-        let _ = end;
         let (itv_num, mut pos) = if cfg.segment_len_bytes.is_none() {
             let (deg, p) = cfg.read_count(bits, start).expect("degNum");
             if deg == 0 {
@@ -1113,7 +1017,7 @@ mod tests {
                 Some(pe) => cfg.read_interval_gap(bits, pos, pe).expect("itv gap"),
             };
             let (len, p2) = cfg.read_interval_len(bits, p).expect("itv len");
-            out.extend(s..s + len);
+            out.extend((s..s + len).map(|v| (v, p2)));
             prev_end = Some(s + len - 1);
             pos = p2;
         }
@@ -1123,7 +1027,7 @@ mod tests {
             u: NodeId,
             mut sp: usize,
             count: u64,
-            out: &mut Vec<NodeId>,
+            out: &mut Vec<(NodeId, usize)>,
         ) {
             let mut prev: Option<NodeId> = None;
             for _ in 0..count {
@@ -1131,7 +1035,7 @@ mod tests {
                     None => cfg.read_first_gap(bits, sp, u).expect("first res"),
                     Some(pr) => cfg.read_residual_gap(bits, sp, pr).expect("res gap"),
                 };
-                out.push(r);
+                out.push((r, p));
                 prev = Some(r);
                 sp = p;
             }
@@ -1161,7 +1065,10 @@ mod tests {
         for cfg in all_configs() {
             let cgr = CgrGraph::encode(&g, &cfg);
             for u in 0..g.num_nodes() as NodeId {
-                let slow = decode_node_slow(&cgr, u);
+                let slow: Vec<NodeId> = decode_node_slow(&cgr, u)
+                    .into_iter()
+                    .map(|(v, _)| v)
+                    .collect();
                 assert_eq!(
                     decode_node_unsorted(&cgr, u),
                     slow,
@@ -1177,19 +1084,23 @@ mod tests {
     fn scanner_bit_positions_match_the_slow_oracle() {
         // Multi-gap buffering must not disturb the observable bit cursor:
         // after every emitted neighbour, `bit_pos()` equals what the
-        // unbuffered Algorithm 1 iterator reports (the pull kernel charges
-        // memory addresses from it).
+        // unbuffered, table-free slow walk reports (the pull kernel charges
+        // memory addresses from it) — on both layouts.
         let g = web_graph(&WebParams::uk2002_like(300), 23);
-        let cgr = CgrGraph::encode(&g, &CgrConfig::unsegmented());
-        for u in 0..g.num_nodes() as NodeId {
-            let mut scan = NeighborScanner::new(&cgr, u);
-            let mut iter_ref = NeighborIter::new(&cgr, u);
-            while scan.next_with_step().is_some() {
-                let _ = iter_ref.next();
-                assert_eq!(scan.bit_pos(), iter_ref.bit_ptr(), "node {u}");
+        for cfg in [CgrConfig::unsegmented(), CgrConfig::paper_default()] {
+            let cgr = CgrGraph::encode(&g, &cfg);
+            for u in 0..g.num_nodes() as NodeId {
+                let mut scan = NeighborScanner::new(&cgr, u);
+                for (v, pos) in decode_node_slow(&cgr, u) {
+                    assert_eq!(scan.next_with_step().map(|(w, _)| w), Some(v), "node {u}");
+                    assert_eq!(scan.bit_pos(), pos, "node {u} after {v}");
+                }
+                assert_eq!(scan.next_with_step(), None, "node {u}");
+                if cfg.segment_len_bytes.is_none() {
+                    let (_, end) = cgr.node_range(u);
+                    assert_eq!(scan.bit_pos(), end, "node {u} final position");
+                }
             }
-            let (_, end) = cgr.node_range(u);
-            assert_eq!(scan.bit_pos(), end, "node {u} final position");
         }
     }
 
@@ -1217,5 +1128,117 @@ mod tests {
         buf[7 * 8..7 * 8 + 8].copy_from_slice(&lied);
         let err = crate::io::read_cgr(std::io::Cursor::new(buf)).unwrap_err();
         assert!(err.to_string().contains("edges"), "{err}");
+    }
+
+    /// A graph over hand-written node payloads (`write` emits node `u`'s
+    /// bits), reassembled the way a loader does.
+    fn hand_built(
+        cfg: CgrConfig,
+        nodes: usize,
+        edges: usize,
+        write: impl Fn(&mut BitWriter, NodeId),
+    ) -> CgrGraph {
+        let mut w = BitWriter::new();
+        let mut offsets = Vec::new();
+        for u in 0..nodes as NodeId {
+            offsets.push(w.len());
+            write(&mut w, u);
+        }
+        offsets.push(w.len());
+        let stats = CompressionStats {
+            nodes,
+            edges,
+            total_bits: w.len(),
+            ..Default::default()
+        };
+        let index = EliasFano::build(&offsets);
+        CgrGraph::from_loaded_parts(cfg, w.into_bitvec(), index, edges, stats, false)
+    }
+
+    /// `cgr` must be refused with a typed error naming `needle` by the
+    /// validator, by an eager load of its serialized image, and by the
+    /// first touch after a deferred load — never by a panic.
+    fn assert_rejected_everywhere(cgr: &CgrGraph, needle: &str) {
+        let err = validate_structure(cgr).expect_err("validator must refuse the payload");
+        assert!(err.contains(needle), "{err}");
+        let mut image = Vec::new();
+        write_cgr(cgr, &mut image).unwrap();
+        let err = CgrGraph::from_bytes_with(&image, ValidationMode::Eager)
+            .expect_err("eager load must refuse the payload");
+        assert!(err.to_string().contains(needle), "{err}");
+        let deferred = CgrGraph::from_bytes_with(&image, ValidationMode::Deferred)
+            .expect("deferred loads check the payload on first touch");
+        let err = deferred
+            .ensure_validated_all()
+            .expect_err("first touch must refuse the payload");
+        assert!(err.contains(needle), "{err}");
+    }
+
+    #[test]
+    fn interval_coverage_beyond_deg_num_is_rejected() {
+        // degNum 1 · itvNum 1 · [5; 4]: a degree-driven reader stops after
+        // one neighbour and an itvNum-driven one emits four. The validator
+        // used to be the former and the kernels the latter (underflowing
+        // their residual count); the one cursor refuses the node.
+        let cfg = CgrConfig {
+            code: Code::Gamma,
+            ..CgrConfig::unsegmented()
+        };
+        let cgr = hand_built(cfg, 16, 1, |w, u| {
+            if u != 0 {
+                return cfg.write_count(w, 0);
+            }
+            cfg.write_count(w, 1); // degNum
+            cfg.write_count(w, 1); // itvNum
+            cfg.write_first_gap(w, 0, 5);
+            cfg.write_interval_len(w, 4);
+        });
+        assert_rejected_everywhere(&cgr, "intervals overrun degNum 1");
+    }
+
+    #[test]
+    fn copy_block_lengths_that_overflow_are_a_typed_error() {
+        // refOffset 1 · blockNum 2 · two lengths of 2^63: their sum wraps a
+        // u64 (debug: overflow panic; release: a slice index far out of
+        // range). The span saturates into the copy-block-overrun error.
+        for base in [CgrConfig::unsegmented(), CgrConfig::paper_default()] {
+            let cfg = CgrConfig {
+                code: Code::Gamma,
+                ..base.with_ref_window(4)
+            };
+            let segmented = cfg.segment_len_bytes.is_some();
+            let cgr = hand_built(cfg, 8, 3, |w, u| {
+                if u > 1 {
+                    if !segmented {
+                        cfg.write_count(w, 0);
+                    }
+                    return;
+                }
+                if !segmented {
+                    cfg.write_count(w, 2 - u64::from(u)); // degNum
+                }
+                if u == 0 {
+                    // Two plain residuals, {1, 3}, no reference.
+                    cfg.write_ref_offset(w, 0);
+                    cfg.write_count(w, 0); // itvNum
+                    if segmented {
+                        cfg.write_count(w, 1); // segNum
+                        cfg.write_count(w, 2); // resNum
+                    }
+                    cfg.write_first_gap(w, 0, 1);
+                    cfg.write_residual_gap(w, 1, 3);
+                } else {
+                    cfg.write_ref_offset(w, 1);
+                    cfg.write_count(w, 2); // blockNum
+                    cfg.write_block_len(w, 1 << 63);
+                    cfg.write_block_len(w, 1 << 63);
+                    cfg.write_count(w, 0); // itvNum
+                    if segmented {
+                        cfg.write_count(w, 0); // segNum
+                    }
+                }
+            });
+            assert_rejected_everywhere(&cgr, "copy blocks span");
+        }
     }
 }

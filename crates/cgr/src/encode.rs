@@ -305,13 +305,6 @@ impl CgrGraph {
         Some((self.config.map_interval_len(v)?, p))
     }
 
-    /// Table-accelerated [`CgrConfig::read_residual_gap`].
-    #[inline]
-    pub fn read_residual_gap(&self, pos: usize, prev: NodeId) -> Option<(NodeId, usize)> {
-        let (v, p) = self.table.decode_at(&self.bits, pos)?;
-        Some((CgrConfig::map_residual_gap(prev, v)?, p))
-    }
-
     /// [`CgrConfig::read_ref_offset`] twin. The refOffset codeword is
     /// γ-coded regardless of the config code (see `write_ref_offset`), so
     /// it goes through the γ slow path, not the config-code table.
@@ -339,24 +332,7 @@ impl CgrGraph {
         if self.config.ref_window == 0 {
             return None;
         }
-        let (start, end) = self.node_range(u);
-        if start >= end {
-            return None;
-        }
-        let pos = if self.config.segment_len_bytes.is_none() {
-            let (deg, p) = self.read_count(start)?;
-            if deg == 0 {
-                return None;
-            }
-            p
-        } else {
-            start
-        };
-        let (offset, _) = self.read_ref_offset(pos)?;
-        if offset == 0 {
-            return None;
-        }
-        u64::from(u).checked_sub(offset).map(|t| t as NodeId)
+        crate::decode::NodeCursor::ref_target(self, u)
     }
 
     /// Multi-gap probe over this graph's bit array: raw codeword values of

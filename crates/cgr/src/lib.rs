@@ -34,12 +34,22 @@
 //! bit-exactly by `intervals::tests::figure2_gap_structure`, while the final
 //! VLC string differs by the documented shifts.)
 //!
-//! Every decoder in this crate — the serial oracles, the streaming
-//! [`NeighborScanner`], and through them [`io::read_cgr`]'s structural
-//! validation — resolves short codewords through the graph's shared
-//! [`DecodeTable`] ([`CgrGraph::table`]): one 16-bit-window probe per
-//! codeword, multi-gap probes over residual runs, broadword slow path for
-//! the tail. The `CgrConfig::read_*` functions remain the table-free slow
+//! The node layout has exactly one parser: [`NodeCursor`], a field-level
+//! reader whose every step is checked against the node's bit range, the
+//! node count and the format's invariants, and fails with a typed error
+//! instead of panicking. It has two faces in [`decode`] — the streaming
+//! [`NeighborScanner`] (one neighbour per call; the pull kernels' early-exit
+//! primitive and, through [`validate_structure`], [`io::read_cgr`]'s
+//! structural validation) and the bulk [`decode::decode_all`] family (a
+//! loop over the cursor) — and a third in `gcgt-core`, whose kernels wrap
+//! the same cursor per lane. What the validator accepts, every consumer
+//! therefore decodes identically and without panicking; trusted callers
+//! simply `expect` the cursor's results.
+//!
+//! Codewords resolve through the graph's shared [`DecodeTable`]
+//! ([`CgrGraph::table`]): one 16-bit-window probe per codeword, multi-gap
+//! probes over residual runs in the scanner, broadword slow path for the
+//! tail. The `CgrConfig::read_*` functions remain the table-free slow
 //! oracles the fast path is differentially tested against.
 
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
@@ -53,9 +63,7 @@ pub mod stats;
 
 pub use byterle::ByteRleGraph;
 pub use config::{CgrConfig, DEFAULT_REF_CHAIN_LIMIT};
-pub use decode::{
-    ref_copied_list, validate_range, validate_structure, DecodeStep, NeighborIter, NeighborScanner,
-};
+pub use decode::{validate_range, validate_structure, DecodeStep, NeighborScanner, NodeCursor};
 pub use encode::CgrGraph;
 pub use gcgt_bits::{DecodeTable, MAX_PACKED, WINDOW_BITS};
 pub use intervals::{split_intervals, IntervalsResiduals};

@@ -19,15 +19,15 @@
 //! lane touches a different region of the bit array, so decode steps are
 //! maximally uncoalesced.
 
-use gcgt_cgr::CgrGraph;
+use gcgt_cgr::{CgrGraph, NodeCursor};
 use gcgt_graph::NodeId;
 use gcgt_simt::{OpClass, WarpSim};
 
 use super::{load_cursors, LaneCursor, Sink};
 
 /// Per-lane emission state layered over [`LaneCursor`].
-struct Lane {
-    cursor: LaneCursor,
+struct Lane<'a> {
+    cursor: LaneCursor<'a>,
     /// Neighbours still to emit.
     left: u64,
     /// Current interval run (ptr, remaining).
@@ -41,7 +41,9 @@ pub fn expand(warp: &mut WarpSim, cgr: &CgrGraph, chunk: &[NodeId], sink: &mut d
     let mut lanes: Vec<Lane> = cursors
         .into_iter()
         .map(|c| Lane {
-            left: c.deg_num,
+            left: c
+                .deg_num()
+                .expect("Algorithm 1 reads the unsegmented layout"),
             cursor: c,
             itv_ptr: 0,
             itv_len: 0,
@@ -63,7 +65,7 @@ pub fn expand(warp: &mut WarpSim, cgr: &CgrGraph, chunk: &[NodeId], sink: &mut d
                 .collect();
             warp.issue_mem(OpClass::ItvDecode, decoding_itv.len(), addrs);
             for &i in &decoding_itv {
-                let (start, len) = lanes[i].cursor.decode_interval(cgr);
+                let (start, len) = lanes[i].cursor.read(NodeCursor::next_interval);
                 lanes[i].itv_ptr = start;
                 lanes[i].itv_len = len;
             }
@@ -88,7 +90,7 @@ pub fn expand(warp: &mut WarpSim, cgr: &CgrGraph, chunk: &[NodeId], sink: &mut d
                 .collect();
             warp.issue_mem(OpClass::ResDecode, decoding_res.len(), addrs);
             for &i in &decoding_res {
-                let r = lanes[i].cursor.decode_residual(cgr);
+                let r = lanes[i].cursor.decode_residual();
                 res_vals.push((i, r));
             }
         }
@@ -107,14 +109,14 @@ pub fn expand(warp: &mut WarpSim, cgr: &CgrGraph, chunk: &[NodeId], sink: &mut d
             } else if lane.cursor.intervals_left() == 0 && lane.cursor.copied_left() > 0 {
                 // Copied neighbours stream from the materialized reference
                 // list — no decode step, like the middle of an interval.
-                lane.cursor.decode_residual(cgr)
+                lane.cursor.decode_residual()
             } else if let Ok(idx) = res_vals.binary_search_by_key(&i, |&(lane_idx, _)| lane_idx) {
                 res_vals[idx].1
             } else {
                 continue; // should not happen: every active lane decoded above
             };
             lane.left -= 1;
-            items.push((lane.cursor.u, v));
+            items.push((lane.cursor.node(), v));
         }
         if items.is_empty() {
             break;

@@ -11,7 +11,7 @@ pub mod task_stealing;
 pub mod two_phase;
 pub mod warp_decode;
 
-use gcgt_cgr::CgrGraph;
+use gcgt_cgr::{CgrGraph, NodeCursor};
 use gcgt_graph::NodeId;
 use gcgt_simt::{OpClass, Space, WarpSim};
 
@@ -34,157 +34,75 @@ pub trait Sink {
     fn handle(&mut self, warp: &mut WarpSim, items: &[(NodeId, NodeId)]);
 }
 
-/// Per-lane decoding cursor over the **unsegmented** CGR layout. It owns the
-/// bit pointer and the gap-decoding bookkeeping; kernels own the emission
-/// counters (how many neighbours are still due).
+/// Per-lane decoding cursor: the checked [`NodeCursor`] of `gcgt-cgr` — the
+/// one parser of the node layout, shared with the structural validator —
+/// plus what only the kernels need on top of it. Reads go through
+/// [`LaneCursor::read`], which unwraps the cursor's typed errors: kernels
+/// run on encode output and validated loads only, where the validator has
+/// already walked every field through the same cursor. Layout state
+/// (`node`, `bit_pos`, `deg_num`, `intervals_left`, `copied_left`,
+/// `residuals_left`) is read straight off the cursor; the kernels own the
+/// emission counters (how many neighbours are still due).
 #[derive(Clone, Debug)]
-pub struct LaneCursor {
-    /// The frontier node this lane expands.
-    pub u: NodeId,
-    /// Current bit position (the paper's `bitPtr`).
-    pub bit_ptr: usize,
-    /// Decoded `degNum`.
-    pub deg_num: u64,
-    /// Decoded `itvNum`.
-    pub itv_num: u64,
-    itv_decoded: u64,
-    prev_itv_end: NodeId,
-    res_decoded: u64,
-    prev_res: NodeId,
-    /// Copied neighbours materialized from the node's reference chain
-    /// (empty without a v3 reference prologue). Drained by
-    /// [`LaneCursor::decode_residual`] before any correction is read from
-    /// the bit stream.
-    copied: Vec<NodeId>,
-    copied_i: usize,
+pub struct LaneCursor<'a>(NodeCursor<'a>);
+
+impl<'a> std::ops::Deref for LaneCursor<'a> {
+    type Target = NodeCursor<'a>;
+
+    fn deref(&self) -> &NodeCursor<'a> {
+        &self.0
+    }
 }
 
-impl LaneCursor {
-    /// Reads the `degNum` / `itvNum` headers of node `u` and positions the
-    /// cursor at the first interval. (Header cost is tallied by the caller.)
-    /// Decodes through the graph's shared [`gcgt_bits::DecodeTable`], like
-    /// every cursor read below.
-    pub fn load(cgr: &CgrGraph, u: NodeId) -> Self {
-        debug_assert!(
-            cgr.config().segment_len_bytes.is_none(),
-            "LaneCursor reads the unsegmented layout"
-        );
-        let (start, end) = cgr.node_range(u);
-        let mut copied = Vec::new();
-        let (deg_num, itv_num, bit_ptr) = if start == end {
-            (0, 0, start)
-        } else {
-            let (deg, p) = cgr.read_count(start).expect("degNum");
-            if deg == 0 {
-                (0, 0, p)
-            } else {
-                let p = if cgr.config().ref_window > 0 {
-                    let (vals, p2) = gcgt_cgr::ref_copied_list(cgr, u, p).expect("ref prologue");
-                    copied = vals;
-                    p2
-                } else {
-                    p
-                };
-                let (itv, p2) = cgr.read_count(p).expect("itvNum");
-                (deg, itv, p2)
-            }
-        };
-        LaneCursor {
-            u,
-            bit_ptr,
-            deg_num,
-            itv_num,
-            itv_decoded: 0,
-            prev_itv_end: u,
-            res_decoded: 0,
-            prev_res: u,
-            copied,
-            copied_i: 0,
-        }
+impl<'a> std::ops::DerefMut for LaneCursor<'a> {
+    fn deref_mut(&mut self) -> &mut NodeCursor<'a> {
+        &mut self.0
+    }
+}
+
+impl<'a> LaneCursor<'a> {
+    /// Opens node `u`: reads its headers, chases its reference chain and
+    /// positions the cursor at the first interval. (Header cost is tallied
+    /// by the caller.)
+    pub fn load(cgr: &'a CgrGraph, u: NodeId) -> Self {
+        LaneCursor(NodeCursor::open(cgr, u).unwrap_or_else(|e| invalid(u, &e)))
     }
 
-    /// Copied (reference-materialized) neighbours not yet emitted.
-    #[inline]
-    pub fn copied_left(&self) -> u64 {
-        (self.copied.len() - self.copied_i) as u64
-    }
-
-    /// Intervals not yet decoded.
-    #[inline]
-    pub fn intervals_left(&self) -> u64 {
-        self.itv_num - self.itv_decoded
-    }
-
-    /// Decodes the next interval `(start, len)` and advances the bit
-    /// pointer. Panics when no interval remains.
-    pub fn decode_interval(&mut self, cgr: &CgrGraph) -> (NodeId, u32) {
-        assert!(self.intervals_left() > 0);
-        let (start, p) = if self.itv_decoded == 0 {
-            cgr.read_first_gap(self.bit_ptr, self.u).expect("itv start")
-        } else {
-            cgr.read_interval_gap(self.bit_ptr, self.prev_itv_end)
-                .expect("itv gap")
-        };
-        let (len, p2) = cgr.read_interval_len(p).expect("itv len");
-        debug_assert!(len >= 1, "zero-length interval in node {}", self.u);
-        self.bit_ptr = p2;
-        self.itv_decoded += 1;
-        self.prev_itv_end = start + len - 1;
-        (start, len)
+    /// One checked cursor read, unwrapped: a failure means the payload was
+    /// never validated, and the panic names the node.
+    pub fn read<T>(&mut self, field: impl FnOnce(&mut NodeCursor<'a>) -> Result<T, String>) -> T {
+        field(&mut self.0).unwrap_or_else(|e| invalid(self.0.node(), &e))
     }
 
     /// Emits the next residual-area neighbour: copied values stream out of
     /// the materialized reference list first (no bit read), then the
     /// corrections are gap-decoded and advance the bit pointer.
-    pub fn decode_residual(&mut self, cgr: &CgrGraph) -> NodeId {
-        if self.copied_i < self.copied.len() {
-            let r = self.copied[self.copied_i];
-            self.copied_i += 1;
-            return r;
+    pub fn decode_residual(&mut self) -> NodeId {
+        match self.0.next_copied() {
+            Some(v) => v,
+            None => self.read(NodeCursor::next_residual),
         }
-        let (r, p) = if self.res_decoded == 0 {
-            cgr.read_first_gap(self.bit_ptr, self.u).expect("first res")
-        } else {
-            cgr.read_residual_gap(self.bit_ptr, self.prev_res)
-                .expect("res gap")
-        };
-        self.bit_ptr = p;
-        self.res_decoded += 1;
-        self.prev_res = r;
-        r
-    }
-
-    /// The residual that `decode_residual` last produced, if any — the
-    /// gap base for warp-centric continuation.
-    #[inline]
-    pub fn prev_residual(&self) -> Option<NodeId> {
-        if self.res_decoded == 0 {
-            None
-        } else {
-            Some(self.prev_res)
-        }
-    }
-
-    /// Registers residuals decoded externally (by the warp-centric decoder)
-    /// so subsequent serial decoding stays consistent.
-    #[inline]
-    pub fn note_externally_decoded(&mut self, count: u64, last: NodeId, next_bit_ptr: usize) {
-        self.res_decoded += count;
-        self.prev_res = last;
-        self.bit_ptr = next_bit_ptr;
     }
 
     /// Simulated device byte address of the current bit pointer.
     #[inline]
     pub fn graph_addr(&self) -> u64 {
-        Space::Graph.addr((self.bit_ptr / 8) as u64)
+        Space::Graph.addr((self.bit_pos() / 8) as u64)
     }
+}
+
+fn invalid(u: NodeId, e: &str) -> ! {
+    panic!("node {u}: {e} (kernels require a structurally valid CGR payload)")
 }
 
 /// Shared kernel prologue: loads the warp's frontier chunk and the per-node
 /// headers, tallying the frontier read (coalesced), the `bitStart` offset
 /// gather (scattered) and the header decode step.
-pub fn load_cursors(warp: &mut WarpSim, cgr: &CgrGraph, chunk: &[NodeId]) -> Vec<LaneCursor> {
+pub fn load_cursors<'a>(
+    warp: &mut WarpSim,
+    cgr: &'a CgrGraph,
+    chunk: &[NodeId],
+) -> Vec<LaneCursor<'a>> {
     let k = chunk.len();
     debug_assert!(k <= warp.width());
     // inQueue read: lanes load consecutive queue slots — coalesced.
@@ -195,7 +113,8 @@ pub fn load_cursors(warp: &mut WarpSim, cgr: &CgrGraph, chunk: &[NodeId]) -> Vec
     );
     // bitStart gather: one offset per lane, scattered by node id.
     warp.access(chunk.iter().map(|&u| Space::Offsets.addr(8 * u64::from(u))));
-    // degNum + itvNum decode: one step, per-lane positions in the bit array.
+    // Header decode ([degNum +] itvNum): one step, per-lane positions in the
+    // bit array.
     warp.issue_mem(
         OpClass::Header,
         k,
@@ -250,17 +169,17 @@ pub fn expand_warp(
         Strategy::Intuitive => intuitive::expand(warp, cgr, chunk, sink),
         Strategy::TwoPhase => {
             let mut cursors = load_cursors(warp, cgr, chunk);
-            let mut res_left = two_phase::handle_intervals(warp, cgr, &mut cursors, sink);
-            two_phase::handle_residuals(warp, cgr, &mut cursors, &mut res_left, sink);
+            let mut res_left = two_phase::handle_intervals(warp, &mut cursors, sink);
+            two_phase::handle_residuals(warp, &mut cursors, &mut res_left, sink);
         }
         Strategy::TaskStealing => {
             let mut cursors = load_cursors(warp, cgr, chunk);
-            let mut res_left = two_phase::handle_intervals(warp, cgr, &mut cursors, sink);
-            task_stealing::handle_residuals_plus(warp, cgr, &mut cursors, &mut res_left, sink);
+            let mut res_left = two_phase::handle_intervals(warp, &mut cursors, sink);
+            task_stealing::handle_residuals_plus(warp, &mut cursors, &mut res_left, sink);
         }
         Strategy::WarpCentric => {
             let mut cursors = load_cursors(warp, cgr, chunk);
-            let mut res_left = two_phase::handle_intervals(warp, cgr, &mut cursors, sink);
+            let mut res_left = two_phase::handle_intervals(warp, &mut cursors, sink);
             warp_decode::handle_residuals_warp_centric(
                 warp,
                 cgr,

@@ -14,161 +14,54 @@
 //! how skewed the node degrees are — this is what flattens the twitter
 //! super-node bottleneck in Figures 9 and 14.
 
-use gcgt_cgr::CgrGraph;
+use gcgt_cgr::{CgrGraph, NodeCursor};
 use gcgt_graph::NodeId;
-use gcgt_simt::{OpClass, Space, WarpSim};
+use gcgt_simt::{OpClass, WarpSim};
 
-use super::{charge_ref_chase, two_phase::expand_decoded_intervals, Sink};
-
-/// Per-lane header cursor over the segmented layout.
-struct SegCursor {
-    u: NodeId,
-    pos: usize,
-    itv_num: u64,
-    itv_decoded: u64,
-    prev_itv_end: NodeId,
-    empty: bool,
-    /// Copied neighbours materialized from the node's reference prologue
-    /// (the segmented v3 layout puts `refOffset` first, before `itvNum`).
-    copied: Vec<NodeId>,
-}
-
-impl SegCursor {
-    fn load(cgr: &CgrGraph, u: NodeId) -> Self {
-        let (start, end) = cgr.node_range(u);
-        if start == end {
-            return SegCursor {
-                u,
-                pos: start,
-                itv_num: 0,
-                itv_decoded: 0,
-                prev_itv_end: u,
-                empty: true,
-                copied: Vec::new(),
-            };
-        }
-        let (copied, p) = if cgr.config().ref_window > 0 {
-            gcgt_cgr::ref_copied_list(cgr, u, start).expect("ref prologue")
-        } else {
-            (Vec::new(), start)
-        };
-        let (itv_num, pos) = cgr.read_count(p).expect("itvNum");
-        SegCursor {
-            u,
-            pos,
-            itv_num,
-            itv_decoded: 0,
-            prev_itv_end: u,
-            empty: false,
-            copied,
-        }
-    }
-
-    fn intervals_left(&self) -> u64 {
-        self.itv_num - self.itv_decoded
-    }
-
-    fn decode_interval(&mut self, cgr: &CgrGraph) -> (NodeId, u32) {
-        let (start, p) = if self.itv_decoded == 0 {
-            cgr.read_first_gap(self.pos, self.u).expect("itv start")
-        } else {
-            cgr.read_interval_gap(self.pos, self.prev_itv_end)
-                .expect("itv gap")
-        };
-        let (len, p2) = cgr.read_interval_len(p).expect("itv len");
-        debug_assert!(len >= 1, "zero-length interval in node {}", self.u);
-        self.pos = p2;
-        self.itv_decoded += 1;
-        self.prev_itv_end = start + len - 1;
-        (start, len)
-    }
-
-    fn graph_addr(&self) -> u64 {
-        Space::Graph.addr((self.pos / 8) as u64)
-    }
-}
+use super::{load_cursors, two_phase::handle_intervals, LaneCursor, Sink};
 
 /// One residual segment awaiting decoding — or, with `copied` set, a
 /// synthetic task emitting a node's reference-materialized neighbours
 /// (no bits to read: scheduled like a segment, but decode-free).
-struct SegTask {
-    u: NodeId,
-    pos: usize,
-    prev: Option<NodeId>,
+struct SegTask<'a> {
+    /// The node's cursor, parked on this segment's header until the batch
+    /// reads its `resNum`.
+    cur: LaneCursor<'a>,
     left: u64,
     copied: Option<Vec<NodeId>>,
 }
 
 /// Expands `chunk` over the segmented CGR layout.
 pub fn expand(warp: &mut WarpSim, cgr: &CgrGraph, chunk: &[NodeId], sink: &mut dyn Sink) {
-    let cfg = *cgr.config();
-    let seg_bits = cfg
-        .segment_len_bits()
-        .expect("segmented kernel requires the segmented layout");
-    let k = chunk.len();
-
-    // Prologue: frontier read (coalesced), bitStart gather, itvNum headers.
-    warp.issue_mem(
-        OpClass::Header,
-        k,
-        (0..k as u64).map(|i| Space::Frontier.addr(4 * i)),
-    );
-    warp.access(chunk.iter().map(|&u| Space::Offsets.addr(8 * u64::from(u))));
-    warp.issue_mem(
-        OpClass::Header,
-        k,
-        chunk
-            .iter()
-            .map(|&u| Space::Graph.addr((cgr.bit_start(u) / 8) as u64)),
-    );
-    charge_ref_chase(warp, cgr, chunk);
-    let mut cursors: Vec<SegCursor> = chunk.iter().map(|&u| SegCursor::load(cgr, u)).collect();
-
-    // --- interval phase (identical scheduling to Two-Phase) ---
-    let mut pending: Vec<(NodeId, NodeId, u32)> = vec![(0, 0, 0); k];
-    while cursors.iter().any(|c| c.intervals_left() > 0) {
-        let decoding: Vec<usize> = cursors
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.intervals_left() > 0)
-            .map(|(i, _)| i)
-            .collect();
-        let addrs: Vec<u64> = decoding.iter().map(|&i| cursors[i].graph_addr()).collect();
-        warp.issue_mem(OpClass::ItvDecode, decoding.len(), addrs);
-        for &i in &decoding {
-            let (start, len) = cursors[i].decode_interval(cgr);
-            pending[i] = (cursors[i].u, start, len);
-        }
-        expand_decoded_intervals(warp, &mut pending, sink);
-    }
+    let mut cursors = load_cursors(warp, cgr, chunk);
+    // Interval phase: the Two-Phase schedule, unchanged.
+    handle_intervals(warp, &mut cursors, sink);
 
     // --- segment discovery: read segNum, lay out the task list ---
-    let live: Vec<usize> = (0..k).filter(|&i| !cursors[i].empty).collect();
-    if live.is_empty() {
+    cursors.retain(|c| !c.is_empty());
+    if cursors.is_empty() {
         return;
     }
-    let addrs: Vec<u64> = live.iter().map(|&i| cursors[i].graph_addr()).collect();
-    warp.issue_mem(OpClass::Header, live.len(), addrs);
+    let addrs: Vec<u64> = cursors.iter().map(|c| c.graph_addr()).collect();
+    warp.issue_mem(OpClass::Header, cursors.len(), addrs);
     let mut tasks: Vec<SegTask> = Vec::new();
-    for &i in &live {
-        let c = &cursors[i];
-        if !c.copied.is_empty() {
-            // Copied neighbours come before the corrections in the decoded
-            // order; emit them through one synthetic, decode-free task.
+    for mut c in cursors {
+        // Copied neighbours come before the corrections in the decoded
+        // order; emit them through one synthetic, decode-free task.
+        let copied: Vec<NodeId> = std::iter::from_fn(|| c.next_copied()).collect();
+        let seg_num = c.read(NodeCursor::read_seg_num);
+        if !copied.is_empty() {
             tasks.push(SegTask {
-                u: c.u,
-                pos: c.pos,
-                prev: None,
-                left: c.copied.len() as u64,
-                copied: Some(c.copied.clone()),
+                cur: c.clone(),
+                left: copied.len() as u64,
+                copied: Some(copied),
             });
         }
-        let (seg_num, base) = cgr.read_count(c.pos).expect("segNum");
-        for s in 0..seg_num as usize {
+        for s in 0..seg_num {
+            let mut cur = c.clone();
+            cur.read(|c| c.seek_segment(s));
             tasks.push(SegTask {
-                u: c.u,
-                pos: base + s * seg_bits,
-                prev: None,
+                cur,
                 left: 0, // filled when the segment header is read
                 copied: None,
             });
@@ -176,29 +69,20 @@ pub fn expand(warp: &mut WarpSim, cgr: &CgrGraph, chunk: &[NodeId], sink: &mut d
     }
 
     // --- multi-way segment processing, one segment per lane per batch ---
-    let width = warp.width();
-    let mut batch_start = 0usize;
-    while batch_start < tasks.len() {
-        let batch_end = (batch_start + width).min(tasks.len());
-        let batch = &mut tasks[batch_start..batch_end];
+    for batch in tasks.chunks_mut(warp.width()) {
         // Read each segment's resNum (scattered header step); synthetic
         // copied tasks already know their count.
         let addrs: Vec<u64> = batch
             .iter()
             .filter(|t| t.copied.is_none())
-            .map(|t| Space::Graph.addr((t.pos / 8) as u64))
+            .map(|t| t.cur.graph_addr())
             .collect();
         if !addrs.is_empty() {
             let count = addrs.len();
             warp.issue_mem(OpClass::Header, count, addrs);
         }
-        for t in batch.iter_mut() {
-            if t.copied.is_some() {
-                continue;
-            }
-            let (res_num, p) = cgr.read_count(t.pos).expect("resNum");
-            t.left = res_num;
-            t.pos = p;
+        for t in batch.iter_mut().filter(|t| t.copied.is_none()) {
+            t.left = t.cur.read(NodeCursor::read_res_num);
         }
         // Lock-step decode rounds with a Handle step per round.
         loop {
@@ -209,7 +93,7 @@ pub fn expand(warp: &mut WarpSim, cgr: &CgrGraph, chunk: &[NodeId], sink: &mut d
             let addrs: Vec<u64> = active
                 .iter()
                 .filter(|&&i| batch[i].copied.is_none())
-                .map(|&i| Space::Graph.addr((batch[i].pos / 8) as u64))
+                .map(|&i| batch[i].cur.graph_addr())
                 .collect();
             if !addrs.is_empty() {
                 let count = addrs.len();
@@ -218,26 +102,16 @@ pub fn expand(warp: &mut WarpSim, cgr: &CgrGraph, chunk: &[NodeId], sink: &mut d
             let mut items = Vec::with_capacity(active.len());
             for &i in &active {
                 let t = &mut batch[i];
-                let r = if let Some(vals) = &t.copied {
+                let r = match &t.copied {
                     // Register stream from the materialized list — free.
-                    let r = vals[vals.len() - t.left as usize];
-                    t.left -= 1;
-                    r
-                } else {
-                    let (r, p) = match t.prev {
-                        None => cgr.read_first_gap(t.pos, t.u).expect("seg first"),
-                        Some(prev) => cgr.read_residual_gap(t.pos, prev).expect("seg gap"),
-                    };
-                    t.pos = p;
-                    t.prev = Some(r);
-                    t.left -= 1;
-                    r
+                    Some(vals) => vals[vals.len() - t.left as usize],
+                    None => t.cur.read(NodeCursor::next_residual),
                 };
-                items.push((t.u, r));
+                t.left -= 1;
+                items.push((t.cur.node(), r));
             }
             sink.handle(warp, &items);
         }
-        batch_start = batch_end;
     }
 }
 

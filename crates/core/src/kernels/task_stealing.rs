@@ -14,7 +14,6 @@
 //! On the paper's Figure 4 example this saves two further steps over
 //! Two-Phase (10 total), reproduced by `tests/figure4_steps.rs`.
 
-use gcgt_cgr::CgrGraph;
 use gcgt_graph::NodeId;
 use gcgt_simt::{OpClass, WarpSim};
 
@@ -23,19 +22,17 @@ use super::{LaneCursor, Sink};
 /// The `handleResiduals+` procedure.
 pub fn handle_residuals_plus(
     warp: &mut WarpSim,
-    cgr: &CgrGraph,
     cursors: &mut [LaneCursor],
     res_left: &mut [u64],
     sink: &mut dyn Sink,
 ) {
-    stage1_own_work(warp, cgr, cursors, res_left, sink);
-    stage2_steal(warp, cgr, cursors, res_left, sink);
+    stage1_own_work(warp, cursors, res_left, sink);
+    stage2_steal(warp, cursors, res_left, sink);
 }
 
 /// Stage 1: every lane processes its own residuals while all are busy.
 pub(crate) fn stage1_own_work(
     warp: &mut WarpSim,
-    cgr: &CgrGraph,
     cursors: &mut [LaneCursor],
     res_left: &mut [u64],
     sink: &mut dyn Sink,
@@ -59,9 +56,9 @@ pub(crate) fn stage1_own_work(
         }
         let mut items = Vec::with_capacity(cursors.len());
         for (i, c) in cursors.iter_mut().enumerate() {
-            let v = c.decode_residual(cgr);
+            let v = c.decode_residual();
             res_left[i] -= 1;
-            items.push((c.u, v));
+            items.push((c.node(), v));
         }
         sink.handle(warp, &items);
     }
@@ -71,7 +68,6 @@ pub(crate) fn stage1_own_work(
 /// drains `warpNum` residuals per Handle step.
 pub(crate) fn stage2_steal(
     warp: &mut WarpSim,
-    cgr: &CgrGraph,
     cursors: &mut [LaneCursor],
     res_left: &mut [u64],
     sink: &mut dyn Sink,
@@ -106,8 +102,8 @@ pub(crate) fn stage2_steal(
                 warp.issue_mem(OpClass::ResDecode, count, decoding);
             }
             for &i in &active {
-                let v = cursors[i].decode_residual(cgr);
-                buffer[(scatter[i] - progress) as usize] = Some((cursors[i].u, v));
+                let v = cursors[i].decode_residual();
+                buffer[(scatter[i] - progress) as usize] = Some((cursors[i].node(), v));
                 scatter[i] += 1;
                 res_left[i] -= 1;
             }
@@ -184,8 +180,8 @@ mod tests {
         let mut warp = WarpSim::new(8, 64);
         let mut sink = CollectSink::default();
         let mut cursors = load_cursors(&mut warp, &cgr, &frontier);
-        let mut res_left = two_phase::handle_intervals(&mut warp, &cgr, &mut cursors, &mut sink);
-        two_phase::handle_residuals(&mut warp, &cgr, &mut cursors, &mut res_left, &mut sink);
+        let mut res_left = two_phase::handle_intervals(&mut warp, &mut cursors, &mut sink);
+        two_phase::handle_residuals(&mut warp, &mut cursors, &mut res_left, &mut sink);
 
         let (a, b) = (steal.tally().figure4_steps(), warp.tally().figure4_steps());
         assert!(a < b, "stealing {a} vs two-phase {b}");

@@ -20,21 +20,21 @@
 //! On the paper's Figure 4 example this schedule takes 12 steps — reproduced
 //! exactly by `tests/figure4_steps.rs`.
 
-use gcgt_cgr::CgrGraph;
+use gcgt_cgr::NodeCursor;
 use gcgt_graph::NodeId;
 use gcgt_simt::{OpClass, WarpSim};
 
 use super::{LaneCursor, Sink};
 
 /// Phase one: decode and cooperatively expand every interval. Returns the
-/// number of residuals left per lane (`degNum` minus interval coverage).
+/// number of residual-area neighbours left per lane — copied values plus
+/// corrections; on the unsegmented layout that is `degNum` minus interval
+/// coverage, a subtraction the cursor makes (and checks) per interval.
 pub fn handle_intervals(
     warp: &mut WarpSim,
-    cgr: &CgrGraph,
     cursors: &mut [LaneCursor],
     sink: &mut dyn Sink,
 ) -> Vec<u64> {
-    let mut res_left: Vec<u64> = cursors.iter().map(|c| c.deg_num).collect();
     // Pending decoded-but-unexpanded interval per lane: (source, ptr, len).
     let mut pending: Vec<(NodeId, NodeId, u32)> = vec![(0, 0, 0); cursors.len()];
 
@@ -49,13 +49,15 @@ pub fn handle_intervals(
         let addrs: Vec<u64> = decoding.iter().map(|&i| cursors[i].graph_addr()).collect();
         warp.issue_mem(OpClass::ItvDecode, decoding.len(), addrs);
         for &i in &decoding {
-            let (start, len) = cursors[i].decode_interval(cgr);
-            pending[i] = (cursors[i].u, start, len);
-            res_left[i] -= u64::from(len);
+            let (start, len) = cursors[i].read(NodeCursor::next_interval);
+            pending[i] = (cursors[i].node(), start, len);
         }
         expand_decoded_intervals(warp, &mut pending, sink);
     }
-    res_left
+    cursors
+        .iter()
+        .map(|c| c.copied_left() + c.residuals_left())
+        .collect()
 }
 
 /// The paper's `expandInterval`: drains every pending interval through the
@@ -111,7 +113,6 @@ pub(crate) fn expand_decoded_intervals(
 /// their residuals are exhausted — the load imbalance Task-Stealing fixes.
 pub fn handle_residuals(
     warp: &mut WarpSim,
-    cgr: &CgrGraph,
     cursors: &mut [LaneCursor],
     res_left: &mut [u64],
     sink: &mut dyn Sink,
@@ -137,9 +138,9 @@ pub fn handle_residuals(
         }
         let mut items = Vec::with_capacity(active.len());
         for &i in &active {
-            let v = cursors[i].decode_residual(cgr);
+            let v = cursors[i].decode_residual();
             res_left[i] -= 1;
-            items.push((cursors[i].u, v));
+            items.push((cursors[i].node(), v));
         }
         sink.handle(warp, &items);
     }
@@ -161,8 +162,8 @@ mod tests {
         let mut warp = WarpSim::new(width, 64);
         let mut sink = CollectSink::default();
         let mut cursors = load_cursors(&mut warp, &cgr, frontier);
-        let mut res_left = handle_intervals(&mut warp, &cgr, &mut cursors, &mut sink);
-        handle_residuals(&mut warp, &cgr, &mut cursors, &mut res_left, &mut sink);
+        let mut res_left = handle_intervals(&mut warp, &mut cursors, &mut sink);
+        handle_residuals(&mut warp, &mut cursors, &mut res_left, &mut sink);
         (warp, sink)
     }
 

@@ -128,27 +128,24 @@ pub fn handle_residuals_warp_centric(
             continue;
         }
         while res_left[i] > 0 {
-            let win = parallel_decode(warp, cgr.bits(), cgr.table(), cursors[i].bit_ptr);
+            let win = parallel_decode(warp, cgr.bits(), cgr.table(), cursors[i].bit_pos());
             if win.values.is_empty() {
                 // Codeword longer than the window: decode one serially.
                 let addr = cursors[i].graph_addr();
                 warp.issue_mem(OpClass::ResDecode, 1, std::iter::once(addr));
-                let v = cursors[i].decode_residual(cgr);
+                let v = cursors[i].decode_residual();
                 res_left[i] -= 1;
-                buffer.push((cursors[i].u, v));
+                buffer.push((cursors[i].node(), v));
                 continue;
             }
             let take = (res_left[i] as usize).min(win.values.len());
-            let mut prev = cursors[i].prev_residual();
-            let u = cursors[i].u;
-            for &(raw, _) in &win.values[..take] {
-                let v = cgr.config().residual_from_raw(raw, prev, u);
-                prev = Some(v);
+            let (u, base) = (cursors[i].node(), cursors[i].bit_pos());
+            for &(raw, end) in &win.values[..take] {
+                // The window yields raw codeword values; the cursor applies
+                // the gap and its checks, and moves past the codeword.
+                let v = cursors[i].read(|c| c.take_residual(raw, base + end));
                 buffer.push((u, v));
             }
-            let next_ptr = cursors[i].bit_ptr + win.values[take - 1].1;
-            let prev = prev.expect("take > 0 decoded at least one value");
-            cursors[i].note_externally_decoded(take as u64, prev, next_ptr);
             res_left[i] -= take as u64;
             while buffer.len() >= width {
                 let rest = buffer.split_off(width);
@@ -161,8 +158,8 @@ pub fn handle_residuals_warp_centric(
         sink.handle(warp, &buffer);
     }
     // Short runs: own-work rounds while every lane is busy, then stealing.
-    task_stealing::stage1_own_work(warp, cgr, cursors, res_left, sink);
-    task_stealing::stage2_steal(warp, cgr, cursors, res_left, sink);
+    task_stealing::stage1_own_work(warp, cursors, res_left, sink);
+    task_stealing::stage2_steal(warp, cursors, res_left, sink);
 }
 
 #[cfg(test)]
