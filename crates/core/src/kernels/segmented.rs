@@ -9,10 +9,33 @@
 //!
 //! Scheduling here: all segments of the warp's frontier chunk are flattened
 //! into a task list; lanes take one segment each, `warpNum` segments per
-//! batch, decoding in lock-step rounds with a Handle step per round. Since
-//! segments are bounded by `segLen`, per-lane work is balanced regardless of
-//! how skewed the node degrees are — this is what flattens the twitter
-//! super-node bottleneck in Figures 9 and 14.
+//! batch. A batch is **decoded first and handled afterwards**:
+//!
+//! 1. the batch's `resNum` headers are read and one `exclusiveScan` over the
+//!    per-lane counts gives every lane its offset into a per-warp
+//!    shared-memory staging buffer — the scatter `expandInterval` stage 2
+//!    uses for short intervals;
+//! 2. the lanes decode in lock-step rounds, one residual per live lane per
+//!    round, each writing its `(node, neighbour)` into its own slot run
+//!    instead of handling it;
+//! 3. the buffer drains through the sink `warpNum` neighbours per Handle
+//!    step, segment-major: tasks in task order, each task's values in decode
+//!    order. A node's residuals therefore reach the sink ascending and
+//!    contiguous, like CSR's — a pack touches a few status lines, not one
+//!    per segment — and every pack but a batch's last is full, where a
+//!    Handle step per decode round would carry the k-th residual of up to
+//!    `warpNum` different segments, and ever fewer lanes as segments run dry.
+//!
+//! Since segments are bounded by `segLen`, per-lane decode work is balanced
+//! regardless of how skewed the node degrees are — this is what flattens the
+//! twitter super-node bottleneck in Figures 9 and 14.
+//!
+//! Shared-memory bound: a batch stages at most `warpNum` × ⌊segment bits /
+//! shortest codeword⌋ decoded neighbours — 32 × ⌊256 / 3⌋ = 2,720 four-byte
+//! ids ≈ 10.6 KB per warp in the worst case at 32-byte segments and ζ3, about
+//! 2.5 KB at the ~20 residuals a typical full segment holds. (The synthetic
+//! copied-neighbour task of a reference-compressed node stages its whole
+//! copied list, which the referenced node's degree bounds, not `segLen`.)
 
 use gcgt_cgr::{CgrGraph, NodeCursor};
 use gcgt_graph::NodeId;
@@ -68,8 +91,12 @@ pub fn expand(warp: &mut WarpSim, cgr: &CgrGraph, chunk: &[NodeId], sink: &mut d
         }
     }
 
-    // --- multi-way segment processing, one segment per lane per batch ---
-    for batch in tasks.chunks_mut(warp.width()) {
+    // --- multi-way segment processing, one segment per lane per batch:
+    // decode the batch into the staging buffer, then handle it packed ---
+    let width = warp.width();
+    // The per-warp shared-memory staging buffer, reused across batches.
+    let mut staged: Vec<(NodeId, NodeId)> = Vec::new();
+    for batch in tasks.chunks_mut(width) {
         // Read each segment's resNum (scattered header step); synthetic
         // copied tasks already know their count.
         let addrs: Vec<u64> = batch
@@ -84,7 +111,19 @@ pub fn expand(warp: &mut WarpSim, cgr: &CgrGraph, chunk: &[NodeId], sink: &mut d
         for t in batch.iter_mut().filter(|t| t.copied.is_none()) {
             t.left = t.cur.read(NodeCursor::read_res_num);
         }
-        // Lock-step decode rounds with a Handle step per round.
+        if batch.iter().all(|t| t.left == 0) {
+            continue;
+        }
+        // Each lane's slot run in the staging buffer: the scatter offsets
+        // of one exclusiveScan over the per-lane counts.
+        let counts: Vec<u32> = batch
+            .iter()
+            .map(|t| u32::try_from(t.left).expect("a task's neighbours are u32 node ids"))
+            .collect();
+        let (mut slots, total) = warp.exclusive_scan(&counts);
+        staged.clear();
+        staged.resize(total as usize, (0, 0));
+        // Lock-step decode rounds, each live lane staging one residual.
         loop {
             let active: Vec<usize> = (0..batch.len()).filter(|&i| batch[i].left > 0).collect();
             if active.is_empty() {
@@ -99,7 +138,6 @@ pub fn expand(warp: &mut WarpSim, cgr: &CgrGraph, chunk: &[NodeId], sink: &mut d
                 let count = addrs.len();
                 warp.issue_mem(OpClass::ResDecode, count, addrs);
             }
-            let mut items = Vec::with_capacity(active.len());
             for &i in &active {
                 let t = &mut batch[i];
                 let r = match &t.copied {
@@ -108,9 +146,13 @@ pub fn expand(warp: &mut WarpSim, cgr: &CgrGraph, chunk: &[NodeId], sink: &mut d
                     None => t.cur.read(NodeCursor::next_residual),
                 };
                 t.left -= 1;
-                items.push((t.cur.node(), r));
+                staged[slots[i] as usize] = (t.cur.node(), r);
+                slots[i] += 1;
             }
-            sink.handle(warp, &items);
+        }
+        // Packed Handle: `width` consecutive staged neighbours per step.
+        for pack in staged.chunks(width) {
+            sink.handle(warp, pack);
         }
     }
 }
@@ -119,7 +161,7 @@ pub fn expand(warp: &mut WarpSim, cgr: &CgrGraph, chunk: &[NodeId], sink: &mut d
 mod tests {
     use super::*;
     use crate::kernels::testutil::assert_expansion_correct;
-    use crate::kernels::{expand_warp, CollectSink};
+    use crate::kernels::{expand_warp, load_cursors, CollectSink};
     use crate::strategy::Strategy;
     use gcgt_cgr::{CgrConfig, CgrGraph};
     use gcgt_graph::gen::{social_graph, toys, web_graph, SocialParams, WebParams};
@@ -180,6 +222,114 @@ mod tests {
         let mut sink2 = CollectSink::default();
         expand_warp(Strategy::TaskStealing, &mut warp2, &cgr2, &[0], &mut sink2);
         assert!(warp2.tally().utilization() < warp.tally().utilization());
+    }
+
+    /// Records the size of every Handle step.
+    #[derive(Default)]
+    struct PackSink {
+        packs: Vec<usize>,
+    }
+
+    impl Sink for PackSink {
+        fn handle(&mut self, warp: &mut WarpSim, items: &[(NodeId, NodeId)]) {
+            warp.issue(OpClass::Handle, items.len());
+            self.packs.push(items.len());
+        }
+    }
+
+    /// The `(pairs, handle steps)` the interval phase of `chunk` emits —
+    /// what precedes the residual phase in the sink of a full `expand`.
+    fn interval_phase(cgr: &CgrGraph, chunk: &[NodeId], width: usize) -> (usize, usize) {
+        let mut warp = WarpSim::new(width, 64);
+        let mut sink = CollectSink::default();
+        let mut cursors = load_cursors(&mut warp, cgr, chunk);
+        handle_intervals(&mut warp, &mut cursors, &mut sink);
+        (sink.pairs.len(), sink.handle_calls)
+    }
+
+    #[test]
+    fn staged_batches_are_handled_in_full_packs() {
+        // A hub whose gaps alternate between runs of tiny and huge values:
+        // segments hold very different residual counts, so lock-step rounds
+        // run dry unevenly.
+        let mut edges = Vec::new();
+        let mut v = 5u32;
+        for i in 0..1500u32 {
+            edges.push((0, v));
+            v += if (i / 40) % 2 == 0 {
+                2
+            } else {
+                900 + 37 * (i % 11)
+            };
+        }
+        let g = Csr::from_edges(v as usize + 1, &edges);
+        let cfg = Strategy::Full.cgr_config(&CgrConfig::paper_default());
+        let cgr = CgrGraph::encode(&g, &cfg);
+
+        // Per-segment residual counts, straight off the layout.
+        let mut cur = NodeCursor::open(&cgr, 0).unwrap();
+        while cur.intervals_left() > 0 {
+            cur.next_interval().unwrap();
+        }
+        let seg_num = cur.read_seg_num().unwrap();
+        let counts: Vec<usize> = (0..seg_num)
+            .map(|s| {
+                let mut seg = cur.clone();
+                seg.seek_segment(s).unwrap();
+                seg.read_res_num().unwrap() as usize
+            })
+            .collect();
+        assert!(counts.iter().min() < counts.iter().max(), "{counts:?}");
+
+        for width in [4usize, 8, 32] {
+            assert!(counts.len() > 2 * width, "{} segments", counts.len());
+            let (_, itv_calls) = interval_phase(&cgr, &[0], width);
+            let mut warp = WarpSim::new(width, 64);
+            let mut sink = PackSink::default();
+            expand(&mut warp, &cgr, &[0], &mut sink);
+            let packs = &sink.packs[itv_calls..];
+
+            // Per batch: ⌊staged / width⌋ full packs, then the remainder.
+            let mut want = Vec::new();
+            for batch in counts.chunks(width) {
+                let staged: usize = batch.iter().sum();
+                want.extend(std::iter::repeat_n(width, staged / width));
+                want.extend(Some(staged % width).filter(|&rest| rest > 0));
+            }
+            assert_eq!(packs, want, "width {width}");
+        }
+    }
+
+    #[test]
+    fn residuals_reach_the_sink_ascending_per_source() {
+        let graphs = [
+            web_graph(&WebParams::uk2002_like(300), 4),
+            social_graph(&SocialParams::twitter_like(400), 6),
+        ];
+        for g in &graphs {
+            let cfg = Strategy::Full.cgr_config(&CgrConfig::paper_default());
+            let cgr = CgrGraph::encode(g, &cfg);
+            let frontier: Vec<NodeId> = (0..g.num_nodes() as NodeId).collect();
+            for width in [4, 8, 32] {
+                for chunk in frontier.chunks(width) {
+                    let (itv_pairs, _) = interval_phase(&cgr, chunk, width);
+                    let mut warp = WarpSim::new(width, 64);
+                    let mut sink = CollectSink::default();
+                    expand(&mut warp, &cgr, chunk, &mut sink);
+                    for &u in chunk {
+                        let residuals: Vec<NodeId> = sink.pairs[itv_pairs..]
+                            .iter()
+                            .filter(|&&(src, _)| src == u)
+                            .map(|&(_, v)| v)
+                            .collect();
+                        assert!(
+                            residuals.windows(2).all(|w| w[0] < w[1]),
+                            "width {width} node {u}: {residuals:?}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

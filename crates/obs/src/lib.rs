@@ -43,6 +43,12 @@
 //!     launch: 1,
 //!     warps: 4,
 //!     cycles: 300_000.0,
+//!     compute_cycles: 64.0,
+//!     memory_cycles: 300_000.0,
+//!     atomics_cycles: 0.0,
+//!     critical_warp_cycles: 280.0,
+//!     mem_transactions: 1_260_000,
+//!     bound: "memory",
 //!     classes: vec![ClassTally { class: "Handle", issues: 128, cycles: 256.0 }],
 //! });
 //!
@@ -89,8 +95,24 @@ pub struct LaunchEvent {
     pub launch: u64,
     /// Warps in the launch.
     pub warps: u64,
-    /// Modeled cycles this launch added.
+    /// Modeled cycles this launch added: the largest of the four roofline
+    /// terms below.
     pub cycles: f64,
+    /// Issue-throughput term: weighted issue cycles over the instruction
+    /// streams (SMs) the launch's warps can fill.
+    pub compute_cycles: f64,
+    /// Memory term: transactions over the device's transactions per cycle.
+    pub memory_cycles: f64,
+    /// Atomic-throughput term.
+    pub atomics_cycles: f64,
+    /// Critical-path cycles of the launch's busiest warp (weighted issues
+    /// plus dependent-memory-step latency) — the floor under the other three.
+    pub critical_warp_cycles: f64,
+    /// Memory transactions of this launch.
+    pub mem_transactions: u64,
+    /// Which term set [`LaunchEvent::cycles`]: `"compute"`, `"memory"`,
+    /// `"atomics"` or `"critical_warp"`, ties resolved in that order.
+    pub bound: &'static str,
     /// Per-class issue/cycle deltas of this launch (zero classes omitted).
     pub classes: Vec<ClassTally>,
 }

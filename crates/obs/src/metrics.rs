@@ -22,10 +22,13 @@ use crate::{
 /// let metrics = MetricsRegistry::new();
 /// metrics.launch(&LaunchEvent {
 ///     track: 0, start_ms: 0.0, end_ms: 0.5, launch: 1,
-///     warps: 8, cycles: 1000.0, classes: vec![],
+///     warps: 8, cycles: 1000.0, compute_cycles: 40.0, memory_cycles: 1000.0,
+///     atomics_cycles: 0.0, critical_warp_cycles: 310.0, mem_transactions: 4200,
+///     bound: "memory", classes: vec![],
 /// });
 /// let text = metrics.snapshot();
 /// assert!(text.contains("gcgt_launches_total 1"));
+/// assert!(text.contains("gcgt_launch_cycles_total{bound=\"memory\"} 1000"));
 /// assert_eq!(metrics.value("gcgt_launches_total"), Some(1.0));
 /// ```
 #[derive(Debug, Default)]
@@ -79,6 +82,11 @@ impl Observer for MetricsRegistry {
     fn launch(&self, e: &LaunchEvent) {
         self.add("gcgt_launches_total", 1.0);
         self.add("gcgt_cycles_total", e.cycles);
+        self.add(
+            &format!("gcgt_launch_cycles_total{{bound=\"{}\"}}", e.bound),
+            e.cycles,
+        );
+        self.add("gcgt_mem_transactions_total", e.mem_transactions as f64);
         self.add("gcgt_warps_total", e.warps as f64);
     }
 

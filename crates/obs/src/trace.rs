@@ -138,13 +138,21 @@ impl Observer for TraceRecorder {
         let line = format!(
             "{{\"name\": \"launch\", \"cat\": \"device\", \"ph\": \"X\", \"pid\": 1, \
              \"tid\": {}, \"ts\": {}, \"dur\": {}, \"args\": {{\"launch\": {}, \
-             \"warps\": {}, \"cycles\": {}, \"classes\": {}}}}}",
+             \"warps\": {}, \"cycles\": {}, \"bound\": \"{}\", \"compute\": {}, \
+             \"memory\": {}, \"atomics\": {}, \"critical_warp\": {}, \
+             \"mem_transactions\": {}, \"classes\": {}}}}}",
             e.track,
             ts,
             dur,
             e.launch,
             e.warps,
             e.cycles,
+            e.bound,
+            e.compute_cycles,
+            e.memory_cycles,
+            e.atomics_cycles,
+            e.critical_warp_cycles,
+            e.mem_transactions,
             classes_json(&e.classes)
         );
         self.push("device", e.track, ts, "launch".into(), line);
@@ -269,6 +277,12 @@ mod tests {
             launch: 1,
             warps: 2,
             cycles: 100.0,
+            compute_cycles: 7.0,
+            memory_cycles: 20.0,
+            atomics_cycles: 0.0,
+            critical_warp_cycles: 100.0,
+            mem_transactions: 84,
+            bound: "critical_warp",
             classes: vec![ClassTally {
                 class: "Handle",
                 issues: 7,

@@ -563,6 +563,17 @@ impl Device {
         self.tally.merge(&cost.tally);
         self.mem.merge(&cost.mem);
         if let (Some(obs), Some(start_ms)) = (&self.observer, start_ms) {
+            // The roofline term that set `launch_cycles` (first on a tie).
+            let terms = [
+                ("compute", compute),
+                ("memory", memory),
+                ("atomics", atomics),
+                ("critical_warp", cost.max_warp_cycles),
+            ];
+            let bound = terms
+                .iter()
+                .fold(terms[0], |best, &t| if t.1 > best.1 { t } else { best })
+                .0;
             obs.launch(&LaunchEvent {
                 track: self.track,
                 start_ms,
@@ -570,6 +581,12 @@ impl Device {
                 launch: self.launches,
                 warps: cost.warps as u64,
                 cycles: launch_cycles,
+                compute_cycles: compute,
+                memory_cycles: memory,
+                atomics_cycles: atomics,
+                critical_warp_cycles: cost.max_warp_cycles,
+                mem_transactions: cost.mem.transactions,
+                bound,
                 classes: self.config.class_breakdown(&cost.tally),
             });
         }
@@ -761,10 +778,19 @@ impl RunStats {
 
     /// A human-readable latency decomposition of this run under `config`:
     /// the per-class instruction-slot breakdown (issues, weighted cycles,
-    /// share of weighted issue cycles) followed by the modeled time split —
-    /// estimated kernel time, streamed transfer, shard exchange, and their
-    /// sum (the modeled total). Formatting is fixed-precision, so the string
-    /// is as deterministic as the numbers themselves.
+    /// share of weighted issue cycles); the roofline split; and the modeled
+    /// time split — estimated kernel time, streamed transfer, shard
+    /// exchange, and their sum (the modeled total). Formatting is
+    /// fixed-precision, so the string is as deterministic as the numbers
+    /// themselves.
+    ///
+    /// The roofline line gives what share of the modeled cycles each
+    /// throughput term of [`Device::account_launch`] covers when summed over
+    /// the run on its own: memory and atomics are exact sums of the
+    /// per-launch terms, issue assumes every SM busy and so is a lower
+    /// bound. Cycles none of them covers come from launches floored by
+    /// their busiest warp; which term bound each launch is the `bound` of
+    /// its trace event and `gcgt_launch_cycles_total{bound=…}`.
     pub fn explain(&self, config: &DeviceConfig) -> String {
         let mut out = String::new();
         out.push_str(&format!(
@@ -788,6 +814,21 @@ impl RunStats {
             self.tally.total_issues(),
             self.mem.transactions
         ));
+        if self.cycles > 0.0 {
+            let share = |term: f64| 100.0 * term / self.cycles;
+            let memory = self.mem.transactions as f64 / config.mem_txn_per_cycle;
+            let atomics =
+                self.tally.issues[OpClass::Atomic as usize] as f64 / config.atomics_per_cycle;
+            let issue = config.weighted_cycles(&self.tally) / config.num_sms as f64;
+            out.push_str(&format!(
+                "{:<12} {:>12.1} cycles; alone, memory covers {:.1}%, atomics {:.1}%, issue >= {:.1}%\n",
+                "roofline",
+                self.cycles,
+                share(memory),
+                share(atomics),
+                share(issue)
+            ));
+        }
         if self.push_steps + self.pull_steps > 0 {
             out.push_str(&format!(
                 "{:<12} {:>12} push ({} edges), {} pull ({} edges)\n",

@@ -113,7 +113,11 @@ impl Tally {
     /// Records one warp instruction slot with `active` lanes participating.
     #[inline]
     pub fn issue(&mut self, class: OpClass, active: usize) {
-        debug_assert!(active as u64 <= self.width.max(active as u64));
+        debug_assert!(
+            self.width == 0 || active as u64 <= self.width,
+            "{active} active lanes issued on a {}-lane warp",
+            self.width
+        );
         self.issues[class as usize] += 1;
         self.lane_work += active as u64;
     }
@@ -181,6 +185,13 @@ mod tests {
         assert_eq!(t.issues[OpClass::Handle as usize], 2);
         assert_eq!(t.total_issues(), 3);
         assert_eq!(t.lane_work, 15);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "9 active lanes issued on a 8-lane warp")]
+    fn more_active_lanes_than_the_warp_has_is_refused() {
+        Tally::new(8).issue(OpClass::Handle, 9);
     }
 
     #[test]

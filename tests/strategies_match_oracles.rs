@@ -316,3 +316,40 @@ fn every_engine_honours_the_expander_contract() {
         }
     }
 }
+
+/// The paper's claim (ii): traversing the compressed form costs about what
+/// traversing plain CSR does. Modeled BFS time of `GcgtEngine(Full)` over
+/// `GpuCsrEngine`, summed over four sources; the simulator is deterministic,
+/// so each bound is slack over one measured ratio, not a noise margin.
+#[test]
+fn gcgt_is_competitive_with_gpucsr() {
+    let cases = [
+        ("uk2002", web_graph(&WebParams::uk2002_like(4000), 11), 1.05),
+        ("uk2007", web_graph(&WebParams::uk2007_like(4000), 11), 0.90),
+        (
+            "twitter",
+            social_graph(&SocialParams::twitter_like(1500), 11),
+            1.90,
+        ),
+    ];
+    for (name, graph, bound) in cases {
+        let dc = DeviceConfig::default();
+        let cgr = CgrGraph::encode(
+            &graph,
+            &Strategy::Full.cgr_config(&CgrConfig::paper_default()),
+        );
+        let gcgt = GcgtEngine::new(&cgr, dc, Strategy::Full).unwrap();
+        let gpucsr = GpuCsrEngine::new(&graph, dc).unwrap();
+        let est_ms = |engine: &dyn Expander| -> f64 {
+            [0, 7, 100, 1000]
+                .iter()
+                .map(|&source| bfs(engine, source).stats.est_ms)
+                .sum()
+        };
+        let ratio = est_ms(&gcgt) / est_ms(&gpucsr);
+        assert!(
+            ratio <= bound,
+            "{name}: GCGT / GPUCSR = {ratio:.3} > {bound}"
+        );
+    }
+}
