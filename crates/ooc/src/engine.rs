@@ -53,11 +53,20 @@ impl<'g> OocEngine<'g> {
     ) -> Result<Self, OomError> {
         strategy.assert_layout(cgr.config());
         let scratch = memory::traversal_buffers_bytes(cgr.num_nodes());
-        let floor = parts.max_resident_bytes();
-        if floor > cache_budget || scratch + cache_budget > device_config.mem_capacity {
+        // Each limit is reported in its own terms, scratch on both sides:
+        // the device cannot hold scratch plus cache, or the cache cannot
+        // hold the largest partition with its closure.
+        if scratch + cache_budget > device_config.mem_capacity {
             return Err(OomError {
-                requested: scratch + floor.max(cache_budget),
-                capacity: device_config.mem_capacity.min(cache_budget),
+                requested: scratch + cache_budget,
+                capacity: device_config.mem_capacity,
+            });
+        }
+        let floor = parts.max_resident_bytes();
+        if floor > cache_budget {
+            return Err(OomError {
+                requested: scratch + floor,
+                capacity: scratch + cache_budget,
             });
         }
         Ok(Self {
@@ -89,11 +98,6 @@ impl<'g> OocEngine<'g> {
     /// The compressed graph being streamed.
     pub fn cgr(&self) -> &CgrGraph {
         self.cgr
-    }
-
-    /// The partitioning in use.
-    pub fn partitions(&self) -> &PartitionMap {
-        self.parts
     }
 
     /// The residency byte budget of the partition cache.
@@ -398,19 +402,49 @@ mod tests {
         }
     }
 
-    #[test]
-    fn too_small_budget_is_an_error() {
-        let (_, cgr) = encoded();
-        let parts = PartitionMap::build(&cgr, 2 << 10);
-        let err = OocEngine::new(
-            &cgr,
-            &parts,
-            DeviceConfig::titan_v_scaled(1 << 30),
+    fn oom_of(cgr: &CgrGraph, parts: &PartitionMap, capacity: usize, budget: usize) -> OomError {
+        OocEngine::new(
+            cgr,
+            parts,
+            DeviceConfig::titan_v_scaled(capacity),
             Strategy::Full,
             PcieConfig::default(),
             OocConfig::default(),
-            parts.max_partition_bytes() - 1,
+            budget,
+        )
+        .err()
+        .expect("the engine must not fit")
+    }
+
+    #[test]
+    fn a_cache_smaller_than_a_partition_reports_the_cache_limit() {
+        let (_, cgr) = encoded();
+        let parts = PartitionMap::build(&cgr, 2 << 10);
+        let scratch = memory::traversal_buffers_bytes(cgr.num_nodes());
+        let floor = parts.max_resident_bytes();
+        assert_eq!(
+            oom_of(&cgr, &parts, 1 << 30, floor - 1),
+            OomError {
+                requested: scratch + floor,
+                capacity: scratch + floor - 1,
+            }
         );
-        assert!(err.is_err());
+    }
+
+    #[test]
+    fn a_cache_larger_than_the_device_reports_the_device_limit() {
+        let (_, cgr) = encoded();
+        let parts = PartitionMap::build(&cgr, 2 << 10);
+        let scratch = memory::traversal_buffers_bytes(cgr.num_nodes());
+        let budget = 4 * parts.max_resident_bytes();
+        // The cache alone would fit; scratch beside it does not.
+        let capacity = scratch + budget - 1;
+        assert_eq!(
+            oom_of(&cgr, &parts, capacity, budget),
+            OomError {
+                requested: scratch + budget,
+                capacity,
+            }
+        );
     }
 }

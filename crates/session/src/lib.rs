@@ -33,7 +33,7 @@
 //! so adding an engine variant touches one `match` in this crate instead of
 //! every call site.
 //!
-//! For serving-scale workloads, [`Session::run_batch`] executes many queries
+//! For serving-scale workloads, [`PreparedGraph::run_batch`] executes many queries
 //! against **one device residency**: the graph is uploaded and allocated
 //! once, every query accounts on the same simulated device, and the
 //! [`BatchRun`] reports both per-query and aggregate statistics. This is the
@@ -53,7 +53,7 @@
 //! what keeps fault statistics reproducible). Every query executes from
 //! the worker's post-upload
 //! baseline on a fresh accounting view, so its output **and** its
-//! [`RunStats`] are bitwise identical to a serial [`Session::run`] — worker
+//! [`RunStats`] are bitwise identical to a serial [`PreparedGraph::run`] — worker
 //! count and scheduling can never change a simulated number.
 //!
 //! ```
@@ -145,21 +145,24 @@ use gcgt_baselines::{GpuCsrEngine, GunrockEngine};
 use gcgt_cgr::{CgrConfig, CgrGraph};
 use gcgt_core::{memory, Algorithm, Expander, GcgtEngine, Strategy};
 use gcgt_graph::{Csr, NodeId, Reordering};
-use gcgt_ooc::{OocEngine, PartitionMap};
-use gcgt_shard::{ShardEngine, ShardOocParams};
+use gcgt_ooc::{OocConfig, OocEngine, PartitionMap};
+use gcgt_shard::ShardEngine;
 use gcgt_simt::{Device, DeviceConfig, OomError, PcieConfig, RunStats};
 
 pub use gcgt_core::{
     Bc, Bfs, Cc, DirectionMode, LabelProp, Pagerank, Query, QueryOutput, PULL_ALPHA,
 };
-pub use gcgt_ooc::OocConfig;
-pub use gcgt_shard::{ShardInner, ShardPlan};
+pub use gcgt_shard::ShardPlan;
 pub use gcgt_simt::{
     FaultDomain, FaultPlan, FaultRate, InterconnectConfig, Observer, ObserverHandle, RetryPolicy,
     TypedFailure,
 };
 
 /// Which traversal engine a session drives — selected at **runtime**.
+///
+/// Placement is not an engine kind: any of these runs sharded across N
+/// modeled devices through [`SessionBuilder::shards`], which wraps the
+/// engine built here in the `gcgt-shard` decorator.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum EngineKind {
     /// The paper's compressed-graph engine, at the given scheduling
@@ -179,20 +182,6 @@ pub enum EngineKind {
         /// resident.
         inner: Strategy,
     },
-    /// Sharded multi-device traversal: the graph is placed onto `devices`
-    /// modeled GPUs as contiguous node-aligned shards, every frontier step
-    /// runs owner-computes with an all-to-all boundary-bitmap exchange over
-    /// the session's [`InterconnectConfig`], and each shard runs the given
-    /// inner engine. Outputs and kernel-side [`RunStats`] stay bitwise
-    /// identical to the serial engine at any device count; the exchange is
-    /// reported in `RunStats::{exchange_ms, boundary_nodes, sync_steps}`.
-    /// Usually reached through [`SessionBuilder::shards`].
-    Sharded {
-        /// The engine running inside each shard.
-        inner: ShardInner,
-        /// How many modeled devices the graph is placed onto (≥ 1).
-        devices: usize,
-    },
 }
 
 impl EngineKind {
@@ -210,56 +199,14 @@ impl EngineKind {
             EngineKind::GpuCsr => "GPUCSR",
             EngineKind::Gunrock => "Gunrock",
             EngineKind::OutOfCore { .. } => "GCGT-OOC",
-            EngineKind::Sharded { inner, .. } => match inner {
-                ShardInner::Gcgt(_) => "GCGT-Shard",
-                ShardInner::OutOfCore(_) => "GCGT-OOC-Shard",
-                ShardInner::GpuCsr => "GPUCSR-Shard",
-                ShardInner::Gunrock => "Gunrock-Shard",
-            },
         }
     }
 
-    /// The strategy, when this is a GCGT engine (in-core, out-of-core, or
-    /// either inside shards).
+    /// The strategy, when this is a GCGT engine (in-core or out-of-core).
     pub fn strategy(&self) -> Option<Strategy> {
         match self {
             EngineKind::Gcgt(s) | EngineKind::OutOfCore { inner: s } => Some(*s),
-            EngineKind::Sharded {
-                inner: ShardInner::Gcgt(s) | ShardInner::OutOfCore(s),
-                ..
-            } => Some(*s),
-            _ => None,
-        }
-    }
-
-    /// This engine placed onto `devices` modeled GPUs: wraps the kind into
-    /// [`EngineKind::Sharded`] (re-sharding an already sharded kind just
-    /// changes the device count).
-    #[must_use]
-    pub fn sharded(self, devices: usize) -> EngineKind {
-        let inner = match self {
-            EngineKind::Gcgt(s) => ShardInner::Gcgt(s),
-            EngineKind::GpuCsr => ShardInner::GpuCsr,
-            EngineKind::Gunrock => ShardInner::Gunrock,
-            EngineKind::OutOfCore { inner } => ShardInner::OutOfCore(inner),
-            EngineKind::Sharded { inner, .. } => inner,
-        };
-        EngineKind::Sharded { inner, devices }
-    }
-
-    /// The engine kind running inside each shard — `self` for non-sharded
-    /// kinds. This is what encoding, footprints and capacity checks key
-    /// off: sharding changes placement and exchange accounting, never the
-    /// structure.
-    pub fn inner_kind(&self) -> EngineKind {
-        match *self {
-            EngineKind::Sharded { inner, .. } => match inner {
-                ShardInner::Gcgt(s) => EngineKind::Gcgt(s),
-                ShardInner::OutOfCore(s) => EngineKind::OutOfCore { inner: s },
-                ShardInner::GpuCsr => EngineKind::GpuCsr,
-                ShardInner::Gunrock => EngineKind::Gunrock,
-            },
-            k => k,
+            EngineKind::GpuCsr | EngineKind::Gunrock => None,
         }
     }
 
@@ -429,7 +376,6 @@ pub struct SessionBuilder {
     engine: Option<EngineKind>,
     pcie: Option<PcieConfig>,
     memory_budget: Option<usize>,
-    ooc: Option<OocConfig>,
     direction: Option<DirectionMode>,
     shards: Option<usize>,
     interconnect: Option<InterconnectConfig>,
@@ -576,19 +522,15 @@ impl SessionBuilder {
         self
     }
 
-    /// Streaming parameters of the out-of-core engine (chunk granularity,
-    /// transfer/decode overlap). Only meaningful with
-    /// [`EngineKind::OutOfCore`]; defaults to [`OocConfig::default`].
-    #[must_use]
-    pub fn ooc_config(mut self, config: OocConfig) -> Self {
-        self.ooc = Some(config);
-        self
-    }
-
-    /// Shards the selected engine across `devices` modeled GPUs
-    /// (wrapping whatever [`SessionBuilder::engine`] picked into
-    /// [`EngineKind::Sharded`]). Outputs stay bitwise identical to the
-    /// single-device run; the per-step frontier exchange is charged into
+    /// Shards the selected engine across `devices` modeled GPUs: the graph
+    /// is placed as contiguous node-aligned shards, every frontier step runs
+    /// owner-computes, and boundary discoveries are exchanged as frontier
+    /// bitmaps over [`SessionBuilder::interconnect`]. Sharding decorates
+    /// whatever [`SessionBuilder::engine`] picked — [`PreparedGraph::kind`]
+    /// still reports that engine, [`PreparedGraph::num_shards`] the
+    /// placement. Outputs and kernel-side [`RunStats`] stay bitwise
+    /// identical to the single-device run at any device count; the per-step
+    /// exchange is charged into
     /// `RunStats::{exchange_ms, boundary_nodes, sync_steps}`. With
     /// [`EngineKind::OutOfCore`], [`SessionBuilder::memory_budget`] becomes
     /// the **per-device** budget and the aggregate residency is verified
@@ -602,8 +544,7 @@ impl SessionBuilder {
 
     /// The device↔device link model of a sharded session's frontier
     /// exchange (defaults to [`InterconnectConfig::nvlink`]). Only
-    /// meaningful with [`SessionBuilder::shards`] /
-    /// [`EngineKind::Sharded`], but validated like
+    /// meaningful with [`SessionBuilder::shards`], but validated like
     /// [`SessionBuilder::pcie`] whenever supplied.
     #[must_use]
     pub fn interconnect(mut self, link: InterconnectConfig) -> Self {
@@ -674,14 +615,9 @@ impl SessionBuilder {
                 return conflict("reorder(..)");
             }
         }
-        let mut kind = self.engine.unwrap_or(EngineKind::Gcgt(Strategy::Full));
-        if let Some(devices) = self.shards {
-            kind = kind.sharded(devices);
-        }
-        if let EngineKind::Sharded { devices, .. } = kind {
-            if devices == 0 {
-                return Err(SessionError::ZeroShards);
-            }
+        let kind = self.engine.unwrap_or(EngineKind::Gcgt(Strategy::Full));
+        if self.shards == Some(0) {
+            return Err(SessionError::ZeroShards);
         }
         // Link parameters divide into every modeled transfer: a zero,
         // negative or non-finite one would poison `total_ms`, the serve
@@ -705,7 +641,7 @@ impl SessionBuilder {
         // typed `CorruptGraph` instead of the build. If that build later
         // turns out not to stream (everything fits → in-core decode of the
         // full payload), the recorded corruption fails it below.
-        let lazy_ooc = matches!(kind, EngineKind::OutOfCore { .. });
+        let lazy_ooc = matches!(kind, EngineKind::OutOfCore { .. }) && self.shards.is_none();
         let mut mirror_corrupt: Option<String> = None;
         let input = match &self.compressed {
             Some(cgr) if lazy_ooc => {
@@ -730,10 +666,6 @@ impl SessionBuilder {
                 return Err(SessionError::CorruptGraph(msg.clone()));
             }
         }
-        // Everything structural (encoding, footprints, capacity) keys off
-        // the engine running inside each shard; sharding only adds
-        // placement and exchange accounting on top.
-        let base = kind.inner_kind();
         let device_config = self.device.unwrap_or_default();
 
         // --- preprocessing (the prepared graph owns the id mapping) ---
@@ -770,7 +702,10 @@ impl SessionBuilder {
         };
 
         // --- encoding + footprint ---
-        let (cgr, footprint, structure) = match base {
+        // Everything structural (encoding, footprints, capacity) keys off
+        // the engine kind; sharding only adds placement and exchange
+        // accounting on top.
+        let (cgr, footprint, structure) = match kind {
             EngineKind::Gcgt(strategy) | EngineKind::OutOfCore { inner: strategy } => {
                 // A pre-encoded graph skips the encode; its baked-in config
                 // faces the same layout check an explicit compress(..) does.
@@ -813,7 +748,7 @@ impl SessionBuilder {
                 if self.compress.is_some() || self.compressed.is_some() {
                     return Err(SessionError::CompressUnsupported { engine: kind });
                 }
-                let (footprint, structure) = match base {
+                let (footprint, structure) = match kind {
                     EngineKind::GpuCsr => (
                         memory::csr_footprint(&graph),
                         memory::csr_structure_bytes(&graph),
@@ -825,7 +760,6 @@ impl SessionBuilder {
                 };
                 (None, footprint, structure)
             }
-            EngineKind::Sharded { .. } => unreachable!("inner_kind is never sharded"),
         };
 
         // --- capacity / budget check (the OOM bars of Figures 8 and 15) ---
@@ -842,18 +776,18 @@ impl SessionBuilder {
             });
             probe.alloc(footprint)
         };
-        let ooc = match (base, fits) {
+        let ooc = match (kind, fits) {
             // Everything fits: out-of-core sessions degenerate to the
             // in-core engine and behave identically to `Gcgt(inner)`.
             (_, Ok(())) => None,
             (EngineKind::OutOfCore { .. }, Err(_)) => {
                 let cgr = cgr.as_ref().expect("OutOfCore always encodes");
-                let plan = Self::plan_streaming(cgr, budget, self.ooc.unwrap_or_default())?;
+                let plan = Self::plan_streaming(cgr, budget)?;
                 // Sharded streaming: `budget` is per device, but every
                 // shard's scratch + cache must fit the one modeled memory
                 // pool together (the cache faults unconditionally once
                 // admitted, so this has to hold up front).
-                if let EngineKind::Sharded { devices, .. } = kind {
+                if let Some(devices) = self.shards {
                     let scratch = memory::traversal_buffers_bytes(cgr.num_nodes());
                     let aggregate = scratch + devices * plan.cache_budget;
                     if aggregate > device_config.mem_capacity {
@@ -879,16 +813,13 @@ impl SessionBuilder {
 
         // --- shard placement (balanced over the bytes the inner engine
         // actually keeps resident: compressed for GCGT, CSR otherwise) ---
-        let shard = match kind {
-            EngineKind::Sharded { devices, .. } => Some(ShardPlanData {
-                plan: match &cgr {
-                    Some(cgr) => ShardPlan::build(cgr, devices),
-                    None => ShardPlan::build_csr(&graph, devices),
-                },
-                interconnect,
-            }),
-            _ => None,
-        };
+        let shard = self.shards.map(|devices| ShardPlanData {
+            plan: match &cgr {
+                Some(cgr) => ShardPlan::build(cgr, devices),
+                None => ShardPlan::build_csr(&graph, devices),
+            },
+            interconnect,
+        });
 
         Ok(PreparedGraph {
             kind,
@@ -914,11 +845,7 @@ impl SessionBuilder {
     /// half-cache upload wave coalesces about two of them. Fails when even
     /// one partition with its reference-chain closure plus scratch cannot
     /// fit.
-    fn plan_streaming(
-        cgr: &CgrGraph,
-        budget: usize,
-        config: OocConfig,
-    ) -> Result<OocPlan, SessionError> {
+    fn plan_streaming(cgr: &CgrGraph, budget: usize) -> Result<OocPlan, SessionError> {
         let scratch = memory::traversal_buffers_bytes(cgr.num_nodes());
         let cache_budget = match budget.checked_sub(scratch) {
             Some(bytes) if bytes > 0 => bytes,
@@ -940,7 +867,6 @@ impl SessionBuilder {
         Ok(OocPlan {
             parts,
             cache_budget,
-            config,
         })
     }
 }
@@ -952,7 +878,6 @@ impl SessionBuilder {
 struct OocPlan {
     parts: PartitionMap,
     cache_budget: usize,
-    config: OocConfig,
 }
 
 /// One application run: the app's output plus cost accounting.
@@ -1061,7 +986,9 @@ struct ShardPlanData {
 }
 
 impl PreparedGraph {
-    /// The engine kind this prepared graph drives.
+    /// The engine kind this prepared graph drives — on a sharded session,
+    /// the engine inside every shard ([`PreparedGraph::num_shards`] reports
+    /// the placement).
     pub fn kind(&self) -> EngineKind {
         self.kind
     }
@@ -1206,111 +1133,65 @@ impl PreparedGraph {
     /// structure. Cheap: engines borrow the graph; only per-engine mutable
     /// state (the out-of-core partition cache) is constructed fresh — which
     /// is exactly why engines are built per query or per worker, never
-    /// shared. All apps reach it as a `&dyn Expander`; this `match` is the
-    /// only place in the crate that knows the engine kinds.
+    /// shared. All apps reach it as a `&dyn Expander`; sharding is a
+    /// decorator over whatever [`PreparedGraph::base_engine`] builds.
     fn engine(&self) -> Box<dyn Expander + '_> {
-        match self.kind {
-            EngineKind::Gcgt(strategy) => Box::new(
-                GcgtEngine::new(
-                    self.cgr.as_ref().expect("GCGT session always encodes"),
-                    self.device_config,
-                    strategy,
+        let Some(sharding) = &self.shard else {
+            return self.base_engine();
+        };
+        // A streaming engine keeps a private partition cache, so every
+        // device gets its own; in-core engines keep no residency and all
+        // shards share one.
+        let engines = if self.is_streaming() {
+            sharding.plan.devices()
+        } else {
+            1
+        };
+        Box::new(ShardEngine::new(
+            &self.graph,
+            &sharding.plan,
+            sharding.interconnect,
+            (0..engines).map(|_| self.base_engine()).collect(),
+        ))
+    }
+
+    /// The single-device engine of this prepared graph — this `match` is
+    /// the only place in the crate that knows the engine types.
+    fn base_engine(&self) -> Box<dyn Expander + '_> {
+        let cgr = || self.cgr.as_ref().expect("GCGT sessions always encode");
+        const VERIFIED: &str = "capacity verified at build time";
+        match (self.kind, &self.ooc) {
+            // An out-of-core graph that fits is the in-core engine.
+            (EngineKind::Gcgt(strategy), _) | (EngineKind::OutOfCore { inner: strategy }, None) => {
+                Box::new(
+                    GcgtEngine::new(cgr(), self.device_config, strategy)
+                        .expect(VERIFIED)
+                        .with_direction(self.direction),
                 )
-                .expect("capacity verified at build time")
+            }
+            (EngineKind::OutOfCore { inner }, Some(plan)) => Box::new(
+                OocEngine::new(
+                    cgr(),
+                    &plan.parts,
+                    self.device_config,
+                    inner,
+                    self.pcie,
+                    OocConfig::default(),
+                    plan.cache_budget,
+                )
+                .expect(VERIFIED)
                 .with_direction(self.direction),
             ),
-            EngineKind::GpuCsr => Box::new(
+            (EngineKind::GpuCsr, _) => Box::new(
                 GpuCsrEngine::new(&self.graph, self.device_config)
-                    .expect("capacity verified at build time")
+                    .expect(VERIFIED)
                     .with_direction(self.direction),
             ),
-            EngineKind::Gunrock => Box::new(
+            (EngineKind::Gunrock, _) => Box::new(
                 GunrockEngine::new(&self.graph, self.device_config)
-                    .expect("capacity verified at build time")
+                    .expect(VERIFIED)
                     .with_direction(self.direction),
             ),
-            EngineKind::OutOfCore { inner } => {
-                let cgr = self.cgr.as_ref().expect("OutOfCore session always encodes");
-                match &self.ooc {
-                    // The graph fits: identical to the in-core engine.
-                    None => Box::new(
-                        GcgtEngine::new(cgr, self.device_config, inner)
-                            .expect("capacity verified at build time")
-                            .with_direction(self.direction),
-                    ),
-                    Some(plan) => Box::new(
-                        OocEngine::new(
-                            cgr,
-                            &plan.parts,
-                            self.device_config,
-                            inner,
-                            self.pcie,
-                            plan.config,
-                            plan.cache_budget,
-                        )
-                        .expect("budget verified at build time")
-                        .with_direction(self.direction),
-                    ),
-                }
-            }
-            EngineKind::Sharded { inner, .. } => {
-                let sharding = self.shard.as_ref().expect("sharded session always plans");
-                let engine = match inner {
-                    ShardInner::Gcgt(strategy) => ShardEngine::gcgt(
-                        self.cgr.as_ref().expect("GCGT shards always encode"),
-                        &self.graph,
-                        &sharding.plan,
-                        sharding.interconnect,
-                        self.device_config,
-                        strategy,
-                    )
-                    .expect("capacity verified at build time"),
-                    ShardInner::GpuCsr => ShardEngine::gpu_csr(
-                        &self.graph,
-                        &sharding.plan,
-                        sharding.interconnect,
-                        self.device_config,
-                    )
-                    .expect("capacity verified at build time"),
-                    ShardInner::Gunrock => ShardEngine::gunrock(
-                        &self.graph,
-                        &sharding.plan,
-                        sharding.interconnect,
-                        self.device_config,
-                    )
-                    .expect("capacity verified at build time"),
-                    ShardInner::OutOfCore(strategy) => {
-                        let cgr = self.cgr.as_ref().expect("OutOfCore shards always encode");
-                        match &self.ooc {
-                            // The graph fits every device: each shard runs
-                            // in-core; exchange accounting still applies.
-                            None => ShardEngine::gcgt(
-                                cgr,
-                                &self.graph,
-                                &sharding.plan,
-                                sharding.interconnect,
-                                self.device_config,
-                                strategy,
-                            )
-                            .expect("capacity verified at build time"),
-                            Some(plan) => ShardEngine::out_of_core(ShardOocParams {
-                                cgr,
-                                graph: &self.graph,
-                                plan: &sharding.plan,
-                                parts: &plan.parts,
-                                interconnect: sharding.interconnect,
-                                device_config: self.device_config,
-                                strategy,
-                                pcie: self.pcie,
-                                config: plan.config,
-                                cache_budget: plan.cache_budget,
-                            })
-                            .expect("budget verified at build time"),
-                        }
-                    }
-                };
-                Box::new(engine.with_direction(self.direction))
-            }
         }
     }
 
@@ -1535,112 +1416,15 @@ impl Session {
     pub fn executor(&self) -> Executor<'_> {
         Executor::new(&self.prepared)
     }
+}
 
-    /// The engine kind this session drives.
-    pub fn kind(&self) -> EngineKind {
-        self.prepared.kind()
-    }
+/// Every [`PreparedGraph`] accessor, `run` and `run_batch` are a session's
+/// too: it adds nothing to its build product but the `Arc`.
+impl std::ops::Deref for Session {
+    type Target = PreparedGraph;
 
-    /// The effective frontier-expansion direction — see
-    /// [`PreparedGraph::direction`].
-    pub fn direction(&self) -> DirectionMode {
-        self.prepared.direction()
-    }
-
-    /// The simulated device configuration.
-    pub fn device_config(&self) -> &DeviceConfig {
-        self.prepared.device_config()
-    }
-
-    /// The preprocessed graph the engine traverses (post symmetrize /
-    /// reorder — internal id space).
-    pub fn graph(&self) -> &Csr {
-        self.prepared.graph()
-    }
-
-    /// Node count (identical in original and internal id spaces).
-    pub fn num_nodes(&self) -> usize {
-        self.prepared.num_nodes()
-    }
-
-    /// The id mapping applied by reordering (`perm[original] = internal`),
-    /// when one was requested.
-    pub fn permutation(&self) -> Option<&[NodeId]> {
-        self.prepared.permutation()
-    }
-
-    /// The encoded compressed graph (GCGT engines only).
-    pub fn cgr(&self) -> Option<&CgrGraph> {
-        self.prepared.cgr()
-    }
-
-    /// Resident bytes of the engine's structure plus traversal buffers —
-    /// see [`PreparedGraph::footprint`].
-    pub fn footprint(&self) -> usize {
-        self.prepared.footprint()
-    }
-
-    /// The query-invariant structure bytes — see
-    /// [`PreparedGraph::structure_bytes`].
-    pub fn structure_bytes(&self) -> usize {
-        self.prepared.structure_bytes()
-    }
-
-    /// The effective device-byte ceiling of this session.
-    pub fn memory_budget(&self) -> usize {
-        self.prepared.memory_budget()
-    }
-
-    /// Whether runs stream compressed partitions over the link.
-    pub fn is_streaming(&self) -> bool {
-        self.prepared.is_streaming()
-    }
-
-    /// The number of compressed partitions a streaming session rotates
-    /// through (`None` when the graph fits in-core).
-    pub fn num_partitions(&self) -> Option<usize> {
-        self.prepared.num_partitions()
-    }
-
-    /// How many modeled devices a sharded session places the graph onto
-    /// (`None` for single-device sessions).
-    pub fn num_shards(&self) -> Option<usize> {
-        self.prepared.num_shards()
-    }
-
-    /// The shard placement of a sharded session (`None` for single-device
-    /// sessions).
-    pub fn shard_plan(&self) -> Option<&ShardPlan> {
-        self.prepared.shard_plan()
-    }
-
-    /// The device↔device link a sharded session exchanges frontiers over
-    /// (`None` for single-device sessions).
-    pub fn interconnect(&self) -> Option<InterconnectConfig> {
-        self.prepared.interconnect()
-    }
-
-    /// Compression rate of the resident structure relative to a 32-bit
-    /// edge list (GCGT engines; CSR engines report 1.0).
-    pub fn compression_rate(&self) -> f64 {
-        self.prepared.compression_rate()
-    }
-
-    /// Host→device time to make the structure resident — see
-    /// [`PreparedGraph::upload_ms`].
-    pub fn upload_ms(&self) -> f64 {
-        self.prepared.upload_ms()
-    }
-
-    /// Runs one application — see [`PreparedGraph::run`].
-    pub fn run<A: Algorithm>(&self, algo: A) -> Run<A::Output> {
-        self.prepared.run(algo)
-    }
-
-    /// Runs many queries against one device residency — see
-    /// [`PreparedGraph::run_batch`].
-    pub fn run_batch<A: Algorithm>(&self, queries: &[A]) -> BatchRun<A::Output> {
-        self.prepared.run_batch(queries)
+    fn deref(&self) -> &PreparedGraph {
+        &self.prepared
     }
 }
 
@@ -2223,62 +2007,89 @@ mod tests {
     }
 
     #[test]
-    fn sharded_kind_names_strategies_and_wrapping() {
-        let kind = EngineKind::Gcgt(Strategy::Full).sharded(4);
-        assert_eq!(kind.name(), "GCGT-Shard");
-        assert_eq!(kind.strategy(), Some(Strategy::Full));
-        assert_eq!(kind.inner_kind(), EngineKind::Gcgt(Strategy::Full));
-        // Re-sharding only changes the device count.
-        assert_eq!(
-            kind.sharded(2),
-            EngineKind::Sharded {
-                inner: ShardInner::Gcgt(Strategy::Full),
-                devices: 2
-            }
-        );
-        let ooc = EngineKind::OutOfCore {
-            inner: Strategy::TwoPhase,
-        }
-        .sharded(2);
-        assert_eq!(ooc.name(), "GCGT-OOC-Shard");
-        assert_eq!(ooc.strategy(), Some(Strategy::TwoPhase));
-        assert_eq!(EngineKind::GpuCsr.sharded(2).name(), "GPUCSR-Shard");
-        assert_eq!(EngineKind::Gunrock.sharded(2).name(), "Gunrock-Shard");
-        assert_eq!(EngineKind::GpuCsr.sharded(2).strategy(), None);
-    }
-
-    #[test]
     fn sharding_composes_with_every_inner_engine_kind() {
-        let g = toys::grid(12, 12);
-        for kind in EngineKind::GPU_COMPARISON {
-            let serial = Session::builder()
-                .graph(g.clone())
-                .engine(kind)
-                .build()
-                .unwrap()
-                .run(Bfs::from(0));
-            let sharded = Session::builder()
-                .graph(g.clone())
-                .engine(kind)
-                .shards(3)
-                .build()
-                .unwrap()
-                .run(Bfs::from(0));
-            assert_eq!(serial.output.depth, sharded.output.depth, "{}", kind.name());
-            assert_eq!(
-                sans_exchange(serial.stats),
-                sans_exchange(sharded.stats),
-                "{}",
-                kind.name()
-            );
+        let g = gcgt_graph::gen::web_graph(&gcgt_graph::gen::WebParams::uk2002_like(700), 11);
+        let footprint = Session::builder()
+            .graph(g.clone())
+            .build()
+            .unwrap()
+            .footprint();
+        let ooc = EngineKind::OutOfCore {
+            inner: Strategy::Full,
+        };
+        // All four base kinds; out-of-core both fitting and streaming.
+        let shapes = EngineKind::GPU_COMPARISON
+            .into_iter()
+            .map(|kind| (kind, None))
+            .chain([(ooc, None), (ooc, Some(footprint * 7 / 10))]);
+        for (kind, budget) in shapes {
+            let ctx = format!("{} budget {budget:?}", kind.name());
+            let build = |shards: Option<usize>| {
+                let mut b = Session::builder().graph(g.clone()).engine(kind);
+                if let Some(bytes) = budget {
+                    b = b.memory_budget(bytes);
+                }
+                if let Some(devices) = shards {
+                    b = b.shards(devices);
+                }
+                b.build().unwrap()
+            };
+            let (serial, sharded) = (build(None), build(Some(3)));
+            // Placement never shows in the kind; it has its own accessor.
+            assert_eq!(sharded.kind(), kind, "{ctx}");
+            assert_eq!(sharded.num_shards(), Some(3), "{ctx}");
+            assert_eq!(sharded.is_streaming(), budget.is_some(), "{ctx}");
+            let (serial, sharded) = (serial.run(Bfs::from(0)), sharded.run(Bfs::from(0)));
+            assert_eq!(serial.output.depth, sharded.output.depth, "{ctx}");
             assert_eq!(
                 serial.stats.est_ms.to_bits(),
                 sharded.stats.est_ms.to_bits(),
-                "{}",
-                kind.name()
+                "{ctx}"
             );
-            assert!(sharded.stats.exchange_ms > 0.0, "{}", kind.name());
+            assert!(sharded.stats.exchange_ms > 0.0, "{ctx}");
+            if budget.is_none() {
+                assert_eq!(
+                    sans_exchange(serial.stats),
+                    sans_exchange(sharded.stats),
+                    "{ctx}"
+                );
+            } else {
+                // Three private caches fault differently from one.
+                assert!(sharded.stats.partition_faults > 0, "{ctx}");
+            }
         }
+    }
+
+    #[test]
+    fn sharded_streaming_verifies_aggregate_capacity_at_build() {
+        let g = gcgt_graph::gen::web_graph(&gcgt_graph::gen::WebParams::uk2002_like(2_000), 5);
+        let incore = Session::builder().graph(g.clone()).build().unwrap();
+        let scratch = incore.footprint() - incore.structure_bytes();
+        // Per device: the scratch plus a cache an eighth of the structure.
+        let cache_budget = incore.structure_bytes() / 8;
+        let build = |capacity: usize, devices: usize| {
+            Session::builder()
+                .graph(g.clone())
+                .device(DeviceConfig::titan_v_scaled(capacity))
+                .memory_budget(scratch + cache_budget)
+                .engine(EngineKind::OutOfCore {
+                    inner: Strategy::Full,
+                })
+                .shards(devices)
+                .build()
+        };
+        // The caches coexist on the one modeled pool, so it must hold the
+        // scratch plus all four of them — to the byte.
+        let aggregate = scratch + 4 * cache_budget;
+        assert!(build(aggregate, 4).unwrap().is_streaming());
+        assert_eq!(
+            build(aggregate - 1, 4).unwrap_err(),
+            SessionError::Oom(OomError {
+                requested: aggregate,
+                capacity: aggregate - 1,
+            })
+        );
+        assert!(build(aggregate - 1, 3).is_ok());
     }
 
     #[test]

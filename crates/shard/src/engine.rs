@@ -1,7 +1,9 @@
 //! The sharded traversal engine: owner-computes BSP over N modeled devices.
 //!
-//! [`ShardEngine`] implements the [`Expander`] contract, so every
-//! application runs on a sharded deployment unmodified. Each kernel launch
+//! [`ShardEngine`] wraps engines it knows only as `dyn` [`Expander`] and
+//! implements the contract itself, so any engine — stock or user-defined —
+//! can be sharded, and every application runs on a sharded deployment
+//! unmodified (the crate docs shard a user-defined engine). Each kernel launch
 //! is one bulk-synchronous step: every shard expands exactly the work nodes
 //! it owns (the union across shards is the serial work list, each node
 //! expanded once), then every shard that discovered nodes owned elsewhere
@@ -39,200 +41,73 @@
 //! streamed transfer time. Results stay comparable, overheads stay
 //! attributable.
 
-use gcgt_baselines::{GpuCsrEngine, GunrockEngine};
-use gcgt_cgr::CgrGraph;
 use gcgt_core::kernels::Sink;
-use gcgt_core::{DirectionMode, Expander, Frontier, GcgtEngine, Strategy};
+use gcgt_core::{DirectionMode, Expander, Frontier};
 use gcgt_graph::{Csr, NodeId};
-use gcgt_ooc::{OocConfig, OocEngine, PartitionMap};
-use gcgt_simt::{Device, DeviceConfig, InterconnectConfig, OomError, PcieConfig, WarpSim};
+use gcgt_simt::{Device, DeviceConfig, InterconnectConfig, WarpSim};
 
 use crate::exchange::{ActivityMatrix, ExchangeCost};
 use crate::plan::ShardPlan;
 
-/// The engine running inside each shard of a sharded session — the `Copy`
-/// selector the session layer embeds in `EngineKind::Sharded`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum ShardInner {
-    /// Compressed GCGT traversal, in-core per device.
-    Gcgt(Strategy),
-    /// Compressed GCGT traversal streaming through a per-device memory
-    /// budget (each shard runs its own partition cache).
-    OutOfCore(Strategy),
-    /// The uncompressed GPUCSR baseline.
-    GpuCsr,
-    /// The Gunrock-style uncompressed baseline.
-    Gunrock,
-}
-
-/// Everything a sharded **streaming** engine needs — bundled because the
-/// out-of-core constructor wires two layers of partitioning (the coarse
-/// device placement and the fine streaming partitions) plus both link
-/// models.
-pub struct ShardOocParams<'g> {
-    /// The compressed graph.
-    pub cgr: &'g CgrGraph,
-    /// The uncompressed adjacency, for ownership and boundary discovery.
-    pub graph: &'g Csr,
-    /// The device placement.
-    pub plan: &'g ShardPlan,
-    /// The fine streaming partitions every shard's cache draws from.
-    pub parts: &'g PartitionMap,
-    /// Device↔device link for the frontier exchange.
-    pub interconnect: InterconnectConfig,
-    /// Per-device simulator configuration.
-    pub device_config: DeviceConfig,
-    /// Decode strategy inside each shard.
-    pub strategy: Strategy,
-    /// Host link streaming partitions fault over.
-    pub pcie: PcieConfig,
-    /// Streaming knobs (chunking, overlap).
-    pub config: OocConfig,
-    /// Partition-cache byte budget **per device**.
-    pub cache_budget: usize,
-}
-
-enum InnerHolder<'g> {
-    Gcgt(GcgtEngine<'g>),
-    GpuCsr(GpuCsrEngine<'g>),
-    Gunrock(GunrockEngine<'g>),
-    /// One streaming engine per shard, each with a private partition cache
-    /// under the per-device budget.
-    Ooc(Vec<OocEngine<'g>>),
-}
-
 /// A sharded traversal engine: N modeled devices, each expanding its owned
 /// slice of every frontier, exchanging boundary discoveries as merged
-/// frontier-bitmap segments between steps. Implements [`Expander`], so all applications and
-/// the session/serving layers run on it unmodified.
+/// frontier-bitmap segments between steps. A decorator: it wraps engines it
+/// knows only as `dyn` [`Expander`] and implements [`Expander`] itself, so
+/// all applications and the session/serving layers run on it unmodified.
 pub struct ShardEngine<'g> {
     graph: &'g Csr,
     plan: &'g ShardPlan,
     interconnect: InterconnectConfig,
-    direction: DirectionMode,
-    inner: InnerHolder<'g>,
+    per_device: Vec<Box<dyn Expander + 'g>>,
 }
 
 impl<'g> ShardEngine<'g> {
-    /// A sharded in-core compressed engine. Fails when graph plus traversal
-    /// buffers exceed the reference device's capacity.
-    pub fn gcgt(
-        cgr: &'g CgrGraph,
+    /// Shards `per_device` over `plan`'s devices, exchanging boundary
+    /// discoveries over `interconnect`; boundary discovery reads the
+    /// uncompressed adjacency `graph`.
+    ///
+    /// `per_device` holds either **one** engine that every shard shares —
+    /// right for engines that keep no residency of their own (the in-core
+    /// ones): the work list reaches its hooks whole — or **one engine per
+    /// device** (`plan.devices()` of them, identical but for their private
+    /// residency, e.g. a streaming engine's partition cache): before each
+    /// launch, engine `s` is handed exactly the work nodes shard `s` owns.
+    /// Capacity is the caller's to verify: private residencies coexist on
+    /// the one modeled memory pool, so their aggregate must fit it.
+    ///
+    /// Direction, footprints and the device configuration are the inner
+    /// engines'. Pull composes with sharding by ownership of the
+    /// **candidate scan**: a pull step's work list is the unvisited
+    /// candidates, each scanned by its owning shard, with remote parents
+    /// learned through the same bitmap exchange.
+    ///
+    /// # Panics
+    /// Panics if `per_device.len()` is neither 1 nor `plan.devices()`.
+    pub fn new(
         graph: &'g Csr,
         plan: &'g ShardPlan,
         interconnect: InterconnectConfig,
-        device_config: DeviceConfig,
-        strategy: Strategy,
-    ) -> Result<Self, OomError> {
-        Ok(Self {
+        per_device: Vec<Box<dyn Expander + 'g>>,
+    ) -> Self {
+        assert!(
+            per_device.len() == 1 || per_device.len() == plan.devices(),
+            "{} engines for {} devices: pass one shared engine or one per device",
+            per_device.len(),
+            plan.devices()
+        );
+        Self {
             graph,
             plan,
             interconnect,
-            direction: DirectionMode::Push,
-            inner: InnerHolder::Gcgt(GcgtEngine::new(cgr, device_config, strategy)?),
-        })
-    }
-
-    /// A sharded GPUCSR baseline engine.
-    pub fn gpu_csr(
-        graph: &'g Csr,
-        plan: &'g ShardPlan,
-        interconnect: InterconnectConfig,
-        device_config: DeviceConfig,
-    ) -> Result<Self, OomError> {
-        Ok(Self {
-            graph,
-            plan,
-            interconnect,
-            direction: DirectionMode::Push,
-            inner: InnerHolder::GpuCsr(GpuCsrEngine::new(graph, device_config)?),
-        })
-    }
-
-    /// A sharded Gunrock-style baseline engine.
-    pub fn gunrock(
-        graph: &'g Csr,
-        plan: &'g ShardPlan,
-        interconnect: InterconnectConfig,
-        device_config: DeviceConfig,
-    ) -> Result<Self, OomError> {
-        Ok(Self {
-            graph,
-            plan,
-            interconnect,
-            direction: DirectionMode::Push,
-            inner: InnerHolder::Gunrock(GunrockEngine::new(graph, device_config)?),
-        })
-    }
-
-    /// A sharded **streaming** engine: every shard runs its own partition
-    /// cache under `cache_budget` bytes. Fails when one cache cannot hold
-    /// the largest partition, or when the traversal scratch plus the
-    /// *aggregate* of all per-shard caches exceeds device capacity — the
-    /// caches coexist on the reference device, so the aggregate must be
-    /// verified up front (partition faults inside a run are infallible).
-    pub fn out_of_core(p: ShardOocParams<'g>) -> Result<Self, OomError> {
-        let scratch = gcgt_core::memory::traversal_buffers_bytes(p.cgr.num_nodes());
-        let devices = p.plan.devices();
-        let aggregate = scratch + devices * p.cache_budget;
-        if aggregate > p.device_config.mem_capacity {
-            return Err(OomError {
-                requested: aggregate,
-                capacity: p.device_config.mem_capacity,
-            });
+            per_device,
         }
-        let engines = (0..devices)
-            .map(|_| {
-                OocEngine::new(
-                    p.cgr,
-                    p.parts,
-                    p.device_config,
-                    p.strategy,
-                    p.pcie,
-                    p.config,
-                    p.cache_budget,
-                )
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(Self {
-            graph: p.graph,
-            plan: p.plan,
-            interconnect: p.interconnect,
-            direction: DirectionMode::Push,
-            inner: InnerHolder::Ooc(engines),
-        })
     }
 
-    /// Sets the expansion-direction policy. Pull composes with sharding by
-    /// ownership of the **candidate scan**: a pull step's work list is the
-    /// unvisited candidates, each scanned by its owning shard, with remote
-    /// parents learned through the same bitmap exchange.
-    #[must_use]
-    pub fn with_direction(mut self, direction: DirectionMode) -> Self {
-        self.direction = direction;
-        self
-    }
-
-    /// The device placement.
-    pub fn plan(&self) -> &ShardPlan {
-        self.plan
-    }
-
-    /// The device↔device link model.
-    pub fn interconnect(&self) -> &InterconnectConfig {
-        &self.interconnect
-    }
-
-    /// The engine every shard decodes with. Streaming shards differ only in
-    /// their private caches, so shard 0 stands in for all of them wherever
-    /// residency is not involved.
+    /// The engine every shard decodes with. Per-device engines differ only
+    /// in their private residency, so the first stands in for all of them
+    /// wherever residency is not involved.
     fn inner(&self) -> &dyn Expander {
-        match &self.inner {
-            InnerHolder::Gcgt(e) => e,
-            InnerHolder::GpuCsr(e) => e,
-            InnerHolder::Gunrock(e) => e,
-            InnerHolder::Ooc(v) => &v[0],
-        }
+        &*self.per_device[0]
     }
 
     /// Charges one BSP step on `device`: the barrier, then the boundary
@@ -283,7 +158,7 @@ impl Expander for ShardEngine<'_> {
     }
 
     fn direction(&self) -> DirectionMode {
-        self.direction
+        self.inner().direction()
     }
 
     fn device_config(&self) -> &DeviceConfig {
@@ -299,22 +174,20 @@ impl Expander for ShardEngine<'_> {
     }
 
     fn prepare_frontier(&self, device: &mut Device, work: &[NodeId]) {
-        // Residency first: each streaming shard faults the partitions its
-        // owned slice of the work list needs, in shard order (serial, hence
-        // deterministic). One shard degenerates to the serial streaming
-        // engine bit-for-bit.
-        if let InnerHolder::Ooc(engines) = &self.inner {
-            if self.plan.devices() == 1 {
-                engines[0].prepare_frontier(device, work);
-            } else {
-                let mut owned: Vec<Vec<NodeId>> = vec![Vec::new(); self.plan.devices()];
-                for &u in work {
-                    owned[self.plan.owner_of(u)].push(u);
-                }
-                for (s, nodes) in owned.iter().enumerate() {
-                    if !nodes.is_empty() {
-                        engines[s].prepare_frontier(device, nodes);
-                    }
+        // Residency first. A shared engine sees the whole list; per-device
+        // engines each fault what their owned slice needs, in shard order
+        // (serial, hence deterministic). One shard degenerates to the bare
+        // inner engine bit-for-bit.
+        if let [shared] = &self.per_device[..] {
+            shared.prepare_frontier(device, work);
+        } else {
+            let mut owned: Vec<Vec<NodeId>> = vec![Vec::new(); self.per_device.len()];
+            for &u in work {
+                owned[self.plan.owner_of(u)].push(u);
+            }
+            for (engine, nodes) in self.per_device.iter().zip(&owned) {
+                if !nodes.is_empty() {
+                    engine.prepare_frontier(device, nodes);
                 }
             }
         }
@@ -337,10 +210,8 @@ impl Expander for ShardEngine<'_> {
     }
 
     fn release_residency(&self, device: &mut Device) {
-        if let InnerHolder::Ooc(engines) = &self.inner {
-            for e in engines {
-                e.release_residency(device);
-            }
+        for engine in &self.per_device {
+            engine.release_residency(device);
         }
     }
 }
@@ -348,9 +219,10 @@ impl Expander for ShardEngine<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gcgt_cgr::CgrConfig;
-    use gcgt_core::bfs;
+    use gcgt_cgr::{CgrConfig, CgrGraph};
+    use gcgt_core::{bfs, GcgtEngine, Strategy};
     use gcgt_graph::gen::{web_graph, WebParams};
+    use std::sync::Mutex;
 
     fn fixture() -> (Csr, CgrGraph) {
         let g = web_graph(&WebParams::uk2002_like(400), 5).symmetrized();
@@ -361,6 +233,11 @@ mod tests {
 
     fn device() -> DeviceConfig {
         DeviceConfig::titan_v_scaled(64 << 20)
+    }
+
+    fn sharded<'g>(g: &'g Csr, cgr: &'g CgrGraph, plan: &'g ShardPlan) -> ShardEngine<'g> {
+        let inner = GcgtEngine::new(cgr, device(), Strategy::Full).unwrap();
+        ShardEngine::new(g, plan, InterconnectConfig::nvlink(), vec![Box::new(inner)])
     }
 
     #[test]
@@ -375,15 +252,7 @@ mod tests {
         };
         for devices in [1, 2, 4, 8] {
             let plan = ShardPlan::build(&cgr, devices);
-            let sharded = ShardEngine::gcgt(
-                &cgr,
-                &g,
-                &plan,
-                InterconnectConfig::nvlink(),
-                device(),
-                Strategy::Full,
-            )
-            .unwrap();
+            let sharded = sharded(&g, &cgr, &plan);
             let got = bfs(&sharded, 0);
             assert_eq!(got.depth, want.depth, "{devices} devices");
             assert_eq!(got.reached, want.reached);
@@ -414,15 +283,7 @@ mod tests {
         let (g, cgr) = fixture();
         let boundary = |devices: usize| {
             let plan = ShardPlan::build(&cgr, devices);
-            let e = ShardEngine::gcgt(
-                &cgr,
-                &g,
-                &plan,
-                InterconnectConfig::nvlink(),
-                device(),
-                Strategy::Full,
-            )
-            .unwrap();
+            let e = sharded(&g, &cgr, &plan);
             let mut dev = e.new_device();
             let _ = gcgt_core::bfs_in(&e, &mut dev, 0);
             dev.stats().boundary_nodes
@@ -433,41 +294,160 @@ mod tests {
         assert!(b2 <= b4 && b4 <= b8, "{b2} {b4} {b8}");
     }
 
+    /// What the fake engines were asked to do, in call order.
+    #[derive(Default)]
+    struct Calls {
+        /// `(engine id, work list)` per `prepare_frontier` call.
+        prepared: Vec<(usize, Vec<NodeId>)>,
+        /// Engine id per `release_residency` call.
+        released: Vec<usize>,
+    }
+
+    /// An engine the decorator has never heard of: it records the hooks it
+    /// receives and expands nothing.
+    struct Recording<'a> {
+        id: usize,
+        config: DeviceConfig,
+        calls: &'a Mutex<Calls>,
+    }
+
+    impl Expander for Recording<'_> {
+        fn num_nodes(&self) -> usize {
+            0
+        }
+        fn num_edges(&self) -> usize {
+            0
+        }
+        fn out_degree(&self, _: NodeId) -> usize {
+            0
+        }
+        fn device_config(&self) -> &DeviceConfig {
+            &self.config
+        }
+        fn footprint(&self) -> usize {
+            0
+        }
+        fn prepare_frontier(&self, _: &mut Device, work: &[NodeId]) {
+            let mut calls = self.calls.lock().unwrap();
+            calls.prepared.push((self.id, work.to_vec()));
+        }
+        fn expand_chunk(&self, _: &mut WarpSim, _: &[NodeId], _: &mut dyn Sink) {}
+        fn pull_chunk(
+            &self,
+            _: &mut WarpSim,
+            _: &[NodeId],
+            _: &Frontier,
+            _: &mut Vec<(NodeId, NodeId)>,
+        ) -> u64 {
+            0
+        }
+        fn release_residency(&self, _: &mut Device) {
+            self.calls.lock().unwrap().released.push(self.id);
+        }
+    }
+
+    fn recording<'a>(
+        g: &'a Csr,
+        plan: &'a ShardPlan,
+        calls: &'a Mutex<Calls>,
+        engines: usize,
+    ) -> ShardEngine<'a> {
+        let per_device = (0..engines)
+            .map(|id| {
+                Box::new(Recording {
+                    id,
+                    config: device(),
+                    calls,
+                }) as Box<dyn Expander + 'a>
+            })
+            .collect();
+        ShardEngine::new(g, plan, InterconnectConfig::nvlink(), per_device)
+    }
+
+    /// Work lists a launch can see: everything, a strided subset in
+    /// descending order, one shard's nodes only, and nothing.
+    fn work_lists(g: &Csr, plan: &ShardPlan) -> Vec<Vec<NodeId>> {
+        let all: Vec<NodeId> = (0..g.num_nodes() as NodeId).collect();
+        let strided = all.iter().rev().step_by(7).copied().collect();
+        let one_shard = all
+            .iter()
+            .copied()
+            .filter(|&u| plan.owner_of(u) == plan.devices() - 1)
+            .collect();
+        vec![all, strided, one_shard, Vec::new()]
+    }
+
     #[test]
-    fn streaming_shards_verify_aggregate_capacity() {
+    fn per_device_engines_each_get_exactly_the_work_nodes_they_own() {
         let (g, cgr) = fixture();
-        let plan = ShardPlan::build(&cgr, 8);
-        let parts = PartitionMap::build(&cgr, 1 << 10);
-        let scratch = gcgt_core::memory::traversal_buffers_bytes(cgr.num_nodes());
-        let cache_budget = parts.max_partition_bytes().max(1 << 10);
-        // Eight caches would overflow a device sized for about two.
-        let tight = DeviceConfig::titan_v_scaled(scratch + 2 * cache_budget);
-        let err = ShardEngine::out_of_core(ShardOocParams {
-            cgr: &cgr,
-            graph: &g,
-            plan: &plan,
-            parts: &parts,
-            interconnect: InterconnectConfig::nvlink(),
-            device_config: tight,
-            strategy: Strategy::Full,
-            pcie: PcieConfig::default(),
-            config: OocConfig::default(),
-            cache_budget,
-        });
-        assert!(err.is_err());
-        let roomy = DeviceConfig::titan_v_scaled(scratch + 8 * cache_budget);
-        let ok = ShardEngine::out_of_core(ShardOocParams {
-            cgr: &cgr,
-            graph: &g,
-            plan: &plan,
-            parts: &parts,
-            interconnect: InterconnectConfig::nvlink(),
-            device_config: roomy,
-            strategy: Strategy::Full,
-            pcie: PcieConfig::default(),
-            config: OocConfig::default(),
-            cache_budget,
-        });
-        assert!(ok.is_ok());
+        for devices in [2, 4, 8] {
+            let plan = ShardPlan::build(&cgr, devices);
+            let calls = Mutex::new(Calls::default());
+            let engine = recording(&g, &plan, &calls, devices);
+            let mut dev = engine.new_device();
+            for work in work_lists(&g, &plan) {
+                engine.prepare_frontier(&mut dev, &work);
+                let prepared = std::mem::take(&mut calls.lock().unwrap().prepared);
+                // Each engine is called at most once, in shard order, with
+                // nodes it owns, in work-list order…
+                assert!(prepared.windows(2).all(|w| w[0].0 < w[1].0));
+                for (id, nodes) in &prepared {
+                    let owned: Vec<NodeId> = work
+                        .iter()
+                        .copied()
+                        .filter(|&u| plan.owner_of(u) == *id)
+                        .collect();
+                    assert!(!nodes.is_empty(), "idle shard {id} was called");
+                    assert_eq!(nodes, &owned, "{devices} devices, shard {id}");
+                }
+                // …and together the calls cover the work list exactly once.
+                let handed: usize = prepared.iter().map(|(_, nodes)| nodes.len()).sum();
+                assert_eq!(handed, work.len(), "{devices} devices");
+            }
+        }
+    }
+
+    #[test]
+    fn a_shared_engine_gets_every_work_list_whole() {
+        let (g, cgr) = fixture();
+        let plan = ShardPlan::build(&cgr, 4);
+        let calls = Mutex::new(Calls::default());
+        let engine = recording(&g, &plan, &calls, 1);
+        let mut dev = engine.new_device();
+        let lists = work_lists(&g, &plan);
+        for work in &lists {
+            engine.prepare_frontier(&mut dev, work);
+        }
+        let want: Vec<(usize, Vec<NodeId>)> = lists.into_iter().map(|w| (0, w)).collect();
+        assert_eq!(calls.lock().unwrap().prepared, want);
+        // The exchange is still charged: sharing an engine shares decode
+        // state, not the placement.
+        assert!(dev.stats().exchange_ms > 0.0);
+    }
+
+    #[test]
+    fn release_residency_reaches_every_engine() {
+        let (g, cgr) = fixture();
+        let plan = ShardPlan::build(&cgr, 4);
+        for engines in [1, 4] {
+            let calls = Mutex::new(Calls::default());
+            let engine = recording(&g, &plan, &calls, engines);
+            engine.release_residency(&mut engine.new_device());
+            let want: Vec<usize> = (0..engines).collect();
+            assert_eq!(calls.lock().unwrap().released, want);
+        }
+    }
+
+    #[test]
+    fn an_engine_count_that_is_neither_one_nor_the_device_count_is_rejected() {
+        let (g, cgr) = fixture();
+        let plan = ShardPlan::build(&cgr, 4);
+        let calls = Mutex::new(Calls::default());
+        for engines in [0, 2, 3, 5] {
+            let built = std::panic::catch_unwind(|| {
+                let _ = recording(&g, &plan, &calls, engines);
+            });
+            assert!(built.is_err(), "{engines} engines for 4 devices");
+        }
     }
 }

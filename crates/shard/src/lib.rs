@@ -4,9 +4,10 @@
 //! scaling axis of the reproduction. A [`ShardPlan`] places contiguous,
 //! node-aligned slices of the graph onto N modeled GPUs (reusing the
 //! out-of-core partitioner for the compressed cut); a [`ShardEngine`]
-//! runs any inner engine — in-core GCGT, the CSR baselines, or streaming
-//! out-of-core under a per-device budget — as an owner-computes
-//! bulk-synchronous loop. Every step, each shard expands exactly the
+//! runs any inner engine as an owner-computes bulk-synchronous loop. It is
+//! a decorator over `dyn Expander` and names no engine type: in-core GCGT,
+//! the CSR baselines, streaming out-of-core under a per-device budget, or
+//! an engine of your own all shard through the one constructor. Every step, each shard expands exactly the
 //! frontier nodes it owns; discoveries of remotely-owned nodes become
 //! per-owner dense frontier-bitmap segments, delivered over a modeled
 //! [`gcgt_simt::InterconnectConfig`] (NVLink or PCIe peer links) by one
@@ -22,12 +23,48 @@
 //! schedule, `QueryOutput`s and kernel-side `RunStats` are **bitwise
 //! identical at any shard count**; the sharding overhead is charged into
 //! the separate `exchange_ms` / `boundary_nodes` / `sync_steps` counters.
+//!
+//! Sharding an engine this crate has never heard of — `Mine` only forwards
+//! to a stock engine here, but any [`gcgt_core::Expander`] will do:
+//!
+//! ```
+//! use gcgt_cgr::{CgrConfig, CgrGraph};
+//! use gcgt_core::{bfs, kernels::Sink, Expander, Frontier, GcgtEngine, Strategy};
+//! use gcgt_graph::{gen::toys, NodeId};
+//! use gcgt_shard::{ShardEngine, ShardPlan};
+//! use gcgt_simt::{DeviceConfig, InterconnectConfig, WarpSim};
+//!
+//! struct Mine<'g>(GcgtEngine<'g>);
+//! impl Expander for Mine<'_> {
+//!     fn num_nodes(&self) -> usize { self.0.num_nodes() }
+//!     fn num_edges(&self) -> usize { self.0.num_edges() }
+//!     fn out_degree(&self, u: NodeId) -> usize { self.0.out_degree(u) }
+//!     fn device_config(&self) -> &DeviceConfig { self.0.device_config() }
+//!     fn footprint(&self) -> usize { self.0.footprint() }
+//!     fn expand_chunk(&self, warp: &mut WarpSim, chunk: &[NodeId], sink: &mut dyn Sink) {
+//!         self.0.expand_chunk(warp, chunk, sink)
+//!     }
+//!     fn pull_chunk(&self, warp: &mut WarpSim, chunk: &[NodeId], frontier: &Frontier,
+//!                   out: &mut Vec<(NodeId, NodeId)>) -> u64 {
+//!         self.0.pull_chunk(warp, chunk, frontier, out)
+//!     }
+//! }
+//!
+//! let graph = toys::grid(8, 8);
+//! let cgr = CgrGraph::encode(&graph, &Strategy::Full.cgr_config(&CgrConfig::paper_default()));
+//! let mine = Mine(GcgtEngine::new(&cgr, DeviceConfig::default(), Strategy::Full).unwrap());
+//! let plan = ShardPlan::build(&cgr, 4);
+//! let sharded = ShardEngine::new(&graph, &plan, InterconnectConfig::nvlink(), vec![Box::new(mine)]);
+//! let run = bfs(&sharded, 0);
+//! assert_eq!(run.depth[63], 14); // the far corner of the grid
+//! assert!(run.stats.exchange_ms > 0.0);
+//! ```
 
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 pub mod engine;
 pub mod exchange;
 pub mod plan;
 
-pub use engine::{ShardEngine, ShardInner, ShardOocParams};
+pub use engine::ShardEngine;
 pub use exchange::{ActivityMatrix, ExchangeCost};
 pub use plan::{Shard, ShardPlan};

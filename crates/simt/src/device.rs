@@ -203,26 +203,9 @@ pub struct IterationCost {
 #[derive(Clone, Debug)]
 pub struct Device {
     config: DeviceConfig,
-    cycles: f64,
-    launches: u64,
-    tally: Tally,
-    mem: MemStats,
-    allocated: usize,
-    partition_faults: u64,
-    partition_uploads: u64,
-    partition_evictions: u64,
-    bytes_streamed: u64,
-    transfer_ms: f64,
-    push_steps: u64,
-    pull_steps: u64,
-    pushed_edges: u64,
-    pulled_edges: u64,
-    exchange_ms: f64,
-    boundary_nodes: u64,
-    sync_steps: u64,
-    faults_injected: u64,
-    retries: u64,
-    backoff_ms: f64,
+    /// Every counter, accumulated in place; `est_ms` alone is derived, at
+    /// snapshot time ([`Device::stats`]).
+    stats: RunStats,
     observer: Option<ObserverHandle>,
     track: u64,
     fault_plan: Option<FaultPlan>,
@@ -234,26 +217,10 @@ impl Device {
     pub fn new(config: DeviceConfig) -> Self {
         Self {
             config,
-            cycles: 0.0,
-            launches: 0,
-            tally: Tally::new(config.warp_width),
-            mem: MemStats::default(),
-            allocated: 0,
-            partition_faults: 0,
-            partition_uploads: 0,
-            partition_evictions: 0,
-            bytes_streamed: 0,
-            transfer_ms: 0.0,
-            push_steps: 0,
-            pull_steps: 0,
-            pushed_edges: 0,
-            pulled_edges: 0,
-            exchange_ms: 0.0,
-            boundary_nodes: 0,
-            sync_steps: 0,
-            faults_injected: 0,
-            retries: 0,
-            backoff_ms: 0.0,
+            stats: RunStats {
+                tally: Tally::new(config.warp_width),
+                ..RunStats::default()
+            },
             observer: None,
             track: 0,
             fault_plan: None,
@@ -337,7 +304,7 @@ impl Device {
         let mut failures: u32 = 0;
         while chaos.should_fail(domain) {
             failures += 1;
-            self.faults_injected += 1;
+            self.stats.faults_injected += 1;
             if failures > retry.max_attempts {
                 if let Some(obs) = &self.observer {
                     obs.fault(&FaultEvent {
@@ -356,13 +323,13 @@ impl Device {
                 });
             }
             let backoff = retry.backoff_ms(failures);
-            self.retries += 1;
-            self.backoff_ms += backoff;
+            self.stats.retries += 1;
+            self.stats.backoff_ms += backoff;
             let charge = backoff + wasted_ms;
             if domain == FaultDomain::Exchange {
-                self.exchange_ms += charge;
+                self.stats.exchange_ms += charge;
             } else {
-                self.transfer_ms += charge;
+                self.stats.transfer_ms += charge;
             }
             if let Some(obs) = &self.observer {
                 obs.fault(&FaultEvent {
@@ -389,7 +356,7 @@ impl Device {
             None => false,
         };
         if fail {
-            self.faults_injected += 1;
+            self.stats.faults_injected += 1;
             if let Some(obs) = &self.observer {
                 obs.fault(&FaultEvent {
                     track: self.track,
@@ -414,7 +381,7 @@ impl Device {
     /// charges. Every trace-event timestamp derives from this — never from
     /// host wall-clock — which is what makes traces bitwise reproducible.
     pub fn modeled_ms(&self) -> f64 {
-        self.elapsed_ms() + self.transfer_ms + self.exchange_ms
+        self.elapsed_ms() + self.stats.transfer_ms + self.stats.exchange_ms
     }
 
     /// Registers a resident allocation (graph, frontier buffers, platform
@@ -425,21 +392,21 @@ impl Device {
         // — before the genuine capacity check: an injected fault is never
         // confused with a real OOM.
         self.chaos_gate(FaultDomain::DeviceAlloc, 0.0);
-        let total = self.allocated.saturating_add(bytes);
+        let total = self.stats.allocated_bytes.saturating_add(bytes);
         if total > self.config.mem_capacity {
             return Err(OomError {
                 requested: total,
                 capacity: self.config.mem_capacity,
             });
         }
-        self.allocated = total;
+        self.stats.allocated_bytes = total;
         if let Some(obs) = &self.observer {
             obs.alloc(&AllocEvent {
                 track: self.track,
                 ts_ms: self.modeled_ms(),
                 kind: "alloc",
                 bytes: bytes as u64,
-                allocated: self.allocated as u64,
+                allocated: self.stats.allocated_bytes as u64,
             });
         }
         Ok(())
@@ -453,25 +420,25 @@ impl Device {
     /// builds.
     pub fn free(&mut self, bytes: usize) {
         debug_assert!(
-            bytes <= self.allocated,
+            bytes <= self.stats.allocated_bytes,
             "freeing {bytes} bytes with only {} allocated",
-            self.allocated
+            self.stats.allocated_bytes
         );
-        self.allocated = self.allocated.saturating_sub(bytes);
+        self.stats.allocated_bytes = self.stats.allocated_bytes.saturating_sub(bytes);
         if let Some(obs) = &self.observer {
             obs.alloc(&AllocEvent {
                 track: self.track,
                 ts_ms: self.modeled_ms(),
                 kind: "free",
                 bytes: bytes as u64,
-                allocated: self.allocated as u64,
+                allocated: self.stats.allocated_bytes as u64,
             });
         }
     }
 
     /// Currently allocated bytes.
     pub fn allocated(&self) -> usize {
-        self.allocated
+        self.stats.allocated_bytes
     }
 
     /// A fresh accounting view of the **same residency**: the allocation
@@ -483,7 +450,7 @@ impl Device {
     /// therefore never change a reported number.
     pub fn query_view(&self) -> Device {
         let mut view = Device::new(self.config);
-        view.allocated = self.allocated;
+        view.stats.allocated_bytes = self.stats.allocated_bytes;
         view.observer = self.observer.clone();
         view.track = self.track;
         // The injector re-derives from (plan, track) rather than carrying
@@ -500,31 +467,31 @@ impl Device {
     /// a single transfer that stalled the run for `transfer_ms`
     /// milliseconds (post-overlap).
     pub fn charge_partition_upload(&mut self, partitions: u64, bytes: u64, transfer_ms: f64) {
-        self.partition_faults += partitions;
-        self.partition_uploads += 1;
-        self.bytes_streamed += bytes;
-        self.transfer_ms += transfer_ms;
+        self.stats.partition_faults += partitions;
+        self.stats.partition_uploads += 1;
+        self.stats.bytes_streamed += bytes;
+        self.stats.transfer_ms += transfer_ms;
     }
 
     /// Records one out-of-core partition eviction.
     pub fn charge_partition_eviction(&mut self) {
-        self.partition_evictions += 1;
+        self.stats.partition_evictions += 1;
     }
 
     /// Records one push-mode (frontier out-edge) expansion level that
     /// expanded `edges` candidate pairs — direction-optimizing BFS
     /// observability ([`RunStats::push_steps`] / [`RunStats::pushed_edges`]).
     pub fn charge_push_step(&mut self, edges: u64) {
-        self.push_steps += 1;
-        self.pushed_edges += edges;
+        self.stats.push_steps += 1;
+        self.stats.pushed_edges += edges;
     }
 
     /// Records one pull-mode (unvisited in-edge scan) expansion level that
     /// examined `edges` compressed neighbours before early exit
     /// ([`RunStats::pull_steps`] / [`RunStats::pulled_edges`]).
     pub fn charge_pull_step(&mut self, edges: u64) {
-        self.pull_steps += 1;
-        self.pulled_edges += edges;
+        self.stats.pull_steps += 1;
+        self.stats.pulled_edges += edges;
     }
 
     /// Records one bulk-synchronous frontier exchange that moved boundary
@@ -534,14 +501,14 @@ impl Device {
     /// out-of-core transfer charge this is host-side accounting: it never
     /// touches the estimated kernel time.
     pub fn charge_exchange(&mut self, exchange_ms: f64, boundary_nodes: u64) {
-        self.exchange_ms += exchange_ms;
-        self.boundary_nodes += boundary_nodes;
+        self.stats.exchange_ms += exchange_ms;
+        self.stats.boundary_nodes += boundary_nodes;
     }
 
     /// Records one bulk-synchronous step barrier of a sharded run
     /// ([`RunStats::sync_steps`]).
     pub fn charge_sync_step(&mut self) {
-        self.sync_steps += 1;
+        self.stats.sync_steps += 1;
     }
 
     /// Folds one kernel launch into the running cost.
@@ -558,10 +525,10 @@ impl Device {
         // The busiest single warp floors the launch: a kernel cannot finish
         // before its critical-path warp does.
         let launch_cycles = compute.max(memory).max(atomics).max(cost.max_warp_cycles);
-        self.cycles += launch_cycles;
-        self.launches += 1;
-        self.tally.merge(&cost.tally);
-        self.mem.merge(&cost.mem);
+        self.stats.cycles += launch_cycles;
+        self.stats.launches += 1;
+        self.stats.tally.merge(&cost.tally);
+        self.stats.mem.merge(&cost.mem);
         if let (Some(obs), Some(start_ms)) = (&self.observer, start_ms) {
             // The roofline term that set `launch_cycles` (first on a tie).
             let terms = [
@@ -578,7 +545,7 @@ impl Device {
                 track: self.track,
                 start_ms,
                 end_ms: self.modeled_ms(),
-                launch: self.launches,
+                launch: self.stats.launches,
                 warps: cost.warps as u64,
                 cycles: launch_cycles,
                 compute_cycles: compute,
@@ -595,34 +562,15 @@ impl Device {
     /// Estimated elapsed milliseconds so far (cycles / clock + launch
     /// overheads).
     pub fn elapsed_ms(&self) -> f64 {
-        self.cycles / (self.config.clock_ghz * 1e6)
-            + self.launches as f64 * self.config.launch_overhead_us / 1e3
+        self.stats.cycles / (self.config.clock_ghz * 1e6)
+            + self.stats.launches as f64 * self.config.launch_overhead_us / 1e3
     }
 
     /// Snapshot of every counter.
     pub fn stats(&self) -> RunStats {
         RunStats {
             est_ms: self.elapsed_ms(),
-            cycles: self.cycles,
-            launches: self.launches,
-            tally: self.tally,
-            mem: self.mem,
-            allocated_bytes: self.allocated,
-            partition_faults: self.partition_faults,
-            partition_uploads: self.partition_uploads,
-            partition_evictions: self.partition_evictions,
-            bytes_streamed: self.bytes_streamed,
-            transfer_ms: self.transfer_ms,
-            push_steps: self.push_steps,
-            pull_steps: self.pull_steps,
-            pushed_edges: self.pushed_edges,
-            pulled_edges: self.pulled_edges,
-            exchange_ms: self.exchange_ms,
-            boundary_nodes: self.boundary_nodes,
-            sync_steps: self.sync_steps,
-            faults_injected: self.faults_injected,
-            retries: self.retries,
-            backoff_ms: self.backoff_ms,
+            ..self.stats
         }
     }
 }
@@ -633,7 +581,7 @@ impl Device {
 /// fields — the simulator is bit-deterministic, so two runs of the same
 /// query on the same starting state compare equal. The concurrency suite
 /// relies on this to prove scheduling never changes simulated work.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct RunStats {
     /// Estimated elapsed time, milliseconds.
     pub est_ms: f64,
@@ -703,38 +651,11 @@ pub struct RunStats {
 }
 
 impl RunStats {
-    /// Instruction slots per class, for reporting.
-    pub fn issues_by_class(&self) -> [u64; NUM_CLASSES] {
-        self.tally.issues
-    }
-
     /// All-zero statistics: what a query that never executed reports. The
     /// serving pool uses this for shed and failed submission slots so the
     /// per-query vector keeps its submission-order shape.
     pub fn zeroed() -> RunStats {
-        RunStats {
-            est_ms: 0.0,
-            cycles: 0.0,
-            launches: 0,
-            tally: Tally::default(),
-            mem: MemStats::default(),
-            allocated_bytes: 0,
-            partition_faults: 0,
-            partition_uploads: 0,
-            partition_evictions: 0,
-            bytes_streamed: 0,
-            transfer_ms: 0.0,
-            push_steps: 0,
-            pull_steps: 0,
-            pushed_edges: 0,
-            pulled_edges: 0,
-            exchange_ms: 0.0,
-            boundary_nodes: 0,
-            sync_steps: 0,
-            faults_injected: 0,
-            retries: 0,
-            backoff_ms: 0.0,
-        }
+        RunStats::default()
     }
 
     /// The statistics accumulated since `earlier` — a snapshot taken on the

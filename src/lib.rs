@@ -90,7 +90,7 @@ pub mod prelude {
     pub use gcgt_baselines::{GpuCsrEngine, GunrockEngine, LigraGraph, LigraPlusGraph};
     pub use gcgt_core::{DirectionMode, Expander, Frontier, GcgtEngine, Strategy, PULL_ALPHA};
     pub use gcgt_ooc::{OocConfig, OocEngine, PartitionMap};
-    pub use gcgt_shard::{ShardEngine, ShardInner, ShardPlan};
+    pub use gcgt_shard::{ShardEngine, ShardPlan};
 
     // --- substrate ---
     pub use gcgt_bits::Code;

@@ -42,14 +42,19 @@ fn execution_trace_is_identical_across_worker_counts() {
 /// and `RunStats` for every engine shape.
 #[test]
 fn observer_never_perturbs_results() {
+    /// An engine shape: `(kind, shards, memory budget)`.
+    type Shape = (EngineKind, Option<usize>, Option<usize>);
     let graph = web_graph(&WebParams::uk2002_like(400), 11);
     let device = DeviceConfig::titan_v_scaled(8 << 20);
-    let build = |observed: bool, kind: EngineKind, budget: Option<usize>| {
+    let build = |observed: bool, (kind, shards, budget): Shape| {
         let mut b = Session::builder()
             .graph(graph.clone())
             .reorder(Reordering::Llp(LlpConfig::default()))
             .device(device)
             .engine(kind);
+        if let Some(devices) = shards {
+            b = b.shards(devices);
+        }
         if let Some(bytes) = budget {
             b = b.memory_budget(bytes);
         }
@@ -68,19 +73,21 @@ fn observer_never_perturbs_results() {
         .build()
         .unwrap();
     let tight = incore.footprint() * 2 / 3;
-    let shapes: Vec<(EngineKind, Option<usize>)> = vec![
-        (EngineKind::Gcgt(Strategy::Full), None),
+    let shapes: Vec<Shape> = vec![
+        (EngineKind::Gcgt(Strategy::Full), None, None),
         (
             EngineKind::OutOfCore {
                 inner: Strategy::Full,
             },
+            None,
             Some(tight),
         ),
-        (EngineKind::Gcgt(Strategy::Full).sharded(4), None),
+        (EngineKind::Gcgt(Strategy::Full), Some(4), None),
     ];
-    for (kind, budget) in shapes {
-        let plain = build(false, kind, budget);
-        let observed = build(true, kind, budget);
+    for shape in shapes {
+        let kind = shape.0;
+        let plain = build(false, shape);
+        let observed = build(true, shape);
         let a = plain.run(Bfs::from(0));
         let b = observed.run(Bfs::from(0));
         assert_eq!(a.output.depth, b.output.depth, "{}", kind.name());

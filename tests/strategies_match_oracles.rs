@@ -9,7 +9,6 @@ use gcgt::core::{
     bc, bc_in, bfs, bfs_in, cc, cc_in, label_propagation_in, pagerank, pagerank_in, BcRun,
 };
 use gcgt::prelude::*;
-use gcgt::shard::ShardOocParams;
 
 fn families() -> Vec<(&'static str, Csr)> {
     vec![
@@ -69,70 +68,143 @@ impl Fixture {
         }
     }
 
-    /// The engine table: every `Expander` the workspace ships, one row each.
-    /// A new engine is one more row here, and every test below covers it.
+    /// The base engines: every single-device `Expander` the workspace
+    /// ships, one maker each. A new engine is one more entry here, and
+    /// every test below covers it — bare and sharded.
+    fn base_engines(&self, dc: DeviceConfig, direction: DirectionMode) -> Vec<Base<'_>> {
+        let full = &self.cgrs[Strategy::LADDER.len() - 1];
+        // Room for two partitions: the streaming rows evict on every graph
+        // with more than two.
+        let cache_budget = 2 * self.parts.max_partition_bytes();
+        let mut bases: Vec<Base<'_>> = Vec::new();
+        for (strategy, cgr) in Strategy::LADDER.into_iter().zip(&self.cgrs) {
+            bases.push(Base {
+                row: strategy.name(),
+                shard_row: (strategy == Strategy::Full).then_some("shard4-gcgt"),
+                private_residency: false,
+                make: Box::new(move || {
+                    let engine = GcgtEngine::new(cgr, dc, strategy).unwrap();
+                    Box::new(engine.with_direction(direction))
+                }),
+            });
+        }
+        bases.push(Base {
+            row: "gpucsr",
+            shard_row: Some("shard4-gpucsr"),
+            private_residency: false,
+            make: Box::new(move || {
+                let engine = GpuCsrEngine::new(&self.graph, dc).unwrap();
+                Box::new(engine.with_direction(direction))
+            }),
+        });
+        bases.push(Base {
+            row: "gunrock",
+            shard_row: Some("shard4-gunrock"),
+            private_residency: false,
+            make: Box::new(move || {
+                let engine = GunrockEngine::new(&self.graph, dc).unwrap();
+                Box::new(engine.with_direction(direction))
+            }),
+        });
+        bases.push(Base {
+            row: "ooc",
+            shard_row: Some("shard4-ooc"),
+            private_residency: true,
+            make: Box::new(move || {
+                let engine = OocEngine::new(
+                    full,
+                    &self.parts,
+                    dc,
+                    Strategy::Full,
+                    PcieConfig::default(),
+                    OocConfig::default(),
+                    cache_budget,
+                )
+                .unwrap();
+                Box::new(engine.with_direction(direction))
+            }),
+        });
+        bases
+    }
+
+    /// `base` sharded over `plan`: one engine per device when it keeps a
+    /// residency of its own, one shared engine otherwise.
+    fn sharded<'a>(&'a self, base: &Base<'a>, plan: &'a ShardPlan) -> Box<dyn Expander + 'a> {
+        let engines = if base.private_residency {
+            plan.devices()
+        } else {
+            1
+        };
+        Box::new(ShardEngine::new(
+            &self.graph,
+            plan,
+            InterconnectConfig::nvlink(),
+            (0..engines).map(|_| (base.make)()).collect(),
+        ))
+    }
+
+    /// The engine table: every base engine, then the sharded rows — which
+    /// are base rows wrapped, sharding being a decorator.
     fn engines(
         &self,
         dc: DeviceConfig,
         direction: DirectionMode,
     ) -> Vec<(&'static str, Box<dyn Expander + '_>)> {
-        let full = &self.cgrs[Strategy::LADDER.len() - 1];
-        // Room for two partitions: the streaming rows evict on every graph
-        // with more than two.
-        let cache_budget = 2 * self.parts.max_partition_bytes();
-        let mut rows: Vec<(&'static str, Box<dyn Expander + '_>)> = Vec::new();
-        for (strategy, cgr) in Strategy::LADDER.into_iter().zip(&self.cgrs) {
-            let engine = GcgtEngine::new(cgr, dc, strategy).unwrap();
-            rows.push((strategy.name(), Box::new(engine.with_direction(direction))));
+        let bases = self.base_engines(dc, direction);
+        let mut rows: Vec<_> = bases.iter().map(|b| (b.row, (b.make)())).collect();
+        for base in &bases {
+            if let Some(row) = base.shard_row {
+                rows.push((row, self.sharded(base, &self.plan)));
+            }
         }
-        let gpucsr = GpuCsrEngine::new(&self.graph, dc).unwrap();
-        rows.push(("gpucsr", Box::new(gpucsr.with_direction(direction))));
-        let gunrock = GunrockEngine::new(&self.graph, dc).unwrap();
-        rows.push(("gunrock", Box::new(gunrock.with_direction(direction))));
-        let ooc = OocEngine::new(
-            full,
-            &self.parts,
-            dc,
-            Strategy::Full,
-            PcieConfig::default(),
-            OocConfig::default(),
-            cache_budget,
-        )
-        .unwrap();
-        rows.push(("ooc", Box::new(ooc.with_direction(direction))));
-        let sharded = ShardEngine::gcgt(
-            full,
-            &self.graph,
-            &self.plan,
-            InterconnectConfig::nvlink(),
-            dc,
-            Strategy::Full,
-        )
-        .unwrap();
-        rows.push(("shard4-gcgt", Box::new(sharded.with_direction(direction))));
-        let sharded_ooc = ShardEngine::out_of_core(ShardOocParams {
-            cgr: full,
-            graph: &self.graph,
-            plan: &self.plan,
-            parts: &self.parts,
-            interconnect: InterconnectConfig::nvlink(),
-            device_config: dc,
-            strategy: Strategy::Full,
-            pcie: PcieConfig::default(),
-            config: OocConfig::default(),
-            cache_budget,
-        })
-        .unwrap();
-        rows.push((
-            "shard4-ooc",
-            Box::new(sharded_ooc.with_direction(direction)),
-        ));
         rows
     }
 }
 
+/// One base row of the engine table: how to build the engine (as often as a
+/// sharded row needs), and how its sharded row is set up.
+struct Base<'a> {
+    row: &'static str,
+    /// Name of the row that shards this engine over four devices; `None`
+    /// keeps the table small where a sibling row covers the same kernels.
+    shard_row: Option<&'static str>,
+    /// Whether the engine keeps device residency of its own (a partition
+    /// cache), so that shards must not share one instance.
+    private_residency: bool,
+    make: Box<dyn Fn() -> Box<dyn Expander + 'a> + 'a>,
+}
+
 fn is_gpu_baseline(row: &str) -> bool {
     matches!(row, "gpucsr" | "gunrock")
+}
+
+/// Sharding over one device adds nothing: the decorator is the bare inner
+/// engine, outputs and every `RunStats` counter alike, for every base row.
+#[test]
+fn one_device_decorator_is_the_bare_engine() {
+    for (name, graph) in families() {
+        if !matches!(name, "figure1" | "web" | "skewed") {
+            continue;
+        }
+        let fx = Fixture::new(graph.symmetrized());
+        let plan = ShardPlan::build(&fx.cgrs[Strategy::LADDER.len() - 1], 1);
+        for direction in [DirectionMode::Push, DirectionMode::Adaptive] {
+            for base in fx.base_engines(device(), direction) {
+                let ctx = format!("{name} / {} / {direction:?}", base.row);
+                // A streaming engine's cache lives and dies with one device,
+                // so every run gets engines of its own.
+                let pair = || ((base.make)(), fx.sharded(&base, &plan));
+                let (bare, wrapped) = pair();
+                let (a, b) = (bfs(&*bare, 0), bfs(&*wrapped, 0));
+                assert_eq!(a.depth, b.depth, "{ctx}");
+                assert_eq!(a.stats, b.stats, "{ctx}");
+                let (bare, wrapped) = pair();
+                let (a, b) = (cc(&*bare), cc(&*wrapped));
+                assert_eq!(a.component, b.component, "{ctx}");
+                assert_eq!(a.stats, b.stats, "{ctx}");
+            }
+        }
+    }
 }
 
 fn assert_bc_matches(got: &BcRun, want: &refalgo::BcResult, ctx: &str) {
