@@ -83,6 +83,21 @@ impl Expander for GpuCsrEngine<'_> {
         expand_csr_chunk(self.graph, warp, chunk, sink);
     }
 
+    fn shares(&self, u: NodeId) -> usize {
+        csr_shares(self.graph, u, self.device_config.warp_width)
+    }
+
+    fn expand_share(
+        &self,
+        warp: &mut WarpSim,
+        u: NodeId,
+        share: usize,
+        of: usize,
+        sink: &mut dyn Sink,
+    ) {
+        expand_csr_share(self.graph, warp, u, share, of, sink);
+    }
+
     fn pull_chunk(
         &self,
         warp: &mut WarpSim,
@@ -171,7 +186,45 @@ pub(crate) fn expand_csr_chunk(
     chunk: &[NodeId],
     sink: &mut dyn Sink,
 ) {
-    let k = chunk.len();
+    let lanes = chunk
+        .iter()
+        .map(|&u| (u, graph.row_offsets()[u as usize], graph.degree(u)))
+        .collect();
+    gather(warp, graph, lanes, sink);
+}
+
+/// How many shares the CSR baselines cut node `u` into: one per
+/// `width`-wide cooperative gather its column range fills (at least one).
+pub(crate) fn csr_shares(graph: &Csr, u: NodeId, width: usize) -> usize {
+    graph.degree(u).div_ceil(width).max(1)
+}
+
+/// Share `share` of `of` of node `u` over CSR: the contiguous column range
+/// `⌊deg·share/of⌋ .. ⌊deg·(share+1)/of⌋`, gathered by the same Merrill
+/// stages as a whole chunk. Shared with the Gunrock-style baseline.
+pub(crate) fn expand_csr_share(
+    graph: &Csr,
+    warp: &mut WarpSim,
+    u: NodeId,
+    share: usize,
+    of: usize,
+    sink: &mut dyn Sink,
+) {
+    let (start, degree) = (graph.row_offsets()[u as usize], graph.degree(u));
+    let (lo, hi) = (degree * share / of, degree * (share + 1) / of);
+    gather(warp, graph, vec![(u, start + lo, hi - lo)], sink);
+}
+
+/// The Merrill gather over per-lane column ranges `(source, col-array
+/// index, count)`: frontier read and row-offset gather, then warp-
+/// cooperative gathering of long ranges and scan-based packing of the rest.
+fn gather(
+    warp: &mut WarpSim,
+    graph: &Csr,
+    mut lanes: Vec<(NodeId, usize, usize)>,
+    sink: &mut dyn Sink,
+) {
+    let k = lanes.len();
     let width = warp.width();
     // Frontier read (coalesced) + row-offset gather (two offsets per lane,
     // scattered by node id).
@@ -181,20 +234,11 @@ pub(crate) fn expand_csr_chunk(
         (0..k as u64).map(|i| Space::Frontier.addr(4 * i)),
     );
     warp.access(
-        chunk
+        lanes
             .iter()
-            .flat_map(|&u| [u64::from(u), u64::from(u) + 1])
+            .flat_map(|&(u, _, _)| [u64::from(u), u64::from(u) + 1])
             .map(|o| Space::Offsets.addr(4 * o)),
     );
-
-    // Per-lane gather state: (source, col-array index, remaining).
-    let mut lanes: Vec<(NodeId, usize, usize)> = chunk
-        .iter()
-        .map(|&u| {
-            let start = graph.row_offsets()[u as usize];
-            (u, start, graph.degree(u))
-        })
-        .collect();
 
     // Stage 1: warp-cooperative gathering of long adjacency ranges.
     loop {
@@ -298,6 +342,30 @@ mod tests {
         assert_eq!(t.issues[OpClass::ItvDecode as usize], 0);
         assert_eq!(t.issues[OpClass::ResDecode as usize], 0);
         assert_eq!(t.issues[OpClass::ParDecode as usize], 0);
+    }
+
+    #[test]
+    fn a_hubs_shares_partition_its_edge_range() {
+        let edges: Vec<(NodeId, NodeId)> = (0..203u32).map(|i| (0, 5 + 3 * i)).collect();
+        let g = Csr::from_edges(1000, &edges);
+        let e = engine(&g);
+        let shares = e.shares(0);
+        assert_eq!(shares, 203usize.div_ceil(32));
+        assert_eq!(e.shares(1), 1, "an empty node is one (empty) share");
+        for of in [2, 3, shares] {
+            for share in 0..of {
+                let mut warp = WarpSim::new(32, 64);
+                let mut sink = gcgt_core::kernels::CollectSink::default();
+                e.expand_share(&mut warp, 0, share, of, &mut sink);
+                // Exactly the contiguous column range of this share, in
+                // order, never empty.
+                let (lo, hi) = (203 * share / of, 203 * (share + 1) / of);
+                assert!(lo < hi);
+                let want: Vec<(NodeId, NodeId)> =
+                    g.neighbors(0)[lo..hi].iter().map(|&v| (0, v)).collect();
+                assert_eq!(sink.pairs, want, "share {share} of {of}");
+            }
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!   the 3× footprint of [`gcgt_core::memory::gunrock_footprint`], which
 //!   makes it the first engine to OOM as datasets grow (Figures 8, 15).
 
-use crate::gpucsr::{expand_csr_chunk, pull_csr_chunk};
+use crate::gpucsr::{csr_shares, expand_csr_chunk, expand_csr_share, pull_csr_chunk};
 use gcgt_core::kernels::Sink;
 use gcgt_core::{memory, DirectionMode, Expander, Frontier};
 use gcgt_graph::{Csr, NodeId};
@@ -101,6 +101,22 @@ impl Expander for GunrockEngine<'_> {
     fn expand_chunk(&self, warp: &mut WarpSim, chunk: &[NodeId], sink: &mut dyn Sink) {
         let mut wrapped = FilterOverhead { inner: sink };
         expand_csr_chunk(self.graph, warp, chunk, &mut wrapped);
+    }
+
+    fn shares(&self, u: NodeId) -> usize {
+        csr_shares(self.graph, u, self.device_config.warp_width)
+    }
+
+    fn expand_share(
+        &self,
+        warp: &mut WarpSim,
+        u: NodeId,
+        share: usize,
+        of: usize,
+        sink: &mut dyn Sink,
+    ) {
+        let mut wrapped = FilterOverhead { inner: sink };
+        expand_csr_share(self.graph, warp, u, share, of, &mut wrapped);
     }
 
     fn pull_chunk(

@@ -477,6 +477,20 @@ impl<'a> NodeCursor<'a> {
         Ok(total)
     }
 
+    /// Header-only `segNum` (0 on the unsegmented layout): the header and
+    /// intervals are read, the reference chain is not chased.
+    fn seg_num(cgr: &'a CgrGraph, u: NodeId) -> Result<u64, String> {
+        let mut c = Self::at(cgr, u);
+        c.read_header()?;
+        if c.deg_num.is_some() {
+            return Ok(0);
+        }
+        while c.itv_left > 0 {
+            c.next_interval()?;
+        }
+        c.read_seg_num()
+    }
+
     /// The node `u` references, read off its header without chasing
     /// anything; `None` without a reference or on a malformed header.
     pub(crate) fn ref_target(cgr: &'a CgrGraph, u: NodeId) -> Option<NodeId> {
@@ -532,6 +546,12 @@ pub fn decode_node_unsorted(cgr: &CgrGraph, u: NodeId) -> Vec<NodeId> {
 /// without chasing its reference chain).
 pub fn decode_degree(cgr: &CgrGraph, u: NodeId) -> usize {
     NodeCursor::degree(cgr, u).expect(INVALID) as usize
+}
+
+/// Decodes the number of residual segments of node `u` (0 on the
+/// unsegmented layout) without materializing neighbours.
+pub fn decode_seg_num(cgr: &CgrGraph, u: NodeId) -> usize {
+    NodeCursor::seg_num(cgr, u).expect(INVALID) as usize
 }
 
 /// Decodes the whole graph back into CSR form (round-trip oracle).

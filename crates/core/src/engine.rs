@@ -12,7 +12,7 @@ use gcgt_graph::NodeId;
 use gcgt_simt::{parallel_warps, Device, DeviceConfig, IterationCost, OomError, WarpSim};
 
 use crate::frontier::Frontier;
-use crate::kernels::{expand_warp, Sink};
+use crate::kernels::{self, expand_warp, Sink};
 use crate::memory;
 use crate::strategy::{DirectionMode, Strategy};
 
@@ -88,6 +88,34 @@ pub trait Expander: Send + Sync {
     /// Expands one warp's chunk of frontier nodes, feeding `sink`.
     fn expand_chunk(&self, warp: &mut WarpSim, chunk: &[NodeId], sink: &mut dyn Sink);
 
+    /// How many independent, non-empty shares node `u`'s expansion can be
+    /// cut into, each decodable on a warp of its own — the launch schedule
+    /// splits a hub into at most this many ([`schedule`]). Only called once
+    /// `u`'s residency is prepared. The default, 1, never splits.
+    fn shares(&self, u: NodeId) -> usize {
+        let _ = u;
+        1
+    }
+
+    /// Expands share `share` of `of` (`of ≤ self.shares(u)`) of node `u`
+    /// on its own warp. Across `share = 0..of` the shares emit `u`'s
+    /// adjacency exactly once. The default handles the one share of an
+    /// engine that cannot split: the whole node.
+    ///
+    /// # Panics
+    /// The default panics when `of > 1`.
+    fn expand_share(
+        &self,
+        warp: &mut WarpSim,
+        u: NodeId,
+        share: usize,
+        of: usize,
+        sink: &mut dyn Sink,
+    ) {
+        assert_eq!((share, of), (0, 1), "node {u} cannot be split");
+        self.expand_chunk(warp, &[u], sink);
+    }
+
     /// Pull-mode expansion of one warp's chunk of **unvisited candidates**:
     /// for each candidate, scan its adjacency for the first neighbour in
     /// `frontier` (early exit) and push `(parent, candidate)` onto `out`.
@@ -126,17 +154,92 @@ pub trait Expander: Send + Sync {
     }
 }
 
-/// One kernel launch over `work`: residency hook, chunking into warps,
-/// host-parallel `per_warp` runs (results in warp order, hence
-/// deterministic), launch accounting on `device`, and — only with an
-/// observer installed — the level event, whose edge count `edges` derives
-/// from the per-warp results.
+/// One warp of a launch: a run of whole work nodes (`of == 1`), or share
+/// `share` of `of` of the single hub in `nodes`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct WarpWork<'w> {
+    /// The work nodes this warp expands (exactly one when split).
+    pub nodes: &'w [NodeId],
+    /// Which share of the node (0 for a run of whole nodes).
+    pub share: usize,
+    /// How many shares the node was cut into (1: not split).
+    pub of: usize,
+}
+
+impl WarpWork<'_> {
+    /// Whether this warp expands one share of a split hub.
+    pub fn is_share(&self) -> bool {
+        self.of > 1
+    }
+}
+
+/// The launch schedule: how `work` is cut into warps — a pure function of
+/// the work list, the engine's [`Expander::out_degree`] and
+/// [`Expander::shares`], and its [`DeviceConfig`]. Every work node is
+/// covered exactly once, in work-list order, and no warp is empty.
+///
+/// * A frontier of at least `num_sms × warp_width` nodes fills the device
+///   by itself: `warp_width` nodes per warp, in order.
+/// * A smaller one is spread: `⌈len / num_sms⌉` nodes per warp (at least
+///   one), so that it reaches as many SMs as it has nodes.
+/// * With `split`, a node whose degree exceeds
+///   `target = max(⌈Σ degree / num_sms⌉, warp_width)` is cut in place into
+///   `min(⌈degree / target⌉, shares(u))` shares, one warp each — the
+///   paper's "a node can be decoded by up to `segNum` threads at once",
+///   across warps. Degrees are read only here, for small push frontiers,
+///   after the launcher has prepared residency.
+pub fn schedule<'w>(expander: &dyn Expander, work: &'w [NodeId], split: bool) -> Vec<WarpWork<'w>> {
+    let config = expander.device_config();
+    let (width, sms) = (config.warp_width, config.num_sms);
+    let whole = |nodes| WarpWork {
+        nodes,
+        share: 0,
+        of: 1,
+    };
+    if work.len() >= sms * width {
+        return work.chunks(width).map(whole).collect();
+    }
+    let per_warp = work.len().div_ceil(sms).clamp(1, width);
+    if !split {
+        return work.chunks(per_warp).map(whole).collect();
+    }
+    let degrees: Vec<usize> = work.iter().map(|&u| expander.out_degree(u)).collect();
+    let target = degrees.iter().sum::<usize>().div_ceil(sms).max(width);
+    let mut warps = Vec::new();
+    // Start of the run of whole nodes not yet cut into warps.
+    let mut run = 0;
+    for (i, (&u, &degree)) in work.iter().zip(&degrees).enumerate() {
+        if degree <= target {
+            continue;
+        }
+        let of = degree.div_ceil(target).min(expander.shares(u));
+        if of > 1 {
+            warps.extend(work[run..i].chunks(per_warp).map(whole));
+            let hub = &work[i..=i];
+            warps.extend((0..of).map(|share| WarpWork {
+                nodes: hub,
+                share,
+                of,
+            }));
+            run = i + 1;
+        }
+    }
+    warps.extend(work[run..].chunks(per_warp).map(whole));
+    warps
+}
+
+/// One kernel launch over `work`: residency hook, the [`schedule`] (hubs
+/// split only with `split`), host-parallel `per_warp` runs (results in warp
+/// order, hence deterministic), launch accounting on `device`, and — only
+/// with an observer installed — the level event, whose edge count `edges`
+/// derives from the per-warp results.
 fn launch<T: Send>(
     expander: &dyn Expander,
     device: &mut Device,
     work: &[NodeId],
     direction: &'static str,
-    per_warp: impl Fn(&mut WarpSim, &[NodeId]) -> T + Sync,
+    split: bool,
+    per_warp: impl Fn(&mut WarpSim, WarpWork) -> T + Sync,
     edges: impl FnOnce(&[T]) -> u64,
 ) -> Vec<T> {
     // Observer bookkeeping costs nothing when disabled: the span start and
@@ -144,7 +247,9 @@ fn launch<T: Send>(
     // never feed back into any accounted number.
     let obs_start = device.observer().is_some().then(|| device.modeled_ms());
     // Residency first: out-of-core engines fault the work list's partitions
-    // onto the device before any warp decodes (serial, hence deterministic).
+    // onto the device before any warp decodes (serial, hence deterministic)
+    // — and before the schedule reads a degree, so a payload that fails
+    // deferred validation surfaces as the typed failure it raises.
     expander.prepare_frontier(device, work);
     let device_config = expander.device_config();
     let width = device_config.warp_width;
@@ -154,15 +259,15 @@ fn launch<T: Send>(
     // serial bit-scan — same schedule, cheaper slots. No-op for kernels
     // that never decode (the CSR baselines).
     let table_decode = device_config.table_decode;
-    let chunks: Vec<&[NodeId]> = work.chunks(width).collect();
-    let results = parallel_warps(chunks.len(), |w| {
+    let warps = schedule(expander, work, split);
+    let results = parallel_warps(warps.len(), |w| {
         let mut warp = WarpSim::new(width, cache_lines).with_table_decode(table_decode);
-        let out = per_warp(&mut warp, chunks[w]);
+        let out = per_warp(&mut warp, warps[w]);
         (warp.into_counters(), out)
     });
 
     let mut cost = IterationCost {
-        warps: chunks.len(),
+        warps: warps.len(),
         ..Default::default()
     };
     let mut outs = Vec::with_capacity(results.len());
@@ -181,6 +286,11 @@ fn launch<T: Send>(
             end_ms: device.modeled_ms(),
             direction,
             work_items: work.len() as u64,
+            warps: warps.len() as u64,
+            split_nodes: warps
+                .iter()
+                .filter(|w| w.is_share() && w.share == 0)
+                .count() as u64,
             edges: edges(&outs),
             classes: device_config.class_breakdown(&cost.tally),
         });
@@ -188,8 +298,9 @@ fn launch<T: Send>(
     outs
 }
 
-/// Launches one expansion kernel over `frontier`: chunks it into warps, runs
-/// them host-parallel (deterministically merged in warp order), accounts the
+/// Launches one expansion kernel over `frontier`: cuts it into warps by the
+/// [`schedule`] (hubs of small frontiers split across warps), runs them
+/// host-parallel (deterministically merged in warp order), accounts the
 /// launch on `device`, and returns the per-warp sinks for the contraction
 /// merge.
 pub fn launch_expansion<S, F>(
@@ -207,9 +318,15 @@ where
         device,
         frontier,
         "push",
-        |warp, chunk| {
+        true,
+        |warp, work| {
             let mut sink = make_sink();
-            expander.expand_chunk(warp, chunk, &mut sink);
+            if work.is_share() {
+                let u = work.nodes[0];
+                expander.expand_share(warp, u, work.share, work.of, &mut sink);
+            } else {
+                expander.expand_chunk(warp, work.nodes, &mut sink);
+            }
             sink
         },
         |_| {
@@ -221,11 +338,12 @@ where
     )
 }
 
-/// Launches one pull-mode kernel over the unvisited `candidates`: chunks
-/// them into warps, scans each candidate's compressed adjacency for a
-/// frontier parent (early exit), merges discoveries in warp order and
-/// accounts the launch on `device`. Returns the `(parent, candidate)`
-/// discoveries plus the total neighbours examined.
+/// Launches one pull-mode kernel over the unvisited `candidates`: cuts them
+/// into warps by the [`schedule`] (spread, never split — a scan exits
+/// early, so its work is not its degree), scans each candidate's compressed
+/// adjacency for a frontier parent (early exit), merges discoveries in warp
+/// order and accounts the launch on `device`. Returns the
+/// `(parent, candidate)` discoveries plus the total neighbours examined.
 ///
 /// Out-of-core composition falls out of the shared
 /// [`Expander::prepare_frontier`] hook: a pull level faults the partitions
@@ -246,9 +364,10 @@ pub fn launch_pull(
         device,
         candidates,
         "pull",
-        |warp, chunk| {
+        false,
+        |warp, work| {
             let mut out = Vec::new();
-            let seen = expander.pull_chunk(warp, chunk, frontier, &mut out);
+            let seen = expander.pull_chunk(warp, work.nodes, frontier, &mut out);
             (out, seen)
         },
         examined,
@@ -341,6 +460,21 @@ impl Expander for GcgtEngine<'_> {
         expand_warp(self.strategy, warp, self.cgr, chunk, sink);
     }
 
+    fn shares(&self, u: NodeId) -> usize {
+        kernels::shares(self.strategy, self.cgr, u)
+    }
+
+    fn expand_share(
+        &self,
+        warp: &mut WarpSim,
+        u: NodeId,
+        share: usize,
+        of: usize,
+        sink: &mut dyn Sink,
+    ) {
+        kernels::expand_share(self.strategy, warp, self.cgr, u, share, of, sink);
+    }
+
     fn pull_chunk(
         &self,
         warp: &mut WarpSim,
@@ -358,6 +492,7 @@ mod tests {
     use crate::kernels::CollectSink;
     use gcgt_cgr::CgrConfig;
     use gcgt_graph::gen::toys;
+    use gcgt_graph::Csr;
 
     fn tiny_cfg() -> DeviceConfig {
         DeviceConfig::test_tiny()
@@ -383,21 +518,134 @@ mod tests {
         assert!(GcgtEngine::new(&cgr, dc, Strategy::TwoPhase).is_err());
     }
 
+    /// Node 0 is a hub of 2,000 scattered residuals (many segments); nodes
+    /// 1..40 have two neighbours each.
+    fn hub_graph() -> Csr {
+        let mut edges = Vec::new();
+        let mut v = 3u32;
+        for i in 0..2000u32 {
+            edges.push((0, v));
+            v += 2 + (i % 7);
+        }
+        for u in 1..40u32 {
+            edges.extend([(u, (u * 37) % 40), (u, 100 + u)]);
+        }
+        Csr::from_edges(v as usize + 1, &edges)
+    }
+
+    fn whole(nodes: &[NodeId]) -> WarpWork<'_> {
+        WarpWork {
+            nodes,
+            share: 0,
+            of: 1,
+        }
+    }
+
     #[test]
-    fn launch_merges_sinks_in_warp_order() {
-        let g = toys::figure1();
+    fn large_frontiers_chunk_exactly_as_before() {
+        // 4 SMs × 8 lanes: from 32 work items on, the device is full by
+        // node count alone — warp_width nodes per warp, hub or no hub.
+        let g = hub_graph();
+        let cgr = CgrGraph::encode(&g, &Strategy::Full.cgr_config(&CgrConfig::paper_default()));
+        let engine = GcgtEngine::new(&cgr, tiny_cfg(), Strategy::Full).unwrap();
+        for len in [32, 33, 39, 40] {
+            let work: Vec<NodeId> = (0..len).collect();
+            let want: Vec<WarpWork> = work.chunks(8).map(whole).collect();
+            assert_eq!(schedule(&engine, &work, true), want, "{len} items");
+            assert_eq!(schedule(&engine, &work, false), want, "{len} items");
+        }
+    }
+
+    #[test]
+    fn small_frontiers_spread_over_the_sms() {
+        let g = hub_graph();
+        let cgr = CgrGraph::encode(&g, &Strategy::Full.cgr_config(&CgrConfig::paper_default()));
+        let engine = GcgtEngine::new(&cgr, tiny_cfg(), Strategy::Full).unwrap();
+        assert!(schedule(&engine, &[], true).is_empty());
+        // ⌈len / 4 SMs⌉ nodes per warp, in order.
+        for (len, per_warp) in [(1, 1), (3, 1), (4, 1), (5, 2), (16, 4), (31, 8)] {
+            let work: Vec<NodeId> = (1..=len).collect();
+            let want: Vec<WarpWork> = work.chunks(per_warp).map(whole).collect();
+            assert_eq!(schedule(&engine, &work, true), want, "{len} items");
+        }
+    }
+
+    #[test]
+    fn a_hub_is_cut_in_place_and_only_when_pushing() {
+        let g = hub_graph();
+        let cgr = CgrGraph::encode(&g, &Strategy::Full.cgr_config(&CgrConfig::paper_default()));
+        let engine = GcgtEngine::new(&cgr, tiny_cfg(), Strategy::Full).unwrap();
+        let work = [5, 0, 6, 7, 8];
+        // 2 nodes per warp; target = max(⌈2,008 / 4⌉, 8) = 502.
+        let total: usize = work.iter().map(|&u| engine.out_degree(u)).sum();
+        assert_eq!(total, 2008);
+        let of = 2000usize.div_ceil(502).min(engine.shares(0));
+        assert_eq!(of, 4, "{} segments", engine.shares(0));
+        let hub = &work[1..2];
+        let mut want = vec![whole(&work[..1])];
+        want.extend((0..of).map(|share| WarpWork {
+            nodes: hub,
+            share,
+            of,
+        }));
+        want.extend([whole(&work[2..4]), whole(&work[4..])]);
+        assert_eq!(schedule(&engine, &work, true), want);
+        // Pull launches spread but never split.
+        let spread: Vec<WarpWork> = work.chunks(2).map(whole).collect();
+        assert_eq!(schedule(&engine, &work, false), spread);
+    }
+
+    #[test]
+    fn unsplittable_engines_keep_their_hubs_whole() {
+        let g = hub_graph();
         let cfg = Strategy::TwoPhase.cgr_config(&CgrConfig::paper_default());
         let cgr = CgrGraph::encode(&g, &cfg);
         let engine = GcgtEngine::new(&cgr, tiny_cfg(), Strategy::TwoPhase).unwrap();
+        assert_eq!(engine.shares(0), 1);
+        let work = [5, 0, 6];
+        let want: Vec<WarpWork> = work.chunks(1).map(whole).collect();
+        assert_eq!(schedule(&engine, &work, true), want);
+    }
+
+    #[test]
+    fn launch_merges_warps_in_schedule_order() {
+        let g = hub_graph();
+        let cgr = CgrGraph::encode(&g, &Strategy::Full.cgr_config(&CgrConfig::paper_default()));
+        let engine = GcgtEngine::new(&cgr, tiny_cfg(), Strategy::Full).unwrap();
+        let metrics = std::sync::Arc::new(gcgt_simt::obs::MetricsRegistry::new());
+        let work = [5, 0, 6, 7, 8];
         let mut device = engine.new_device();
-        let frontier: Vec<NodeId> = (0..8).collect();
-        let sinks = launch_expansion(&engine, &mut device, &frontier, CollectSink::default);
-        assert_eq!(sinks.len(), 1); // 8 nodes, warp width 8
-        let pairs: Vec<_> = sinks.into_iter().flat_map(|s| s.pairs).collect();
-        assert_eq!(pairs.len(), g.num_edges());
-        let stats = device.stats();
-        assert_eq!(stats.launches, 1);
-        assert!(stats.est_ms > 0.0);
+        device.set_observer(gcgt_simt::obs::ObserverHandle::from_arc(metrics.clone()));
+        let sinks = launch_expansion(&engine, &mut device, &work, CollectSink::default);
+        let warps = schedule(&engine, &work, true);
+        assert_eq!(sinks.len(), warps.len());
+        assert_eq!(device.stats().launches, 1);
+        assert_eq!(metrics.value("gcgt_warps_total"), Some(warps.len() as f64));
+        assert_eq!(metrics.value("gcgt_split_nodes_total"), Some(1.0));
+
+        // Each warp emits what expanding its nodes alone emits; the hub's
+        // shares, concatenated in warp order, emit it exactly as one warp
+        // expanding it whole would — no share is empty.
+        let alone = |nodes: &[NodeId]| {
+            let mut sink = CollectSink::default();
+            engine.expand_chunk(&mut WarpSim::new(8, 16), nodes, &mut sink);
+            sink.pairs
+        };
+        let mut hub = Vec::new();
+        for (warp, sink) in warps.iter().zip(&sinks) {
+            if warp.is_share() {
+                assert!(
+                    !sink.pairs.is_empty(),
+                    "share {} of {}",
+                    warp.share,
+                    warp.of
+                );
+                hub.extend_from_slice(&sink.pairs);
+            } else {
+                assert_eq!(sink.pairs, alone(warp.nodes));
+            }
+        }
+        assert_eq!(hub, alone(&[0]));
     }
 
     #[test]

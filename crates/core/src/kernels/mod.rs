@@ -192,6 +192,39 @@ pub fn expand_warp(
     }
 }
 
+/// How many independent shares node `u` can be cut into under `strategy`:
+/// its segment count on the segmented layout ([`Strategy::Full`]), 1 on
+/// the unsegmented ones, whose residual area is one serial gap chain.
+pub fn shares(strategy: Strategy, cgr: &CgrGraph, u: NodeId) -> usize {
+    match strategy {
+        Strategy::Full => segmented::shares(cgr, u),
+        _ => 1,
+    }
+}
+
+/// Expands share `share` of `of` of node `u` under `strategy` (see
+/// [`segmented::expand_share`]); `0` of `1` is the whole node.
+///
+/// # Panics
+/// Panics if `of` exceeds [`shares`]' count for an unsegmented strategy.
+pub fn expand_share(
+    strategy: Strategy,
+    warp: &mut WarpSim,
+    cgr: &CgrGraph,
+    u: NodeId,
+    share: usize,
+    of: usize,
+    sink: &mut dyn Sink,
+) {
+    match strategy {
+        Strategy::Full => segmented::expand_share(warp, cgr, u, share, of, sink),
+        _ => {
+            assert_eq!(of, 1, "{strategy:?} cannot split node {u}");
+            expand_warp(strategy, warp, cgr, &[u], sink);
+        }
+    }
+}
+
 /// A sink that collects every candidate pair without filtering — used by
 /// kernel unit tests to check *what* is expanded independently of *how*.
 #[derive(Default)]

@@ -28,7 +28,9 @@
 //!
 //! Since segments are bounded by `segLen`, per-lane decode work is balanced
 //! regardless of how skewed the node degrees are — this is what flattens the
-//! twitter super-node bottleneck in Figures 9 and 14.
+//! twitter super-node bottleneck in Figures 9 and 14. Segment independence
+//! also lets the launch schedule cut a small frontier's hub across warps
+//! ([`expand_share`]): contiguous segment ranges, one warp each.
 //!
 //! Shared-memory bound: a batch stages at most `warpNum` × ⌊segment bits /
 //! shortest codeword⌋ decoded neighbours — 32 × ⌊256 / 3⌋ = 2,720 four-byte
@@ -59,7 +61,53 @@ pub fn expand(warp: &mut WarpSim, cgr: &CgrGraph, chunk: &[NodeId], sink: &mut d
     let mut cursors = load_cursors(warp, cgr, chunk);
     // Interval phase: the Two-Phase schedule, unchanged.
     handle_intervals(warp, &mut cursors, sink);
+    expand_segments(warp, cursors, 0, 1, sink);
+}
 
+/// How many shares node `u` splits into: one per residual segment (at
+/// least one), segments being independently decodable.
+pub fn shares(cgr: &CgrGraph, u: NodeId) -> usize {
+    gcgt_cgr::decode::decode_seg_num(cgr, u).max(1)
+}
+
+/// Expands share `share` of `of` of node `u` on a warp of its own: the
+/// contiguous segment range `⌊S·share/of⌋ .. ⌊S·(share+1)/of⌋` of its `S`
+/// segments. Share 0 also expands the intervals and the copied list; later
+/// shares re-read the header and skip the intervals — one single-lane
+/// `ItvDecode` step each, nothing handled. Together the shares emit `u`'s
+/// adjacency exactly once, in the order [`expand`] emits it.
+pub fn expand_share(
+    warp: &mut WarpSim,
+    cgr: &CgrGraph,
+    u: NodeId,
+    share: usize,
+    of: usize,
+    sink: &mut dyn Sink,
+) {
+    let mut cursors = load_cursors(warp, cgr, &[u]);
+    if share == 0 {
+        handle_intervals(warp, &mut cursors, sink);
+    } else {
+        for c in &mut cursors {
+            while c.intervals_left() > 0 {
+                warp.issue_mem(OpClass::ItvDecode, 1, [c.graph_addr()]);
+                c.read(NodeCursor::next_interval);
+            }
+        }
+    }
+    expand_segments(warp, cursors, share as u64, of as u64, sink);
+}
+
+/// The residual phase over `cursors` parked past their intervals: share
+/// `share` of `of` of every node's segments (`0` of `1`: all of them, plus
+/// the copied list, which only share 0 carries).
+fn expand_segments(
+    warp: &mut WarpSim,
+    mut cursors: Vec<LaneCursor>,
+    share: u64,
+    of: u64,
+    sink: &mut dyn Sink,
+) {
     // --- segment discovery: read segNum, lay out the task list ---
     cursors.retain(|c| !c.is_empty());
     if cursors.is_empty() {
@@ -73,14 +121,14 @@ pub fn expand(warp: &mut WarpSim, cgr: &CgrGraph, chunk: &[NodeId], sink: &mut d
         // order; emit them through one synthetic, decode-free task.
         let copied: Vec<NodeId> = std::iter::from_fn(|| c.next_copied()).collect();
         let seg_num = c.read(NodeCursor::read_seg_num);
-        if !copied.is_empty() {
+        if share == 0 && !copied.is_empty() {
             tasks.push(SegTask {
                 cur: c.clone(),
                 left: copied.len() as u64,
                 copied: Some(copied),
             });
         }
-        for s in 0..seg_num {
+        for s in seg_num * share / of..seg_num * (share + 1) / of {
             let mut cur = c.clone();
             cur.read(|c| c.seek_segment(s));
             tasks.push(SegTask {
@@ -327,6 +375,78 @@ mod tests {
                             "width {width} node {u}: {residuals:?}"
                         );
                     }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_hubs_shares_partition_its_segments() {
+        // Node 1 copies node 0's scattered list (a reference), and owns an
+        // interval and scattered residuals of its own.
+        let scattered = |from: u32, n: u32, gap: u32| (0..n).map(move |i| from + gap * i + i % 5);
+        let mut edges: Vec<(NodeId, NodeId)> = scattered(100, 400, 3).map(|v| (0, v)).collect();
+        edges.extend(scattered(100, 400, 3).map(|v| (1, v)));
+        edges.extend((5000..5040).map(|v| (1, v)));
+        edges.extend(scattered(9000, 600, 37).map(|v| (1, v)));
+        let g = Csr::from_edges(40_000, &edges);
+        let cfg = Strategy::Full.cgr_config(&CgrConfig::paper_default().with_ref_window(4));
+        let cgr = CgrGraph::encode(&g, &cfg);
+
+        // The layout, straight off the cursor: intervals, copied values,
+        // then each segment's residuals.
+        let mut cur = NodeCursor::open(&cgr, 1).unwrap();
+        let mut head = Vec::new();
+        let itv_num = cur.intervals_left();
+        while cur.intervals_left() > 0 {
+            let (start, len) = cur.next_interval().unwrap();
+            head.extend(start..start + len);
+        }
+        let copied = cur.copied_left();
+        head.extend(std::iter::from_fn(|| cur.next_copied()));
+        let seg_num = cur.read_seg_num().unwrap();
+        let segments: Vec<Vec<NodeId>> = (0..seg_num)
+            .map(|s| {
+                let mut seg = cur.clone();
+                seg.seek_segment(s).unwrap();
+                seg.read_res_num().unwrap();
+                std::iter::from_fn(|| {
+                    (seg.residuals_left() > 0).then(|| seg.next_residual().unwrap())
+                })
+                .collect()
+            })
+            .collect();
+        assert!(
+            itv_num > 0 && copied > 0,
+            "{itv_num} intervals, {copied} copied"
+        );
+        assert_eq!(shares(&cgr, 1), seg_num as usize);
+        assert!(seg_num >= 8, "{seg_num} segments");
+
+        for of in [2, 3, seg_num as usize] {
+            for share in 0..of {
+                let mut warp = WarpSim::new(8, 64);
+                let mut sink = CollectSink::default();
+                expand_share(&mut warp, &cgr, 1, share, of, &mut sink);
+                // Exactly this share's contiguous segment range; intervals
+                // and copied values in share 0 only.
+                let range = seg_num as usize * share / of..seg_num as usize * (share + 1) / of;
+                assert!(!range.is_empty());
+                let mut want = if share == 0 { head.clone() } else { Vec::new() };
+                want.extend(segments[range.clone()].iter().flatten());
+                let got: Vec<NodeId> = sink.pairs.iter().map(|&(_, v)| v).collect();
+                assert_eq!(got, want, "share {share} of {of}");
+                // Later shares skip the intervals — one ItvDecode step each,
+                // nothing handled — so their Handle steps are the packs of
+                // their own segment batches.
+                if share > 0 {
+                    let issues = warp.tally().issues;
+                    assert_eq!(issues[OpClass::ItvDecode as usize], itv_num);
+                    let packs: usize = segments[range]
+                        .chunks(8)
+                        .map(|batch| batch.iter().map(Vec::len).sum::<usize>().div_ceil(8))
+                        .sum();
+                    assert_eq!(sink.handle_calls, packs, "share {share} of {of}");
                 }
             }
         }

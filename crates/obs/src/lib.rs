@@ -134,6 +134,10 @@ pub struct LevelEvent {
     /// Work items of the level (frontier size in push mode, unvisited
     /// candidates in pull mode).
     pub work_items: u64,
+    /// Warps the launch schedule cut the work items into.
+    pub warps: u64,
+    /// Hub nodes the schedule split across several warps (push only).
+    pub split_nodes: u64,
     /// Edges expanded (push: frontier out-degree sum) or examined (pull:
     /// neighbours scanned before early exit).
     pub edges: u64,

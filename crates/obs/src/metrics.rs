@@ -99,6 +99,7 @@ impl Observer for MetricsRegistry {
             &format!("gcgt_level_edges_total{{direction=\"{}\"}}", e.direction),
             e.edges as f64,
         );
+        self.add("gcgt_split_nodes_total", e.split_nodes as f64);
     }
 
     fn alloc(&self, e: &AllocEvent) {
@@ -202,13 +203,17 @@ mod tests {
             end_ms: 1.0,
             direction: "push",
             work_items: 4,
+            warps: 6,
+            split_nodes: 1,
             edges: 10,
             classes: vec![],
         };
         m.level(&e);
         m.level(&e);
         e.direction = "pull";
+        e.split_nodes = 0;
         m.level(&e);
+        assert_eq!(m.value("gcgt_split_nodes_total"), Some(2.0));
         assert_eq!(m.value("gcgt_levels_total{direction=\"push\"}"), Some(2.0));
         assert_eq!(m.value("gcgt_levels_total{direction=\"pull\"}"), Some(1.0));
         assert_eq!(

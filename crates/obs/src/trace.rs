@@ -165,12 +165,14 @@ impl Observer for TraceRecorder {
         let line = format!(
             "{{\"name\": \"{}\", \"cat\": \"level\", \"ph\": \"X\", \"pid\": 1, \
              \"tid\": {}, \"ts\": {}, \"dur\": {}, \"args\": {{\"work_items\": {}, \
-             \"edges\": {}, \"classes\": {}}}}}",
+             \"warps\": {}, \"split_nodes\": {}, \"edges\": {}, \"classes\": {}}}}}",
             name,
             e.track,
             ts,
             dur,
             e.work_items,
+            e.warps,
+            e.split_nodes,
             e.edges,
             classes_json(&e.classes)
         );

@@ -5,7 +5,7 @@
 use std::sync::Mutex;
 
 use gcgt_cgr::CgrGraph;
-use gcgt_core::kernels::{expand_warp, pull::pull_expand, Sink};
+use gcgt_core::kernels::{self, expand_warp, pull::pull_expand, Sink};
 use gcgt_core::{memory, DirectionMode, Expander, Frontier, Strategy};
 use gcgt_graph::NodeId;
 use gcgt_simt::{Device, DeviceConfig, OomError, PcieConfig, WarpSim};
@@ -188,6 +188,21 @@ impl Expander for OocEngine<'_> {
 
     fn expand_chunk(&self, warp: &mut WarpSim, chunk: &[NodeId], sink: &mut dyn Sink) {
         expand_warp(self.strategy, warp, self.cgr, chunk, sink);
+    }
+
+    fn shares(&self, u: NodeId) -> usize {
+        kernels::shares(self.strategy, self.cgr, u)
+    }
+
+    fn expand_share(
+        &self,
+        warp: &mut WarpSim,
+        u: NodeId,
+        share: usize,
+        of: usize,
+        sink: &mut dyn Sink,
+    ) {
+        kernels::expand_share(self.strategy, warp, self.cgr, u, share, of, sink);
     }
 
     /// Pull over whatever `prepare_frontier` made resident: the launcher

@@ -199,6 +199,21 @@ impl Expander for ShardEngine<'_> {
         self.inner().expand_chunk(warp, chunk, sink);
     }
 
+    fn shares(&self, u: NodeId) -> usize {
+        self.inner().shares(u)
+    }
+
+    fn expand_share(
+        &self,
+        warp: &mut WarpSim,
+        u: NodeId,
+        share: usize,
+        of: usize,
+        sink: &mut dyn Sink,
+    ) {
+        self.inner().expand_share(warp, u, share, of, sink);
+    }
+
     fn pull_chunk(
         &self,
         warp: &mut WarpSim,

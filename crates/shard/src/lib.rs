@@ -44,6 +44,12 @@
 //!     fn expand_chunk(&self, warp: &mut WarpSim, chunk: &[NodeId], sink: &mut dyn Sink) {
 //!         self.0.expand_chunk(warp, chunk, sink)
 //!     }
+//!     // Optional: hubs of small frontiers split across warps.
+//!     fn shares(&self, u: NodeId) -> usize { self.0.shares(u) }
+//!     fn expand_share(&self, warp: &mut WarpSim, u: NodeId, share: usize, of: usize,
+//!                     sink: &mut dyn Sink) {
+//!         self.0.expand_share(warp, u, share, of, sink)
+//!     }
 //!     fn pull_chunk(&self, warp: &mut WarpSim, chunk: &[NodeId], frontier: &Frontier,
 //!                   out: &mut Vec<(NodeId, NodeId)>) -> u64 {
 //!         self.0.pull_chunk(warp, chunk, frontier, out)
