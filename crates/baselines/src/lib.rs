@@ -5,9 +5,8 @@
 //! * [`naive`] — single-threaded CPU BFS ("Naïve"), the basic reference;
 //! * [`ligra`] — a Ligra-style shared-memory framework (Shun & Blelloch,
 //!   PPoPP'13): `edgeMap` with sparse(push)/dense(pull) direction switching
-//!   on host threads;
-//! * [`ligra_plus`] — the same engine over byte-RLE compressed adjacency
-//!   (Ligra+, DCC'15);
+//!   on host threads, over plain CSR ([`LigraGraph`]) or byte-RLE
+//!   compressed adjacency ([`LigraPlusGraph`], Ligra+, DCC'15);
 //! * [`gpucsr`] — Merrill et al.-style BFS on **uncompressed CSR** on the
 //!   SIMT simulator (scan-based gathering with warp-cooperative expansion of
 //!   large lists), plus Soman CC and Sriram/Brandes BC — the paper's
@@ -24,10 +23,8 @@
 pub mod gpucsr;
 pub mod gunrock_like;
 pub mod ligra;
-pub mod ligra_plus;
 pub mod naive;
 
 pub use gpucsr::GpuCsrEngine;
 pub use gunrock_like::GunrockEngine;
-pub use ligra::LigraGraph;
-pub use ligra_plus::LigraPlusGraph;
+pub use ligra::{LigraGraph, LigraPlusGraph};

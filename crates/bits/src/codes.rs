@@ -219,6 +219,33 @@ impl Code {
     }
 }
 
+/// Where codewords go. A [`BitWriter`] encodes them; a [`BitCount`] only
+/// adds up their lengths, so a size model that runs a writer into a counter
+/// measures exactly what that writer would emit.
+pub trait CodeSink {
+    /// Appends the codeword of `x` (`x >= 1`) under `code`.
+    fn put(&mut self, code: Code, x: u64);
+}
+
+impl CodeSink for BitWriter {
+    #[inline]
+    fn put(&mut self, code: Code, x: u64) {
+        code.encode(self, x);
+    }
+}
+
+/// A [`CodeSink`] that writes nothing and counts the bits it would have
+/// written.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct BitCount(pub u64);
+
+impl CodeSink for BitCount {
+    #[inline]
+    fn put(&mut self, code: Code, x: u64) {
+        self.0 += u64::from(code.len_bits(x));
+    }
+}
+
 #[inline(always)]
 fn low_mask(n: u32) -> u64 {
     if n >= 64 {
@@ -305,6 +332,17 @@ mod tests {
                 code.encode(&mut w, x);
                 assert_eq!(w.len() as u32, code.len_bits(x), "{} of {x}", code.name());
             }
+        }
+    }
+
+    #[test]
+    fn bit_count_measures_what_the_writer_writes() {
+        let (mut w, mut c) = (BitWriter::new(), BitCount::default());
+        for (i, x) in (1..300u64).chain([1 << 40, u64::MAX]).enumerate() {
+            let code = [Code::Gamma, Code::Delta, Code::Zeta(3)][i % 3];
+            w.put(code, x);
+            c.put(code, x);
+            assert_eq!(c.0, w.len() as u64, "{} of {x}", code.name());
         }
     }
 

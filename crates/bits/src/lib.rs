@@ -44,7 +44,7 @@ mod ef;
 
 pub use bitvec::{BitReader, BitVec, BitWriter, Storage, UnaryError};
 pub use bytecode::{ByteCodeReader, ByteCodeWriter};
-pub use codes::{fold_sign, unfold_sign, Code};
+pub use codes::{fold_sign, unfold_sign, BitCount, Code, CodeSink};
 pub use decode_table::{residual_gap_values, DecodeTable, PackedRun, MAX_PACKED, WINDOW_BITS};
 pub use ef::EliasFano;
 

@@ -2,7 +2,7 @@
 //! arithmetic used by both the encoder and every decoder (serial and
 //! GPU-simulated).
 
-use gcgt_bits::{fold_sign, unfold_sign, BitVec, BitWriter, Code};
+use gcgt_bits::{fold_sign, unfold_sign, BitVec, Code, CodeSink};
 use gcgt_graph::NodeId;
 
 /// Default reference-chain bound of [`CgrConfig::ref_chain_limit`] — the
@@ -97,7 +97,9 @@ impl CgrConfig {
     // `DecodeTable` fast path in `CgrGraph`'s `read_*` twins) and a
     // `map_*` shift — so both paths share every checked-arithmetic guard:
     // codeword value 0 from a corrupt payload is a decode failure, never a
-    // shift underflow, and every gap addition is overflow-checked.
+    // shift underflow, and every gap addition is overflow-checked. Each
+    // `write_*` takes any `CodeSink`: the encoder writes into a `BitWriter`,
+    // and its size models run the same calls into a `BitCount`.
 
     /// Maps a raw count codeword value (`count + 1`) back to the count.
     #[inline]
@@ -143,8 +145,8 @@ impl CgrConfig {
     /// Encodes a count (`degNum`, `itvNum`, `segNum`, per-segment `resNum`);
     /// counts can be zero, hence the +1 shift.
     #[inline]
-    pub fn write_count(&self, w: &mut BitWriter, count: u64) {
-        self.code.encode(w, count + 1);
+    pub fn write_count(&self, w: &mut impl CodeSink, count: u64) {
+        w.put(self.code, count + 1);
     }
 
     /// Decodes a count at `pos`; returns `(count, next_pos)`. Slow-path
@@ -158,9 +160,9 @@ impl CgrConfig {
     /// Encodes a first gap (interval start or first residual) relative to
     /// the source node: possibly negative, so sign-folded then +1.
     #[inline]
-    pub fn write_first_gap(&self, w: &mut BitWriter, source: NodeId, target: NodeId) {
+    pub fn write_first_gap(&self, w: &mut impl CodeSink, source: NodeId, target: NodeId) {
         let gap = i64::from(target) - i64::from(source);
-        self.code.encode(w, fold_sign(gap) + 1);
+        w.put(self.code, fold_sign(gap) + 1);
     }
 
     /// Decodes a first gap at `pos`; returns `(target, next_pos)`. Slow-path
@@ -180,10 +182,10 @@ impl CgrConfig {
     /// end; maximal runs guarantee `gap >= 2`, so the shift is `-1`
     /// (theoretical minimum 2 maps to codeword value 1).
     #[inline]
-    pub fn write_interval_gap(&self, w: &mut BitWriter, prev_end: NodeId, start: NodeId) {
+    pub fn write_interval_gap(&self, w: &mut impl CodeSink, prev_end: NodeId, start: NodeId) {
         let gap = u64::from(start) - u64::from(prev_end);
         debug_assert!(gap >= 2, "maximal intervals are separated by >= 2");
-        self.code.encode(w, gap - 1);
+        w.put(self.code, gap - 1);
     }
 
     /// Decodes an interval gap at `pos`; returns `(start, next_pos)`.
@@ -203,10 +205,10 @@ impl CgrConfig {
     /// Encodes an interval length; lengths are at least
     /// `min_interval_len`, so the minimum shifts to codeword value 1.
     #[inline]
-    pub fn write_interval_len(&self, w: &mut BitWriter, len: u32) {
+    pub fn write_interval_len(&self, w: &mut impl CodeSink, len: u32) {
         let min = self.min_interval_len.expect("intervals disabled");
         debug_assert!(len >= min);
-        self.code.encode(w, u64::from(len - min) + 1);
+        w.put(self.code, u64::from(len - min) + 1);
     }
 
     /// Decodes an interval length at `pos`; returns `(len, next_pos)`.
@@ -221,10 +223,10 @@ impl CgrConfig {
     /// Encodes the gap between consecutive residuals (`>= 1` since lists are
     /// sorted and duplicate-free; codeword value equals the gap).
     #[inline]
-    pub fn write_residual_gap(&self, w: &mut BitWriter, prev: NodeId, next: NodeId) {
+    pub fn write_residual_gap(&self, w: &mut impl CodeSink, prev: NodeId, next: NodeId) {
         let gap = u64::from(next) - u64::from(prev);
         debug_assert!(gap >= 1);
-        self.code.encode(w, gap);
+        w.put(self.code, gap);
     }
 
     /// Decodes a residual gap at `pos`; returns `(residual, next_pos)`.
@@ -262,8 +264,8 @@ impl CgrConfig {
     /// pays this codeword, so the 0 = no-reference flag must cost one bit
     /// or the prologue tax on non-referencing nodes would swamp the win.
     #[inline]
-    pub fn write_ref_offset(&self, w: &mut BitWriter, offset: u64) {
-        Code::Gamma.encode(w, offset + 1);
+    pub fn write_ref_offset(&self, w: &mut impl CodeSink, offset: u64) {
+        w.put(Code::Gamma, offset + 1);
     }
 
     /// Decodes a reference offset at `pos`; returns `(offset, next_pos)`.
@@ -279,8 +281,8 @@ impl CgrConfig {
     /// with a copy block, so the first may be length 0; the +1 shift keeps
     /// zero encodable (same shift as counts).
     #[inline]
-    pub fn write_block_len(&self, w: &mut BitWriter, len: u64) {
-        self.code.encode(w, len + 1);
+    pub fn write_block_len(&self, w: &mut impl CodeSink, len: u64) {
+        w.put(self.code, len + 1);
     }
 
     /// Decodes a copy-block length at `pos`; returns `(len, next_pos)`.
@@ -294,6 +296,7 @@ impl CgrConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gcgt_bits::BitWriter;
 
     #[test]
     fn paper_default_matches_table2() {

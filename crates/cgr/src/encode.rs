@@ -3,10 +3,28 @@
 use std::sync::{Arc, Mutex};
 
 use crate::config::CgrConfig;
-use crate::intervals::split_intervals;
+use crate::intervals::{split_intervals, IntervalsResiduals};
 use crate::stats::CompressionStats;
-use gcgt_bits::{BitVec, BitWriter, DecodeTable, EliasFano, PackedRun};
+use gcgt_bits::{BitCount, BitVec, BitWriter, Code, CodeSink, DecodeTable, EliasFano, PackedRun};
 use gcgt_graph::{Csr, NodeId};
+
+/// A [`CgrConfig`] that cannot encode a particular graph: the offending
+/// field and what it cannot represent.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct EncodeError {
+    /// The `CgrConfig` field at fault (`"code"` or `"segment_len_bytes"`).
+    pub field: &'static str,
+    /// Why that field cannot encode the graph.
+    pub reason: String,
+}
+
+impl std::fmt::Display for EncodeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "CgrConfig::{}: {}", self.field, self.reason)
+    }
+}
+
+impl std::error::Error for EncodeError {}
 
 /// Deferred structural validation state, shared by every clone of a graph
 /// loaded with [`crate::ValidationMode::Deferred`]: a per-node "validated"
@@ -70,8 +88,26 @@ pub struct CgrGraph {
 
 impl CgrGraph {
     /// Encodes `graph` under `config`.
+    ///
+    /// # Panics
+    /// Panics if `config` cannot encode `graph`; see
+    /// [`CgrGraph::try_encode`].
     pub fn encode(graph: &Csr, config: &CgrConfig) -> CgrGraph {
+        Self::try_encode(graph, config).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Encodes `graph` under `config`, or names the field that cannot
+    /// encode it: a ζ code with `k = 0`, or a `segment_len_bytes` too short
+    /// for one residual plus its segment's `resNum`. The check is the
+    /// encode itself, so every config that can encode `graph` does.
+    pub fn try_encode(graph: &Csr, config: &CgrConfig) -> Result<CgrGraph, EncodeError> {
         let n = graph.num_nodes();
+        if n > 0 && config.code == Code::Zeta(0) {
+            return Err(EncodeError {
+                field: "code",
+                reason: "a zeta code needs k >= 1".to_string(),
+            });
+        }
         let mut w = BitWriter::with_capacity(graph.num_edges() * 8);
         let mut offsets = Vec::with_capacity(n + 1);
         let mut stats = CompressionStats {
@@ -81,25 +117,29 @@ impl CgrGraph {
         };
         // Reference selection needs the chain depth of every earlier node
         // (a node may only be referenced while its own chain is short of
-        // `ref_chain_limit`); with `ref_window == 0` the vector stays empty
-        // and the per-node encoder takes the v2 path byte-for-byte.
+        // `ref_chain_limit`); with `ref_window == 0` nothing is selected and
+        // the node writer omits the prologue, a v2 payload byte for byte.
         let mut chain_len = vec![0u32; if config.ref_window > 0 { n } else { 0 }];
         for u in 0..n as NodeId {
             offsets.push(w.len());
-            stats.note_degree(graph.neighbors(u).len() as u64);
-            if config.ref_window == 0 {
-                encode_node(&mut w, graph.neighbors(u), u, config, &mut stats);
-            } else {
-                let sel = select_reference(graph, u, config, &chain_len);
-                if let Some(s) = &sel {
-                    chain_len[u as usize] = chain_len[s.target as usize] + 1;
-                }
-                encode_node_with_ref(&mut w, graph.neighbors(u), u, sel, config, &mut stats);
+            let sel = (config.ref_window > 0)
+                .then(|| select_reference(graph, u, config, &chain_len))
+                .flatten();
+            if let Some(s) = &sel {
+                chain_len[u as usize] = chain_len[s.target as usize] + 1;
             }
+            encode_node(
+                &mut w,
+                graph.neighbors(u),
+                u,
+                sel.as_ref(),
+                config,
+                &mut stats,
+            )?;
         }
         offsets.push(w.len());
         stats.total_bits = w.len();
-        CgrGraph {
+        Ok(CgrGraph {
             config: *config,
             bits: w.into_bitvec(),
             index: EliasFano::build(&offsets),
@@ -107,7 +147,7 @@ impl CgrGraph {
             stats,
             table: DecodeTable::shared(config.code),
             pending: None,
-        }
+        })
     }
 
     /// Reassembles a graph from a loaded Elias–Fano index and (possibly
@@ -397,94 +437,123 @@ impl CgrGraph {
     }
 }
 
+/// Writes node `u` — the one writer of the CGR node layout,
+/// `[degNum] · [refOffset · blocks] · itvNum · intervals · residuals |
+/// segNum · segments`, for both layouts with and without the GCGR v3
+/// reference prologue (present iff `ref_window > 0`). Copy blocks are
+/// resolved **before** intervalization, as in WebGraph: the copied values
+/// leave the list first, intervals are extracted from what remains, and the
+/// leftover *corrections* form the residual stream. `degNum` stays the true
+/// degree.
 fn encode_node(
     w: &mut BitWriter,
     list: &[NodeId],
     u: NodeId,
+    sel: Option<&RefSelection>,
     config: &CgrConfig,
     stats: &mut CompressionStats,
-) {
-    let ir = split_intervals(list, config.min_interval_len);
-    stats.interval_edges += ir.degree() - ir.residuals.len();
-    stats.residual_edges += ir.residuals.len();
-    note_residual_values(&ir.residuals, u, stats);
-
-    if config.segment_len_bytes.is_none() {
-        // --- unsegmented layout: degNum, itvNum, intervals, residuals ---
-        config.write_count(w, list.len() as u64);
-        if list.is_empty() {
-            return;
-        }
-        write_intervals(w, &ir.intervals, u, config);
-        write_residual_run(w, &ir.residuals, u, config);
-        return;
-    }
-
-    // --- segmented layout: itvNum, intervals, segNum, segments ---
-    write_intervals_header_first(w, &ir.intervals, u, config, list.is_empty());
-    write_segments(w, &ir.residuals, u, config, stats);
-}
-
-/// One node under reference compression (`ref_window > 0`), GCGR v3 node
-/// layout. Relative to the v2 layouts the node gains a reference prologue
-/// — `refOffset` (0 = no reference) and, when referencing, the alternating
-/// copy/skip block lengths over the referenced node's full adjacency.
-/// Copy blocks are resolved **before** intervalization, as in WebGraph:
-/// the copied values leave the list first, intervals are extracted from
-/// what remains, and the leftover *corrections* form the residual stream.
-/// `degNum` stays the true degree.
-fn encode_node_with_ref(
-    w: &mut BitWriter,
-    list: &[NodeId],
-    u: NodeId,
-    sel: Option<RefSelection>,
-    config: &CgrConfig,
-    stats: &mut CompressionStats,
-) {
-    let remaining: Vec<NodeId> = match &sel {
-        None => list.to_vec(),
-        Some(s) => subtract_sorted(list, &s.copied),
+) -> Result<(), EncodeError> {
+    let ir = match sel {
+        None => split_intervals(list, config.min_interval_len),
+        Some(s) => split_intervals(&subtract_sorted(list, &s.copied), config.min_interval_len),
     };
-    let ir = split_intervals(&remaining, config.min_interval_len);
     stats.interval_edges += ir.degree() - ir.residuals.len();
-    note_residual_values(&ir.residuals, u, stats);
     stats.residual_edges += ir.residuals.len();
-    if let Some(s) = &sel {
+    if let Some(s) = sel {
         stats.ref_nodes += 1;
         stats.ref_copy_blocks += s.blocks.len().div_ceil(2);
         stats.ref_copied_edges += s.copied.len();
     }
-
-    let write_ref_prologue = |w: &mut BitWriter| match &sel {
-        None => config.write_ref_offset(w, 0),
-        Some(s) => {
-            config.write_ref_offset(w, u64::from(u - s.target));
-            config.write_count(w, s.blocks.len() as u64);
-            for &len in &s.blocks {
-                config.write_block_len(w, len);
-            }
-        }
+    let Some(seg_bits) = config.segment_len_bits() else {
+        write_unsegmented(w, list.len(), &ir, u, sel, config);
+        return Ok(());
     };
+    // The segmented layout has no degNum, so an empty list still writes
+    // its (reference prologue,) itvNum = 0 and segNum = 0.
+    if config.ref_window > 0 {
+        write_prologue(w, u, sel, config);
+    }
+    write_intervals(w, &ir.intervals, u, config);
+    write_segments(w, &ir.residuals, u, seg_bits, config, stats)
+}
 
-    if config.segment_len_bytes.is_none() {
-        // --- unsegmented v3: degNum, [refOffset, blocks], itvNum,
-        //     intervals, corrections ---
-        config.write_count(w, list.len() as u64);
-        if list.is_empty() {
-            return;
-        }
-        write_ref_prologue(w);
-        write_intervals(w, &ir.intervals, u, config);
-        write_residual_run(w, &ir.residuals, u, config);
+/// The unsegmented node layout: `degNum`, then, for a non-empty list, the
+/// reference prologue (iff `ref_window > 0`), the intervals and the residual
+/// run. Generic over the sink, so the size models of reference selection and
+/// [`CgrConfig::autotune`] run exactly this into a [`BitCount`].
+fn write_unsegmented<S: CodeSink>(
+    s: &mut S,
+    degree: usize,
+    ir: &IntervalsResiduals,
+    u: NodeId,
+    sel: Option<&RefSelection>,
+    config: &CgrConfig,
+) {
+    config.write_count(s, degree as u64);
+    if degree == 0 {
         return;
     }
+    if config.ref_window > 0 {
+        write_prologue(s, u, sel, config);
+    }
+    write_intervals(s, &ir.intervals, u, config);
+    write_residual_run(s, None, &ir.residuals, u, config);
+}
 
-    // --- segmented v3: refOffset, [blocks], itvNum, intervals, segNum,
-    //     segments-of-corrections (the segmented layout has no degNum, so
-    //     the reference prologue is unconditional) ---
-    write_ref_prologue(w);
-    write_intervals_header_first(w, &ir.intervals, u, config, list.is_empty());
-    write_segments(w, &ir.residuals, u, config, stats);
+/// The GCGR v3 reference prologue: `refOffset` (0 = no reference) and,
+/// when referencing, the alternating copy/skip block lengths.
+fn write_prologue<S: CodeSink>(
+    s: &mut S,
+    u: NodeId,
+    sel: Option<&RefSelection>,
+    config: &CgrConfig,
+) {
+    match sel {
+        None => config.write_ref_offset(s, 0),
+        Some(r) => {
+            config.write_ref_offset(s, u64::from(u - r.target));
+            config.write_count(s, r.blocks.len() as u64);
+            for &len in &r.blocks {
+                config.write_block_len(s, len);
+            }
+        }
+    }
+}
+
+fn write_intervals<S: CodeSink>(
+    s: &mut S,
+    intervals: &[(NodeId, u32)],
+    u: NodeId,
+    config: &CgrConfig,
+) {
+    config.write_count(s, intervals.len() as u64);
+    let mut prev_end: Option<NodeId> = None;
+    for &(start, len) in intervals {
+        match prev_end {
+            None => config.write_first_gap(s, u, start),
+            Some(pe) => config.write_interval_gap(s, pe, start),
+        }
+        config.write_interval_len(s, len);
+        prev_end = Some(start + len - 1);
+    }
+}
+
+/// A residual run as gaps. Its first residual is re-based on `u`, unless
+/// the run continues one that ended at `prev`.
+fn write_residual_run<S: CodeSink>(
+    s: &mut S,
+    mut prev: Option<NodeId>,
+    residuals: &[NodeId],
+    u: NodeId,
+    config: &CgrConfig,
+) {
+    for &r in residuals {
+        match prev {
+            None => config.write_first_gap(s, u, r),
+            Some(p) => config.write_residual_gap(s, p, r),
+        }
+        prev = Some(r);
+    }
 }
 
 /// `list` minus the sorted subset `copied` (both strictly ascending).
@@ -504,85 +573,71 @@ fn subtract_sorted(list: &[NodeId], copied: &[NodeId]) -> Vec<NodeId> {
 }
 
 /// The segmented residual section: `segNum`, then fixed-stride segments of
-/// gap-coded residuals (each re-based on `u`). Shared by the v2 and v3
-/// (corrections) paths — the packing is byte-identical for the same slice.
+/// `seg_bits`, each a residual run (re-based on `u`) behind its own
+/// `resNum`; under a reference, the residuals are the corrections.
+///
+/// Greedy packing closes a segment when its next residual would not fit,
+/// counting the segment's codewords with the same writers. The final
+/// segment absorbs the open tail, so it spans 1–2× segLen and no segment
+/// is a trailing short one. A non-last segment that still overflows holds
+/// one residual too wide for `seg_bits`: the config cannot encode this node.
 fn write_segments(
     w: &mut BitWriter,
     residuals: &[NodeId],
     u: NodeId,
+    seg_bits: usize,
     config: &CgrConfig,
     stats: &mut CompressionStats,
-) {
-    let seg_bits = config
-        .segment_len_bits()
-        .expect("segmented layouts always carry a segment length");
-    if residuals.is_empty() {
-        config.write_count(w, 0); // segNum = 0
-        return;
-    }
-    // Greedy packing: a segment closes when the next residual would not fit
-    // in `seg_bits` (the per-segment resNum codeword is recomputed as the
-    // segment grows).
-    let mut segments: Vec<&[NodeId]> = Vec::new();
-    let mut start = 0usize;
-    let mut cur_bits = 0u64;
+) -> Result<(), EncodeError> {
+    let mut starts = Vec::new(); // first residual of each closed segment
+    let (mut start, mut body) = (0, BitCount::default());
     for i in 0..residuals.len() {
-        let gap_bits = residual_code_bits(residuals, start, i, u, config);
-        let count_now = (i - start + 1) as u64;
-        let header_now = config.code.len_bits(count_now + 1) as u64;
-        let prev_header = if i > start {
-            config.code.len_bits(count_now) as u64
+        let next = &residuals[i..=i];
+        let mut grown = body;
+        write_residual_run(
+            &mut grown,
+            (i > start).then(|| residuals[i - 1]),
+            next,
+            u,
+            config,
+        );
+        let mut res_num = BitCount::default();
+        config.write_count(&mut res_num, (i - start + 1) as u64);
+        if i > start && res_num.0 + grown.0 > seg_bits as u64 {
+            starts.push(start);
+            (start, body) = (i, BitCount::default());
+            write_residual_run(&mut body, None, next, u, config);
         } else {
-            0
-        };
-        let grown = cur_bits - prev_header + header_now + u64::from(gap_bits);
-        if i > start && grown > seg_bits as u64 {
-            segments.push(&residuals[start..i]);
-            start = i;
-            let first_bits = residual_code_bits(residuals, start, i, u, config);
-            cur_bits = config.code.len_bits(2) as u64 + u64::from(first_bits);
-        } else {
-            cur_bits = grown;
+            body = grown;
         }
     }
-    segments.push(&residuals[start..]);
-    // The last-segment rule: never leave a trailing short segment — merge it
-    // into its predecessor so the final segment spans 1–2× segLen.
-    if segments.len() >= 2 {
-        let last = segments.pop().expect("len >= 2 checked above");
-        let prev = segments.pop().expect("len >= 2 checked above");
-        let merged_start = prev.as_ptr() as usize;
-        let _ = merged_start; // slices are contiguous in residuals
-        let prev_start = residuals.len() - last.len() - prev.len();
-        segments.push(&residuals[prev_start..]);
+    if starts.is_empty() && !residuals.is_empty() {
+        starts.push(0);
     }
-    config.write_count(w, segments.len() as u64);
-    stats.segments += segments.len();
-    let base = w.len();
-    for (si, seg) in segments.iter().enumerate() {
+    config.write_count(w, starts.len() as u64);
+    stats.segments += starts.len();
+    let ends = starts.iter().skip(1).copied().chain([residuals.len()]);
+    for (&first, end) in starts.iter().zip(ends) {
         let seg_start = w.len();
-        debug_assert_eq!(seg_start, base + si * seg_bits, "segment stride broken");
-        config.write_count(w, seg.len() as u64);
-        let mut prev: Option<NodeId> = None;
-        for &r in seg.iter() {
-            match prev {
-                None => config.write_first_gap(w, u, r),
-                Some(p) => config.write_residual_gap(w, p, r),
-            }
-            prev = Some(r);
-        }
+        config.write_count(w, (end - first) as u64);
+        write_residual_run(w, None, &residuals[first..end], u, config);
         let used = w.len() - seg_start;
-        if si + 1 < segments.len() {
+        if end < residuals.len() {
             // Non-last segments are padded to exactly segLen.
-            assert!(
-                used <= seg_bits,
-                "residual segment overflows segLen ({used} > {seg_bits} bits); \
-                 increase segment_len_bytes"
-            );
+            if used > seg_bits {
+                return Err(EncodeError {
+                    field: "segment_len_bytes",
+                    reason: format!(
+                        "a residual segment of node {u} needs {used} bits but segLen is \
+                         {seg_bits} bits"
+                    ),
+                });
+            }
             stats.blank_bits += seg_bits - used;
             w.push_zeros((seg_bits - used) as u32);
         }
     }
+    Ok(())
 }
 
 /// A chosen reference for one node: the target, the alternating copy/skip
@@ -595,15 +650,15 @@ struct RefSelection {
     copied: Vec<NodeId>,
 }
 
-/// Greedy best-candidate reference selection for node `u`: every window
+/// Greedy best-candidate reference selection for node `u`. Every window
 /// candidate `t ∈ [u − ref_window, u)` whose chain is still short of
-/// `ref_chain_limit` is cost-modeled exactly — copy blocks plus the
-/// re-intervalized remainder versus the plain interval/residual encoding,
-/// via [`gcgt_bits::Code::len_bits`] — and the cheapest strictly-better
-/// candidate wins. Both sides are modeled on the unsegmented layout; for
-/// segmented configs this is a heuristic (padding and per-segment
-/// re-basing shift the true cost), which only ever costs ratio, never
-/// correctness.
+/// `ref_chain_limit` is priced by running the node writer itself into a
+/// [`BitCount`] — the copy blocks plus the re-intervalized remainder, against
+/// the same node with no reference — and the cheapest strictly-cheaper
+/// candidate wins (ties go to the farthest candidate). Both sides are priced
+/// on the unsegmented layout; for segmented configs that is a heuristic
+/// (padding and per-segment re-basing shift the true cost), which only ever
+/// costs ratio, never correctness.
 fn select_reference(
     graph: &Csr,
     u: NodeId,
@@ -614,46 +669,32 @@ fn select_reference(
     if list.is_empty() {
         return None;
     }
-    let code = config.code;
-    let base_ir = split_intervals(list, config.min_interval_len);
-    let base_cost = u64::from(gcgt_bits::Code::Gamma.len_bits(1))
-        + interval_run_bits(&base_ir.intervals, u, config)
-        + residual_run_bits(&base_ir.residuals, u, config);
-    let first = u.saturating_sub(config.ref_window);
-    let mut best: Option<(u64, RefSelection)> = None;
-    for t in first..u {
+    let cost = |sel: Option<&RefSelection>, remaining: &[NodeId]| {
+        let mut bits = BitCount::default();
+        let ir = split_intervals(remaining, config.min_interval_len);
+        write_unsegmented(&mut bits, list.len(), &ir, u, sel, config);
+        bits.0
+    };
+    let mut best = (cost(None, list), None);
+    for t in u.saturating_sub(config.ref_window)..u {
         if chain_len[t as usize] >= config.ref_chain_limit {
             continue;
         }
-        let t_list = graph.neighbors(t);
-        if t_list.is_empty() {
-            continue;
-        }
-        let (blocks, copied) = copy_blocks(t_list, list);
+        let (blocks, copied) = copy_blocks(graph.neighbors(t), list);
         if copied.is_empty() {
             continue;
         }
-        let remaining = subtract_sorted(list, &copied);
-        let ir = split_intervals(&remaining, config.min_interval_len);
-        let mut cost = u64::from(gcgt_bits::Code::Gamma.len_bits(u64::from(u - t) + 1));
-        cost += u64::from(code.len_bits(blocks.len() as u64 + 1));
-        for &b in &blocks {
-            cost += u64::from(code.len_bits(b + 1));
-        }
-        cost += interval_run_bits(&ir.intervals, u, config);
-        cost += residual_run_bits(&ir.residuals, u, config);
-        if cost < base_cost && best.as_ref().is_none_or(|(c, _)| cost < *c) {
-            best = Some((
-                cost,
-                RefSelection {
-                    target: t,
-                    blocks,
-                    copied,
-                },
-            ));
+        let sel = RefSelection {
+            target: t,
+            blocks,
+            copied,
+        };
+        let bits = cost(Some(&sel), &subtract_sorted(list, &sel.copied));
+        if bits < best.0 {
+            best = (bits, Some(sel));
         }
     }
-    best.map(|(_, sel)| sel)
+    best.1
 }
 
 /// Splits the overlap of `t_list` (the candidate's full sorted adjacency)
@@ -699,162 +740,48 @@ fn copy_blocks(t_list: &[NodeId], residuals: &[NodeId]) -> (Vec<u64>, Vec<NodeId
     (blocks, copied)
 }
 
-/// Exact bits of an unsegmented interval section: the `itvNum` count plus
-/// each interval's gap and length codewords, mirroring `write_intervals`.
-fn interval_run_bits(intervals: &[(NodeId, u32)], u: NodeId, config: &CgrConfig) -> u64 {
-    let code = config.code;
-    let mut bits = u64::from(code.len_bits(intervals.len() as u64 + 1));
-    let mut prev_end: Option<NodeId> = None;
-    for &(start, len) in intervals {
-        let gap_val = match prev_end {
-            None => gcgt_bits::fold_sign(i64::from(start) - i64::from(u)) + 1,
-            Some(pe) => u64::from(start) - u64::from(pe) - 1,
-        };
-        bits += u64::from(code.len_bits(gap_val));
-        let min = config.min_interval_len.expect("intervals disabled");
-        bits += u64::from(code.len_bits(u64::from(len - min) + 1));
-        prev_end = Some(start + len - 1);
-    }
-    bits
-}
-
-/// Modeled bits of an unsegmented residual run (first gap re-based on `u`).
-fn residual_run_bits(residuals: &[NodeId], u: NodeId, config: &CgrConfig) -> u64 {
-    let mut bits = 0u64;
-    let mut prev: Option<NodeId> = None;
-    for &r in residuals {
-        let v = match prev {
-            None => gcgt_bits::fold_sign(i64::from(r) - i64::from(u)) + 1,
-            Some(p) => u64::from(r) - u64::from(p),
-        };
-        bits += u64::from(config.code.len_bits(v));
-        prev = Some(r);
-    }
-    bits
-}
-
 /// The candidate codes [`CgrConfig::autotune`] scores, in tie-break order.
-const AUTOTUNE_CANDIDATES: [gcgt_bits::Code; 6] = [
-    gcgt_bits::Code::Gamma,
-    gcgt_bits::Code::Delta,
-    gcgt_bits::Code::Zeta(2),
-    gcgt_bits::Code::Zeta(3),
-    gcgt_bits::Code::Zeta(4),
-    gcgt_bits::Code::Zeta(5),
+const AUTOTUNE_CANDIDATES: [Code; 6] = [
+    Code::Gamma,
+    Code::Delta,
+    Code::Zeta(2),
+    Code::Zeta(3),
+    Code::Zeta(4),
+    Code::Zeta(5),
 ];
 
 impl CgrConfig {
-    /// Picks the VLC code that minimizes the modeled encoded size of
-    /// `graph` — per-dataset code autotuning, the compress-time analogue of
+    /// Picks the VLC code that minimizes the encoded size of `graph` —
+    /// per-dataset code autotuning, the compress-time analogue of
     /// WebGraph's per-corpus ζ-parameter choice.
     ///
-    /// The model sums, for each candidate in γ, δ, ζ2…ζ5, the exact
-    /// codeword widths of the unsegmented v2 stream (`degNum`, interval
-    /// runs, residual runs) under [`CgrConfig::paper_default`]'s interval
-    /// threshold. Segmentation padding and reference selection are
-    /// deliberately outside the model: padding is code-independent to
-    /// first order, and reference choices themselves depend on the code —
-    /// the ranking is decided by the gap distribution either way (the
-    /// advisory `gap_hist`/`degree_hist` in
-    /// [`CompressionStats`] show that distribution directly). Ties go to
-    /// the earlier candidate, γ first.
+    /// Each candidate in γ, δ, ζ2…ζ5 is priced by running the unsegmented
+    /// node writer, with no reference, into a [`BitCount`] under
+    /// [`CgrConfig::paper_default`]'s interval threshold: the exact size of
+    /// the v2 unsegmented stream under that code. Segment padding and
+    /// reference selection stay outside the model: padding is
+    /// code-independent to first order, and reference choices themselves
+    /// depend on the code. Ties go to the earlier candidate, γ first.
     ///
     /// Returns [`CgrConfig::paper_default`] with the winning code; chain
     /// the layout/reference knobs after (`strategy.cgr_config(..)`,
     /// [`CgrConfig::with_ref_window`]).
     pub fn autotune(graph: &Csr) -> CgrConfig {
         let base = CgrConfig::paper_default();
-        let mut costs = [0u64; AUTOTUNE_CANDIDATES.len()];
-        let mut cfgs: Vec<CgrConfig> = AUTOTUNE_CANDIDATES
-            .iter()
-            .map(|&code| CgrConfig { code, ..base })
-            .collect();
+        let candidates = AUTOTUNE_CANDIDATES.map(|code| CgrConfig { code, ..base });
+        let mut bits = [BitCount::default(); AUTOTUNE_CANDIDATES.len()];
         for u in 0..graph.num_nodes() as NodeId {
             let list = graph.neighbors(u);
             let ir = split_intervals(list, base.min_interval_len);
-            for (i, cfg) in cfgs.iter().enumerate() {
-                costs[i] += u64::from(cfg.code.len_bits(list.len() as u64 + 1));
-                if !list.is_empty() {
-                    costs[i] += interval_run_bits(&ir.intervals, u, cfg)
-                        + residual_run_bits(&ir.residuals, u, cfg);
-                }
+            for (sink, config) in bits.iter_mut().zip(&candidates) {
+                write_unsegmented(sink, list.len(), &ir, u, None, config);
             }
         }
-        let best = costs
-            .iter()
-            .enumerate()
-            .min_by_key(|&(_, &c)| c)
-            .map(|(i, _)| i)
-            .unwrap_or(0);
-        cfgs.swap_remove(best)
-    }
-}
-
-/// Advisory gap-histogram feed: the codeword values the residual stream of
-/// this node would write (first gap sign-folded, then plain gaps).
-fn note_residual_values(residuals: &[NodeId], u: NodeId, stats: &mut CompressionStats) {
-    let mut prev: Option<NodeId> = None;
-    for &r in residuals {
-        let v = match prev {
-            None => gcgt_bits::fold_sign(i64::from(r) - i64::from(u)) + 1,
-            Some(p) => u64::from(r) - u64::from(p),
-        };
-        stats.note_value(v);
-        prev = Some(r);
-    }
-}
-
-/// Encoded size of residual `i` given the current segment started at
-/// `seg_start` (the first residual of a segment is re-based on `u`).
-fn residual_code_bits(
-    residuals: &[NodeId],
-    seg_start: usize,
-    i: usize,
-    u: NodeId,
-    config: &CgrConfig,
-) -> u32 {
-    if i == seg_start {
-        let gap = i64::from(residuals[i]) - i64::from(u);
-        config.code.len_bits(gcgt_bits::fold_sign(gap) + 1)
-    } else {
-        let gap = u64::from(residuals[i]) - u64::from(residuals[i - 1]);
-        config.code.len_bits(gap)
-    }
-}
-
-fn write_intervals(w: &mut BitWriter, intervals: &[(NodeId, u32)], u: NodeId, config: &CgrConfig) {
-    config.write_count(w, intervals.len() as u64);
-    let mut prev_end: Option<NodeId> = None;
-    for &(start, len) in intervals {
-        match prev_end {
-            None => config.write_first_gap(w, u, start),
-            Some(pe) => config.write_interval_gap(w, pe, start),
-        }
-        config.write_interval_len(w, len);
-        prev_end = Some(start + len - 1);
-    }
-}
-
-/// Segmented layout prefix. Empty adjacency lists still write `itvNum = 0`
-/// followed by `segNum = 0` so the layout stays self-describing.
-fn write_intervals_header_first(
-    w: &mut BitWriter,
-    intervals: &[(NodeId, u32)],
-    u: NodeId,
-    config: &CgrConfig,
-    _empty: bool,
-) {
-    write_intervals(w, intervals, u, config);
-}
-
-fn write_residual_run(w: &mut BitWriter, residuals: &[NodeId], u: NodeId, config: &CgrConfig) {
-    let mut prev: Option<NodeId> = None;
-    for &r in residuals {
-        match prev {
-            None => config.write_first_gap(w, u, r),
-            Some(p) => config.write_residual_gap(w, p, r),
-        }
-        prev = Some(r);
+        candidates
+            .into_iter()
+            .zip(bits)
+            .min_by_key(|(_, bits)| bits.0)
+            .map_or(base, |(config, _)| config)
     }
 }
 
@@ -862,6 +789,7 @@ fn write_residual_run(w: &mut BitWriter, residuals: &[NodeId], u: NodeId, config
 mod tests {
     use super::*;
     use gcgt_graph::gen::{toys, web_graph, WebParams};
+    use proptest::prelude::{prop_assert_eq, proptest, ProptestConfig, Strategy};
 
     #[test]
     fn figure2_example_round_trips() {
@@ -994,20 +922,6 @@ mod tests {
     }
 
     #[test]
-    fn encoding_populates_the_advisory_histograms() {
-        let g = web_graph(&WebParams::uk2002_like(800), 7);
-        let cgr = CgrGraph::encode(&g, &CgrConfig::paper_default());
-        let gaps: u64 = cgr.stats().gap_hist.iter().sum();
-        let degs: u64 = cgr.stats().degree_hist.iter().sum();
-        assert_eq!(degs, g.num_nodes() as u64, "one degree sample per node");
-        assert_eq!(
-            gaps,
-            cgr.stats().residual_edges as u64,
-            "one gap sample per residual"
-        );
-    }
-
-    #[test]
     fn smaller_segments_waste_more_space() {
         let g = web_graph(&WebParams::uk2002_like(1200), 9);
         let bpe = |seg: Option<u32>| {
@@ -1022,5 +936,88 @@ mod tests {
         let none = bpe(None);
         assert!(tiny >= big, "tiny {tiny} vs big {big}");
         assert!(big >= none * 0.99, "big {big} vs none {none}");
+    }
+
+    #[test]
+    fn try_encode_names_the_field_a_config_cannot_encode() {
+        let g = web_graph(&WebParams::uk2002_like(2_000), 1);
+        let with = |segment_len_bytes, code| CgrConfig {
+            code,
+            segment_len_bytes,
+            ..CgrConfig::paper_default()
+        };
+        let zeta3 = gcgt_bits::Code::Zeta(3);
+        for s in 0..3 {
+            let e = CgrGraph::try_encode(&g, &with(Some(s), zeta3)).unwrap_err();
+            assert_eq!(e.field, "segment_len_bytes", "{e}");
+        }
+        // The check is the encode itself, not a floor: three bytes suffice.
+        assert!(CgrGraph::try_encode(&g, &with(Some(3), zeta3)).is_ok());
+        let e = CgrGraph::try_encode(&g, &with(None, gcgt_bits::Code::Zeta(0))).unwrap_err();
+        assert_eq!(e.field, "code", "{e}");
+        assert!(
+            CgrGraph::try_encode(&Csr::empty(0), &with(None, gcgt_bits::Code::Zeta(0))).is_ok()
+        );
+    }
+
+    /// A small graph mixing consecutive runs (intervals) and scattered
+    /// targets (residuals, reference overlap), and an unsegmented config.
+    fn graph_and_config() -> impl Strategy<Value = (Csr, CgrConfig)> {
+        (
+            (
+                1u32..90,
+                proptest::collection::vec((0u32..1_000, 0u32..1_000, 0u8..3), 0..700),
+            ),
+            (0usize..7, 0u32..6, 0u32..12, 0u32..4),
+        )
+            .prop_map(|((n, raw), (code, min, ref_window, ref_chain_limit))| {
+                let edges: Vec<(NodeId, NodeId)> = raw
+                    .iter()
+                    .map(|&(a, b, near)| (a % n, if near > 0 { (a + b % 6) % n } else { b % n }))
+                    .collect();
+                let config = CgrConfig {
+                    code: [
+                        gcgt_bits::Code::Gamma,
+                        gcgt_bits::Code::Delta,
+                        gcgt_bits::Code::Zeta(1),
+                        gcgt_bits::Code::Zeta(2),
+                        gcgt_bits::Code::Zeta(3),
+                        gcgt_bits::Code::Zeta(5),
+                        gcgt_bits::Code::Zeta(8),
+                    ][code],
+                    min_interval_len: (min > 0).then_some(min),
+                    segment_len_bytes: None,
+                    ref_window,
+                    ref_chain_limit,
+                };
+                (Csr::from_edges(n as usize, &edges), config)
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The size model is exact: running a node's writer into a
+        /// `BitCount` measures exactly the bits the encoder wrote for it.
+        #[test]
+        fn bit_count_of_each_node_is_its_encoded_width(case in graph_and_config()) {
+            let (g, config) = case;
+            let cgr = CgrGraph::encode(&g, &config);
+            for u in 0..g.num_nodes() as NodeId {
+                let list = g.neighbors(u);
+                let sel = cgr.ref_target(u).map(|target| {
+                    let (blocks, copied) = copy_blocks(g.neighbors(target), list);
+                    RefSelection { target, blocks, copied }
+                });
+                let remaining = match &sel {
+                    None => list.to_vec(),
+                    Some(s) => subtract_sorted(list, &s.copied),
+                };
+                let ir = split_intervals(&remaining, config.min_interval_len);
+                let mut bits = BitCount::default();
+                write_unsegmented(&mut bits, list.len(), &ir, u, sel.as_ref(), &config);
+                prop_assert_eq!(bits.0 as usize, cgr.offset(u as usize + 1) - cgr.offset(u as usize));
+            }
+        }
     }
 }

@@ -46,6 +46,16 @@
 //! therefore decodes identically and without panicking; trusted callers
 //! simply `expect` the cursor's results.
 //!
+//! The layout also has exactly one writer: the encoder's node writer,
+//! built from the `CgrConfig::write_*` field encoders. Every size the
+//! encoder models — reference selection's candidate costs,
+//! [`CgrConfig::autotune`]'s per-code totals, the residual-segment packing —
+//! is that same writer run into a [`gcgt_bits::BitCount`] instead of a
+//! [`gcgt_bits::BitWriter`], so a cost model cannot drift from the bytes it
+//! prices. A config that cannot encode a graph (a ζ code with `k = 0`,
+//! segments too short for one residual) is a [`CgrGraph::try_encode`]
+//! error naming the field.
+//!
 //! Codewords resolve through the graph's shared [`DecodeTable`]
 //! ([`CgrGraph::table`]): one 16-bit-window probe per codeword, multi-gap
 //! probes over residual runs in the scanner, broadword slow path for the
@@ -64,7 +74,7 @@ pub mod stats;
 pub use byterle::ByteRleGraph;
 pub use config::{CgrConfig, DEFAULT_REF_CHAIN_LIMIT};
 pub use decode::{validate_range, validate_structure, DecodeStep, NeighborScanner, NodeCursor};
-pub use encode::CgrGraph;
+pub use encode::{CgrGraph, EncodeError};
 pub use gcgt_bits::{DecodeTable, MAX_PACKED, WINDOW_BITS};
 pub use intervals::{split_intervals, IntervalsResiduals};
 pub use io::ValidationMode;

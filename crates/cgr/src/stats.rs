@@ -3,19 +3,9 @@
 //! drives the Figure 14 trade-off and the reference-compression tallies of
 //! the GCGR v3 encoder.
 
-/// Bit-width buckets of the advisory histograms: bucket `b` counts values
-/// `v` with `⌊log₂ v⌋ = b` (value 0 lands in bucket 0).
-pub const HIST_BUCKETS: usize = 32;
-
-/// Statistics gathered while encoding a [`crate::CgrGraph`].
-///
-/// Equality (`PartialEq`) compares the **encoding tallies** only — every
-/// field that is serialized in the GCGR header and must survive a
-/// save/load round trip. The advisory histograms (`gap_hist`,
-/// `degree_hist`) exist for compress-time introspection and
-/// [`crate::CgrConfig::autotune`] diagnostics; they are not persisted and
-/// do not participate in equality.
-#[derive(Clone, Copy, Debug, Default)]
+/// Statistics gathered while encoding a [`crate::CgrGraph`]: every field is
+/// serialized in the GCGR header and survives a save/load round trip.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CompressionStats {
     /// Nodes encoded.
     pub nodes: usize,
@@ -41,41 +31,6 @@ pub struct CompressionStats {
     /// Edges materialized by copying from a referenced list instead of
     /// being gap-coded.
     pub ref_copied_edges: usize,
-    /// Advisory histogram of every VLC codeword value the encoder wrote,
-    /// bucketed by bit width (`⌊log₂ v⌋`). Not serialized; ignored by
-    /// `PartialEq`.
-    pub gap_hist: [u64; HIST_BUCKETS],
-    /// Advisory histogram of node degrees, bucketed by bit width of
-    /// `degree + 1`. Not serialized; ignored by `PartialEq`.
-    pub degree_hist: [u64; HIST_BUCKETS],
-}
-
-impl PartialEq for CompressionStats {
-    fn eq(&self, other: &Self) -> bool {
-        // Tallies only — see the type-level docs for why the advisory
-        // histograms are excluded.
-        self.nodes == other.nodes
-            && self.edges == other.edges
-            && self.total_bits == other.total_bits
-            && self.interval_edges == other.interval_edges
-            && self.residual_edges == other.residual_edges
-            && self.blank_bits == other.blank_bits
-            && self.segments == other.segments
-            && self.ref_nodes == other.ref_nodes
-            && self.ref_copy_blocks == other.ref_copy_blocks
-            && self.ref_copied_edges == other.ref_copied_edges
-    }
-}
-
-/// The histogram bucket of a value: `⌊log₂ v⌋`, clamped to the last bucket
-/// (value 0 counts as width 0).
-#[inline]
-pub(crate) fn hist_bucket(v: u64) -> usize {
-    if v == 0 {
-        0
-    } else {
-        (63 - v.leading_zeros() as usize).min(HIST_BUCKETS - 1)
-    }
 }
 
 impl CompressionStats {
@@ -131,18 +86,6 @@ impl CompressionStats {
             self.blank_bits as f64 / self.total_bits as f64
         }
     }
-
-    /// Records a written VLC codeword value in the advisory gap histogram.
-    #[inline]
-    pub(crate) fn note_value(&mut self, v: u64) {
-        self.gap_hist[hist_bucket(v)] += 1;
-    }
-
-    /// Records a node degree in the advisory degree histogram.
-    #[inline]
-    pub(crate) fn note_degree(&mut self, deg: u64) {
-        self.degree_hist[hist_bucket(deg + 1)] += 1;
-    }
 }
 
 #[cfg(test)]
@@ -195,29 +138,15 @@ mod tests {
     }
 
     #[test]
-    fn equality_ignores_advisory_histograms() {
-        let mut a = CompressionStats {
+    fn ref_tallies_participate_in_equality() {
+        let b = CompressionStats {
             nodes: 3,
             edges: 9,
             total_bits: 40,
             ..CompressionStats::default()
         };
-        let b = a;
-        a.note_value(5);
-        a.note_degree(1000);
-        assert_eq!(a, b, "histograms must not participate in equality");
         let mut c = b;
         c.ref_nodes = 1;
         assert_ne!(b, c, "ref tallies must participate in equality");
-    }
-
-    #[test]
-    fn hist_buckets_are_bit_widths() {
-        assert_eq!(hist_bucket(0), 0);
-        assert_eq!(hist_bucket(1), 0);
-        assert_eq!(hist_bucket(2), 1);
-        assert_eq!(hist_bucket(3), 1);
-        assert_eq!(hist_bucket(4), 2);
-        assert_eq!(hist_bucket(u64::MAX), HIST_BUCKETS - 1);
     }
 }

@@ -18,7 +18,7 @@
 //! 3. **Double-buffered waves.** A run is capped at half the budget, so an
 //!    upload never displaces more than half the cache: the other half —
 //!    ordinarily the wave uploaded just before — stays resident and decoding
-//!    while it streams. That is what [`OocConfig::overlap`] discounts; an
+//!    while it streams. That is what `OVERLAP` discounts; an
 //!    upload with nothing resident to decode under it is *cold* and pays
 //!    full price.
 //!
@@ -33,33 +33,19 @@ use gcgt_simt::{Device, PcieConfig};
 
 use crate::partition::PartitionMap;
 
-/// Tuning knobs of the streaming model.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct OocConfig {
-    /// Upload granularity in bytes: a coalesced run of `b` bytes is moved in
-    /// `ceil(b / chunk_bytes)` PCIe transfers, each paying the link's setup
-    /// latency. Smaller chunks start decode earlier (more overlap) but pay
-    /// more latency.
-    pub chunk_bytes: usize,
-    /// Fraction of an upload's transfer time hidden under decode compute
-    /// (double-buffering: an upload is capped at half the cache, so the
-    /// other half stays resident and keeps the device decoding while it
-    /// streams). An upload is **cold** — nothing hidden, full price —
-    /// exactly when the cache is empty as it starts: the first upload of a
-    /// run, the first after [`PartitionCache::drain`], and one so large
-    /// that everything else had to be evicted for it. `0.0` = fully
-    /// synchronous, `1.0` = transfers entirely hidden.
-    pub overlap: f64,
-}
+/// Upload granularity in bytes: a coalesced run of `b` bytes is moved in
+/// `ceil(b / CHUNK_BYTES)` PCIe transfers, each paying the link's setup
+/// latency.
+pub(crate) const CHUNK_BYTES: usize = 1 << 20;
 
-impl Default for OocConfig {
-    fn default() -> Self {
-        Self {
-            chunk_bytes: 1 << 20,
-            overlap: 0.5,
-        }
-    }
-}
+/// Fraction of a warm upload's transfer time hidden under decode compute
+/// (double-buffering: an upload is capped at half the cache, so the other
+/// half stays resident and keeps the device decoding while it streams). An
+/// upload is **cold** — nothing hidden, full price — exactly when the cache
+/// is empty as it starts: the first upload of a run, the first after
+/// [`PartitionCache::drain`], and one so large that everything else had to
+/// be evicted for it.
+pub(crate) const OVERLAP: f64 = 0.5;
 
 /// Aggregate counters of one cache lifetime (one engine, i.e. one
 /// `Session::run`/`run_batch` call).
@@ -191,7 +177,6 @@ impl PartitionCache {
         parts: &PartitionMap,
         device: &mut Device,
         pcie: &PcieConfig,
-        config: &OocConfig,
     ) {
         let plan = self.plan(needed, parts);
         // Hits move behind everything the launch does not need. From here
@@ -215,7 +200,7 @@ impl PartitionCache {
                 launch_start = launch_start.saturating_sub(1);
                 self.evict_lru(parts, device);
             }
-            self.upload(run.clone(), bytes, parts, device, pcie, config);
+            self.upload(run.clone(), bytes, parts, device, pcie);
             self.lru.extend(run.clone());
             self.lru[launch_start..].sort_unstable();
         }
@@ -251,7 +236,6 @@ impl PartitionCache {
         parts: &PartitionMap,
         device: &mut Device,
         pcie: &PcieConfig,
-        config: &OocConfig,
     ) {
         // Closure nodes inside the run arrive with their own partition and
         // are copied device-side, so only the closure below it is traffic.
@@ -266,12 +250,11 @@ impl PartitionCache {
             .expect("partition budget must fit device capacity (verified at build)");
         self.used += resident_bytes;
 
-        let chunks = link_bytes.div_ceil(config.chunk_bytes.max(1));
-        let raw_ms = pcie.transfer_ms(link_bytes, chunks);
+        let raw_ms = pcie.transfer_ms(link_bytes, link_bytes.div_ceil(CHUNK_BYTES));
         let charged = if cold {
             raw_ms
         } else {
-            raw_ms * (1.0 - config.overlap.clamp(0.0, 1.0))
+            raw_ms * (1.0 - OVERLAP)
         };
         // An injected PCIe fault wastes the attempted upload: the chaos gate
         // re-charges the full transfer price plus exponential backoff for
@@ -358,13 +341,7 @@ mod tests {
         device: &mut Device,
         needed: &[bool],
     ) {
-        cache.stream(
-            needed,
-            map,
-            device,
-            &PcieConfig::default(),
-            &OocConfig::default(),
-        );
+        cache.stream(needed, map, device, &PcieConfig::default());
     }
 
     /// Streams one launch needing `pids`.
@@ -381,11 +358,11 @@ mod tests {
         assert_eq!((s.faults, s.uploads, s.hits, s.evictions), (4, 2, 0, 0));
         // [0, 3) is one cold transfer of the summed bytes; 4 is a second,
         // warm one (the first run is resident to decode under it).
-        let (pcie, cfg) = (PcieConfig::default(), OocConfig::default());
+        let pcie = PcieConfig::default();
         let run = bytes_of(&map, 0..3);
         let lone = bytes_of(&map, [4]);
-        let want = pcie.transfer_ms(run, run.div_ceil(cfg.chunk_bytes))
-            + pcie.transfer_ms(lone, 1) * (1.0 - cfg.overlap);
+        let want = pcie.transfer_ms(run, run.div_ceil(CHUNK_BYTES))
+            + pcie.transfer_ms(lone, 1) * (1.0 - OVERLAP);
         assert_eq!(s.transfer_ms.to_bits(), want.to_bits());
         assert_eq!(s.bytes_streamed as usize, run + lone);
         assert_eq!(device.allocated(), run + lone);
@@ -494,27 +471,17 @@ mod tests {
 
     #[test]
     fn overlap_discounts_warm_uploads_only() {
-        let (map, mut d_sync) = fixtures();
-        let (_, mut d_overlap) = fixtures();
+        let (map, mut device) = fixtures();
         let pcie = PcieConfig::default();
-        let sync = OocConfig {
-            overlap: 0.0,
-            ..OocConfig::default()
-        };
-        let hidden = OocConfig {
-            overlap: 1.0,
-            ..OocConfig::default()
-        };
-        let mut c_sync = PartitionCache::new(usize::MAX);
-        let mut c_overlap = PartitionCache::new(usize::MAX);
-        for pid in [0usize, 2, 4] {
-            c_sync.stream(&needed(&map, &[pid]), &map, &mut d_sync, &pcie, &sync);
-            c_overlap.stream(&needed(&map, &[pid]), &map, &mut d_overlap, &pcie, &hidden);
+        let mut cache = PartitionCache::new(usize::MAX);
+        // The cold first upload pays the raw link time; each warm one, with
+        // a resident partition to decode under it, pays half.
+        let mut want = 0.0;
+        for (pid, share) in [(0usize, 1.0), (2, 0.5), (4, 0.5)] {
+            launch(&mut cache, &map, &mut device, &[pid]);
+            want += pcie.transfer_ms(bytes_of(&map, [pid]), 1) * share;
+            assert_eq!(cache.stats().transfer_ms.to_bits(), want.to_bits(), "{pid}");
         }
-        // Full overlap hides everything except the cold first upload.
-        let first_raw = pcie.transfer_ms(bytes_of(&map, [0]), 1);
-        assert_eq!(c_overlap.stats().transfer_ms.to_bits(), first_raw.to_bits());
-        assert!(c_sync.stats().transfer_ms > c_overlap.stats().transfer_ms);
     }
 
     #[test]
@@ -646,7 +613,7 @@ mod tests {
         }
 
         fn launch(&mut self, needed: &[bool], map: &PartitionMap) {
-            let (pcie, cfg) = (PcieConfig::default(), OocConfig::default());
+            let pcie = PcieConfig::default();
             for (pid, _) in needed.iter().enumerate().filter(|(_, &n)| n) {
                 if let Some(idx) = self.lru.iter().position(|&p| p == pid) {
                     self.lru.remove(idx);
@@ -659,11 +626,11 @@ mod tests {
                 }
                 self.used += bytes;
                 self.lru.push(pid);
-                let raw = pcie.transfer_ms(bytes, bytes.div_ceil(cfg.chunk_bytes));
+                let raw = pcie.transfer_ms(bytes, bytes.div_ceil(CHUNK_BYTES));
                 self.transfer_ms += if self.cold {
                     raw
                 } else {
-                    raw * (1.0 - cfg.overlap)
+                    raw * (1.0 - OVERLAP)
                 };
                 self.cold = false;
                 self.faults += 1;

@@ -10,7 +10,7 @@ use gcgt_core::{memory, DirectionMode, Expander, Frontier, Strategy};
 use gcgt_graph::NodeId;
 use gcgt_simt::{Device, DeviceConfig, OomError, PcieConfig, WarpSim};
 
-use crate::cache::{CacheStats, OocConfig, PartitionCache};
+use crate::cache::{CacheStats, PartitionCache};
 use crate::partition::PartitionMap;
 
 /// An out-of-core GCGT engine: decodes the same compressed representation
@@ -27,7 +27,6 @@ pub struct OocEngine<'g> {
     device_config: DeviceConfig,
     strategy: Strategy,
     pcie: PcieConfig,
-    config: OocConfig,
     cache_budget: usize,
     direction: DirectionMode,
     cache: Mutex<PartitionCache>,
@@ -48,7 +47,6 @@ impl<'g> OocEngine<'g> {
         device_config: DeviceConfig,
         strategy: Strategy,
         pcie: PcieConfig,
-        config: OocConfig,
         cache_budget: usize,
     ) -> Result<Self, OomError> {
         strategy.assert_layout(cgr.config());
@@ -75,7 +73,6 @@ impl<'g> OocEngine<'g> {
             device_config,
             strategy,
             pcie,
-            config,
             cache_budget,
             direction: DirectionMode::Push,
             cache: Mutex::new(PartitionCache::new(cache_budget)),
@@ -177,13 +174,10 @@ impl Expander for OocEngine<'_> {
                     )))
                 });
         }
-        self.cache.lock().expect("cache poisoned").stream(
-            &needed,
-            self.parts,
-            device,
-            &self.pcie,
-            &self.config,
-        );
+        self.cache
+            .lock()
+            .expect("cache poisoned")
+            .stream(&needed, self.parts, device, &self.pcie);
     }
 
     fn expand_chunk(&self, warp: &mut WarpSim, chunk: &[NodeId], sink: &mut dyn Sink) {
@@ -254,7 +248,6 @@ mod tests {
             DeviceConfig::titan_v_scaled(1 << 30),
             Strategy::Full,
             PcieConfig::default(),
-            OocConfig::default(),
             budget,
         )
         .unwrap()
@@ -369,7 +362,6 @@ mod tests {
                 DeviceConfig::titan_v_scaled(1 << 30),
                 Strategy::Full,
                 PcieConfig::default(),
-                OocConfig::default(),
                 budget,
             )
         };
@@ -408,7 +400,6 @@ mod tests {
                     DeviceConfig::titan_v_scaled(1 << 30),
                     strategy,
                     PcieConfig::default(),
-                    OocConfig::default(),
                     parts.max_resident_bytes(),
                 )
                 .is_ok()
@@ -424,7 +415,6 @@ mod tests {
             DeviceConfig::titan_v_scaled(capacity),
             Strategy::Full,
             PcieConfig::default(),
-            OocConfig::default(),
             budget,
         )
         .err()

@@ -18,7 +18,7 @@
 //!   partitions and each run crosses the link as one chunked
 //!   [`gcgt_simt::PcieConfig::transfer_ms`] upload; and a run is capped at
 //!   half the budget, so half the cache stays resident and decoding while
-//!   it streams (the double-buffering [`OocConfig::overlap`] discounts);
+//!   it streams (the double-buffering that halves a warm upload's charge);
 //! * [`OocEngine`] — an [`gcgt_core::Expander`] whose `prepare_frontier`
 //!   hook hands each launch's partition set to the cache, so every
 //!   application (BFS/CC/BC/PageRank/label propagation) runs unmodified.
@@ -40,6 +40,6 @@ pub mod cache;
 pub mod engine;
 pub mod partition;
 
-pub use cache::{CacheStats, OocConfig, PartitionCache, ResidencyPlan};
+pub use cache::{CacheStats, PartitionCache, ResidencyPlan};
 pub use engine::OocEngine;
 pub use partition::{Partition, PartitionMap};

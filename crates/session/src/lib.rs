@@ -142,10 +142,10 @@
 use std::sync::Arc;
 
 use gcgt_baselines::{GpuCsrEngine, GunrockEngine};
-use gcgt_cgr::{CgrConfig, CgrGraph};
+use gcgt_cgr::{CgrConfig, CgrGraph, EncodeError};
 use gcgt_core::{memory, Algorithm, Expander, GcgtEngine, Strategy};
 use gcgt_graph::{Csr, NodeId, Reordering};
-use gcgt_ooc::{OocConfig, OocEngine, PartitionMap};
+use gcgt_ooc::{OocEngine, PartitionMap};
 use gcgt_shard::ShardEngine;
 use gcgt_simt::{Device, DeviceConfig, OomError, PcieConfig, RunStats};
 
@@ -272,6 +272,10 @@ pub enum SessionError {
     /// needed it proven (e.g. a deferred-validation load whose full decode
     /// the session performs at prepare time).
     CorruptGraph(String),
+    /// The `compress(..)` configuration cannot encode this graph: a ζ code
+    /// with `k = 0`, or segments too short for one of its residuals. The
+    /// error names the `CgrConfig` field.
+    Unencodable(EncodeError),
     /// Graph plus traversal buffers exceed the device memory.
     Oom(OomError),
 }
@@ -327,6 +331,9 @@ impl std::fmt::Display for SessionError {
             ),
             SessionError::CorruptGraph(e) => {
                 write!(f, "pre-encoded graph failed structural validation: {e}")
+            }
+            SessionError::Unencodable(e) => {
+                write!(f, "compress(..) cannot encode this graph: {e}")
             }
             SessionError::Oom(e) => write!(f, "{e}"),
         }
@@ -447,8 +454,10 @@ impl SessionBuilder {
 
     /// Explicit CGR encoding parameters (GCGT engines only). The layout
     /// must match the strategy — `build` rejects a segmented configuration
-    /// for strategies below `Full` and vice versa. When omitted, the
-    /// session derives `strategy.cgr_config(&CgrConfig::paper_default())`.
+    /// for strategies below `Full` and vice versa — and a configuration
+    /// that cannot encode the graph is [`SessionError::Unencodable`]. When
+    /// omitted, the session derives
+    /// `strategy.cgr_config(&CgrConfig::paper_default())`.
     #[must_use]
     pub fn compress(mut self, config: CgrConfig) -> Self {
         self.compress = Some(config);
@@ -737,7 +746,7 @@ impl SessionBuilder {
                             }
                             None => strategy.cgr_config(&CgrConfig::paper_default()),
                         };
-                        CgrGraph::encode(&graph, &config)
+                        CgrGraph::try_encode(&graph, &config).map_err(SessionError::Unencodable)?
                     }
                 };
                 let footprint = memory::gcgt_footprint(&cgr);
@@ -1176,7 +1185,6 @@ impl PreparedGraph {
                     self.device_config,
                     inner,
                     self.pcie,
-                    OocConfig::default(),
                     plan.cache_budget,
                 )
                 .expect(VERIFIED)

@@ -89,7 +89,7 @@ pub mod prelude {
     // --- the engine layer (for building custom engines / direct control) ---
     pub use gcgt_baselines::{GpuCsrEngine, GunrockEngine, LigraGraph, LigraPlusGraph};
     pub use gcgt_core::{DirectionMode, Expander, Frontier, GcgtEngine, Strategy, PULL_ALPHA};
-    pub use gcgt_ooc::{OocConfig, OocEngine, PartitionMap};
+    pub use gcgt_ooc::{OocEngine, PartitionMap};
     pub use gcgt_shard::{ShardEngine, ShardPlan};
 
     // --- substrate ---

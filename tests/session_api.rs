@@ -88,6 +88,37 @@ fn builder_rejects_layout_mismatches_both_ways() {
     ));
 }
 
+#[test]
+fn unencodable_compress_configs_are_errors_not_panics() {
+    // Segments too short for one residual, and a zeta code with k = 0, used
+    // to panic inside the encoder. The error names the field at fault.
+    let g = web_graph(&WebParams::uk2002_like(2_000), 1);
+    let build = |config| {
+        Session::builder()
+            .graph(g.clone())
+            .compress(config)
+            .build()
+            .map(|_| ())
+    };
+    let segment = |s| CgrConfig {
+        segment_len_bytes: Some(s),
+        ..CgrConfig::paper_default()
+    };
+    for s in 0..3 {
+        let err = build(segment(s)).unwrap_err().to_string();
+        assert!(err.contains("CgrConfig::segment_len_bytes"), "{err}");
+    }
+    let err = build(CgrConfig {
+        code: Code::Zeta(0),
+        ..CgrConfig::paper_default()
+    })
+    .unwrap_err()
+    .to_string();
+    assert!(err.contains("CgrConfig::code"), "{err}");
+    // The check is the encode itself, not a floor: three bytes encode.
+    assert_eq!(build(segment(3)), Ok(()));
+}
+
 // --- cross-engine equivalence -------------------------------------------
 
 #[test]

@@ -123,7 +123,6 @@ impl Fixture {
                     dc,
                     Strategy::Full,
                     PcieConfig::default(),
-                    OocConfig::default(),
                     cache_budget,
                 )
                 .unwrap();
@@ -273,7 +272,6 @@ fn a_hub_splits_alike_under_every_engine_shape() {
         device(),
         Strategy::Full,
         PcieConfig::default(),
-        OocConfig::default(),
         cache_budget,
     )
     .unwrap();
