@@ -1,15 +1,15 @@
 //! Cold-start loading: what it costs to get a saved CGR back onto the
-//! traversal path, v1 (dense `(n+1) × u64` offsets, eager validation only)
-//! versus v2 (Elias–Fano offset index, zero-copy sections, optional
-//! deferred validation).
+//! traversal path from a GCGR v2 image (Elias–Fano offset index, zero-copy
+//! sections), eagerly validated versus deferred.
 //!
-//! Per dataset the experiment encodes the graph once, serializes both
-//! layouts into memory, proves the v2 buffer round-trips **zero-copy**
+//! Per dataset the experiment encodes the graph once, serializes it into
+//! memory, proves the buffer round-trips **zero-copy**
 //! ([`CgrGraph::from_bytes`] bitwise equal to the encoder's output), and
-//! reports modeled cold-start times plus the offset-index footprint. The
-//! milliseconds are modeled from byte and edge counts — like every other
-//! table in this suite they are deterministic, so `bench-json` can pin
-//! them as a regression baseline.
+//! reports modeled cold-start times plus the offset index's footprint
+//! against the dense `(n+1) × u64` array it replaces. The milliseconds are
+//! modeled from byte and edge counts — like every other table in this
+//! suite they are deterministic, so `bench-json` can pin them as a
+//! regression baseline.
 
 use super::ExperimentContext;
 use crate::table::{fmt_ms, Table};
@@ -33,16 +33,12 @@ pub struct LoadRow {
     pub nodes: usize,
     /// Edges of the traversed graph.
     pub edges: usize,
-    /// Serialized v1 size (dense offsets), bytes.
-    pub v1_bytes: usize,
     /// Serialized v2 size (Elias–Fano offsets), bytes.
     pub v2_bytes: usize,
     /// Dense offset-array footprint `(n+1) × 8`, bytes.
     pub dense_index_bytes: usize,
     /// Elias–Fano offset-index footprint, bytes.
     pub ef_index_bytes: usize,
-    /// Modeled v1 cold start: read + eager validation.
-    pub v1_ms: f64,
     /// Modeled v2 cold start: read + eager validation.
     pub v2_ms: f64,
     /// Modeled v2 deferred cold start: read only — validation is paid
@@ -59,8 +55,6 @@ pub fn rows(ctx: &ExperimentContext) -> Vec<LoadRow> {
     for ds in &ctx.datasets {
         let cgr = CgrGraph::encode(&ds.graph, &config);
 
-        let mut v1 = Vec::new();
-        io::write_cgr_v1(&cgr, &mut v1).expect("in-memory v1 write");
         let mut v2 = Vec::new();
         io::write_cgr(&cgr, &mut v2).expect("in-memory v2 write");
 
@@ -81,11 +75,9 @@ pub fn rows(ctx: &ExperimentContext) -> Vec<LoadRow> {
             name: ds.id.name(),
             nodes,
             edges,
-            v1_bytes: v1.len(),
             v2_bytes: v2.len(),
             dense_index_bytes: (nodes + 1) * 8,
             ef_index_bytes: cgr.index_bytes(),
-            v1_ms: v1.len() as f64 / READ_BYTES_PER_MS + validate_ms,
             v2_ms: v2.len() as f64 / READ_BYTES_PER_MS + validate_ms,
             v2_deferred_ms: v2.len() as f64 / READ_BYTES_PER_MS,
         });
@@ -96,17 +88,15 @@ pub fn rows(ctx: &ExperimentContext) -> Vec<LoadRow> {
 /// Renders the profile as a table.
 pub fn render(rows: &[LoadRow]) -> Table {
     let mut t = Table::new(
-        "Cold start — GCGR v1 (dense offsets) vs v2 (Elias–Fano, zero-copy)",
+        "Cold start — GCGR v2 (Elias–Fano offsets, zero-copy), eager vs deferred",
         &[
             "Dataset",
             "Nodes",
             "Edges",
-            "v1 KiB",
             "v2 KiB",
             "Dense idx",
             "EF idx",
             "Idx ratio",
-            "v1 ms",
             "v2 ms",
             "Defer ms",
         ],
@@ -116,7 +106,6 @@ pub fn render(rows: &[LoadRow]) -> Table {
             r.name.to_string(),
             r.nodes.to_string(),
             r.edges.to_string(),
-            format!("{:.1}", r.v1_bytes as f64 / 1024.0),
             format!("{:.1}", r.v2_bytes as f64 / 1024.0),
             format!("{} B", r.dense_index_bytes),
             format!("{} B", r.ef_index_bytes),
@@ -124,7 +113,6 @@ pub fn render(rows: &[LoadRow]) -> Table {
                 "{:.2}x",
                 r.dense_index_bytes as f64 / r.ef_index_bytes.max(1) as f64
             ),
-            fmt_ms(r.v1_ms),
             fmt_ms(r.v2_ms),
             fmt_ms(r.v2_deferred_ms),
         ]);
@@ -143,13 +131,12 @@ mod tests {
     use crate::datasets::Scale;
 
     #[test]
-    fn v2_is_smaller_and_deferred_is_cheapest() {
+    fn ef_index_is_smaller_and_deferred_is_cheapest() {
         let ctx = ExperimentContext::new(Scale::TEST, 1);
         let rows = rows(&ctx);
         assert_eq!(rows.len(), ctx.datasets.len());
         for r in &rows {
-            // The EF index must beat the dense array it replaces, and the
-            // file must shrink with it.
+            // The EF index must beat the dense array it replaces.
             assert!(
                 r.ef_index_bytes < r.dense_index_bytes,
                 "{}: EF {} >= dense {}",
@@ -157,19 +144,17 @@ mod tests {
                 r.ef_index_bytes,
                 r.dense_index_bytes
             );
-            assert!(r.v2_bytes < r.v1_bytes, "{}", r.name);
             // Deferred loading skips validation, so it is strictly the
-            // cheapest cold start; eager v2 still beats v1 on read bytes.
+            // cheapest cold start.
             assert!(r.v2_deferred_ms < r.v2_ms);
-            assert!(r.v2_ms < r.v1_ms);
         }
     }
 
     #[test]
     fn modeled_times_are_deterministic() {
         let ctx = ExperimentContext::new(Scale::TEST, 1);
-        let a: Vec<u64> = rows(&ctx).iter().map(|r| r.v1_ms.to_bits()).collect();
-        let b: Vec<u64> = rows(&ctx).iter().map(|r| r.v1_ms.to_bits()).collect();
+        let a: Vec<u64> = rows(&ctx).iter().map(|r| r.v2_ms.to_bits()).collect();
+        let b: Vec<u64> = rows(&ctx).iter().map(|r| r.v2_ms.to_bits()).collect();
         assert_eq!(a, b);
     }
 }

@@ -443,17 +443,6 @@ impl<'a> BitReader<'a> {
         self.bits.peek_word(self.pos)
     }
 
-    /// Reads one bit; `None` at end of stream.
-    #[inline]
-    pub fn read_bit(&mut self) -> Option<bool> {
-        if self.pos >= self.bits.len() {
-            return None;
-        }
-        let b = self.bits.get(self.pos);
-        self.pos += 1;
-        Some(b)
-    }
-
     /// Reads `n` bits MSB-first; `None` if fewer than `n` bits remain.
     #[inline]
     pub fn read_bits(&mut self, n: u32) -> Option<u64> {

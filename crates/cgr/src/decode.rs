@@ -623,7 +623,7 @@ pub enum DecodeStep {
 /// exactly the neighbours never decoded.
 ///
 /// Every field goes through the checked cursor, so the same machinery backs
-/// [`validate_structure`] (and through it [`crate::io::read_cgr`]'s
+/// [`validate_structure`] (and through it [`CgrGraph::from_shared`]'s
 /// structural validation of untrusted payloads).
 /// [`NeighborScanner::next_with_step`] reports the branch class of each
 /// neighbour so simulated kernels can charge the right warp-step cost; the

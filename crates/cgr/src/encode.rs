@@ -151,11 +151,11 @@ impl CgrGraph {
     }
 
     /// Reassembles a graph from a loaded Elias–Fano index and (possibly
-    /// shared, zero-copy) bit array — the v2 deserialization path of
-    /// [`crate::io`]. `deferred` arms per-partition lazy validation: the
-    /// graph starts with every node unchecked and
-    /// [`CgrGraph::ensure_validated`] pays the structural scan on first
-    /// touch.
+    /// shared, zero-copy) bit array. Outside tests its one caller is
+    /// [`CgrGraph::from_shared`], after it has checked every part.
+    /// `deferred` arms per-partition lazy validation: the graph starts with
+    /// every node unchecked and [`CgrGraph::ensure_validated`] pays the
+    /// structural scan on first touch.
     pub(crate) fn from_loaded_parts(
         config: CgrConfig,
         bits: BitVec,

@@ -5,18 +5,18 @@
 //! are encoded offline and the compressed payload is streamed straight from
 //! the file format to the device.
 //!
-//! ## Format (`GCGR`, version 2, little-endian)
+//! ## Format (`GCGR`, versions 2 and 3, little-endian)
 //!
 //! Everything is a `u64` word and every section starts on an 8-byte
 //! boundary, so a file read once into an aligned buffer can be served
-//! **zero-copy**: [`CgrGraph::from_bytes`] / [`CgrGraph::from_shared`]
-//! validate the header and section extents and then hand out
-//! [`gcgt_bits::Storage`] views of the one shared allocation — the index
-//! and payload are never re-materialized per process or per worker.
+//! **zero-copy**: [`CgrGraph::from_shared`] validates the header and
+//! section extents and then hands out [`gcgt_bits::Storage`] views of the
+//! one shared allocation — the index and payload are never re-materialized
+//! per process or per worker.
 //!
 //! ```text
-//! header   16 × u64:
-//!   w0     magic "GCGR" (low 32 bits) | version 2 (high 32 bits)
+//! header   16 × u64 (v2) or 20 × u64 (v3):
+//!   w0     magic "GCGR" (low 32 bits) | version 2 or 3 (high 32 bits)
 //!   w1     code tag u8 (0 γ, 1 δ, 2 ζ) | code k u8 ≪ 8
 //!          | min_interval_len flag u8 ≪ 16 | segment_len flag u8 ≪ 24
 //!          (high 32 bits reserved, must be zero)
@@ -27,25 +27,30 @@
 //!   w13    Elias–Fano low bits per offset (ℓ < 64)
 //!   w14    EF low-section words  = ⌈(num_nodes + 1) · ℓ / 64⌉
 //!   w15    EF high-section words = ⌈(num_nodes + 1 + (bit_len ≫ ℓ)) / 64⌉
+//!   w16    v3 only: ref_window u32 (nonzero) | ref_chain_limit u32 ≪ 32
+//!   w17–19 v3 only: stats ref_nodes, ref_copy_blocks, ref_copied_edges
 //! EF low   w14 words — densely packed ℓ-bit offset low halves
 //! EF high  w15 words — unary-coded offset high halves
 //! payload  ⌈bit_len / 64⌉ words — the compressed bit array
 //! ```
 //!
-//! The `n + 1` per-node bit offsets are an [`EliasFano`] index (w13–w15 pin
-//! its parameters; the select directory is derived at load, never stored),
-//! a fraction of the dense `(n + 1) × u64` array version 1 shipped. The
-//! word counts in w14/w15 are redundant with ℓ and the counts in w3/w5 and
-//! are cross-checked, as are the stats mirrors of `num_nodes`/`num_edges`/
-//! `bit_len` — any disagreement is a typed `InvalidData` error. A v2 stream
-//! ends exactly at the last payload word; trailing bytes are corruption.
+//! [`write_cgr`] emits v2 when `ref_window == 0` and v3 otherwise. The
+//! `n + 1` per-node bit offsets are an [`EliasFano`] index (w13–w15 pin
+//! its parameters; the select directory is derived at load, never stored).
+//! The word counts in w14/w15 are redundant with ℓ and the counts in w3/w5
+//! and are cross-checked, as are the stats mirrors of `num_nodes`/
+//! `num_edges`/`bit_len`; the decoded offsets must start at zero, never
+//! decrease and end at `bit_len` — any disagreement is a typed
+//! `InvalidData` error. A stream ends exactly at the last payload word;
+//! trailing bytes are corruption.
 //!
-//! **Version 1 compatibility:** [`read_cgr`] still reads the legacy
-//! streamed layout (byte-packed header, dense `u64` offsets, payload; see
-//! [`write_cgr_v1`], which keeps writing it for tooling and tests). v1
-//! loads rebuild the Elias–Fano index in memory and enforce the same
-//! hardening as v2: first offset pinned to zero, checked count narrowing,
-//! stats cross-checks, and EOF required after the payload.
+//! **One loader:** every entry point — [`read_cgr_with`] (any reader),
+//! [`load_with`] and [`read_words`] (a path), [`CgrGraph::from_bytes_with`]
+//! (an aligned byte buffer) — turns its bytes into words and hands them to
+//! [`CgrGraph::from_shared`], which checks the header, the section extents
+//! and the decoded offsets. The byte-streamed version 1
+//! layout is retired: a v1 stream fails as "unsupported GCGR version 1";
+//! re-encode it from the source graph.
 //!
 //! **Validation:** by default every load stream-decodes each adjacency once
 //! ([`ValidationMode::Eager`]) so corruption surfaces as a typed load error
@@ -69,9 +74,6 @@ pub const MAGIC: [u8; 4] = *b"GCGR";
 /// what [`write_cgr`] emits whenever `ref_window == 0` (byte-identical to
 /// pre-v3 writers).
 pub const VERSION: u32 = 2;
-/// The legacy byte-streamed layout, still readable by [`read_cgr`] and
-/// writable via [`write_cgr_v1`].
-pub const VERSION_V1: u32 = 1;
 /// The reference-compression layout: the v2 sections plus a 4-word header
 /// extension (ref knobs + ref stat mirrors). Written whenever
 /// `ref_window > 0`.
@@ -84,12 +86,18 @@ pub const V2_HEADER_WORDS: usize = 16;
 /// (w17–w19).
 pub const V3_HEADER_WORDS: usize = 20;
 
-/// Header length of a version, or `None` for unsupported versions.
-fn header_words_for(version: u32) -> Option<usize> {
-    match version {
-        VERSION => Some(V2_HEADER_WORDS),
-        VERSION_V3 => Some(V3_HEADER_WORDS),
-        _ => None,
+/// Checks the magic and version in header word `w0` and returns the
+/// header length in words.
+fn header_len(w0: u64) -> io::Result<usize> {
+    if w0 as u32 != u32::from_le_bytes(MAGIC) {
+        return Err(bad("not a GCGR file (bad magic)"));
+    }
+    match (w0 >> 32) as u32 {
+        VERSION => Ok(V2_HEADER_WORDS),
+        VERSION_V3 => Ok(V3_HEADER_WORDS),
+        v => Err(bad(format!(
+            "unsupported GCGR version {v} (expected {VERSION} or {VERSION_V3})"
+        ))),
     }
 }
 
@@ -97,8 +105,7 @@ fn header_words_for(version: u32) -> Option<usize> {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ValidationMode {
     /// Stream-decode every adjacency at load time — corruption is a typed
-    /// load error and the returned graph is fully proven (the v1
-    /// behaviour).
+    /// load error and the returned graph is fully proven.
     #[default]
     Eager,
     /// Skip the O(edges) pass at load; every node starts unchecked and
@@ -127,42 +134,28 @@ fn to_usize(v: u64, what: &str) -> io::Result<usize> {
         .map_err(|_| bad(format!("{what} {v} does not fit in usize on this target")))
 }
 
-/// Requires the reader to be exhausted: trailing bytes after the payload
-/// are concatenation/corruption, indistinguishable from a clean file
-/// before this check existed.
-fn expect_eof<R: Read>(r: &mut R) -> io::Result<()> {
-    let mut probe = [0u8; 1];
-    match r.read_exact(&mut probe) {
-        Ok(()) => Err(bad("trailing bytes after the payload")),
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => Ok(()),
-        Err(e) => Err(e),
-    }
-}
-
-fn write_u32<W: Write>(w: &mut W, v: u32) -> io::Result<()> {
-    w.write_all(&v.to_le_bytes())
-}
-
 fn write_u64<W: Write>(w: &mut W, v: u64) -> io::Result<()> {
     w.write_all(&v.to_le_bytes())
 }
 
-fn read_u32<R: Read>(r: &mut R) -> io::Result<u32> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b)?;
-    Ok(u32::from_le_bytes(b))
-}
-
-fn read_u64<R: Read>(r: &mut R) -> io::Result<u64> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b)?;
-    Ok(u64::from_le_bytes(b))
-}
-
-fn read_u8<R: Read>(r: &mut R) -> io::Result<u8> {
-    let mut b = [0u8; 1];
-    r.read_exact(&mut b)?;
-    Ok(b[0])
+/// Adopts a little-endian byte image as words. A length that is not a
+/// whole number of words is an error, but a foreign or retired stream (a
+/// v1 file is 4 bytes off a word boundary) is named by its head first.
+fn words_from_le_bytes(bytes: &[u8]) -> io::Result<Arc<[u64]>> {
+    let words: Arc<[u64]> = bytes
+        .chunks_exact(8)
+        .map(|c| u64::from_le_bytes(c.try_into().expect("chunks_exact yields 8-byte chunks")))
+        .collect();
+    if !bytes.len().is_multiple_of(8) {
+        if let Some(&w0) = words.first() {
+            header_len(w0)?;
+        }
+        return Err(bad(format!(
+            "GCGR buffer length {} is not a multiple of 8",
+            bytes.len()
+        )));
+    }
+    Ok(words)
 }
 
 fn code_tag(code: Code) -> (u8, u8) {
@@ -192,40 +185,6 @@ fn opt_field(flag: u8, value: u32, what: &str) -> io::Result<Option<u32>> {
         1 => Ok(Some(value)),
         f => Err(bad(format!("bad {what} presence flag {f}"))),
     }
-}
-
-fn write_code<W: Write>(w: &mut W, code: Code) -> io::Result<()> {
-    let (tag, k) = code_tag(code);
-    w.write_all(&[tag, k])
-}
-
-fn read_code<R: Read>(r: &mut R) -> io::Result<Code> {
-    let tag = read_u8(r)?;
-    let k = read_u8(r)?;
-    code_from_tag(tag, k)
-}
-
-fn write_opt_u32<W: Write>(w: &mut W, v: Option<u32>) -> io::Result<()> {
-    w.write_all(&[u8::from(v.is_some())])?;
-    write_u32(w, v.unwrap_or(0))
-}
-
-fn read_opt_u32<R: Read>(r: &mut R, what: &str) -> io::Result<Option<u32>> {
-    let flag = read_u8(r)?;
-    let v = read_u32(r)?;
-    opt_field(flag, v, what)
-}
-
-fn stats_fields(s: &CompressionStats) -> [usize; 7] {
-    [
-        s.nodes,
-        s.edges,
-        s.total_bits,
-        s.interval_edges,
-        s.residual_edges,
-        s.blank_bits,
-        s.segments,
-    ]
 }
 
 /// Serializes `cgr` to a writer in the current `GCGR` format: v2 when the
@@ -262,7 +221,7 @@ fn header_words(cgr: &CgrGraph) -> Vec<u64> {
     } else {
         VERSION
     };
-    let s = stats_fields(cgr.stats());
+    let st = cgr.stats();
     let ef = cgr.index();
     let mut words = vec![
         u64::from(u32::from_le_bytes(MAGIC)) | u64::from(version) << 32,
@@ -271,71 +230,29 @@ fn header_words(cgr: &CgrGraph) -> Vec<u64> {
         cgr.num_nodes() as u64,
         cgr.num_edges() as u64,
         cgr.bits().len() as u64,
-        s[0] as u64,
-        s[1] as u64,
-        s[2] as u64,
-        s[3] as u64,
-        s[4] as u64,
-        s[5] as u64,
-        s[6] as u64,
+        st.nodes as u64,
+        st.edges as u64,
+        st.total_bits as u64,
+        st.interval_edges as u64,
+        st.residual_edges as u64,
+        st.blank_bits as u64,
+        st.segments as u64,
         u64::from(ef.low_bits()),
         ef.low().words().len() as u64,
         ef.high().words().len() as u64,
     ];
     if version == VERSION_V3 {
-        let st = cgr.stats();
         words.push(u64::from(cfg.ref_window) | u64::from(cfg.ref_chain_limit) << 32);
         words.push(st.ref_nodes as u64);
         words.push(st.ref_copy_blocks as u64);
         words.push(st.ref_copied_edges as u64);
     }
-    debug_assert_eq!(
-        words.len(),
-        header_words_for(version).expect("writers only emit known versions")
-    );
+    debug_assert_eq!(header_len(words[0]).ok(), Some(words.len()));
     words
 }
 
-/// Serializes `cgr` in the legacy v1 `GCGR` format (byte-packed header,
-/// dense `u64` offset array). Kept for compatibility tooling, corruption
-/// regression tests and the `load` bench's v1-versus-v2 comparison; new
-/// files should use [`write_cgr`].
-pub fn write_cgr_v1<W: Write>(cgr: &CgrGraph, writer: W) -> io::Result<()> {
-    if cgr.config().ref_window > 0 {
-        // v1 has no field for the ref knobs; silently dropping them would
-        // produce a stream whose payload needs them to decode.
-        return Err(bad(
-            "GCGR v1 cannot carry reference compression (ref_window > 0); use write_cgr",
-        ));
-    }
-    let mut w = io::BufWriter::new(writer);
-    w.write_all(&MAGIC)?;
-    write_u32(&mut w, VERSION_V1)?;
-
-    let cfg = cgr.config();
-    write_code(&mut w, cfg.code)?;
-    write_opt_u32(&mut w, cfg.min_interval_len)?;
-    write_opt_u32(&mut w, cfg.segment_len_bytes)?;
-
-    write_u64(&mut w, cgr.num_nodes() as u64)?;
-    write_u64(&mut w, cgr.num_edges() as u64)?;
-    write_u64(&mut w, cgr.bits().len() as u64)?;
-
-    for v in stats_fields(cgr.stats()) {
-        write_u64(&mut w, v as u64)?;
-    }
-
-    for off in cgr.offsets_dense() {
-        write_u64(&mut w, off as u64)?;
-    }
-    for &word in cgr.bits().words() {
-        write_u64(&mut w, word)?;
-    }
-    w.flush()
-}
-
-/// Parsed and cross-checked v2 header.
-struct V2Header {
+/// Parsed and cross-checked v2/v3 header.
+struct Header {
     config: CgrConfig,
     num_nodes: usize,
     num_edges: usize,
@@ -352,18 +269,10 @@ struct V2Header {
     high_words: usize,
 }
 
-fn parse_v2_header(words: &[u64]) -> io::Result<V2Header> {
-    let w0 = words[0];
-    if w0 as u32 != u32::from_le_bytes(MAGIC) {
-        return Err(bad("not a GCGR file (bad magic)"));
-    }
-    let version = (w0 >> 32) as u32;
-    let Some(header_len) = header_words_for(version) else {
-        return Err(bad(format!(
-            "unsupported GCGR version {version} (expected {VERSION} or {VERSION_V3})"
-        )));
-    };
-    debug_assert_eq!(words.len(), header_len);
+/// Parses the header section `words`, whose magic and version
+/// [`header_len`] has already accepted and whose length it set.
+fn parse_header(words: &[u64]) -> io::Result<Header> {
+    let version = (words[0] >> 32) as u32;
     let w1 = words[1];
     if w1 >> 32 != 0 {
         return Err(bad("reserved header bits are set"));
@@ -435,7 +344,7 @@ fn parse_v2_header(words: &[u64]) -> io::Result<V2Header> {
             high_len_bits.div_ceil(64)
         )));
     }
-    Ok(V2Header {
+    Ok(Header {
         config,
         num_nodes,
         num_edges,
@@ -480,23 +389,20 @@ fn check_stats(
 
 impl CgrGraph {
     /// **Zero-copy** load of a GCGR v2/v3 image already resident in a
-    /// shared word buffer: validates the header, section extents and offset
-    /// index, then serves the EF index and payload as
-    /// [`gcgt_bits::Storage`] views of `words` — no section is copied, and
-    /// clones of the returned graph (e.g. one per serve worker) keep
-    /// sharing the one allocation.
+    /// shared word buffer — the one GCGR loader every other entry point
+    /// feeds. Validates the header, section extents and offset index, then
+    /// serves the EF index and payload as [`gcgt_bits::Storage`] views of
+    /// `words` — no section is copied, and clones of the returned graph
+    /// (e.g. one per serve worker) keep sharing the one allocation.
     pub fn from_shared(words: Arc<[u64]>, mode: ValidationMode) -> io::Result<CgrGraph> {
-        if words.is_empty() {
+        let Some(&w0) = words.first() else {
             return Err(bad("truncated GCGR header"));
-        }
-        // Header length depends on the version; peek it before slicing.
-        // parse_v2_header re-validates magic and version with full errors.
-        let peeked = (words[0] >> 32) as u32;
-        let header_len = header_words_for(peeked).unwrap_or(V2_HEADER_WORDS);
+        };
+        let header_len = header_len(w0)?;
         if words.len() < header_len {
             return Err(bad("truncated GCGR header"));
         }
-        let h = parse_v2_header(&words[..header_len])?;
+        let h = parse_header(&words[..header_len])?;
         let payload_words = h.bit_len.div_ceil(64);
         let expect_total = header_len + h.low_words + h.high_words + payload_words;
         if words.len() != expect_total {
@@ -558,7 +464,7 @@ impl CgrGraph {
         Self::from_bytes_with(bytes, ValidationMode::default())
     }
 
-    /// Loads a GCGR v2 image from a caller-provided byte buffer (a file
+    /// Loads a GCGR v2/v3 image from a caller-provided byte buffer (a file
     /// read into memory, a mapped region). The buffer must be 8-byte
     /// aligned and a whole number of words, as the format guarantees —
     /// both are validated, never assumed. The words are adopted into one
@@ -568,161 +474,38 @@ impl CgrGraph {
     /// shares that single allocation zero-copy.
     pub fn from_bytes_with(bytes: &[u8], mode: ValidationMode) -> io::Result<CgrGraph> {
         if !(bytes.as_ptr() as usize).is_multiple_of(8) {
-            return Err(bad("GCGR v2 buffer is not 8-byte aligned"));
+            return Err(bad("GCGR buffer is not 8-byte aligned"));
         }
-        if !bytes.len().is_multiple_of(8) {
-            return Err(bad(format!(
-                "GCGR v2 buffer length {} is not a multiple of 8",
-                bytes.len()
-            )));
-        }
-        let words: Arc<[u64]> = bytes
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("chunks_exact yields 8-byte chunks")))
-            .collect();
-        Self::from_shared(words, mode)
+        Self::from_shared(words_from_le_bytes(bytes)?, mode)
     }
 }
 
-/// Deserializes a graph written by [`write_cgr`] (v2) or [`write_cgr_v1`],
-/// with eager validation — see [`read_cgr_with`].
+/// Deserializes a graph written by [`write_cgr`], with eager validation —
+/// see [`read_cgr_with`].
 pub fn read_cgr<R: Read>(reader: R) -> io::Result<CgrGraph> {
     read_cgr_with(reader, ValidationMode::default())
 }
 
-/// Deserializes a graph from either supported `GCGR` version, dispatching
-/// on the version field. Validates magic, configuration, counts (checked
-/// narrowing), stats cross-checks, offset monotonicity (first offset
-/// pinned to zero, final offset covering the payload), and exact stream
-/// length; `mode` selects eager or deferred structural validation.
-pub fn read_cgr_with<R: Read>(reader: R, mode: ValidationMode) -> io::Result<CgrGraph> {
-    let mut r = io::BufReader::new(reader);
-    let mut head = [0u8; 8];
-    r.read_exact(&mut head)?;
-    if head[..4] != MAGIC {
-        return Err(bad("not a GCGR file (bad magic)"));
-    }
-    let version = u32::from_le_bytes(head[4..8].try_into().expect("a 4-byte slice"));
-    match version {
-        VERSION | VERSION_V3 => read_v2_body(r, version, mode),
-        VERSION_V1 => read_v1_body(r, mode),
-        v => Err(bad(format!(
-            "unsupported GCGR version {v} (supported: {VERSION_V1}, {VERSION}, {VERSION_V3})"
-        ))),
-    }
+/// Deserializes a GCGR v2/v3 stream: reads it to the end and loads the
+/// words through [`CgrGraph::from_shared`], which validates magic,
+/// configuration, counts (checked narrowing), stats cross-checks, offset
+/// monotonicity (first offset pinned to zero, final offset covering the
+/// payload), and exact stream length; `mode` selects eager or deferred
+/// structural validation.
+pub fn read_cgr_with<R: Read>(mut reader: R, mode: ValidationMode) -> io::Result<CgrGraph> {
+    let mut bytes = Vec::new();
+    reader.read_to_end(&mut bytes)?;
+    CgrGraph::from_shared(words_from_le_bytes(&bytes)?, mode)
 }
 
-/// v2/v3 body: the whole stream is words, so slurp it and hand off to the
-/// shared-buffer loader (the file path *is* the zero-copy path plus one
-/// read). `version` re-synthesizes the first word the dispatcher consumed.
-fn read_v2_body<R: Read>(mut r: R, version: u32, mode: ValidationMode) -> io::Result<CgrGraph> {
-    let mut rest = Vec::new();
-    r.read_to_end(&mut rest)?;
-    if !rest.len().is_multiple_of(8) {
-        return Err(bad(format!(
-            "GCGR stream length is not a multiple of 8 ({} stray bytes)",
-            rest.len() % 8
-        )));
-    }
-    let first = u64::from(u32::from_le_bytes(MAGIC)) | u64::from(version) << 32;
-    let words: Arc<[u64]> =
-        std::iter::once(first)
-            .chain(rest.chunks_exact(8).map(|c| {
-                u64::from_le_bytes(c.try_into().expect("chunks_exact yields 8-byte chunks"))
-            }))
-            .collect();
-    CgrGraph::from_shared(words, mode)
-}
-
-/// v1 body (magic + version already consumed): the legacy byte-streamed
-/// layout, hardened — checked count narrowing, stats cross-checks, first
-/// offset pinned to zero, EOF required after the payload.
-fn read_v1_body<R: Read>(mut r: R, mode: ValidationMode) -> io::Result<CgrGraph> {
-    let config = CgrConfig {
-        code: read_code(&mut r)?,
-        min_interval_len: read_opt_u32(&mut r, "min_interval_len")?,
-        segment_len_bytes: read_opt_u32(&mut r, "segment_len_bytes")?,
-        ref_window: 0,
-        ref_chain_limit: crate::config::DEFAULT_REF_CHAIN_LIMIT,
-    };
-
-    let num_nodes = to_usize(read_u64(&mut r)?, "node count")?;
-    let num_edges = to_usize(read_u64(&mut r)?, "edge count")?;
-    let bit_len = to_usize(read_u64(&mut r)?, "payload bit length")?;
-
-    let stats = CompressionStats {
-        nodes: to_usize(read_u64(&mut r)?, "stats node count")?,
-        edges: to_usize(read_u64(&mut r)?, "stats edge count")?,
-        total_bits: to_usize(read_u64(&mut r)?, "stats total bits")?,
-        interval_edges: to_usize(read_u64(&mut r)?, "stats interval edges")?,
-        residual_edges: to_usize(read_u64(&mut r)?, "stats residual edges")?,
-        blank_bits: to_usize(read_u64(&mut r)?, "stats blank bits")?,
-        segments: to_usize(read_u64(&mut r)?, "stats segments")?,
-        ..CompressionStats::default()
-    };
-    check_stats(&stats, num_nodes, num_edges, bit_len)?;
-
-    // Capacity hints are capped: the counts come from an untrusted header,
-    // and a corrupt value must surface as the read error below, not as a
-    // huge up-front allocation.
-    const MAX_PREALLOC: usize = 1 << 20;
-    let mut offsets = Vec::with_capacity(num_nodes.saturating_add(1).min(MAX_PREALLOC));
-    let mut prev = 0usize;
-    for i in 0..=num_nodes {
-        let off = to_usize(read_u64(&mut r)?, "offset")?;
-        if i == 0 && off != 0 {
-            // No encoder emits leading blank bits; an unpinned first offset
-            // used to slip through the monotonicity loop (it starts from
-            // `prev = 0`) and load a graph diverging from any real encode.
-            return Err(bad("first offset must be zero (leading blank bits)"));
-        }
-        if off < prev || off > bit_len {
-            return Err(bad(format!("offset {i} out of order or past payload")));
-        }
-        prev = off;
-        offsets.push(off);
-    }
-    if offsets.last() != Some(&bit_len) {
-        return Err(bad("final offset does not cover the payload"));
-    }
-
-    let num_words = bit_len.div_ceil(64);
-    let mut words = Vec::with_capacity(num_words.min(MAX_PREALLOC));
-    for _ in 0..num_words {
-        words.push(read_u64(&mut r)?);
-    }
-    expect_eof(&mut r)?;
-    let bits = BitVec::try_from_words(words, bit_len).map_err(bad)?;
-
-    let cgr = CgrGraph::from_loaded_parts(
-        config,
-        bits,
-        EliasFano::build(&offsets),
-        num_edges,
-        stats,
-        mode.deferred(),
-    );
-
-    // Structural validation: a payload whose magic, version and offsets all
-    // check out can still be truncated or bit-flipped, and the serial
-    // decoders (and every kernel built on them) would panic mid-traversal.
-    // Stream-decode every adjacency once here so corruption surfaces as a
-    // typed load error instead. O(edges) — paid once per load.
-    if !mode.deferred() {
-        crate::decode::validate_structure(&cgr)
-            .map_err(|e| bad(format!("corrupt CGR payload: {e}")))?;
-    }
-
-    Ok(cgr)
-}
-
-/// Saves a compressed graph to a file path in the current (v2) format.
+/// Saves a compressed graph to a file path in the current format (v2, or
+/// v3 under reference compression).
 pub fn save<P: AsRef<Path>>(cgr: &CgrGraph, path: P) -> io::Result<()> {
     let file = std::fs::File::create(path)?;
     write_cgr(cgr, file)
 }
 
-/// Loads a compressed graph from a file path (either version, eager
+/// Loads a compressed graph from a file path (v2 or v3, eager
 /// validation).
 pub fn load<P: AsRef<Path>>(path: P) -> io::Result<CgrGraph> {
     load_with(path, ValidationMode::default())
@@ -731,26 +514,15 @@ pub fn load<P: AsRef<Path>>(path: P) -> io::Result<CgrGraph> {
 /// Loads a compressed graph from a file path with an explicit
 /// [`ValidationMode`].
 pub fn load_with<P: AsRef<Path>>(path: P, mode: ValidationMode) -> io::Result<CgrGraph> {
-    let file = std::fs::File::open(path)?;
-    read_cgr_with(file, mode)
+    CgrGraph::from_shared(read_words(path)?, mode)
 }
 
-/// Reads a whole GCGR v2 file into one shared word buffer — the substrate
+/// Reads a whole GCGR file into one shared word buffer — the substrate
 /// for [`CgrGraph::from_shared`]: load the words once, then any number of
 /// graphs, workers or processes-worth-of-clones serve views of this single
 /// allocation.
 pub fn read_words<P: AsRef<Path>>(path: P) -> io::Result<Arc<[u64]>> {
-    let bytes = std::fs::read(path)?;
-    if !bytes.len().is_multiple_of(8) {
-        return Err(bad(format!(
-            "GCGR v2 file length {} is not a multiple of 8",
-            bytes.len()
-        )));
-    }
-    Ok(bytes
-        .chunks_exact(8)
-        .map(|c| u64::from_le_bytes(c.try_into().expect("chunks_exact yields 8-byte chunks")))
-        .collect())
+    words_from_le_bytes(&std::fs::read(path)?)
 }
 
 #[cfg(test)]
@@ -785,18 +557,6 @@ mod tests {
             for u in 0..g.num_nodes() as u32 {
                 assert_eq!(decode_node(&loaded, u), g.neighbors(u));
             }
-        }
-    }
-
-    #[test]
-    fn v1_round_trip_both_layouts() {
-        let g = web_graph(&WebParams::uk2002_like(400), 5);
-        for cfg in [CgrConfig::paper_default(), CgrConfig::unsegmented()] {
-            let cgr = CgrGraph::encode(&g, &cfg);
-            let mut buf = Vec::new();
-            write_cgr_v1(&cgr, &mut buf).unwrap();
-            let loaded = read_cgr(io::Cursor::new(buf)).unwrap();
-            assert_same_graph(&loaded, &cgr);
         }
     }
 
@@ -872,39 +632,6 @@ mod tests {
         let mut huge = buf.clone();
         huge[24..32].copy_from_slice(&u64::MAX.to_le_bytes()); // w3 = num_nodes
         assert!(read_cgr(io::Cursor::new(huge)).is_err());
-    }
-
-    #[test]
-    fn v1_corruption_regressions() {
-        let g = toys::figure1();
-        let cgr = CgrGraph::encode(&g, &CgrConfig::paper_default());
-        let mut buf = Vec::new();
-        write_cgr_v1(&cgr, &mut buf).unwrap();
-        // v1 byte layout: magic 4 + version 4 + code 2 + 2 × opt-u32 5 = 20,
-        // counts 3 × 8 = 24 (→ 44), stats 7 × 8 = 56 (→ 100), offsets.
-        let stats_total_bits_at = 44 + 16;
-        let offsets_at = 100;
-
-        // Regression: a nonzero first offset used to slip through the
-        // monotonicity loop and load a graph no encoder can produce.
-        let mut unpinned = buf.clone();
-        unpinned[offsets_at..offsets_at + 8].copy_from_slice(&1u64.to_le_bytes());
-        let err = read_cgr(io::Cursor::new(unpinned)).unwrap_err();
-        assert!(err.to_string().contains("first offset"), "{err}");
-
-        // Regression: trailing bytes after the payload used to be accepted.
-        let mut trailing = buf.clone();
-        trailing.extend_from_slice(&[0xAB; 4]);
-        let err = read_cgr(io::Cursor::new(trailing)).unwrap_err();
-        assert!(err.to_string().contains("trailing"), "{err}");
-
-        // Regression: stats.total_bits was never cross-checked against the
-        // declared payload bit length.
-        let mut skewed = buf.clone();
-        let lied = (cgr.bits().len() as u64 + 64).to_le_bytes();
-        skewed[stats_total_bits_at..stats_total_bits_at + 8].copy_from_slice(&lied);
-        let err = read_cgr(io::Cursor::new(skewed)).unwrap_err();
-        assert!(err.to_string().contains("total bits"), "{err}");
     }
 
     #[test]

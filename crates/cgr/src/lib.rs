@@ -39,8 +39,9 @@
 //! node count and the format's invariants, and fails with a typed error
 //! instead of panicking. It has two faces in [`decode`] — the streaming
 //! [`NeighborScanner`] (one neighbour per call; the pull kernels' early-exit
-//! primitive and, through [`validate_structure`], [`io::read_cgr`]'s
-//! structural validation) and the bulk [`decode::decode_all`] family (a
+//! primitive and, through [`validate_structure`], the structural
+//! validation of [`CgrGraph::from_shared`], the one GCGR loader every
+//! [`io`] entry point feeds) and the bulk [`decode::decode_all`] family (a
 //! loop over the cursor) — and a third in `gcgt-core`, whose kernels wrap
 //! the same cursor per lane. What the validator accepts, every consumer
 //! therefore decodes identically and without panicking; trusted callers

@@ -304,11 +304,6 @@ impl CsrBuilder {
         self.add_edge(v, u);
     }
 
-    /// Number of edge insertions so far (before dedup).
-    pub fn pending_edges(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Finalizes into a [`Csr`], sorting and deduplicating.
     pub fn build(mut self) -> Csr {
         self.edges.sort_unstable();

@@ -10,7 +10,7 @@
 use std::ops::Range;
 
 use gcgt_cgr::CgrGraph;
-use gcgt_graph::{Csr, NodeId};
+use gcgt_graph::NodeId;
 
 /// One contiguous vertex range of the compressed graph, sized to a byte
 /// budget.
@@ -222,30 +222,6 @@ impl PartitionMap {
         self.parts.partition_point(|p| p.first_node <= u) - 1
     }
 
-    /// The owner of node `u` — `node → partition` lookup under its sharding
-    /// name. Identical to [`PartitionMap::partition_of`]; sharded traversal
-    /// reads better asking "who owns this node".
-    pub fn owner_of(&self, u: NodeId) -> usize {
-        self.partition_of(u)
-    }
-
-    /// Number of stored edges whose endpoints live in different partitions —
-    /// the traffic a partitioned traversal may have to communicate. Counts
-    /// directed (stored) edges; on a symmetrized graph each cut edge is
-    /// therefore counted once per direction.
-    pub fn boundary_edges(&self, graph: &Csr) -> u64 {
-        let mut edges = 0u64;
-        for u in 0..graph.num_nodes() as NodeId {
-            let owner = self.partition_of(u);
-            for &v in graph.neighbors(u) {
-                if self.partition_of(v) != owner {
-                    edges += 1;
-                }
-            }
-        }
-        edges
-    }
-
     /// The largest single partition — the floor any residency budget must
     /// clear.
     pub fn max_partition_bytes(&self) -> usize {
@@ -435,15 +411,6 @@ mod tests {
     }
 
     #[test]
-    fn owner_of_is_partition_of() {
-        let cgr = sample();
-        let map = PartitionMap::build_count(&cgr, 4);
-        for u in 0..cgr.num_nodes() as NodeId {
-            assert_eq!(map.owner_of(u), map.partition_of(u));
-        }
-    }
-
-    #[test]
     fn reference_free_partitions_have_empty_closures() {
         let cgr = sample(); // paper_default: ref_window == 0
         let map = PartitionMap::build(&cgr, 4 << 10);
@@ -516,22 +483,5 @@ mod tests {
             "no closure node fell inside a two-partition run"
         );
         assert_eq!(map.run_closure_bytes(0..map.len()), 0);
-    }
-
-    #[test]
-    fn boundary_edges_counted_by_hand_on_a_path() {
-        use gcgt_graph::Csr;
-        // Path 0-1-2-3 (stored both ways). Split into two halves {0,1} and
-        // {2,3}: only 1→2 and 2→1 cross.
-        let g = Csr::from_edges(4, &[(0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2)]);
-        let cgr = CgrGraph::encode(&g, &CgrConfig::paper_default());
-        let map = PartitionMap::build_count(&cgr, 2);
-        if map.parts()[0].end_node == 2 {
-            assert_eq!(map.boundary_edges(&g), 2);
-        }
-        // Whatever the byte-balanced cut, a single partition has none and
-        // the identity split cuts every stored edge.
-        assert_eq!(PartitionMap::build_count(&cgr, 1).boundary_edges(&g), 0);
-        assert_eq!(PartitionMap::build(&cgr, 1).boundary_edges(&g), 6);
     }
 }

@@ -4,8 +4,10 @@
 //! * Property tests: arbitrary graphs × arbitrary CGR configurations
 //!   round-trip through the v2 buffer both **owned** (`read_cgr`) and
 //!   **zero-copy** (`CgrGraph::from_bytes`), with the Elias–Fano offset
-//!   index decoding bit-for-bit the same dense array the encoder produced
-//!   — and the legacy v1 layout keeps round-tripping too.
+//!   index decoding bit-for-bit the same dense array the encoder produced.
+//! * Each check on the decoded offsets (first is zero, never decreasing,
+//!   last covers the payload) refuses a patched Elias–Fano low section,
+//!   and a retired v1 stream fails as an unsupported version.
 //! * All five applications produce bitwise-identical `QueryOutput`s *and*
 //!   `RunStats` whether the session encoded the graph itself or adopted a
 //!   saved v2 buffer — in-core, streaming out-of-core, sharded across 4
@@ -94,16 +96,118 @@ proptest! {
         deferred.ensure_validated_all().expect("clean buffer validates");
         prop_assert!(!deferred.validation_pending());
     }
+}
 
-    #[test]
-    fn v1_layout_still_round_trips(graph in arb_graph(), config in arb_config()) {
-        let cgr = CgrGraph::encode(&graph, &config);
-        let mut buf = Vec::new();
-        io::write_cgr_v1(&cgr, &mut buf).expect("in-memory v1 write");
-        let loaded = io::read_cgr(&buf[..]).expect("v1 read");
-        prop_assert_eq!(loaded.bits(), cgr.bits());
-        prop_assert_eq!(loaded.offsets_dense(), cgr.offsets_dense());
-        prop_assert_eq!(gcgt::cgr::decode::decode_all(&loaded), graph);
+/// A real v2 encode of a generated web graph, its serialized bytes and its
+/// decoded offsets.
+fn offset_fixture() -> (CgrGraph, Vec<u8>, Vec<usize>) {
+    let cgr = CgrGraph::encode(
+        &web_graph(&WebParams::uk2002_like(300), 5),
+        &CgrConfig::paper_default(),
+    );
+    let buf = v2_buffer(&cgr);
+    let offsets = cgr.offsets_dense();
+    assert!(cgr.index().low_bits() > 0, "the fixture needs low bits");
+    (cgr, buf, offsets)
+}
+
+/// Overwrites the Elias–Fano low half of offset `i` in a serialized v2
+/// image: `ℓ` bits, MSB-first, right after the 16-word header.
+fn patch_low(buf: &mut [u8], cgr: &CgrGraph, i: usize, low: u64) {
+    let l = cgr.index().low_bits() as usize;
+    for j in 0..l {
+        let pos = io::V2_HEADER_WORDS * 64 + i * l + j;
+        let (byte, bit) = (pos / 64 * 8 + (63 - pos % 64) / 8, (63 - pos % 64) % 8);
+        let one = (low >> (l - 1 - j)) & 1 == 1;
+        buf[byte] = (buf[byte] & !(1 << bit)) | (u8::from(one) << bit);
+    }
+}
+
+/// Loads `buf` and returns the `InvalidData` message it must fail with.
+fn invalid_data(buf: &[u8]) -> String {
+    let err = io::read_cgr(buf).expect_err("the patched image must be refused");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    err.to_string()
+}
+
+#[test]
+fn nonzero_first_offset_is_refused() {
+    let (cgr, mut buf, _) = offset_fixture();
+    patch_low(&mut buf, &cgr, 0, 1);
+    let msg = invalid_data(&buf);
+    assert!(msg.contains("first offset must be zero"), "{msg}");
+}
+
+#[test]
+fn decreasing_offset_is_refused() {
+    let (cgr, mut buf, offsets) = offset_fixture();
+    let l = cgr.index().low_bits();
+    let mask = (1usize << l) - 1;
+    // Raise offset i's low half to all ones inside a bucket it shares with
+    // offset i + 1, which then decodes below it (but i stays in the payload).
+    let bit_len = offsets[offsets.len() - 1];
+    let i = (1..offsets.len() - 1)
+        .find(|&i| {
+            offsets[i] >> l == offsets[i + 1] >> l
+                && offsets[i + 1] & mask < mask
+                && offsets[i] | mask <= bit_len
+        })
+        .expect("two offsets share a high bucket");
+    patch_low(&mut buf, &cgr, i, mask as u64);
+    let msg = invalid_data(&buf);
+    assert!(
+        msg.contains(&format!("offset {} out of order or past payload", i + 1)),
+        "{msg}"
+    );
+}
+
+#[test]
+fn final_offset_short_of_the_payload_is_refused() {
+    let (cgr, mut buf, offsets) = offset_fixture();
+    let n = offsets.len() - 1;
+    let mask = (1usize << cgr.index().low_bits()) - 1;
+    let bit_len = offsets[n];
+    assert!(
+        bit_len & mask > 0,
+        "the payload length needs nonzero low bits"
+    );
+    assert!(
+        offsets[n - 1] < bit_len,
+        "the last node has a nonempty list"
+    );
+    // The final offset becomes bit_len − 1: still ordered, one bit short.
+    patch_low(&mut buf, &cgr, n, ((bit_len & mask) - 1) as u64);
+    let msg = invalid_data(&buf);
+    assert!(
+        msg.contains("final offset does not cover the payload"),
+        "{msg}"
+    );
+}
+
+/// Version 1 is retired: a stream that names it fails as an unsupported
+/// version whatever its length, through every byte loader and never as a
+/// panic.
+#[test]
+fn v1_streams_fail_as_unsupported_version() {
+    let mut v2 = v2_buffer(&CgrGraph::encode(
+        &web_graph(&WebParams::uk2002_like(64), 1),
+        &CgrConfig::paper_default(),
+    ));
+    v2[4..8].copy_from_slice(&1u32.to_le_bytes());
+    // A v1 file's byte-packed header leaves it 4 bytes off a word boundary.
+    let mut v1_shaped = b"GCGR".to_vec();
+    v1_shaped.extend_from_slice(&1u32.to_le_bytes());
+    v1_shaped.resize(108, 0);
+    let head_only = v1_shaped[..8].to_vec();
+    for stream in [&v2, &v1_shaped, &head_only] {
+        for loaded in [io::read_cgr(&stream[..]), CgrGraph::from_bytes(stream)] {
+            let err = loaded.expect_err("v1 must be refused");
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+            assert!(
+                err.to_string().contains("unsupported GCGR version 1"),
+                "{err}"
+            );
+        }
     }
 }
 

@@ -389,16 +389,6 @@ fn copy_block_overrun_is_a_typed_error() {
     );
 }
 
-/// v1 serialization cannot carry references; asking for it is an error,
-/// not a silently wrong stream.
-#[test]
-fn write_cgr_v1_rejects_ref_graphs() {
-    let (cgr, _) = tiny_ref_graph();
-    let mut buf = Vec::new();
-    let err = io::write_cgr_v1(&cgr, &mut buf).expect_err("v1 write must fail");
-    assert!(err.to_string().contains("reference compression"));
-}
-
 /// A v3 stream round-trips its knobs: loading honours the stored chain
 /// limit and window, not the defaults.
 #[test]
