@@ -1,5 +1,5 @@
-//! Ablation bench: prints the design-choice ablation tables (DESIGN.md §5)
-//! and times GCGT BFS across warp widths.
+//! Ablation bench: prints the tables that ablate the reproduction's own
+//! design choices and times GCGT BFS across warp widths.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gcgt_bench::datasets::{DatasetId, Scale};

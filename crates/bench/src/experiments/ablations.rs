@@ -1,6 +1,6 @@
-//! Ablations of the *reproduction's* own design choices (DESIGN.md §5) —
-//! these go beyond the paper's figures and probe the simulator and encoder
-//! parameters that the headline results could be sensitive to.
+//! Ablations of the *reproduction's* own design choices — these go beyond
+//! the paper's figures and probe the simulator and encoder parameters that
+//! the headline results could be sensitive to.
 
 use super::{gcgt_bfs_ms, ExperimentContext};
 use crate::datasets::DatasetId;

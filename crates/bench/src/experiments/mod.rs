@@ -1,6 +1,6 @@
 //! One module per table/figure of the paper's evaluation (Section 7 and
-//! Appendices D/E), plus the design-choice ablations called out in
-//! DESIGN.md §5. Every module exposes `run(&ExperimentContext) -> Table`
+//! Appendices D/E), plus ablations of the reproduction's own design
+//! choices. Every module exposes `run(&ExperimentContext) -> Table`
 //! printing the same rows/series the paper reports.
 
 pub mod ablations;

@@ -134,27 +134,6 @@ impl BitWriter {
         self.push_bits(0, left);
     }
 
-    /// Appends every bit of `other`.
-    pub fn extend_from(&mut self, other: &BitVec) {
-        for i in 0..other.len() {
-            self.push_bit(other.get(i));
-        }
-    }
-
-    /// Pads the stream with zero bits until `len() % align == 0`.
-    pub fn align_to(&mut self, align: usize) {
-        debug_assert!(align > 0);
-        let rem = self.len % align;
-        if rem != 0 {
-            let mut pad = align - rem;
-            while pad >= 64 {
-                self.push_bits(0, 64);
-                pad -= 64;
-            }
-            self.push_bits(0, pad as u32);
-        }
-    }
-
     /// Finalizes into an immutable [`BitVec`].
     pub fn into_bitvec(self) -> BitVec {
         BitVec {
@@ -417,12 +396,6 @@ impl<'a> BitReader<'a> {
         self.pos
     }
 
-    /// Moves the cursor.
-    #[inline]
-    pub fn seek(&mut self, pos: usize) {
-        self.pos = pos;
-    }
-
     /// Advances the cursor by `n` bits without reading them (the fast-path
     /// companion of a table probe that already knows the codeword length).
     #[inline]
@@ -593,9 +566,9 @@ mod tests {
         assert_eq!(r.read_bits(4), Some(0b1101));
         assert_eq!(r.read_bits(4), Some(0b0011));
         assert_eq!(r.pos(), 8);
-        r.seek(2);
+        let mut r = BitReader::at(&v, 2);
         assert_eq!(r.read_bits(3), Some(0b010));
-        r.seek(14);
+        let mut r = BitReader::at(&v, 14);
         assert_eq!(r.read_bits(2), Some(0b11));
         assert_eq!(r.read_bits(1), None);
     }
@@ -668,36 +641,6 @@ mod tests {
         assert_eq!(r.read_bits(1), None);
         assert_eq!(r.read_bits_padded(8), 0);
         assert_eq!(r.pos(), 88);
-    }
-
-    #[test]
-    fn align_pads_with_zeros() {
-        let mut w = BitWriter::new();
-        w.push_bits(0b101, 3);
-        w.align_to(8);
-        assert_eq!(w.len(), 8);
-        w.push_bit(true);
-        w.align_to(8);
-        let v = w.into_bitvec();
-        assert_eq!(v.to_bit_string(), "1010000010000000");
-    }
-
-    #[test]
-    fn align_when_already_aligned_is_noop() {
-        let mut w = BitWriter::new();
-        w.push_bits(0xAB, 8);
-        w.align_to(8);
-        assert_eq!(w.len(), 8);
-    }
-
-    #[test]
-    fn extend_from_concatenates() {
-        let a = BitVec::from_bit_str("101");
-        let b = BitVec::from_bit_str("0011");
-        let mut w = BitWriter::new();
-        w.extend_from(&a);
-        w.extend_from(&b);
-        assert_eq!(w.into_bitvec().to_bit_string(), "1010011");
     }
 
     #[test]

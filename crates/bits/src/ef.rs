@@ -241,12 +241,6 @@ impl EliasFano {
         (high << self.low_bits) | low
     }
 
-    /// The `i`-th value, or `None` past the end.
-    #[inline]
-    pub fn try_get(&self, i: usize) -> Option<usize> {
-        (i < self.n).then(|| self.get(i))
-    }
-
     /// Iterates the decoded values in order.
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
         (0..self.n).map(move |i| self.get(i))
@@ -281,9 +275,7 @@ mod tests {
         assert_eq!(ef.len(), values.len());
         for (i, &v) in values.iter().enumerate() {
             assert_eq!(ef.get(i), v, "value {i} of {values:?}");
-            assert_eq!(ef.try_get(i), Some(v));
         }
-        assert_eq!(ef.try_get(values.len()), None);
         assert_eq!(ef.iter().collect::<Vec<_>>(), values);
     }
 

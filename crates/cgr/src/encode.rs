@@ -301,13 +301,6 @@ impl CgrGraph {
         &self.table
     }
 
-    /// The `Arc` behind [`CgrGraph::table`], for consumers that outlive
-    /// this graph (e.g. a serving layer caching tables per worker).
-    #[inline]
-    pub fn table_shared(&self) -> Arc<DecodeTable> {
-        Arc::clone(&self.table)
-    }
-
     // --- table-accelerated field readers ---------------------------------
     //
     // Twins of `CgrConfig::read_*` routed through the decode table: the

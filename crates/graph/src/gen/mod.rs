@@ -5,7 +5,8 @@
 //! analogue here that preserves the two properties the paper's analysis
 //! depends on: *locality* (how interval-rich the adjacency lists are, which
 //! drives compression rate) and *degree skew* (which drives the load-balance
-//! optimizations of Section 5). See DESIGN.md §1 for the mapping.
+//! optimizations of Section 5). `gcgt-bench`'s `datasets` module maps each
+//! paper dataset to its generator and parameters.
 //!
 //! All generators are seeded and deterministic across runs.
 

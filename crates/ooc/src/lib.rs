@@ -10,7 +10,9 @@
 //!
 //! * [`PartitionMap`] — splits a [`gcgt_cgr::CgrGraph`] into contiguous
 //!   vertex ranges of bounded compressed size (adjacency lists are never
-//!   split);
+//!   split). It also owns the counted cut — `count` ranges balanced by
+//!   compressed or CSR bytes, nesting across power-of-two counts — that
+//!   `gcgt-shard`'s `ShardPlan` places on devices;
 //! * [`PartitionCache`] — residency under a hard byte budget, planned once
 //!   per kernel launch: partitions the launch needs that are already
 //!   resident are consumed *first*, so nothing the launch still needs is

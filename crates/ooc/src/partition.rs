@@ -1,4 +1,6 @@
-//! Fixed-budget compressed partitions over a [`CgrGraph`].
+//! Contiguous node-range partitions of a graph: fixed-budget partitions of
+//! a [`CgrGraph`] for streaming, and the counted, byte-balanced cut that
+//! sharding places on devices (`gcgt-shard`'s `ShardPlan` wraps it).
 //!
 //! A partition is a contiguous vertex range together with the slice of the
 //! compressed bit array and offset array that covers it — exactly what a
@@ -10,34 +12,31 @@
 use std::ops::Range;
 
 use gcgt_cgr::CgrGraph;
-use gcgt_graph::NodeId;
+use gcgt_graph::{Csr, NodeId};
 
-/// One contiguous vertex range of the compressed graph, sized to a byte
-/// budget.
+/// One contiguous vertex range of the graph.
 ///
-/// Boundaries are **node-aligned**: `bit_start`/`bit_end` always fall on a
-/// node's offset-array entry, so a node's compressed adjacency list is never
-/// split across partitions — a partition is decodable in isolation once its
-/// payload and offset slice are resident.
+/// Boundaries are **node-aligned**: they always fall on a node's
+/// offset-array entry, so a node's adjacency list is never split across
+/// partitions — a partition is decodable in isolation once its payload,
+/// offset slice and reference-chain closure are resident.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Partition {
     /// First node of the range (inclusive).
     pub first_node: NodeId,
-    /// End of the range (exclusive).
+    /// End of the range (exclusive). Counted cuts of a skewed graph (or
+    /// with more partitions than nodes) may leave ranges empty.
     pub end_node: NodeId,
-    /// Bit offset where the range's compressed payload starts.
-    pub bit_start: usize,
-    /// Bit offset where it ends.
-    pub bit_end: usize,
     /// Device bytes this partition occupies when resident: the compressed
-    /// payload plus its slice of the 64-bit offset array.
+    /// payload plus its slice of the 64-bit offset array (for a CSR cut,
+    /// 4-byte column entries plus an 8-byte offset per node).
     pub bytes: usize,
     /// Extra bytes the partition must keep co-resident under reference
     /// compression: the payload bits (and offset entries) of every node
     /// *outside* the range that a reference chain starting inside it passes
-    /// through. Zero whenever `ref_window == 0`, so reference-free
-    /// partitionings — and every byte extent derived from them — are
-    /// unchanged.
+    /// through. Zero for CSR cuts and whenever `ref_window == 0`, so
+    /// reference-free partitionings — and every byte extent derived from
+    /// them — are unchanged.
     pub closure_bytes: usize,
 }
 
@@ -54,9 +53,10 @@ impl Partition {
     }
 }
 
-/// The partitioning of a compressed graph: contiguous vertex ranges, each
-/// within a byte target (except where a single node's compressed adjacency
-/// alone exceeds it — lists are never split across partitions).
+/// The partitioning of a graph into contiguous vertex ranges: each within
+/// a byte target ([`PartitionMap::build`], except where a single node's
+/// compressed adjacency alone exceeds it — lists are never split), or a
+/// fixed count balanced by bytes ([`PartitionMap::build_count`]).
 #[derive(Clone, Debug)]
 pub struct PartitionMap {
     parts: Vec<Partition>,
@@ -109,86 +109,103 @@ fn closure_bytes(closure: &[(NodeId, usize)]) -> usize {
     bits.div_ceil(8) + 8 * closure.len()
 }
 
+/// The `count + 1` bounds (from 0 to `n`) of a counted cut of `n` nodes:
+/// bound `i` is the smallest `s` whose prefix `[0, s)` holds
+/// `bytes_below(s) ≥ total·i/count` bytes. Bounds **nest** — bound `i`
+/// depends only on its target, so every bound of a `k`-way cut reappears in
+/// the `m·k`-way cut and refining 2 → 4 → 8 only adds cut points.
+fn nested_bounds(n: usize, count: usize, bytes_below: impl Fn(usize) -> usize) -> Vec<usize> {
+    assert!(count >= 1, "a partitioning needs at least one partition");
+    let total = bytes_below(n) as u128;
+    let mut bounds = vec![0];
+    for i in 1..count {
+        let target = (total * i as u128 / count as u128) as usize;
+        // Targets only grow, so equal ones yield empty ranges.
+        let (mut lo, mut hi) = (bounds[i - 1], n);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if bytes_below(mid) >= target {
+                hi = mid;
+            } else {
+                lo = mid + 1;
+            }
+        }
+        bounds.push(lo);
+    }
+    bounds.push(n);
+    bounds
+}
+
 impl PartitionMap {
     /// Splits `cgr` greedily into contiguous partitions of at most
     /// `target_bytes` each (one node minimum per partition). The whole node
     /// range is always covered; an empty graph yields one empty partition.
     pub fn build(cgr: &CgrGraph, target_bytes: usize) -> PartitionMap {
         let n = cgr.num_nodes();
-        let mut ranges = Vec::new();
-        let mut first = 0usize;
-        let mut u = 0usize;
-        while u < n {
-            let next = u + 1;
-            if next - first > 1 && range_bytes(cgr, first, next) > target_bytes {
-                // `u` no longer fits: close [first, u) and start a fresh
-                // partition at `u`.
-                ranges.push((first, u));
-                first = u;
-            } else {
-                u = next;
+        let mut bounds = vec![0];
+        for u in 1..n {
+            // Node `u` no longer fits the open partition: cut before it.
+            if range_bytes(cgr, bounds[bounds.len() - 1], u + 1) > target_bytes {
+                bounds.push(u);
             }
         }
-        if first < n || ranges.is_empty() {
-            ranges.push((first, n));
-        }
-        Self::from_ranges(cgr, ranges)
+        bounds.push(n);
+        Self::from_cgr_bounds(cgr, &bounds)
     }
 
     /// Splits `cgr` into exactly `count` contiguous partitions, balanced by
-    /// cumulative compressed bytes (each boundary is the node-aligned point
-    /// closest to `i/count` of the total). Used by sharding to place the
-    /// graph onto a fixed number of modeled devices.
-    ///
-    /// Boundaries **nest**: because boundary `i` of a `count`-way split is
-    /// determined only by the target `total·i/count`, every boundary of a
-    /// `k`-way split reappears in the `m·k`-way split — so refining 2 → 4 →
-    /// 8 devices only ever adds cut points. Tail partitions of a very skewed
-    /// graph (or `count > num_nodes`) may be empty; the whole node range is
-    /// still covered and every node has exactly one owner.
+    /// cumulative compressed bytes, with boundaries that nest across
+    /// power-of-two counts. Sharding places the graph onto a fixed number of
+    /// modeled devices this way. Tail partitions of a very skewed graph (or
+    /// `count > num_nodes`) may be empty; the whole node range is still
+    /// covered and every node has exactly one owner.
     ///
     /// # Panics
     ///
     /// Panics when `count` is zero.
     pub fn build_count(cgr: &CgrGraph, count: usize) -> PartitionMap {
-        assert!(count >= 1, "a partitioning needs at least one partition");
-        let n = cgr.num_nodes();
-        let total = range_bytes(cgr, 0, n) as u128;
-        let mut bounds = Vec::with_capacity(count + 1);
-        bounds.push(0usize);
-        for i in 1..count {
-            let target = (total * i as u128 / count as u128) as usize;
-            // Smallest node-aligned s with cumulative bytes ≥ target.
-            // Monotone targets keep the bounds non-decreasing; equal
-            // targets yield empty partitions.
-            let (mut lo, mut hi) = (*bounds.last().expect("bounds starts with a 0 sentinel"), n);
-            while lo < hi {
-                let mid = lo + (hi - lo) / 2;
-                if range_bytes(cgr, 0, mid) >= target {
-                    hi = mid;
-                } else {
-                    lo = mid + 1;
-                }
-            }
-            bounds.push(lo);
-        }
-        bounds.push(n);
-        Self::from_ranges(cgr, bounds.windows(2).map(|w| (w[0], w[1])))
+        let bounds = nested_bounds(cgr.num_nodes(), count, |s| range_bytes(cgr, 0, s));
+        Self::from_cgr_bounds(cgr, &bounds)
     }
 
-    /// The map over the given contiguous, node-aligned `[first, end)`
-    /// ranges.
-    fn from_ranges(cgr: &CgrGraph, ranges: impl IntoIterator<Item = (usize, usize)>) -> Self {
-        let (parts, closures) = ranges
-            .into_iter()
-            .map(|(first, end)| {
-                let closure = chain_closure(cgr, first, end);
+    /// [`PartitionMap::build_count`] over an uncompressed CSR graph,
+    /// balanced by CSR bytes: 4-byte column entries plus an 8-byte offset
+    /// share per node. Closures are empty.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `count` is zero.
+    pub fn build_count_csr(graph: &Csr, count: usize) -> PartitionMap {
+        // Cumulative CSR bytes of the range [0, s).
+        let mut cum = vec![0];
+        for u in 0..graph.num_nodes() {
+            cum.push(cum[u] + 8 + 4 * graph.degree(u as NodeId));
+        }
+        let bounds = nested_bounds(graph.num_nodes(), count, |s| cum[s]);
+        Self::from_bounds(&bounds, |first, end| (cum[end] - cum[first], Vec::new()))
+    }
+
+    /// The map over the compressed ranges between consecutive `bounds`.
+    fn from_cgr_bounds(cgr: &CgrGraph, bounds: &[usize]) -> Self {
+        Self::from_bounds(bounds, |first, end| {
+            (range_bytes(cgr, first, end), chain_closure(cgr, first, end))
+        })
+    }
+
+    /// The map over the ranges between consecutive `bounds`; `range(first,
+    /// end)` gives a range's bytes and its reference-chain closure.
+    fn from_bounds(
+        bounds: &[usize],
+        range: impl Fn(usize, usize) -> (usize, Vec<(NodeId, usize)>),
+    ) -> Self {
+        let (parts, closures) = bounds
+            .windows(2)
+            .map(|w| {
+                let (bytes, closure) = range(w[0], w[1]);
                 let part = Partition {
-                    first_node: first as NodeId,
-                    end_node: end as NodeId,
-                    bit_start: cgr.offset(first),
-                    bit_end: cgr.offset(end),
-                    bytes: range_bytes(cgr, first, end),
+                    first_node: w[0] as NodeId,
+                    end_node: w[1] as NodeId,
+                    bytes,
                     closure_bytes: closure_bytes(&closure),
                 };
                 (part, closure)
@@ -217,8 +234,8 @@ impl PartitionMap {
     /// Binary search over the node-aligned boundaries: the owner is the
     /// *last* partition whose `first_node` is at most `u`, which skips any
     /// empty partitions sharing that boundary. O(log #partitions).
+    #[inline]
     pub fn partition_of(&self, u: NodeId) -> usize {
-        // Last partition whose first_node <= u.
         self.parts.partition_point(|p| p.first_node <= u) - 1
     }
 
@@ -295,7 +312,6 @@ mod tests {
         );
         for w in map.parts().windows(2) {
             assert_eq!(w[0].end_node, w[1].first_node);
-            assert_eq!(w[0].bit_end, w[1].bit_start);
         }
     }
 

@@ -331,6 +331,11 @@ mod tests {
             base.stats.makespan_ms.to_bits()
         );
         assert_eq!(report.stats.work_ms.to_bits(), base.stats.work_ms.to_bits());
+        // Late queries ran, so the per-query mean still counts them.
+        assert_eq!(
+            report.stats.mean_query_ms().to_bits(),
+            base.stats.mean_query_ms().to_bits()
+        );
     }
 
     #[test]

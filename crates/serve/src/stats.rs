@@ -18,9 +18,10 @@ use gcgt_simt::RunStats;
 pub struct ServeStats {
     /// Queries submitted (whatever their outcome).
     pub queries: u64,
-    /// Queries that produced an output: they occupy timeline slots and are
-    /// the denominator of every mean and percentile. Without a policy or
-    /// fault plan this always equals [`ServeStats::queries`].
+    /// Queries that produced an output. They and the
+    /// [`ServeStats::deadline_missed`] ones occupy the timeline slots that
+    /// every mean and percentile covers. Without a policy or fault plan this
+    /// always equals [`ServeStats::queries`].
     pub completed: u64,
     /// Queries refused at admission ([`crate::ServeError::Overloaded`]).
     /// Shed queries never run: they cost nothing on the timeline.
@@ -226,14 +227,17 @@ impl ServeStats {
         }
     }
 
-    /// Mean simulated service time per **completed** query
-    /// (`est_ms + transfer_ms + exchange_ms`, excluding queue wait); 0 when
-    /// nothing completed — never a division by zero.
+    /// Mean simulated service time per **executed** query
+    /// (`est_ms + transfer_ms + exchange_ms`, excluding queue wait). Late
+    /// queries keep their cost in the sums, so they count here too: the
+    /// divisor is `completed + deadline_missed`. 0 when nothing ran — never
+    /// a division by zero.
     pub fn mean_query_ms(&self) -> f64 {
-        if self.completed == 0 {
+        let executed = self.completed + self.deadline_missed;
+        if executed == 0 {
             0.0
         } else {
-            (self.work_ms + self.transfer_ms + self.exchange_ms) / self.completed as f64
+            (self.work_ms + self.transfer_ms + self.exchange_ms) / executed as f64
         }
     }
 

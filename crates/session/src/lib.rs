@@ -1497,15 +1497,15 @@ mod tests {
             .engine(EngineKind::Gcgt(Strategy::Full))
             .build()
             .unwrap();
-        let ta = a.prepared().cgr().unwrap().table_shared();
-        let tb = b.prepared().cgr().unwrap().table_shared();
-        assert!(Arc::ptr_eq(&ta, &tb), "one table per code per process");
+        let (pa, pb) = (a.prepared(), b.prepared());
+        let ta = pa.decode_table().unwrap();
+        let tb = pb.decode_table().unwrap();
+        assert!(std::ptr::eq(ta, tb), "one table per code per process");
         assert_eq!(
             ta.code(),
             gcgt_cgr::CgrConfig::paper_default().code,
             "paper-default sessions decode zeta3"
         );
-        assert!(a.prepared().decode_table().is_some());
         let csr = figure1_session(EngineKind::GpuCsr);
         assert!(csr.prepared().decode_table().is_none());
     }

@@ -23,7 +23,7 @@
 //! are exactly the point-to-point total. A sparse step can move a segment
 //! more than one hop, so its bytes may exceed the point-to-point bill; the
 //! per-message setup the schedule removes is worth far more at bitmap sizes
-//! (see ROADMAP item 4).
+//! (see "Why messages, not bytes" in [`crate::engine`]).
 //!
 //! A pull step exchanges in the opposite sense — scanner `i` needs owner
 //! `j`'s frontier segment, an all-gather — and runs the same schedule

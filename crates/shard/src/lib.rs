@@ -2,9 +2,12 @@
 //!
 //! Sharded multi-device traversal over compressed graphs: the second
 //! scaling axis of the reproduction. A [`ShardPlan`] places contiguous,
-//! node-aligned slices of the graph onto N modeled GPUs (reusing the
-//! out-of-core partitioner for the compressed cut); a [`ShardEngine`]
-//! runs any inner engine as an owner-computes bulk-synchronous loop. It is
+//! node-aligned slices of the graph onto N modeled GPUs: it wraps the
+//! out-of-core partitioner's counted cut ([`gcgt_ooc::PartitionMap`], over
+//! compressed or CSR bytes), so a shard is a [`gcgt_ooc::Partition`] and
+//! this crate carries no range type or bisection of its own. A
+//! [`ShardEngine`] runs any inner engine as an owner-computes
+//! bulk-synchronous loop. It is
 //! a decorator over `dyn Expander` and names no engine type: in-core GCGT,
 //! the CSR baselines, streaming out-of-core under a per-device budget, or
 //! an engine of your own all shard through the one constructor. Every step, each shard expands exactly the
@@ -73,4 +76,4 @@ pub mod plan;
 
 pub use engine::ShardEngine;
 pub use exchange::{ActivityMatrix, ExchangeCost};
-pub use plan::{Shard, ShardPlan};
+pub use plan::ShardPlan;

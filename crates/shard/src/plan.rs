@@ -11,150 +11,59 @@
 
 use gcgt_cgr::CgrGraph;
 use gcgt_graph::{Csr, NodeId};
-use gcgt_ooc::PartitionMap;
+use gcgt_ooc::{Partition, PartitionMap};
 
-/// One device's contiguous vertex range.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Shard {
-    /// First node of the range (inclusive).
-    pub first_node: NodeId,
-    /// End of the range (exclusive). Shards of a skewed graph (or a plan
-    /// with more devices than nodes) may be empty.
-    pub end_node: NodeId,
-    /// Structure bytes this shard keeps resident on its device.
-    pub bytes: usize,
-    /// Extra bytes the device must co-stage under reference compression:
-    /// the compressed lists of nodes outside the shard that its reference
-    /// chains pass through (see [`gcgt_ooc::Partition::closure_bytes`]).
-    /// Zero for CSR shards and whenever `ref_window == 0`.
-    pub closure_bytes: usize,
-}
-
-impl Shard {
-    /// Number of nodes this shard owns.
-    pub fn num_nodes(&self) -> usize {
-        (self.end_node - self.first_node) as usize
-    }
-
-    /// Total device bytes to traverse the shard in isolation: its own
-    /// extent plus its reference-chain closure.
-    pub fn resident_bytes(&self) -> usize {
-        self.bytes + self.closure_bytes
-    }
-}
-
-/// The placement of a graph onto N modeled devices: contiguous node-aligned
-/// shards, balanced by structure bytes.
+/// The placement of a graph onto N modeled devices: one contiguous,
+/// node-aligned shard per device, balanced by structure bytes.
 ///
-/// Built from the same machinery as out-of-core streaming
-/// ([`PartitionMap::build_count`]) for compressed graphs, or directly over
-/// CSR bytes for the uncompressed baselines. Shard boundaries **nest**
-/// across power-of-two device counts (the 4-device cut refines the
-/// 2-device cut), so refining a deployment only ever adds cut points — and
-/// per-step boundary traffic is monotone in the device count.
+/// A plan is the out-of-core partitioner's counted cut
+/// ([`PartitionMap::build_count`] over compressed bytes,
+/// [`PartitionMap::build_count_csr`] over CSR bytes for the uncompressed
+/// baselines), one partition per device. Shard boundaries **nest** across
+/// power-of-two device counts (the 4-device cut refines the 2-device cut),
+/// so refining a deployment only ever adds cut points — and per-step
+/// boundary traffic is monotone in the device count.
 #[derive(Clone, Debug)]
-pub struct ShardPlan {
-    shards: Vec<Shard>,
-}
+pub struct ShardPlan(PartitionMap);
 
 impl ShardPlan {
     /// Places `cgr` onto `devices` modeled GPUs, balanced by compressed
-    /// bytes — delegates the cut to [`PartitionMap::build_count`].
+    /// bytes.
     ///
     /// # Panics
     ///
     /// Panics when `devices` is zero.
     pub fn build(cgr: &CgrGraph, devices: usize) -> ShardPlan {
-        Self::from_partition_map(&PartitionMap::build_count(cgr, devices))
-    }
-
-    /// Adopts an existing node-aligned partitioning (one partition per
-    /// device) as a placement.
-    pub fn from_partition_map(map: &PartitionMap) -> ShardPlan {
-        ShardPlan {
-            shards: map
-                .parts()
-                .iter()
-                .map(|p| Shard {
-                    first_node: p.first_node,
-                    end_node: p.end_node,
-                    bytes: p.bytes,
-                    closure_bytes: p.closure_bytes,
-                })
-                .collect(),
-        }
+        ShardPlan(PartitionMap::build_count(cgr, devices))
     }
 
     /// Places an uncompressed CSR graph onto `devices` modeled GPUs,
-    /// balanced by CSR bytes (4-byte column entries plus an 8-byte offset
-    /// share per node) with the same nested node-aligned boundaries as the
-    /// compressed cut.
+    /// balanced by CSR bytes.
     ///
     /// # Panics
     ///
     /// Panics when `devices` is zero.
     pub fn build_csr(graph: &Csr, devices: usize) -> ShardPlan {
-        assert!(devices >= 1, "a shard plan needs at least one device");
-        let n = graph.num_nodes();
-        // Cumulative CSR bytes of the range [0, s).
-        let mut cum = Vec::with_capacity(n + 1);
-        let mut acc = 0usize;
-        cum.push(0);
-        for u in 0..n {
-            acc += 8 + 4 * graph.degree(u as NodeId);
-            cum.push(acc);
-        }
-        let total = acc as u128;
-        let mut bounds = Vec::with_capacity(devices + 1);
-        bounds.push(0usize);
-        for i in 1..devices {
-            let target = (total * i as u128 / devices as u128) as usize;
-            let (mut lo, mut hi) = (*bounds.last().expect("bounds starts with a 0 sentinel"), n);
-            while lo < hi {
-                let mid = lo + (hi - lo) / 2;
-                if cum[mid] >= target {
-                    hi = mid;
-                } else {
-                    lo = mid + 1;
-                }
-            }
-            bounds.push(lo);
-        }
-        bounds.push(n);
-        ShardPlan {
-            shards: bounds
-                .windows(2)
-                .map(|w| Shard {
-                    first_node: w[0] as NodeId,
-                    end_node: w[1] as NodeId,
-                    bytes: cum[w[1]] - cum[w[0]],
-                    closure_bytes: 0,
-                })
-                .collect(),
-        }
+        ShardPlan(PartitionMap::build_count_csr(graph, devices))
     }
 
     /// Number of modeled devices (always ≥ 1).
     pub fn devices(&self) -> usize {
-        self.shards.len()
+        self.0.len()
     }
 
-    /// The shards, in node order — one per device.
-    pub fn shards(&self) -> &[Shard] {
-        &self.shards
-    }
-
-    /// The shard placed on device `s`.
-    pub fn shard(&self, s: usize) -> &Shard {
-        &self.shards[s]
+    /// The shards, in node order — one per device. Shards of a skewed graph
+    /// (or a plan with more devices than nodes) may be empty; a shard's
+    /// [`Partition::closure_bytes`] is what its device co-stages under
+    /// reference compression.
+    pub fn shards(&self) -> &[Partition] {
+        self.0.parts()
     }
 
     /// The device owning node `u` — a binary search over the node-aligned
-    /// shard boundaries.
+    /// shard boundaries that skips empty shards.
     pub fn owner_of(&self, u: NodeId) -> usize {
-        // Last shard whose first_node <= u; skips empty shards sharing the
-        // boundary (same scheme as PartitionMap::partition_of).
-        self.shards.partition_point(|p| p.first_node <= u) - 1
+        self.0.partition_of(u)
     }
 
     /// Bytes of a dense frontier bitmap over device `s`'s owned range —
@@ -162,45 +71,13 @@ impl ShardPlan {
     /// owned by `s` addresses it one such segment (see [`crate::exchange`]
     /// for how segments are merged and routed).
     pub fn bitmap_bytes(&self, s: usize) -> usize {
-        self.shards[s].num_nodes().div_ceil(8)
-    }
-
-    /// The largest single shard in bytes — what the biggest device must
-    /// hold.
-    pub fn max_shard_bytes(&self) -> usize {
-        self.shards.iter().map(|s| s.bytes).max().unwrap_or(0)
+        self.shards()[s].num_nodes().div_ceil(8)
     }
 
     /// The largest shard counting its reference-chain closure — the
-    /// per-device residency floor under reference compression. Equals
-    /// [`ShardPlan::max_shard_bytes`] when the encoding carries no
-    /// references.
+    /// per-device residency floor.
     pub fn max_resident_bytes(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.resident_bytes())
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Total structure bytes across all devices.
-    pub fn total_bytes(&self) -> usize {
-        self.shards.iter().map(|s| s.bytes).sum()
-    }
-
-    /// Stored edges whose endpoints live on different devices — the
-    /// traffic ceiling of the frontier exchange.
-    pub fn boundary_edges(&self, graph: &Csr) -> u64 {
-        let mut edges = 0u64;
-        for u in 0..graph.num_nodes() as NodeId {
-            let owner = self.owner_of(u);
-            for &v in graph.neighbors(u) {
-                if self.owner_of(v) != owner {
-                    edges += 1;
-                }
-            }
-        }
-        edges
+        self.0.max_resident_bytes()
     }
 }
 
@@ -228,7 +105,7 @@ mod tests {
                 g.num_nodes()
             );
             for u in 0..g.num_nodes() as NodeId {
-                let s = plan.shard(plan.owner_of(u));
+                let s = plan.shards()[plan.owner_of(u)];
                 assert!(s.first_node <= u && u < s.end_node);
             }
         }
@@ -245,11 +122,21 @@ mod tests {
                 g.num_nodes()
             );
             for u in 0..g.num_nodes() as NodeId {
-                let s = plan.shard(plan.owner_of(u));
+                let s = plan.shards()[plan.owner_of(u)];
                 assert!(s.first_node <= u && u < s.end_node);
             }
-            assert_eq!(plan.total_bytes(), 8 * g.num_nodes() + 4 * g.num_edges());
+            let total: usize = plan.shards().iter().map(|s| s.bytes).sum();
+            assert_eq!(total, 8 * g.num_nodes() + 4 * g.num_edges());
         }
+    }
+
+    /// Stored edges whose endpoints live on different devices — the
+    /// traffic ceiling of the frontier exchange.
+    fn boundary_edges(plan: &ShardPlan, g: &Csr) -> usize {
+        (0..g.num_nodes() as NodeId)
+            .flat_map(|u| g.neighbors(u).iter().map(move |&v| (u, v)))
+            .filter(|&(u, v)| plan.owner_of(u) != plan.owner_of(v))
+            .count()
     }
 
     #[test]
@@ -263,10 +150,10 @@ mod tests {
             let coarse: Vec<NodeId> = pair[0].shards().iter().map(|s| s.first_node).collect();
             let fine: Vec<NodeId> = pair[1].shards().iter().map(|s| s.first_node).collect();
             assert!(coarse.iter().all(|b| fine.contains(b)));
-            assert!(pair[0].boundary_edges(&g) <= pair[1].boundary_edges(&g));
+            assert!(boundary_edges(&pair[0], &g) <= boundary_edges(&pair[1], &g));
         }
-        assert_eq!(plans[0].boundary_edges(&g), 0);
-        assert!(plans[3].boundary_edges(&g) > 0);
+        assert_eq!(boundary_edges(&plans[0], &g), 0);
+        assert!(boundary_edges(&plans[3], &g) > 0);
     }
 
     #[test]
@@ -292,7 +179,8 @@ mod tests {
             plan.shards().iter().any(|s| s.closure_bytes > 0),
             "an 8-way cut of a reference-heavy graph should cross a chain"
         );
-        assert!(plan.max_resident_bytes() >= plan.max_shard_bytes());
+        let max_bytes = plan.shards().iter().map(|s| s.bytes).max().unwrap();
+        assert!(plan.max_resident_bytes() >= max_bytes);
     }
 
     #[test]
@@ -300,7 +188,10 @@ mod tests {
         let (_, cgr) = sample();
         let plan = ShardPlan::build(&cgr, 4);
         for s in 0..plan.devices() {
-            assert_eq!(plan.bitmap_bytes(s), plan.shard(s).num_nodes().div_ceil(8));
+            assert_eq!(
+                plan.bitmap_bytes(s),
+                plan.shards()[s].num_nodes().div_ceil(8)
+            );
         }
     }
 }

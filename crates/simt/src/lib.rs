@@ -1,9 +1,9 @@
 //! # gcgt-simt
 //!
 //! A deterministic SIMT (single-instruction, multiple-thread) execution
-//! simulator — the substitute for the paper's NVIDIA TITAN V (see
-//! DESIGN.md §1). It models exactly the quantities the paper's analysis is
-//! about:
+//! simulator — the substitute for the paper's NVIDIA TITAN V, since the
+//! reproduction runs without a GPU. It models exactly the quantities the
+//! paper's analysis is about:
 //!
 //! * **warp steps / divergence** ([`Tally`], [`OpClass`]): lanes of a warp
 //!   execute in lock-step; when lanes sit in different control branches the
