@@ -236,24 +236,6 @@ impl BitVec {
         matches!(self.storage, Storage::Shared { .. })
     }
 
-    /// Builds a bit array from an ASCII string of `0`/`1` characters
-    /// (whitespace ignored). Handy for transcribing the paper's figures.
-    ///
-    /// # Panics
-    /// Panics on any character other than `0`, `1`, or whitespace.
-    pub fn from_bit_str(s: &str) -> Self {
-        let mut w = BitWriter::new();
-        for c in s.chars() {
-            match c {
-                '0' => w.push_bit(false),
-                '1' => w.push_bit(true),
-                c if c.is_whitespace() => {}
-                c => panic!("invalid bit character {c:?}"),
-            }
-        }
-        w.into_bitvec()
-    }
-
     /// Number of bits.
     #[inline]
     pub fn len(&self) -> usize {
@@ -490,6 +472,26 @@ impl<'a> BitReader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl BitVec {
+        /// Builds a bit array from an ASCII string of `0`/`1` characters
+        /// (whitespace ignored). Handy for transcribing the paper's figures.
+        ///
+        /// # Panics
+        /// Panics on any character other than `0`, `1`, or whitespace.
+        fn from_bit_str(s: &str) -> Self {
+            let mut w = BitWriter::new();
+            for c in s.chars() {
+                match c {
+                    '0' => w.push_bit(false),
+                    '1' => w.push_bit(true),
+                    c if c.is_whitespace() => {}
+                    c => panic!("invalid bit character {c:?}"),
+                }
+            }
+            w.into_bitvec()
+        }
+    }
 
     #[test]
     fn push_and_get_single_bits() {

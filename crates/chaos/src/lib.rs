@@ -387,21 +387,6 @@ pub fn raise(failure: TypedFailure) -> ! {
     std::panic::panic_any(failure)
 }
 
-/// Deterministically corrupts one byte of `bytes` within `range`
-/// (clamped to the buffer), returning the flipped offset — the
-/// corruption-injection helper the chaos regression suite drives against
-/// saved GCGR images. Returns `None` when the clamped range is empty.
-pub fn corrupt_byte(bytes: &mut [u8], seed: u64, range: std::ops::Range<usize>) -> Option<usize> {
-    let start = range.start.min(bytes.len());
-    let end = range.end.min(bytes.len());
-    if start >= end {
-        return None;
-    }
-    let at = start + (splitmix64(seed) as usize) % (end - start);
-    bytes[at] ^= 0xA5;
-    Some(at)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -485,18 +470,5 @@ mod tests {
             .downcast::<TypedFailure>()
             .expect("payload is typed");
         assert_eq!(*typed, TypedFailure::InjectedQueryFailure);
-    }
-
-    #[test]
-    fn corrupt_byte_flips_inside_range_deterministically() {
-        let mut a = vec![0u8; 64];
-        let mut b = vec![0u8; 64];
-        let at_a = corrupt_byte(&mut a, 9, 16..48).expect("non-empty range");
-        let at_b = corrupt_byte(&mut b, 9, 16..48).expect("non-empty range");
-        assert_eq!(at_a, at_b);
-        assert!((16..48).contains(&at_a));
-        assert_eq!(a[at_a], 0xA5);
-        assert_eq!(corrupt_byte(&mut a, 9, 70..80), None);
-        assert_eq!(corrupt_byte(&mut [], 9, 0..10), None);
     }
 }

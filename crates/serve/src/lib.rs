@@ -5,8 +5,7 @@
 //! worker devices over a single `Arc<PreparedGraph>` (the immutable,
 //! `Send + Sync` build product of `gcgt-session`): the structure is built
 //! once, every worker makes it resident on its own simulated device, and
-//! queries flow through a bounded FIFO submission queue to whichever worker
-//! frees up first.
+//! whichever worker frees up first claims the batch's next query.
 //!
 //! **Determinism contract.** Concurrency changes *when* a query runs, never
 //! *what it computes or costs*: each query executes from its worker's
@@ -66,7 +65,6 @@
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 mod error;
 mod pool;
-mod queue;
 mod stats;
 
 pub use error::QueryError;
@@ -78,8 +76,6 @@ pub use stats::{percentile, ServeStats, WorkerReport};
 pub enum ServeError {
     /// A pool needs at least one worker.
     ZeroWorkers,
-    /// The submission queue needs room for at least one query.
-    ZeroQueueCapacity,
     /// Admission control refused the query: the batch already held
     /// `workers + max_pending` admitted queries
     /// (see [`ServePolicy::max_pending`]).
@@ -94,12 +90,6 @@ impl std::fmt::Display for ServeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ServeError::ZeroWorkers => write!(f, "a serve pool needs at least one worker"),
-            ServeError::ZeroQueueCapacity => {
-                write!(
-                    f,
-                    "the submission queue needs capacity for at least one query"
-                )
-            }
             ServeError::Overloaded => {
                 write!(f, "admission control refused the query (pool overloaded)")
             }
@@ -131,15 +121,6 @@ mod tests {
     fn zero_workers_is_a_typed_error() {
         let p = prepared(200);
         assert_eq!(ServePool::new(p, 0).unwrap_err(), ServeError::ZeroWorkers);
-    }
-
-    #[test]
-    fn zero_queue_capacity_is_a_typed_error() {
-        let p = prepared(200);
-        assert_eq!(
-            ServePool::with_queue_capacity(p, 2, 0).unwrap_err(),
-            ServeError::ZeroQueueCapacity
-        );
     }
 
     #[test]
@@ -183,7 +164,6 @@ mod tests {
         // Every query was really executed by some worker of the pool.
         let served: u64 = report.workers.iter().map(|w| w.queries).sum();
         assert_eq!(served, queries.len() as u64);
-        assert!(report.assigned.iter().all(|&w| w < 4));
     }
 
     #[test]
@@ -222,28 +202,13 @@ mod tests {
     }
 
     #[test]
-    fn tiny_queue_capacity_still_serves_everything() {
-        let p = prepared(300);
-        let pool = ServePool::with_queue_capacity(p.clone(), 3, 1).unwrap();
-        let queries: Vec<Query> = (0..9).map(Query::Bfs).collect();
-        let report = pool.serve(&queries);
-        assert_eq!(report.outputs.len(), 9);
-        for (i, out) in report.outputs.iter().enumerate() {
-            assert_eq!(*out, Ok(p.run(queries[i]).output), "query {i}");
-        }
-    }
-
-    #[test]
     fn invalid_source_is_a_typed_error_and_the_batch_survives() {
-        // A 1-worker pool with a 1-slot queue and more queries than fit:
-        // under the old panic-propagation contract a dead worker would have
-        // blocked the submitting thread forever on the full queue. Now the
-        // bad source is rejected at validation — it never reaches a worker
-        // — and every other query completes bitwise-normally.
+        // The bad source is rejected at validation — it never reaches the
+        // single worker — and every other query completes bitwise-normally.
         let p = prepared(200);
         let nodes = p.num_nodes();
         let bad = nodes as u32 + 5;
-        let pool = ServePool::with_queue_capacity(p.clone(), 1, 1).unwrap();
+        let pool = ServePool::new(p.clone(), 1).unwrap();
         let mut queries = vec![Query::Bfs(bad)];
         queries.extend((0..6).map(Query::Bfs));
         let report = pool.serve(&queries);

@@ -1,7 +1,9 @@
-//! The worker pool: `N` executors over one shared `PreparedGraph`, fed
-//! through a bounded FIFO submission queue, with typed per-query failures
-//! and policy-driven admission control.
+//! The worker pool: `N` executors over one shared `PreparedGraph` that
+//! claim the batch's queries from one atomic cursor, with typed per-query
+//! failures and policy-driven admission control.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use gcgt_core::Algorithm;
@@ -9,7 +11,6 @@ use gcgt_session::{Executor, PreparedGraph};
 use gcgt_simt::RunStats;
 
 use crate::error::QueryError;
-use crate::queue::BoundedQueue;
 use crate::stats::{ServeStats, WorkerReport};
 use crate::ServeError;
 
@@ -44,10 +45,9 @@ pub struct ServePolicy {
 /// Each worker owns an [`Executor`]: its own simulated device (structure
 /// made resident at spawn) and, for out-of-core graphs, a cold private
 /// partition cache per query over the shared partition map — caches are
-/// never shared across queries or workers. Queries are submitted through a
-/// bounded FIFO queue — the submitting thread blocks when the queue is
-/// full, so a burst cannot buffer unboundedly — and every query's output
-/// and [`RunStats`] are bitwise identical to a serial
+/// never shared across queries or workers. Idle workers claim the next
+/// admitted query of the batch in submission order, and every query's
+/// output and [`RunStats`] are bitwise identical to a serial
 /// [`PreparedGraph::run`], whatever the worker count (see
 /// [`crate::stats::ServeStats`] for why the aggregates are deterministic
 /// too).
@@ -60,7 +60,6 @@ pub struct ServePolicy {
 pub struct ServePool {
     prepared: Arc<PreparedGraph>,
     workers: usize,
-    queue_capacity: usize,
     policy: ServePolicy,
 }
 
@@ -76,11 +75,6 @@ pub struct ServeReport<T> {
     /// work). Slots whose query produced no output hold
     /// [`RunStats::zeroed`].
     pub per_query: Vec<RunStats>,
-    /// Which worker really executed each query (`0` for queries that never
-    /// dispatched). Scheduling-dependent (like the per-worker
-    /// `queries`/`busy_ms` tallies it induces), kept for tracing; no
-    /// aggregate statistic is derived from it.
-    pub assigned: Vec<usize>,
     /// Per-worker residency and utilization after the drain.
     pub workers: Vec<WorkerReport>,
     /// Deterministic aggregate statistics.
@@ -88,28 +82,14 @@ pub struct ServeReport<T> {
 }
 
 impl ServePool {
-    /// A pool of `workers` devices over `prepared`, with a submission
-    /// queue bounded at `2 × workers`.
+    /// A pool of `workers` devices over `prepared`.
     pub fn new(prepared: Arc<PreparedGraph>, workers: usize) -> Result<Self, ServeError> {
-        Self::with_queue_capacity(prepared, workers, 2 * workers)
-    }
-
-    /// A pool with an explicit submission-queue bound.
-    pub fn with_queue_capacity(
-        prepared: Arc<PreparedGraph>,
-        workers: usize,
-        queue_capacity: usize,
-    ) -> Result<Self, ServeError> {
         if workers == 0 {
             return Err(ServeError::ZeroWorkers);
-        }
-        if queue_capacity == 0 {
-            return Err(ServeError::ZeroQueueCapacity);
         }
         Ok(Self {
             prepared,
             workers,
-            queue_capacity,
             policy: ServePolicy::default(),
         })
     }
@@ -130,18 +110,13 @@ impl ServePool {
         self.workers
     }
 
-    /// Submission-queue bound.
-    pub fn queue_capacity(&self) -> usize {
-        self.queue_capacity
-    }
-
     /// The shared structure the workers execute over.
     pub fn prepared(&self) -> &Arc<PreparedGraph> {
         &self.prepared
     }
 
     /// Serves `queries` to completion: validates and admits in submission
-    /// order, spawns the workers, feeds the bounded queue, joins, and
+    /// order, lets the workers claim the admitted queries, joins, and
     /// reassembles per-query outcomes in submission order. Blocks until
     /// every admitted query is answered.
     ///
@@ -154,9 +129,8 @@ impl ServePool {
     ///    shed with [`ServeError::Overloaded`];
     /// 3. execution failures — exhausted fault budgets, injected faults,
     ///    corrupt payloads, unexpected panics — are caught on the worker
-    ///    and typed via [`QueryError`]; the worker keeps draining (were
-    ///    every worker to die, the submitting thread would block forever on
-    ///    a full queue), so one bad query never costs the batch;
+    ///    and typed via [`QueryError`]; the worker keeps claiming queries,
+    ///    so one bad query never costs the batch;
     /// 4. queries completing past the policy deadline on the deterministic
     ///    FIFO timeline are discarded with [`ServeError::DeadlineExceeded`]
     ///    (the spent cost stays in the aggregates).
@@ -172,7 +146,7 @@ impl ServePool {
         // are typed immediately and never reach a worker.
         let mut outcomes: Vec<Option<Result<A::Output, QueryError>>> =
             (0..total).map(|_| None).collect();
-        let mut executable: Vec<(usize, A)> = Vec::with_capacity(total);
+        let mut executable: Vec<usize> = Vec::with_capacity(total);
         let nodes = prepared.num_nodes();
         let admit_limit = self.policy.max_pending.map(|p| self.workers + p);
         for (index, query) in queries.iter().enumerate() {
@@ -186,96 +160,64 @@ impl ServePool {
                 outcomes[index] = Some(Err(QueryError::Shed(ServeError::Overloaded)));
                 continue;
             }
-            executable.push((index, query.clone()));
+            executable.push(index);
         }
 
-        let mut per_query = vec![RunStats::zeroed(); total];
-        let mut assigned = vec![0usize; total];
-        let mut workers: Vec<WorkerReport>;
-        if executable.is_empty() {
-            // No workers are spawned when nothing is executable: their
-            // reports are synthesized from the prepared graph (a fresh
-            // worker sits at the structure baseline having served nothing).
-            workers = (0..self.workers)
-                .map(|worker| WorkerReport {
-                    worker,
-                    queries: 0,
-                    busy_ms: 0.0,
-                    allocated: prepared.structure_bytes(),
-                    baseline: prepared.structure_bytes(),
-                    upload_ms: prepared.upload_ms(),
+        // Every worker claims the next admitted query from one shared
+        // cursor until the batch runs out, then hands back its
+        // `(index, attempt)` results with its residency snapshot. `Relaxed`
+        // suffices: the cursor publishes no data (`executable` is complete
+        // before the spawn, results come back through the join), and the
+        // read-modify-write alone hands each slot to exactly one worker.
+        let next = AtomicUsize::new(0);
+        let finished: Vec<_> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..self.workers)
+                .map(|worker| {
+                    let (executable, next) = (&executable, &next);
+                    scope.spawn(move || {
+                        let mut executor = Executor::new(prepared);
+                        let mut results = Vec::new();
+                        while let Some(&index) =
+                            executable.get(next.fetch_add(1, Ordering::Relaxed))
+                        {
+                            // Trace events carry the query's submission index
+                            // as track, never the racing worker id — exported
+                            // execution traces are identical at any worker
+                            // count.
+                            executor.set_trace_track(index as u64);
+                            // Catch per-query panics so this worker keeps
+                            // claiming; the payload becomes the query's typed
+                            // error below. The executor is still valid: a
+                            // query runs on a local `query_view` that
+                            // unwinding simply drops, and worker state
+                            // commits only on success — no rebuild needed.
+                            let query = queries[index].clone();
+                            let attempt = catch_unwind(AssertUnwindSafe(|| executor.run(query)));
+                            results.push((index, attempt));
+                        }
+                        (results, snapshot(worker, &executor))
+                    })
                 })
                 .collect();
-        } else {
-            type Panic = Box<dyn std::any::Any + Send + 'static>;
-            type WorkerYield<T> = (
-                Vec<(usize, gcgt_session::Run<T>)>,
-                Vec<(usize, Panic)>,
-                WorkerReport,
-            );
-            let queue: BoundedQueue<(usize, A)> = BoundedQueue::new(self.queue_capacity);
-            let mut finished: Vec<WorkerYield<A::Output>> = Vec::with_capacity(self.workers);
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..self.workers)
-                    .map(|worker| {
-                        let queue = &queue;
-                        scope.spawn(move || {
-                            let mut executor = Executor::new(prepared);
-                            let mut local = Vec::new();
-                            let mut panics: Vec<(usize, Panic)> = Vec::new();
-                            while let Some((index, query)) = queue.pop() {
-                                // Trace events carry the query's submission
-                                // index as track, never the racing worker id —
-                                // exported execution traces are identical at
-                                // any worker count.
-                                executor.set_trace_track(index as u64);
-                                // Catch per-query panics so this consumer
-                                // keeps draining: were every worker to die,
-                                // the submitting thread would block forever
-                                // on a full queue. The payload becomes the
-                                // query's typed error below.
-                                let attempt =
-                                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                        executor.run(query)
-                                    }));
-                                match attempt {
-                                    Ok(run) => local.push((index, run)),
-                                    // The executor is still valid: a query
-                                    // runs on a local `query_view` that
-                                    // unwinding simply drops, and worker
-                                    // state commits only on success — no
-                                    // rebuild needed.
-                                    Err(payload) => panics.push((index, payload)),
-                                }
-                            }
-                            let report = snapshot(worker, &executor);
-                            (local, panics, report)
-                        })
-                    })
-                    .collect();
-                for item in executable {
-                    queue.push(item);
-                }
-                queue.close();
-                for handle in handles {
-                    finished.push(handle.join().expect("serve worker thread died"));
-                }
-            });
+            handles
+                .into_iter()
+                .map(|handle| handle.join().expect("serve worker thread died"))
+                .collect()
+        });
 
-            workers = Vec::with_capacity(self.workers);
-            for (local, panics, report) in finished {
-                for (index, run) in local {
-                    assigned[index] = report.worker;
-                    per_query[index] = run.stats;
-                    outcomes[index] = Some(Ok(run.output));
-                }
-                for (index, payload) in panics {
-                    assigned[index] = report.worker;
-                    outcomes[index] = Some(Err(QueryError::from_panic(payload)));
-                }
-                workers.push(report);
+        let mut per_query = vec![RunStats::zeroed(); total];
+        let mut workers = Vec::with_capacity(self.workers);
+        for (results, report) in finished {
+            for (index, attempt) in results {
+                outcomes[index] = Some(match attempt {
+                    Ok(run) => {
+                        per_query[index] = run.stats;
+                        Ok(run.output)
+                    }
+                    Err(payload) => Err(QueryError::from_panic(payload)),
+                });
             }
-            workers.sort_by_key(|w| w.worker);
+            workers.push(report);
         }
 
         let mut outputs: Vec<Result<A::Output, QueryError>> = outcomes
@@ -310,7 +252,7 @@ impl ServePool {
 
         // Replay the deterministic FIFO timeline to the observer: one
         // submit → dispatch → complete record per surviving query, on the
-        // *timeline* worker (not whichever host thread raced to the queue),
+        // *timeline* worker (not whichever host thread raced to claim it),
         // so serve spans are as reproducible as everything else. Shed and
         // deadline-missed queries leave a chaos record instead; execution
         // failures already emitted their fault events at the injection
@@ -352,7 +294,6 @@ impl ServePool {
         ServeReport {
             outputs,
             per_query,
-            assigned,
             workers,
             stats,
         }

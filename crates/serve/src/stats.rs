@@ -1,7 +1,7 @@
 //! Aggregate serving statistics, computed **deterministically** from
 //! per-query costs.
 //!
-//! Real worker threads race for queue items, but no reported number depends
+//! Real worker threads race to claim queries, but no reported number depends
 //! on that race: each query's [`RunStats`] are bitwise those of a serial
 //! run (see `gcgt_session::Executor`), and the latency/throughput figures
 //! come from a simulated FIFO dispatch timeline replayed host-side — all
@@ -75,7 +75,7 @@ pub struct ServeStats {
     pub latency_ms: Vec<f64>,
     /// The deterministic-timeline worker each query dispatches to,
     /// submission order. This is the *modeled* assignment (earliest-free,
-    /// ties to lowest id) — which host thread really raced to pop the query
+    /// ties to lowest id) — which host thread really raced to claim the query
     /// is irrelevant to every reported number.
     pub timeline_worker: Vec<usize>,
     /// Per-worker busy milliseconds on the FIFO timeline. Queries dispatch
@@ -275,7 +275,7 @@ pub struct WorkerReport {
     /// timeline instead.
     pub queries: u64,
     /// Simulated milliseconds this worker spent executing the queries it
-    /// really raced to pop (scheduling-dependent, like `queries`).
+    /// really raced to claim (scheduling-dependent, like `queries`).
     pub busy_ms: f64,
     /// Device bytes still allocated after the drain.
     pub allocated: usize,

@@ -1203,6 +1203,22 @@ impl PreparedGraph {
         }
     }
 
+    /// A worker device over `engine` with the structure resident, the
+    /// observer installed and then the fault plan. The plan activates only
+    /// after the upload: device setup is fault-free by construction, so a
+    /// typed chaos failure can only unwind out of a query (where the serving
+    /// pool catches it), never out of worker spawn.
+    fn worker_device(&self, engine: &dyn Expander) -> Device {
+        let mut device = engine.new_device();
+        if let Some(observer) = &self.observer {
+            device.set_observer(observer.clone());
+        }
+        if let Some(plan) = self.fault_plan {
+            device.set_fault_plan(plan);
+        }
+        device
+    }
+
     fn remap<A: Algorithm>(&self, algo: A) -> A {
         match &self.perm {
             Some(perm) => algo.remap_sources(perm),
@@ -1239,15 +1255,7 @@ impl PreparedGraph {
     /// hit partitions earlier ones faulted.
     pub fn run_batch<A: Algorithm>(&self, queries: &[A]) -> BatchRun<A::Output> {
         let engine = self.engine();
-        let mut device = engine.new_device();
-        if let Some(observer) = &self.observer {
-            device.set_observer(observer.clone());
-        }
-        // The plan activates after the upload — graph preparation is
-        // fault-free by construction, queries are the chaos surface.
-        if let Some(plan) = self.fault_plan {
-            device.set_fault_plan(plan);
-        }
+        let mut device = self.worker_device(&*engine);
         let mut outputs = Vec::with_capacity(queries.len());
         let mut per_query = Vec::with_capacity(queries.len());
         for query in queries {
@@ -1294,17 +1302,7 @@ impl<'p> Executor<'p> {
     /// shared [`DeviceConfig`] and makes the structure resident (paying
     /// [`Executor::upload_ms`] once).
     pub fn new(prepared: &'p PreparedGraph) -> Self {
-        let mut device = prepared.engine().new_device();
-        if let Some(observer) = prepared.observer() {
-            device.set_observer(observer.clone());
-        }
-        // Install the fault plan only after the upload: worker spawn is
-        // fault-free by construction, so a typed chaos failure can only
-        // unwind out of a query (where the serving pool catches it), never
-        // out of pool construction.
-        if let Some(plan) = prepared.fault_plan() {
-            device.set_fault_plan(plan);
-        }
+        let device = prepared.worker_device(&*prepared.engine());
         let baseline = device.allocated();
         Self {
             prepared,

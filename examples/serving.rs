@@ -70,6 +70,6 @@ fn main() {
     println!(
         "\n(same queries, same answers, same per-query costs at every worker\n\
          count — only queue wait and completion time change; workers return\n\
-         to their post-upload baseline once the queue drains)"
+         to their post-upload baseline once the batch drains)"
     );
 }

@@ -283,7 +283,7 @@ proptest! {
     fn serve_pool_equals_serial_oracles_and_conserves_work(
         graph in arb_graph(),
         raw_queries in proptest::collection::vec(arb_query(), 1..10),
-        workers in 1usize..5,
+        workers in 1usize..9,
     ) {
         // Arbitrary graph, arbitrary mixed query set, arbitrary worker
         // count: every pooled answer and per-query statistic must be
@@ -314,6 +314,11 @@ proptest! {
         prop_assert_eq!(report.stats.work_ms.to_bits(), work.to_bits());
         prop_assert_eq!(report.stats.transfer_ms.to_bits(), transfer.to_bits());
         prop_assert_eq!(report.stats.queries, queries.len() as u64);
+        // Every admitted query is claimed exactly once, also when the pool
+        // has more workers than queries.
+        prop_assert_eq!(report.workers.len(), workers);
+        let claimed: u64 = report.workers.iter().map(|w| w.queries).sum();
+        prop_assert_eq!(claimed, queries.len() as u64);
         // The drained pool sits at its post-upload baselines.
         for w in &report.workers {
             prop_assert_eq!(w.allocated, w.baseline);

@@ -225,10 +225,6 @@ fn zero_worker_pool_is_a_typed_build_error() {
     let err = ServePool::new(prepared.clone(), 0).unwrap_err();
     assert_eq!(err, ServeError::ZeroWorkers);
     assert!(err.to_string().contains("at least one worker"));
-    assert_eq!(
-        ServePool::with_queue_capacity(prepared, 4, 0).unwrap_err(),
-        ServeError::ZeroQueueCapacity
-    );
 }
 
 #[test]
