@@ -12,7 +12,7 @@
 use gcgt_graph::{NodeId, UNREACHED};
 use gcgt_simt::{Device, OpClass, RunStats, Space, WarpSim};
 
-use crate::engine::{launch_expansion, Expander};
+use crate::engine::{compact_frontier, launch_expansion, Expander};
 use crate::kernels::Sink;
 
 /// Result of a simulated single-source BC run.
@@ -126,6 +126,11 @@ pub fn bc_in(engine: &dyn Expander, device: &mut Device, source: NodeId) -> BcRu
         }
         if next.is_empty() {
             break;
+        }
+        // Same rule as BFS push levels: only a device-filling level is
+        // compacted into ascending order, and the backward pass reuses it.
+        if engine.device_config().fills_device(next.len()) {
+            compact_frontier(engine, device, &mut next);
         }
         levels.push(next);
     }

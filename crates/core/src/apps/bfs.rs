@@ -12,7 +12,7 @@ use gcgt_graph::{NodeId, UNREACHED};
 use gcgt_simt::{Device, OpClass, RunStats, Space, WarpSim};
 
 use crate::bitset::BitSet;
-use crate::engine::{launch_expansion, launch_pull, Expander};
+use crate::engine::{compact_frontier, launch_expansion, launch_pull, Expander};
 use crate::frontier::Frontier;
 use crate::kernels::Sink;
 use crate::strategy::{DirectionMode, PULL_ALPHA};
@@ -157,6 +157,13 @@ pub fn bfs_in(engine: &dyn Expander, device: &mut Device, source: NodeId) -> Bfs
                 next
             }
         } else {
+            // A device-filling frontier is compacted into ascending order
+            // first, so each warp decodes consecutive nodes. Smaller ones
+            // keep discovery order: the schedule spreads them over the SMs,
+            // and a compaction launch would cost more than it saves.
+            if engine.device_config().fills_device(frontier.len()) {
+                compact_frontier(engine, device, &mut frontier);
+            }
             let sinks = launch_expansion(engine, device, &frontier, || QueueSink::new(&visited));
             // Take the owned survivor lists (and the expanded-edge tally)
             // so the sinks' borrow of `visited` ends before the contraction
@@ -362,6 +369,39 @@ mod tests {
         assert_eq!(push.depth, adaptive.depth);
         assert_eq!(push.stats, adaptive.stats, "adaptive must cost nothing");
         assert_eq!(adaptive.stats.pull_steps, 0);
+    }
+
+    #[test]
+    fn frontiers_below_the_device_boundary_are_never_compacted() {
+        use crate::strategy::DirectionMode;
+        // The long path of the adaptive test above: one node per level, so
+        // every launch is a push level and no compaction runs.
+        let n = 600usize;
+        let edges: Vec<(NodeId, NodeId)> = (0..n as NodeId - 1)
+            .flat_map(|i| [(i, i + 1), (i + 1, i)])
+            .collect();
+        let g = Csr::from_edges(n, &edges);
+        for direction in [DirectionMode::Push, DirectionMode::Adaptive] {
+            let run = run_bfs_direction(&g, Strategy::Full, direction, 0);
+            assert_eq!(run.levels as usize, n);
+            assert_eq!(run.stats.launches, u64::from(run.levels), "{direction:?}");
+        }
+    }
+
+    #[test]
+    fn a_device_filling_level_is_compacted_once_before_its_push() {
+        // A star: the source's 40 leaves fill the 4 × 8 test device, so
+        // level 1 pays one compaction launch on top of its push.
+        let leaves = 40u32;
+        let edges: Vec<(NodeId, NodeId)> = (1..=leaves).rev().map(|v| (0, v)).collect();
+        let g = Csr::from_edges(leaves as usize + 1, &edges);
+        let cgr = CgrGraph::encode(&g, &Strategy::Full.cgr_config(&CgrConfig::paper_default()));
+        let engine = GcgtEngine::new(&cgr, DeviceConfig::test_tiny(), Strategy::Full).unwrap();
+        let run = bfs(&engine, 0);
+        assert_eq!(run.levels, 2);
+        assert_eq!(run.stats.push_steps, 2);
+        assert_eq!(run.stats.launches, 3);
+        assert_eq!(run.depth, refalgo::bfs(&g, 0).depth);
     }
 
     #[test]

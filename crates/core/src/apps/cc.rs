@@ -13,7 +13,7 @@
 use gcgt_graph::NodeId;
 use gcgt_simt::{Device, IterationCost, OpClass, RunStats, Space, WarpSim};
 
-use crate::engine::{launch_expansion, Expander};
+use crate::engine::{compact_frontier, launch_expansion, Expander};
 use crate::kernels::Sink;
 
 /// Result of a simulated CC run.
@@ -123,10 +123,13 @@ pub fn cc_in(engine: &dyn Expander, device: &mut Device) -> CcRun {
                 break;
             }
         }
-        // Next frontier: nodes whose component changed this iteration.
+        // Next frontier: nodes whose component changed this iteration,
+        // gathered on the device by the bitmap-to-queue launch — at every
+        // size, since no queue append produced it.
         frontier = (0..n as NodeId)
             .filter(|&x| comp[x as usize] != snapshot[x as usize])
             .collect();
+        compact_frontier(engine, device, &mut frontier);
     }
 
     let mut count = 0usize;

@@ -16,6 +16,12 @@
 //! traffic is accounted inside each app's [`crate::kernels::Sink`]; the
 //! contraction merge happens host-side in warp order, which keeps every
 //! statistic deterministic while matching level-synchronous GPU semantics.
+//! Warp order is a sawtooth of neighbour runs, so a next frontier that
+//! [fills the device](gcgt_simt::DeviceConfig::fills_device) is then
+//! compacted into ascending node order by one charged bitmap-to-queue
+//! launch ([`crate::engine::compact_frontier`]: BFS before a push level,
+//! BC on every forward level); CC gathers its changed nodes through the same
+//! launch at every size. Smaller frontiers keep warp order.
 
 pub mod bc;
 pub mod bfs;

@@ -9,7 +9,9 @@
 
 use gcgt_cgr::CgrGraph;
 use gcgt_graph::NodeId;
-use gcgt_simt::{parallel_warps, Device, DeviceConfig, IterationCost, OomError, WarpSim};
+use gcgt_simt::{
+    parallel_warps, Device, DeviceConfig, IterationCost, OomError, OpClass, Space, WarpSim,
+};
 
 use crate::frontier::Frontier;
 use crate::kernels::{self, expand_warp, Sink};
@@ -178,8 +180,9 @@ impl WarpWork<'_> {
 /// [`Expander::shares`], and its [`DeviceConfig`]. Every work node is
 /// covered exactly once, in work-list order, and no warp is empty.
 ///
-/// * A frontier of at least `num_sms × warp_width` nodes fills the device
-///   by itself: `warp_width` nodes per warp, in order.
+/// * A frontier that [fills the device](DeviceConfig::fills_device) —
+///   at least `num_sms × warp_width` nodes — is cut `warp_width` nodes per
+///   warp, in order.
 /// * A smaller one is spread: `⌈len / num_sms⌉` nodes per warp (at least
 ///   one), so that it reaches as many SMs as it has nodes.
 /// * With `split`, a node whose degree exceeds
@@ -196,7 +199,7 @@ pub fn schedule<'w>(expander: &dyn Expander, work: &'w [NodeId], split: bool) ->
         share: 0,
         of: 1,
     };
-    if work.len() >= sms * width {
+    if config.fills_device(work.len()) {
         return work.chunks(width).map(whole).collect();
     }
     let per_warp = work.len().div_ceil(sms).clamp(1, width);
@@ -374,6 +377,108 @@ pub fn launch_pull(
     );
     let total = examined(&outs);
     (outs.into_iter().flat_map(|(out, _)| out).collect(), total)
+}
+
+/// Byte offset, inside [`Space::Frontier`], of the visited bitmap's
+/// pre-level copy that [`compact_frontier`] diffs against: above the pull
+/// bitmap ([`Frontier::bitmap_addr`], from `2^40`) and inside the
+/// ping-pong queue allowance, so it moves no footprint.
+const VISITED_COPY: u64 = 1 << 41;
+
+/// Compacts a level's next frontier into ascending node order — the
+/// bitmap-to-queue filter of Beamer's and Gunrock's kernels — and charges
+/// it as one modeled launch on `device`.
+///
+/// The warps' survivor lists join in warp order, a sawtooth of neighbour
+/// runs; a device-filling push launch then hands each warp `warp_width`
+/// nodes scattered across the graph. Sorted, each warp decodes consecutive
+/// nodes, whose adjacency sits side by side (coalesced loads).
+///
+/// The device kernel: one lane per 32-bit word of the visited bitmap, so
+/// `⌈n / (32 · warp_width)⌉` warps over a graph of `n` nodes. Each warp
+/// loads its visited words and their pre-level copy, stores the words into
+/// the copy (three coalesced steps), popcounts the new bits and scans the
+/// counts; a warp with `c > 0` survivors then reserves queue space with one
+/// atomic and writes its `c` ascending ids in `⌈c / warp_width⌉` coalesced
+/// steps. The cost is a pure function of `n`, the sorted ids and the
+/// [`DeviceConfig`], so any permutation of one id set costs the same. It
+/// reads no graph bytes and never calls [`Expander::prepare_frontier`]:
+/// out-of-core residency and shard exchange are untouched.
+pub fn compact_frontier(expander: &dyn Expander, device: &mut Device, frontier: &mut [NodeId]) {
+    let obs_start = device.observer().is_some().then(|| device.modeled_ms());
+    frontier.sort_unstable();
+    let config = expander.device_config();
+    let cost = compaction_cost(expander.num_nodes(), frontier, config);
+    device.account_launch(&cost);
+    if let (Some(start_ms), Some(obs)) = (obs_start, device.observer()) {
+        obs.level(&gcgt_simt::obs::LevelEvent {
+            track: device.track(),
+            start_ms,
+            end_ms: device.modeled_ms(),
+            direction: "compact",
+            work_items: frontier.len() as u64,
+            warps: cost.warps as u64,
+            split_nodes: 0,
+            edges: 0,
+            classes: config.class_breakdown(&cost.tally),
+        });
+    }
+}
+
+/// The [`compact_frontier`] launch over a graph of `n` nodes whose new
+/// frontier is `sorted` (ascending).
+fn compaction_cost(n: usize, sorted: &[NodeId], config: &DeviceConfig) -> IterationCost {
+    let width = config.warp_width;
+    let words = n.div_ceil(32);
+    let mut cost = IterationCost {
+        warps: words.div_ceil(width),
+        ..Default::default()
+    };
+    let mut rest = sorted;
+    // Queue slots reserved by earlier warps.
+    let mut queued = 0u64;
+    for first_word in (0..words).step_by(width) {
+        let lanes = width.min(words - first_word);
+        let mut warp = WarpSim::new(width, config.cache_lines_per_warp);
+        let word_addrs =
+            |base: u64| (first_word..first_word + lanes).map(move |word| base + 4 * word as u64);
+        let copy = Space::Frontier.addr(VISITED_COPY);
+        // Load the visited words, load their copy, store them into it.
+        warp.issue_mem(OpClass::Generic, lanes, word_addrs(Space::Visited.addr(0)));
+        warp.issue_mem(OpClass::Generic, lanes, word_addrs(copy));
+        warp.issue_mem(OpClass::Generic, lanes, word_addrs(copy));
+        // Popcount of each lane's new bits, then the warp's offsets.
+        warp.issue(OpClass::Generic, lanes);
+        let end = (first_word + lanes) * 32;
+        let survivors = rest.partition_point(|&v| (v as usize) < end);
+        let mut counts = vec![0u32; lanes];
+        for &v in &rest[..survivors] {
+            counts[v as usize / 32 - first_word] += 1;
+        }
+        rest = &rest[survivors..];
+        warp.exclusive_scan(&counts);
+        if survivors > 0 {
+            warp.atomic_add(Space::Output.addr(0));
+            let slots = queued..queued + survivors as u64;
+            for step in slots.clone().step_by(width) {
+                let step_end = (step + width as u64).min(slots.end);
+                let active = (step_end - step) as usize;
+                warp.issue_mem(
+                    OpClass::Generic,
+                    active,
+                    (step..step_end).map(|slot| Space::Frontier.addr(4 * slot)),
+                );
+            }
+            queued = slots.end;
+        }
+        let (tally, mem) = warp.into_counters();
+        let critical = config.warp_critical_cycles(&tally, &mem);
+        cost.max_warp_cycles = cost.max_warp_cycles.max(critical);
+        cost.tally.merge(&tally);
+        cost.mem.merge(&mem);
+    }
+    debug_assert!(rest.is_empty(), "frontier node out of range");
+    cost
 }
 
 /// A GCGT traversal engine bound to one compressed graph.
@@ -646,6 +751,48 @@ mod tests {
             }
         }
         assert_eq!(hub, alone(&[0]));
+    }
+
+    #[test]
+    fn compaction_sorts_and_costs_alike_under_any_permutation() {
+        let g = hub_graph();
+        let cgr = CgrGraph::encode(&g, &Strategy::Full.cgr_config(&CgrConfig::paper_default()));
+        let engine = GcgtEngine::new(&cgr, tiny_cfg(), Strategy::Full).unwrap();
+        let ids: Vec<NodeId> = (0..g.num_nodes() as NodeId)
+            .filter(|v| v % 7 == 3 || v % 61 == 0)
+            .collect();
+        let mut first = None;
+        for seed in 0..8u64 {
+            let mut list = ids.clone();
+            list.sort_by_key(|&u| (u64::from(u) ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            let mut device = engine.new_device();
+            let before = device.stats();
+            compact_frontier(&engine, &mut device, &mut list);
+            let delta = device.stats().since(&before);
+            assert_eq!(list, ids, "seed {seed}");
+            assert_eq!(delta.launches, 1);
+            assert_eq!(*first.get_or_insert(delta), delta, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn compaction_charges_a_word_per_lane_and_a_write_per_warp_width() {
+        // 600 nodes are 19 words: 8 lanes × 32 nodes per warp gives 3
+        // warps, the last one 3 lanes wide. Survivors 1 / 2 / 1 per warp.
+        let cost = compaction_cost(600, &[5, 300, 301, 599], &tiny_cfg());
+        assert_eq!(cost.warps, 3);
+        let issues = |class: OpClass| cost.tally.issues[class as usize];
+        // Three word steps and a popcount per warp, one queue write each.
+        assert_eq!(issues(OpClass::Generic), 3 * 4 + 3);
+        assert_eq!(issues(OpClass::Scan), 3);
+        assert_eq!(issues(OpClass::Atomic), 3);
+        // A warp without survivors neither reserves nor writes.
+        let empty = compaction_cost(600, &[300], &tiny_cfg());
+        assert_eq!(empty.tally.issues[OpClass::Atomic as usize], 1);
+        assert_eq!(empty.tally.issues[OpClass::Generic as usize], 3 * 4 + 1);
+        // Reads no graph bytes: every warp touches its bitmap words, the
+        // copy and the queue, so transactions stay a handful per warp.
+        assert!(cost.mem.transactions <= 3 * 4);
     }
 
     #[test]

@@ -43,7 +43,10 @@ impl Frontier {
         Self { nodes, dense }
     }
 
-    /// The sparse node list, in discovery order — what push kernels chunk.
+    /// The sparse node list, in the order it was built from — what push
+    /// kernels chunk. BFS builds it in the previous level's discovery order
+    /// (ascending when that level was a pull, or when it filled the device
+    /// and was compacted by [`crate::engine::compact_frontier`]).
     #[inline]
     pub fn nodes(&self) -> &[NodeId] {
         &self.nodes

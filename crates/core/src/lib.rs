@@ -36,6 +36,6 @@ pub use apps::cc::{cc, cc_in, CcRun};
 pub use apps::labelprop::{label_propagation, label_propagation_in, LabelPropRun};
 pub use apps::pagerank::{pagerank, pagerank_in, PagerankRun};
 pub use bitset::BitSet;
-pub use engine::{launch_expansion, launch_pull, Expander, GcgtEngine};
+pub use engine::{compact_frontier, launch_expansion, launch_pull, Expander, GcgtEngine};
 pub use frontier::Frontier;
 pub use strategy::{DirectionMode, Strategy, PULL_ALPHA};

@@ -119,7 +119,8 @@ pub struct LaunchEvent {
 
 /// One per-level expansion span (`launch_expansion` / `launch_pull` in
 /// `gcgt-core`): covers residency preparation (out-of-core faults, shard
-/// exchange) through kernel accounting.
+/// exchange) through kernel accounting. `compact_frontier` reports its
+/// bitmap-to-queue launch as a level too.
 #[derive(Clone, Debug, PartialEq)]
 pub struct LevelEvent {
     /// Trace track (query index under serving, device id otherwise).
@@ -129,10 +130,11 @@ pub struct LevelEvent {
     /// Modeled clock when the level completed, milliseconds.
     pub end_ms: f64,
     /// Expansion direction: `"push"` (frontier out-edges) or `"pull"`
-    /// (unvisited in-edge scan).
+    /// (unvisited in-edge scan) — or `"compact"`, the bitmap-to-queue
+    /// launch that sorts a device-filling next frontier (no edges).
     pub direction: &'static str,
     /// Work items of the level (frontier size in push mode, unvisited
-    /// candidates in pull mode).
+    /// candidates in pull mode, ids queued when compacting).
     pub work_items: u64,
     /// Warps the launch schedule cut the work items into.
     pub warps: u64,

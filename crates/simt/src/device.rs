@@ -136,6 +136,16 @@ impl DeviceConfig {
         self.weighted_cycles(tally) + mem.mem_steps as f64 * self.serial_mem_lat_cycles
     }
 
+    /// Whether `len` work items fill the device by themselves: at least
+    /// `warp_width` items for each of the `num_sms` issue streams. It is the
+    /// one boundary where the launch schedule starts packing `warp_width`
+    /// items per warp, and where a push frontier is worth compacting into
+    /// ascending order first.
+    #[inline]
+    pub fn fills_device(&self, len: usize) -> bool {
+        len >= self.num_sms * self.warp_width
+    }
+
     /// A fresh [`Device`] under this configuration — the construction hook
     /// every engine's `new_device` routes through: each run (and each
     /// serving-pool worker) derives its own simulated device from the one

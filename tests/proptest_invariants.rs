@@ -5,10 +5,13 @@
 
 // Explicit imports: both `gcgt::prelude` and `proptest::prelude` export a
 // `Strategy`, and glob-importing both is ambiguous.
-use gcgt::core::{bfs, cc};
+use std::sync::Arc;
+
+use gcgt::core::{bc_in, bfs, bfs_in, cc, cc_in};
 use gcgt::prelude::{
-    refalgo, ByteRleGraph, CgrConfig, CgrGraph, Code, Csr, DeviceConfig, EngineKind, GcgtEngine,
-    LabelProp, Pagerank, Query, Reordering, ServePool, Session, Strategy, VnodeConfig, VnodeGraph,
+    refalgo, ByteRleGraph, CgrConfig, CgrGraph, Code, Csr, Device, DeviceConfig, EngineKind,
+    Expander, GcgtEngine, LabelProp, MetricsRegistry, ObserverHandle, Pagerank, Query, Reordering,
+    ServePool, Session, Strategy, VnodeConfig, VnodeGraph,
 };
 use proptest::prelude::{prop_assert, prop_assert_eq, prop_oneof, proptest, Just, ProptestConfig};
 use proptest::strategy::Strategy as PropStrategy;
@@ -44,6 +47,32 @@ fn arb_config() -> impl PropStrategy<Value = CgrConfig> {
             segment_len_bytes,
             ..CgrConfig::paper_default()
         })
+}
+
+/// An arbitrary graph whose node 0 has at least 32 out-neighbours — enough
+/// to fill `DeviceConfig::test_tiny()` (4 SMs × 8 lanes) in one level.
+fn arb_wide_graph() -> impl PropStrategy<Value = Csr> {
+    (40usize..160).prop_flat_map(|n| {
+        (
+            proptest::collection::vec((0..n as u32, 0..n as u32), 0..400),
+            32..n,
+        )
+            .prop_map(move |(mut edges, star)| {
+                edges.extend((1..=star as u32).map(|v| (0, v)));
+                Csr::from_edges(n, &edges)
+            })
+    })
+}
+
+/// Runs `run` on a fresh device of `engine` with a metrics observer
+/// attached; returns its result and the compaction levels it reported.
+fn observed<T>(engine: &dyn Expander, run: impl FnOnce(&mut Device) -> T) -> (T, f64) {
+    let metrics = Arc::new(MetricsRegistry::new());
+    let mut device = engine.new_device();
+    device.set_observer(ObserverHandle::from_arc(metrics.clone()));
+    let out = run(&mut device);
+    let compacted = metrics.value("gcgt_levels_total{direction=\"compact\"}");
+    (out, compacted.unwrap_or(0.0))
 }
 
 /// An arbitrary application query (sources are reduced modulo the node
@@ -323,6 +352,42 @@ proptest! {
         for w in &report.workers {
             prop_assert_eq!(w.allocated, w.baseline);
         }
+    }
+
+    #[test]
+    fn compacted_frontiers_keep_bfs_bc_and_cc_on_their_oracles(
+        graph in arb_wide_graph(),
+        strategy_idx in 0usize..5,
+    ) {
+        // Under the 4 SM × 8 lane test device a level of 32 nodes fills the
+        // device, and the source's star guarantees one such level: BFS and
+        // BC compact it into ascending order, CC compacts every iteration.
+        let dc = DeviceConfig::test_tiny();
+        let strategy = Strategy::LADDER[strategy_idx];
+        let cfg = strategy.cgr_config(&CgrConfig::paper_default());
+        let cgr = CgrGraph::encode(&graph, &cfg);
+        let engine = GcgtEngine::new(&cgr, dc, strategy).unwrap();
+
+        let (bfs_run, compacted) = observed(&engine, |d| bfs_in(&engine, d, 0));
+        prop_assert!(compacted > 0.0);
+        prop_assert_eq!(bfs_run.depth, refalgo::bfs(&graph, 0).depth);
+
+        let (got, compacted) = observed(&engine, |d| bc_in(&engine, d, 0));
+        prop_assert!(compacted > 0.0);
+        let want = refalgo::betweenness_from_source(&graph, 0);
+        prop_assert_eq!(got.depth, want.depth);
+        prop_assert_eq!(got.sigma, want.sigma);
+        for (a, b) in got.delta.iter().zip(&want.delta) {
+            prop_assert!((a - b).abs() <= 1e-9 * (1.0 + a.abs().max(b.abs())), "δ {a} vs {b}");
+        }
+
+        let sym = graph.symmetrized();
+        let sym_cgr = CgrGraph::encode(&sym, &cfg);
+        let sym_engine = GcgtEngine::new(&sym_cgr, dc, strategy).unwrap();
+        let (cc_run, compacted) = observed(&sym_engine, |d| cc_in(&sym_engine, d));
+        prop_assert_eq!(cc_run.component, refalgo::connected_components(&sym).component);
+        // Every iteration but the last (which hooks nothing) compacts.
+        prop_assert_eq!(compacted, f64::from(cc_run.iterations - 1));
     }
 
     #[test]
