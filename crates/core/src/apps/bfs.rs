@@ -9,7 +9,7 @@
 //! as before.
 
 use gcgt_graph::{NodeId, UNREACHED};
-use gcgt_simt::{Device, OpClass, RunStats, Space, WarpSim};
+use gcgt_simt::{Charge, Device, OpClass, RunStats, Space, WarpSim};
 
 use crate::bitset::BitSet;
 use crate::engine::{compact_frontier, launch_expansion, launch_pull, Expander};
@@ -146,7 +146,7 @@ pub fn bfs_in(engine: &dyn Expander, device: &mut Device, source: NodeId) -> Bfs
                 // pays nothing for the bitmap.
                 let dense = Frontier::from_nodes(n, std::mem::take(&mut frontier));
                 let (pairs, examined) = launch_pull(engine, device, &candidates, &dense);
-                device.charge_pull_step(examined);
+                device.record(Charge::PullStep(examined));
                 let mut next = Vec::with_capacity(pairs.len());
                 for (_, v) in pairs {
                     if visited.set(v) {
@@ -176,7 +176,7 @@ pub fn bfs_in(engine: &dyn Expander, device: &mut Device, source: NodeId) -> Bfs
                     s.out
                 })
                 .collect();
-            device.charge_push_step(expanded);
+            device.record(Charge::PushStep(expanded));
             let mut next = Vec::new();
             for out in outs {
                 for (_, v) in out {

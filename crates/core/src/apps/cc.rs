@@ -11,7 +11,7 @@
 //! reachability hooks, which is not CC).
 
 use gcgt_graph::NodeId;
-use gcgt_simt::{Device, IterationCost, OpClass, RunStats, Space, WarpSim};
+use gcgt_simt::{Charge, Device, IterationCost, OpClass, RunStats, Space, WarpSim};
 
 use crate::engine::{compact_frontier, launch_expansion, Expander};
 use crate::kernels::Sink;
@@ -175,7 +175,7 @@ fn account_jump_launch(engine: &dyn Expander, device: &mut Device, n: usize) {
         cost.mem.merge(&mem);
     }
     cost.max_warp_cycles = engine.device_config().warp_critical_cycles(&tally, &mem);
-    device.account_launch(&cost);
+    device.record(Charge::launch(&cost, device.config()));
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@
 use gcgt_cgr::CgrGraph;
 use gcgt_graph::NodeId;
 use gcgt_simt::{
-    parallel_warps, Device, DeviceConfig, IterationCost, OomError, OpClass, Space, WarpSim,
+    parallel_warps, Charge, Device, DeviceConfig, IterationCost, OomError, OpClass, Space, WarpSim,
 };
 
 use crate::frontier::Frontier;
@@ -233,9 +233,9 @@ pub fn schedule<'w>(expander: &dyn Expander, work: &'w [NodeId], split: bool) ->
 
 /// One kernel launch over `work`: residency hook, the [`schedule`] (hubs
 /// split only with `split`), host-parallel `per_warp` runs (results in warp
-/// order, hence deterministic), launch accounting on `device`, and — only
-/// with an observer installed — the level event, whose edge count `edges`
-/// derives from the per-warp results.
+/// order, hence deterministic), the launch charge on `device`, and the
+/// level charge spanning both, whose edge count `edges` derives from the
+/// per-warp results only when an observer reads it.
 fn launch<T: Send>(
     expander: &dyn Expander,
     device: &mut Device,
@@ -243,12 +243,9 @@ fn launch<T: Send>(
     direction: &'static str,
     split: bool,
     per_warp: impl Fn(&mut WarpSim, WarpWork) -> T + Sync,
-    edges: impl FnOnce(&[T]) -> u64,
+    edges: impl Fn(&[T]) -> u64,
 ) -> Vec<T> {
-    // Observer bookkeeping costs nothing when disabled: the span start and
-    // the edge count are computed only with an observer installed, and
-    // never feed back into any accounted number.
-    let obs_start = device.observer().is_some().then(|| device.modeled_ms());
+    let start_ms = device.modeled_ms();
     // Residency first: out-of-core engines fault the work list's partitions
     // onto the device before any warp decodes (serial, hence deterministic)
     // — and before the schedule reads a degree, so a payload that fails
@@ -281,23 +278,18 @@ fn launch<T: Send>(
         cost.mem.merge(&mem);
         outs.push(out);
     }
-    device.account_launch(&cost);
-    if let (Some(start_ms), Some(obs)) = (obs_start, device.observer()) {
-        obs.level(&gcgt_simt::obs::LevelEvent {
-            track: device.track(),
-            start_ms,
-            end_ms: device.modeled_ms(),
-            direction,
-            work_items: work.len() as u64,
-            warps: warps.len() as u64,
-            split_nodes: warps
-                .iter()
-                .filter(|w| w.is_share() && w.share == 0)
-                .count() as u64,
-            edges: edges(&outs),
-            classes: device_config.class_breakdown(&cost.tally),
-        });
-    }
+    device.record(Charge::launch(&cost, device.config()));
+    device.record(Charge::Level {
+        start_ms,
+        direction,
+        work_items: work.len() as u64,
+        split_nodes: warps
+            .iter()
+            .filter(|w| w.is_share() && w.share == 0)
+            .count() as u64,
+        launch: &cost,
+        edges: &|| edges(&outs),
+    });
     outs
 }
 
@@ -405,24 +397,18 @@ const VISITED_COPY: u64 = 1 << 41;
 /// reads no graph bytes and never calls [`Expander::prepare_frontier`]:
 /// out-of-core residency and shard exchange are untouched.
 pub fn compact_frontier(expander: &dyn Expander, device: &mut Device, frontier: &mut [NodeId]) {
-    let obs_start = device.observer().is_some().then(|| device.modeled_ms());
+    let start_ms = device.modeled_ms();
     frontier.sort_unstable();
-    let config = expander.device_config();
-    let cost = compaction_cost(expander.num_nodes(), frontier, config);
-    device.account_launch(&cost);
-    if let (Some(start_ms), Some(obs)) = (obs_start, device.observer()) {
-        obs.level(&gcgt_simt::obs::LevelEvent {
-            track: device.track(),
-            start_ms,
-            end_ms: device.modeled_ms(),
-            direction: "compact",
-            work_items: frontier.len() as u64,
-            warps: cost.warps as u64,
-            split_nodes: 0,
-            edges: 0,
-            classes: config.class_breakdown(&cost.tally),
-        });
-    }
+    let cost = compaction_cost(expander.num_nodes(), frontier, expander.device_config());
+    device.record(Charge::launch(&cost, device.config()));
+    device.record(Charge::Level {
+        start_ms,
+        direction: "compact",
+        work_items: frontier.len() as u64,
+        split_nodes: 0,
+        launch: &cost,
+        edges: &|| 0,
+    });
 }
 
 /// The [`compact_frontier`] launch over a graph of `n` nodes whose new

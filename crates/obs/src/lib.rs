@@ -8,12 +8,12 @@
 //! out-of-core fault storm, an exchange-dominated BSP step, or a p99
 //! queue-wait spike stays invisible. This crate adds the missing timeline:
 //!
-//! * [`Observer`] — a trait with no-op defaults, threaded through every
-//!   charge point of the modeled stack (`Device` launches and alloc/free,
-//!   per-level expansion spans, partition-cache uploads/faults/evictions, sharded
-//!   frontier exchanges, and the serving pool's deterministic FIFO
-//!   timeline). With no observer installed nothing is computed or stored:
-//!   every emission site is gated on `Option<ObserverHandle>`.
+//! * [`Observer`] — a trait with no-op defaults. A simulated `Device`
+//!   renders every charge it records (launches, alloc/free, per-level
+//!   expansion spans, partition uploads/faults/evictions, sharded frontier
+//!   exchanges, fault retries) as one of these events, from the same value
+//!   its `RunStats` fold; the serving pool adds its deterministic FIFO
+//!   timeline. With no observer installed no event is built.
 //! * [`TraceRecorder`] — records events and exports canonicalized
 //!   [Chrome trace-event JSON](https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU)
 //!   loadable in Perfetto / `chrome://tracing`. Because every timestamp
@@ -48,6 +48,10 @@
 //!     atomics_cycles: 0.0,
 //!     critical_warp_cycles: 280.0,
 //!     mem_transactions: 1_260_000,
+//!     cache_hits: 40_000,
+//!     mem_steps: 9_000,
+//!     lines_touched: 1_300_000,
+//!     lane_work: 4_096,
 //!     bound: "memory",
 //!     classes: vec![ClassTally { class: "Handle", issues: 128, cycles: 256.0 }],
 //! });
@@ -81,8 +85,8 @@ pub struct ClassTally {
     pub cycles: f64,
 }
 
-/// One kernel launch folded into a device's running cost
-/// (`Device::account_launch`).
+/// One kernel launch folded into a device's running cost (a `Charge::Launch`
+/// recorded on a `Device`).
 #[derive(Clone, Debug, PartialEq)]
 pub struct LaunchEvent {
     /// Trace track (query index under serving, device id otherwise).
@@ -110,6 +114,14 @@ pub struct LaunchEvent {
     pub critical_warp_cycles: f64,
     /// Memory transactions of this launch.
     pub mem_transactions: u64,
+    /// Line touches of this launch absorbed by the per-warp caches.
+    pub cache_hits: u64,
+    /// Warp steps of this launch that touched memory.
+    pub mem_steps: u64,
+    /// Distinct lines touched, summed over those steps (pre-cache).
+    pub lines_touched: u64,
+    /// Active lanes summed over the launch's instruction slots.
+    pub lane_work: u64,
     /// Which term set [`LaunchEvent::cycles`]: `"compute"`, `"memory"`,
     /// `"atomics"` or `"critical_warp"`, ties resolved in that order.
     pub bound: &'static str,
@@ -266,14 +278,17 @@ pub struct FaultEvent {
     pub attempt: u64,
     /// Modeled backoff milliseconds charged by this event (0 when none).
     pub backoff_ms: f64,
+    /// Modeled milliseconds this event added to `exchange_ms` (exchange
+    /// domain) or `transfer_ms`: backoff plus the re-charged failed attempt.
+    pub charged_ms: f64,
 }
 
 /// A sink for modeled-stack events. Every method has a no-op default, so an
 /// observer implements only what it cares about; implementors must be
 /// `Send + Sync` because serving workers report concurrently.
 ///
-/// Emission sites gate all event construction on an observer being
-/// installed, so the disabled path costs one pointer null-check.
+/// A device builds an event only with an observer installed, so the
+/// disabled path costs one null-check.
 pub trait Observer: Send + Sync {
     /// One kernel launch accounted on a device.
     fn launch(&self, event: &LaunchEvent) {

@@ -24,6 +24,7 @@ use crate::{
 ///     track: 0, start_ms: 0.0, end_ms: 0.5, launch: 1,
 ///     warps: 8, cycles: 1000.0, compute_cycles: 40.0, memory_cycles: 1000.0,
 ///     atomics_cycles: 0.0, critical_warp_cycles: 310.0, mem_transactions: 4200,
+///     cache_hits: 300, mem_steps: 900, lines_touched: 4500, lane_work: 2048,
 ///     bound: "memory", classes: vec![],
 /// });
 /// let text = metrics.snapshot();
@@ -87,7 +88,17 @@ impl Observer for MetricsRegistry {
             e.cycles,
         );
         self.add("gcgt_mem_transactions_total", e.mem_transactions as f64);
+        self.add("gcgt_cache_hits_total", e.cache_hits as f64);
+        self.add("gcgt_mem_steps_total", e.mem_steps as f64);
+        self.add("gcgt_lines_touched_total", e.lines_touched as f64);
+        self.add("gcgt_lane_work_total", e.lane_work as f64);
         self.add("gcgt_warps_total", e.warps as f64);
+        for c in &e.classes {
+            self.add(
+                &format!("gcgt_issues_total{{class=\"{}\"}}", c.class),
+                c.issues as f64,
+            );
+        }
     }
 
     fn level(&self, e: &LevelEvent) {
@@ -148,6 +159,12 @@ impl Observer for MetricsRegistry {
         );
         if e.backoff_ms > 0.0 {
             self.add("gcgt_fault_backoff_ms_total", e.backoff_ms);
+        }
+        if e.charged_ms > 0.0 {
+            self.add(
+                &format!("gcgt_fault_charged_ms_total{{domain=\"{}\"}}", e.domain),
+                e.charged_ms,
+            );
         }
     }
 }

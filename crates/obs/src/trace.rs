@@ -284,6 +284,10 @@ mod tests {
             atomics_cycles: 0.0,
             critical_warp_cycles: 100.0,
             mem_transactions: 84,
+            cache_hits: 3,
+            mem_steps: 9,
+            lines_touched: 87,
+            lane_work: 56,
             bound: "critical_warp",
             classes: vec![ClassTally {
                 class: "Handle",

@@ -1,7 +1,8 @@
 //! Launch-scoped device residency over compressed partitions.
 //!
-//! The cache owns *which* partitions are resident and charges every state
-//! change on the simulated [`Device`]. It is driven once per kernel launch
+//! The cache owns *which* partitions are resident and keeps no counters of
+//! its own: every state change is one [`Charge`] recorded on the simulated
+//! [`Device`]. It is driven once per kernel launch
 //! with the set of partitions the launch decodes ([`PartitionCache::stream`])
 //! and answers with one residency plan for the whole launch:
 //!
@@ -22,14 +23,15 @@
 //!    upload with nothing resident to decode under it is *cold* and pays
 //!    full price.
 //!
-//! Streamed milliseconds, bytes, fault, upload and eviction counts all land
-//! in [`gcgt_simt::RunStats`], so an out-of-core run's extra cost is fully
-//! attributable.
+//! Each coalesced run is one [`Charge::Upload`] (its partitions, bytes and
+//! streamed milliseconds); each victim is a free plus one
+//! [`Charge::Eviction`]. The device folds them into [`gcgt_simt::RunStats`]
+//! and hands the same values to an installed observer, so an out-of-core
+//! run's extra cost is attributable from either, and the two agree.
 
 use std::ops::Range;
 
-use gcgt_simt::obs::{CacheEvent, UploadEvent};
-use gcgt_simt::{Device, PcieConfig};
+use gcgt_simt::{Charge, Device, PcieConfig};
 
 use crate::partition::PartitionMap;
 
@@ -46,28 +48,6 @@ pub(crate) const CHUNK_BYTES: usize = 1 << 20;
 /// [`PartitionCache::drain`], and one so large that everything else had to
 /// be evicted for it.
 pub(crate) const OVERLAP: f64 = 0.5;
-
-/// Aggregate counters of one cache lifetime (one engine, i.e. one
-/// `Session::run`/`run_batch` call).
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct CacheStats {
-    /// Partitions requested and already resident.
-    pub hits: u64,
-    /// Partitions uploaded.
-    pub faults: u64,
-    /// Coalesced link transfers those partitions were uploaded in.
-    pub uploads: u64,
-    /// Partitions evicted to make room.
-    pub evictions: u64,
-    /// Compressed bytes streamed over the link.
-    pub bytes_streamed: u64,
-    /// Milliseconds of transfer charged (post-overlap) for **successful**
-    /// uploads only. Under an active fault plan, injected transfer faults
-    /// re-charge wasted uploads and backoff into `RunStats::transfer_ms`
-    /// but not here — this counter stays the useful-work baseline, so the
-    /// two diverge by exactly the chaos overhead.
-    pub transfer_ms: f64,
-}
 
 /// How one launch's needed partitions become resident: each is either a hit
 /// or a member of exactly one upload.
@@ -98,7 +78,6 @@ pub struct PartitionCache {
     used: usize,
     /// Resident partition ids, least-recently-used first.
     lru: Vec<usize>,
-    stats: CacheStats,
 }
 
 impl PartitionCache {
@@ -108,7 +87,6 @@ impl PartitionCache {
             budget,
             used: 0,
             lru: Vec::new(),
-            stats: CacheStats::default(),
         }
     }
 
@@ -125,11 +103,6 @@ impl PartitionCache {
     /// Whether partition `pid` is resident.
     pub fn is_resident(&self, pid: usize) -> bool {
         self.lru.contains(&pid)
-    }
-
-    /// Counters so far.
-    pub fn stats(&self) -> CacheStats {
-        self.stats
     }
 
     /// The residency plan of a launch decoding the partitions marked in
@@ -185,7 +158,6 @@ impl PartitionCache {
         self.lru.retain(|&pid| !needed[pid]);
         let mut launch_start = self.lru.len();
         self.lru.extend(&plan.hits);
-        self.stats.hits += plan.hits.len() as u64;
         for run in plan.uploads {
             let bytes: usize = parts.parts()[run.clone()]
                 .iter()
@@ -211,19 +183,11 @@ impl PartitionCache {
         let victim = self.lru.remove(0);
         let p = &parts.parts()[victim];
         self.used -= p.resident_bytes();
-        let start_ms = device.observer().is_some().then(|| device.modeled_ms());
         device.free(p.resident_bytes());
-        device.charge_partition_eviction();
-        if let (Some(start_ms), Some(obs)) = (start_ms, device.observer()) {
-            obs.cache(&CacheEvent {
-                track: device.track(),
-                start_ms,
-                kind: "evict",
-                partition: victim as u64,
-                bytes: p.bytes as u64,
-            });
-        }
-        self.stats.evictions += 1;
+        device.record(Charge::Eviction {
+            partition: victim as u64,
+            bytes: p.bytes as u64,
+        });
     }
 
     /// Allocates `resident_bytes` for the partitions of `run` and streams
@@ -261,32 +225,14 @@ impl PartitionCache {
         // every failed attempt, then the successful upload is charged below.
         // No-op without an active fault plan.
         device.chaos_gate(gcgt_simt::chaos::FaultDomain::Transfer, charged);
-        let start_ms = device.observer().is_some().then(|| device.modeled_ms());
-        device.charge_partition_upload(run.len() as u64, link_bytes as u64, charged);
-        if let (Some(start_ms), Some(obs)) = (start_ms, device.observer()) {
-            obs.upload(&UploadEvent {
-                track: device.track(),
-                start_ms,
-                cold,
-                first_partition: run.start as u64,
-                partitions: run.len() as u64,
-                bytes: link_bytes as u64,
-                transfer_ms: charged,
-            });
-            for pid in run.clone() {
-                obs.cache(&CacheEvent {
-                    track: device.track(),
-                    start_ms,
-                    kind: if cold { "fault-cold" } else { "fault" },
-                    partition: pid as u64,
-                    bytes: parts.parts()[pid].bytes as u64,
-                });
-            }
-        }
-        self.stats.faults += run.len() as u64;
-        self.stats.uploads += 1;
-        self.stats.bytes_streamed += link_bytes as u64;
-        self.stats.transfer_ms += charged;
+        device.record(Charge::Upload {
+            first_partition: run.start as u64,
+            partitions: run.len() as u64,
+            bytes: link_bytes as u64,
+            transfer_ms: charged,
+            cold,
+            partition_bytes: &|pid| parts.parts()[pid as usize].bytes as u64,
+        });
     }
 
     /// Releases every resident partition, freeing its bytes on `device` —
@@ -309,7 +255,7 @@ mod tests {
     use gcgt_cgr::{CgrConfig, CgrGraph};
     use gcgt_graph::gen::{web_graph, WebParams};
     use gcgt_simt::obs::{AllocEvent, Observer, ObserverHandle};
-    use gcgt_simt::DeviceConfig;
+    use gcgt_simt::{DeviceConfig, RunStats};
     use proptest::prelude::{prop_assert, prop_assert_eq, proptest, ProptestConfig, Strategy};
     use std::sync::{Arc, Mutex};
 
@@ -354,8 +300,15 @@ mod tests {
         let (map, mut device) = fixtures();
         let mut cache = PartitionCache::new(usize::MAX);
         launch(&mut cache, &map, &mut device, &[0, 1, 2, 4]);
-        let s = cache.stats();
-        assert_eq!((s.faults, s.uploads, s.hits, s.evictions), (4, 2, 0, 0));
+        let s = device.stats();
+        assert_eq!(
+            (
+                s.partition_faults,
+                s.partition_uploads,
+                s.partition_evictions
+            ),
+            (4, 2, 0)
+        );
         // [0, 3) is one cold transfer of the summed bytes; 4 is a second,
         // warm one (the first run is resident to decode under it).
         let pcie = PcieConfig::default();
@@ -376,9 +329,10 @@ mod tests {
         launch(&mut cache, &map, &mut device, &[4, 5]);
         // A dense launch: the per-partition LRU sweep would evict 4 and 5 to
         // make room for 0..4 and then fault them back in.
-        launch(&mut cache, &map, &mut device, &[0, 1, 2, 3, 4, 5]);
-        let s = cache.stats();
-        assert_eq!((s.hits, s.faults), (2, 6));
+        let dense = needed(&map, &[0, 1, 2, 3, 4, 5]);
+        assert_eq!(cache.plan(&dense, &map).hits, [4, 5]);
+        launch_mask(&mut cache, &map, &mut device, &dense);
+        assert_eq!(device.stats().partition_faults, 6);
         assert!(cache.resident_bytes() <= budget);
         assert_eq!(device.allocated(), cache.resident_bytes());
     }
@@ -393,9 +347,9 @@ mod tests {
         launch(&mut cache, &map, &mut device, &[0]);
         // 5 is un-needed and goes first; 0 is a consumed hit and stays as
         // long as room allows.
+        assert_eq!(cache.plan(&needed(&map, &[0, 2]), &map).hits, [0]);
         launch(&mut cache, &map, &mut device, &[0, 2]);
         assert!(cache.is_resident(0) && cache.is_resident(2));
-        assert_eq!(cache.stats().hits, 1);
         launch(&mut cache, &map, &mut device, &[3]);
         assert!(
             !cache.is_resident(5),
@@ -406,7 +360,7 @@ mod tests {
         launch(&mut cache, &map, &mut device, &[0, 1, 2, 3, 4]);
         let resident: Vec<usize> = (0..map.len()).filter(|&p| cache.is_resident(p)).collect();
         assert_eq!(resident, [2, 3, 4]);
-        assert_eq!(cache.stats().faults, 6);
+        assert_eq!(device.stats().partition_faults, 6);
         assert!(cache.resident_bytes() <= budget);
     }
 
@@ -428,40 +382,29 @@ mod tests {
     }
 
     #[test]
-    fn device_stats_mirror_cache_stats() {
-        let (map, mut device) = fixtures();
-        let mut cache = PartitionCache::new(map.max_partition_bytes() * 2);
-        for pids in [&[0usize, 1, 2][..], &[1, 3], &[0, 1, 2, 3, 4]] {
-            launch(&mut cache, &map, &mut device, pids);
-        }
-        let run = device.stats();
-        let s = cache.stats();
-        assert_eq!(run.partition_faults, s.faults);
-        assert_eq!(run.partition_uploads, s.uploads);
-        assert_eq!(run.partition_evictions, s.evictions);
-        assert_eq!(run.bytes_streamed, s.bytes_streamed);
-        assert_eq!(run.transfer_ms.to_bits(), s.transfer_ms.to_bits());
-        assert!(s.transfer_ms > 0.0 && s.evictions > 0);
-    }
-
-    #[test]
     fn drain_frees_everything_and_the_next_upload_is_cold() {
         let (map, mut device) = fixtures();
         let mut cache = PartitionCache::new(usize::MAX);
         launch(&mut cache, &map, &mut device, &[0, 1, 2]);
         assert!(cache.resident_bytes() > 0);
-        let before = cache.stats();
+        let before = device.stats();
         cache.drain(&map, &mut device);
         assert_eq!(cache.resident_bytes(), 0);
         assert_eq!(device.allocated(), 0);
-        // A drain is reclamation, not traffic: no counter moves.
-        assert_eq!(cache.stats(), before);
-        assert_eq!(device.stats().partition_evictions, 0);
+        // A drain is reclamation, not traffic: only the allocation level
+        // moves.
+        assert_eq!(
+            device.stats(),
+            RunStats {
+                allocated_bytes: 0,
+                ..before
+            }
+        );
         // The cache stays usable, and with nothing resident to decode under
         // it the next upload pays exactly what the first one did.
         launch(&mut cache, &map, &mut device, &[0, 1, 2]);
-        let after = cache.stats();
-        assert_eq!(after.faults, before.faults + 3);
+        let after = device.stats();
+        assert_eq!(after.partition_faults, before.partition_faults + 3);
         assert_eq!(
             (after.transfer_ms - before.transfer_ms).to_bits(),
             before.transfer_ms.to_bits()
@@ -480,7 +423,11 @@ mod tests {
         for (pid, share) in [(0usize, 1.0), (2, 0.5), (4, 0.5)] {
             launch(&mut cache, &map, &mut device, &[pid]);
             want += pcie.transfer_ms(bytes_of(&map, [pid]), 1) * share;
-            assert_eq!(cache.stats().transfer_ms.to_bits(), want.to_bits(), "{pid}");
+            assert_eq!(
+                device.stats().transfer_ms.to_bits(),
+                want.to_bits(),
+                "{pid}"
+            );
         }
     }
 
@@ -499,7 +446,7 @@ mod tests {
         launch(&mut cache, &map, &mut device, &[big]);
         let want = pcie.transfer_ms(bytes_of(&map, [other]), 1)
             + pcie.transfer_ms(bytes_of(&map, [big]), 1);
-        assert_eq!(cache.stats().transfer_ms.to_bits(), want.to_bits());
+        assert_eq!(device.stats().transfer_ms.to_bits(), want.to_bits());
     }
 
     /// A reference-compressed graph whose tight partitions cut through
@@ -528,17 +475,17 @@ mod tests {
         launch(&mut cache, &map, &mut device, &[pid]);
         // Alone, the partition stages its whole closure …
         assert_eq!(device.allocated(), p.resident_bytes());
-        assert_eq!(cache.stats().bytes_streamed as usize, p.resident_bytes());
+        assert_eq!(device.stats().bytes_streamed as usize, p.resident_bytes());
         cache.drain(&map, &mut device);
 
         // … coalesced with its predecessor, the closure nodes inside the run
         // cross the link once, as part of their own partition, while each
         // partition still keeps a private resident copy.
-        let before = cache.stats().bytes_streamed as usize;
+        let before = device.stats().bytes_streamed as usize;
         launch(&mut cache, &map, &mut device, &[pid - 1, pid]);
         let q = map.parts()[pid - 1];
         assert_eq!(device.allocated(), q.resident_bytes() + p.resident_bytes());
-        let streamed = cache.stats().bytes_streamed as usize - before;
+        let streamed = device.stats().bytes_streamed as usize - before;
         assert_eq!(
             streamed,
             q.bytes + p.bytes + map.run_closure_bytes(pid - 1..pid + 1)
@@ -701,9 +648,12 @@ mod tests {
             for needed in &trace {
                 launch_mask(&mut cache, &map, &mut device, needed);
                 model.launch(needed, &map);
-                let s = cache.stats();
-                prop_assert!(s.faults <= model.faults, "{} > {}", s.faults, model.faults);
-                prop_assert!(s.uploads <= s.faults);
+                let s = device.stats();
+                prop_assert!(
+                    s.partition_faults <= model.faults,
+                    "{} > {}", s.partition_faults, model.faults
+                );
+                prop_assert!(s.partition_uploads <= s.partition_faults);
             }
         }
 
@@ -724,15 +674,15 @@ mod tests {
             let no_cold_waves = map.max_partition_bytes() <= budget / 2;
             for needed in &trace {
                 let mut model = LruModel::seeded(&cache);
-                let before = cache.stats();
+                let before = device.stats();
                 launch_mask(&mut cache, &map, &mut device, needed);
                 model.launch(needed, &map);
-                let s = cache.stats();
-                prop_assert!(s.faults - before.faults <= model.faults);
-                prop_assert!(s.uploads - before.uploads <= model.faults);
-                prop_assert!(s.bytes_streamed - before.bytes_streamed <= model.bytes_streamed);
+                let s = device.stats().since(&before);
+                prop_assert!(s.partition_faults <= model.faults);
+                prop_assert!(s.partition_uploads <= model.faults);
+                prop_assert!(s.bytes_streamed <= model.bytes_streamed);
                 if no_cold_waves {
-                    let charged = s.transfer_ms - before.transfer_ms;
+                    let charged = s.transfer_ms;
                     prop_assert!(
                         charged <= model.transfer_ms + 1e-12,
                         "{charged} ms > {} ms", model.transfer_ms
@@ -776,7 +726,8 @@ mod tests {
             prop_assert!(peak as usize <= budget, "peak {peak} > budget {budget}");
         }
 
-        /// The same trace on a fresh cache reproduces every counter bitwise.
+        /// The same trace on a fresh cache and device reproduces every
+        /// counter bitwise.
         #[test]
         fn streaming_is_deterministic(case in scenario()) {
             let (map, budget, trace) = case;
@@ -786,8 +737,7 @@ mod tests {
                 for needed in &trace {
                     launch_mask(&mut cache, &map, &mut device, needed);
                 }
-                let s = cache.stats();
-                (s.hits, s.faults, s.uploads, s.evictions, s.bytes_streamed, s.transfer_ms.to_bits())
+                device.stats()
             };
             prop_assert_eq!(run(), run());
         }

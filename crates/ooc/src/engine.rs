@@ -10,7 +10,7 @@ use gcgt_core::{memory, DirectionMode, Expander, Frontier, Strategy};
 use gcgt_graph::NodeId;
 use gcgt_simt::{Device, DeviceConfig, OomError, PcieConfig, WarpSim};
 
-use crate::cache::{CacheStats, PartitionCache};
+use crate::cache::PartitionCache;
 use crate::partition::PartitionMap;
 
 /// An out-of-core GCGT engine: decodes the same compressed representation
@@ -100,12 +100,6 @@ impl<'g> OocEngine<'g> {
     /// The residency byte budget of the partition cache.
     pub fn cache_budget(&self) -> usize {
         self.cache_budget
-    }
-
-    /// Cache counters accumulated so far (mirrored into
-    /// [`gcgt_simt::RunStats`] via the device).
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache.lock().expect("cache poisoned").stats()
     }
 }
 
@@ -264,8 +258,6 @@ mod tests {
         assert!(run.stats.partition_faults >= parts.len() as u64);
         assert!(run.stats.partition_evictions >= 1);
         assert!(run.stats.transfer_ms > 0.0);
-        let cs = engine.cache_stats();
-        assert_eq!(cs.faults, run.stats.partition_faults);
     }
 
     #[test]

@@ -42,6 +42,6 @@ pub mod cache;
 pub mod engine;
 pub mod partition;
 
-pub use cache::{CacheStats, PartitionCache, ResidencyPlan};
+pub use cache::{PartitionCache, ResidencyPlan};
 pub use engine::OocEngine;
 pub use partition::{Partition, PartitionMap};

@@ -275,6 +275,7 @@ impl ServePool {
                             kind: "shed",
                             attempt: 0,
                             backoff_ms: 0.0,
+                            charged_ms: 0.0,
                         })
                     }
                     Err(QueryError::Shed(ServeError::DeadlineExceeded)) => {
@@ -285,6 +286,7 @@ impl ServePool {
                             kind: "deadline",
                             attempt: 0,
                             backoff_ms: 0.0,
+                            charged_ms: 0.0,
                         })
                     }
                     Err(_) => {}

@@ -44,7 +44,7 @@
 use gcgt_core::kernels::Sink;
 use gcgt_core::{DirectionMode, Expander, Frontier};
 use gcgt_graph::{Csr, NodeId};
-use gcgt_simt::{Device, DeviceConfig, InterconnectConfig, WarpSim};
+use gcgt_simt::{Charge, Device, DeviceConfig, InterconnectConfig, WarpSim};
 
 use crate::exchange::{ActivityMatrix, ExchangeCost};
 use crate::plan::ShardPlan;
@@ -118,7 +118,7 @@ impl<'g> ShardEngine<'g> {
         if self.plan.devices() <= 1 || work.is_empty() {
             return;
         }
-        device.charge_sync_step();
+        device.record(Charge::SyncStep);
         let (activity, boundary) = ActivityMatrix::of_step(self.graph, self.plan, work);
         let cost = ExchangeCost::plan(&activity, self.plan);
         let exchange_ms = self.interconnect.exchange_ms(cost.bytes, cost.messages);
@@ -127,20 +127,13 @@ impl<'g> ShardEngine<'g> {
         // into `exchange_ms` per failed attempt before the successful one
         // is charged below. No-op without an active fault plan.
         device.chaos_gate(gcgt_simt::chaos::FaultDomain::Exchange, exchange_ms);
-        let obs_start = device.observer().is_some().then(|| device.modeled_ms());
-        device.charge_exchange(exchange_ms, boundary);
-        if let (Some(start_ms), Some(obs)) = (obs_start, device.observer()) {
-            obs.exchange(&gcgt_simt::obs::ExchangeEvent {
-                track: device.track(),
-                start_ms,
-                step: device.stats().sync_steps,
-                bytes: cost.bytes as u64,
-                messages: cost.messages as u64,
-                rounds: cost.rounds as u64,
-                boundary_nodes: boundary,
-                exchange_ms,
-            });
-        }
+        device.record(Charge::Exchange {
+            bytes: cost.bytes as u64,
+            messages: cost.messages as u64,
+            rounds: cost.rounds as u64,
+            boundary_nodes: boundary,
+            exchange_ms,
+        });
     }
 }
 

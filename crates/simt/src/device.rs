@@ -1,22 +1,27 @@
-//! Device-level cost model and memory capacity.
+//! The simulated device: configuration, memory capacity, fault injection
+//! and the run's accounting.
 //!
-//! A roofline model converts the per-kernel-launch aggregates (instruction
-//! slots, memory transactions, atomics) into estimated cycles: compute and
-//! memory streams overlap across the thousands of resident warps, so the
-//! launch cost is the *maximum* of the two streams (plus an atomic
-//! serialization term), floored by the longest single warp — a small
-//! frontier cannot finish faster than its one busy warp. Per-launch overhead
-//! models the host-side kernel dispatch that dominates deep, narrow BFS
-//! levels.
+//! A roofline model ([`crate::price`]) converts the per-kernel-launch
+//! aggregates (instruction slots, memory transactions, atomics) into
+//! estimated cycles: compute and memory streams overlap across the
+//! thousands of resident warps, so the launch cost is the *maximum* of the
+//! two streams (plus an atomic serialization term), floored by the longest
+//! single warp — a small frontier cannot finish faster than its one busy
+//! warp. Per-launch overhead models the host-side kernel dispatch that
+//! dominates deep, narrow BFS levels.
 //!
 //! Defaults approximate the paper's NVIDIA TITAN V (80 SMs, ~1.2 GHz,
 //! ~650 GB/s HBM2, 12 GB), with the capacity scaled per experiment so that
 //! the synthetic datasets reproduce the paper's OOM pattern.
 
 use crate::mem::MemStats;
-use crate::tally::{OpClass, Tally, ALL_CLASSES, NUM_CLASSES};
+use crate::stats::{Charge, RunStats};
+use crate::tally::{Tally, ALL_CLASSES, NUM_CLASSES};
 use gcgt_chaos::{FaultDomain, FaultInjector, FaultPlan, TypedFailure};
-use gcgt_obs::{AllocEvent, ClassTally, FaultEvent, LaunchEvent, ObserverHandle};
+use gcgt_obs::{
+    AllocEvent, CacheEvent, ClassTally, ExchangeEvent, FaultEvent, LaunchEvent, LevelEvent,
+    ObserverHandle, UploadEvent,
+};
 
 /// Hardware parameters of the simulated device.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -45,7 +50,8 @@ pub struct DeviceConfig {
     pub cache_lines_per_warp: usize,
     /// Whether the device carries the precomputed VLC decode tables in
     /// shared memory. When set, [`crate::WarpSim`]s derived from this
-    /// configuration charge decode steps as [`OpClass::TableDecode`] (one
+    /// configuration charge decode steps as
+    /// [`OpClass::TableDecode`](crate::OpClass::TableDecode) (one
     /// table probe) instead of `ItvDecode`/`ResDecode` (a serial bit-scan)
     /// — same step schedule, lower per-step cost, the way Section 5.1
     /// models coalescing wins. Kernels that never decode VLC (the CSR
@@ -59,7 +65,7 @@ pub struct DeviceConfig {
 }
 
 /// Default per-class issue costs (cycles per warp instruction slot),
-/// indexed by [`OpClass`].
+/// indexed by [`OpClass`](crate::OpClass).
 pub const DEFAULT_CLASS_CYCLES: [f64; NUM_CLASSES] = [
     6.0,  // Header: decode degNum/itvNum (or read two CSR offsets)
     12.0, // ItvDecode: two VLC codewords (gap + length)
@@ -104,8 +110,9 @@ impl DeviceConfig {
     }
 
     /// The non-zero per-class issue counts of `tally` with their weighted
-    /// cycles under this configuration, in [`OpClass`] order — the
-    /// decode-class breakdown trace events and [`RunStats::explain`] report.
+    /// cycles under this configuration, in [`OpClass`](crate::OpClass)
+    /// order — the decode-class breakdown trace events and
+    /// [`RunStats::explain`] report.
     pub fn class_breakdown(&self, tally: &Tally) -> Vec<ClassTally> {
         ALL_CLASSES
             .iter()
@@ -195,7 +202,8 @@ impl std::fmt::Display for OomError {
 
 impl std::error::Error for OomError {}
 
-/// Cost of one kernel launch, as fed to [`Device::account_launch`].
+/// Cost of one kernel launch: the merged counters of its warps, priced by
+/// [`crate::price`] when recorded as a [`Charge::launch`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct IterationCost {
     /// Merged instruction tallies of every warp in the launch.
@@ -209,11 +217,17 @@ pub struct IterationCost {
     pub max_warp_cycles: f64,
 }
 
-/// Accumulates launch costs into an estimated execution time.
+/// A simulated device: residency, fault injection and the run's
+/// [`RunStats`].
+///
+/// Every modeled state change arrives as one [`Charge`] through
+/// [`Device::record`], which folds it with [`RunStats::apply`] and — only
+/// with an observer installed — renders the matching event from the same
+/// value. No caller touches a counter or builds an event by hand.
 #[derive(Clone, Debug)]
 pub struct Device {
     config: DeviceConfig,
-    /// Every counter, accumulated in place; `est_ms` alone is derived, at
+    /// The fold of every charge so far; `est_ms` alone is derived, at
     /// snapshot time ([`Device::stats`]).
     stats: RunStats,
     observer: Option<ObserverHandle>,
@@ -243,20 +257,11 @@ impl Device {
         &self.config
     }
 
-    /// Installs an observer: launches and allocation changes are reported
-    /// from here on (richer spans — levels, cache faults, exchanges — are
-    /// emitted by their call sites through [`Device::observer`]). Costs
-    /// nothing when never called: every emission site null-checks first,
-    /// and observation never changes any accounted number.
+    /// Installs an observer: every charge recorded from here on is also
+    /// reported as its event. Costs nothing when never called, and
+    /// observation never changes any accounted number.
     pub fn set_observer(&mut self, observer: ObserverHandle) {
         self.observer = Some(observer);
-    }
-
-    /// The installed observer, if any — emission sites with richer context
-    /// than the device (the level launchers, the partition cache, the shard
-    /// exchange) report through this.
-    pub fn observer(&self) -> Option<&ObserverHandle> {
-        self.observer.as_ref()
     }
 
     /// Tags this device's future events with a trace track (a Chrome-trace
@@ -295,13 +300,12 @@ impl Device {
     }
 
     /// Runs one chaos-gated operation of `domain` to completion: evaluates
-    /// the injector, and for every injected transient fault charges one
-    /// modeled recovery round — exponential backoff plus `wasted_ms` (the
-    /// modeled cost of the attempt that failed, so a failed partition
-    /// upload or boundary exchange is *re-charged*, not forgiven) — into
-    /// `exchange_ms` (Exchange domain) or `transfer_ms` (everything else).
-    /// Returns normally once a verdict comes back clean; escalates with a
-    /// typed [`TypedFailure::FaultBudgetExhausted`] panic when retries are
+    /// the injector and records one [`Charge::FaultRetry`] per injected
+    /// transient fault — exponential backoff plus `wasted_ms` (the modeled
+    /// cost of the attempt that failed, so a failed partition upload or
+    /// boundary exchange is *re-charged*, not forgiven). Returns normally
+    /// once a verdict comes back clean; escalates with a typed
+    /// [`TypedFailure::FaultBudgetExhausted`] panic when retries are
     /// disabled or the consecutive-failure budget is spent.
     ///
     /// With no (or an empty) fault plan installed this is a single
@@ -311,46 +315,23 @@ impl Device {
             return;
         };
         let retry = chaos.plan().retry;
-        let mut failures: u32 = 0;
+        let mut attempt: u32 = 0;
         while chaos.should_fail(domain) {
-            failures += 1;
-            self.stats.faults_injected += 1;
-            if failures > retry.max_attempts {
-                if let Some(obs) = &self.observer {
-                    obs.fault(&FaultEvent {
-                        track: self.track,
-                        ts_ms: self.modeled_ms(),
-                        domain: domain.name(),
-                        kind: "exhausted",
-                        attempt: failures as u64,
-                        backoff_ms: 0.0,
-                    });
-                }
+            attempt += 1;
+            if attempt > retry.max_attempts {
                 self.chaos = Some(chaos);
+                self.record(Charge::FaultExhausted { domain, attempt });
                 gcgt_chaos::raise(TypedFailure::FaultBudgetExhausted {
                     domain: domain.name(),
-                    failures,
+                    failures: attempt,
                 });
             }
-            let backoff = retry.backoff_ms(failures);
-            self.stats.retries += 1;
-            self.stats.backoff_ms += backoff;
-            let charge = backoff + wasted_ms;
-            if domain == FaultDomain::Exchange {
-                self.stats.exchange_ms += charge;
-            } else {
-                self.stats.transfer_ms += charge;
-            }
-            if let Some(obs) = &self.observer {
-                obs.fault(&FaultEvent {
-                    track: self.track,
-                    ts_ms: self.modeled_ms(),
-                    domain: domain.name(),
-                    kind: "retry",
-                    attempt: failures as u64,
-                    backoff_ms: backoff,
-                });
-            }
+            self.record(Charge::FaultRetry {
+                domain,
+                attempt,
+                backoff_ms: retry.backoff_ms(attempt),
+                wasted_ms,
+            });
         }
         self.chaos = Some(chaos);
     }
@@ -361,29 +342,12 @@ impl Device {
     /// escalates with [`TypedFailure::InjectedQueryFailure`]. Never
     /// retried: there is nothing below a query to recover.
     pub fn inject_query_fault(&mut self) -> bool {
-        let fail = match self.chaos.as_mut() {
-            Some(chaos) => chaos.should_fail(FaultDomain::Query),
-            None => false,
-        };
+        let domain = FaultDomain::Query;
+        let fail = self.chaos.as_mut().is_some_and(|c| c.should_fail(domain));
         if fail {
-            self.stats.faults_injected += 1;
-            if let Some(obs) = &self.observer {
-                obs.fault(&FaultEvent {
-                    track: self.track,
-                    ts_ms: self.modeled_ms(),
-                    domain: FaultDomain::Query.name(),
-                    kind: "injected",
-                    attempt: 1,
-                    backoff_ms: 0.0,
-                });
-            }
+            self.record(Charge::FaultInjected(domain));
         }
         fail
-    }
-
-    /// The current trace track.
-    pub fn track(&self) -> u64 {
-        self.track
     }
 
     /// The modeled clock of this device view, milliseconds: estimated
@@ -409,16 +373,7 @@ impl Device {
                 capacity: self.config.mem_capacity,
             });
         }
-        self.stats.allocated_bytes = total;
-        if let Some(obs) = &self.observer {
-            obs.alloc(&AllocEvent {
-                track: self.track,
-                ts_ms: self.modeled_ms(),
-                kind: "alloc",
-                bytes: bytes as u64,
-                allocated: self.stats.allocated_bytes as u64,
-            });
-        }
+        self.record(Charge::Alloc(bytes));
         Ok(())
     }
 
@@ -434,16 +389,7 @@ impl Device {
             "freeing {bytes} bytes with only {} allocated",
             self.stats.allocated_bytes
         );
-        self.stats.allocated_bytes = self.stats.allocated_bytes.saturating_sub(bytes);
-        if let Some(obs) = &self.observer {
-            obs.alloc(&AllocEvent {
-                track: self.track,
-                ts_ms: self.modeled_ms(),
-                kind: "free",
-                bytes: bytes as u64,
-                allocated: self.stats.allocated_bytes as u64,
-            });
-        }
+        self.record(Charge::Free(bytes));
     }
 
     /// Currently allocated bytes.
@@ -472,100 +418,142 @@ impl Device {
         view
     }
 
-    /// Records one coalesced out-of-core upload: `partitions` adjacent
-    /// partitions (`bytes` compressed bytes in all) crossed the host link as
-    /// a single transfer that stalled the run for `transfer_ms`
-    /// milliseconds (post-overlap).
-    pub fn charge_partition_upload(&mut self, partitions: u64, bytes: u64, transfer_ms: f64) {
-        self.stats.partition_faults += partitions;
-        self.stats.partition_uploads += 1;
-        self.stats.bytes_streamed += bytes;
-        self.stats.transfer_ms += transfer_ms;
+    /// Records one charge: folds it into the run's statistics and, only
+    /// with an observer installed, reports it as its event, spanning the
+    /// modeled clock from before the charge to after it.
+    pub fn record(&mut self, charge: Charge) {
+        let start_ms = self.modeled_ms();
+        self.stats.apply(&charge);
+        if let Some(obs) = &self.observer {
+            self.render(obs, start_ms, &charge);
+        }
     }
 
-    /// Records one out-of-core partition eviction.
-    pub fn charge_partition_eviction(&mut self) {
-        self.stats.partition_evictions += 1;
-    }
-
-    /// Records one push-mode (frontier out-edge) expansion level that
-    /// expanded `edges` candidate pairs — direction-optimizing BFS
-    /// observability ([`RunStats::push_steps`] / [`RunStats::pushed_edges`]).
-    pub fn charge_push_step(&mut self, edges: u64) {
-        self.stats.push_steps += 1;
-        self.stats.pushed_edges += edges;
-    }
-
-    /// Records one pull-mode (unvisited in-edge scan) expansion level that
-    /// examined `edges` compressed neighbours before early exit
-    /// ([`RunStats::pull_steps`] / [`RunStats::pulled_edges`]).
-    pub fn charge_pull_step(&mut self, edges: u64) {
-        self.stats.pull_steps += 1;
-        self.stats.pulled_edges += edges;
-    }
-
-    /// Records one bulk-synchronous frontier exchange that moved boundary
-    /// bitmaps for `exchange_ms` milliseconds of interconnect time and
-    /// discovered `boundary_nodes` remotely-owned nodes
-    /// ([`RunStats::exchange_ms`] / [`RunStats::boundary_nodes`]). Like the
-    /// out-of-core transfer charge this is host-side accounting: it never
-    /// touches the estimated kernel time.
-    pub fn charge_exchange(&mut self, exchange_ms: f64, boundary_nodes: u64) {
-        self.stats.exchange_ms += exchange_ms;
-        self.stats.boundary_nodes += boundary_nodes;
-    }
-
-    /// Records one bulk-synchronous step barrier of a sharded run
-    /// ([`RunStats::sync_steps`]).
-    pub fn charge_sync_step(&mut self) {
-        self.stats.sync_steps += 1;
-    }
-
-    /// Folds one kernel launch into the running cost.
-    pub fn account_launch(&mut self, cost: &IterationCost) {
-        let start_ms = self.observer.is_some().then(|| self.modeled_ms());
-        let issue_cycles = self.config.weighted_cycles(&cost.tally);
-        // Issue throughput: one warp instruction stream per SM, limited by
-        // how many warps the launch actually has.
-        let streams = cost.warps.clamp(1, self.config.num_sms) as f64;
-        let compute = issue_cycles / streams;
-        let memory = cost.mem.transactions as f64 / self.config.mem_txn_per_cycle;
-        let atomics =
-            cost.tally.issues[OpClass::Atomic as usize] as f64 / self.config.atomics_per_cycle;
-        // The busiest single warp floors the launch: a kernel cannot finish
-        // before its critical-path warp does.
-        let launch_cycles = compute.max(memory).max(atomics).max(cost.max_warp_cycles);
-        self.stats.cycles += launch_cycles;
-        self.stats.launches += 1;
-        self.stats.tally.merge(&cost.tally);
-        self.stats.mem.merge(&cost.mem);
-        if let (Some(obs), Some(start_ms)) = (&self.observer, start_ms) {
-            // The roofline term that set `launch_cycles` (first on a tie).
-            let terms = [
-                ("compute", compute),
-                ("memory", memory),
-                ("atomics", atomics),
-                ("critical_warp", cost.max_warp_cycles),
-            ];
-            let bound = terms
-                .iter()
-                .fold(terms[0], |best, &t| if t.1 > best.1 { t } else { best })
-                .0;
-            obs.launch(&LaunchEvent {
-                track: self.track,
+    /// Reports `charge`, already applied, as its observer event.
+    fn render(&self, obs: &ObserverHandle, start_ms: f64, charge: &Charge) {
+        let (track, end_ms) = (self.track, self.modeled_ms());
+        let alloc = |kind, bytes: usize| AllocEvent {
+            track,
+            ts_ms: end_ms,
+            kind,
+            bytes: bytes as u64,
+            allocated: self.stats.allocated_bytes as u64,
+        };
+        let fault = |domain: FaultDomain, kind, attempt: u32, backoff_ms, charged_ms| FaultEvent {
+            track,
+            ts_ms: end_ms,
+            domain: domain.name(),
+            kind,
+            attempt: attempt.into(),
+            backoff_ms,
+            charged_ms,
+        };
+        let partition = |kind, partition, bytes| CacheEvent {
+            track,
+            start_ms,
+            kind,
+            partition,
+            bytes,
+        };
+        match *charge {
+            Charge::Launch(cost, price) => obs.launch(&LaunchEvent {
+                track,
                 start_ms,
-                end_ms: self.modeled_ms(),
+                end_ms,
                 launch: self.stats.launches,
                 warps: cost.warps as u64,
-                cycles: launch_cycles,
-                compute_cycles: compute,
-                memory_cycles: memory,
-                atomics_cycles: atomics,
-                critical_warp_cycles: cost.max_warp_cycles,
+                cycles: price.cycles,
+                compute_cycles: price.compute,
+                memory_cycles: price.memory,
+                atomics_cycles: price.atomics,
+                critical_warp_cycles: price.critical_warp,
                 mem_transactions: cost.mem.transactions,
-                bound,
+                cache_hits: cost.mem.cache_hits,
+                mem_steps: cost.mem.mem_steps,
+                lines_touched: cost.mem.lines_touched,
+                lane_work: cost.tally.lane_work,
+                bound: price.bound,
                 classes: self.config.class_breakdown(&cost.tally),
-            });
+            }),
+            Charge::Level {
+                start_ms,
+                direction,
+                work_items,
+                split_nodes,
+                launch,
+                edges,
+            } => obs.level(&LevelEvent {
+                track,
+                start_ms,
+                end_ms,
+                direction,
+                work_items,
+                warps: launch.warps as u64,
+                split_nodes,
+                edges: edges(),
+                classes: self.config.class_breakdown(&launch.tally),
+            }),
+            Charge::Alloc(bytes) => obs.alloc(&alloc("alloc", bytes)),
+            Charge::Free(bytes) => obs.alloc(&alloc("free", bytes)),
+            Charge::Upload {
+                first_partition,
+                partitions,
+                bytes,
+                transfer_ms,
+                cold,
+                partition_bytes,
+            } => {
+                obs.upload(&UploadEvent {
+                    track,
+                    start_ms,
+                    cold,
+                    first_partition,
+                    partitions,
+                    bytes,
+                    transfer_ms,
+                });
+                let kind = if cold { "fault-cold" } else { "fault" };
+                for id in first_partition..first_partition + partitions {
+                    obs.cache(&partition(kind, id, partition_bytes(id)));
+                }
+            }
+            Charge::Eviction {
+                partition: id,
+                bytes,
+            } => obs.cache(&partition("evict", id, bytes)),
+            Charge::Exchange {
+                bytes,
+                messages,
+                rounds,
+                boundary_nodes,
+                exchange_ms,
+            } => obs.exchange(&ExchangeEvent {
+                track,
+                start_ms,
+                step: self.stats.sync_steps,
+                bytes,
+                messages,
+                rounds,
+                boundary_nodes,
+                exchange_ms,
+            }),
+            Charge::FaultRetry {
+                domain,
+                attempt,
+                backoff_ms,
+                wasted_ms,
+            } => obs.fault(&fault(
+                domain,
+                "retry",
+                attempt,
+                backoff_ms,
+                backoff_ms + wasted_ms,
+            )),
+            Charge::FaultExhausted { domain, attempt } => {
+                obs.fault(&fault(domain, "exhausted", attempt, 0.0, 0.0))
+            }
+            Charge::FaultInjected(domain) => obs.fault(&fault(domain, "injected", 1, 0.0, 0.0)),
+            Charge::PushStep(_) | Charge::PullStep(_) | Charge::SyncStep => {}
         }
     }
 
@@ -582,227 +570,6 @@ impl Device {
             est_ms: self.elapsed_ms(),
             ..self.stats
         }
-    }
-}
-
-/// Aggregated result of a simulated run.
-///
-/// `PartialEq` compares every counter, including the floating-point cost
-/// fields — the simulator is bit-deterministic, so two runs of the same
-/// query on the same starting state compare equal. The concurrency suite
-/// relies on this to prove scheduling never changes simulated work.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct RunStats {
-    /// Estimated elapsed time, milliseconds.
-    pub est_ms: f64,
-    /// Modelled device cycles.
-    pub cycles: f64,
-    /// Kernel launches.
-    pub launches: u64,
-    /// Instruction tallies (all warps, all launches).
-    pub tally: Tally,
-    /// Memory counters.
-    pub mem: MemStats,
-    /// Resident allocation at the end of the run.
-    pub allocated_bytes: usize,
-    /// Out-of-core partitions faulted onto the device (0 for in-core runs).
-    pub partition_faults: u64,
-    /// Coalesced host-link uploads those faults crossed in — one per run of
-    /// adjacent missing partitions, each paying the link's setup latency
-    /// once per chunk of the *run*.
-    pub partition_uploads: u64,
-    /// Out-of-core partitions evicted to make room (0 for in-core runs).
-    pub partition_evictions: u64,
-    /// Compressed bytes streamed over the host link by those uploads.
-    pub bytes_streamed: u64,
-    /// Milliseconds of host-link transfer streamed during the run (partition
-    /// uploads, post-overlap; 0 for in-core runs). The up-front whole-graph
-    /// upload of an in-core session is *not* included — that is
-    /// `upload_ms` at the session layer.
-    pub transfer_ms: f64,
-    /// Push-mode (frontier out-edge) expansion levels executed. Maintained
-    /// by direction-aware applications (BFS); 0 for the other apps.
-    pub push_steps: u64,
-    /// Pull-mode (unvisited in-edge scan) expansion levels executed —
-    /// non-zero only when direction-optimizing BFS actually switched.
-    pub pull_steps: u64,
-    /// Candidate edges expanded by push levels (the frontier out-degree
-    /// sum over push levels). With [`RunStats::pulled_edges`] this makes
-    /// the direction-optimization saving observable: a pure-push run
-    /// expands every reachable edge, an adaptive run strictly fewer.
-    pub pushed_edges: u64,
-    /// Compressed neighbours examined by pull levels before each lane's
-    /// early exit on its first frontier parent.
-    pub pulled_edges: u64,
-    /// Milliseconds of device↔device interconnect time spent exchanging
-    /// boundary frontier bitmaps between shards (0 for single-device runs).
-    /// Reported separately from `est_ms` so sharding stays attributable:
-    /// the kernel-time estimate is bitwise identical at any shard count.
-    pub exchange_ms: f64,
-    /// Distinct remotely-owned nodes discovered across all exchange steps
-    /// (a node re-discovered in a later step counts again; within one step
-    /// it counts once).
-    pub boundary_nodes: u64,
-    /// Bulk-synchronous step barriers executed by a sharded run (one per
-    /// kernel launch on multi-shard sessions; 0 otherwise).
-    pub sync_steps: u64,
-    /// Transient faults injected by the active `FaultPlan` across every
-    /// domain (alloc, transfer, exchange, query). 0 whenever no plan — or
-    /// the empty plan — is installed.
-    pub faults_injected: u64,
-    /// Recovery rounds spent absorbing injected faults (one per fault that
-    /// was retried rather than escalated).
-    pub retries: u64,
-    /// Modeled milliseconds of exponential backoff charged by those
-    /// retries. Already folded into [`RunStats::transfer_ms`] /
-    /// [`RunStats::exchange_ms`] (faults cost modeled time where they
-    /// struck); reported separately so the overhead stays attributable.
-    pub backoff_ms: f64,
-}
-
-impl RunStats {
-    /// All-zero statistics: what a query that never executed reports. The
-    /// serving pool uses this for shed and failed submission slots so the
-    /// per-query vector keeps its submission-order shape.
-    pub fn zeroed() -> RunStats {
-        RunStats::default()
-    }
-
-    /// The statistics accumulated since `earlier` — a snapshot taken on the
-    /// *same* device earlier in its life. This is how batched traversal
-    /// attributes per-query cost while the graph stays resident on one
-    /// device: snapshot before the query, subtract after.
-    ///
-    /// `allocated_bytes` is carried over as-is (residency is a level, not a
-    /// flow).
-    pub fn since(&self, earlier: &RunStats) -> RunStats {
-        RunStats {
-            est_ms: (self.est_ms - earlier.est_ms).max(0.0),
-            cycles: (self.cycles - earlier.cycles).max(0.0),
-            launches: self.launches.saturating_sub(earlier.launches),
-            tally: self.tally.since(&earlier.tally),
-            mem: self.mem.since(&earlier.mem),
-            allocated_bytes: self.allocated_bytes,
-            partition_faults: self
-                .partition_faults
-                .saturating_sub(earlier.partition_faults),
-            partition_uploads: self
-                .partition_uploads
-                .saturating_sub(earlier.partition_uploads),
-            partition_evictions: self
-                .partition_evictions
-                .saturating_sub(earlier.partition_evictions),
-            bytes_streamed: self.bytes_streamed.saturating_sub(earlier.bytes_streamed),
-            transfer_ms: (self.transfer_ms - earlier.transfer_ms).max(0.0),
-            push_steps: self.push_steps.saturating_sub(earlier.push_steps),
-            pull_steps: self.pull_steps.saturating_sub(earlier.pull_steps),
-            pushed_edges: self.pushed_edges.saturating_sub(earlier.pushed_edges),
-            pulled_edges: self.pulled_edges.saturating_sub(earlier.pulled_edges),
-            exchange_ms: (self.exchange_ms - earlier.exchange_ms).max(0.0),
-            boundary_nodes: self.boundary_nodes.saturating_sub(earlier.boundary_nodes),
-            sync_steps: self.sync_steps.saturating_sub(earlier.sync_steps),
-            faults_injected: self.faults_injected.saturating_sub(earlier.faults_injected),
-            retries: self.retries.saturating_sub(earlier.retries),
-            backoff_ms: (self.backoff_ms - earlier.backoff_ms).max(0.0),
-        }
-    }
-
-    /// A human-readable latency decomposition of this run under `config`:
-    /// the per-class instruction-slot breakdown (issues, weighted cycles,
-    /// share of weighted issue cycles); the roofline split; and the modeled
-    /// time split — estimated kernel time, streamed transfer, shard
-    /// exchange, and their sum (the modeled total). Formatting is
-    /// fixed-precision, so the string is as deterministic as the numbers
-    /// themselves.
-    ///
-    /// The roofline line gives what share of the modeled cycles each
-    /// throughput term of [`Device::account_launch`] covers when summed over
-    /// the run on its own: memory and atomics are exact sums of the
-    /// per-launch terms, issue assumes every SM busy and so is a lower
-    /// bound. Cycles none of them covers come from launches floored by
-    /// their busiest warp; which term bound each launch is the `bound` of
-    /// its trace event and `gcgt_launch_cycles_total{bound=…}`.
-    pub fn explain(&self, config: &DeviceConfig) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{:<12} {:>12} {:>14} {:>7}\n",
-            "class", "issues", "cycles", "share"
-        ));
-        let weighted = config.weighted_cycles(&self.tally).max(f64::MIN_POSITIVE);
-        for c in config.class_breakdown(&self.tally) {
-            out.push_str(&format!(
-                "{:<12} {:>12} {:>14.1} {:>6.1}%\n",
-                c.class,
-                c.issues,
-                c.cycles,
-                100.0 * c.cycles / weighted
-            ));
-        }
-        out.push_str(&format!(
-            "{:<12} {:>12} launches, {} warp slots, {} mem txns\n",
-            "totals",
-            self.launches,
-            self.tally.total_issues(),
-            self.mem.transactions
-        ));
-        if self.cycles > 0.0 {
-            let share = |term: f64| 100.0 * term / self.cycles;
-            let memory = self.mem.transactions as f64 / config.mem_txn_per_cycle;
-            let atomics =
-                self.tally.issues[OpClass::Atomic as usize] as f64 / config.atomics_per_cycle;
-            let issue = config.weighted_cycles(&self.tally) / config.num_sms as f64;
-            out.push_str(&format!(
-                "{:<12} {:>12.1} cycles; alone, memory covers {:.1}%, atomics {:.1}%, issue >= {:.1}%\n",
-                "roofline",
-                self.cycles,
-                share(memory),
-                share(atomics),
-                share(issue)
-            ));
-        }
-        if self.push_steps + self.pull_steps > 0 {
-            out.push_str(&format!(
-                "{:<12} {:>12} push ({} edges), {} pull ({} edges)\n",
-                "levels", self.push_steps, self.pushed_edges, self.pull_steps, self.pulled_edges
-            ));
-        }
-        if self.partition_faults + self.partition_evictions > 0 {
-            out.push_str(&format!(
-                "{:<12} {:>12} faults in {} uploads ({:.1} KB mean), {} evictions\n",
-                "ooc",
-                self.partition_faults,
-                self.partition_uploads,
-                self.bytes_streamed as f64 / 1e3 / self.partition_uploads.max(1) as f64,
-                self.partition_evictions
-            ));
-        }
-        if self.sync_steps > 0 {
-            out.push_str(&format!(
-                "{:<12} {:>12} sync steps, {} boundary nodes\n",
-                "shard", self.sync_steps, self.boundary_nodes
-            ));
-        }
-        if self.faults_injected > 0 || self.retries > 0 {
-            out.push_str(&format!(
-                "{:<12} {:>12} faults, {} retries, {:.6} ms backoff\n",
-                "chaos", self.faults_injected, self.retries, self.backoff_ms
-            ));
-        }
-        out.push_str(&format!("{:<12} {:>14.6} ms\n", "est", self.est_ms));
-        out.push_str(&format!(
-            "{:<12} {:>14.6} ms\n",
-            "transfer", self.transfer_ms
-        ));
-        out.push_str(&format!(
-            "{:<12} {:>14.6} ms\n",
-            "exchange", self.exchange_ms
-        ));
-        out.push_str(&format!(
-            "{:<12} {:>14.6} ms\n",
-            "modeled",
-            self.est_ms + self.transfer_ms + self.exchange_ms
-        ));
-        out
     }
 }
 
@@ -831,7 +598,7 @@ mod tests {
     #[test]
     fn compute_bound_launch() {
         let mut d = Device::new(DeviceConfig::titan_v_scaled(1 << 30));
-        d.account_launch(&launch(8_000, 10, 80));
+        d.record(Charge::launch(&launch(8_000, 10, 80), d.config()));
         // 8000 Handle issues × 2 cycles / 80 SMs = 200 > 10 / 4.2 memory.
         assert!((d.stats().cycles - 200.0).abs() < 1e-9);
     }
@@ -839,7 +606,7 @@ mod tests {
     #[test]
     fn memory_bound_launch() {
         let mut d = Device::new(DeviceConfig::titan_v_scaled(1 << 30));
-        d.account_launch(&launch(100, 42_000, 80));
+        d.record(Charge::launch(&launch(100, 42_000, 80), d.config()));
         assert!((d.stats().cycles - 10_000.0).abs() < 1e-9);
     }
 
@@ -848,7 +615,7 @@ mod tests {
         let mut d = Device::new(DeviceConfig::titan_v_scaled(1 << 30));
         let mut c = launch(50, 0, 1);
         c.max_warp_cycles = 100.0;
-        d.account_launch(&c);
+        d.record(Charge::launch(&c, d.config()));
         assert!(d.stats().cycles >= 100.0);
     }
 
@@ -857,7 +624,7 @@ mod tests {
         let cfg = DeviceConfig::titan_v_scaled(1 << 30);
         let mut d = Device::new(cfg);
         for _ in 0..100 {
-            d.account_launch(&launch(1, 0, 1));
+            d.record(Charge::launch(&launch(1, 0, 1), d.config()));
         }
         assert!(d.elapsed_ms() >= 100.0 * cfg.launch_overhead_us / 1e3);
     }
@@ -886,71 +653,19 @@ mod tests {
     }
 
     #[test]
-    fn stream_counters_accumulate_and_subtract() {
-        let mut d = Device::new(DeviceConfig::titan_v_scaled(1 << 20));
-        let before = d.stats();
-        d.charge_partition_upload(3, 4096, 1.5);
-        d.charge_partition_upload(1, 1024, 0.5);
-        d.charge_partition_eviction();
-        let s = d.stats().since(&before);
-        assert_eq!(s.partition_faults, 4);
-        assert_eq!(s.partition_uploads, 2);
-        assert_eq!(s.bytes_streamed, 5120);
-        assert_eq!(s.partition_evictions, 1);
-        assert!((s.transfer_ms - 2.0).abs() < 1e-12);
-        // The estimated execution time is unaffected: transfer is reported
-        // separately so the cost stays attributable.
-        assert_eq!(s.est_ms, 0.0);
-    }
-
-    #[test]
-    fn direction_counters_accumulate_and_subtract() {
-        let mut d = Device::new(DeviceConfig::titan_v_scaled(1 << 20));
-        let before = d.stats();
-        d.charge_push_step(100);
-        d.charge_push_step(40);
-        d.charge_pull_step(7);
-        let s = d.stats().since(&before);
-        assert_eq!(s.push_steps, 2);
-        assert_eq!(s.pushed_edges, 140);
-        assert_eq!(s.pull_steps, 1);
-        assert_eq!(s.pulled_edges, 7);
-        // Direction bookkeeping is host-side: it never changes the
-        // simulated execution estimate.
-        assert_eq!(s.est_ms, 0.0);
-        // query_view zeroes them like every other counter.
-        assert_eq!(d.query_view().stats().push_steps, 0);
-    }
-
-    #[test]
-    fn exchange_counters_accumulate_and_subtract() {
-        let mut d = Device::new(DeviceConfig::titan_v_scaled(1 << 20));
-        let before = d.stats();
-        d.charge_sync_step();
-        d.charge_exchange(0.75, 100);
-        d.charge_sync_step();
-        d.charge_exchange(0.25, 40);
-        let s = d.stats().since(&before);
-        assert_eq!(s.sync_steps, 2);
-        assert_eq!(s.boundary_nodes, 140);
-        assert!((s.exchange_ms - 1.0).abs() < 1e-12);
-        // Exchange is charged host-side, like out-of-core transfer: the
-        // estimated kernel time is untouched, so sharding stays attributable.
-        assert_eq!(s.est_ms, 0.0);
-        // query_view zeroes the exchange counters like every other counter.
-        let v = d.query_view().stats();
-        assert_eq!(v.exchange_ms, 0.0);
-        assert_eq!(v.boundary_nodes, 0);
-        assert_eq!(v.sync_steps, 0);
-    }
-
-    #[test]
     fn query_view_keeps_residency_and_zeroes_counters() {
         let cfg = DeviceConfig::titan_v_scaled(1 << 20);
         let mut d = cfg.new_device();
         d.alloc(4096).unwrap();
-        d.account_launch(&launch(100, 50, 4));
-        d.charge_partition_upload(1, 512, 0.25);
+        d.record(Charge::launch(&launch(100, 50, 4), d.config()));
+        d.record(Charge::Upload {
+            first_partition: 0,
+            partitions: 1,
+            bytes: 512,
+            transfer_ms: 0.25,
+            cold: true,
+            partition_bytes: &|_| 512,
+        });
 
         let view = d.query_view();
         assert_eq!(view.allocated(), 4096);
@@ -968,8 +683,8 @@ mod tests {
         fresh.alloc(4096).unwrap();
         let mut replay = d.query_view();
         let c = launch(321, 77, 8);
-        fresh.account_launch(&c);
-        replay.account_launch(&c);
+        fresh.record(Charge::launch(&c, fresh.config()));
+        replay.record(Charge::launch(&c, replay.config()));
         assert_eq!(fresh.stats(), replay.stats());
     }
 
@@ -982,7 +697,14 @@ mod tests {
         for d in [&mut plain, &mut chaotic] {
             d.alloc(4096).unwrap();
             d.chaos_gate(FaultDomain::Transfer, 1.0);
-            d.charge_partition_upload(1, 512, 0.25);
+            d.record(Charge::Upload {
+                first_partition: 0,
+                partitions: 1,
+                bytes: 512,
+                transfer_ms: 0.25,
+                cold: true,
+                partition_bytes: &|_| 512,
+            });
             assert!(!d.inject_query_fault());
         }
         assert_eq!(plain.stats(), chaotic.stats());
@@ -1077,8 +799,8 @@ mod tests {
             ..DeviceConfig::titan_v_scaled(1 << 30)
         });
         let c = launch(8_000, 0, 80);
-        slow.account_launch(&c);
-        fast.account_launch(&c);
+        slow.record(Charge::launch(&c, slow.config()));
+        fast.record(Charge::launch(&c, fast.config()));
         assert!(slow.elapsed_ms() > 3.9 * fast.elapsed_ms());
     }
 }

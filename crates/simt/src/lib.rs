@@ -23,17 +23,19 @@
 //! ([`parallel_warps`]); either way all *reported* numbers come from the
 //! deterministic tallies, never from host wall-clock.
 //!
-//! ## Observability
+//! ## Accounting and observability
 //!
-//! A [`Device`] optionally carries an [`ObserverHandle`]
-//! ([`Device::set_observer`]): kernel launches and allocation changes are
-//! reported as events with **modeled** timestamps ([`Device::modeled_ms`]),
-//! and richer layers (level launchers, the out-of-core cache, the shard
-//! exchange, the serving pool) emit their own spans through
-//! [`Device::observer`]. The event types and the ready-made sinks
+//! Every modeled state change of a [`Device`] — a launch, an allocation, a
+//! partition upload, an exchange, a fault retry — is one [`Charge`] value
+//! passed to [`Device::record`]. [`RunStats::apply`] folds it (the only
+//! place a counter changes), and a device carrying an [`ObserverHandle`]
+//! ([`Device::set_observer`]) reports the same value as an event with a
+//! **modeled** timestamp ([`Device::modeled_ms`]). A launch is priced by
+//! the pure [`price`] function of its [`IterationCost`] and the
+//! [`DeviceConfig`]. The event types and the ready-made sinks
 //! ([`obs::TraceRecorder`], [`obs::MetricsRegistry`]) live in the
 //! dependency-free [`gcgt_obs`] crate, re-exported here as [`obs`]. With no
-//! observer installed nothing is constructed and no reported number ever
+//! observer installed no event is constructed and no reported number ever
 //! changes.
 
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
@@ -42,6 +44,7 @@ pub mod interconnect;
 pub mod mem;
 pub mod parallel;
 pub mod pcie;
+pub mod stats;
 pub mod tally;
 pub mod warp;
 
@@ -51,12 +54,13 @@ pub mod warp;
 pub use gcgt_chaos as chaos;
 pub use gcgt_obs as obs;
 
-pub use device::{Device, DeviceConfig, IterationCost, OomError, RunStats};
+pub use device::{Device, DeviceConfig, IterationCost, OomError};
 pub use gcgt_chaos::{FaultDomain, FaultPlan, FaultRate, RetryPolicy, TypedFailure};
 pub use gcgt_obs::{NullObserver, Observer, ObserverHandle};
 pub use interconnect::InterconnectConfig;
 pub use mem::{MemSim, MemStats, Space};
 pub use parallel::parallel_warps;
 pub use pcie::PcieConfig;
+pub use stats::{price, Charge, Price, RunStats};
 pub use tally::{OpClass, Tally};
 pub use warp::WarpSim;

@@ -100,7 +100,7 @@ pub struct MemSim {
     /// Direct-mapped cache: slot -> line id (u64::MAX = empty).
     cache: Box<[u64]>,
     cache_mask: u64,
-    stats: MemStats,
+    counters: MemStats,
     /// Scratch: lines of the current step (small, sorted-dedup).
     scratch: Vec<u64>,
 }
@@ -114,7 +114,7 @@ impl MemSim {
             line_shift: 7, // 128-byte lines
             cache: vec![u64::MAX; slots].into_boxed_slice(),
             cache_mask: slots as u64 - 1,
-            stats: MemStats::default(),
+            counters: MemStats::default(),
             scratch: Vec::with_capacity(64),
         }
     }
@@ -136,18 +136,18 @@ impl MemSim {
         }
         self.scratch.sort_unstable();
         self.scratch.dedup();
-        self.stats.mem_steps += 1;
-        self.stats.lines_touched += self.scratch.len() as u64;
+        self.counters.mem_steps += 1;
+        self.counters.lines_touched += self.scratch.len() as u64;
         let mut txns = 0;
         for i in 0..self.scratch.len() {
             let line = self.scratch[i];
             if self.lookup_insert(line) {
-                self.stats.cache_hits += 1;
+                self.counters.cache_hits += 1;
             } else {
                 txns += 1;
             }
         }
-        self.stats.transactions += txns;
+        self.counters.transactions += txns;
         txns
     }
 
@@ -180,7 +180,7 @@ impl MemSim {
 
     /// Counters so far.
     pub fn stats(&self) -> &MemStats {
-        &self.stats
+        &self.counters
     }
 }
 

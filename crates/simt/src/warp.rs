@@ -69,7 +69,7 @@ impl WarpSim {
     /// The class a slot is charged under: decode classes map to
     /// [`OpClass::TableDecode`] when table decoding is enabled.
     #[inline]
-    fn charge_class(&self, class: OpClass) -> OpClass {
+    fn slot_class(&self, class: OpClass) -> OpClass {
         match class {
             OpClass::ItvDecode | OpClass::ResDecode if self.table_decode => OpClass::TableDecode,
             other => other,
@@ -85,7 +85,7 @@ impl WarpSim {
     /// Records one serialized warp step of `class` with `active` lanes.
     #[inline]
     pub fn issue(&mut self, class: OpClass, active: usize) {
-        self.tally.issue(self.charge_class(class), active);
+        self.tally.issue(self.slot_class(class), active);
     }
 
     /// Records one warp step that also touches memory: the lane addresses
@@ -97,7 +97,7 @@ impl WarpSim {
         active: usize,
         addrs: I,
     ) {
-        self.tally.issue(self.charge_class(class), active);
+        self.tally.issue(self.slot_class(class), active);
         self.mem.access_step(addrs);
     }
 
