@@ -13,9 +13,8 @@
 //!    id first.
 //! 2. **Coalesced uploads.** The missing partitions are grouped into runs of
 //!    adjacent partition ids — contiguous bytes of the compressed array —
-//!    and each run crosses the link as *one* chunked
-//!    [`PcieConfig::transfer_ms`] transfer, paying the setup latency per
-//!    chunk of the run instead of per partition.
+//!    and each run crosses [`HOST_LINK`] as *one* chunked transfer, paying
+//!    the setup latency per chunk of the run instead of per partition.
 //! 3. **Double-buffered waves.** A run is capped at half the budget, so an
 //!    upload never displaces more than half the cache: the other half —
 //!    ordinarily the wave uploaded just before — stays resident and decoding
@@ -31,7 +30,7 @@
 
 use std::ops::Range;
 
-use gcgt_simt::{Charge, Device, PcieConfig};
+use gcgt_simt::{Charge, Device, HOST_LINK};
 
 use crate::partition::PartitionMap;
 
@@ -144,13 +143,7 @@ impl PartitionCache {
     /// # Panics
     /// Panics if a partition alone exceeds the budget — sessions verify
     /// `max_resident_bytes <= budget` before constructing an engine.
-    pub fn stream(
-        &mut self,
-        needed: &[bool],
-        parts: &PartitionMap,
-        device: &mut Device,
-        pcie: &PcieConfig,
-    ) {
+    pub fn stream(&mut self, needed: &[bool], parts: &PartitionMap, device: &mut Device) {
         let plan = self.plan(needed, parts);
         // Hits move behind everything the launch does not need. From here
         // on the list reads [un-needed, oldest first | needed, ascending],
@@ -172,7 +165,7 @@ impl PartitionCache {
                 launch_start = launch_start.saturating_sub(1);
                 self.evict_lru(parts, device);
             }
-            self.upload(run.clone(), bytes, parts, device, pcie);
+            self.upload(run.clone(), bytes, parts, device);
             self.lru.extend(run.clone());
             self.lru[launch_start..].sort_unstable();
         }
@@ -199,7 +192,6 @@ impl PartitionCache {
         resident_bytes: usize,
         parts: &PartitionMap,
         device: &mut Device,
-        pcie: &PcieConfig,
     ) {
         // Closure nodes inside the run arrive with their own partition and
         // are copied device-side, so only the closure below it is traffic.
@@ -214,7 +206,7 @@ impl PartitionCache {
             .expect("partition budget must fit device capacity (verified at build)");
         self.used += resident_bytes;
 
-        let raw_ms = pcie.transfer_ms(link_bytes, link_bytes.div_ceil(CHUNK_BYTES));
+        let raw_ms = HOST_LINK.ms(link_bytes, link_bytes.div_ceil(CHUNK_BYTES));
         let charged = if cold {
             raw_ms
         } else {
@@ -280,19 +272,9 @@ mod tests {
         pids.into_iter().map(|pid| map.parts()[pid].bytes).sum()
     }
 
-    /// Streams one launch under the default link and knobs.
-    fn launch_mask(
-        cache: &mut PartitionCache,
-        map: &PartitionMap,
-        device: &mut Device,
-        needed: &[bool],
-    ) {
-        cache.stream(needed, map, device, &PcieConfig::default());
-    }
-
     /// Streams one launch needing `pids`.
     fn launch(cache: &mut PartitionCache, map: &PartitionMap, device: &mut Device, pids: &[usize]) {
-        launch_mask(cache, map, device, &needed(map, pids));
+        cache.stream(&needed(map, pids), map, device);
     }
 
     #[test]
@@ -311,11 +293,10 @@ mod tests {
         );
         // [0, 3) is one cold transfer of the summed bytes; 4 is a second,
         // warm one (the first run is resident to decode under it).
-        let pcie = PcieConfig::default();
         let run = bytes_of(&map, 0..3);
         let lone = bytes_of(&map, [4]);
-        let want = pcie.transfer_ms(run, run.div_ceil(CHUNK_BYTES))
-            + pcie.transfer_ms(lone, 1) * (1.0 - OVERLAP);
+        let want =
+            HOST_LINK.ms(run, run.div_ceil(CHUNK_BYTES)) + HOST_LINK.ms(lone, 1) * (1.0 - OVERLAP);
         assert_eq!(s.transfer_ms.to_bits(), want.to_bits());
         assert_eq!(s.bytes_streamed as usize, run + lone);
         assert_eq!(device.allocated(), run + lone);
@@ -331,7 +312,7 @@ mod tests {
         // make room for 0..4 and then fault them back in.
         let dense = needed(&map, &[0, 1, 2, 3, 4, 5]);
         assert_eq!(cache.plan(&dense, &map).hits, [4, 5]);
-        launch_mask(&mut cache, &map, &mut device, &dense);
+        cache.stream(&dense, &map, &mut device);
         assert_eq!(device.stats().partition_faults, 6);
         assert!(cache.resident_bytes() <= budget);
         assert_eq!(device.allocated(), cache.resident_bytes());
@@ -415,14 +396,13 @@ mod tests {
     #[test]
     fn overlap_discounts_warm_uploads_only() {
         let (map, mut device) = fixtures();
-        let pcie = PcieConfig::default();
         let mut cache = PartitionCache::new(usize::MAX);
         // The cold first upload pays the raw link time; each warm one, with
         // a resident partition to decode under it, pays half.
         let mut want = 0.0;
         for (pid, share) in [(0usize, 1.0), (2, 0.5), (4, 0.5)] {
             launch(&mut cache, &map, &mut device, &[pid]);
-            want += pcie.transfer_ms(bytes_of(&map, [pid]), 1) * share;
+            want += HOST_LINK.ms(bytes_of(&map, [pid]), 1) * share;
             assert_eq!(
                 device.stats().transfer_ms.to_bits(),
                 want.to_bits(),
@@ -441,11 +421,10 @@ mod tests {
             .max_by_key(|&pid| map.parts()[pid].bytes)
             .unwrap();
         let other = (big + 2) % map.len();
-        let pcie = PcieConfig::default();
         launch(&mut cache, &map, &mut device, &[other]);
         launch(&mut cache, &map, &mut device, &[big]);
-        let want = pcie.transfer_ms(bytes_of(&map, [other]), 1)
-            + pcie.transfer_ms(bytes_of(&map, [big]), 1);
+        let want =
+            HOST_LINK.ms(bytes_of(&map, [other]), 1) + HOST_LINK.ms(bytes_of(&map, [big]), 1);
         assert_eq!(device.stats().transfer_ms.to_bits(), want.to_bits());
     }
 
@@ -560,7 +539,6 @@ mod tests {
         }
 
         fn launch(&mut self, needed: &[bool], map: &PartitionMap) {
-            let pcie = PcieConfig::default();
             for (pid, _) in needed.iter().enumerate().filter(|(_, &n)| n) {
                 if let Some(idx) = self.lru.iter().position(|&p| p == pid) {
                     self.lru.remove(idx);
@@ -573,7 +551,7 @@ mod tests {
                 }
                 self.used += bytes;
                 self.lru.push(pid);
-                let raw = pcie.transfer_ms(bytes, bytes.div_ceil(CHUNK_BYTES));
+                let raw = HOST_LINK.ms(bytes, bytes.div_ceil(CHUNK_BYTES));
                 self.transfer_ms += if self.cold {
                     raw
                 } else {
@@ -646,7 +624,7 @@ mod tests {
             let mut cache = PartitionCache::new(budget);
             let mut model = LruModel::new(budget);
             for needed in &trace {
-                launch_mask(&mut cache, &map, &mut device, needed);
+                cache.stream(needed, &map, &mut device);
                 model.launch(needed, &map);
                 let s = device.stats();
                 prop_assert!(
@@ -675,7 +653,7 @@ mod tests {
             for needed in &trace {
                 let mut model = LruModel::seeded(&cache);
                 let before = device.stats();
-                launch_mask(&mut cache, &map, &mut device, needed);
+                cache.stream(needed, &map, &mut device);
                 model.launch(needed, &map);
                 let s = device.stats().since(&before);
                 prop_assert!(s.partition_faults <= model.faults);
@@ -719,7 +697,7 @@ mod tests {
                 for pid in 0..map.len() {
                     prop_assert_eq!(waves[pid], u32::from(needed[pid]));
                 }
-                launch_mask(&mut cache, &map, &mut device, needed);
+                cache.stream(needed, &map, &mut device);
                 prop_assert_eq!(device.allocated(), cache.resident_bytes());
             }
             let peak = levels.0.lock().unwrap().iter().copied().max().unwrap_or(0);
@@ -735,7 +713,7 @@ mod tests {
                 let mut device = Device::new(DeviceConfig::titan_v_scaled(1 << 30));
                 let mut cache = PartitionCache::new(budget);
                 for needed in &trace {
-                    launch_mask(&mut cache, &map, &mut device, needed);
+                    cache.stream(needed, &map, &mut device);
                 }
                 device.stats()
             };

@@ -8,7 +8,7 @@ use gcgt_cgr::CgrGraph;
 use gcgt_core::kernels::{self, expand_warp, pull::pull_expand, Sink};
 use gcgt_core::{memory, DirectionMode, Expander, Frontier, Strategy};
 use gcgt_graph::NodeId;
-use gcgt_simt::{Device, DeviceConfig, OomError, PcieConfig, WarpSim};
+use gcgt_simt::{Device, DeviceConfig, OomError, WarpSim};
 
 use crate::cache::PartitionCache;
 use crate::partition::PartitionMap;
@@ -26,7 +26,6 @@ pub struct OocEngine<'g> {
     parts: &'g PartitionMap,
     device_config: DeviceConfig,
     strategy: Strategy,
-    pcie: PcieConfig,
     cache_budget: usize,
     direction: DirectionMode,
     cache: Mutex<PartitionCache>,
@@ -46,7 +45,6 @@ impl<'g> OocEngine<'g> {
         parts: &'g PartitionMap,
         device_config: DeviceConfig,
         strategy: Strategy,
-        pcie: PcieConfig,
         cache_budget: usize,
     ) -> Result<Self, OomError> {
         strategy.assert_layout(cgr.config());
@@ -72,7 +70,6 @@ impl<'g> OocEngine<'g> {
             parts,
             device_config,
             strategy,
-            pcie,
             cache_budget,
             direction: DirectionMode::Push,
             cache: Mutex::new(PartitionCache::new(cache_budget)),
@@ -171,7 +168,7 @@ impl Expander for OocEngine<'_> {
         self.cache
             .lock()
             .expect("cache poisoned")
-            .stream(&needed, self.parts, device, &self.pcie);
+            .stream(&needed, self.parts, device);
     }
 
     fn expand_chunk(&self, warp: &mut WarpSim, chunk: &[NodeId], sink: &mut dyn Sink) {
@@ -241,7 +238,6 @@ mod tests {
             parts,
             DeviceConfig::titan_v_scaled(1 << 30),
             Strategy::Full,
-            PcieConfig::default(),
             budget,
         )
         .unwrap()
@@ -353,7 +349,6 @@ mod tests {
                 &parts,
                 DeviceConfig::titan_v_scaled(1 << 30),
                 Strategy::Full,
-                PcieConfig::default(),
                 budget,
             )
         };
@@ -391,7 +386,6 @@ mod tests {
                     &parts,
                     DeviceConfig::titan_v_scaled(1 << 30),
                     strategy,
-                    PcieConfig::default(),
                     parts.max_resident_bytes(),
                 )
                 .is_ok()
@@ -406,7 +400,6 @@ mod tests {
             parts,
             DeviceConfig::titan_v_scaled(capacity),
             Strategy::Full,
-            PcieConfig::default(),
             budget,
         )
         .err()

@@ -17,10 +17,10 @@
 //!   per kernel launch: partitions the launch needs that are already
 //!   resident are consumed *first*, so nothing the launch still needs is
 //!   ever evicted; the missing ones are coalesced into runs of adjacent
-//!   partitions and each run crosses the link as one chunked
-//!   [`gcgt_simt::PcieConfig::transfer_ms`] upload; and a run is capped at
-//!   half the budget, so half the cache stays resident and decoding while
-//!   it streams (the double-buffering that halves a warm upload's charge);
+//!   partitions and each run crosses [`gcgt_simt::HOST_LINK`] as one
+//!   chunked upload; and a run is capped at half the budget, so half the
+//!   cache stays resident and decoding while it streams (the
+//!   double-buffering that halves a warm upload's charge);
 //! * [`OocEngine`] — an [`gcgt_core::Expander`] whose `prepare_frontier`
 //!   hook hands each launch's partition set to the cache, so every
 //!   application (BFS/CC/BC/PageRank/label propagation) runs unmodified.

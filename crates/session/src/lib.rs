@@ -147,16 +147,19 @@ use gcgt_core::{memory, Algorithm, Expander, GcgtEngine, Strategy};
 use gcgt_graph::{Csr, NodeId, Reordering};
 use gcgt_ooc::{OocEngine, PartitionMap};
 use gcgt_shard::ShardEngine;
-use gcgt_simt::{Device, DeviceConfig, OomError, PcieConfig, RunStats};
+use gcgt_simt::{Device, DeviceConfig, Link, OomError, RunStats, HOST_LINK};
 
 pub use gcgt_core::{
     Bc, Bfs, Cc, DirectionMode, LabelProp, Pagerank, Query, QueryOutput, PULL_ALPHA,
 };
 pub use gcgt_shard::ShardPlan;
 pub use gcgt_simt::{
-    FaultDomain, FaultPlan, FaultRate, InterconnectConfig, Observer, ObserverHandle, RetryPolicy,
-    TypedFailure,
+    FaultDomain, FaultPlan, FaultRate, Observer, ObserverHandle, RetryPolicy, TypedFailure,
 };
+
+/// The link model of a sharded session's frontier exchange
+/// ([`SessionBuilder::interconnect`]).
+pub type InterconnectConfig = Link;
 
 /// Which traversal engine a session drives — selected at **runtime**.
 ///
@@ -250,14 +253,10 @@ pub enum SessionError {
     AsymmetricPull,
     /// A sharded session was requested with zero devices.
     ZeroShards,
-    /// A link model handed to [`SessionBuilder::pcie`] or
-    /// [`SessionBuilder::interconnect`] would price transfers as infinite
-    /// or NaN: bandwidth must be finite and positive, latency finite and
-    /// non-negative.
+    /// The link model handed to [`SessionBuilder::interconnect`] would
+    /// price transfers as infinite or NaN: bandwidth must be finite and
+    /// positive, latency finite and non-negative.
     InvalidLink {
-        /// The builder call that supplied the link (`"pcie"` or
-        /// `"interconnect"`).
-        link: &'static str,
         /// The offending field (`"bandwidth_gb_s"` or `"latency_us"`).
         field: &'static str,
     },
@@ -319,9 +318,9 @@ impl std::fmt::Display for SessionError {
                 f,
                 "a sharded session needs at least one device (shards(n) with n >= 1)"
             ),
-            SessionError::InvalidLink { link, field } => write!(
+            SessionError::InvalidLink { field } => write!(
                 f,
-                "{link}(..) has an unusable {field}: bandwidth_gb_s must be finite and > 0, \
+                "interconnect(..) has an unusable {field}: bandwidth_gb_s must be finite and > 0, \
                  latency_us finite and >= 0"
             ),
             SessionError::CompressedInputConflict { what } => write!(
@@ -350,20 +349,14 @@ impl From<OomError> for SessionError {
 
 /// Rejects link parameters whose `bytes / bandwidth + n × latency` is not a
 /// finite, non-negative time.
-fn check_link(
-    link: &'static str,
-    bandwidth_gb_s: f64,
-    latency_us: f64,
-) -> Result<(), SessionError> {
-    if !(bandwidth_gb_s.is_finite() && bandwidth_gb_s > 0.0) {
+fn check_link(link: &Link) -> Result<(), SessionError> {
+    if !(link.bandwidth_gb_s.is_finite() && link.bandwidth_gb_s > 0.0) {
         return Err(SessionError::InvalidLink {
-            link,
             field: "bandwidth_gb_s",
         });
     }
-    if !(latency_us.is_finite() && latency_us >= 0.0) {
+    if !(link.latency_us.is_finite() && link.latency_us >= 0.0) {
         return Err(SessionError::InvalidLink {
-            link,
             field: "latency_us",
         });
     }
@@ -381,11 +374,10 @@ pub struct SessionBuilder {
     compress_auto: bool,
     device: Option<DeviceConfig>,
     engine: Option<EngineKind>,
-    pcie: Option<PcieConfig>,
     memory_budget: Option<usize>,
     direction: Option<DirectionMode>,
     shards: Option<usize>,
-    interconnect: Option<InterconnectConfig>,
+    interconnect: Option<Link>,
     observer: Option<ObserverHandle>,
     fault_plan: Option<FaultPlan>,
 }
@@ -511,15 +503,6 @@ impl SessionBuilder {
         self
     }
 
-    /// The host↔device link model used for upload accounting. `build`
-    /// returns [`SessionError::InvalidLink`] unless the bandwidth is finite
-    /// and positive and the latency finite and non-negative.
-    #[must_use]
-    pub fn pcie(mut self, pcie: PcieConfig) -> Self {
-        self.pcie = Some(pcie);
-        self
-    }
-
     /// Caps how many device bytes this session may occupy (defaults to the
     /// device's full capacity; the effective budget is the smaller of the
     /// two). In-core engines treat it as a tighter OOM wall; with
@@ -552,11 +535,12 @@ impl SessionBuilder {
     }
 
     /// The device↔device link model of a sharded session's frontier
-    /// exchange (defaults to [`InterconnectConfig::nvlink`]). Only
-    /// meaningful with [`SessionBuilder::shards`], but validated like
-    /// [`SessionBuilder::pcie`] whenever supplied.
+    /// exchange (defaults to [`Link::nvlink`]). Only meaningful with
+    /// [`SessionBuilder::shards`], but validated whenever supplied: `build`
+    /// returns [`SessionError::InvalidLink`] unless the bandwidth is finite
+    /// and positive and the latency finite and non-negative.
     #[must_use]
-    pub fn interconnect(mut self, link: InterconnectConfig) -> Self {
+    pub fn interconnect(mut self, link: Link) -> Self {
         self.interconnect = Some(link);
         self
     }
@@ -631,14 +615,8 @@ impl SessionBuilder {
         // Link parameters divide into every modeled transfer: a zero,
         // negative or non-finite one would poison `total_ms`, the serve
         // timeline and deadlines with inf/NaN.
-        let pcie = self.pcie.unwrap_or_default();
-        check_link("pcie", pcie.bandwidth_gb_s, pcie.latency_us)?;
-        let interconnect = self.interconnect.unwrap_or_default();
-        check_link(
-            "interconnect",
-            interconnect.bandwidth_gb_s,
-            interconnect.latency_us,
-        )?;
+        let interconnect = self.interconnect.unwrap_or(Link::nvlink());
+        check_link(&interconnect)?;
         // --- input + CSR mirror ---
         // The mirror decodes every adjacency, so a deferred-validation load
         // is normally proven in full first (a no-op for eager loads and
@@ -833,7 +811,6 @@ impl SessionBuilder {
         Ok(PreparedGraph {
             kind,
             device_config,
-            pcie,
             graph,
             cgr,
             perm,
@@ -972,7 +949,6 @@ impl<T> BatchRun<T> {
 pub struct PreparedGraph {
     kind: EngineKind,
     device_config: DeviceConfig,
-    pcie: PcieConfig,
     graph: Arc<Csr>,
     cgr: Option<CgrGraph>,
     perm: Option<Vec<NodeId>>,
@@ -991,7 +967,7 @@ pub struct PreparedGraph {
 #[derive(Clone, Debug)]
 struct ShardPlanData {
     plan: ShardPlan,
-    interconnect: InterconnectConfig,
+    interconnect: Link,
 }
 
 impl PreparedGraph {
@@ -1112,7 +1088,7 @@ impl PreparedGraph {
 
     /// The device↔device link a sharded session exchanges frontiers over
     /// (`None` for single-device sessions).
-    pub fn interconnect(&self) -> Option<InterconnectConfig> {
+    pub fn interconnect(&self) -> Option<Link> {
         self.shard.as_ref().map(|s| s.interconnect)
     }
 
@@ -1125,16 +1101,16 @@ impl PreparedGraph {
         }
     }
 
-    /// Host→device time to make the structure resident, from the prepared
-    /// graph's PCIe model — paid once per device residency (one `run`, one
-    /// `run_batch`, or one pool worker). A streaming session uploads
-    /// nothing up front (transfers happen during the run and appear in
-    /// [`RunStats::transfer_ms`]), so this is 0.
+    /// Host→device time to make the structure resident, priced on
+    /// [`HOST_LINK`] as one transfer — paid once per device residency (one
+    /// `run`, one `run_batch`, or one pool worker). A streaming session
+    /// uploads nothing up front (transfers happen during the run and appear
+    /// in [`RunStats::transfer_ms`]), so this is 0.
     pub fn upload_ms(&self) -> f64 {
         if self.is_streaming() {
             0.0
         } else {
-            self.pcie.transfer_ms(self.footprint, 1)
+            HOST_LINK.ms(self.footprint, 1)
         }
     }
 
@@ -1184,7 +1160,6 @@ impl PreparedGraph {
                     &plan.parts,
                     self.device_config,
                     inner,
-                    self.pcie,
                     plan.cache_budget,
                 )
                 .expect(VERIFIED)
@@ -1899,7 +1874,7 @@ mod tests {
                 .unwrap();
             assert_eq!(session.num_shards(), Some(devices));
             assert_eq!(session.shard_plan().unwrap().devices(), devices);
-            assert_eq!(session.interconnect(), Some(InterconnectConfig::default()));
+            assert_eq!(session.interconnect(), Some(Link::nvlink()));
             let run = session.run(Bfs::from(0));
             // The kernel side never changes: traversal results and modeled
             // execution are bitwise the serial run at any device count —
@@ -1943,23 +1918,28 @@ mod tests {
         assert!(err.to_string().contains("device"), "{err}");
     }
 
-    /// Every unusable value of one link field is refused at `build()` with
-    /// the variant naming that field, and the boundary value it must still
-    /// accept (`ok`) builds.
+    /// Every unusable value of one interconnect field is refused at
+    /// `build()` with the variant naming that field, and the boundary value
+    /// it must still accept (`ok`) builds.
     fn assert_link_field_rejected(
-        link: &'static str,
         field: &'static str,
         bad: &[f64],
         ok: f64,
-        with: impl Fn(SessionBuilder, f64) -> SessionBuilder,
+        with: impl Fn(f64) -> Link,
     ) {
-        let base = || Session::builder().graph(toys::figure1()).shards(2);
+        let build = |value| {
+            Session::builder()
+                .graph(toys::figure1())
+                .shards(2)
+                .interconnect(with(value))
+                .build()
+        };
         for &value in bad {
-            let err = with(base(), value).build().unwrap_err();
-            assert_eq!(err, SessionError::InvalidLink { link, field }, "{value}");
+            let err = build(value).unwrap_err();
+            assert_eq!(err, SessionError::InvalidLink { field }, "{value}");
             assert!(err.to_string().contains(field), "{err}");
         }
-        let run = with(base(), ok).build().expect("boundary value builds");
+        let run = build(ok).expect("boundary value builds");
         assert!(run.run(Bfs::from(0)).total_ms().is_finite());
     }
 
@@ -1968,47 +1948,17 @@ mod tests {
 
     #[test]
     fn interconnect_bandwidth_must_be_finite_and_positive() {
-        assert_link_field_rejected(
-            "interconnect",
-            "bandwidth_gb_s",
-            &BAD_BANDWIDTH,
-            1e-6,
-            |b, v| {
-                b.interconnect(InterconnectConfig {
-                    bandwidth_gb_s: v,
-                    ..InterconnectConfig::nvlink()
-                })
-            },
-        );
+        assert_link_field_rejected("bandwidth_gb_s", &BAD_BANDWIDTH, 1e-6, |v| Link {
+            bandwidth_gb_s: v,
+            ..Link::nvlink()
+        });
     }
 
     #[test]
     fn interconnect_latency_must_be_finite_and_non_negative() {
-        assert_link_field_rejected("interconnect", "latency_us", &BAD_LATENCY, 0.0, |b, v| {
-            b.interconnect(InterconnectConfig {
-                latency_us: v,
-                ..InterconnectConfig::nvlink()
-            })
-        });
-    }
-
-    #[test]
-    fn pcie_bandwidth_must_be_finite_and_positive() {
-        assert_link_field_rejected("pcie", "bandwidth_gb_s", &BAD_BANDWIDTH, 1e-6, |b, v| {
-            b.pcie(PcieConfig {
-                bandwidth_gb_s: v,
-                ..PcieConfig::default()
-            })
-        });
-    }
-
-    #[test]
-    fn pcie_latency_must_be_finite_and_non_negative() {
-        assert_link_field_rejected("pcie", "latency_us", &BAD_LATENCY, 0.0, |b, v| {
-            b.pcie(PcieConfig {
-                latency_us: v,
-                ..PcieConfig::default()
-            })
+        assert_link_field_rejected("latency_us", &BAD_LATENCY, 0.0, |v| Link {
+            latency_us: v,
+            ..Link::nvlink()
         });
     }
 

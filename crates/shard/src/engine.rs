@@ -9,7 +9,7 @@
 //! expanded once), then every shard that discovered nodes owned elsewhere
 //! holds, per such owner, one dense frontier-bitmap segment over the owner's
 //! range. The segments are delivered over the modeled
-//! [`InterconnectConfig`] by the log-depth dissemination schedule of
+//! [`Link`] by the log-depth dissemination schedule of
 //! [`crate::exchange`] — a reduce-scatter with OR in at most `⌈log₂ d⌉`
 //! rounds of one send per device — rather than one point-to-point message
 //! per (source, owner) pair.
@@ -44,7 +44,7 @@
 use gcgt_core::kernels::Sink;
 use gcgt_core::{DirectionMode, Expander, Frontier};
 use gcgt_graph::{Csr, NodeId};
-use gcgt_simt::{Charge, Device, DeviceConfig, InterconnectConfig, WarpSim};
+use gcgt_simt::{Charge, Device, DeviceConfig, Link, WarpSim};
 
 use crate::exchange::{ActivityMatrix, ExchangeCost};
 use crate::plan::ShardPlan;
@@ -57,7 +57,7 @@ use crate::plan::ShardPlan;
 pub struct ShardEngine<'g> {
     graph: &'g Csr,
     plan: &'g ShardPlan,
-    interconnect: InterconnectConfig,
+    interconnect: Link,
     per_device: Vec<Box<dyn Expander + 'g>>,
 }
 
@@ -86,7 +86,7 @@ impl<'g> ShardEngine<'g> {
     pub fn new(
         graph: &'g Csr,
         plan: &'g ShardPlan,
-        interconnect: InterconnectConfig,
+        interconnect: Link,
         per_device: Vec<Box<dyn Expander + 'g>>,
     ) -> Self {
         assert!(
@@ -121,7 +121,7 @@ impl<'g> ShardEngine<'g> {
         device.record(Charge::SyncStep);
         let (activity, boundary) = ActivityMatrix::of_step(self.graph, self.plan, work);
         let cost = ExchangeCost::plan(&activity, self.plan);
-        let exchange_ms = self.interconnect.exchange_ms(cost.bytes, cost.messages);
+        let exchange_ms = self.interconnect.ms(cost.bytes, cost.messages);
         // An injected link fault wastes the whole exchange — every round of
         // it: the chaos gate re-charges the failed exchange (plus backoff)
         // into `exchange_ms` per failed attempt before the successful one
@@ -245,7 +245,7 @@ mod tests {
 
     fn sharded<'g>(g: &'g Csr, cgr: &'g CgrGraph, plan: &'g ShardPlan) -> ShardEngine<'g> {
         let inner = GcgtEngine::new(cgr, device(), Strategy::Full).unwrap();
-        ShardEngine::new(g, plan, InterconnectConfig::nvlink(), vec![Box::new(inner)])
+        ShardEngine::new(g, plan, Link::nvlink(), vec![Box::new(inner)])
     }
 
     #[test]
@@ -369,7 +369,7 @@ mod tests {
                 }) as Box<dyn Expander + 'a>
             })
             .collect();
-        ShardEngine::new(g, plan, InterconnectConfig::nvlink(), per_device)
+        ShardEngine::new(g, plan, Link::nvlink(), per_device)
     }
 
     /// Work lists a launch can see: everything, a strided subset in

@@ -151,7 +151,7 @@ pub fn disseminate(activity: &ActivityMatrix, mut send: impl FnMut(usize, usize,
 }
 
 /// What one step's exchange costs the interconnect — the inputs of
-/// [`gcgt_simt::InterconnectConfig::exchange_ms`], plus the schedule depth.
+/// [`gcgt_simt::Link::ms`], plus the schedule depth.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ExchangeCost {
     /// Rounds in which at least one message was sent (≤ ⌈log₂ d⌉).
@@ -185,7 +185,7 @@ mod tests {
     use super::*;
     use gcgt_cgr::{CgrConfig, CgrGraph};
     use gcgt_graph::gen::{web_graph, WebParams};
-    use gcgt_simt::InterconnectConfig;
+    use gcgt_simt::Link;
     use proptest::prelude::*;
     use std::sync::OnceLock;
 
@@ -307,14 +307,14 @@ mod tests {
             let (pair_messages, pair_bytes) = pairwise(&activity, &plan);
             if pair_messages == 0 {
                 prop_assert_eq!(cost, ExchangeCost::default());
-                prop_assert_eq!(InterconnectConfig::nvlink().exchange_ms(cost.bytes, cost.messages), 0.0);
+                prop_assert_eq!(Link::nvlink().ms(cost.bytes, cost.messages), 0.0);
             }
             if d == 2 {
                 // Two devices are one hop apart: the old pairwise charge.
-                let link = InterconnectConfig::nvlink();
+                let link = Link::nvlink();
                 prop_assert_eq!(
-                    link.exchange_ms(cost.bytes, cost.messages).to_bits(),
-                    link.exchange_ms(pair_bytes, pair_messages).to_bits()
+                    link.ms(cost.bytes, cost.messages).to_bits(),
+                    link.ms(pair_bytes, pair_messages).to_bits()
                 );
             }
         }
@@ -400,6 +400,17 @@ mod tests {
 
     #[test]
     fn owner_walk_matches_the_per_edge_loop() {
+        // Also pins what lets the link be priced without a zero-case branch:
+        // a real step marks only owners a neighbour falls in, so every
+        // message carries a non-empty bitmap and a step moves no bytes
+        // exactly when it sends no messages.
+        fn check(graph: &Csr, plan: &ShardPlan, work: &[NodeId]) {
+            let step = ActivityMatrix::of_step(graph, plan, work);
+            let what = format!("{} devices, {} work nodes", plan.devices(), work.len());
+            assert_eq!(step, of_step_per_edge(graph, plan, work), "{what}");
+            let cost = ExchangeCost::plan(&step.0, plan);
+            assert_eq!(cost.bytes == 0, cost.messages == 0, "{what}");
+        }
         let g = fixture();
         let cgr = CgrGraph::encode(g, &CgrConfig::paper_default());
         let n = g.num_nodes() as NodeId;
@@ -411,12 +422,7 @@ mod tests {
                 ShardPlan::build_csr(g, devices),
             ] {
                 for work in [&all[..], &strided[..], &all[..1], &[]] {
-                    assert_eq!(
-                        ActivityMatrix::of_step(g, &plan, work),
-                        of_step_per_edge(g, &plan, work),
-                        "{devices} devices, {} work nodes",
-                        work.len()
-                    );
+                    check(g, &plan, work);
                 }
             }
         }
@@ -425,9 +431,6 @@ mod tests {
         let tiny = Csr::from_edges(3, &[(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]);
         let plan = ShardPlan::build_csr(&tiny, 8);
         assert!(plan.shards().iter().any(|s| s.num_nodes() == 0));
-        assert_eq!(
-            ActivityMatrix::of_step(&tiny, &plan, &[0, 1, 2]),
-            of_step_per_edge(&tiny, &plan, &[0, 1, 2])
-        );
+        check(&tiny, &plan, &[0, 1, 2]);
     }
 }

@@ -13,7 +13,7 @@
 //! an engine of your own all shard through the one constructor. Every step, each shard expands exactly the
 //! frontier nodes it owns; discoveries of remotely-owned nodes become
 //! per-owner dense frontier-bitmap segments, delivered over a modeled
-//! [`gcgt_simt::InterconnectConfig`] (NVLink or PCIe peer links) by one
+//! [`gcgt_simt::Link`] (NVLink or PCIe peer links) by one
 //! log-depth dissemination schedule ([`exchange`]): `⌈log₂ d⌉` rounds, one
 //! merged message per device per round, at most `d·⌈log₂ d⌉` messages a
 //! step where point-to-point delivery needs up to `d·(d−1)`. Per-message
@@ -35,7 +35,7 @@
 //! use gcgt_core::{bfs, kernels::Sink, Expander, Frontier, GcgtEngine, Strategy};
 //! use gcgt_graph::{gen::toys, NodeId};
 //! use gcgt_shard::{ShardEngine, ShardPlan};
-//! use gcgt_simt::{DeviceConfig, InterconnectConfig, WarpSim};
+//! use gcgt_simt::{DeviceConfig, Link, WarpSim};
 //!
 //! struct Mine<'g>(GcgtEngine<'g>);
 //! impl Expander for Mine<'_> {
@@ -63,7 +63,7 @@
 //! let cgr = CgrGraph::encode(&graph, &Strategy::Full.cgr_config(&CgrConfig::paper_default()));
 //! let mine = Mine(GcgtEngine::new(&cgr, DeviceConfig::default(), Strategy::Full).unwrap());
 //! let plan = ShardPlan::build(&cgr, 4);
-//! let sharded = ShardEngine::new(&graph, &plan, InterconnectConfig::nvlink(), vec![Box::new(mine)]);
+//! let sharded = ShardEngine::new(&graph, &plan, Link::nvlink(), vec![Box::new(mine)]);
 //! let run = bfs(&sharded, 0);
 //! assert_eq!(run.depth[63], 14); // the far corner of the grid
 //! assert!(run.stats.exchange_ms > 0.0);

@@ -40,10 +40,9 @@
 
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 pub mod device;
-pub mod interconnect;
+pub mod link;
 pub mod mem;
 pub mod parallel;
-pub mod pcie;
 pub mod stats;
 pub mod tally;
 pub mod warp;
@@ -57,10 +56,9 @@ pub use gcgt_obs as obs;
 pub use device::{Device, DeviceConfig, IterationCost, OomError};
 pub use gcgt_chaos::{FaultDomain, FaultPlan, FaultRate, RetryPolicy, TypedFailure};
 pub use gcgt_obs::{NullObserver, Observer, ObserverHandle};
-pub use interconnect::InterconnectConfig;
+pub use link::{Link, HOST_LINK};
 pub use mem::{MemSim, MemStats, Space};
 pub use parallel::parallel_warps;
-pub use pcie::PcieConfig;
 pub use stats::{price, Charge, Price, RunStats};
 pub use tally::{OpClass, Tally};
 pub use warp::WarpSim;

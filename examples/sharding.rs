@@ -30,10 +30,7 @@ fn main() {
         serial.structure_bytes() / 1024
     );
 
-    for (link_name, link) in [
-        ("NVLink", InterconnectConfig::nvlink()),
-        ("PCIe p2p", InterconnectConfig::pcie3()),
-    ] {
+    for (link_name, link) in [("NVLink", Link::nvlink()), ("PCIe p2p", Link::pcie3())] {
         println!(
             "{link_name}: {:.0} GB/s, {:.0} us/message",
             link.bandwidth_gb_s, link.latency_us

@@ -76,12 +76,12 @@ fn main() {
     // Section 3.2's second benefit: even when data must move over PCIe,
     // the compressed structure transfers ~rate× faster. The session's
     // upload accounting uses the same model.
-    let pcie = PcieConfig::default();
+    let csr_upload_ms = HOST_LINK.ms(csr_need, 1);
     println!(
         "PCIe upload: CSR {:.2} ms vs CGR {:.2} ms ({:.1}x faster)",
-        pcie.transfer_ms(csr_need, 1),
+        csr_upload_ms,
         session.upload_ms(),
-        pcie.speedup(csr_need, session.footprint(), 1)
+        csr_upload_ms / HOST_LINK.ms(session.footprint(), 1)
     );
 
     // PageRank over the compressed crawl: the top authority pages.

@@ -102,7 +102,7 @@ pub mod prelude {
     };
     pub use gcgt_graph::order::{GorderConfig, LlpConfig, SlashBurnConfig};
     pub use gcgt_graph::{refalgo, Csr, CsrBuilder, NodeId, Reordering, VnodeConfig, VnodeGraph};
-    pub use gcgt_simt::{Device, DeviceConfig, InterconnectConfig, PcieConfig, RunStats};
+    pub use gcgt_simt::{Device, DeviceConfig, Link, RunStats, HOST_LINK};
 }
 
 #[cfg(test)]

@@ -117,15 +117,8 @@ impl Fixture {
             shard_row: Some("shard4-ooc"),
             private_residency: true,
             make: Box::new(move || {
-                let engine = OocEngine::new(
-                    full,
-                    &self.parts,
-                    dc,
-                    Strategy::Full,
-                    PcieConfig::default(),
-                    cache_budget,
-                )
-                .unwrap();
+                let engine =
+                    OocEngine::new(full, &self.parts, dc, Strategy::Full, cache_budget).unwrap();
                 Box::new(engine.with_direction(direction))
             }),
         });
@@ -143,7 +136,7 @@ impl Fixture {
         Box::new(ShardEngine::new(
             &self.graph,
             plan,
-            InterconnectConfig::nvlink(),
+            Link::nvlink(),
             (0..engines).map(|_| (base.make)()).collect(),
         ))
     }
@@ -258,23 +251,10 @@ fn a_hub_splits_alike_under_every_engine_shape() {
     let (one, four) = (ShardPlan::build(full, 1), ShardPlan::build(full, 4));
     let shard = |plan| {
         let inner = GcgtEngine::new(full, device(), Strategy::Full).unwrap();
-        ShardEngine::new(
-            &fx.graph,
-            plan,
-            InterconnectConfig::nvlink(),
-            vec![Box::new(inner)],
-        )
+        ShardEngine::new(&fx.graph, plan, Link::nvlink(), vec![Box::new(inner)])
     };
     let cache_budget = fx.parts.max_resident_bytes() * fx.parts.len();
-    let ooc = OocEngine::new(
-        full,
-        &fx.parts,
-        device(),
-        Strategy::Full,
-        PcieConfig::default(),
-        cache_budget,
-    )
-    .unwrap();
+    let ooc = OocEngine::new(full, &fx.parts, device(), Strategy::Full, cache_budget).unwrap();
     let d1 = bfs(&shard(&one), hub);
     assert_eq!(d1.stats, want.stats, "d = 1 is the bare engine");
     for (shape, run) in [("d = 4", bfs(&shard(&four), hub)), ("ooc", bfs(&ooc, hub))] {
