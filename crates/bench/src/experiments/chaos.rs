@@ -95,13 +95,13 @@ fn prepared_graphs(
     let ooc = Session::builder()
         .graph_shared(shared.clone())
         .device(ctx.device)
-        .memory_budget(incore.footprint() * 7 / 10)
+        .memory_budget(super::streaming_budget(&incore))
         .engine(EngineKind::OutOfCore {
             inner: Strategy::Full,
         })
         .fault_plan(plan)
         .prepare()
-        .expect("a 70% budget always leaves room to stream");
+        .expect("half the structure as cache always leaves room to stream");
     let sharded = Session::builder()
         .graph_shared(shared)
         .device(ctx.device)

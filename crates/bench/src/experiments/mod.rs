@@ -28,7 +28,7 @@ use crate::datasets::{bfs_sources, experiment_device, Dataset, Scale};
 use gcgt_cgr::CgrConfig;
 use gcgt_core::Strategy;
 use gcgt_graph::Csr;
-use gcgt_session::{Bfs, EngineKind, Session};
+use gcgt_session::{Bfs, EngineKind, PreparedGraph, Session};
 use gcgt_simt::DeviceConfig;
 
 /// Shared inputs of every experiment: the five datasets, the device, and
@@ -82,6 +82,17 @@ pub fn gcgt_bfs_ms(
     let batch = session.run_batch(&queries);
     let bits = session.cgr().expect("GCGT session encodes").bits().len();
     (batch.mean_query_ms(), bits)
+}
+
+/// A memory budget that forces `incore`'s graph to stream while keeping
+/// half of its structure as partition cache: the per-query scratch, which
+/// is fixed by the node count, plus half the structure. A budget taken as
+/// a share of the whole footprint would hand a smaller structure a smaller
+/// share of itself, so a layout that shrinks the structure would stream
+/// more.
+pub fn streaming_budget(incore: &PreparedGraph) -> usize {
+    let structure = incore.structure_bytes();
+    incore.footprint() - structure + structure / 2
 }
 
 /// Convenience: the deterministic source list for a dataset.

@@ -79,10 +79,10 @@ fn prepared_graphs(ctx: &ExperimentContext) -> Vec<(&'static str, Arc<PreparedGr
             Err(_) => continue, // OOM engines simply have no serving row
         }
     }
-    // Out-of-core: a budget below the in-core footprint, so the pool's
-    // workers each stream partitions through their own cache.
+    // Out-of-core: scratch plus half the structure, so the pool's workers
+    // each stream partitions through their own cache.
     if let Some((_, incore)) = out.iter().find(|(name, _)| *name == "GCGT") {
-        let budget = incore.footprint() * 7 / 10;
+        let budget = super::streaming_budget(incore);
         if let Ok(prepared) = Session::builder()
             .graph_shared(shared)
             .device(ctx.device)

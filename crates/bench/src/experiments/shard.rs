@@ -139,13 +139,50 @@ pub fn run(ctx: &ExperimentContext) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::datasets::Scale;
+    use crate::datasets::{Dataset, Scale};
+    use gcgt_graph::{NodeId, UNREACHED};
+    use gcgt_session::ShardPlan;
+
+    /// Per device count of the sweep, whether some BFS of `ds`'s batch
+    /// reaches nodes of more than one shard. A BFS discovers a node owned
+    /// by another device exactly then (its tree crosses a cut), so that is
+    /// when the exchange must be non-zero.
+    fn spans_shards(ctx: &ExperimentContext, ds: &Dataset) -> Vec<bool> {
+        let session = Session::builder()
+            .graph(ds.graph.clone())
+            .device(ctx.device)
+            .build()
+            .expect("experiment graphs must fit the device");
+        let cgr = session.cgr().expect("GCGT sessions encode");
+        let sources = super::super::bfs_sources(&ds.graph, ctx.sources.max(1));
+        let reached: Vec<Vec<NodeId>> = sources
+            .into_iter()
+            .map(|s| {
+                let depth = session.run(Bfs::from(s)).output.depth;
+                (0..depth.len())
+                    .filter(|&u| depth[u] != UNREACHED)
+                    .map(|u| session.permutation().map_or(u as NodeId, |p| p[u]))
+                    .collect()
+            })
+            .collect();
+        DEVICE_SWEEP
+            .iter()
+            .map(|&devices| {
+                let plan = ShardPlan::build(cgr, devices);
+                reached.iter().any(|nodes| {
+                    let first = plan.owner_of(nodes[0]);
+                    nodes.iter().any(|&u| plan.owner_of(u) != first)
+                })
+            })
+            .collect()
+    }
 
     #[test]
     fn kernel_time_is_conserved_and_exchange_grows_with_devices() {
         let ctx = ExperimentContext::new(Scale::TEST, 1);
         let rows = rows(&ctx);
         assert_eq!(rows.len(), ctx.datasets.len() * DEVICE_SWEEP.len());
+        let mut exchanged = 0;
         for ds in &ctx.datasets {
             let per_ds: Vec<&ShardRow> =
                 rows.iter().filter(|r| r.dataset == ds.id.name()).collect();
@@ -178,13 +215,22 @@ mod tests {
                     pair[0].dataset
                 );
             }
+            // A device count exchanges exactly when the batch's BFS reach
+            // crosses one of its cuts.
+            for (row, spans) in per_ds.iter().zip(spans_shards(&ctx, ds)) {
+                let at = format!("{} at {} devices", row.dataset, row.devices);
+                assert_eq!(row.exchange_ms > 0.0, spans, "{at}");
+                assert_eq!(row.boundary_nodes > 0, spans, "{at}");
+                assert_eq!(row.messages > 0, spans, "{at}");
+                assert_eq!(row.exchange_pct() > 0.0, spans, "{at}");
+            }
             let eight = per_ds.last().unwrap();
-            assert!(eight.exchange_ms > 0.0, "{}", eight.dataset);
             assert!(eight.sync_steps > 0, "{}", eight.dataset);
             // One send per device per round: at most 8·⌈log₂ 8⌉ a step.
-            assert!(eight.messages > 0, "{}", eight.dataset);
             assert!(eight.messages_per_step() <= 24.0, "{}", eight.dataset);
-            assert!(eight.exchange_pct() > 0.0 && eight.exchange_pct() < 100.0);
+            assert!(eight.exchange_pct() < 100.0, "{}", eight.dataset);
+            exchanged += usize::from(eight.exchange_ms > 0.0);
         }
+        assert!(exchanged > 0, "no dataset's BFS crossed an 8-way cut");
     }
 }

@@ -95,7 +95,7 @@ pub fn smoke(workers: usize) -> TraceReport {
     explains.push(("GCGT in-core BFS".to_string(), run.explain()));
 
     // --- phase 2: out-of-core under a budget the graph does NOT fit ---
-    let budget = incore.footprint() * 2 / 3;
+    let budget = crate::experiments::streaming_budget(&incore);
     let ooc = Session::builder()
         .graph(graph.clone())
         .reorder(Reordering::Llp(LlpConfig::default()))

@@ -3,6 +3,7 @@
 use std::sync::{Arc, Mutex};
 
 use crate::config::CgrConfig;
+use crate::device_index::DeviceIndex;
 use crate::intervals::{split_intervals, IntervalsResiduals};
 use crate::stats::CompressionStats;
 use gcgt_bits::{BitCount, BitVec, BitWriter, Code, CodeSink, DecodeTable, EliasFano, PackedRun};
@@ -77,6 +78,8 @@ pub struct CgrGraph {
     config: CgrConfig,
     bits: BitVec,
     index: EliasFano,
+    /// The modeled on-device shape of `index`, derived from it once.
+    device_index: DeviceIndex,
     num_edges: usize,
     stats: CompressionStats,
     table: Arc<DecodeTable>,
@@ -139,10 +142,12 @@ impl CgrGraph {
         }
         offsets.push(w.len());
         stats.total_bits = w.len();
+        let index = EliasFano::build(&offsets);
         Ok(CgrGraph {
             config: *config,
             bits: w.into_bitvec(),
-            index: EliasFano::build(&offsets),
+            device_index: DeviceIndex::of(&index),
+            index,
             num_edges: graph.num_edges(),
             stats,
             table: DecodeTable::shared(config.code),
@@ -180,6 +185,7 @@ impl CgrGraph {
         CgrGraph {
             config,
             bits,
+            device_index: DeviceIndex::of(&index),
             index,
             num_edges,
             stats,
@@ -213,11 +219,18 @@ impl CgrGraph {
         &self.index
     }
 
-    /// On-disk bytes of the Elias–Fano offset index (versus
-    /// `(n + 1) × 8` for the dense array it replaces).
+    /// On-disk bytes of the Elias–Fano offset index (versus the
+    /// [`CgrGraph::device_index`] it expands into on the device).
     #[inline]
     pub fn index_bytes(&self) -> usize {
         self.index.size_bytes()
+    }
+
+    /// The modeled on-device offset index: its entry width, the bytes of
+    /// any node range's slice and the addresses a `bitStart` read touches.
+    #[inline]
+    pub fn device_index(&self) -> &DeviceIndex {
+        &self.device_index
     }
 
     /// Whether any node of a deferred-validation load is still unchecked.
@@ -420,13 +433,13 @@ impl CgrGraph {
         self.stats.compression_rate()
     }
 
-    /// Modeled device-memory footprint: bit array plus a dense 64-bit
-    /// offset array (the kernels' modeled cost assumes dense `bitStart`
-    /// lookups on device; the succinct on-disk index is
-    /// [`CgrGraph::index_bytes`]). Kept dense so the cost model and every
-    /// committed `BENCH.json` headline are unchanged by the index refactor.
+    /// Modeled device-memory footprint: the bit array plus the whole
+    /// two-level device offset index ([`DeviceIndex`]: a `u32` entry per
+    /// node and the closing bound under a `u64` base per block, or dense
+    /// `u64` entries when a block spans 2³² bits or more). The succinct
+    /// on-disk index is [`CgrGraph::index_bytes`].
     pub fn size_bytes(&self) -> usize {
-        self.bits.storage_bytes() + (self.num_nodes() + 1) * 8
+        self.bits.storage_bytes() + self.device_index.slice_bytes(0, self.num_nodes())
     }
 }
 

@@ -57,6 +57,13 @@
 //! segments too short for one residual) is a [`CgrGraph::try_encode`]
 //! error naming the field.
 //!
+//! On the device the `n + 1` bit offsets (the paper's `bitStart`) are not
+//! the host's Elias–Fano index but a two-level [`DeviceIndex`]: a `u32`
+//! entry per node relative to a `u64` base per [`device_index::BLOCK_NODES`]
+//! block, or dense `u64` entries when a block spans 2³² bits or more. It is
+//! the one model of the index's device bytes and of the addresses a
+//! `bitStart` read touches.
+//!
 //! Codewords resolve through the graph's shared [`DecodeTable`]
 //! ([`CgrGraph::table`]): one 16-bit-window probe per codeword, multi-gap
 //! probes over residual runs in the scanner, broadword slow path for the
@@ -67,6 +74,7 @@
 pub mod byterle;
 pub mod config;
 pub mod decode;
+pub mod device_index;
 pub mod encode;
 pub mod intervals;
 pub mod io;
@@ -75,6 +83,7 @@ pub mod stats;
 pub use byterle::ByteRleGraph;
 pub use config::{CgrConfig, DEFAULT_REF_CHAIN_LIMIT};
 pub use decode::{validate_range, validate_structure, DecodeStep, NeighborScanner, NodeCursor};
+pub use device_index::DeviceIndex;
 pub use encode::{CgrGraph, EncodeError};
 pub use gcgt_bits::{DecodeTable, MAX_PACKED, WINDOW_BITS};
 pub use intervals::{split_intervals, IntervalsResiduals};

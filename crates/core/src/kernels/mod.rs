@@ -111,8 +111,9 @@ pub fn load_cursors<'a>(
         k,
         (0..k as u64).map(|i| Space::Frontier.addr(4 * i)),
     );
-    // bitStart gather: one offset per lane, scattered by node id.
-    warp.access(chunk.iter().map(|&u| Space::Offsets.addr(8 * u64::from(u))));
+    // bitStart gather: each lane's index entry and its block base in one
+    // step, scattered by node id.
+    gather_bit_starts(warp, cgr, chunk);
     // Header decode ([degNum +] itvNum): one step, per-lane positions in the
     // bit array.
     warp.issue_mem(
@@ -124,6 +125,19 @@ pub fn load_cursors<'a>(
     );
     charge_ref_chase(warp, cgr, chunk);
     chunk.iter().map(|&u| LaneCursor::load(cgr, u)).collect()
+}
+
+/// Charges the `bitStart` gather of a chunk: one memory step in which each
+/// lane reads its node's device index entry and block base
+/// ([`gcgt_cgr::DeviceIndex::entry_addrs`]).
+pub(crate) fn gather_bit_starts(warp: &mut WarpSim, cgr: &CgrGraph, chunk: &[NodeId]) {
+    let index = cgr.device_index();
+    warp.access(
+        chunk
+            .iter()
+            .flat_map(|&u| index.entry_addrs(u))
+            .map(|a| Space::Offsets.addr(a)),
+    );
 }
 
 /// Charges the reference-chain chase of a frontier chunk: one
@@ -283,6 +297,30 @@ pub(crate) mod testutil {
             let empty = Vec::new();
             let have = got.get(&u).unwrap_or(&empty);
             assert_eq!(have, want, "strategy {strategy:?} width {width} node {u}");
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gcgt_cgr::device_index::BLOCK_NODES;
+    use gcgt_cgr::CgrConfig;
+    use gcgt_graph::gen::{web_graph, WebParams};
+
+    #[test]
+    fn an_ascending_chunk_gathers_one_entry_line_and_one_base_line() {
+        let g = web_graph(&WebParams::uk2002_like(2 * BLOCK_NODES + 64), 5);
+        let cgr = CgrGraph::encode(&g, &CgrConfig::paper_default());
+        assert_eq!(cgr.device_index().entry_bytes(), 4);
+        let n = cgr.num_nodes() as NodeId;
+        for first in (0..n - 32).step_by(32) {
+            let chunk: Vec<NodeId> = (first..first + 32).collect();
+            let mut warp = WarpSim::new(32, 64);
+            gather_bit_starts(&mut warp, &cgr, &chunk);
+            let mem = warp.mem_stats();
+            assert_eq!(mem.mem_steps, 1, "one memory step per gather");
+            assert!(mem.lines_touched <= 2, "chunk at {first}: {mem:?}");
         }
     }
 }

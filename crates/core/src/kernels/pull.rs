@@ -53,7 +53,7 @@ pub fn pull_expand(
         k,
         chunk.iter().map(|&v| Space::Visited.addr(u64::from(v) / 8)),
     );
-    warp.access(chunk.iter().map(|&v| Space::Offsets.addr(8 * u64::from(v))));
+    super::gather_bit_starts(warp, cgr, chunk);
     warp.issue_mem(
         OpClass::Header,
         k,

@@ -254,7 +254,7 @@ mod tests {
     fn fixtures() -> (PartitionMap, Device) {
         let g = web_graph(&WebParams::uk2002_like(800), 7);
         let cgr = CgrGraph::encode(&g, &CgrConfig::paper_default());
-        let map = PartitionMap::build(&cgr, 2 << 10);
+        let map = PartitionMap::build(&cgr, 3 << 9);
         assert!(map.len() >= 6, "need several partitions, got {}", map.len());
         let device = Device::new(DeviceConfig::titan_v_scaled(1 << 30));
         (map, device)

@@ -246,7 +246,7 @@ mod tests {
     #[test]
     fn streaming_bfs_matches_oracle_and_faults() {
         let (g, cgr) = encoded();
-        let parts = PartitionMap::build(&cgr, 2 << 10);
+        let parts = PartitionMap::build(&cgr, 3 << 9);
         assert!(parts.len() > 4);
         let engine = tight_engine(&cgr, &parts);
         let run = bfs(&engine, 0);

@@ -3,15 +3,17 @@
 //! sharding places on devices (`gcgt-shard`'s `ShardPlan` wraps it).
 //!
 //! A partition is a contiguous vertex range together with the slice of the
-//! compressed bit array and offset array that covers it — exactly what a
-//! real out-of-core runtime would `cudaMemcpyAsync` as one unit. Because the
-//! payload is *compressed*, a partition's transfer cost already benefits
-//! from the CGR compression rate, which is the paper's own argument for
-//! streaming compressed adjacency (Section 3.2 / Appendix A).
+//! compressed bit array and of the device offset index that covers it —
+//! exactly what a real out-of-core runtime would `cudaMemcpyAsync` as one
+//! unit. Because the payload is *compressed*, a partition's transfer cost
+//! already benefits from the CGR compression rate, which is the paper's own
+//! argument for streaming compressed adjacency (Section 3.2 / Appendix A);
+//! the two-level index ([`DeviceIndex`]) keeps the
+//! offsets riding along with it at 32 bits per node.
 
 use std::ops::Range;
 
-use gcgt_cgr::CgrGraph;
+use gcgt_cgr::{CgrGraph, DeviceIndex};
 use gcgt_graph::{Csr, NodeId};
 
 /// One contiguous vertex range of the graph.
@@ -28,15 +30,18 @@ pub struct Partition {
     /// with more partitions than nodes) may leave ranges empty.
     pub end_node: NodeId,
     /// Device bytes this partition occupies when resident: the compressed
-    /// payload plus its slice of the 64-bit offset array (for a CSR cut,
-    /// 4-byte column entries plus an 8-byte offset per node).
+    /// payload plus its exact slice of the device offset index — its
+    /// entries, the closing bound and the bases of the blocks they fall in
+    /// ([`DeviceIndex::slice_bytes`]).
+    /// For a CSR cut, 4-byte column entries plus an 8-byte offset per node.
     pub bytes: usize,
     /// Extra bytes the partition must keep co-resident under reference
-    /// compression: the payload bits (and offset entries) of every node
-    /// *outside* the range that a reference chain starting inside it passes
-    /// through. Zero for CSR cuts and whenever `ref_window == 0`, so
-    /// reference-free partitionings — and every byte extent derived from
-    /// them — are unchanged.
+    /// compression: the payload bits of every node *outside* the range that
+    /// a reference chain starting inside it passes through, each with its
+    /// own index entry, plus the base of each block among them that the
+    /// partition's own index slice does not carry
+    /// ([`DeviceIndex::closure_bytes`]). Zero for CSR cuts and whenever
+    /// `ref_window == 0`.
     pub closure_bytes: usize,
 }
 
@@ -64,15 +69,16 @@ pub struct PartitionMap {
     /// ascending by node — kept so the closure of a *run* of partitions is
     /// a merge of short lists instead of a second walk over the chains.
     closures: Vec<Vec<(NodeId, usize)>>,
+    /// The compressed graph's device index, which prices the closures'
+    /// entries; `None` for a CSR cut, whose closures are empty.
+    index: Option<DeviceIndex>,
 }
 
 fn range_bytes(cgr: &CgrGraph, first: usize, end: usize) -> usize {
     let payload_bits = cgr.offset(end) - cgr.offset(first);
-    // Offset slice: one 64-bit entry per node plus the closing bound — the
-    // modeled on-device layout stays dense even though the host index is
-    // Elias–Fano, so partition byte extents (and every committed BENCH
-    // headline derived from them) are unchanged by the index refactor.
-    payload_bits.div_ceil(8) + 8 * (end - first + 1)
+    // The range is an exact slice of the in-core layout: its payload bytes
+    // and its slice of the device offset index.
+    payload_bits.div_ceil(8) + cgr.device_index().slice_bytes(first, end)
 }
 
 /// Nodes *below* `first` that some reference chain starting in
@@ -103,10 +109,16 @@ fn chain_closure(cgr: &CgrGraph, first: usize, end: usize) -> Vec<(NodeId, usize
 }
 
 /// Device bytes of a reference-chain closure given as `(node, payload
-/// bits)`: the nodes' payload bits plus one offset entry each.
-fn closure_bytes(closure: &[(NodeId, usize)]) -> usize {
+/// bits)`, staged with a range that starts at node `first`: the nodes'
+/// payload bits plus their index entries and the block bases the range
+/// lacks. An empty closure (every CSR cut's) costs nothing.
+fn closure_bytes(index: Option<&DeviceIndex>, closure: &[(NodeId, usize)], first: NodeId) -> usize {
+    let Some(index) = index.filter(|_| !closure.is_empty()) else {
+        return 0;
+    };
     let bits: usize = closure.iter().map(|&(_, bits)| bits).sum();
-    bits.div_ceil(8) + 8 * closure.len()
+    let nodes = closure.iter().map(|&(t, _)| t as usize);
+    bits.div_ceil(8) + index.closure_bytes(nodes, first as usize)
 }
 
 /// The `count + 1` bounds (from 0 to `n`) of a counted cut of `n` nodes:
@@ -182,20 +194,24 @@ impl PartitionMap {
             cum.push(cum[u] + 8 + 4 * graph.degree(u as NodeId));
         }
         let bounds = nested_bounds(graph.num_nodes(), count, |s| cum[s]);
-        Self::from_bounds(&bounds, |first, end| (cum[end] - cum[first], Vec::new()))
+        Self::from_bounds(&bounds, None, |first, end| {
+            (cum[end] - cum[first], Vec::new())
+        })
     }
 
     /// The map over the compressed ranges between consecutive `bounds`.
     fn from_cgr_bounds(cgr: &CgrGraph, bounds: &[usize]) -> Self {
-        Self::from_bounds(bounds, |first, end| {
+        Self::from_bounds(bounds, Some(*cgr.device_index()), |first, end| {
             (range_bytes(cgr, first, end), chain_closure(cgr, first, end))
         })
     }
 
     /// The map over the ranges between consecutive `bounds`; `range(first,
-    /// end)` gives a range's bytes and its reference-chain closure.
+    /// end)` gives a range's bytes and its reference-chain closure, whose
+    /// entries `index` prices.
     fn from_bounds(
         bounds: &[usize],
+        index: Option<DeviceIndex>,
         range: impl Fn(usize, usize) -> (usize, Vec<(NodeId, usize)>),
     ) -> Self {
         let (parts, closures) = bounds
@@ -206,12 +222,16 @@ impl PartitionMap {
                     first_node: w[0] as NodeId,
                     end_node: w[1] as NodeId,
                     bytes,
-                    closure_bytes: closure_bytes(&closure),
+                    closure_bytes: closure_bytes(index.as_ref(), &closure, w[0] as NodeId),
                 };
                 (part, closure)
             })
             .unzip();
-        PartitionMap { parts, closures }
+        PartitionMap {
+            parts,
+            closures,
+            index,
+        }
     }
 
     /// The partitions, in node order.
@@ -280,7 +300,7 @@ impl PartitionMap {
             .collect();
         closure.sort_unstable();
         closure.dedup();
-        closure_bytes(&closure)
+        closure_bytes(self.index.as_ref(), &closure, below)
     }
 
     /// Total resident bytes if every partition were loaded at once.
@@ -292,8 +312,10 @@ impl PartitionMap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gcgt_cgr::device_index::BLOCK_NODES;
     use gcgt_cgr::CgrConfig;
     use gcgt_graph::gen::{web_graph, WebParams};
+    use proptest::prelude::{prop_assert_eq, proptest, ProptestConfig};
 
     fn sample() -> CgrGraph {
         let g = web_graph(&WebParams::uk2002_like(800), 7);
@@ -438,6 +460,102 @@ mod tests {
         assert_eq!(map.max_resident_bytes(), map.max_partition_bytes());
     }
 
+    /// A reference-free graph spanning three index blocks, encoded once.
+    fn blocked() -> &'static CgrGraph {
+        static CGR: std::sync::OnceLock<CgrGraph> = std::sync::OnceLock::new();
+        CGR.get_or_init(|| {
+            let g = web_graph(&WebParams::uk2002_like(2 * BLOCK_NODES + 900), 3);
+            CgrGraph::encode(&g, &CgrConfig::paper_default())
+        })
+    }
+
+    /// Payload bytes of the node range `first..end`, rounded up to bytes.
+    fn payload_bytes(cgr: &CgrGraph, first: usize, end: usize) -> usize {
+        (cgr.offset(end) - cgr.offset(first)).div_ceil(8)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// One size model: the partitions of either cut are exact slices of
+        /// the layout `size_bytes` prices — payload bytes, a `u32` entry per
+        /// node plus the closing bound, a `u64` base per block spanned — so
+        /// their bytes add up to `size_bytes` plus only what slicing
+        /// duplicates: every cut point's entry and its block's base are
+        /// carried by the partitions on both sides of it, and partitions
+        /// round their payload to bytes where the whole graph rounds to
+        /// words. Without references no partition carries a closure.
+        #[test]
+        fn partitions_slice_the_size_model(target in 1usize..60_000, count in 1usize..40) {
+            let cgr = blocked();
+            prop_assert_eq!(cgr.device_index().entry_bytes(), 4);
+            for map in [PartitionMap::build(cgr, target), PartitionMap::build_count(cgr, count)] {
+                let mut payload = 0;
+                for p in map.parts() {
+                    let (first, end) = (p.first_node as usize, p.end_node as usize);
+                    let blocks = end / BLOCK_NODES - first / BLOCK_NODES + 1;
+                    let slice = payload_bytes(cgr, first, end);
+                    prop_assert_eq!(p.bytes, slice + 4 * (end - first + 1) + 8 * blocks);
+                    prop_assert_eq!(p.closure_bytes, 0);
+                    payload += slice;
+                }
+                let cuts = map.len() - 1;
+                let rounding = payload as i64 - cgr.bits().storage_bytes() as i64;
+                prop_assert_eq!(
+                    map.total_bytes() as i64 - cgr.size_bytes() as i64,
+                    (4 + 8) * cuts as i64 + rounding
+                );
+            }
+        }
+    }
+
+    /// The closure bytes a partition starting at `first` should carry,
+    /// counted by hand: the closure's payload bytes, a `u32` entry per
+    /// closure node and a `u64` base per block among them other than
+    /// `first`'s, next to the dense layout's 8 B per node.
+    fn expected_closure_bytes(cgr: &CgrGraph, closure: &[NodeId], first: NodeId) -> (usize, usize) {
+        let bits: usize = closure
+            .iter()
+            .map(|&t| cgr.offset(t as usize + 1) - cgr.offset(t as usize))
+            .sum();
+        let mut blocks: Vec<usize> = closure.iter().map(|&t| t as usize / BLOCK_NODES).collect();
+        blocks.dedup();
+        blocks.retain(|&b| b != first as usize / BLOCK_NODES);
+        let two_level = bits.div_ceil(8) + 4 * closure.len() + 8 * blocks.len();
+        (two_level, bits.div_ceil(8) + 8 * closure.len())
+    }
+
+    #[test]
+    fn closure_index_bytes_are_an_entry_per_node_and_the_bases_a_range_lacks() {
+        // A reference-encoded graph over two index blocks, cut just past
+        // the block boundary so the second partition's chains reach back
+        // into the first block, whose base it must then stage.
+        let g = web_graph(&WebParams::eu2015_like(BLOCK_NODES + 600), 9);
+        let cfg = CgrConfig::paper_default().with_ref_window(32);
+        let cgr = CgrGraph::encode(&g, &cfg);
+        assert_eq!(cgr.device_index().entry_bytes(), 4);
+        let n = cgr.num_nodes();
+        let map = PartitionMap::from_cgr_bounds(&cgr, &[0, BLOCK_NODES + 3, n]);
+        let (mut closure_nodes, mut dense, mut two_level) = (0, 0, 0);
+        for (i, p) in map.parts().iter().enumerate() {
+            let closure = map.closure_of(i);
+            let (expected, parent) = expected_closure_bytes(&cgr, &closure, p.first_node);
+            assert_eq!(p.closure_bytes, expected, "partition {i}");
+            assert_eq!(map.run_closure_bytes(i..i + 1), expected);
+            closure_nodes += closure.len();
+            two_level += expected;
+            dense += parent;
+        }
+        // Even with that base, the closure costs less than the dense
+        // layout's 8 B per node.
+        assert!(map
+            .closure_of(1)
+            .iter()
+            .any(|&t| (t as usize) < BLOCK_NODES));
+        assert!(closure_nodes > 2, "the cut must cross reference chains");
+        assert!(two_level < dense, "{two_level} vs dense {dense}");
+    }
+
     #[test]
     fn closures_make_ref_partitions_decodable_in_isolation() {
         // A boilerplate-heavy web graph compresses with many references;
@@ -460,6 +578,9 @@ mod tests {
                 assert!(p.closure_bytes > 0);
                 assert!(p.resident_bytes() > p.bytes);
             }
+            let (expected, dense) = expected_closure_bytes(&cgr, &closure, p.first_node);
+            assert_eq!(p.closure_bytes, expected);
+            assert!(p.closure_bytes <= dense);
             for u in p.first_node..p.end_node {
                 let mut cur = u;
                 while let Some(t) = cgr.ref_target(cur) {

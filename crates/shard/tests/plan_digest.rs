@@ -36,27 +36,30 @@ fn digest(plan: &ShardPlan) -> u64 {
 
 const DEVICES: [usize; 6] = [1, 2, 3, 4, 8, 9];
 
-/// `(graph, layout, devices) → digest`, recorded from the cut as it stood
-/// when `ShardPlan` carried its own bisection.
+/// `(graph, layout, devices) → digest`. The CSR rows were recorded from the
+/// cut as it stood when `ShardPlan` carried its own bisection; the CGR rows
+/// since the device offset index became two-level (`u32` entries under a
+/// `u64` base per block), which reweighs every compressed byte extent and
+/// every reference closure's index entries.
 const PINNED: &[(&str, &str, usize, u64)] = &[
-    ("uk2002", "cgr", 1, 0x49ee8078ca9ad911),
-    ("uk2002", "cgr", 2, 0x93192695de708bba),
-    ("uk2002", "cgr", 3, 0xefe0c5dce41baa55),
-    ("uk2002", "cgr", 4, 0xc2585c16287299f9),
-    ("uk2002", "cgr", 8, 0x1b861e503247fab5),
-    ("uk2002", "cgr", 9, 0x8d08d36663344418),
+    ("uk2002", "cgr", 1, 0xbd84e59bb23099f8),
+    ("uk2002", "cgr", 2, 0xece586193ab69ced),
+    ("uk2002", "cgr", 3, 0xcd971a464a15ff3c),
+    ("uk2002", "cgr", 4, 0x336381f86a1e54b9),
+    ("uk2002", "cgr", 8, 0xc56633bc2370616d),
+    ("uk2002", "cgr", 9, 0x899e2c16e97c3c57),
     ("uk2002", "csr", 1, 0x0a814120315a1a4a),
     ("uk2002", "csr", 2, 0x5c9cde613494d488),
     ("uk2002", "csr", 3, 0x18f5d624aa06ccba),
     ("uk2002", "csr", 4, 0xfad038bb8ceb5204),
     ("uk2002", "csr", 8, 0x619f83e54366ecc8),
     ("uk2002", "csr", 9, 0x629269fe19104d3c),
-    ("eu2015", "cgr", 1, 0x46edf1c0c3a5da6b),
-    ("eu2015", "cgr", 2, 0x971309bf270b0f59),
-    ("eu2015", "cgr", 3, 0xe5cdee8da2edc7e9),
-    ("eu2015", "cgr", 4, 0x84beaa9134451465),
-    ("eu2015", "cgr", 8, 0x41a380b871ff37e9),
-    ("eu2015", "cgr", 9, 0xc38287236b9e3f00),
+    ("eu2015", "cgr", 1, 0x3fbd978c4d6a92d0),
+    ("eu2015", "cgr", 2, 0x4fef833855474e1e),
+    ("eu2015", "cgr", 3, 0xebc756152b6707bf),
+    ("eu2015", "cgr", 4, 0x9f1547cef00442b6),
+    ("eu2015", "cgr", 8, 0x415970b49fc83c94),
+    ("eu2015", "cgr", 9, 0x5d009c0ee16d9bed),
     ("eu2015", "csr", 1, 0x60cf4e686c31d087),
     ("eu2015", "csr", 2, 0x694abb62219d72de),
     ("eu2015", "csr", 3, 0xbff6b58f7b088caf),
