@@ -10,7 +10,8 @@
 //! the out-of-core engine (`EngineKind::OutOfCore` + `memory_budget`) keeps
 //! answering, paying streamed partition transfers that the table attributes
 //! explicitly (faults, the coalesced uploads they crossed the link in,
-//! evictions, streamed milliseconds) — the EMOGI-style
+//! the sparse launches that read their lines through instead and how many
+//! lines those fetched, evictions, streamed milliseconds) — the EMOGI-style
 //! "traversal beyond device memory" workload, made cheaper because the
 //! partitions cross the link compressed.
 
@@ -41,10 +42,14 @@ pub struct OocRow {
     pub ooc_ms: f64,
     /// Whether the out-of-core session actually streamed.
     pub streamed: bool,
-    /// Partitions faulted onto the device.
+    /// Partitions a launch found non-resident.
     pub faults: u64,
-    /// Coalesced link transfers those faults were uploaded in.
+    /// Coalesced link transfers faulted partitions were uploaded in.
     pub uploads: u64,
+    /// Launches that read their missing partitions' lines through.
+    pub read_throughs: u64,
+    /// Distinct 128-byte lines those read-throughs fetched.
+    pub read_through_lines: u64,
     /// Partitions evicted.
     pub evictions: u64,
     /// Streamed transfer milliseconds (post-overlap).
@@ -117,6 +122,8 @@ pub fn rows(ctx: &ExperimentContext) -> Vec<OocRow> {
             streamed: session.is_streaming(),
             faults: run.stats.partition_faults,
             uploads: run.stats.partition_uploads,
+            read_throughs: run.stats.read_throughs,
+            read_through_lines: run.stats.read_through_lines,
             evictions: run.stats.partition_evictions,
             transfer_ms: run.stats.transfer_ms,
         });
@@ -137,6 +144,8 @@ pub fn render(rows: &[OocRow]) -> Table {
             "Mode",
             "Faults",
             "Uploads",
+            "RT launches",
+            "RT lines",
             "Evict",
             "Stream ms",
         ],
@@ -151,6 +160,8 @@ pub fn render(rows: &[OocRow]) -> Table {
             if r.streamed { "stream" } else { "fit" }.to_string(),
             r.faults.to_string(),
             r.uploads.to_string(),
+            r.read_throughs.to_string(),
+            r.read_through_lines.to_string(),
             r.evictions.to_string(),
             fmt_ms(r.transfer_ms),
         ]);

@@ -13,7 +13,7 @@ pub mod warp_decode;
 
 use gcgt_cgr::{CgrGraph, NodeCursor};
 use gcgt_graph::NodeId;
-use gcgt_simt::{OpClass, Space, WarpSim};
+use gcgt_simt::{OpClass, Space, WarpSim, LINE_BYTES};
 
 use crate::strategy::Strategy;
 
@@ -138,6 +138,38 @@ pub(crate) fn gather_bit_starts(warp: &mut WarpSim, cgr: &CgrGraph, chunk: &[Nod
             .flat_map(|&u| index.entry_addrs(u))
             .map(|a| Space::Offsets.addr(a)),
     );
+}
+
+/// The structure a launch decoding `nodes` reads, as 128-byte lines: for
+/// each node and every node on its reference chain, the index lines of its
+/// `bitStart` gather (the addresses `gather_bit_starts` charges) and the
+/// payload lines over its extent `[bit_start(u), bit_start(u + 1))`.
+/// Returns the distinct global line ids, ascending, and the longest
+/// reference chain's hop count. Out-of-core read-throughs fetch exactly
+/// these lines.
+pub fn decode_lines(cgr: &CgrGraph, nodes: &[NodeId]) -> (Vec<u64>, usize) {
+    let index = cgr.device_index();
+    let line = |space: Space, byte: usize| space.addr(byte as u64) / LINE_BYTES;
+    let (mut lines, mut hops) = (Vec::new(), 0);
+    for &u in nodes {
+        let (mut node, mut depth) = (Some(u), 0);
+        while let Some(t) = node {
+            lines.extend(
+                index
+                    .entry_addrs(t)
+                    .map(|a| line(Space::Offsets, a as usize)),
+            );
+            let (start, end) = (cgr.offset(t as usize), cgr.offset(t as usize + 1));
+            let last = end.max(start + 1) - 1;
+            lines.extend(line(Space::Graph, start / 8)..=line(Space::Graph, last / 8));
+            node = cgr.ref_target(t);
+            depth += usize::from(node.is_some());
+        }
+        hops = hops.max(depth);
+    }
+    lines.sort_unstable();
+    lines.dedup();
+    (lines, hops)
 }
 
 /// Charges the reference-chain chase of a frontier chunk: one
@@ -322,5 +354,38 @@ mod tests {
             assert_eq!(mem.mem_steps, 1, "one memory step per gather");
             assert!(mem.lines_touched <= 2, "chunk at {first}: {mem:?}");
         }
+    }
+
+    #[test]
+    fn decode_lines_cover_every_chain_node_and_count_its_hops() {
+        let g = web_graph(&WebParams::eu2015_like(1_200), 9);
+        let cgr = CgrGraph::encode(&g, &CgrConfig::paper_default().with_ref_window(32));
+        let chain = |u: NodeId| std::iter::successors(Some(u), |&t| cgr.ref_target(t));
+        let u = (0..cgr.num_nodes() as NodeId)
+            .max_by_key(|&u| chain(u).count())
+            .unwrap();
+        let (lines, hops) = decode_lines(&cgr, &[u]);
+        assert!(hops >= 1, "no reference chain in the fixture");
+        assert_eq!(hops, chain(u).count() - 1);
+        assert!(lines.windows(2).all(|w| w[0] < w[1]), "ascending, distinct");
+        let line = |space: Space, byte: usize| space.addr(byte as u64) / LINE_BYTES;
+        for t in chain(u) {
+            let (start, end) = (cgr.offset(t as usize), cgr.offset(t as usize + 1));
+            let want = cgr
+                .device_index()
+                .entry_addrs(t)
+                .map(|a| line(Space::Offsets, a as usize))
+                .chain(line(Space::Graph, start / 8)..=line(Space::Graph, (end - 1) / 8));
+            for l in want {
+                assert!(lines.binary_search(&l).is_ok(), "node {t}: line {l}");
+            }
+        }
+        // A launch's lines are the union of its nodes' lines.
+        let (more, _) = decode_lines(&cgr, &[u, 0]);
+        let (zero, _) = decode_lines(&cgr, &[0]);
+        let mut union = [lines, zero].concat();
+        union.sort_unstable();
+        union.dedup();
+        assert_eq!(more, union);
     }
 }

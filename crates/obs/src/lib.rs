@@ -10,8 +10,8 @@
 //!
 //! * [`Observer`] — a trait with no-op defaults. A simulated `Device`
 //!   renders every charge it records (launches, alloc/free, per-level
-//!   expansion spans, partition uploads/faults/evictions, sharded frontier
-//!   exchanges, fault retries) as one of these events, from the same value
+//!   expansion spans, partition uploads/read-throughs/faults/evictions,
+//!   sharded frontier exchanges, fault retries) as one of these events, from the same value
 //!   its `RunStats` fold; the serving pool adds its deterministic FIFO
 //!   timeline. With no observer installed no event is built.
 //! * [`TraceRecorder`] — records events and exports canonicalized
@@ -175,8 +175,10 @@ pub struct AllocEvent {
 }
 
 /// One partition entering or leaving the out-of-core partition cache
-/// (`PartitionCache`). Partitions cross the link in coalesced uploads, so a
-/// fault is a marker inside its [`UploadEvent`], which carries the charge.
+/// (`PartitionCache`), or read through without entering it. Partitions
+/// cross the link in coalesced uploads or zero-copy read-throughs, so a
+/// fault is a marker inside its [`UploadEvent`] or [`ReadThroughEvent`],
+/// which carries the charge.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CacheEvent {
     /// Trace track (query index under serving, device id otherwise).
@@ -185,11 +187,15 @@ pub struct CacheEvent {
     /// milliseconds.
     pub start_ms: f64,
     /// `"fault-cold"` (part of a cold upload, full transfer price),
-    /// `"fault"` (part of a warm, overlap-discounted upload) or `"evict"`.
+    /// `"fault"` (part of a warm, overlap-discounted upload),
+    /// `"fault-read"` (served by a read-through, left non-resident) or
+    /// `"evict"`.
     pub kind: &'static str,
     /// Partition id.
     pub partition: u64,
-    /// The partition's own compressed bytes (uploaded or reclaimed).
+    /// The partition's own compressed bytes (uploaded or reclaimed), or for
+    /// `"fault-read"` the bytes of the lines read for it (each line counted
+    /// for one partition, so they sum to the [`ReadThroughEvent`]'s).
     pub bytes: u64,
 }
 
@@ -212,6 +218,25 @@ pub struct UploadEvent {
     /// reference-chain closure below its first node.
     pub bytes: u64,
     /// Milliseconds of host-link stall charged (post-overlap).
+    pub transfer_ms: f64,
+}
+
+/// One out-of-core read-through (`OocEngine`): a launch smaller than one
+/// partition fetches only the 128-byte lines it decodes as zero-copy
+/// reads, leaving its missing partitions non-resident.
+#[derive(Clone, Debug, PartialEq)]
+pub struct ReadThroughEvent {
+    /// Trace track (query index under serving, device id otherwise).
+    pub track: u64,
+    /// Modeled clock when the reads began, milliseconds.
+    pub start_ms: f64,
+    /// Missing partitions served (one `fault-read` [`CacheEvent`] each).
+    pub partitions: u64,
+    /// Distinct 128-byte lines read.
+    pub lines: u64,
+    /// Bytes moved: `lines × 128`.
+    pub bytes: u64,
+    /// Milliseconds of host-link time charged.
     pub transfer_ms: f64,
 }
 
@@ -315,6 +340,11 @@ pub trait Observer: Send + Sync {
         let _ = event;
     }
 
+    /// One zero-copy read-through of a launch's lines.
+    fn read_through(&self, event: &ReadThroughEvent) {
+        let _ = event;
+    }
+
     /// One sharded boundary exchange.
     fn exchange(&self, event: &ExchangeEvent) {
         let _ = event;
@@ -387,6 +417,12 @@ impl Observer for FanoutObserver {
     fn upload(&self, event: &UploadEvent) {
         for s in &self.sinks {
             s.upload(event);
+        }
+    }
+
+    fn read_through(&self, event: &ReadThroughEvent) {
+        for s in &self.sinks {
+            s.read_through(event);
         }
     }
 

@@ -10,7 +10,7 @@ use std::sync::Mutex;
 
 use crate::{
     AllocEvent, CacheEvent, ExchangeEvent, FaultEvent, LaunchEvent, LevelEvent, Observer,
-    ServeEvent, UploadEvent,
+    ReadThroughEvent, ServeEvent, UploadEvent,
 };
 
 /// Accumulates observed events into named metrics and renders a
@@ -132,6 +132,17 @@ impl Observer for MetricsRegistry {
         self.add("gcgt_partition_transfer_ms_total", e.transfer_ms);
     }
 
+    /// A read-through moves partition bytes over the host link too, so it
+    /// adds to the streamed-bytes and transfer totals — in charge order,
+    /// like `RunStats` folds them — besides its own three counters.
+    fn read_through(&self, e: &ReadThroughEvent) {
+        self.add("gcgt_read_through_total", 1.0);
+        self.add("gcgt_read_through_lines_total", e.lines as f64);
+        self.add("gcgt_read_through_ms_total", e.transfer_ms);
+        self.add("gcgt_partition_bytes_streamed_total", e.bytes as f64);
+        self.add("gcgt_partition_transfer_ms_total", e.transfer_ms);
+    }
+
     fn exchange(&self, e: &ExchangeEvent) {
         self.add("gcgt_exchange_steps_total", 1.0);
         self.add("gcgt_exchange_bytes_total", e.bytes as f64);
@@ -209,6 +220,37 @@ mod tests {
         assert_eq!(m.value("gcgt_exchange_messages_total"), Some(14.0));
         assert_eq!(m.value("gcgt_exchange_ms_total"), Some(0.5));
         assert_eq!(m.value("gcgt_boundary_nodes_total"), Some(10.0));
+    }
+
+    #[test]
+    fn read_throughs_join_the_partition_transfer_totals() {
+        let m = MetricsRegistry::new();
+        m.upload(&UploadEvent {
+            track: 0,
+            start_ms: 0.0,
+            cold: true,
+            first_partition: 0,
+            partitions: 2,
+            bytes: 1_000,
+            transfer_ms: 0.5,
+        });
+        m.read_through(&ReadThroughEvent {
+            track: 0,
+            start_ms: 0.5,
+            partitions: 1,
+            lines: 3,
+            bytes: 384,
+            transfer_ms: 0.25,
+        });
+        assert_eq!(m.value("gcgt_read_through_total"), Some(1.0));
+        assert_eq!(m.value("gcgt_read_through_lines_total"), Some(3.0));
+        assert_eq!(m.value("gcgt_read_through_ms_total"), Some(0.25));
+        assert_eq!(m.value("gcgt_partition_uploads_total"), Some(1.0));
+        assert_eq!(
+            m.value("gcgt_partition_bytes_streamed_total"),
+            Some(1_384.0)
+        );
+        assert_eq!(m.value("gcgt_partition_transfer_ms_total"), Some(0.75));
     }
 
     #[test]

@@ -12,7 +12,7 @@ use std::sync::Mutex;
 
 use crate::{
     AllocEvent, CacheEvent, ClassTally, ExchangeEvent, FaultEvent, LaunchEvent, LevelEvent,
-    Observer, ServeEvent, UploadEvent,
+    Observer, ReadThroughEvent, ServeEvent, UploadEvent,
 };
 
 /// One recorded event, normalized at emission time.
@@ -212,6 +212,18 @@ impl Observer for TraceRecorder {
             name, e.track, ts, dur, e.first_partition, e.partitions, e.bytes
         );
         self.push("ooc", e.track, ts, name.into(), line);
+    }
+
+    fn read_through(&self, e: &ReadThroughEvent) {
+        let ts = e.start_ms * 1e3;
+        let dur = e.transfer_ms * 1e3;
+        let line = format!(
+            "{{\"name\": \"read-through\", \"cat\": \"ooc\", \"ph\": \"X\", \"pid\": 1, \
+             \"tid\": {}, \"ts\": {}, \"dur\": {}, \"args\": {{\"partitions\": {}, \
+             \"lines\": {}, \"bytes\": {}}}}}",
+            e.track, ts, dur, e.partitions, e.lines, e.bytes
+        );
+        self.push("ooc", e.track, ts, "read-through".into(), line);
     }
 
     fn exchange(&self, e: &ExchangeEvent) {

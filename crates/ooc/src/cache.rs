@@ -2,9 +2,9 @@
 //!
 //! The cache owns *which* partitions are resident and keeps no counters of
 //! its own: every state change is one [`Charge`] recorded on the simulated
-//! [`Device`]. It is driven once per kernel launch
-//! with the set of partitions the launch decodes ([`PartitionCache::stream`])
-//! and answers with one residency plan for the whole launch:
+//! [`Device`]. It is driven once per kernel launch with the set of
+//! partitions the launch decodes, and walks one residency plan for the
+//! whole launch ([`PartitionCache::walk`]):
 //!
 //! 1. **Hits first.** Needed partitions that are already resident are
 //!    consumed before anything is evicted, so a launch never evicts a
@@ -22,15 +22,28 @@
 //!    upload with nothing resident to decode under it is *cold* and pays
 //!    full price.
 //!
+//! The walk fixes every upload's victims, cold flag and price once;
+//! [`PartitionCache::apply`] charges exactly those. A launch smaller than
+//! one partition may instead **read through** ([`ReadThrough`]): fetch only
+//! the 128-byte lines it decodes as zero-copy reads and leave its missing
+//! partitions non-resident. [`PartitionCache::prefers`] takes that path
+//! only when it is cheaper than the walk *and* no missing partition's
+//! accrued **rent** — what read-throughs have already spent on it since it
+//! was last uploaded — would pass the price of buying it, one warm upload.
+//! This is ski rental: renting never costs more than twice what buying
+//! would have, so a partition that sparse launches keep touching is
+//! uploaded after all.
+//!
 //! Each coalesced run is one [`Charge::Upload`] (its partitions, bytes and
 //! streamed milliseconds); each victim is a free plus one
-//! [`Charge::Eviction`]. The device folds them into [`gcgt_simt::RunStats`]
-//! and hands the same values to an installed observer, so an out-of-core
-//! run's extra cost is attributable from either, and the two agree.
+//! [`Charge::Eviction`]; each read-through is one [`Charge::ReadThrough`].
+//! The device folds them into [`gcgt_simt::RunStats`] and hands the same
+//! values to an installed observer, so an out-of-core run's extra cost is
+//! attributable from either, and the two agree.
 
 use std::ops::Range;
 
-use gcgt_simt::{Charge, Device, HOST_LINK};
+use gcgt_simt::{Charge, Device, HOST_LINK, LINE_BYTES};
 
 use crate::partition::PartitionMap;
 
@@ -61,6 +74,80 @@ pub struct ResidencyPlan {
     pub uploads: Vec<Range<usize>>,
 }
 
+/// One planned upload of a [`Walk`], fully priced.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Upload {
+    /// The coalesced run of partition ids.
+    pub run: Range<usize>,
+    /// Partitions evicted to make room for it, in eviction order.
+    pub victims: Vec<usize>,
+    /// Whether nothing is left resident to decode under it.
+    pub cold: bool,
+    /// Bytes it moves over the link: the run plus the closure below it.
+    pub link_bytes: usize,
+    /// Device bytes it occupies once resident.
+    pub resident_bytes: usize,
+    /// Milliseconds it is charged (post-overlap).
+    pub transfer_ms: f64,
+}
+
+/// A launch's residency plan walked against the cache's current state:
+/// every upload with its victims, cold flag and price, and the resident
+/// order the launch leaves behind. Pure — nothing is charged until
+/// [`PartitionCache::apply`].
+#[derive(Clone, Debug, PartialEq)]
+pub struct Walk {
+    /// Needed partitions already resident, ascending.
+    pub hits: Vec<usize>,
+    /// The uploads, in order.
+    pub uploads: Vec<Upload>,
+    /// Resident partition ids after the launch, least-recently-used first.
+    lru: Vec<usize>,
+}
+
+impl Walk {
+    /// What the walk's uploads are charged together, summed from zero in
+    /// charge order — as a fresh `RunStats` folds them.
+    pub fn price_ms(&self) -> f64 {
+        self.uploads.iter().fold(0.0, |ms, u| ms + u.transfer_ms)
+    }
+}
+
+/// A launch's alternative to uploading its missing partitions: read the
+/// lines it decodes from them through, as zero-copy requests.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ReadThrough {
+    /// Each missing partition, ascending, with its part of the launch's
+    /// lines: every distinct line counts once, for the lowest missing
+    /// partition whose nodes decode it.
+    pub parts: Vec<(usize, usize)>,
+    /// Distinct lines over the whole launch: the sum of `parts`' lines.
+    pub lines: usize,
+    /// Dependent round trips: the index entries, then the payload lines,
+    /// plus one per hop of the longest reference chain.
+    pub rounds: usize,
+}
+
+impl ReadThrough {
+    /// The link time of the reads ([`gcgt_simt::Link::read_through_ms`]).
+    pub fn price_ms(&self) -> f64 {
+        HOST_LINK.read_through_ms(self.lines, self.rounds)
+    }
+
+    /// `ms` apportioned to each missing partition by its lines.
+    fn shares(&self, ms: f64) -> impl Iterator<Item = (usize, f64)> + '_ {
+        self.parts
+            .iter()
+            .map(move |&(pid, lines)| (pid, ms * lines as f64 / self.lines as f64))
+    }
+}
+
+/// What buying partition `pid` costs: one warm upload of it alone.
+pub fn warm_upload_ms(parts: &PartitionMap, pid: usize) -> f64 {
+    let bytes = parts.parts()[pid].resident_bytes();
+    HOST_LINK.ms(bytes, bytes.div_ceil(CHUNK_BYTES)) * (1.0 - OVERLAP)
+}
+
 /// Residency manager with a hard byte budget.
 ///
 /// Every resident partition holds its [`Partition::resident_bytes`] — its
@@ -77,6 +164,9 @@ pub struct PartitionCache {
     used: usize,
     /// Resident partition ids, least-recently-used first.
     lru: Vec<usize>,
+    /// Per partition, the read-through milliseconds charged to it since it
+    /// was last uploaded or the cache drained (grown on first rent).
+    rent: Vec<f64>,
 }
 
 impl PartitionCache {
@@ -86,6 +176,7 @@ impl PartitionCache {
             budget,
             used: 0,
             lru: Vec::new(),
+            rent: Vec::new(),
         }
     }
 
@@ -102,6 +193,12 @@ impl PartitionCache {
     /// Whether partition `pid` is resident.
     pub fn is_resident(&self, pid: usize) -> bool {
         self.lru.contains(&pid)
+    }
+
+    /// Read-through milliseconds charged to partition `pid` since it was
+    /// last uploaded or the cache drained.
+    pub fn rent(&self, pid: usize) -> f64 {
+        self.rent.get(pid).copied().unwrap_or(0.0)
     }
 
     /// The residency plan of a launch decoding the partitions marked in
@@ -134,110 +231,184 @@ impl PartitionCache {
         plan
     }
 
-    /// Makes every partition marked in `needed` resident for one launch,
-    /// following [`PartitionCache::plan`]: hits are consumed, then each
-    /// coalesced run is uploaded in turn, evicting least-recent partitions
-    /// to make room. Charges allocation, eviction and streamed transfer on
-    /// `device`.
+    /// Walks [`PartitionCache::plan`] for a launch decoding the partitions
+    /// marked in `needed`: hits are consumed, then each coalesced run is
+    /// uploaded in turn, evicting least-recent partitions to make room.
+    /// Fixes every upload's victims, cold flag and price without charging
+    /// anything.
     ///
     /// # Panics
     /// Panics if a partition alone exceeds the budget — sessions verify
     /// `max_resident_bytes <= budget` before constructing an engine.
-    pub fn stream(&mut self, needed: &[bool], parts: &PartitionMap, device: &mut Device) {
+    pub fn walk(&self, needed: &[bool], parts: &PartitionMap) -> Walk {
         let plan = self.plan(needed, parts);
         // Hits move behind everything the launch does not need. From here
         // on the list reads [un-needed, oldest first | needed, ascending],
         // the needed part starting at `launch_start`.
-        self.lru.retain(|&pid| !needed[pid]);
-        let mut launch_start = self.lru.len();
-        self.lru.extend(&plan.hits);
+        let mut lru: Vec<usize> = self.lru.iter().copied().filter(|&p| !needed[p]).collect();
+        let mut launch_start = lru.len();
+        lru.extend(&plan.hits);
+        let mut used = self.used;
+        let mut uploads = Vec::with_capacity(plan.uploads.len());
         for run in plan.uploads {
-            let bytes: usize = parts.parts()[run.clone()]
+            let resident_bytes: usize = parts.parts()[run.clone()]
                 .iter()
                 .map(|p| p.resident_bytes())
                 .sum();
             assert!(
-                bytes <= self.budget,
-                "partitions {run:?} ({bytes} bytes) exceed the residency budget ({} bytes)",
+                resident_bytes <= self.budget,
+                "partitions {run:?} ({resident_bytes} bytes) exceed the residency budget ({} bytes)",
                 self.budget
             );
-            while self.used + bytes > self.budget {
+            let mut victims = Vec::new();
+            while used + resident_bytes > self.budget {
                 launch_start = launch_start.saturating_sub(1);
-                self.evict_lru(parts, device);
+                let victim = lru.remove(0);
+                used -= parts.parts()[victim].resident_bytes();
+                victims.push(victim);
             }
-            self.upload(run.clone(), bytes, parts, device);
-            self.lru.extend(run.clone());
-            self.lru[launch_start..].sort_unstable();
+            // Closure nodes inside the run arrive with their own partition
+            // and are copied device-side, so only the closure below it is
+            // traffic.
+            let link_bytes = parts.parts()[run.clone()]
+                .iter()
+                .map(|p| p.bytes)
+                .sum::<usize>()
+                + parts.run_closure_bytes(run.clone());
+            let cold = lru.is_empty();
+            let raw_ms = HOST_LINK.ms(link_bytes, link_bytes.div_ceil(CHUNK_BYTES));
+            let transfer_ms = if cold {
+                raw_ms
+            } else {
+                raw_ms * (1.0 - OVERLAP)
+            };
+            used += resident_bytes;
+            lru.extend(run.clone());
+            lru[launch_start..].sort_unstable();
+            uploads.push(Upload {
+                run,
+                victims,
+                cold,
+                link_bytes,
+                resident_bytes,
+                transfer_ms,
+            });
+        }
+        Walk {
+            hits: plan.hits,
+            uploads,
+            lru,
         }
     }
 
-    /// Evicts the least-recent resident partition.
-    fn evict_lru(&mut self, parts: &PartitionMap, device: &mut Device) {
-        let victim = self.lru.remove(0);
-        let p = &parts.parts()[victim];
-        self.used -= p.resident_bytes();
-        device.free(p.resident_bytes());
-        device.record(Charge::Eviction {
-            partition: victim as u64,
-            bytes: p.bytes as u64,
-        });
+    /// Makes every partition marked in `needed` resident for one launch:
+    /// [`PartitionCache::walk`], then [`PartitionCache::apply`].
+    pub fn stream(&mut self, needed: &[bool], parts: &PartitionMap, device: &mut Device) {
+        let walk = self.walk(needed, parts);
+        self.apply(walk, parts, device);
     }
 
-    /// Allocates `resident_bytes` for the partitions of `run` and streams
-    /// them — plus the reference-chain closure below the run — over the
-    /// link as one transfer.
-    fn upload(
+    /// Charges `walk` — walked from this cache's current state — on
+    /// `device`: per upload, its victims' frees and evictions, then its
+    /// allocation and streamed transfer. Uploading a partition clears its
+    /// rent.
+    pub fn apply(&mut self, walk: Walk, parts: &PartitionMap, device: &mut Device) {
+        for upload in &walk.uploads {
+            for &victim in &upload.victims {
+                let p = &parts.parts()[victim];
+                self.lru.retain(|&pid| pid != victim);
+                self.used -= p.resident_bytes();
+                device.free(p.resident_bytes());
+                device.record(Charge::Eviction {
+                    partition: victim as u64,
+                    bytes: p.bytes as u64,
+                });
+            }
+            device
+                .alloc(upload.resident_bytes)
+                .expect("partition budget must fit device capacity (verified at build)");
+            self.used += upload.resident_bytes;
+            self.lru.extend(upload.run.clone());
+            // An injected PCIe fault wastes the attempted upload: the chaos
+            // gate re-charges the full transfer price plus exponential
+            // backoff for every failed attempt, then the successful upload
+            // is charged below. No-op without an active fault plan.
+            device.chaos_gate(gcgt_simt::chaos::FaultDomain::Transfer, upload.transfer_ms);
+            device.record(Charge::Upload {
+                first_partition: upload.run.start as u64,
+                partitions: upload.run.len() as u64,
+                bytes: upload.link_bytes as u64,
+                transfer_ms: upload.transfer_ms,
+                cold: upload.cold,
+                partition_bytes: &|pid| parts.parts()[pid as usize].bytes as u64,
+            });
+            // Rent is empty until the first read-through, then one per
+            // partition.
+            if let Some(rent) = self.rent.get_mut(upload.run.clone()) {
+                rent.fill(0.0);
+            }
+        }
+        self.lru = walk.lru;
+    }
+
+    /// Whether `read` should serve a launch instead of `walk`: it is
+    /// cheaper, and no missing partition's rent plus its share of the price
+    /// (apportioned by lines) would pass [`warm_upload_ms`].
+    pub fn prefers(&self, read: &ReadThrough, walk: &Walk, parts: &PartitionMap) -> bool {
+        let ms = read.price_ms();
+        ms < walk.price_ms()
+            && read
+                .shares(ms)
+                .all(|(pid, share)| self.rent(pid) + share <= warm_upload_ms(parts, pid))
+    }
+
+    /// Serves a launch by `read`: its hits (from `walk`) are consumed as a
+    /// streamed launch would consume them, its missing partitions stay
+    /// non-resident, and each is charged its share of the reads as rent.
+    pub fn read_through(
         &mut self,
-        run: Range<usize>,
-        resident_bytes: usize,
+        read: &ReadThrough,
+        walk: &Walk,
         parts: &PartitionMap,
         device: &mut Device,
     ) {
-        // Closure nodes inside the run arrive with their own partition and
-        // are copied device-side, so only the closure below it is traffic.
-        let link_bytes = parts.parts()[run.clone()]
+        self.lru.retain(|pid| walk.hits.binary_search(pid).is_err());
+        self.lru.extend(&walk.hits);
+        let ms = read.price_ms();
+        device.chaos_gate(gcgt_simt::chaos::FaultDomain::Transfer, ms);
+        let line_bytes = |lines: usize| lines as u64 * LINE_BYTES;
+        let faults: Vec<(u64, u64)> = read
+            .parts
             .iter()
-            .map(|p| p.bytes)
-            .sum::<usize>()
-            + parts.run_closure_bytes(run.clone());
-        let cold = self.lru.is_empty();
-        device
-            .alloc(resident_bytes)
-            .expect("partition budget must fit device capacity (verified at build)");
-        self.used += resident_bytes;
-
-        let raw_ms = HOST_LINK.ms(link_bytes, link_bytes.div_ceil(CHUNK_BYTES));
-        let charged = if cold {
-            raw_ms
-        } else {
-            raw_ms * (1.0 - OVERLAP)
-        };
-        // An injected PCIe fault wastes the attempted upload: the chaos gate
-        // re-charges the full transfer price plus exponential backoff for
-        // every failed attempt, then the successful upload is charged below.
-        // No-op without an active fault plan.
-        device.chaos_gate(gcgt_simt::chaos::FaultDomain::Transfer, charged);
-        device.record(Charge::Upload {
-            first_partition: run.start as u64,
-            partitions: run.len() as u64,
-            bytes: link_bytes as u64,
-            transfer_ms: charged,
-            cold,
-            partition_bytes: &|pid| parts.parts()[pid as usize].bytes as u64,
+            .map(|&(pid, lines)| (pid as u64, line_bytes(lines)))
+            .collect();
+        device.record(Charge::ReadThrough {
+            partitions: &faults,
+            lines: read.lines as u64,
+            bytes: line_bytes(read.lines),
+            transfer_ms: ms,
         });
+        if self.rent.len() < parts.len() {
+            self.rent.resize(parts.len(), 0.0);
+        }
+        for (pid, share) in read.shares(ms) {
+            self.rent[pid] += share;
+        }
     }
 
     /// Releases every resident partition, freeing its bytes on `device` —
     /// the end-of-query teardown of a serving worker, returning the device
-    /// to its post-upload baseline. Releases are not evictions: nothing is
-    /// counted or charged, because no traffic moves (device memory is
-    /// simply reclaimed). The next upload finds the cache empty and is cold.
+    /// to its post-upload baseline — and clears every rent. Releases are
+    /// not evictions: nothing is counted or charged, because no traffic
+    /// moves (device memory is simply reclaimed). The next upload finds the
+    /// cache empty and is cold.
     pub fn drain(&mut self, parts: &PartitionMap, device: &mut Device) {
         for &pid in &self.lru {
             device.free(parts.parts()[pid].resident_bytes());
         }
         self.lru.clear();
         self.used = 0;
+        self.rent.clear();
     }
 }
 
@@ -702,6 +873,29 @@ mod tests {
             }
             let peak = levels.0.lock().unwrap().iter().copied().max().unwrap_or(0);
             prop_assert!(peak as usize <= budget, "peak {peak} > budget {budget}");
+        }
+
+        /// The walk prices each launch once: the sum of its uploads'
+        /// prices is bitwise the `transfer_ms` that applying it charges, and
+        /// the walk's uploads are exactly the plan's runs.
+        #[test]
+        fn the_walked_price_is_what_stream_charges(case in scenario()) {
+            let (map, budget, trace) = case;
+            let mut device = Device::new(DeviceConfig::titan_v_scaled(1 << 30));
+            let mut cache = PartitionCache::new(budget);
+            for needed in &trace {
+                let walk = cache.walk(needed, &map);
+                let runs: Vec<Range<usize>> = walk.uploads.iter().map(|u| u.run.clone()).collect();
+                prop_assert_eq!(&runs, &cache.plan(needed, &map).uploads);
+                let priced = walk.price_ms();
+                // A fresh accounting view sums the charges from zero, in
+                // charge order, as the walk does.
+                let mut view = device.query_view();
+                cache.apply(walk, &map, &mut view);
+                prop_assert_eq!(view.stats().transfer_ms.to_bits(), priced.to_bits());
+                prop_assert_eq!(view.allocated(), cache.resident_bytes());
+                device = view;
+            }
         }
 
         /// The same trace on a fresh cache and device reproduces every

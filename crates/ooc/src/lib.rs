@@ -20,10 +20,15 @@
 //!   partitions and each run crosses [`gcgt_simt::HOST_LINK`] as one
 //!   chunked upload; and a run is capped at half the budget, so half the
 //!   cache stays resident and decoding while it streams (the
-//!   double-buffering that halves a warm upload's charge);
+//!   double-buffering that halves a warm upload's charge). It also keeps a
+//!   per-partition **rent**: what zero-copy read-throughs have spent on a
+//!   non-resident partition since it was last uploaded;
 //! * [`OocEngine`] — an [`gcgt_core::Expander`] whose `prepare_frontier`
 //!   hook hands each launch's partition set to the cache, so every
-//!   application (BFS/CC/BC/PageRank/label propagation) runs unmodified.
+//!   application (BFS/CC/BC/PageRank/label propagation) runs unmodified. A
+//!   launch with fewer work nodes than an average partition holds may read
+//!   the 128-byte lines it decodes through instead, when that is cheaper
+//!   than the upload plan and keeps every rent within one warm upload.
 //!
 //! The link is won by fewer, larger, contiguous requests rather than fewer
 //! bytes — EMOGI's observation — which is what coalescing buys: a ~40 KB
@@ -31,11 +36,11 @@
 //! bandwidth. Kernel-side cost is untouched: `est_ms`, cycles, launches
 //! and tallies are bitwise the in-core engine's.
 //!
-//! Faults, uploads, evictions, streamed bytes and milliseconds surface in
-//! [`gcgt_simt::RunStats`], making the fit→stream transition measurable
-//! (see the `ooc` experiment in `gcgt-bench`). Sessions select this engine
-//! through `EngineKind::OutOfCore` + `SessionBuilder::memory_budget` in
-//! `gcgt-session`.
+//! Faults, uploads, read-throughs, evictions, streamed bytes and
+//! milliseconds surface in [`gcgt_simt::RunStats`], making the fit→stream
+//! transition measurable (see the `ooc` experiment in `gcgt-bench`).
+//! Sessions select this engine through `EngineKind::OutOfCore` +
+//! `SessionBuilder::memory_budget` in `gcgt-session`.
 
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 pub mod cache;

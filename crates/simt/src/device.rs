@@ -20,7 +20,7 @@ use crate::tally::{Tally, ALL_CLASSES, NUM_CLASSES};
 use gcgt_chaos::{FaultDomain, FaultInjector, FaultPlan, TypedFailure};
 use gcgt_obs::{
     AllocEvent, CacheEvent, ClassTally, ExchangeEvent, FaultEvent, LaunchEvent, LevelEvent,
-    ObserverHandle, UploadEvent,
+    ObserverHandle, ReadThroughEvent, UploadEvent,
 };
 
 /// Hardware parameters of the simulated device.
@@ -515,6 +515,24 @@ impl Device {
                 let kind = if cold { "fault-cold" } else { "fault" };
                 for id in first_partition..first_partition + partitions {
                     obs.cache(&partition(kind, id, partition_bytes(id)));
+                }
+            }
+            Charge::ReadThrough {
+                partitions,
+                lines,
+                bytes,
+                transfer_ms,
+            } => {
+                obs.read_through(&ReadThroughEvent {
+                    track,
+                    start_ms,
+                    partitions: partitions.len() as u64,
+                    lines,
+                    bytes,
+                    transfer_ms,
+                });
+                for &(id, bytes) in partitions {
+                    obs.cache(&partition("fault-read", id, bytes));
                 }
             }
             Charge::Eviction {

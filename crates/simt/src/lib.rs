@@ -56,8 +56,8 @@ pub use gcgt_obs as obs;
 pub use device::{Device, DeviceConfig, IterationCost, OomError};
 pub use gcgt_chaos::{FaultDomain, FaultPlan, FaultRate, RetryPolicy, TypedFailure};
 pub use gcgt_obs::{NullObserver, Observer, ObserverHandle};
-pub use link::{Link, HOST_LINK};
-pub use mem::{MemSim, MemStats, Space};
+pub use link::{Link, HOST_LINK, ZERO_COPY_IN_FLIGHT, ZERO_COPY_RTT_US};
+pub use mem::{MemSim, MemStats, Space, LINE_BYTES};
 pub use parallel::parallel_warps;
 pub use stats::{price, Charge, Price, RunStats};
 pub use tally::{OpClass, Tally};

@@ -14,6 +14,15 @@
 //! ([`Link::nvlink`]) or PCIe peer-to-peer ([`Link::pcie3`], the host-link
 //! numbers). At bitmap sizes (~1 KB) the per-message term dominates: 2 µs
 //! of NVLink setup against ~25 ns of wire time.
+//!
+//! The host link also serves **zero-copy reads** ([`Link::read_through_ms`]):
+//! a kernel fetching single 128-byte lines of host memory pays no DMA setup,
+//! only a PCIe read round trip ([`ZERO_COPY_RTT_US`]), and keeps up to
+//! [`ZERO_COPY_IN_FLIGHT`] reads outstanding, so by Little's law a batch of
+//! independent lines costs the larger of its wire time and its round trips
+//! divided by the requests in flight.
+
+use crate::mem::LINE_BYTES;
 
 /// One link's parameters.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -26,6 +35,15 @@ pub struct Link {
 
 /// The host↔device link every upload and streamed partition crosses.
 pub const HOST_LINK: Link = Link::pcie3();
+
+/// Round trip of one zero-copy PCIe read, in microseconds: request out,
+/// completion back, no DMA descriptor — well below the 10 µs setup
+/// [`HOST_LINK`] charges per transfer.
+pub const ZERO_COPY_RTT_US: f64 = 2.0;
+
+/// Zero-copy reads outstanding at once: PCIe's default 5-bit tag field,
+/// i.e. 32 in flight without extended tags.
+pub const ZERO_COPY_IN_FLIGHT: usize = 32;
 
 impl Link {
     /// PCIe 3.0 x16: ~12 GB/s effective, ~10 µs per transfer.
@@ -54,6 +72,22 @@ impl Link {
     /// zero bytes, so sending nothing costs nothing.
     pub fn ms(&self, bytes: usize, messages: usize) -> f64 {
         bytes as f64 / (self.bandwidth_gb_s * 1e9) * 1e3 + messages as f64 * self.latency_us / 1e3
+    }
+
+    /// Milliseconds to read `lines` independent 128-byte lines of host
+    /// memory as zero-copy requests, in `rounds` dependent round trips:
+    ///
+    /// `rounds × RTT + max(lines·128 / bandwidth, lines × RTT / in_flight)`
+    ///
+    /// with [`ZERO_COPY_RTT_US`] and [`ZERO_COPY_IN_FLIGHT`]. Each round
+    /// waits for the one before (an index entry before the payload it
+    /// bounds); within a round the lines stream at whichever of bandwidth
+    /// and request concurrency binds. Callers pass zero rounds exactly when
+    /// they pass zero lines.
+    pub fn read_through_ms(&self, lines: usize, rounds: usize) -> f64 {
+        let wire = self.ms(lines * LINE_BYTES as usize, 0);
+        let requests = lines as f64 * ZERO_COPY_RTT_US / ZERO_COPY_IN_FLIGHT as f64 / 1e3;
+        rounds as f64 * ZERO_COPY_RTT_US / 1e3 + wire.max(requests)
     }
 }
 
@@ -102,6 +136,32 @@ mod tests {
     }
 
     #[test]
+    fn read_through_is_round_trips_plus_the_binding_stream_term() {
+        // On the host link request concurrency binds: 2 µs / 32 = 62.5 ns
+        // per line against 10.7 ns of wire time, so 64 lines cost 4 µs.
+        let ms = HOST_LINK.read_through_ms(64, 3);
+        let want: f64 = 3.0 * 2.0 / 1e3 + 64.0 * 2.0 / 32.0 / 1e3;
+        assert_eq!(ms.to_bits(), want.to_bits());
+        // Below 2.048 GB/s a line's wire time exceeds that, and the
+        // bandwidth term binds instead.
+        let narrow = Link {
+            bandwidth_gb_s: 1.0,
+            ..HOST_LINK
+        };
+        let ms = narrow.read_through_ms(64, 2);
+        let want = 2.0 * 2.0 / 1e3 + narrow.ms(64 * 128, 0);
+        assert_eq!(ms.to_bits(), want.to_bits());
+        assert_eq!(HOST_LINK.read_through_ms(0, 0), 0.0);
+    }
+
+    #[test]
+    fn a_few_lines_read_through_cheaper_than_one_upload() {
+        // One index line and one payload line cost two round trips plus a
+        // sixteenth of one: far below a single transfer's 10 µs setup.
+        assert!(HOST_LINK.read_through_ms(2, 2) < HOST_LINK.ms(2 * 128, 1));
+    }
+
+    #[test]
     fn nvlink_is_cheaper_than_pcie3() {
         let bytes = 64 << 20;
         let nv = Link::nvlink().ms(bytes, 12);
@@ -135,6 +195,27 @@ mod tests {
                 ("bandwidth_gb_s", narrower.ms(bytes, messages)),
                 ("bytes", link.ms(bytes + more.0, messages)),
                 ("messages", link.ms(bytes, messages + more.1)),
+            ] {
+                prop_assert!(priced >= base, "{knob}: {priced} ms < {base} ms");
+            }
+        }
+
+        /// More lines, more rounds or a narrower link never make a
+        /// read-through cheaper.
+        #[test]
+        fn a_bigger_read_through_never_prices_cheaper(
+            lines in 0usize..1 << 24,
+            rounds in 0usize..64,
+            more in (1usize..1 << 20, 1usize..16),
+            bandwidth in 1u32..10_000,
+        ) {
+            let link = Link { bandwidth_gb_s: f64::from(bandwidth) / 100.0, ..HOST_LINK };
+            let base = link.read_through_ms(lines, rounds);
+            let narrower = Link { bandwidth_gb_s: link.bandwidth_gb_s / 2.0, ..link };
+            for (knob, priced) in [
+                ("lines", link.read_through_ms(lines + more.0, rounds)),
+                ("rounds", link.read_through_ms(lines, rounds + more.1)),
+                ("bandwidth_gb_s", narrower.read_through_ms(lines, rounds)),
             ] {
                 prop_assert!(priced >= base, "{knob}: {priced} ms < {base} ms");
             }

@@ -105,13 +105,17 @@ pub struct MemSim {
     scratch: Vec<u64>,
 }
 
+/// Bytes of one memory line: the transaction granularity of device memory
+/// and of a zero-copy host read.
+pub const LINE_BYTES: u64 = 128;
+
 impl MemSim {
     /// Creates a simulator with 128-byte lines and `cache_lines` slots
     /// (rounded up to a power of two, minimum 1).
     pub fn new(cache_lines: usize) -> Self {
         let slots = cache_lines.next_power_of_two().max(1);
         Self {
-            line_shift: 7, // 128-byte lines
+            line_shift: LINE_BYTES.trailing_zeros(),
             cache: vec![u64::MAX; slots].into_boxed_slice(),
             cache_mask: slots as u64 - 1,
             counters: MemStats::default(),

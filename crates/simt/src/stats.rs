@@ -97,6 +97,17 @@ pub enum Charge<'a> {
         cold: bool,
         partition_bytes: &'a dyn Fn(u64) -> u64,
     },
+    /// One out-of-core read-through: a launch fetched `lines` distinct
+    /// 128-byte lines (`bytes`) of its missing `partitions` — each given as
+    /// `(partition id, bytes of the lines apportioned to it)`, summing to
+    /// `bytes` — as zero-copy reads, for `transfer_ms` of host-link time,
+    /// leaving them non-resident.
+    ReadThrough {
+        partitions: &'a [(u64, u64)],
+        lines: u64,
+        bytes: u64,
+        transfer_ms: f64,
+    },
     /// One partition evicted to make room.
     Eviction { partition: u64, bytes: u64 },
     /// One BFS push level and the candidate pairs it expanded.
@@ -159,7 +170,9 @@ pub struct RunStats {
     pub mem: MemStats,
     /// Resident allocation at the end of the run.
     pub allocated_bytes: usize,
-    /// Out-of-core partitions faulted onto the device (0 for in-core runs).
+    /// Out-of-core partitions a launch needed but found non-resident (0 for
+    /// in-core runs), whether an upload made them resident or a
+    /// read-through served their lines.
     pub partition_faults: u64,
     /// Coalesced host-link uploads those faults crossed in — one per run of
     /// adjacent missing partitions, each paying the link's setup latency
@@ -167,13 +180,19 @@ pub struct RunStats {
     pub partition_uploads: u64,
     /// Out-of-core partitions evicted to make room (0 for in-core runs).
     pub partition_evictions: u64,
-    /// Compressed bytes streamed over the host link by those uploads.
+    /// Compressed bytes streamed over the host link: by those uploads, plus
+    /// the 128-byte lines of every read-through.
     pub bytes_streamed: u64,
     /// Milliseconds of host-link transfer streamed during the run (partition
-    /// uploads, post-overlap; 0 for in-core runs). The up-front whole-graph
-    /// upload of an in-core session is *not* included — that is
-    /// `upload_ms` at the session layer.
+    /// uploads post-overlap, plus read-throughs; 0 for in-core runs). The
+    /// up-front whole-graph upload of an in-core session is *not* included
+    /// — that is `upload_ms` at the session layer.
     pub transfer_ms: f64,
+    /// Launches that read their missing partitions' lines through instead
+    /// of uploading the partitions (0 for in-core runs).
+    pub read_throughs: u64,
+    /// Distinct 128-byte lines those read-throughs fetched.
+    pub read_through_lines: u64,
     /// Push-mode (frontier out-edge) expansion levels executed. Maintained
     /// by direction-aware applications (BFS); 0 for the other apps.
     pub push_steps: u64,
@@ -251,6 +270,18 @@ impl RunStats {
                 self.bytes_streamed += bytes;
                 self.transfer_ms += transfer_ms;
             }
+            Charge::ReadThrough {
+                partitions,
+                lines,
+                bytes,
+                transfer_ms,
+            } => {
+                self.partition_faults += partitions.len() as u64;
+                self.bytes_streamed += bytes;
+                self.transfer_ms += transfer_ms;
+                self.read_throughs += 1;
+                self.read_through_lines += lines;
+            }
             Charge::Eviction { .. } => self.partition_evictions += 1,
             Charge::PushStep(edges) => {
                 self.push_steps += 1;
@@ -315,6 +346,10 @@ impl RunStats {
                 .saturating_sub(earlier.partition_evictions),
             bytes_streamed: self.bytes_streamed.saturating_sub(earlier.bytes_streamed),
             transfer_ms: (self.transfer_ms - earlier.transfer_ms).max(0.0),
+            read_throughs: self.read_throughs.saturating_sub(earlier.read_throughs),
+            read_through_lines: self
+                .read_through_lines
+                .saturating_sub(earlier.read_through_lines),
             push_steps: self.push_steps.saturating_sub(earlier.push_steps),
             pull_steps: self.pull_steps.saturating_sub(earlier.pull_steps),
             pushed_edges: self.pushed_edges.saturating_sub(earlier.pushed_edges),
@@ -392,12 +427,23 @@ impl RunStats {
             ));
         }
         if self.partition_faults + self.partition_evictions > 0 {
+            let read_bytes = self.read_through_lines * crate::mem::LINE_BYTES;
+            let read = if self.read_throughs > 0 {
+                format!(
+                    " and {} read-throughs ({} lines)",
+                    self.read_throughs, self.read_through_lines
+                )
+            } else {
+                String::new()
+            };
             out.push_str(&format!(
-                "{:<12} {:>12} faults in {} uploads ({:.1} KB mean), {} evictions\n",
+                "{:<12} {:>12} faults in {} uploads ({:.1} KB mean){read}, {} evictions\n",
                 "ooc",
                 self.partition_faults,
                 self.partition_uploads,
-                self.bytes_streamed as f64 / 1e3 / self.partition_uploads.max(1) as f64,
+                self.bytes_streamed.saturating_sub(read_bytes) as f64
+                    / 1e3
+                    / self.partition_uploads.max(1) as f64,
                 self.partition_evictions
             ));
         }
@@ -473,6 +519,32 @@ mod tests {
         assert_eq!(s.cycles, 0.0);
         let d = s.since(&fold(&charges[..1]));
         assert_eq!((d.partition_faults, d.partition_uploads), (1, 1));
+    }
+
+    #[test]
+    fn read_throughs_fault_and_stream_without_uploading() {
+        let charges = [
+            Charge::ReadThrough {
+                partitions: &[(2, 256), (5, 128)],
+                lines: 3,
+                bytes: 384,
+                transfer_ms: 0.25,
+            },
+            Charge::ReadThrough {
+                partitions: &[(7, 128)],
+                lines: 1,
+                bytes: 128,
+                transfer_ms: 0.125,
+            },
+        ];
+        let s = fold(&charges);
+        assert_eq!((s.partition_faults, s.partition_uploads), (3, 0));
+        assert_eq!((s.read_throughs, s.read_through_lines), (2, 4));
+        assert_eq!(s.bytes_streamed, 512);
+        assert_eq!(s.transfer_ms, 0.375);
+        let d = s.since(&fold(&charges[..1]));
+        assert_eq!((d.read_throughs, d.read_through_lines), (1, 1));
+        assert_eq!((d.partition_faults, d.bytes_streamed), (1, 128));
     }
 
     #[test]

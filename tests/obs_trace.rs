@@ -225,6 +225,8 @@ fn metrics_registry_folds_to_run_stats_for_every_engine_shape() {
             partition_evictions,
             bytes_streamed,
             transfer_ms,
+            read_throughs,
+            read_through_lines,
             push_steps,
             pull_steps,
             pushed_edges,
@@ -296,6 +298,16 @@ fn metrics_registry_folds_to_run_stats_for_every_engine_shape() {
             "bytes_streamed",
             total("gcgt_partition_bytes_streamed_total"),
             bytes_streamed as f64,
+        );
+        same(
+            "read_throughs",
+            total("gcgt_read_through_total"),
+            read_throughs as f64,
+        );
+        same(
+            "read_through_lines",
+            total("gcgt_read_through_lines_total"),
+            read_through_lines as f64,
         );
         let uploads_ms = total("gcgt_partition_transfer_ms_total");
         if retries == 0 {
