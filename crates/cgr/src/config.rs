@@ -2,7 +2,7 @@
 //! arithmetic used by both the encoder and every decoder (serial and
 //! GPU-simulated).
 
-use gcgt_bits::{fold_sign, unfold_sign, BitVec, Code, CodeSink};
+use gcgt_bits::{fold_sign, unfold_sign, Code, CodeSink};
 use gcgt_graph::NodeId;
 
 /// Default reference-chain bound of [`CgrConfig::ref_chain_limit`] — the
@@ -91,15 +91,13 @@ impl CgrConfig {
     // --- shared shift arithmetic -----------------------------------------
     //
     // One encode/decode pair per field keeps the +1 / sign-fold / minimum
-    // shifts in exactly one place; the GPU kernels call the same `read_*`
-    // helpers with raw bit positions. Each decode splits into the raw VLC
-    // decode (the `Code::decode_at` slow-path oracle here; the
-    // `DecodeTable` fast path in `CgrGraph`'s `read_*` twins) and a
-    // `map_*` shift — so both paths share every checked-arithmetic guard:
-    // codeword value 0 from a corrupt payload is a decode failure, never a
-    // shift underflow, and every gap addition is overflow-checked. Each
-    // `write_*` takes any `CodeSink`: the encoder writes into a `BitWriter`,
-    // and its size models run the same calls into a `BitCount`.
+    // shifts in exactly one place. A `write_*` takes any `CodeSink`: the
+    // encoder writes into a `BitWriter`, and its size models run the same
+    // calls into a `BitCount`. A `map_*` turns a raw codeword value back
+    // into the field; `NodeCursor` is its only caller, so every decoder
+    // shares its checked-arithmetic guards: codeword value 0 from a corrupt
+    // payload is a decode failure, never a shift underflow, and every gap
+    // addition is overflow-checked.
 
     /// Maps a raw count codeword value (`count + 1`) back to the count.
     #[inline]
@@ -128,10 +126,11 @@ impl CgrConfig {
     }
 
     /// Maps a raw interval-length codeword value (`len - min + 1`) to the
-    /// length.
+    /// length; `None` when intervals are disabled, since only a corrupt
+    /// payload has one to map then.
     #[inline]
     pub(crate) fn map_interval_len(&self, v: u64) -> Option<u32> {
-        let min = self.min_interval_len.expect("intervals disabled");
+        let min = self.min_interval_len?;
         u32::try_from(v.checked_sub(1)?).ok()?.checked_add(min)
     }
 
@@ -149,33 +148,12 @@ impl CgrConfig {
         w.put(self.code, count + 1);
     }
 
-    /// Decodes a count at `pos`; returns `(count, next_pos)`. Slow-path
-    /// oracle — the table-accelerated twin is `CgrGraph::read_count`.
-    #[inline]
-    pub fn read_count(&self, bits: &BitVec, pos: usize) -> Option<(u64, usize)> {
-        let (v, p) = self.code.decode_at(bits, pos)?;
-        Some((Self::map_count(v)?, p))
-    }
-
     /// Encodes a first gap (interval start or first residual) relative to
     /// the source node: possibly negative, so sign-folded then +1.
     #[inline]
     pub fn write_first_gap(&self, w: &mut impl CodeSink, source: NodeId, target: NodeId) {
         let gap = i64::from(target) - i64::from(source);
         w.put(self.code, fold_sign(gap) + 1);
-    }
-
-    /// Decodes a first gap at `pos`; returns `(target, next_pos)`. Slow-path
-    /// oracle — the table-accelerated twin is `CgrGraph::read_first_gap`.
-    #[inline]
-    pub fn read_first_gap(
-        &self,
-        bits: &BitVec,
-        pos: usize,
-        source: NodeId,
-    ) -> Option<(NodeId, usize)> {
-        let (v, p) = self.code.decode_at(bits, pos)?;
-        Some((Self::map_first_gap(source, v)?, p))
     }
 
     /// Encodes the gap between an interval start and the previous interval's
@@ -188,20 +166,6 @@ impl CgrConfig {
         w.put(self.code, gap - 1);
     }
 
-    /// Decodes an interval gap at `pos`; returns `(start, next_pos)`.
-    /// Slow-path oracle — the table-accelerated twin is
-    /// `CgrGraph::read_interval_gap`.
-    #[inline]
-    pub fn read_interval_gap(
-        &self,
-        bits: &BitVec,
-        pos: usize,
-        prev_end: NodeId,
-    ) -> Option<(NodeId, usize)> {
-        let (v, p) = self.code.decode_at(bits, pos)?;
-        Some((Self::map_interval_gap(prev_end, v)?, p))
-    }
-
     /// Encodes an interval length; lengths are at least
     /// `min_interval_len`, so the minimum shifts to codeword value 1.
     #[inline]
@@ -209,15 +173,6 @@ impl CgrConfig {
         let min = self.min_interval_len.expect("intervals disabled");
         debug_assert!(len >= min);
         w.put(self.code, u64::from(len - min) + 1);
-    }
-
-    /// Decodes an interval length at `pos`; returns `(len, next_pos)`.
-    /// Slow-path oracle — the table-accelerated twin is
-    /// `CgrGraph::read_interval_len`.
-    #[inline]
-    pub fn read_interval_len(&self, bits: &BitVec, pos: usize) -> Option<(u32, usize)> {
-        let (v, p) = self.code.decode_at(bits, pos)?;
-        Some((self.map_interval_len(v)?, p))
     }
 
     /// Encodes the gap between consecutive residuals (`>= 1` since lists are
@@ -229,35 +184,14 @@ impl CgrConfig {
         w.put(self.code, gap);
     }
 
-    /// Decodes a residual gap at `pos`; returns `(residual, next_pos)`.
-    /// Slow-path oracle — the table-accelerated production read is
-    /// `NodeCursor::next_residual`.
-    #[inline]
-    pub fn read_residual_gap(
-        &self,
-        bits: &BitVec,
-        pos: usize,
-        prev: NodeId,
-    ) -> Option<(NodeId, usize)> {
-        let (v, p) = self.code.decode_at(bits, pos)?;
-        Some((Self::map_residual_gap(prev, v)?, p))
-    }
-
     // --- reference compression (GCGR v3) ---------------------------------
     //
     // A referenced node is addressed by a backward *offset* (`u - target`),
     // never an absolute id — offsets are small inside the window, and a
     // forward or self reference is unrepresentable by construction. The
-    // offset and every copy-block length reuse the count shift (+1) so a
-    // zero offset ("no reference") and a zero-length leading copy block
-    // stay encodable.
-
-    /// Maps a raw reference-offset codeword value (`offset + 1`) back to
-    /// the offset; `0` means "no reference".
-    #[inline]
-    pub(crate) fn map_ref_offset(v: u64) -> Option<u64> {
-        v.checked_sub(1)
-    }
+    // offset and every copy-block length reuse the count shift (+1, undone
+    // by `map_count`) so a zero offset ("no reference") and a zero-length
+    // leading copy block stay encodable.
 
     /// Encodes the backward reference offset (`u - target`; 0 = none).
     /// Always γ-coded regardless of the config code: every non-empty node
@@ -268,15 +202,6 @@ impl CgrConfig {
         w.put(Code::Gamma, offset + 1);
     }
 
-    /// Decodes a reference offset at `pos`; returns `(offset, next_pos)`.
-    /// Slow-path oracle — the table-accelerated twin is
-    /// `CgrGraph::read_ref_offset`.
-    #[inline]
-    pub fn read_ref_offset(&self, bits: &BitVec, pos: usize) -> Option<(u64, usize)> {
-        let (v, p) = Code::Gamma.decode_at(bits, pos)?;
-        Some((Self::map_ref_offset(v)?, p))
-    }
-
     /// Encodes a copy-block length. Blocks alternate copy/skip starting
     /// with a copy block, so the first may be length 0; the +1 shift keeps
     /// zero encodable (same shift as counts).
@@ -284,19 +209,24 @@ impl CgrConfig {
     pub fn write_block_len(&self, w: &mut impl CodeSink, len: u64) {
         w.put(self.code, len + 1);
     }
-
-    /// Decodes a copy-block length at `pos`; returns `(len, next_pos)`.
-    #[inline]
-    pub fn read_block_len(&self, bits: &BitVec, pos: usize) -> Option<(u64, usize)> {
-        let (v, p) = self.code.decode_at(bits, pos)?;
-        Some((Self::map_count(v)?, p))
-    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use gcgt_bits::BitWriter;
+    use gcgt_bits::{BitVec, BitWriter};
+
+    /// The table-free oracle of one field read: `Code::decode_at` followed
+    /// by the field's `map_*` shift; returns `(value, next_pos)`.
+    pub(crate) fn read_slow<T>(
+        code: Code,
+        bits: &BitVec,
+        pos: usize,
+        map: impl FnOnce(u64) -> Option<T>,
+    ) -> Option<(T, usize)> {
+        let (v, p) = code.decode_at(bits, pos)?;
+        Some((map(v)?, p))
+    }
 
     #[test]
     fn paper_default_matches_table2() {
@@ -317,7 +247,7 @@ mod tests {
         let bits = w.into_bitvec();
         let mut pos = 0;
         for count in [0u64, 1, 2, 10, 1000] {
-            let (v, p) = c.read_count(&bits, pos).unwrap();
+            let (v, p) = read_slow(c.code, &bits, pos, CgrConfig::map_count).unwrap();
             assert_eq!(v, count);
             pos = p;
         }
@@ -332,9 +262,9 @@ mod tests {
         c.write_first_gap(&mut w, 16, 18); // gap +2
         c.write_first_gap(&mut w, 16, 16); // self-loop, gap 0
         let bits = w.into_bitvec();
-        let (v1, p1) = c.read_first_gap(&bits, 0, 16).unwrap();
-        let (v2, p2) = c.read_first_gap(&bits, p1, 16).unwrap();
-        let (v3, _) = c.read_first_gap(&bits, p2, 16).unwrap();
+        let (v1, p1) = read_slow(c.code, &bits, 0, |v| CgrConfig::map_first_gap(16, v)).unwrap();
+        let (v2, p2) = read_slow(c.code, &bits, p1, |v| CgrConfig::map_first_gap(16, v)).unwrap();
+        let (v3, _) = read_slow(c.code, &bits, p2, |v| CgrConfig::map_first_gap(16, v)).unwrap();
         assert_eq!((v1, v2, v3), (12, 18, 16));
     }
 
@@ -345,8 +275,14 @@ mod tests {
         c.write_interval_len(&mut w, 4); // encodes 1 → shortest codeword
         let bits = w.into_bitvec();
         assert_eq!(bits.len() as u32, c.code.len_bits(1));
-        let (len, _) = c.read_interval_len(&bits, 0).unwrap();
+        let (len, _) = read_slow(c.code, &bits, 0, |v| c.map_interval_len(v)).unwrap();
         assert_eq!(len, 4);
+        // Disabled intervals: a corrupt itvNum's length is no value, not a panic.
+        let disabled = CgrConfig {
+            min_interval_len: None,
+            ..c
+        };
+        assert_eq!(disabled.map_interval_len(1), None);
     }
 
     #[test]
@@ -355,7 +291,8 @@ mod tests {
         let mut w = BitWriter::new();
         c.write_interval_gap(&mut w, 21, 27); // the Figure 2 gap of 6
         let bits = w.into_bitvec();
-        let (start, _) = c.read_interval_gap(&bits, 0, 21).unwrap();
+        let (start, _) =
+            read_slow(c.code, &bits, 0, |v| CgrConfig::map_interval_gap(21, v)).unwrap();
         assert_eq!(start, 27);
     }
 
@@ -366,8 +303,8 @@ mod tests {
         c.write_residual_gap(&mut w, 12, 24); // gap 12
         c.write_residual_gap(&mut w, 24, 101); // gap 77
         let bits = w.into_bitvec();
-        let (a, p) = c.read_residual_gap(&bits, 0, 12).unwrap();
-        let (b, _) = c.read_residual_gap(&bits, p, 24).unwrap();
+        let (a, p) = read_slow(c.code, &bits, 0, |v| CgrConfig::map_residual_gap(12, v)).unwrap();
+        let (b, _) = read_slow(c.code, &bits, p, |v| CgrConfig::map_residual_gap(24, v)).unwrap();
         assert_eq!((a, b), (24, 101));
     }
 }

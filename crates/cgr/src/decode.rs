@@ -24,14 +24,18 @@
 //!   what [`validate_structure`] accepts, every consumer decodes without
 //!   panicking.
 //!
-//! Trusted callers (encode output, validated loads) `expect` the cursor's
-//! results; untrusted bytes go through the `try_*` scanner face. The
-//! table-free `CgrConfig::read_*` functions stay as the slow oracles the
-//! tests compare against.
+//! The cursor is also the only code that turns a codeword into a field
+//! value: it decodes through the graph's [`DecodeTable`](gcgt_bits::DecodeTable)
+//! and applies the field's `CgrConfig::map_*` shift, and
+//! [`NodeCursor::take_residual`] checks the raw values the scanner and the
+//! warp-centric kernel decode themselves. Trusted callers (encode output,
+//! validated loads) `expect` the cursor's results; untrusted bytes go
+//! through the `try_*` scanner face. The tests' slow oracle is
+//! `Code::decode_at` followed by the same shift.
 
 use crate::config::CgrConfig;
 use crate::encode::CgrGraph;
-use gcgt_bits::PackedRun;
+use gcgt_bits::{Code, PackedRun};
 use gcgt_graph::{Csr, CsrBuilder, NodeId};
 
 /// What a trusted caller's `expect` says when the cursor reports an error.
@@ -172,7 +176,7 @@ impl<'a> NodeCursor<'a> {
     #[inline(always)]
     fn read_deg_num(&mut self) -> Result<bool, String> {
         if !self.empty && self.deg_num.is_some() {
-            self.res_left = self.read("degNum", CgrGraph::read_count)?;
+            self.res_left = self.read("degNum", CgrConfig::map_count)?;
             self.deg_num = Some(self.res_left);
         }
         Ok(!self.empty && self.deg_num != Some(0))
@@ -187,14 +191,18 @@ impl<'a> NodeCursor<'a> {
         }
         let mut pro = None;
         if let Some(target) = self.read_ref_target()? {
-            let block_num = self.read("blockNum", CgrGraph::read_count)?;
+            let block_num = self.read("blockNum", CgrConfig::map_count)?;
             let mut blocks = Vec::with_capacity((block_num as usize).min(1 << 10));
             for _ in 0..block_num {
-                blocks.push(self.read("copy-block length", CgrGraph::read_block_len)?);
+                blocks.push(self.read("copy-block length", CgrConfig::map_count)?);
             }
             pro = Some(RefPrologue { target, blocks });
         }
-        self.itv_left = self.read("itvNum", CgrGraph::read_count)?;
+        self.itv_left = self.read("itvNum", CgrConfig::map_count)?;
+        if self.itv_left > 0 && self.cgr.config().min_interval_len.is_none() {
+            let n = self.itv_left;
+            return fail(|| format!("itvNum {n} but intervals are disabled"));
+        }
         Ok(pro)
     }
 
@@ -207,7 +215,10 @@ impl<'a> NodeCursor<'a> {
         if window == 0 {
             return Ok(None);
         }
-        let offset = self.read("refOffset", CgrGraph::read_ref_offset)?;
+        // γ-coded whatever the config code (see `CgrConfig::write_ref_offset`),
+        // so it bypasses the config-code table.
+        let raw = Code::Gamma.decode_at(self.cgr.bits(), self.pos);
+        let offset = self.accept("refOffset", raw, CgrConfig::map_count)?;
         if offset == 0 {
             return Ok(None);
         }
@@ -221,15 +232,26 @@ impl<'a> NodeCursor<'a> {
         Ok(Some(target as NodeId))
     }
 
-    /// One checked codeword read at the current position: the read must
-    /// start inside the node's bit range, decode, and end inside it.
+    /// One checked field read at the current position: a codeword decoded
+    /// through the graph's decode table, shifted into the field's value by
+    /// `map` (a `CgrConfig::map_*`).
     #[inline(always)]
-    fn read<T>(
+    fn read<T>(&mut self, what: &str, map: impl FnOnce(u64) -> Option<T>) -> Result<T, String> {
+        let raw = self.cgr.table().decode_at(self.cgr.bits(), self.pos);
+        self.accept(what, raw, map)
+    }
+
+    /// Shifts the codeword `raw` decoded at the current position and moves
+    /// past it: the read must start inside the node's bit range, decode
+    /// and shift, and end inside the range.
+    #[inline(always)]
+    fn accept<T>(
         &mut self,
         what: &str,
-        field: impl FnOnce(&CgrGraph, usize) -> Option<(T, usize)>,
+        raw: Option<(u64, usize)>,
+        map: impl FnOnce(u64) -> Option<T>,
     ) -> Result<T, String> {
-        match field(self.cgr, self.pos) {
+        match raw.and_then(|(v, p)| Some((map(v)?, p))) {
             Some((v, p)) if p <= self.end => {
                 self.pos = p;
                 Ok(v)
@@ -298,12 +320,12 @@ impl<'a> NodeCursor<'a> {
         if self.itv_left == 0 {
             return fail(|| "interval read past itvNum".into());
         }
-        let u = self.u;
+        let (u, cgr) = (self.u, self.cgr);
         let start = match self.prev_itv_end {
-            None => self.read("interval start", |g, p| g.read_first_gap(p, u))?,
-            Some(pe) => self.read("interval gap", |g, p| g.read_interval_gap(p, pe))?,
+            None => self.read("interval start", |v| CgrConfig::map_first_gap(u, v))?,
+            Some(pe) => self.read("interval gap", |v| CgrConfig::map_interval_gap(pe, v))?,
         };
-        let len = self.read("interval len", CgrGraph::read_interval_len)?;
+        let len = self.read("interval len", |v| cgr.config().map_interval_len(v))?;
         if len == 0 {
             return fail(|| "zero-length interval".into());
         }
@@ -395,7 +417,7 @@ impl<'a> NodeCursor<'a> {
         if self.is_empty() {
             return Ok(0);
         }
-        let seg_num = self.read("segNum", CgrGraph::read_count)?;
+        let seg_num = self.read("segNum", CgrConfig::map_count)?;
         self.seg_base = self.pos;
         Ok(seg_num)
     }
@@ -421,7 +443,7 @@ impl<'a> NodeCursor<'a> {
     /// residual re-based on the node).
     #[inline(always)]
     pub fn read_res_num(&mut self) -> Result<u64, String> {
-        self.res_left = self.read("resNum", CgrGraph::read_count)?;
+        self.res_left = self.read("resNum", CgrConfig::map_count)?;
         self.prev_res = None;
         Ok(self.res_left)
     }
@@ -647,10 +669,10 @@ pub struct NeighborScanner<'a> {
     chased: bool,
     examined: u64,
     /// Multi-gap lookahead over the current residual run: one
-    /// [`CgrGraph::decode_packed_at`] probe result, drained per emit with
-    /// per-codeword bit positions relative to `gap_base`. `gap_n` caps the
-    /// usable prefix to the run (never past a segment boundary or the
-    /// declared degree).
+    /// [`DecodeTable::decode_packed_at`](gcgt_bits::DecodeTable::decode_packed_at)
+    /// probe result, drained per emit with per-codeword bit positions
+    /// relative to `gap_base`. `gap_n` caps the usable prefix to the run
+    /// (never past a segment boundary or the declared degree).
     gap_run: PackedRun,
     gap_base: usize,
     gap_n: usize,
@@ -773,7 +795,8 @@ impl<'a> NeighborScanner<'a> {
         if self.cur.prev_res.is_some() && self.gap_i == self.gap_n {
             self.gap_base = self.cur.bit_pos();
             self.gap_i = 0;
-            self.gap_run = self.cur.cgr.decode_packed_at(self.gap_base);
+            let cgr = self.cur.cgr;
+            self.gap_run = cgr.table().decode_packed_at(cgr.bits(), self.gap_base);
             self.gap_n = (self.gap_run.len() as u64).min(self.cur.residuals_left()) as usize;
         }
         let r = if self.gap_i == self.gap_n {
@@ -849,9 +872,10 @@ pub fn validate_structure(cgr: &CgrGraph) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::tests::read_slow;
     use crate::io::{write_cgr, ValidationMode};
     use crate::stats::CompressionStats;
-    use gcgt_bits::{BitWriter, Code, EliasFano};
+    use gcgt_bits::{BitWriter, EliasFano};
     use gcgt_graph::gen::{toys, web_graph, WebParams};
 
     fn all_configs() -> Vec<CgrConfig> {
@@ -1008,96 +1032,135 @@ mod tests {
         );
     }
 
-    /// Slow-path reference decoder built **only** on the
-    /// `CgrConfig::read_*` oracles (no decode table, no cursor): the
-    /// differential baseline the production decoders must match bitwise.
-    /// Yields each neighbour with the bit position right after the codeword
-    /// that produced it (unchanged inside an interval run).
+    /// Slow-path reference decoder built **only** on
+    /// [`read_slow`] (no decode table, no cursor): the differential
+    /// baseline the production decoders must match bitwise, reference
+    /// prologue included. Yields each neighbour with the bit position right
+    /// after the codeword that produced it (unchanged inside an interval
+    /// run and over the copied values).
     fn decode_node_slow(cgr: &CgrGraph, u: NodeId) -> Vec<(NodeId, usize)> {
         let cfg = cgr.config();
         let bits = cgr.bits();
+        let count =
+            |pos, what: &str| read_slow(cfg.code, bits, pos, CgrConfig::map_count).expect(what);
         let (start, end) = cgr.node_range(u);
         let mut out = Vec::new();
         if start == end {
             return out;
         }
-        let (itv_num, mut pos) = if cfg.segment_len_bytes.is_none() {
-            let (deg, p) = cfg.read_count(bits, start).expect("degNum");
+        let mut pos = start;
+        let deg = if cfg.segment_len_bytes.is_none() {
+            let (deg, p) = count(pos, "degNum");
             if deg == 0 {
                 return out;
             }
-            cfg.read_count(bits, p).expect("itvNum")
+            pos = p;
+            Some(deg)
         } else {
-            cfg.read_count(bits, start).expect("itvNum")
+            None
         };
+        let mut copied = Vec::new();
+        if cfg.ref_window > 0 {
+            let (offset, p) =
+                read_slow(Code::Gamma, bits, pos, CgrConfig::map_count).expect("refOffset");
+            pos = p;
+            if offset > 0 {
+                let mut full: Vec<NodeId> = decode_node_slow(cgr, u - offset as NodeId)
+                    .into_iter()
+                    .map(|(v, _)| v)
+                    .collect();
+                full.sort_unstable();
+                let (block_num, p) = count(pos, "blockNum");
+                pos = p;
+                let mut i = 0;
+                for b in 0..block_num {
+                    let (len, p) = count(pos, "copy-block length");
+                    pos = p;
+                    if b % 2 == 0 {
+                        copied.extend_from_slice(&full[i..i + len as usize]);
+                    }
+                    i += len as usize;
+                }
+            }
+        }
+        let (itv_num, p) = count(pos, "itvNum");
+        pos = p;
         let mut prev_end: Option<NodeId> = None;
         for _ in 0..itv_num {
             let (s, p) = match prev_end {
-                None => cfg.read_first_gap(bits, pos, u).expect("itv start"),
-                Some(pe) => cfg.read_interval_gap(bits, pos, pe).expect("itv gap"),
-            };
-            let (len, p2) = cfg.read_interval_len(bits, p).expect("itv len");
+                None => read_slow(cfg.code, bits, pos, |v| CgrConfig::map_first_gap(u, v)),
+                Some(pe) => read_slow(cfg.code, bits, pos, |v| CgrConfig::map_interval_gap(pe, v)),
+            }
+            .expect("itv start");
+            let (len, p2) =
+                read_slow(cfg.code, bits, p, |v| cfg.map_interval_len(v)).expect("itv len");
             out.extend((s..s + len).map(|v| (v, p2)));
             prev_end = Some(s + len - 1);
             pos = p2;
         }
-        fn residual_run(
-            cfg: &CgrConfig,
-            bits: &gcgt_bits::BitVec,
-            u: NodeId,
-            mut sp: usize,
-            count: u64,
-            out: &mut Vec<(NodeId, usize)>,
-        ) {
+        out.extend(copied.into_iter().map(|v| (v, pos)));
+        let residual_run = |mut sp, count, out: &mut Vec<(NodeId, usize)>| {
             let mut prev: Option<NodeId> = None;
             for _ in 0..count {
                 let (r, p) = match prev {
-                    None => cfg.read_first_gap(bits, sp, u).expect("first res"),
-                    Some(pr) => cfg.read_residual_gap(bits, sp, pr).expect("res gap"),
-                };
+                    None => read_slow(cfg.code, bits, sp, |v| CgrConfig::map_first_gap(u, v)),
+                    Some(pr) => {
+                        read_slow(cfg.code, bits, sp, |v| CgrConfig::map_residual_gap(pr, v))
+                    }
+                }
+                .expect("residual");
                 out.push((r, p));
                 prev = Some(r);
                 sp = p;
             }
-        }
-        if cfg.segment_len_bytes.is_none() {
-            let (deg, _) = cfg.read_count(bits, start).expect("degNum");
+        };
+        if let Some(deg) = deg {
             let res = deg - out.len() as u64;
-            residual_run(cfg, bits, u, pos, res, &mut out);
+            residual_run(pos, res, &mut out);
         } else {
-            let (seg_num, base) = cfg.read_count(bits, pos).expect("segNum");
+            let (seg_num, base) = count(pos, "segNum");
             let seg_bits = cfg.segment_len_bits().unwrap();
             for si in 0..seg_num as usize {
-                let sp = base + si * seg_bits;
-                let (res_num, p) = cfg.read_count(bits, sp).expect("resNum");
-                residual_run(cfg, bits, u, p, res_num, &mut out);
+                let (res_num, p) = count(base + si * seg_bits, "resNum");
+                residual_run(p, res_num, &mut out);
             }
         }
         out
     }
 
+    /// The windows the slow-oracle tests encode at: GCGR v2 and two v3
+    /// reference windows.
+    const REF_WINDOWS: [u32; 3] = [0, 8, 32];
+
     #[test]
     fn table_decoders_match_the_slow_oracle_on_every_config() {
         // The decode fast path (table probes + multi-gap buffering in the
-        // scanner) against the pure `CgrConfig::read_*` slow path: every
-        // node, every layout, every code — bitwise identical adjacency.
+        // scanner) against the table-free slow path: every node, every
+        // layout, every code, with and without reference compression —
+        // bitwise identical adjacency.
         let g = web_graph(&WebParams::uk2002_like(350), 17);
+        let mut referencing = 0;
         for cfg in all_configs() {
-            let cgr = CgrGraph::encode(&g, &cfg);
-            for u in 0..g.num_nodes() as NodeId {
-                let slow: Vec<NodeId> = decode_node_slow(&cgr, u)
-                    .into_iter()
-                    .map(|(v, _)| v)
-                    .collect();
-                assert_eq!(
-                    decode_node_unsorted(&cgr, u),
-                    slow,
-                    "{cfg:?} node {u} (serial decoders)"
-                );
-                let scanned: Vec<NodeId> = NeighborScanner::new(&cgr, u).collect();
-                assert_eq!(scanned, slow, "{cfg:?} node {u} (scanner)");
+            for window in REF_WINDOWS {
+                let cfg = cfg.with_ref_window(window);
+                let cgr = CgrGraph::encode(&g, &cfg);
+                for u in 0..g.num_nodes() as NodeId {
+                    referencing += usize::from(cgr.ref_target(u).is_some());
+                    let slow: Vec<NodeId> = decode_node_slow(&cgr, u)
+                        .into_iter()
+                        .map(|(v, _)| v)
+                        .collect();
+                    assert_eq!(
+                        decode_node_unsorted(&cgr, u),
+                        slow,
+                        "{cfg:?} node {u} (serial decoders)"
+                    );
+                    let scanned: Vec<NodeId> = NeighborScanner::new(&cgr, u).collect();
+                    assert_eq!(scanned, slow, "{cfg:?} node {u} (scanner)");
+                }
             }
         }
+        assert!(referencing > 0, "the v3 windows must exercise the prologue");
     }
 
     #[test]
@@ -1105,20 +1168,25 @@ mod tests {
         // Multi-gap buffering must not disturb the observable bit cursor:
         // after every emitted neighbour, `bit_pos()` equals what the
         // unbuffered, table-free slow walk reports (the pull kernel charges
-        // memory addresses from it) — on both layouts.
+        // memory addresses from it) — on both layouts, with and without
+        // reference compression.
         let g = web_graph(&WebParams::uk2002_like(300), 23);
-        for cfg in [CgrConfig::unsegmented(), CgrConfig::paper_default()] {
-            let cgr = CgrGraph::encode(&g, &cfg);
-            for u in 0..g.num_nodes() as NodeId {
-                let mut scan = NeighborScanner::new(&cgr, u);
-                for (v, pos) in decode_node_slow(&cgr, u) {
-                    assert_eq!(scan.next_with_step().map(|(w, _)| w), Some(v), "node {u}");
-                    assert_eq!(scan.bit_pos(), pos, "node {u} after {v}");
-                }
-                assert_eq!(scan.next_with_step(), None, "node {u}");
-                if cfg.segment_len_bytes.is_none() {
-                    let (_, end) = cgr.node_range(u);
-                    assert_eq!(scan.bit_pos(), end, "node {u} final position");
+        for base in [CgrConfig::unsegmented(), CgrConfig::paper_default()] {
+            for window in REF_WINDOWS {
+                let cfg = base.with_ref_window(window);
+                let cgr = CgrGraph::encode(&g, &cfg);
+                for u in 0..g.num_nodes() as NodeId {
+                    let mut scan = NeighborScanner::new(&cgr, u);
+                    for (v, pos) in decode_node_slow(&cgr, u) {
+                        let next = scan.next_with_step().map(|(w, _)| w);
+                        assert_eq!(next, Some(v), "{cfg:?} node {u}");
+                        assert_eq!(scan.bit_pos(), pos, "{cfg:?} node {u} after {v}");
+                    }
+                    assert_eq!(scan.next_with_step(), None, "{cfg:?} node {u}");
+                    if cfg.segment_len_bytes.is_none() {
+                        let (_, end) = cgr.node_range(u);
+                        assert_eq!(scan.bit_pos(), end, "{cfg:?} node {u} final position");
+                    }
                 }
             }
         }
@@ -1214,6 +1282,28 @@ mod tests {
             cfg.write_interval_len(w, 4);
         });
         assert_rejected_everywhere(&cgr, "intervals overrun degNum 1");
+    }
+
+    #[test]
+    fn itv_num_without_intervals_is_rejected() {
+        // min_interval_len None (Figure 12's `inf`) is a legal header, so a
+        // non-zero itvNum under it is payload corruption: a typed error,
+        // not the interval-length shift's old "intervals disabled" panic.
+        let cfg = CgrConfig {
+            code: Code::Gamma,
+            min_interval_len: None,
+            ..CgrConfig::unsegmented()
+        };
+        let cgr = hand_built(cfg, 16, 1, |w, u| {
+            if u != 0 {
+                return cfg.write_count(w, 0);
+            }
+            cfg.write_count(w, 1); // degNum
+            cfg.write_count(w, 1); // itvNum
+            cfg.write_first_gap(w, 0, 5);
+            cfg.write_count(w, 0); // a length codeword
+        });
+        assert_rejected_everywhere(&cgr, "itvNum 1 but intervals are disabled");
     }
 
     #[test]

@@ -6,7 +6,7 @@ use crate::config::CgrConfig;
 use crate::device_index::DeviceIndex;
 use crate::intervals::{split_intervals, IntervalsResiduals};
 use crate::stats::CompressionStats;
-use gcgt_bits::{BitCount, BitVec, BitWriter, Code, CodeSink, DecodeTable, EliasFano, PackedRun};
+use gcgt_bits::{BitCount, BitVec, BitWriter, Code, CodeSink, DecodeTable, EliasFano};
 use gcgt_graph::{Csr, NodeId};
 
 /// A [`CgrConfig`] that cannot encode a particular graph: the offending
@@ -314,59 +314,6 @@ impl CgrGraph {
         &self.table
     }
 
-    // --- table-accelerated field readers ---------------------------------
-    //
-    // Twins of `CgrConfig::read_*` routed through the decode table: the
-    // raw VLC decode is a table probe (slow path only past 16-bit
-    // codewords), the shift mapping is the *same* `CgrConfig::map_*` the
-    // slow path uses — so every hardening guard (codeword-0 rejection,
-    // checked gap arithmetic, the ≥64-zero unary rejection inside the
-    // decoder) holds bitwise identically on both paths.
-
-    /// Table-accelerated [`CgrConfig::read_count`].
-    #[inline]
-    pub fn read_count(&self, pos: usize) -> Option<(u64, usize)> {
-        let (v, p) = self.table.decode_at(&self.bits, pos)?;
-        Some((CgrConfig::map_count(v)?, p))
-    }
-
-    /// Table-accelerated [`CgrConfig::read_first_gap`].
-    #[inline]
-    pub fn read_first_gap(&self, pos: usize, source: NodeId) -> Option<(NodeId, usize)> {
-        let (v, p) = self.table.decode_at(&self.bits, pos)?;
-        Some((CgrConfig::map_first_gap(source, v)?, p))
-    }
-
-    /// Table-accelerated [`CgrConfig::read_interval_gap`].
-    #[inline]
-    pub fn read_interval_gap(&self, pos: usize, prev_end: NodeId) -> Option<(NodeId, usize)> {
-        let (v, p) = self.table.decode_at(&self.bits, pos)?;
-        Some((CgrConfig::map_interval_gap(prev_end, v)?, p))
-    }
-
-    /// Table-accelerated [`CgrConfig::read_interval_len`].
-    #[inline]
-    pub fn read_interval_len(&self, pos: usize) -> Option<(u32, usize)> {
-        let (v, p) = self.table.decode_at(&self.bits, pos)?;
-        Some((self.config.map_interval_len(v)?, p))
-    }
-
-    /// [`CgrConfig::read_ref_offset`] twin. The refOffset codeword is
-    /// γ-coded regardless of the config code (see `write_ref_offset`), so
-    /// it goes through the γ slow path, not the config-code table.
-    #[inline]
-    pub fn read_ref_offset(&self, pos: usize) -> Option<(u64, usize)> {
-        let (v, p) = gcgt_bits::Code::Gamma.decode_at(&self.bits, pos)?;
-        Some((CgrConfig::map_ref_offset(v)?, p))
-    }
-
-    /// Table-accelerated [`CgrConfig::read_block_len`].
-    #[inline]
-    pub fn read_block_len(&self, pos: usize) -> Option<(u64, usize)> {
-        let (v, p) = self.table.decode_at(&self.bits, pos)?;
-        Some((CgrConfig::map_count(v)?, p))
-    }
-
     /// The node `u` references, if any — a cheap header peek that never
     /// materializes the list. Returns `None` immediately when
     /// `ref_window == 0` (the v2 layouts have no reference prologue), on
@@ -379,18 +326,6 @@ impl CgrGraph {
             return None;
         }
         crate::decode::NodeCursor::ref_target(self, u)
-    }
-
-    /// Multi-gap probe over this graph's bit array: raw codeword values of
-    /// up to [`MAX_PACKED`](gcgt_bits::MAX_PACKED) consecutive short
-    /// codewords from one window, with per-codeword end offsets relative to
-    /// `pos` (so a prefix can be consumed with exact slow-path bit
-    /// positions). An empty run means even the first codeword needs the
-    /// slow path. Callers apply the `CgrConfig` shift mapping per value,
-    /// exactly as the slow path does.
-    #[inline]
-    pub fn decode_packed_at(&self, pos: usize) -> PackedRun {
-        self.table.decode_packed_at(&self.bits, pos)
     }
 
     /// Bit offset where node `u`'s compressed adjacency starts.

@@ -67,8 +67,9 @@
 //! Codewords resolve through the graph's shared [`DecodeTable`]
 //! ([`CgrGraph::table`]): one 16-bit-window probe per codeword, multi-gap
 //! probes over residual runs in the scanner, broadword slow path for the
-//! tail. The `CgrConfig::read_*` functions remain the table-free slow
-//! oracles the fast path is differentially tested against.
+//! tail. [`NodeCursor`] is the one reader that turns a codeword into a
+//! field value; the tests check it against a table-free oracle
+//! (`Code::decode_at` plus the same shift).
 
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 pub mod byterle;

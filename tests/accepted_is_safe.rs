@@ -199,14 +199,17 @@ proptest! {
 
     #[test]
     fn mutated_images_are_refused_or_decode_identically_everywhere(
-        shape in (0u64..1_000, 0usize..2, 0u32..2, 0usize..2),
+        shape in (0u64..1_000, 0usize..2, 0u32..2, 0usize..2, 0usize..2),
         flips in proptest::collection::vec(0usize..1 << 20, 0..4),
         codeword in (0usize..1 << 20, 1u64..5_000),
     ) {
-        let (graph_seed, layout, refs, code) = shape;
+        let (graph_seed, layout, refs, code, intervals) = shape;
         let code = [Code::Gamma, Code::Zeta(3)][code];
         let cfg = CgrConfig {
             code,
+            // `None` is Figure 12's `inf`: a legal header under which any
+            // non-zero `itvNum` is corruption.
+            min_interval_len: [Some(4), None][intervals],
             ..[CgrConfig::paper_default(), CgrConfig::unsegmented()][layout].with_ref_window(4 * refs)
         };
         let graph = web_graph(&WebParams::uk2002_like(48), graph_seed);

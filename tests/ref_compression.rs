@@ -350,10 +350,10 @@ fn patch_payload_codeword(buf: &mut [u8], payload_words: usize, pos: usize, valu
 #[test]
 fn forward_or_self_reference_is_a_typed_error() {
     let (cgr, _) = tiny_ref_graph();
-    let start = cgr.offset(1);
-    let (_deg, ref_pos) = cgr.read_count(start).expect("degNum");
-    let (off, _) = cgr.read_ref_offset(ref_pos).expect("refOffset");
-    assert_eq!(off, 1);
+    let bits = cgr.bits();
+    let (_deg, ref_pos) = Code::Gamma.decode_at(bits, cgr.offset(1)).expect("degNum");
+    let (off, _) = Code::Gamma.decode_at(bits, ref_pos).expect("refOffset");
+    assert_eq!(off, 1 + 1, "refOffset 1 (codeword value offset + 1)");
     let mut buf = buffer(&cgr);
     patch_payload_codeword(&mut buf, cgr.bits().words().len(), ref_pos, 3);
     let err = CgrGraph::from_bytes_with(&buf, ValidationMode::Eager)
@@ -370,14 +370,15 @@ fn forward_or_self_reference_is_a_typed_error() {
 #[test]
 fn copy_block_overrun_is_a_typed_error() {
     let (cgr, _) = tiny_ref_graph();
-    let start = cgr.offset(1);
-    let (_deg, ref_pos) = cgr.read_count(start).expect("degNum");
-    let (off, blk_pos) = cgr.read_ref_offset(ref_pos).expect("refOffset");
-    assert_eq!(off, 1);
-    let (blk_num, len_pos) = cgr.read_count(blk_pos).expect("blockNum");
-    assert_eq!(blk_num, 1, "one all-copy block expected");
-    let (len, _) = cgr.read_block_len(len_pos).expect("blockLen");
-    assert_eq!(len, 8);
+    // Header codewords are γ-coded here and carry a +1 shift.
+    let bits = cgr.bits();
+    let (_deg, ref_pos) = Code::Gamma.decode_at(bits, cgr.offset(1)).expect("degNum");
+    let (off, blk_pos) = Code::Gamma.decode_at(bits, ref_pos).expect("refOffset");
+    assert_eq!(off, 1 + 1);
+    let (blk_num, len_pos) = Code::Gamma.decode_at(bits, blk_pos).expect("blockNum");
+    assert_eq!(blk_num, 1 + 1, "one all-copy block expected");
+    let (len, _) = Code::Gamma.decode_at(bits, len_pos).expect("blockLen");
+    assert_eq!(len, 8 + 1);
     let mut buf = buffer(&cgr);
     // write_block_len encodes len + 1: 15 decodes to a span of 14 > 8.
     patch_payload_codeword(&mut buf, cgr.bits().words().len(), len_pos, 15);
