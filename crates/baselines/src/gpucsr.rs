@@ -7,9 +7,10 @@
 //! gathering), and the remainder is packed through an exclusive scan —
 //! structurally the same cooperative schedule as GCGT's interval expansion,
 //! but reading raw 32-bit column indices with **no decode steps at all**.
-//! CC and BC reuse the generic apps of `gcgt-core` (Soman hooking /
-//! Brandes passes) over this expander, exactly as the paper pairs
-//! Merrill-BFS with Soman-CC and Sriram-BC under the `GPUCSR` label.
+//! CC and BC reuse the generic apps of `gcgt-core` (Soman et al.'s stages
+//! with an ECL-CC union-find link / Brandes passes) over this expander, as
+//! the paper pairs Merrill-BFS with Soman-CC and Sriram-BC under the
+//! `GPUCSR` label: both sides run the same one-pass CC.
 
 use gcgt_core::kernels::Sink;
 use gcgt_core::{memory, DirectionMode, Expander, Frontier};

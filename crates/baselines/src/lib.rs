@@ -9,8 +9,8 @@
 //!   compressed adjacency ([`LigraPlusGraph`], Ligra+, DCC'15);
 //! * [`gpucsr`] — Merrill et al.-style BFS on **uncompressed CSR** on the
 //!   SIMT simulator (scan-based gathering with warp-cooperative expansion of
-//!   large lists), plus Soman CC and Sriram/Brandes BC — the paper's
-//!   `GPUCSR` standalone baselines;
+//!   large lists), plus CC (Soman et al.'s stages with an ECL-CC link) and
+//!   Sriram/Brandes BC — the paper's `GPUCSR` standalone baselines;
 //! * [`gunrock_like`] — a Gunrock-style advance+filter two-kernel pipeline
 //!   with the platform's ~3× device-memory overhead, reproducing the OOM
 //!   behaviour of Figures 8 and 15.

@@ -4,8 +4,12 @@
 //! CC runs on the symmetrized graphs (components are undirected); BC runs
 //! two BFS-like passes from one source. The paper's observations reproduced
 //! here: GPU extensions stay within moderate overhead of the CSR baselines,
-//! BC behaves like ~2× BFS, node-centric CC pays extra on twitter's
-//! super-nodes, and Gunrock OOMs on the large datasets.
+//! BC behaves like ~2× BFS, and Gunrock OOMs on the large datasets. CC
+//! decodes the graph once (one expansion, a union-find link, pointer
+//! jumping), so it costs less than BC on every dataset: on twitter at scale
+//! 0.5, 0.20 ms against BC's 0.41. Twitter's super-nodes floor that one
+//! expansion launch, whose critical path is the warp decoding the largest
+//! hub, but most of twitter's CC time is the link's scattered label reads.
 
 use std::sync::Arc;
 

@@ -119,9 +119,9 @@ impl Algorithm for Bfs {
     }
 }
 
-/// Connected components (hooking + pointer jumping). Run it on a session
-/// built with `.symmetrize(true)` — components are defined on the
-/// undirected view.
+/// Connected components (one expansion, union-find linking, pointer
+/// jumping). Run it on a session built with `.symmetrize(true)` —
+/// components are defined on the undirected view.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Cc;
 

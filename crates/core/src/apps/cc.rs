@@ -1,19 +1,28 @@
-//! Connected components on the GCGT pipeline (Figure 7(c)): hooking plus
-//! pointer jumping (Soman et al., adapted to node-centric frontiers).
+//! Connected components on the GCGT pipeline (Figure 7(c)): Soman et al.'s
+//! expand → filter → hook → pointer-jump stages, run **once**, with the hook
+//! made an exact union-find link (ECL-CC: Jaiganesh & Burtscher, HPDC 2018).
 //!
-//! Each iteration expands the frontier over the compressed graph; the
-//! filtering step emits edges whose endpoints currently disagree on their
-//! component; hooking applies an `atomicMin`-style link of the larger root
-//! under the smaller; pointer-jumping launches flatten the component trees;
-//! nodes whose component changed form the next frontier. Components are
-//! defined over the *undirected* view — pass a CGR of the symmetrized graph
-//! (asserted only by convention; directed input converges to directed-
-//! reachability hooks, which is not CC).
+//! 1. **Expand.** One expansion launch decodes every node's adjacency. The
+//!    filter keeps each undirected edge once (`v < u`), a register compare:
+//!    every node is still its own root, so no label is read.
+//! 2. **Link.** Each kept pair finds both endpoints' roots with path halving
+//!    and hooks the larger root under the smaller. ECL-CC links inside the
+//!    neighbour loop, so the device holds no pair queue; the model charges
+//!    the links as a launch of their own, one lane per pair in warp order,
+//!    so that their cost does not depend on host thread order.
+//! 3. **Compress.** Pointer-jumping launches flatten every tree.
+//!
+//! A root is only ever hooked under a smaller root, so every label ends as
+//! the smallest node id of its component, whatever the diameter, after one
+//! pass over the edges. Components are defined over the *undirected* view:
+//! pass a CGR of the symmetrized graph (asserted only by convention; on
+//! directed input an edge whose reverse is missing links only from its
+//! larger end, which is not CC).
 
 use gcgt_graph::NodeId;
-use gcgt_simt::{Charge, Device, IterationCost, OpClass, RunStats, Space, WarpSim};
+use gcgt_simt::{Charge, Device, DeviceConfig, IterationCost, OpClass, RunStats, Space, WarpSim};
 
-use crate::engine::{compact_frontier, launch_expansion, Expander};
+use crate::engine::{launch_expansion, Expander};
 use crate::kernels::Sink;
 
 /// Result of a simulated CC run.
@@ -23,43 +32,21 @@ pub struct CcRun {
     pub component: Vec<NodeId>,
     /// Number of distinct components.
     pub count: usize,
-    /// Hooking iterations executed.
+    /// Passes over the edge set: 1 for a non-empty graph.
     pub iterations: u32,
     /// Simulated-device statistics.
     pub stats: RunStats,
 }
 
-/// Filtering sink: emits `(u, v)` pairs whose component labels differ.
-struct HookSink<'c> {
-    comp: &'c [NodeId],
-    out: Vec<(NodeId, NodeId)>,
-}
+/// Filtering sink: keeps each undirected edge once, as `(u, v)` with
+/// `v < u`.
+struct EdgeSink(Vec<(NodeId, NodeId)>);
 
-impl Sink for HookSink<'_> {
+impl Sink for EdgeSink {
     fn handle(&mut self, warp: &mut WarpSim, items: &[(NodeId, NodeId)]) {
-        // Label lookups for both endpoints (u's label is usually in
-        // registers after the first read; v's is scattered).
-        warp.issue_mem(
-            OpClass::Handle,
-            items.len(),
-            items
-                .iter()
-                .map(|&(_, v)| Space::Labels.addr(4 * u64::from(v))),
-        );
-        let flags: Vec<u32> = items
-            .iter()
-            .map(|&(u, v)| u32::from(self.comp[u as usize] != self.comp[v as usize]))
-            .collect();
-        let (_, total) = warp.exclusive_scan(&flags);
-        if total == 0 {
-            return;
-        }
-        warp.atomic_add(Space::Output.addr(0));
-        for (i, &(u, v)) in items.iter().enumerate() {
-            if flags[i] == 1 {
-                self.out.push((u, v));
-            }
-        }
+        // A compare of two ids already in registers: no memory touched.
+        warp.issue(OpClass::Handle, items.len());
+        self.0.extend(items.iter().filter(|&&(u, v)| v < u));
     }
 }
 
@@ -76,38 +63,15 @@ pub fn cc_in(engine: &dyn Expander, device: &mut Device) -> CcRun {
     let n = engine.num_nodes();
     let before = device.stats();
     let scratch = crate::apps::alloc_scratch(engine, device);
+    // Every node starts as its own root.
     let mut comp: Vec<NodeId> = (0..n as NodeId).collect();
-    let mut frontier: Vec<NodeId> = (0..n as NodeId).collect();
-    let mut iterations = 0u32;
-
-    while !frontier.is_empty() {
-        iterations += 1;
-        let snapshot = comp.clone();
-        let sinks = launch_expansion(engine, device, &frontier, || HookSink {
-            comp: &snapshot,
-            out: Vec::new(),
-        });
-        // Hooking: link the larger root under the smaller (atomicMin
-        // semantics — order-independent, hence deterministic).
-        let mut hooked = false;
-        for sink in sinks {
-            for (u, v) in sink.out {
-                let (cu, cv) = (snapshot[u as usize], snapshot[v as usize]);
-                if cu == cv {
-                    continue;
-                }
-                let (lo, hi) = if cu < cv { (cu, cv) } else { (cv, cu) };
-                if comp[hi as usize] > lo {
-                    comp[hi as usize] = lo;
-                    hooked = true;
-                }
-            }
-        }
-        if !hooked {
-            break;
-        }
-        // Pointer jumping: flatten every component tree to one level
-        // (each round is its own kernel launch over all nodes).
+    if n > 0 {
+        // The one expansion launch: every node is a work node.
+        let sinks = launch_expansion(engine, device, &comp, || EdgeSink(Vec::new()));
+        let pairs = sinks.iter().flat_map(|sink| &sink.0);
+        link_launch(engine.device_config(), device, &mut comp, pairs);
+        // Pointer jumping: flatten every component tree to one level (each
+        // round is its own kernel launch over all nodes).
         loop {
             let mut changed = false;
             account_jump_launch(engine, device, n);
@@ -123,13 +87,6 @@ pub fn cc_in(engine: &dyn Expander, device: &mut Device) -> CcRun {
                 break;
             }
         }
-        // Next frontier: nodes whose component changed this iteration,
-        // gathered on the device by the bitmap-to-queue launch — at every
-        // size, since no queue append produced it.
-        frontier = (0..n as NodeId)
-            .filter(|&x| comp[x as usize] != snapshot[x as usize])
-            .collect();
-        compact_frontier(engine, device, &mut frontier);
     }
 
     let mut count = 0usize;
@@ -142,9 +99,98 @@ pub fn cc_in(engine: &dyn Expander, device: &mut Device) -> CcRun {
     CcRun {
         component: comp,
         count,
-        iterations,
+        iterations: u32::from(n > 0),
         stats: device.stats().since(&before),
     }
+}
+
+/// Finds `x`'s root with path halving, appending to `hops` every node whose
+/// label the walk reads.
+fn find(comp: &mut [NodeId], mut x: NodeId, hops: &mut Vec<NodeId>) -> NodeId {
+    loop {
+        hops.push(x);
+        let p = comp[x as usize];
+        if p == x {
+            return x;
+        }
+        hops.push(p);
+        let g = comp[p as usize];
+        if g == p {
+            return p;
+        }
+        comp[x as usize] = g;
+        x = g;
+    }
+}
+
+/// One lane of the link launch: the label reads of its two finds,
+/// `hops[walks[0]..walks[1]]` and `hops[walks[1]..walks[2]]`, and the root it
+/// hooked, if any.
+struct Lane {
+    walks: [usize; 3],
+    hooked: Option<NodeId>,
+}
+
+/// The link launch: links `pairs` into `comp` serially, in order (hence
+/// deterministically), and charges them `warp_width` lanes per warp. Each
+/// find is a loop the warp's lanes run in lockstep, one scattered `Labels`
+/// read per hop, so a warp pays for its longest walk; the lanes that hook
+/// then share one CAS step. It reads no graph bytes.
+fn link_launch<'p>(
+    config: &DeviceConfig,
+    device: &mut Device,
+    comp: &mut [NodeId],
+    pairs: impl Iterator<Item = &'p (NodeId, NodeId)>,
+) {
+    let width = config.warp_width;
+    let mut cost = IterationCost::default();
+    // One context, one hop buffer and one lane buffer serve every warp.
+    let mut warp = WarpSim::new(width, config.cache_lines_per_warp);
+    let mut hops = Vec::new();
+    let mut lanes = Vec::with_capacity(width);
+    let mut pairs = pairs.peekable();
+    while pairs.peek().is_some() {
+        hops.clear();
+        lanes.clear();
+        for &(u, v) in pairs.by_ref().take(width) {
+            let start = hops.len();
+            let ru = find(comp, u, &mut hops);
+            let mid = hops.len();
+            let rv = find(comp, v, &mut hops);
+            let (lo, hi) = (ru.min(rv), ru.max(rv));
+            let hooked = (lo != hi).then(|| {
+                comp[hi as usize] = lo;
+                hi
+            });
+            lanes.push(Lane {
+                walks: [start, mid, hops.len()],
+                hooked,
+            });
+        }
+        for walk in 0..2 {
+            for step in 0.. {
+                let reads = lanes
+                    .iter()
+                    .filter_map(|lane| hops[lane.walks[walk]..lane.walks[walk + 1]].get(step));
+                let active = reads.clone().count();
+                if active == 0 {
+                    break;
+                }
+                let addrs = reads.map(|&x| Space::Labels.addr(4 * u64::from(x)));
+                warp.issue_mem(OpClass::Jump, active, addrs);
+            }
+        }
+        let hooks = lanes.iter().filter_map(|lane| lane.hooked);
+        let active = hooks.clone().count();
+        if active > 0 {
+            let addrs = hooks.map(|root| Space::Labels.addr(4 * u64::from(root)));
+            warp.issue_mem(OpClass::Atomic, active, addrs);
+        }
+        let (tally, mem) = warp.take_counters();
+        cost.add_warp(&tally, &mem, config);
+        cost.warps += 1;
+    }
+    device.record(Charge::launch(&cost, device.config()));
 }
 
 /// Accounts one pointer-jumping kernel launch: warps stride over all nodes,
@@ -187,7 +233,9 @@ mod tests {
     use gcgt_graph::gen::{social_graph, toys, web_graph, SocialParams, WebParams};
     use gcgt_graph::refalgo;
     use gcgt_graph::Csr;
-    use gcgt_simt::DeviceConfig;
+    use gcgt_simt::obs::LevelEvent;
+    use gcgt_simt::{DeviceConfig, Observer, ObserverHandle};
+    use std::sync::{Arc, Mutex};
 
     fn run_cc(graph: &Csr, strategy: Strategy) -> CcRun {
         let sym = graph.symmetrized();
@@ -234,11 +282,69 @@ mod tests {
     }
 
     #[test]
-    fn converges_in_logarithmically_many_iterations() {
-        let g = toys::path(512).symmetrized();
-        let got = run_cc(&g, Strategy::Full);
-        assert_eq!(got.count, 1);
-        // A path is the worst case for hooking; must still be far below n.
-        assert!(got.iterations <= 24, "{} iterations", got.iterations);
+    fn a_link_warp_pays_for_its_longest_walk() {
+        let config = DeviceConfig::test_tiny();
+        let mut device = config.new_device();
+        let mut comp: Vec<NodeId> = (0..4).collect();
+        let pairs = [(1, 0), (2, 0), (3, 1)];
+        link_launch(&config, &mut device, &mut comp, pairs.iter());
+        // 1 and 2 hook under 0; 3's partner 1 is then one hop below root 0.
+        assert_eq!(comp, [0, 0, 0, 0]);
+        let tally = device.stats().tally;
+        // Walk u: one step for all three lanes. Walk v: two steps, the
+        // second for the third lane alone. Then one CAS step for all three.
+        assert_eq!(tally.issues[OpClass::Jump as usize], 3);
+        assert_eq!(tally.issues[OpClass::Atomic as usize], 1);
+        assert_eq!(tally.lane_work, 3 + 3 + 1 + 3);
+    }
+
+    /// Directions of the levels an observer saw.
+    #[derive(Default)]
+    struct Levels(Mutex<Vec<&'static str>>);
+
+    impl Observer for Levels {
+        fn level(&self, event: &LevelEvent) {
+            self.0.lock().unwrap().push(event.direction);
+        }
+    }
+
+    #[test]
+    fn one_pass_whatever_the_diameter() {
+        // Minima 12 and 17, each reached only through larger ids.
+        let mid_range = [
+            (30, 12),
+            (25, 30),
+            (39, 25),
+            (21, 39),
+            (38, 17),
+            (22, 38),
+            (33, 22),
+        ];
+        let loops_and_duplicates = [(3, 3), (5, 2), (5, 2), (2, 5), (7, 7), (7, 6), (6, 7)];
+        let cases = [
+            ("path", toys::path(2_000)),
+            ("mid-range minima", Csr::from_edges(40, &mid_range)),
+            ("isolated", Csr::empty(9)),
+            (
+                "self-loops and duplicates",
+                Csr::from_edges(8, &loops_and_duplicates),
+            ),
+        ];
+        for (name, graph) in cases {
+            let sym = graph.symmetrized();
+            let cfg = Strategy::Full.cgr_config(&CgrConfig::paper_default());
+            let cgr = CgrGraph::encode(&sym, &cfg);
+            let engine = GcgtEngine::new(&cgr, DeviceConfig::default(), Strategy::Full).unwrap();
+            let levels = Arc::new(Levels::default());
+            let mut device = engine.new_device();
+            device.set_observer(ObserverHandle::from_arc(levels.clone()));
+            let got = cc_in(&engine, &mut device);
+            let want = refalgo::connected_components(&sym);
+            assert_eq!(got.component, want.component, "{name}");
+            assert_eq!(got.count, want.count, "{name}");
+            assert_eq!(got.iterations, 1, "{name}");
+            // One graph-decoding launch, and no frontier to compact.
+            assert_eq!(*levels.0.lock().unwrap(), ["push"], "{name}");
+        }
     }
 }

@@ -5,7 +5,8 @@
 //! step differs:
 //!
 //! * [`bfs`] — unvisited check + depth labelling (Figure 7(b));
-//! * [`cc`] — hooking + pointer-jumping (Figure 7(c), Soman et al.);
+//! * [`cc`] — one expansion, union-find linking and pointer jumping
+//!   (Figure 7(c), Soman et al.'s stages with ECL-CC's link);
 //! * [`bc`] — forward σ pass + backward δ pass (Figure 7(d), Brandes);
 //! * [`pagerank`] — rank push (the Personalized-PageRank style extension the
 //!   paper lists as pipeline-compatible);
@@ -20,8 +21,8 @@
 //! [fills the device](gcgt_simt::DeviceConfig::fills_device) is then
 //! compacted into ascending node order by one charged bitmap-to-queue
 //! launch ([`crate::engine::compact_frontier`]: BFS before a push level,
-//! BC on every forward level); CC gathers its changed nodes through the same
-//! launch at every size. Smaller frontiers keep warp order.
+//! BC on every forward level). Smaller frontiers keep warp order. CC has no
+//! next frontier: its one expansion covers every node.
 
 pub mod bc;
 pub mod bfs;

@@ -272,10 +272,7 @@ fn launch<T: Send>(
     };
     let mut outs = Vec::with_capacity(results.len());
     for ((tally, mem), out) in results {
-        let critical = device_config.warp_critical_cycles(&tally, &mem);
-        cost.max_warp_cycles = cost.max_warp_cycles.max(critical);
-        cost.tally.merge(&tally);
-        cost.mem.merge(&mem);
+        cost.add_warp(&tally, &mem, device_config);
         outs.push(out);
     }
     device.record(Charge::launch(&cost, device.config()));
@@ -458,10 +455,7 @@ fn compaction_cost(n: usize, sorted: &[NodeId], config: &DeviceConfig) -> Iterat
             queued = slots.end;
         }
         let (tally, mem) = warp.into_counters();
-        let critical = config.warp_critical_cycles(&tally, &mem);
-        cost.max_warp_cycles = cost.max_warp_cycles.max(critical);
-        cost.tally.merge(&tally);
-        cost.mem.merge(&mem);
+        cost.add_warp(&tally, &mem, config);
     }
     debug_assert!(rest.is_empty(), "frontier node out of range");
     cost

@@ -1,8 +1,10 @@
 //! Serial connected components (union-find oracle).
 //!
-//! Components are computed over the *undirected* view of the graph, matching
-//! the semantics of Soman et al.'s GPU algorithm that the paper adopts
-//! (Section 6, Figure 7(c)).
+//! Components are computed over the *undirected* view of the graph, the
+//! semantics of the CC the paper adopts (Section 6, Figure 7(c)). The
+//! simulated CC links with the same rule, but over one direction of each
+//! edge and in the device's warp order; the labels (smallest member id) do
+//! not depend on that order, so this oracle checks them exactly.
 
 use crate::csr::{Csr, NodeId};
 

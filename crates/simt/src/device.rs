@@ -217,6 +217,17 @@ pub struct IterationCost {
     pub max_warp_cycles: f64,
 }
 
+impl IterationCost {
+    /// Folds one warp's counters into the launch: tallies and memory
+    /// counters add up, and its critical path may become the launch's.
+    pub fn add_warp(&mut self, tally: &Tally, mem: &MemStats, config: &DeviceConfig) {
+        let critical = config.warp_critical_cycles(tally, mem);
+        self.max_warp_cycles = self.max_warp_cycles.max(critical);
+        self.tally.merge(tally);
+        self.mem.merge(mem);
+    }
+}
+
 /// A simulated device: residency, fault injection and the run's
 /// [`RunStats`].
 ///

@@ -186,6 +186,12 @@ impl MemSim {
     pub fn stats(&self) -> &MemStats {
         &self.counters
     }
+
+    /// Empties the cache and zeroes the counters, keeping the allocations.
+    pub fn reset(&mut self) {
+        self.cache.fill(u64::MAX);
+        self.counters = MemStats::default();
+    }
 }
 
 #[cfg(test)]

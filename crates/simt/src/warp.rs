@@ -194,6 +194,16 @@ impl WarpSim {
     pub fn into_counters(self) -> (Tally, MemStats) {
         (self.tally, *self.mem.stats())
     }
+
+    /// Returns the `(tally, mem)` counters and leaves the warp as
+    /// [`WarpSim::new`] made it, so one context can price many warps in turn
+    /// without allocating a cache for each.
+    pub fn take_counters(&mut self) -> (Tally, MemStats) {
+        let counters = (self.tally, *self.mem.stats());
+        self.tally = Tally::new(self.width);
+        self.mem.reset();
+        counters
+    }
 }
 
 #[cfg(test)]
@@ -244,6 +254,21 @@ mod tests {
         w.atomic_add(Space::Output.addr(0));
         assert_eq!(w.tally().issues[OpClass::Atomic as usize], 1);
         assert_eq!(w.mem_stats().transactions, 1);
+    }
+
+    #[test]
+    fn take_counters_leaves_a_fresh_warp() {
+        let step = |w: &mut WarpSim| w.issue_mem(OpClass::Jump, 1, [Space::Labels.addr(0)]);
+        let mut fresh = WarpSim::new(8, 16);
+        step(&mut fresh);
+        let mut w = WarpSim::new(8, 16);
+        step(&mut w);
+        step(&mut w);
+        assert_eq!(w.mem_stats().cache_hits, 1);
+        w.take_counters();
+        // The cache is empty again: the same line misses, as on a new warp.
+        step(&mut w);
+        assert_eq!(w.take_counters(), fresh.into_counters());
     }
 
     #[test]
