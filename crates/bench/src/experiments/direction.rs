@@ -7,14 +7,16 @@
 //! This is the observability counterpart of `RunStats::{push_steps,
 //! pull_steps, pushed_edges, pulled_edges}`: the table shows, per graph
 //! size, how many candidate edges each schedule expanded and what the
-//! simulated device charged for it.
+//! simulated device charged for it. The last two columns run betweenness
+//! centrality from the same source under both policies: its forward pass
+//! pulls a level when the unvisited nodes have fewer edges than the
+//! frontier, and must answer exactly as pure push does.
 
 use super::ExperimentContext;
 use crate::table::{fmt_ms, Table};
-use gcgt_core::BfsRun;
-use gcgt_core::Strategy;
+use gcgt_core::{Algorithm, Strategy};
 use gcgt_graph::gen::{social_graph, SocialParams};
-use gcgt_session::{Bfs, DirectionMode, EngineKind, Run, Session};
+use gcgt_session::{Bc, Bfs, DirectionMode, EngineKind, Run, Session};
 
 /// Graph-size multipliers swept relative to the scale's base size.
 pub const SWEEP: [f64; 3] = [0.5, 1.0, 2.0];
@@ -40,6 +42,10 @@ pub struct DirectionRow {
     pub push_ms: f64,
     /// Simulated milliseconds, adaptive.
     pub adaptive_ms: f64,
+    /// Simulated milliseconds of BC from the same source, pure push.
+    pub bc_push_ms: f64,
+    /// Simulated milliseconds of BC from the same source, adaptive.
+    pub bc_adaptive_ms: f64,
 }
 
 impl DirectionRow {
@@ -53,14 +59,18 @@ impl DirectionRow {
     }
 }
 
-fn run_direction(graph: &std::sync::Arc<gcgt_graph::Csr>, direction: DirectionMode) -> Run<BfsRun> {
+fn run_direction<A: Algorithm>(
+    graph: &std::sync::Arc<gcgt_graph::Csr>,
+    direction: DirectionMode,
+    query: A,
+) -> Run<A::Output> {
     Session::builder()
         .graph_shared(std::sync::Arc::clone(graph))
         .engine(EngineKind::Gcgt(Strategy::Full))
         .direction(direction)
         .build()
         .expect("direction sweep graphs fit the default device")
-        .run(Bfs::from(0))
+        .run(query)
 }
 
 /// Runs the sweep (the base size scales with `ctx.scale`, so `--smoke`
@@ -77,12 +87,16 @@ pub fn rows(ctx: &ExperimentContext) -> Vec<DirectionRow> {
                 social_graph(&SocialParams::twitter_like(nodes), 0xD12).symmetrized(),
             );
 
-            let push = run_direction(&graph, DirectionMode::Push);
-            let adaptive = run_direction(&graph, DirectionMode::Adaptive);
+            let push = run_direction(&graph, DirectionMode::Push, Bfs::from(0));
+            let adaptive = run_direction(&graph, DirectionMode::Adaptive, Bfs::from(0));
             assert_eq!(
                 push.output.depth, adaptive.output.depth,
                 "schedules must answer identically"
             );
+            let bc_push = run_direction(&graph, DirectionMode::Push, Bc::from(0));
+            let bc_adaptive = run_direction(&graph, DirectionMode::Adaptive, Bc::from(0));
+            assert_eq!(bc_push.output.depth, bc_adaptive.output.depth, "BC depth");
+            assert_eq!(bc_push.output.sigma, bc_adaptive.output.sigma, "BC σ");
             DirectionRow {
                 factor,
                 nodes,
@@ -93,6 +107,8 @@ pub fn rows(ctx: &ExperimentContext) -> Vec<DirectionRow> {
                 pull_steps: adaptive.stats.pull_steps,
                 push_ms: push.stats.est_ms,
                 adaptive_ms: adaptive.stats.est_ms,
+                bc_push_ms: bc_push.stats.est_ms,
+                bc_adaptive_ms: bc_adaptive.stats.est_ms,
             }
         })
         .collect()
@@ -101,8 +117,8 @@ pub fn rows(ctx: &ExperimentContext) -> Vec<DirectionRow> {
 /// Renders the sweep as a table.
 pub fn render(rows: &[DirectionRow]) -> Table {
     let mut t = Table::new(
-        "Direction-optimizing BFS — expanded edges and simulated ms, push vs adaptive \
-         (low-diameter social generator, GCGT Full)",
+        "Direction-optimizing BFS and BC — expanded edges and simulated ms, push vs \
+         adaptive (low-diameter social generator, GCGT Full)",
         &[
             "Size",
             "Nodes",
@@ -114,6 +130,8 @@ pub fn render(rows: &[DirectionRow]) -> Table {
             "Pull lvls",
             "Push ms",
             "Adaptive ms",
+            "BC push ms",
+            "BC adaptive ms",
         ],
     );
     for r in rows {
@@ -128,6 +146,8 @@ pub fn render(rows: &[DirectionRow]) -> Table {
             r.pull_steps.to_string(),
             fmt_ms(r.push_ms),
             fmt_ms(r.adaptive_ms),
+            fmt_ms(r.bc_push_ms),
+            fmt_ms(r.bc_adaptive_ms),
         ]);
     }
     t

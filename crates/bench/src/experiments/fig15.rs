@@ -7,7 +7,7 @@
 //! BC behaves like ~2× BFS, and Gunrock OOMs on the large datasets. CC
 //! decodes the graph once (one expansion, a union-find link, pointer
 //! jumping), so it costs less than BC on every dataset: on twitter at scale
-//! 0.5, 0.20 ms against BC's 0.41. Twitter's super-nodes floor that one
+//! 0.5, 0.20 ms against BC's 0.40. Twitter's super-nodes floor that one
 //! expansion launch, whose critical path is the warp decoding the largest
 //! hub, but most of twitter's CC time is the link's scattered label reads.
 

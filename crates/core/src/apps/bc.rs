@@ -6,14 +6,28 @@
 //! dependencies δ(v) = Σ σ(v)/σ(w) · (1 + δ(w)) over tree edges. Both passes
 //! reuse the expansion kernels; only the filtering differs — and unlike BFS
 //! it must observe *every* edge into the next level, not just first
-//! discoveries, which is why BC costs roughly two BFS traversals plus extra
-//! label traffic (Figure 15).
+//! discoveries, so a push level expands every frontier edge and extra label
+//! traffic rides on each (Figure 15).
+//!
+//! Under a pull or adaptive [`Expander::direction`] (symmetric adjacency) a
+//! forward level may instead **pull**: every unvisited node expands its own
+//! adjacency and keeps the neighbours on the frontier's level — Beamer's
+//! bottom-up step, Gunrock's advance run the other way. A BC pull cannot
+//! exit at the first parent, because σ(v) sums over all of them, so the
+//! level pulls exactly when the unvisited nodes' edges are fewer than the
+//! frontier's, and it runs the full expansion kernels ([`launch_gather`]),
+//! never the early-exit scan. Push engines keep push levels throughout.
+//!
+//! Neither pass launches where nothing can come of it: the forward pass
+//! stops once every node is reached, and the backward pass skips the
+//! deepest level, whose δ is 0 by definition.
 
 use gcgt_graph::{NodeId, UNREACHED};
 use gcgt_simt::{Device, OpClass, RunStats, Space, WarpSim};
 
-use crate::engine::{compact_frontier, launch_expansion, Expander};
+use crate::engine::{compact_frontier, launch_expansion, launch_gather, Expander};
 use crate::kernels::Sink;
+use crate::strategy::DirectionMode;
 
 /// Result of a simulated single-source BC run.
 #[derive(Clone, Debug, PartialEq)]
@@ -26,6 +40,16 @@ pub struct BcRun {
     pub delta: Vec<f64>,
     /// Simulated-device statistics.
     pub stats: RunStats,
+}
+
+/// Device address of node `v`'s depth label.
+fn depth_addr(v: NodeId) -> u64 {
+    Space::Labels.addr(4 * u64::from(v))
+}
+
+/// Device address of node `v`'s σ (and δ) accumulator.
+fn sigma_addr(v: NodeId) -> u64 {
+    Space::Labels.addr((1 << 30) + 8 * u64::from(v))
 }
 
 /// Emits every `(u, v)` pair with a depth-label lookup — the forward pass
@@ -45,9 +69,7 @@ impl Sink for LabelSink<'_> {
         warp.issue_mem(
             OpClass::Handle,
             items.len(),
-            items
-                .iter()
-                .map(|&(_, v)| Space::Labels.addr(4 * u64::from(v))),
+            items.iter().map(|&(_, v)| depth_addr(v)),
         );
         let flags: Vec<u32> = items
             .iter()
@@ -67,12 +89,57 @@ impl Sink for LabelSink<'_> {
                 .iter()
                 .zip(&flags)
                 .filter(|(_, &f)| f == 1)
-                .map(|(&(_, v), _)| Space::Labels.addr((1 << 30) + 8 * u64::from(v))),
+                .map(|(&(_, v), _)| sigma_addr(v)),
         );
         for (i, &(u, v)) in items.iter().enumerate() {
             if flags[i] == 1 {
                 self.out.push((u, v));
             }
+        }
+    }
+}
+
+/// The pull-level filter: each candidate `v` keeps the neighbours `u` on
+/// the frontier's level `du` (a scattered depth lookup) and reads their σ.
+/// A lane sums its candidate's σ in a register, so no queue, scan or atomic
+/// is involved; the candidate's σ and depth are written back once, charged
+/// with the pack that finds its first parent.
+struct ParentSink<'d> {
+    depth: &'d [u32],
+    du: u32,
+    /// Candidates of this warp that found a parent.
+    found: Vec<NodeId>,
+    /// `(candidate, parent)` pairs in emission order.
+    out: Vec<(NodeId, NodeId)>,
+}
+
+impl Sink for ParentSink<'_> {
+    fn handle(&mut self, warp: &mut WarpSim, items: &[(NodeId, NodeId)]) {
+        warp.issue_mem(
+            OpClass::Handle,
+            items.len(),
+            items.iter().map(|&(_, u)| depth_addr(u)),
+        );
+        let kept = self.out.len();
+        self.out.extend(
+            items
+                .iter()
+                .filter(|&&(_, u)| self.depth[u as usize] == self.du),
+        );
+        let parents = &self.out[kept..];
+        if parents.is_empty() {
+            return;
+        }
+        warp.access(parents.iter().map(|&(_, u)| sigma_addr(u)));
+        let first = self.found.len();
+        for &(v, _) in parents {
+            if !self.found.contains(&v) {
+                self.found.push(v);
+            }
+        }
+        let fresh = &self.found[first..];
+        if !fresh.is_empty() {
+            warp.access(fresh.iter().flat_map(|&v| [depth_addr(v), sigma_addr(v)]));
         }
     }
 }
@@ -88,6 +155,7 @@ pub fn bc(engine: &dyn Expander, source: NodeId) -> BcRun {
 pub fn bc_in(engine: &dyn Expander, device: &mut Device, source: NodeId) -> BcRun {
     let n = engine.num_nodes();
     assert!((source as usize) < n);
+    let may_pull = engine.direction() != DirectionMode::Push;
     let before = device.stats();
     let scratch = crate::apps::alloc_scratch(engine, device);
     let mut depth = vec![UNREACHED; n];
@@ -97,24 +165,54 @@ pub fn bc_in(engine: &dyn Expander, device: &mut Device, source: NodeId) -> BcRu
 
     // --- forward pass: levels, σ ---
     let mut levels: Vec<Vec<NodeId>> = vec![vec![source]];
-    loop {
+    let mut unreached = n - 1;
+    // Edge sums of the frontier and of the unvisited nodes: the two costs
+    // the direction choice compares. Kept only when a level may pull, each
+    // node's degree read once, when it is reached.
+    let degrees = |nodes: &[NodeId]| -> usize {
+        if may_pull {
+            nodes.iter().map(|&u| engine.out_degree(u)).sum()
+        } else {
+            0
+        }
+    };
+    let mut frontier_edges = degrees(&levels[0]);
+    let mut unvisited_edges = engine.num_edges() - frontier_edges;
+    while unreached > 0 {
         let du = (levels.len() - 1) as u32;
-        let frontier = levels
-            .last()
-            .expect("levels starts non-empty and only grows")
-            .clone();
-        let sinks = launch_expansion(engine, device, &frontier, || LabelSink {
-            depth: &depth,
-            du,
-            keep_unvisited: true,
-            out: Vec::new(),
-        });
-        // Detach the owned pair lists so the sinks' borrow of `depth` ends
-        // before the merge mutates it.
-        let outs: Vec<Vec<(NodeId, NodeId)>> = sinks.into_iter().map(|s| s.out).collect();
+        let frontier = &levels[du as usize];
         let mut next: Vec<NodeId> = Vec::new();
-        for out in outs {
-            for (u, v) in out {
+        if may_pull && unvisited_edges < frontier_edges {
+            // Ascending candidates, and warps merge in order, so the next
+            // level comes out ascending: it needs no compaction.
+            let candidates: Vec<NodeId> = (0..n as NodeId)
+                .filter(|&v| depth[v as usize] == UNREACHED)
+                .collect();
+            let sinks = launch_gather(engine, device, &candidates, || ParentSink {
+                depth: &depth,
+                du,
+                found: Vec::new(),
+                out: Vec::new(),
+            });
+            let outs: Vec<Vec<(NodeId, NodeId)>> = sinks.into_iter().map(|s| s.out).collect();
+            for (v, u) in outs.into_iter().flatten() {
+                if depth[v as usize] == UNREACHED {
+                    depth[v as usize] = du + 1;
+                    next.push(v);
+                }
+                sigma[v as usize] += sigma[u as usize];
+            }
+        } else {
+            let sinks = launch_expansion(engine, device, frontier, || LabelSink {
+                depth: &depth,
+                du,
+                keep_unvisited: true,
+                out: Vec::new(),
+            });
+            // Detach the owned pair lists so the sinks' borrow of `depth`
+            // ends before the merge mutates it.
+            let outs: Vec<Vec<(NodeId, NodeId)>> = sinks.into_iter().map(|s| s.out).collect();
+            for (u, v) in outs.into_iter().flatten() {
                 if depth[v as usize] == UNREACHED {
                     depth[v as usize] = du + 1;
                     next.push(v);
@@ -123,24 +221,28 @@ pub fn bc_in(engine: &dyn Expander, device: &mut Device, source: NodeId) -> BcRu
                     sigma[v as usize] += sigma[u as usize];
                 }
             }
+            // Same rule as BFS push levels: only a device-filling level is
+            // compacted into ascending order, and the backward pass reuses
+            // it.
+            if engine.device_config().fills_device(next.len()) {
+                compact_frontier(engine, device, &mut next);
+            }
         }
         if next.is_empty() {
             break;
         }
-        // Same rule as BFS push levels: only a device-filling level is
-        // compacted into ascending order, and the backward pass reuses it.
-        if engine.device_config().fills_device(next.len()) {
-            compact_frontier(engine, device, &mut next);
-        }
+        unreached -= next.len();
+        frontier_edges = degrees(&next);
+        unvisited_edges -= frontier_edges;
         levels.push(next);
     }
 
-    // --- backward pass: δ, walking levels deepest-first ---
+    // --- backward pass: δ, walking levels deepest-first. The deepest
+    // level's δ is 0, and its tree edges lead nowhere: it is not launched ---
     let mut delta = vec![0.0f64; n];
-    for lvl in (0..levels.len()).rev() {
+    for lvl in (0..levels.len() - 1).rev() {
         let du = lvl as u32;
-        let frontier = &levels[lvl];
-        let sinks = launch_expansion(engine, device, frontier, || LabelSink {
+        let sinks = launch_expansion(engine, device, &levels[lvl], || LabelSink {
             depth: &depth,
             du,
             keep_unvisited: false,
@@ -169,7 +271,7 @@ mod tests {
     use crate::engine::GcgtEngine;
     use crate::strategy::Strategy;
     use gcgt_cgr::{CgrConfig, CgrGraph};
-    use gcgt_graph::gen::{toys, web_graph, WebParams};
+    use gcgt_graph::gen::{social_graph, toys, web_graph, SocialParams, WebParams};
     use gcgt_graph::refalgo;
     use gcgt_graph::Csr;
     use gcgt_simt::DeviceConfig;
@@ -218,6 +320,140 @@ mod tests {
         assert_eq!(got.depth, want.depth);
         assert_eq!(got.sigma, want.sigma);
         assert_close(&got.delta, &want.delta, 1e-9);
+    }
+
+    /// Every level a run reports, in launch order: direction and work items.
+    #[derive(Default)]
+    struct Levels(std::sync::Mutex<Vec<(&'static str, u64)>>);
+
+    impl gcgt_simt::Observer for Levels {
+        fn level(&self, event: &gcgt_simt::obs::LevelEvent) {
+            self.0
+                .lock()
+                .unwrap()
+                .push((event.direction, event.work_items));
+        }
+    }
+
+    /// BC from `source` under `direction`, with the expansion levels it
+    /// launched (compactions left out).
+    fn run_observed(
+        graph: &Csr,
+        direction: DirectionMode,
+        source: NodeId,
+    ) -> (BcRun, Vec<(&'static str, u64)>) {
+        let cgr = CgrGraph::encode(
+            graph,
+            &Strategy::Full.cgr_config(&CgrConfig::paper_default()),
+        );
+        let engine = GcgtEngine::new(&cgr, DeviceConfig::default(), Strategy::Full)
+            .unwrap()
+            .with_direction(direction);
+        let levels = std::sync::Arc::new(Levels::default());
+        let mut device = engine.new_device();
+        device.set_observer(gcgt_simt::ObserverHandle::from_arc(levels.clone()));
+        let run = bc_in(&engine, &mut device, source);
+        let events = levels.0.lock().unwrap().clone();
+        let launched = events
+            .into_iter()
+            .filter(|&(d, _)| d != "compact")
+            .collect();
+        (run, launched)
+    }
+
+    /// A symmetric path of `n` nodes.
+    fn path(n: u32) -> Csr {
+        let edges: Vec<(NodeId, NodeId)> =
+            (0..n - 1).flat_map(|i| [(i, i + 1), (i + 1, i)]).collect();
+        Csr::from_edges(n as usize, &edges)
+    }
+
+    /// The skewed social graph with a ring through every node: connected,
+    /// so every node is reached, and its dense level pulls.
+    fn connected_social(n: u32) -> Csr {
+        let g = social_graph(&SocialParams::twitter_like(n as usize), 7);
+        let mut edges: Vec<(NodeId, NodeId)> = g.edges().collect();
+        edges.extend((0..n).map(|i| (i, (i + 1) % n)));
+        Csr::from_edges(n as usize, &edges).symmetrized()
+    }
+
+    #[test]
+    fn adaptive_equals_push_and_the_oracle_on_symmetric_graphs() {
+        // The social graph plus 20 isolated nodes and an unreachable edge:
+        // candidates never run out, so a pull level that finds no parent
+        // must end the forward pass.
+        let social = social_graph(&SocialParams::twitter_like(600), 5).symmetrized();
+        let n = social.num_nodes() as NodeId;
+        let mut edges: Vec<(NodeId, NodeId)> = social.edges().collect();
+        edges.extend([(n + 3, n + 4), (n + 4, n + 3)]);
+        let unreachable = Csr::from_edges(n as usize + 20, &edges);
+        for (name, g) in [
+            ("twitter_like(600)", social),
+            ("path", path(600)),
+            ("unreachable", unreachable),
+        ] {
+            let want = refalgo::betweenness_from_source(&g, 1);
+            let (push, _) = run_observed(&g, DirectionMode::Push, 1);
+            let (adaptive, levels) = run_observed(&g, DirectionMode::Adaptive, 1);
+            for got in [&push, &adaptive] {
+                assert_eq!(got.depth, want.depth, "{name}");
+                assert_eq!(got.sigma, want.sigma, "{name}: σ is exact");
+                assert_close(&got.delta, &want.delta, 1e-9);
+            }
+            assert_eq!(adaptive.depth, push.depth, "{name}");
+            assert_eq!(adaptive.sigma, push.sigma, "{name}");
+            assert_close(&adaptive.delta, &push.delta, 1e-9);
+            assert!(
+                levels.iter().any(|&(d, _)| d == "pull"),
+                "{name}: no pull level"
+            );
+            assert!(
+                adaptive.stats.est_ms < push.stats.est_ms,
+                "{name}: adaptive {} ms, push {} ms",
+                adaptive.stats.est_ms,
+                push.stats.est_ms
+            );
+            if name == "unreachable" {
+                // The deepest level pulled over the unreachable candidates,
+                // found no parent, and ended the pass.
+                let deepest = want
+                    .depth
+                    .iter()
+                    .filter(|&&d| d != UNREACHED)
+                    .max()
+                    .unwrap();
+                let forward = &levels[..*deepest as usize + 1];
+                let unreached = want.depth.iter().filter(|&&d| d == UNREACHED).count();
+                assert_eq!(forward.last(), Some(&("pull", unreached as u64)));
+            }
+        }
+    }
+
+    #[test]
+    fn no_level_is_launched_that_cannot_discover_anything() {
+        for g in [path(200), connected_social(600)] {
+            let want = refalgo::betweenness_from_source(&g, 0);
+            assert!(want.depth.iter().all(|&d| d != UNREACHED));
+            let levels = *want.depth.iter().max().unwrap() as usize + 1;
+            let mut sizes = vec![0u64; levels];
+            for &d in &want.depth {
+                sizes[d as usize] += 1;
+            }
+            for direction in [DirectionMode::Push, DirectionMode::Adaptive] {
+                let (run, launched) = run_observed(&g, direction, 0);
+                assert_eq!(run.depth, want.depth);
+                // Forward: one launch per level that discovers the next —
+                // none over the deepest. Backward: one per level above the
+                // deepest, deepest first, always pushing.
+                assert_eq!(launched.len(), 2 * (levels - 1), "{direction:?}");
+                let backward: Vec<(&str, u64)> = sizes[..levels - 1]
+                    .iter()
+                    .rev()
+                    .map(|&k| ("push", k))
+                    .collect();
+                assert_eq!(launched[levels - 1..], backward, "{direction:?}");
+            }
+        }
     }
 
     #[test]

@@ -47,10 +47,12 @@ pub trait Expander: Send + Sync {
     /// Ligra's threshold computation).
     fn out_degree(&self, u: NodeId) -> usize;
 
-    /// The expansion-direction policy direction-aware apps (BFS) follow.
-    /// Defaults to push-only — exactly the pre-direction-optimization
-    /// behaviour, bitwise. Pull/adaptive engines must only be constructed
-    /// over symmetric adjacency (the session layer verifies this).
+    /// The expansion-direction policy direction-aware apps follow: BFS's
+    /// levels, and the forward levels of BC, which pulls by its own edge
+    /// comparison under any policy but push. Defaults to push-only —
+    /// exactly the pre-direction-optimization behaviour, bitwise.
+    /// Pull/adaptive engines must only be constructed over symmetric
+    /// adjacency (the session layer verifies this).
     fn direction(&self) -> DirectionMode {
         DirectionMode::Push
     }
@@ -305,11 +307,46 @@ where
     S: Sink + Send,
     F: Fn() -> S + Sync,
 {
+    expansion(expander, device, frontier, "push", make_sink)
+}
+
+/// [`launch_expansion`] run in the other direction: the work list is a
+/// pull level's ascending unvisited `candidates`, whose whole adjacency is
+/// expanded so that the sink can keep every frontier parent — for an app
+/// that cannot exit a scan at the first parent, as [`launch_pull`] does
+/// (Brandes' σ(v) sums over all of them). Same kernels and schedule;
+/// reported as a `"pull"` level.
+pub fn launch_gather<S, F>(
+    expander: &dyn Expander,
+    device: &mut Device,
+    candidates: &[NodeId],
+    make_sink: F,
+) -> Vec<S>
+where
+    S: Sink + Send,
+    F: Fn() -> S + Sync,
+{
+    expansion(expander, device, candidates, "pull", make_sink)
+}
+
+/// The launch behind [`launch_expansion`] and [`launch_gather`]: every
+/// node's adjacency expanded into a sink of its warp's own.
+fn expansion<S, F>(
+    expander: &dyn Expander,
+    device: &mut Device,
+    nodes: &[NodeId],
+    direction: &'static str,
+    make_sink: F,
+) -> Vec<S>
+where
+    S: Sink + Send,
+    F: Fn() -> S + Sync,
+{
     launch(
         expander,
         device,
-        frontier,
-        "push",
+        nodes,
+        direction,
         true,
         |warp, work| {
             let mut sink = make_sink();
@@ -321,12 +358,7 @@ where
             }
             sink
         },
-        |_| {
-            frontier
-                .iter()
-                .map(|&u| expander.out_degree(u) as u64)
-                .sum()
-        },
+        |_| nodes.iter().map(|&u| expander.out_degree(u) as u64).sum(),
     )
 }
 

@@ -30,7 +30,11 @@
 //! regardless of how skewed the node degrees are — this is what flattens the
 //! twitter super-node bottleneck in Figures 9 and 14. Segment independence
 //! also lets the launch schedule cut a small frontier's hub across warps
-//! ([`expand_share`]): contiguous segment ranges, one warp each.
+//! ([`expand_share`]): contiguous segment ranges, one warp each. Share 0
+//! also carries the hub's intervals, which it decodes first and handles
+//! packed, `warpNum` intervals per scan, as a segment batch is handled —
+//! so that it costs about what its sibling shares cost, not one
+//! few-lane Handle step per interval.
 //!
 //! Shared-memory bound: a batch stages at most `warpNum` × ⌊segment bits /
 //! shortest codeword⌋ decoded neighbours — 32 × ⌊256 / 3⌋ = 2,720 four-byte
@@ -72,10 +76,15 @@ pub fn shares(cgr: &CgrGraph, u: NodeId) -> usize {
 
 /// Expands share `share` of `of` of node `u` on a warp of its own: the
 /// contiguous segment range `⌊S·share/of⌋ .. ⌊S·(share+1)/of⌋` of its `S`
-/// segments. Share 0 also expands the intervals and the copied list; later
-/// shares re-read the header and skip the intervals — one single-lane
-/// `ItvDecode` step each, nothing handled. Together the shares emit `u`'s
-/// adjacency exactly once, in the order [`expand`] emits it.
+/// segments. Every share re-reads the header and walks the intervals — one
+/// single-lane `ItvDecode` step each. Share 0 also emits them and the
+/// copied list: decode first, handle packed, like a segment batch — per
+/// batch of up to `warpNum` intervals one `exclusiveScan` over the lengths,
+/// then their neighbours in interval order, `warpNum` per Handle step.
+/// (Handling each interval as it was decoded, a hub's share 0 took a
+/// Handle, Scan and Sync step per interval with a few lanes active, and
+/// floored its launch.) Together the shares emit `u`'s adjacency exactly
+/// once, in the order [`expand`] emits it.
 pub fn expand_share(
     warp: &mut WarpSim,
     cgr: &CgrGraph,
@@ -85,13 +94,27 @@ pub fn expand_share(
     sink: &mut dyn Sink,
 ) {
     let mut cursors = load_cursors(warp, cgr, &[u]);
+    let mut intervals: Vec<(NodeId, u32)> = Vec::new();
+    for c in &mut cursors {
+        while c.intervals_left() > 0 {
+            warp.issue_mem(OpClass::ItvDecode, 1, [c.graph_addr()]);
+            intervals.push(c.read(NodeCursor::next_interval));
+        }
+    }
     if share == 0 {
-        handle_intervals(warp, &mut cursors, sink);
-    } else {
-        for c in &mut cursors {
-            while c.intervals_left() > 0 {
-                warp.issue_mem(OpClass::ItvDecode, 1, [c.graph_addr()]);
-                c.read(NodeCursor::next_interval);
+        let width = warp.width();
+        let mut staged: Vec<(NodeId, NodeId)> = Vec::new();
+        for batch in intervals.chunks(width) {
+            let lens: Vec<u32> = batch.iter().map(|&(_, len)| len).collect();
+            warp.exclusive_scan(&lens);
+            staged.clear();
+            staged.extend(
+                batch
+                    .iter()
+                    .flat_map(|&(start, len)| (start..start + len).map(|v| (u, v))),
+            );
+            for pack in staged.chunks(width) {
+                sink.handle(warp, pack);
             }
         }
     }
@@ -448,6 +471,70 @@ mod tests {
                         .sum();
                     assert_eq!(sink.handle_calls, packs, "share {share} of {of}");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn a_hubs_first_share_handles_its_intervals_packed() {
+        // A hub of 90 intervals, 4 to 47 long (some a warp wide or more),
+        // then 700 scattered residuals.
+        let mut edges: Vec<(NodeId, NodeId)> = Vec::new();
+        for i in 0..90u32 {
+            let start = 1_000 + 100 * i;
+            edges.extend((start..start + 4 + (i * 7) % 44).map(|v| (0, v)));
+        }
+        edges.extend((0..700u32).map(|i| (0, 20_000 + 29 * i + i % 3)));
+        let g = Csr::from_edges(60_000, &edges);
+        let cgr = CgrGraph::encode(&g, &Strategy::Full.cgr_config(&CgrConfig::paper_default()));
+
+        let mut cur = NodeCursor::open(&cgr, 0).unwrap();
+        let lens: Vec<usize> = std::iter::from_fn(|| {
+            (cur.intervals_left() > 0).then(|| cur.next_interval().unwrap().1 as usize)
+        })
+        .collect();
+        assert!(lens.len() >= 80, "{} intervals", lens.len());
+        assert_eq!(cur.copied_left(), 0);
+        let seg_num = cur.read_seg_num().unwrap() as usize;
+        let seg_lens: Vec<usize> = (0..seg_num)
+            .map(|s| {
+                let mut seg = cur.clone();
+                seg.seek_segment(s as u64).unwrap();
+                seg.read_res_num().unwrap() as usize
+            })
+            .collect();
+
+        for width in [8usize, 32] {
+            let mut warp = WarpSim::new(width, 64);
+            let mut whole = CollectSink::default();
+            expand(&mut warp, &cgr, &[0], &mut whole);
+            for of in [2, 5] {
+                let mut warp = WarpSim::new(width, 64);
+                let mut sink = CollectSink::default();
+                expand_share(&mut warp, &cgr, 0, 0, of, &mut sink);
+                // The prefix of the whole node's emission, in its order.
+                assert_eq!(sink.pairs, whole.pairs[..sink.pairs.len()], "{of} shares");
+                // One Handle step per `width` neighbours of each batch of
+                // `width` intervals, then the segment batches' packs.
+                let packs = |batches: std::slice::Chunks<usize>| -> usize {
+                    batches
+                        .map(|b| b.iter().sum::<usize>().div_ceil(width))
+                        .sum()
+                };
+                let want =
+                    packs(lens.chunks(width)) + packs(seg_lens[..seg_num / of].chunks(width));
+                assert_eq!(sink.handle_calls, want, "width {width}, {of} shares");
+                let issues = &warp.tally().issues;
+                assert_eq!(issues[OpClass::ItvDecode as usize], lens.len() as u64);
+                assert_eq!(issues[OpClass::Sync as usize], 0, "no leader election");
+                let seg_batches = seg_lens[..seg_num / of]
+                    .chunks(width)
+                    .filter(|b| b.iter().sum::<usize>() > 0)
+                    .count();
+                assert_eq!(
+                    issues[OpClass::Scan as usize],
+                    (lens.len().div_ceil(width) + seg_batches) as u64
+                );
             }
         }
     }

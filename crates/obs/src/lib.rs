@@ -150,10 +150,12 @@ pub struct LevelEvent {
     pub work_items: u64,
     /// Warps the launch schedule cut the work items into.
     pub warps: u64,
-    /// Hub nodes the schedule split across several warps (push only).
+    /// Hub nodes the schedule split across several warps (expansion
+    /// launches only: an early-exit pull scan is never split).
     pub split_nodes: u64,
     /// Edges expanded (push: frontier out-degree sum) or examined (pull:
-    /// neighbours scanned before early exit).
+    /// neighbours scanned before early exit; a BC pull level scans every
+    /// candidate's whole adjacency).
     pub edges: u64,
     /// Per-class issue/cycle breakdown of the level's kernel launch.
     pub classes: Vec<ClassTally>,

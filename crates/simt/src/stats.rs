@@ -194,7 +194,8 @@ pub struct RunStats {
     /// Distinct 128-byte lines those read-throughs fetched.
     pub read_through_lines: u64,
     /// Push-mode (frontier out-edge) expansion levels executed. Maintained
-    /// by direction-aware applications (BFS); 0 for the other apps.
+    /// by BFS only; 0 for the other apps (BC's forward levels follow the
+    /// direction policy too, but show only as level events).
     pub push_steps: u64,
     /// Pull-mode (unvisited in-edge scan) expansion levels executed —
     /// non-zero only when direction-optimizing BFS actually switched.
