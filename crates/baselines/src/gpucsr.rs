@@ -80,6 +80,10 @@ impl Expander for GpuCsrEngine<'_> {
         memory::csr_structure_bytes(self.graph)
     }
 
+    fn index_addrs(&self, u: NodeId, addrs: &mut Vec<u64>) {
+        addrs.extend(row_offset_addrs(u));
+    }
+
     fn expand_chunk(&self, warp: &mut WarpSim, chunk: &[NodeId], sink: &mut dyn Sink) {
         expand_csr_chunk(self.graph, warp, chunk, sink);
     }
@@ -110,6 +114,12 @@ impl Expander for GpuCsrEngine<'_> {
     }
 }
 
+/// The device addresses of node `u`'s two 32-bit row offsets, `u` and
+/// `u + 1`: what a lane reads to learn `u`'s column range.
+pub(crate) fn row_offset_addrs(u: NodeId) -> [u64; 2] {
+    [u64::from(u), u64::from(u) + 1].map(|o| Space::Offsets.addr(4 * o))
+}
+
 /// Pull-mode (bottom-up) expansion over raw CSR: each lane walks its
 /// unvisited candidate's column range in lock-step rounds — one coalesced-
 /// per-lane column read plus one frontier-bitmap probe per round — and
@@ -129,12 +139,7 @@ pub(crate) fn pull_csr_chunk(
         k,
         chunk.iter().map(|&v| Space::Visited.addr(u64::from(v) / 8)),
     );
-    warp.access(
-        chunk
-            .iter()
-            .flat_map(|&u| [u64::from(u), u64::from(u) + 1])
-            .map(|o| Space::Offsets.addr(4 * o)),
-    );
+    warp.access(chunk.iter().flat_map(|&u| row_offset_addrs(u)));
 
     // Per-lane cursor: (candidate, col index, remaining).
     let mut lanes: Vec<(NodeId, usize, usize)> = chunk
@@ -234,12 +239,7 @@ fn gather(
         k,
         (0..k as u64).map(|i| Space::Frontier.addr(4 * i)),
     );
-    warp.access(
-        lanes
-            .iter()
-            .flat_map(|&(u, _, _)| [u64::from(u), u64::from(u) + 1])
-            .map(|o| Space::Offsets.addr(4 * o)),
-    );
+    warp.access(lanes.iter().flat_map(|&(u, _, _)| row_offset_addrs(u)));
 
     // Stage 1: warp-cooperative gathering of long adjacency ranges.
     loop {

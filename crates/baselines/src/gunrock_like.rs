@@ -13,7 +13,9 @@
 //!   the 3× footprint of [`gcgt_core::memory::gunrock_footprint`], which
 //!   makes it the first engine to OOM as datasets grow (Figures 8, 15).
 
-use crate::gpucsr::{csr_shares, expand_csr_chunk, expand_csr_share, pull_csr_chunk};
+use crate::gpucsr::{
+    csr_shares, expand_csr_chunk, expand_csr_share, pull_csr_chunk, row_offset_addrs,
+};
 use gcgt_core::kernels::Sink;
 use gcgt_core::{memory, DirectionMode, Expander, Frontier};
 use gcgt_graph::{Csr, NodeId};
@@ -96,6 +98,10 @@ impl Expander for GunrockEngine<'_> {
 
     fn structure_bytes(&self) -> usize {
         memory::gunrock_structure_bytes(self.graph)
+    }
+
+    fn index_addrs(&self, u: NodeId, addrs: &mut Vec<u64>) {
+        addrs.extend(row_offset_addrs(u));
     }
 
     fn expand_chunk(&self, warp: &mut WarpSim, chunk: &[NodeId], sink: &mut dyn Sink) {

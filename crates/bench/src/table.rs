@@ -96,15 +96,20 @@ impl Table {
     }
 }
 
-/// Formats a millisecond value like the paper's plots (3 significant-ish
-/// digits, `OOM` handled by callers).
+/// Formats a millisecond value like the paper's plots: three significant
+/// digits (whole milliseconds from 100 ms on), `OOM` handled by callers.
+/// Below 1 ms the decimals grow, so a sub-millisecond row still shows a
+/// change.
 pub fn fmt_ms(ms: f64) -> String {
     if ms >= 100.0 {
         format!("{ms:.0}")
     } else if ms >= 10.0 {
         format!("{ms:.1}")
-    } else {
+    } else if ms >= 1.0 || ms <= 0.0 {
         format!("{ms:.2}")
+    } else {
+        let decimals = (2 - ms.log10().floor() as i32) as usize;
+        format!("{ms:.decimals$}")
     }
 }
 
@@ -133,5 +138,8 @@ mod tests {
         assert_eq!(fmt_ms(594.4), "594");
         assert_eq!(fmt_ms(16.23), "16.2");
         assert_eq!(fmt_ms(4.567), "4.57");
+        assert_eq!(fmt_ms(0.5), "0.500");
+        assert_eq!(fmt_ms(0.012345), "0.0123");
+        assert_eq!(fmt_ms(0.0), "0.00");
     }
 }

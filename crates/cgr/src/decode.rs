@@ -565,9 +565,10 @@ pub fn decode_node_unsorted(cgr: &CgrGraph, u: NodeId) -> Vec<NodeId> {
 }
 
 /// Decodes the degree of node `u` without materializing neighbours (and
-/// without chasing its reference chain).
+/// without chasing its reference chain), once per graph: later calls read
+/// the remembered value.
 pub fn decode_degree(cgr: &CgrGraph, u: NodeId) -> usize {
-    NodeCursor::degree(cgr, u).expect(INVALID) as usize
+    cgr.memo_degree(u, || NodeCursor::degree(cgr, u).expect(INVALID) as usize)
 }
 
 /// Decodes the number of residual segments of node `u` (0 on the

@@ -1,5 +1,6 @@
 //! The CGR encoder: CSR → compressed bit array + per-node bit offsets.
 
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::config::CgrConfig;
@@ -87,6 +88,15 @@ pub struct CgrGraph {
     /// clones share the state, so one worker validating a partition covers
     /// all of them.
     pending: Option<Arc<PendingValidation>>,
+    /// Each node's out-degree once decoded (`u32::MAX`: not yet), shared by
+    /// clones. Launch schedules ask for the degree of every work node, so a
+    /// node's header is decoded once per graph rather than once per launch.
+    degrees: Arc<[AtomicU32]>,
+}
+
+/// A degree memo for `n` nodes with none decoded yet.
+fn unknown_degrees(n: usize) -> Arc<[AtomicU32]> {
+    (0..n).map(|_| AtomicU32::new(u32::MAX)).collect()
 }
 
 impl CgrGraph {
@@ -152,6 +162,7 @@ impl CgrGraph {
             stats,
             table: DecodeTable::shared(config.code),
             pending: None,
+            degrees: unknown_degrees(n),
         })
     }
 
@@ -191,6 +202,7 @@ impl CgrGraph {
             stats,
             table: DecodeTable::shared(config.code),
             pending,
+            degrees: unknown_degrees(n),
         }
     }
 
@@ -231,6 +243,22 @@ impl CgrGraph {
     #[inline]
     pub fn device_index(&self) -> &DeviceIndex {
         &self.device_index
+    }
+
+    /// Node `u`'s out-degree: remembered, or computed by `decode` on first
+    /// request and remembered.
+    pub(crate) fn memo_degree(&self, u: NodeId, decode: impl FnOnce() -> usize) -> usize {
+        let slot = &self.degrees[u as usize];
+        match slot.load(Ordering::Relaxed) {
+            u32::MAX => {
+                let degree = decode();
+                if let Ok(known) = u32::try_from(degree) {
+                    slot.store(known, Ordering::Relaxed);
+                }
+                degree
+            }
+            known => known as usize,
+        }
     }
 
     /// Whether any node of a deferred-validation load is still unchecked.

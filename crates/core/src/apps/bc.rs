@@ -184,10 +184,15 @@ pub fn bc_in(engine: &dyn Expander, device: &mut Device, source: NodeId) -> BcRu
         let mut next: Vec<NodeId> = Vec::new();
         if may_pull && unvisited_edges < frontier_edges {
             // Ascending candidates, and warps merge in order, so the next
-            // level comes out ascending: it needs no compaction.
-            let candidates: Vec<NodeId> = (0..n as NodeId)
+            // level comes out ascending. A device-filling list is still
+            // compacted (its sort a no-op): that launch computes the degree
+            // prefix the gather's edge cut reads.
+            let mut candidates: Vec<NodeId> = (0..n as NodeId)
                 .filter(|&v| depth[v as usize] == UNREACHED)
                 .collect();
+            if engine.device_config().fills_device(candidates.len()) {
+                compact_frontier(engine, device, &mut candidates);
+            }
             let sinks = launch_gather(engine, device, &candidates, || ParentSink {
                 depth: &depth,
                 du,
@@ -221,12 +226,13 @@ pub fn bc_in(engine: &dyn Expander, device: &mut Device, source: NodeId) -> BcRu
                     sigma[v as usize] += sigma[u as usize];
                 }
             }
-            // Same rule as BFS push levels: only a device-filling level is
-            // compacted into ascending order, and the backward pass reuses
-            // it.
-            if engine.device_config().fills_device(next.len()) {
-                compact_frontier(engine, device, &mut next);
-            }
+        }
+        // Same rule as BFS push levels: only a device-filling level is
+        // compacted, pushed or pulled, which sorts it and computes the
+        // degree prefix once for both launches that read it: the next
+        // forward level and the backward pass.
+        if engine.device_config().fills_device(next.len()) {
+            compact_frontier(engine, device, &mut next);
         }
         if next.is_empty() {
             break;

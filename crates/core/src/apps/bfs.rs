@@ -158,7 +158,8 @@ pub fn bfs_in(engine: &dyn Expander, device: &mut Device, source: NodeId) -> Bfs
             }
         } else {
             // A device-filling frontier is compacted into ascending order
-            // first, so each warp decodes consecutive nodes. Smaller ones
+            // first, so each warp decodes consecutive nodes, and with the
+            // degree prefix the schedule's edge cut reads. Smaller ones
             // keep discovery order: the schedule spreads them over the SMs,
             // and a compaction launch would cost more than it saves.
             if engine.device_config().fills_device(frontier.len()) {

@@ -21,9 +21,11 @@
 //! [fills the device](gcgt_simt::DeviceConfig::fills_device) is then
 //! compacted into ascending node order by one charged bitmap-to-queue
 //! launch ([`crate::engine::compact_frontier`]: BFS before a push level,
-//! BC after every forward push level). Smaller frontiers keep warp order,
-//! and a pull level's discoveries come out ascending. CC has no next
-//! frontier: its one expansion covers every node.
+//! BC after every forward level and before a device-filling gather), which
+//! also computes the degree prefix the launch schedule's edge cut reads.
+//! Smaller frontiers keep warp order, and a pull level's discoveries come
+//! out ascending. CC has no next frontier: its one expansion covers every
+//! node.
 
 pub mod bc;
 pub mod bfs;

@@ -42,9 +42,12 @@ pub trait Expander: Send + Sync {
     fn num_edges(&self) -> usize;
 
     /// Out-degree of node `u`, decoded without materializing neighbours —
-    /// the per-level frontier-density sum of the adaptive heuristic. Host-
-    /// side bookkeeping: charges nothing on the simulated device (like
-    /// Ligra's threshold computation).
+    /// the per-level frontier-density sum of the adaptive heuristic, and
+    /// the weight by which the launch [`schedule`] splits hubs and cuts
+    /// device-filling frontiers. The call itself charges nothing on the
+    /// simulated device (like Ligra's threshold computation); the device
+    /// pays for the edge cut's degree prefix in [`compact_frontier`], which
+    /// reads [`Expander::index_addrs`].
     fn out_degree(&self, u: NodeId) -> usize;
 
     /// The expansion-direction policy direction-aware apps follow: BFS's
@@ -88,6 +91,12 @@ pub trait Expander: Send + Sync {
     fn prepare_frontier(&self, device: &mut Device, frontier: &[NodeId]) {
         let _ = (device, frontier);
     }
+
+    /// Appends to `addrs` the device addresses one lane reads to learn
+    /// node `u`'s extent in the resident structure — its index entries for
+    /// `u` and `u + 1` — the degree proxy of the prefix that
+    /// [`compact_frontier`] computes for the [`schedule`]'s edge cut.
+    fn index_addrs(&self, u: NodeId, addrs: &mut Vec<u64>);
 
     /// Expands one warp's chunk of frontier nodes, feeding `sink`.
     fn expand_chunk(&self, warp: &mut WarpSim, chunk: &[NodeId], sink: &mut dyn Sink);
@@ -180,19 +189,37 @@ impl WarpWork<'_> {
 /// The launch schedule: how `work` is cut into warps — a pure function of
 /// the work list, the engine's [`Expander::out_degree`] and
 /// [`Expander::shares`], and its [`DeviceConfig`]. Every work node is
-/// covered exactly once, in work-list order, and no warp is empty.
+/// covered exactly once, in work-list order, and no warp is empty. One rule
+/// serves every frontier size:
 ///
-/// * A frontier that [fills the device](DeviceConfig::fills_device) —
-///   at least `num_sms × warp_width` nodes — is cut `warp_width` nodes per
-///   warp, in order.
-/// * A smaller one is spread: `⌈len / num_sms⌉` nodes per warp (at least
-///   one), so that it reaches as many SMs as it has nodes.
-/// * With `split`, a node whose degree exceeds
-///   `target = max(⌈Σ degree / num_sms⌉, warp_width)` is cut in place into
-///   `min(⌈degree / target⌉, shares(u))` shares, one warp each — the
-///   paper's "a node can be decoded by up to `segNum` threads at once",
-///   across warps. Degrees are read only here, for small push frontiers,
-///   after the launcher has prepared residency.
+/// * A run of whole nodes closes after `per_warp = ⌈len / num_sms⌉` nodes,
+///   clamped to `[1, warp_width]`: a small frontier reaches as many SMs as
+///   it has nodes, and one that [fills the device](DeviceConfig::fills_device)
+///   packs `warp_width` nodes per warp.
+/// * With `split` (push launches), a node whose degree exceeds
+///   `target = max(⌈Σ degree / max(⌈len / per_warp⌉, num_sms)⌉, warp_width)`
+///   — the edges of an average warp of the node cut — is cut in place into
+///   `min(⌈degree / target⌉, shares(u))` shares, one warp each: the paper's
+///   "a node can be decoded by up to `segNum` threads at once", across
+///   warps.
+/// * With `split`, in a device-filling frontier that is not every node, a
+///   run of whole nodes also closes before it would pass `target` edges —
+///   Gunrock's load-balanced advance, which cuts a frontier by edges. The
+///   apps hand such a frontier over from [`compact_frontier`], which pays
+///   for the degree prefix the cut needs. The cut stops at two measured
+///   limits:
+///   - **All-node launches** (CC, PageRank, label propagation) already give
+///     each SM about twelve warps. Edge-cutting them raised web PageRank,
+///     the p95 op of the in-core benchmark workload, from 0.0847 to
+///     0.0883 modeled ms.
+///   - **Small frontiers** keep the node cut. The edge cut gives GCGT
+///     −3.6 % but GPUCSR −29 % on a 1,500-node twitter-like graph, so the
+///     GCGT/GPUCSR ratio that `gcgt_is_competitive_with_gpucsr` pins would
+///     move from 2.177 to 2.949 with no change to GCGT.
+///
+/// Pull launches (without `split`) are spread and never split: a scan
+/// exits early, so its work is not its degree. Degrees are read only after
+/// the launcher has prepared residency.
 pub fn schedule<'w>(expander: &dyn Expander, work: &'w [NodeId], split: bool) -> Vec<WarpWork<'w>> {
     let config = expander.device_config();
     let (width, sms) = (config.warp_width, config.num_sms);
@@ -201,25 +228,32 @@ pub fn schedule<'w>(expander: &dyn Expander, work: &'w [NodeId], split: bool) ->
         share: 0,
         of: 1,
     };
-    if config.fills_device(work.len()) {
-        return work.chunks(width).map(whole).collect();
-    }
     let per_warp = work.len().div_ceil(sms).clamp(1, width);
     if !split {
         return work.chunks(per_warp).map(whole).collect();
     }
     let degrees: Vec<usize> = work.iter().map(|&u| expander.out_degree(u)).collect();
-    let target = degrees.iter().sum::<usize>().div_ceil(sms).max(width);
+    let node_warps = work.len().div_ceil(per_warp).max(sms);
+    let target = degrees
+        .iter()
+        .sum::<usize>()
+        .div_ceil(node_warps)
+        .max(width);
+    let edge_cut = config.fills_device(work.len()) && work.len() != expander.num_nodes();
     let mut warps = Vec::new();
-    // Start of the run of whole nodes not yet cut into warps.
-    let mut run = 0;
+    // The run of whole nodes not yet closed, and its edges.
+    let (mut run, mut run_edges) = (0, 0);
     for (i, (&u, &degree)) in work.iter().zip(&degrees).enumerate() {
-        if degree <= target {
-            continue;
+        let of = if degree > target {
+            degree.div_ceil(target).min(expander.shares(u))
+        } else {
+            1
+        };
+        if run < i && (of > 1 || i - run == per_warp || (edge_cut && run_edges + degree > target)) {
+            warps.push(whole(&work[run..i]));
+            (run, run_edges) = (i, 0);
         }
-        let of = degree.div_ceil(target).min(expander.shares(u));
         if of > 1 {
-            warps.extend(work[run..i].chunks(per_warp).map(whole));
             let hub = &work[i..=i];
             warps.extend((0..of).map(|share| WarpWork {
                 nodes: hub,
@@ -227,9 +261,13 @@ pub fn schedule<'w>(expander: &dyn Expander, work: &'w [NodeId], split: bool) ->
                 of,
             }));
             run = i + 1;
+        } else {
+            run_edges += degree;
         }
     }
-    warps.extend(work[run..].chunks(per_warp).map(whole));
+    if run < work.len() {
+        warps.push(whole(&work[run..]));
+    }
     warps
 }
 
@@ -293,10 +331,10 @@ fn launch<T: Send>(
 }
 
 /// Launches one expansion kernel over `frontier`: cuts it into warps by the
-/// [`schedule`] (hubs of small frontiers split across warps), runs them
-/// host-parallel (deterministically merged in warp order), accounts the
-/// launch on `device`, and returns the per-warp sinks for the contraction
-/// merge.
+/// [`schedule`] (hubs split across warps, device-filling frontiers cut by
+/// edges), runs them host-parallel (deterministically merged in warp
+/// order), accounts the launch on `device`, and returns the per-warp sinks
+/// for the contraction merge.
 pub fn launch_expansion<S, F>(
     expander: &dyn Expander,
     device: &mut Device,
@@ -407,28 +445,34 @@ pub fn launch_pull(
 const VISITED_COPY: u64 = 1 << 41;
 
 /// Compacts a level's next frontier into ascending node order — the
-/// bitmap-to-queue filter of Beamer's and Gunrock's kernels — and charges
-/// it as one modeled launch on `device`.
+/// bitmap-to-queue filter of Beamer's and Gunrock's kernels — and computes
+/// the degree prefix the [`schedule`]'s edge cut reads, charged as one
+/// modeled launch on `device`.
 ///
 /// The warps' survivor lists join in warp order, a sawtooth of neighbour
-/// runs; a device-filling push launch then hands each warp `warp_width`
-/// nodes scattered across the graph. Sorted, each warp decodes consecutive
-/// nodes, whose adjacency sits side by side (coalesced loads).
+/// runs; a device-filling push launch then hands each warp up to
+/// `warp_width` nodes scattered across the graph. Sorted, each warp decodes
+/// consecutive nodes, whose adjacency sits side by side (coalesced loads).
 ///
-/// The device kernel: one lane per 32-bit word of the visited bitmap, so
-/// `⌈n / (32 · warp_width)⌉` warps over a graph of `n` nodes. Each warp
+/// The device kernel: one lane per 32-bit word of the visited bitmap, and
+/// the words spread over the SMs by the schedule's own rule,
+/// `⌈words / num_sms⌉` per warp clamped to `[1, warp_width]`, so that no
+/// warp writes the survivors of many words in dependent steps. Each warp
 /// loads its visited words and their pre-level copy, stores the words into
 /// the copy (three coalesced steps), popcounts the new bits and scans the
 /// counts; a warp with `c > 0` survivors then reserves queue space with one
-/// atomic and writes its `c` ascending ids in `⌈c / warp_width⌉` coalesced
-/// steps. The cost is a pure function of `n`, the sorted ids and the
-/// [`DeviceConfig`], so any permutation of one id set costs the same. It
-/// reads no graph bytes and never calls [`Expander::prepare_frontier`]:
+/// atomic and, per `warp_width` survivors, reads their index entries
+/// ([`Expander::index_addrs`]), scans the degrees, and writes each id with
+/// its prefix as one 8-byte pair. The cost is a pure function of `n`, the
+/// sorted ids, the engine's index addresses and the [`DeviceConfig`], so
+/// any permutation of one id set costs the same. It reads no payload byte
+/// and never calls [`Expander::prepare_frontier`]: the index lines it
+/// reads are the frontier's own, which the next launch makes resident, so
 /// out-of-core residency and shard exchange are untouched.
 pub fn compact_frontier(expander: &dyn Expander, device: &mut Device, frontier: &mut [NodeId]) {
     let start_ms = device.modeled_ms();
     frontier.sort_unstable();
-    let cost = compaction_cost(expander.num_nodes(), frontier, expander.device_config());
+    let cost = compaction_cost(expander, frontier);
     device.record(Charge::launch(&cost, device.config()));
     device.record(Charge::Level {
         start_ms,
@@ -440,20 +484,23 @@ pub fn compact_frontier(expander: &dyn Expander, device: &mut Device, frontier: 
     });
 }
 
-/// The [`compact_frontier`] launch over a graph of `n` nodes whose new
+/// The [`compact_frontier`] launch over `expander`'s graph whose new
 /// frontier is `sorted` (ascending).
-fn compaction_cost(n: usize, sorted: &[NodeId], config: &DeviceConfig) -> IterationCost {
+fn compaction_cost(expander: &dyn Expander, sorted: &[NodeId]) -> IterationCost {
+    let config = expander.device_config();
     let width = config.warp_width;
-    let words = n.div_ceil(32);
+    let words = expander.num_nodes().div_ceil(32);
+    let per_warp = words.div_ceil(config.num_sms).clamp(1, width);
     let mut cost = IterationCost {
-        warps: words.div_ceil(width),
+        warps: words.div_ceil(per_warp),
         ..Default::default()
     };
     let mut rest = sorted;
     // Queue slots reserved by earlier warps.
     let mut queued = 0u64;
-    for first_word in (0..words).step_by(width) {
-        let lanes = width.min(words - first_word);
+    let mut index = Vec::new();
+    for first_word in (0..words).step_by(per_warp) {
+        let lanes = per_warp.min(words - first_word);
         let mut warp = WarpSim::new(width, config.cache_lines_per_warp);
         let word_addrs =
             |base: u64| (first_word..first_word + lanes).map(move |word| base + 4 * word as u64);
@@ -470,21 +517,28 @@ fn compaction_cost(n: usize, sorted: &[NodeId], config: &DeviceConfig) -> Iterat
         for &v in &rest[..survivors] {
             counts[v as usize / 32 - first_word] += 1;
         }
-        rest = &rest[survivors..];
+        let (mine, later) = rest.split_at(survivors);
+        rest = later;
         warp.exclusive_scan(&counts);
         if survivors > 0 {
             warp.atomic_add(Space::Output.addr(0));
-            let slots = queued..queued + survivors as u64;
-            for step in slots.clone().step_by(width) {
-                let step_end = (step + width as u64).min(slots.end);
-                let active = (step_end - step) as usize;
+            for (step, ids) in mine.chunks(width).enumerate() {
+                // The degree prefix: each lane reads its survivor's index
+                // entries, then the warp scans the degrees.
+                index.clear();
+                for &v in ids {
+                    expander.index_addrs(v, &mut index);
+                }
+                warp.issue_mem(OpClass::Generic, ids.len(), index.iter().copied());
+                warp.issue(OpClass::Scan, width);
+                let first = queued + (step * width) as u64;
                 warp.issue_mem(
                     OpClass::Generic,
-                    active,
-                    (step..step_end).map(|slot| Space::Frontier.addr(4 * slot)),
+                    ids.len(),
+                    (first..first + ids.len() as u64).map(|slot| Space::Frontier.addr(8 * slot)),
                 );
             }
-            queued = slots.end;
+            queued += survivors as u64;
         }
         let (tally, mem) = warp.into_counters();
         cost.add_warp(&tally, &mem, config);
@@ -573,6 +627,10 @@ impl Expander for GcgtEngine<'_> {
         memory::gcgt_structure_bytes(self.cgr)
     }
 
+    fn index_addrs(&self, u: NodeId, addrs: &mut Vec<u64>) {
+        addrs.extend(kernels::extent_addrs(self.cgr, u));
+    }
+
     fn expand_chunk(&self, warp: &mut WarpSim, chunk: &[NodeId], sink: &mut dyn Sink) {
         expand_warp(self.strategy, warp, self.cgr, chunk, sink);
     }
@@ -659,17 +717,32 @@ mod tests {
     }
 
     #[test]
-    fn large_frontiers_chunk_exactly_as_before() {
+    fn device_filling_frontiers_split_their_hub() {
         // 4 SMs × 8 lanes: from 32 work items on, the device is full by
-        // node count alone — warp_width nodes per warp, hub or no hub.
+        // node count alone. Whole nodes pack warp_width per warp (nodes
+        // 1..40 hold two edges each, far below target), and the hub is cut
+        // into shares as in a small frontier.
         let g = hub_graph();
         let cgr = CgrGraph::encode(&g, &Strategy::Full.cgr_config(&CgrConfig::paper_default()));
         let engine = GcgtEngine::new(&cgr, tiny_cfg(), Strategy::Full).unwrap();
         for len in [32, 33, 39, 40] {
             let work: Vec<NodeId> = (0..len).collect();
-            let want: Vec<WarpWork> = work.chunks(8).map(whole).collect();
+            let total: usize = work.iter().map(|&u| engine.out_degree(u)).sum();
+            let target = total.div_ceil(work.len().div_ceil(8));
+            let of = 2000usize.div_ceil(target).min(engine.shares(0));
+            assert!(of > 1, "{len} items");
+            let mut want: Vec<WarpWork> = (0..of)
+                .map(|share| WarpWork {
+                    nodes: &work[..1],
+                    share,
+                    of,
+                })
+                .collect();
+            want.extend(work[1..].chunks(8).map(whole));
             assert_eq!(schedule(&engine, &work, true), want, "{len} items");
-            assert_eq!(schedule(&engine, &work, false), want, "{len} items");
+            // Pull launches pack the same way but never split.
+            let packed: Vec<WarpWork> = work.chunks(8).map(whole).collect();
+            assert_eq!(schedule(&engine, &work, false), packed, "{len} items");
         }
     }
 
@@ -788,23 +861,29 @@ mod tests {
     }
 
     #[test]
-    fn compaction_charges_a_word_per_lane_and_a_write_per_warp_width() {
-        // 600 nodes are 19 words: 8 lanes × 32 nodes per warp gives 3
-        // warps, the last one 3 lanes wide. Survivors 1 / 2 / 1 per warp.
-        let cost = compaction_cost(600, &[5, 300, 301, 599], &tiny_cfg());
-        assert_eq!(cost.warps, 3);
-        let issues = |class: OpClass| cost.tally.issues[class as usize];
-        // Three word steps and a popcount per warp, one queue write each.
-        assert_eq!(issues(OpClass::Generic), 3 * 4 + 3);
-        assert_eq!(issues(OpClass::Scan), 3);
-        assert_eq!(issues(OpClass::Atomic), 3);
-        // A warp without survivors neither reserves nor writes.
-        let empty = compaction_cost(600, &[300], &tiny_cfg());
-        assert_eq!(empty.tally.issues[OpClass::Atomic as usize], 1);
-        assert_eq!(empty.tally.issues[OpClass::Generic as usize], 3 * 4 + 1);
-        // Reads no graph bytes: every warp touches its bitmap words, the
-        // copy and the queue, so transactions stay a handful per warp.
-        assert!(cost.mem.transactions <= 3 * 4);
+    fn compaction_charges_a_word_per_lane_and_a_prefix_per_write() {
+        // 600 nodes are 19 words, spread ⌈19 / 4 SMs⌉ = 5 words per warp:
+        // 4 warps, the last one 4 lanes wide. Survivors 1 / 2 / 0 / 1.
+        let g = Csr::from_edges(600, &[(5, 6), (300, 1), (301, 2), (599, 0)]);
+        let cgr = CgrGraph::encode(&g, &Strategy::Full.cgr_config(&CgrConfig::paper_default()));
+        let engine = GcgtEngine::new(&cgr, tiny_cfg(), Strategy::Full).unwrap();
+        let cost = compaction_cost(&engine, &[5, 300, 301, 599]);
+        assert_eq!(cost.warps, 4);
+        let issues = |cost: &IterationCost, class: OpClass| cost.tally.issues[class as usize];
+        // Three word steps and a popcount per warp; per warp with
+        // survivors, one index read and one queue write of 8-byte pairs.
+        assert_eq!(issues(&cost, OpClass::Generic), 4 * 4 + 3 * 2);
+        // The counts' scan per warp, and the degrees' scan per write.
+        assert_eq!(issues(&cost, OpClass::Scan), 4 + 3);
+        assert_eq!(issues(&cost, OpClass::Atomic), 3);
+        // A warp without survivors neither reserves, reads nor writes.
+        let empty = compaction_cost(&engine, &[300]);
+        assert_eq!(issues(&empty, OpClass::Atomic), 1);
+        assert_eq!(issues(&empty, OpClass::Generic), 4 * 4 + 2);
+        assert_eq!(issues(&empty, OpClass::Scan), 4 + 1);
+        // Bitmap words, the copy, the queue and a few index lines: a
+        // handful of transactions per warp, no payload.
+        assert!(cost.mem.transactions <= 4 * 3 + 3 * 4);
     }
 
     #[test]

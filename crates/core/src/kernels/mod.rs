@@ -140,6 +140,17 @@ pub(crate) fn gather_bit_starts(warp: &mut WarpSim, cgr: &CgrGraph, chunk: &[Nod
     );
 }
 
+/// The device addresses of node `u`'s extent `[bit_start(u),
+/// bit_start(u + 1))`: the index entries and block bases of `u` and `u + 1`
+/// ([`gcgt_cgr::DeviceIndex::entry_addrs`]).
+pub fn extent_addrs(cgr: &CgrGraph, u: NodeId) -> impl Iterator<Item = u64> + '_ {
+    let index = cgr.device_index();
+    index
+        .entry_addrs(u)
+        .chain(index.entry_addrs(u + 1))
+        .map(|a| Space::Offsets.addr(a))
+}
+
 /// The structure a launch decoding `nodes` reads, as 128-byte lines: for
 /// each node and every node on its reference chain, the index lines of its
 /// `bitStart` gather (the addresses `gather_bit_starts` charges) and the

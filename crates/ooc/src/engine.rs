@@ -227,6 +227,10 @@ impl Expander for OocEngine<'_> {
         cache.apply(walk, self.parts, device);
     }
 
+    fn index_addrs(&self, u: NodeId, addrs: &mut Vec<u64>) {
+        addrs.extend(kernels::extent_addrs(self.cgr, u));
+    }
+
     fn expand_chunk(&self, warp: &mut WarpSim, chunk: &[NodeId], sink: &mut dyn Sink) {
         expand_warp(self.strategy, warp, self.cgr, chunk, sink);
     }

@@ -188,6 +188,10 @@ impl Expander for ShardEngine<'_> {
         self.charge_step(device, work);
     }
 
+    fn index_addrs(&self, u: NodeId, addrs: &mut Vec<u64>) {
+        self.inner().index_addrs(u, addrs);
+    }
+
     fn expand_chunk(&self, warp: &mut WarpSim, chunk: &[NodeId], sink: &mut dyn Sink) {
         self.inner().expand_chunk(warp, chunk, sink);
     }
@@ -339,6 +343,7 @@ mod tests {
             let mut calls = self.calls.lock().unwrap();
             calls.prepared.push((self.id, work.to_vec()));
         }
+        fn index_addrs(&self, _: NodeId, _: &mut Vec<u64>) {}
         fn expand_chunk(&self, _: &mut WarpSim, _: &[NodeId], _: &mut dyn Sink) {}
         fn pull_chunk(
             &self,

@@ -44,10 +44,11 @@
 //!     fn out_degree(&self, u: NodeId) -> usize { self.0.out_degree(u) }
 //!     fn device_config(&self) -> &DeviceConfig { self.0.device_config() }
 //!     fn footprint(&self) -> usize { self.0.footprint() }
+//!     fn index_addrs(&self, u: NodeId, addrs: &mut Vec<u64>) { self.0.index_addrs(u, addrs) }
 //!     fn expand_chunk(&self, warp: &mut WarpSim, chunk: &[NodeId], sink: &mut dyn Sink) {
 //!         self.0.expand_chunk(warp, chunk, sink)
 //!     }
-//!     // Optional: hubs of small frontiers split across warps.
+//!     // Optional: hubs split across warps.
 //!     fn shares(&self, u: NodeId) -> usize { self.0.shares(u) }
 //!     fn expand_share(&self, warp: &mut WarpSim, u: NodeId, share: usize, of: usize,
 //!                     sink: &mut dyn Sink) {

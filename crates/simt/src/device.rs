@@ -144,10 +144,12 @@ impl DeviceConfig {
     }
 
     /// Whether `len` work items fill the device by themselves: at least
-    /// `warp_width` items for each of the `num_sms` issue streams. It is the
-    /// one boundary where the launch schedule starts packing `warp_width`
-    /// items per warp, and where a push frontier is worth compacting into
-    /// ascending order first.
+    /// `warp_width` items for each of the `num_sms` issue streams. Above it
+    /// a push frontier is worth compacting into ascending order first, a
+    /// launch that also computes its degree prefix, and the launch schedule
+    /// cuts such a frontier by edges as well as by nodes. (Packing
+    /// `warp_width` items per warp needs no test: the schedule's spread,
+    /// `⌈len / num_sms⌉` items per warp, reaches it here.)
     #[inline]
     pub fn fills_device(&self, len: usize) -> bool {
         len >= self.num_sms * self.warp_width

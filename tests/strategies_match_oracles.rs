@@ -5,13 +5,14 @@
 //! the memory contract the trait documents.
 
 // The low-level engine layer is exercised deliberately here.
-use gcgt::core::engine::{schedule, WarpWork};
+use gcgt::core::engine::schedule;
 use gcgt::core::kernels::CollectSink;
 use gcgt::core::{
-    bc, bc_in, bfs, bfs_in, cc, cc_in, label_propagation_in, launch_expansion, pagerank,
-    pagerank_in, BcRun,
+    bc, bc_in, bfs, bfs_in, cc, cc_in, compact_frontier, label_propagation_in, launch_expansion,
+    pagerank, pagerank_in, BcRun,
 };
 use gcgt::prelude::*;
+use gcgt::simt::Space;
 use proptest::prelude::{prop_assert, prop_assert_eq, proptest, ProptestConfig};
 use proptest::strategy::Strategy as PropStrategy;
 use std::sync::Arc;
@@ -284,8 +285,11 @@ proptest! {
     /// The schedule changes who expands what, never what is expanded: for
     /// every engine and frontier sizes of 1, under `num_sms`, under
     /// `num_sms × warp_width` and beyond, the warps of one launch emit the
-    /// work list's adjacency exactly once, no warp is empty, and full-size
-    /// frontiers chunk exactly as `chunks(warp_width)`.
+    /// work list's adjacency exactly once and no warp is empty. No warp
+    /// holds more than `⌈len / num_sms⌉` (at most `warp_width`) nodes, only
+    /// nodes above the schedule's edge `target` are split, and in a
+    /// device-filling frontier that is not every node a warp of two or more
+    /// whole nodes holds at most `target` edges.
     #[test]
     fn every_schedule_expands_the_work_list_exactly_once(
         graph in arb_hub_graph(),
@@ -321,12 +325,18 @@ proptest! {
                 }
             }
             prop_assert_eq!(&covered, &frontier);
-            if size >= sms * width {
-                let chunked: Vec<WarpWork> = frontier
-                    .chunks(width)
-                    .map(|nodes| WarpWork { nodes, share: 0, of: 1 })
-                    .collect();
-                prop_assert_eq!(&warps, &chunked);
+            let per_warp = size.div_ceil(sms).clamp(1, width);
+            let degree = |u: NodeId| engine.out_degree(u);
+            let total: usize = frontier.iter().map(|&u| degree(u)).sum();
+            let target = total.div_ceil(size.div_ceil(per_warp).max(sms)).max(width);
+            for w in &warps {
+                prop_assert!(w.nodes.len() <= per_warp, "{row}: {} nodes", w.nodes.len());
+                let edges: usize = w.nodes.iter().map(|&u| degree(u)).sum();
+                if w.is_share() {
+                    prop_assert!(edges > target, "{row}: split {edges} <= {target}");
+                } else if w.nodes.len() >= 2 && dc.fills_device(size) && size < n {
+                    prop_assert!(edges <= target, "{row}: {edges} edges > {target}");
+                }
             }
 
             let mut dev = engine.new_device();
@@ -340,6 +350,33 @@ proptest! {
             got.sort_unstable();
             prop_assert!(got == want, "{row}: size {size}, {} warps", warps.len());
         }
+    }
+}
+
+/// The compaction computes the edge cut's degree prefix from each engine's
+/// own index and reads no payload: every address an engine hands it lies
+/// in `Space::Offsets`, none on a `Space::Graph` line, and the launch moves
+/// no residency and exchanges nothing.
+#[test]
+fn compaction_touches_no_graph_line() {
+    let fx = Fixture::new(web_graph(&WebParams::uk2002_like(900), 5));
+    let n = fx.graph.num_nodes() as NodeId;
+    let offsets = Space::Offsets.addr(0)..Space::Frontier.addr(0);
+    for (row, engine) in fx.engines(device(), DirectionMode::Push) {
+        let mut addrs = Vec::new();
+        for u in 0..n {
+            engine.index_addrs(u, &mut addrs);
+        }
+        assert!(addrs.len() >= 2 * n as usize, "{row}");
+        assert!(addrs.iter().all(|a| offsets.contains(a)), "{row}");
+        let mut dev = engine.new_device();
+        let before = dev.stats();
+        let mut frontier: Vec<NodeId> = (0..n).rev().step_by(3).collect();
+        compact_frontier(&*engine, &mut dev, &mut frontier);
+        let delta = dev.stats().since(&before);
+        assert_eq!(delta.launches, 1, "{row}");
+        assert_eq!(delta.partition_faults, 0, "{row}");
+        assert_eq!((delta.transfer_ms, delta.exchange_ms), (0.0, 0.0), "{row}");
     }
 }
 
