@@ -136,16 +136,17 @@ pub fn render(entries: &[BenchEntry], scale: f64, sources: usize) -> String {
     out
 }
 
-/// Validates that `json` is a well-formed `BENCH.json` baseline: schema
-/// version 1, parseable `scale`/`sources` headers, and a non-empty
-/// `experiments` array whose entries each carry a `name`, a `modeled_ms`
-/// that is `null` or a finite number, and a numeric `host_ms`.
+/// Reads a `BENCH.json` baseline back into its entries, checking that it
+/// is well formed: schema version 1, parseable `scale`/`sources` headers,
+/// and a non-empty `experiments` array whose entries each carry a `name`,
+/// a `modeled_ms` that is `null` or a finite number, a numeric `host_ms`
+/// and, when present, a numeric `gain`.
 ///
 /// Line-oriented by design: [`render`] is the only writer, so its layout
 /// *is* the schema and a full JSON parser would add a dependency for
 /// nothing. CI runs this against the committed baseline to catch hand
 /// edits and renderer drift in the same breath.
-pub fn validate(json: &str) -> Result<(), String> {
+pub fn parse(json: &str) -> Result<Vec<BenchEntry>, String> {
     let field = |name: &str| -> Result<String, String> {
         let tag = format!("\"{name}\": ");
         json.lines()
@@ -165,20 +166,23 @@ pub fn validate(json: &str) -> Result<(), String> {
     if !json.contains("\"experiments\": [") {
         return Err("missing \"experiments\" array".into());
     }
-    let mut entries = 0usize;
+    let mut entries = Vec::new();
     for line in json.lines().map(str::trim) {
         let Some(rest) = line.strip_prefix("{\"name\": \"") else {
             continue;
         };
-        entries += 1;
         let name = rest.split('"').next().unwrap_or("");
         if name.is_empty() {
-            return Err(format!("entry {entries} has an empty name"));
+            return Err(format!("entry {} has an empty name", entries.len() + 1));
         }
-        let number = |key: &str, null_ok: bool| -> Result<(), String> {
+        // `Ok(None)` is a `null` value (where allowed) or an absent `gain`.
+        let number = |key: &str, null_ok: bool| -> Result<Option<f64>, String> {
             let tag = format!("\"{key}\": ");
             let Some(value) = rest.split(&tag).nth(1) else {
-                return Err(format!("entry \"{name}\" is missing {key}"));
+                return match key {
+                    "gain" => Ok(None),
+                    _ => Err(format!("entry \"{name}\" is missing {key}")),
+                };
             };
             let value = value
                 .trim_end_matches(['}', ','])
@@ -187,21 +191,21 @@ pub fn validate(json: &str) -> Result<(), String> {
                 .unwrap_or("")
                 .trim();
             if null_ok && value == "null" {
-                return Ok(());
+                return Ok(None);
             }
             match value.parse::<f64>() {
-                Ok(ms) if ms.is_finite() => Ok(()),
+                Ok(ms) if ms.is_finite() => Ok(Some(ms)),
                 _ => Err(format!("entry \"{name}\" has bad {key}: {value:?}")),
             }
         };
-        number("modeled_ms", true)?;
-        number("host_ms", false)?;
-        // `gain` is optional — validated only when present.
-        if rest.contains("\"gain\": ") {
-            number("gain", false)?;
-        }
+        entries.push(BenchEntry {
+            name: name.to_string(),
+            modeled_ms: number("modeled_ms", true)?,
+            host_ms: number("host_ms", false)?.unwrap_or_default(),
+            gain: number("gain", false)?,
+        });
     }
-    if entries == 0 {
+    if entries.is_empty() {
         return Err("no experiment entries".into());
     }
     if json.matches('{').count() != json.matches('}').count()
@@ -212,7 +216,37 @@ pub fn validate(json: &str) -> Result<(), String> {
     if json.contains(",\n  ]") {
         return Err("trailing comma before array close".into());
     }
-    Ok(())
+    Ok(entries)
+}
+
+/// The modeled headlines that differ between two baselines, one
+/// `name.key: old -> new` line per experiment and key (`modeled_ms`,
+/// `gain`), an experiment missing on one side reading `null` there. `fig8`
+/// is left out: it mixes the CPU baselines' wall clock in by design.
+/// `host_ms` is wall clock and never compared.
+pub fn diff(old: &[BenchEntry], new: &[BenchEntry]) -> Vec<String> {
+    type Headline = fn(&BenchEntry) -> Option<f64>;
+    let headlines: [(&str, Headline); 2] = [("modeled_ms", |e| e.modeled_ms), ("gain", |e| e.gain)];
+    let names: std::collections::BTreeSet<&str> = old
+        .iter()
+        .chain(new)
+        .map(|e| e.name.as_str())
+        .filter(|&name| name != "fig8")
+        .collect();
+    let value = |entries: &[BenchEntry], name: &str, headline: Headline| {
+        entries.iter().find(|e| e.name == name).and_then(headline)
+    };
+    let show = |v: Option<f64>| v.map_or("null".to_string(), |v| v.to_string());
+    let mut changes = Vec::new();
+    for name in names {
+        for (key, headline) in headlines {
+            let (was, now) = (value(old, name, headline), value(new, name, headline));
+            if was != now {
+                changes.push(format!("{name}.{key}: {} -> {}", show(was), show(now)));
+            }
+        }
+    }
+    changes
 }
 
 /// Writes `BENCH.json` at `path`.
@@ -281,9 +315,9 @@ mod tests {
             },
         ];
         let json = render(&entries, 0.05, 1);
-        validate(&json).expect("render output validates");
+        parse(&json).expect("render output validates");
         // The baseline committed at the repo root must always stay valid.
-        validate(include_str!("../../../BENCH.json")).expect("committed BENCH.json validates");
+        parse(include_str!("../../../BENCH.json")).expect("committed BENCH.json validates");
     }
 
     #[test]
@@ -298,23 +332,62 @@ mod tests {
             1.0,
             3,
         );
-        assert!(validate("{}").is_err(), "empty object");
+        assert!(parse("{}").is_err(), "empty object");
         assert!(
-            validate(&good.replace("\"schema\": 1", "\"schema\": 2")).is_err(),
+            parse(&good.replace("\"schema\": 1", "\"schema\": 2")).is_err(),
             "wrong schema version"
         );
         assert!(
-            validate(&good.replace("\"modeled_ms\": 1.000000", "\"modeled_ms\": NaN")).is_err(),
+            parse(&good.replace("\"modeled_ms\": 1.000000", "\"modeled_ms\": NaN")).is_err(),
             "non-finite modeled_ms"
         );
         assert!(
-            validate(&good.replace("\"host_ms\": 2.000", "\"host_ms\": oops")).is_err(),
+            parse(&good.replace("\"host_ms\": 2.000", "\"host_ms\": oops")).is_err(),
             "non-numeric host_ms"
         );
         assert!(
-            validate(&good.replace("\"scale\": 1", "\"scale\": big")).is_err(),
+            parse(&good.replace("\"scale\": 1", "\"scale\": big")).is_err(),
             "non-numeric scale"
         );
+    }
+
+    #[test]
+    fn diff_reports_every_moved_headline_but_fig8() {
+        let entry = |name: &str, modeled_ms: Option<f64>, gain: Option<f64>| BenchEntry {
+            name: name.into(),
+            modeled_ms,
+            host_ms: 1.0,
+            gain,
+        };
+        let old = vec![
+            entry("fig8", Some(2.0), None),
+            entry("fig9", Some(0.5), None),
+            entry("ref", Some(0.1), Some(0.55)),
+            entry("table3", None, None),
+        ];
+        let mut same = old.clone();
+        same[1].host_ms = 99.0;
+        assert!(diff(&old, &same).is_empty(), "host_ms is not compared");
+        let new = vec![
+            entry("fig8", Some(3.0), None),
+            entry("fig9", Some(0.25), None),
+            entry("ref", Some(0.1), None),
+            entry("direction", Some(0.1), None),
+        ];
+        assert_eq!(
+            diff(&old, &new),
+            [
+                "direction.modeled_ms: null -> 0.1",
+                "fig9.modeled_ms: 0.5 -> 0.25",
+                "ref.gain: 0.55 -> null",
+            ]
+        );
+        // The committed baseline reads back and equals itself.
+        let committed = parse(include_str!("../../../BENCH.json")).unwrap();
+        assert!(committed
+            .iter()
+            .any(|e| e.name == "ref" && e.gain.is_some()));
+        assert!(diff(&committed, &committed).is_empty());
     }
 
     #[test]

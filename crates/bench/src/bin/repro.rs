@@ -1,7 +1,8 @@
 //! `repro` — regenerates every table and figure of the paper's evaluation.
 //! `repro --help` prints the experiments (the [`EXPERIMENTS`] table) and the
 //! flags; unknown names and malformed flags print the same usage to stderr
-//! and exit with status 2.
+//! and exit with status 2. `repro bench-diff OLD NEW` compares two
+//! `BENCH.json` baselines instead of running anything.
 
 use std::process::ExitCode;
 
@@ -113,9 +114,43 @@ fn bench_json(ctx: &ExperimentContext) {
     );
 }
 
+/// `repro bench-diff OLD NEW`: prints every experiment whose modeled
+/// headline (`modeled_ms` or `gain`) differs between two `BENCH.json`
+/// baselines, `fig8` exempt ([`bench_json::diff`]). Exits 1 if any does,
+/// and 2 when the arguments or files are bad.
+fn bench_diff(paths: &[String]) -> ExitCode {
+    let [old, new] = paths else {
+        eprint!("repro: bench-diff needs two files\n\n{}", usage());
+        return ExitCode::from(2);
+    };
+    let read = |path: &String| {
+        std::fs::read_to_string(path)
+            .map_err(|e| e.to_string())
+            .and_then(|json| bench_json::parse(&json))
+            .map_err(|e| format!("repro: {path}: {e}"))
+    };
+    let (old, new) = match (read(old), read(new)) {
+        (Ok(old), Ok(new)) => (old, new),
+        (Err(e), _) | (_, Err(e)) => {
+            eprintln!("{e}");
+            return ExitCode::from(2);
+        }
+    };
+    let changes = bench_json::diff(&old, &new);
+    if changes.is_empty() {
+        println!("modeled headlines identical");
+        return ExitCode::SUCCESS;
+    }
+    for change in &changes {
+        println!("{change}");
+    }
+    ExitCode::FAILURE
+}
+
 fn usage() -> String {
     let mut out = String::from(
         "repro [EXPERIMENT...] [--scale F] [--sources N] [--smoke]\n\
+         repro bench-diff OLD NEW\n\
          \n\
          --scale F    dataset scale factor   (default: 1.0)\n\
          --sources N  BFS sources averaged   (default: 3)\n\
@@ -132,6 +167,10 @@ fn usage() -> String {
             out.push_str(&format!("  {name}: {why}\n"));
         }
     }
+    out.push_str(
+        "\nbench-diff prints every modeled_ms / gain that differs between two\n\
+         BENCH.json files (fig8 exempt) and exits 1 if any does.\n",
+    );
     out
 }
 
@@ -180,7 +219,11 @@ fn parse(args: impl Iterator<Item = String>) -> Result<Option<Options>, String> 
 }
 
 fn main() -> ExitCode {
-    let opts = match parse(std::env::args().skip(1)) {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.first().is_some_and(|a| a == "bench-diff") {
+        return bench_diff(&args[1..]);
+    }
+    let opts = match parse(args.into_iter()) {
         Ok(Some(opts)) => opts,
         Ok(None) => {
             print!("{}", usage());

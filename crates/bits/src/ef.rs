@@ -45,27 +45,21 @@ pub struct EliasFano {
 /// Position (from the MSB) of the `rank`-th set bit of `word`
 /// (0-indexed; `rank < word.count_ones()`).
 #[inline]
-fn select_in_word_msb(word: u64, mut rank: u32) -> u32 {
+fn select_in_word_msb(mut word: u64, mut rank: u32) -> u32 {
     debug_assert!(rank < word.count_ones());
-    let mut base = 0u32;
-    // Byte-wise skip, then a short bit scan inside the hit byte.
-    for shift in (0..8).rev() {
-        let byte = (word >> (shift * 8)) & 0xFF;
-        let pc = byte.count_ones();
-        if rank < pc {
-            for bit in 0..8 {
-                if (byte >> (7 - bit)) & 1 == 1 {
-                    if rank == 0 {
-                        return base + bit;
-                    }
-                    rank -= 1;
-                }
-            }
+    // Halving search: `word` is shifted so that the window still holding
+    // the bit starts at the MSB; each step skips the window's top `half`
+    // bits when the bit lies below them.
+    let mut pos = 0;
+    for half in [32, 16, 8, 4, 2, 1] {
+        let ones = (word >> (64 - half)).count_ones();
+        if rank >= ones {
+            rank -= ones;
+            pos += half;
+            word <<= half;
         }
-        rank -= pc;
-        base += 8;
     }
-    unreachable!("rank exceeds the word's popcount");
+    pos
 }
 
 impl EliasFano {
@@ -269,6 +263,41 @@ impl EliasFano {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The bit-by-bit reference for [`select_in_word_msb`].
+    fn select_by_scan(word: u64, rank: u32) -> u32 {
+        (0..64)
+            .filter(|&bit| (word >> (63 - bit)) & 1 == 1)
+            .nth(rank as usize)
+            .unwrap()
+    }
+
+    #[test]
+    fn select_in_word_finds_every_rank_of_random_words() {
+        // SplitMix64, with sparse and dense words mixed in by AND / OR.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let mut words = vec![1, 1 << 63, u64::MAX, 0x8000_0000_0000_0001];
+        for _ in 0..2_000 {
+            let (a, b) = (next(), next());
+            words.extend([a, a & b, a | b, a & b & next()]);
+        }
+        for word in words.into_iter().filter(|&w| w != 0) {
+            for rank in 0..word.count_ones() {
+                assert_eq!(
+                    select_in_word_msb(word, rank),
+                    select_by_scan(word, rank),
+                    "word {word:#018x}, rank {rank}"
+                );
+            }
+        }
+    }
 
     fn round_trip(values: &[usize]) {
         let ef = EliasFano::build(values);

@@ -18,6 +18,13 @@
 //! frontier's, and it runs the full expansion kernels ([`launch_gather`]),
 //! never the early-exit scan. Push engines keep push levels throughout.
 //!
+//! The backward pass follows the same rule one level down: the step for
+//! level d expands level d+1 instead whenever that level has fewer edges.
+//! Each node v of level d+1 keeps its neighbours u on level d and adds
+//! σ(u)/σ(v)·(1 + δ(v)) to δ(u) with one scattered atomic per parent. δ
+//! then sums in another order than under push, so it matches the push run
+//! and the oracle to rounding, while depth and σ stay bitwise.
+//!
 //! Neither pass launches where nothing can come of it: the forward pass
 //! stops once every node is reached, and the backward pass skips the
 //! deepest level, whose δ is 0 by definition.
@@ -99,11 +106,14 @@ impl Sink for LabelSink<'_> {
     }
 }
 
-/// The pull-level filter: each candidate `v` keeps the neighbours `u` on
-/// the frontier's level `du` (a scattered depth lookup) and reads their σ.
-/// A lane sums its candidate's σ in a register, so no queue, scan or atomic
-/// is involved; the candidate's σ and depth are written back once, charged
-/// with the pack that finds its first parent.
+/// The pull-level filter: each candidate `v` keeps its visited neighbours
+/// `u` and reads their σ. It probes the visited bitmap (the byte BFS's
+/// `QueueSink` and [`compact_frontier`] read), not `u`'s depth label: on
+/// symmetric adjacency a visited neighbour of an unvisited candidate lies
+/// on the frontier's level `du`, since one on an earlier level would have
+/// reached `v` already. A lane sums its candidate's σ in a register, so no
+/// queue, scan or atomic is involved; the candidate's σ and depth are
+/// written back once, charged with the pack that finds its first parent.
 struct ParentSink<'d> {
     depth: &'d [u32],
     du: u32,
@@ -114,6 +124,47 @@ struct ParentSink<'d> {
 }
 
 impl Sink for ParentSink<'_> {
+    fn handle(&mut self, warp: &mut WarpSim, items: &[(NodeId, NodeId)]) {
+        warp.issue_mem(
+            OpClass::Handle,
+            items.len(),
+            items
+                .iter()
+                .map(|&(_, u)| Space::Visited.addr(u64::from(u) / 8)),
+        );
+        let kept = self.out.len();
+        self.out.extend(items.iter().filter(|&&(_, u)| {
+            let d = self.depth[u as usize];
+            debug_assert!(d == UNREACHED || d == self.du, "visited off the frontier");
+            d != UNREACHED
+        }));
+        let parents = &self.out[kept..];
+        if parents.is_empty() {
+            return;
+        }
+        warp.access(parents.iter().map(|&(_, u)| sigma_addr(u)));
+        let fresh = first_seen(&mut self.found, parents);
+        if !fresh.is_empty() {
+            warp.access(fresh.iter().flat_map(|&v| [depth_addr(v), sigma_addr(v)]));
+        }
+    }
+}
+
+/// The backward step's pull filter: each node `v` of level `du + 1` keeps
+/// the neighbours `u` on level `du` (a scattered depth lookup, as
+/// [`LabelSink`]), reads its own σ and δ once (δ shares σ's address), and
+/// adds its share of δ(u) with one scattered atomic per parent on `u`'s σ/δ
+/// address.
+struct ChildSink<'d> {
+    depth: &'d [u32],
+    du: u32,
+    /// Nodes of this warp whose σ and δ were read.
+    read: Vec<NodeId>,
+    /// `(child, parent)` pairs in emission order.
+    out: Vec<(NodeId, NodeId)>,
+}
+
+impl Sink for ChildSink<'_> {
     fn handle(&mut self, warp: &mut WarpSim, items: &[(NodeId, NodeId)]) {
         warp.issue_mem(
             OpClass::Handle,
@@ -130,18 +181,28 @@ impl Sink for ParentSink<'_> {
         if parents.is_empty() {
             return;
         }
-        warp.access(parents.iter().map(|&(_, u)| sigma_addr(u)));
-        let first = self.found.len();
-        for &(v, _) in parents {
-            if !self.found.contains(&v) {
-                self.found.push(v);
-            }
-        }
-        let fresh = &self.found[first..];
+        let fresh = first_seen(&mut self.read, parents);
         if !fresh.is_empty() {
-            warp.access(fresh.iter().flat_map(|&v| [depth_addr(v), sigma_addr(v)]));
+            warp.access(fresh.iter().map(|&v| sigma_addr(v)));
+        }
+        warp.issue_mem(
+            OpClass::Atomic,
+            parents.len(),
+            parents.iter().map(|&(_, u)| sigma_addr(u)),
+        );
+    }
+}
+
+/// Appends to `seen` the first nodes of `pairs` it does not hold yet, and
+/// returns them.
+fn first_seen<'s>(seen: &'s mut Vec<NodeId>, pairs: &[(NodeId, NodeId)]) -> &'s [NodeId] {
+    let first = seen.len();
+    for &(v, _) in pairs {
+        if !seen.contains(&v) {
+            seen.push(v);
         }
     }
+    &seen[first..]
 }
 
 /// Runs single-source betweenness centrality from `source`.
@@ -166,8 +227,8 @@ pub fn bc_in(engine: &dyn Expander, device: &mut Device, source: NodeId) -> BcRu
     // --- forward pass: levels, σ ---
     let mut levels: Vec<Vec<NodeId>> = vec![vec![source]];
     let mut unreached = n - 1;
-    // Edge sums of the frontier and of the unvisited nodes: the two costs
-    // the direction choice compares. Kept only when a level may pull, each
+    // Edge sums of each level and of the unvisited nodes: the costs the
+    // direction choices compare. Kept only when a level may pull, each
     // node's degree read once, when it is reached.
     let degrees = |nodes: &[NodeId]| -> usize {
         if may_pull {
@@ -176,13 +237,15 @@ pub fn bc_in(engine: &dyn Expander, device: &mut Device, source: NodeId) -> BcRu
             0
         }
     };
-    let mut frontier_edges = degrees(&levels[0]);
-    let mut unvisited_edges = engine.num_edges() - frontier_edges;
+    let mut level_edges = vec![degrees(&levels[0])];
+    let mut unvisited_edges = engine.num_edges() - level_edges[0];
     while unreached > 0 {
         let du = (levels.len() - 1) as u32;
         let frontier = &levels[du as usize];
         let mut next: Vec<NodeId> = Vec::new();
-        if may_pull && unvisited_edges < frontier_edges {
+        // Whether `next` is already compacted (or too small to be).
+        let mut compacted = false;
+        if may_pull && unvisited_edges < level_edges[du as usize] {
             // Ascending candidates, and warps merge in order, so the next
             // level comes out ascending. A device-filling list is still
             // compacted (its sort a no-op): that launch computes the degree
@@ -207,6 +270,12 @@ pub fn bc_in(engine: &dyn Expander, device: &mut Device, source: NodeId) -> BcRu
                 }
                 sigma[v as usize] += sigma[u as usize];
             }
+            if next.len() == candidates.len() {
+                // Every candidate found a parent: the next level is the
+                // candidate list, compacted above if it fills the device.
+                next = candidates;
+                compacted = true;
+            }
         } else {
             let sinks = launch_expansion(engine, device, frontier, || LabelSink {
                 depth: &depth,
@@ -229,36 +298,51 @@ pub fn bc_in(engine: &dyn Expander, device: &mut Device, source: NodeId) -> BcRu
         }
         // Same rule as BFS push levels: only a device-filling level is
         // compacted, pushed or pulled, which sorts it and computes the
-        // degree prefix once for both launches that read it: the next
+        // degree prefix once for every launch that reads it: the next
         // forward level and the backward pass.
-        if engine.device_config().fills_device(next.len()) {
+        if !compacted && engine.device_config().fills_device(next.len()) {
             compact_frontier(engine, device, &mut next);
         }
         if next.is_empty() {
             break;
         }
         unreached -= next.len();
-        frontier_edges = degrees(&next);
-        unvisited_edges -= frontier_edges;
+        level_edges.push(degrees(&next));
+        unvisited_edges -= level_edges[du as usize + 1];
         levels.push(next);
     }
 
     // --- backward pass: δ, walking levels deepest-first. The deepest
-    // level's δ is 0, and its tree edges lead nowhere: it is not launched ---
+    // level's δ is 0, and its tree edges lead nowhere: it is not launched.
+    // The step for level d expands level d+1 when that level has fewer
+    // edges (only ever under a pull or adaptive direction) ---
     let mut delta = vec![0.0f64; n];
     for lvl in (0..levels.len() - 1).rev() {
         let du = lvl as u32;
-        let sinks = launch_expansion(engine, device, &levels[lvl], || LabelSink {
-            depth: &depth,
-            du,
-            keep_unvisited: false,
-            out: Vec::new(),
-        });
-        for sink in sinks {
-            for (u, v) in sink.out {
-                delta[u as usize] +=
-                    sigma[u as usize] / sigma[v as usize] * (1.0 + delta[v as usize]);
-            }
+        // `(parent, child)` tree edges in emission order.
+        let tree_edges: Vec<(NodeId, NodeId)> = if level_edges[lvl + 1] < level_edges[lvl] {
+            let sinks = launch_gather(engine, device, &levels[lvl + 1], || ChildSink {
+                depth: &depth,
+                du,
+                read: Vec::new(),
+                out: Vec::new(),
+            });
+            sinks
+                .into_iter()
+                .flat_map(|s| s.out)
+                .map(|(v, u)| (u, v))
+                .collect()
+        } else {
+            let sinks = launch_expansion(engine, device, &levels[lvl], || LabelSink {
+                depth: &depth,
+                du,
+                keep_unvisited: false,
+                out: Vec::new(),
+            });
+            sinks.into_iter().flat_map(|s| s.out).collect()
+        };
+        for (u, v) in tree_edges {
+            delta[u as usize] += sigma[u as usize] / sigma[v as usize] * (1.0 + delta[v as usize]);
         }
     }
 
@@ -435,31 +519,65 @@ mod tests {
         }
     }
 
-    #[test]
-    fn no_level_is_launched_that_cannot_discover_anything() {
-        for g in [path(200), connected_social(600)] {
-            let want = refalgo::betweenness_from_source(&g, 0);
-            assert!(want.depth.iter().all(|&d| d != UNREACHED));
-            let levels = *want.depth.iter().max().unwrap() as usize + 1;
-            let mut sizes = vec![0u64; levels];
-            for &d in &want.depth {
+    /// The oracle's levels from `source`: the nodes of each, and the sum of
+    /// their degrees.
+    fn oracle_levels(g: &Csr, want: &refalgo::BcResult) -> (Vec<u64>, Vec<usize>) {
+        let levels = *want
+            .depth
+            .iter()
+            .filter(|&&d| d != UNREACHED)
+            .max()
+            .unwrap() as usize
+            + 1;
+        let (mut sizes, mut edges) = (vec![0u64; levels], vec![0usize; levels]);
+        for (v, &d) in want.depth.iter().enumerate() {
+            if d != UNREACHED {
                 sizes[d as usize] += 1;
-            }
-            for direction in [DirectionMode::Push, DirectionMode::Adaptive] {
-                let (run, launched) = run_observed(&g, direction, 0);
-                assert_eq!(run.depth, want.depth);
-                // Forward: one launch per level that discovers the next —
-                // none over the deepest. Backward: one per level above the
-                // deepest, deepest first, always pushing.
-                assert_eq!(launched.len(), 2 * (levels - 1), "{direction:?}");
-                let backward: Vec<(&str, u64)> = sizes[..levels - 1]
-                    .iter()
-                    .rev()
-                    .map(|&k| ("push", k))
-                    .collect();
-                assert_eq!(launched[levels - 1..], backward, "{direction:?}");
+                edges[d as usize] += g.degree(v as NodeId);
             }
         }
+        (sizes, edges)
+    }
+
+    #[test]
+    fn no_level_is_launched_that_cannot_discover_anything() {
+        // From node 2 the social graph's deepest level is light: its
+        // backward step pulls, the hub level's pushes.
+        let mut backward_pulls = 0;
+        for (g, source) in [
+            (path(200), 0),
+            (connected_social(600), 0),
+            (connected_social(600), 2),
+        ] {
+            let want = refalgo::betweenness_from_source(&g, source);
+            assert!(want.depth.iter().all(|&d| d != UNREACHED));
+            let (sizes, edges) = oracle_levels(&g, &want);
+            let levels = sizes.len();
+            for direction in [DirectionMode::Push, DirectionMode::Adaptive] {
+                let (run, launched) = run_observed(&g, direction, source);
+                assert_eq!(run.depth, want.depth);
+                assert_eq!(run.sigma, want.sigma, "σ is exact");
+                assert_close(&run.delta, &want.delta, 1e-9);
+                // Forward: one launch per level that discovers the next —
+                // none over the deepest. Backward: one per level above the
+                // deepest, deepest first. Under `Adaptive` step d expands
+                // level d+1 when that level has fewer edges.
+                assert_eq!(launched.len(), 2 * (levels - 1), "{direction:?}");
+                let backward: Vec<(&str, u64)> = (0..levels - 1)
+                    .rev()
+                    .map(|d| {
+                        if direction == DirectionMode::Adaptive && edges[d + 1] < edges[d] {
+                            ("pull", sizes[d + 1])
+                        } else {
+                            ("push", sizes[d])
+                        }
+                    })
+                    .collect();
+                assert_eq!(launched[levels - 1..], backward, "{direction:?}");
+                backward_pulls += backward.iter().filter(|&&(d, _)| d == "pull").count();
+            }
+        }
+        assert!(backward_pulls > 0, "no backward step pulled");
     }
 
     #[test]

@@ -142,12 +142,15 @@ pub(crate) fn gather_bit_starts(warp: &mut WarpSim, cgr: &CgrGraph, chunk: &[Nod
 
 /// The device addresses of node `u`'s extent `[bit_start(u),
 /// bit_start(u + 1))`: the index entries and block bases of `u` and `u + 1`
-/// ([`gcgt_cgr::DeviceIndex::entry_addrs`]).
+/// ([`gcgt_cgr::DeviceIndex::entry_addrs`]), `u + 1`'s base only where its
+/// block is not `u`'s.
 pub fn extent_addrs(cgr: &CgrGraph, u: NodeId) -> impl Iterator<Item = u64> + '_ {
     let index = cgr.device_index();
+    let base = |v: NodeId| index.entry_addrs(v).nth(1);
+    let next_addrs = if base(u) == base(u + 1) { 1 } else { 2 };
     index
         .entry_addrs(u)
-        .chain(index.entry_addrs(u + 1))
+        .chain(index.entry_addrs(u + 1).take(next_addrs))
         .map(|a| Space::Offsets.addr(a))
 }
 

@@ -133,7 +133,12 @@ impl MemSim {
     pub fn access_step<I: IntoIterator<Item = u64>>(&mut self, addrs: I) -> u64 {
         self.scratch.clear();
         for a in addrs {
-            self.scratch.push(a >> self.line_shift);
+            // Neighbouring lanes mostly share a line: drop a repeat before
+            // the sort instead of after it.
+            let line = a >> self.line_shift;
+            if self.scratch.last() != Some(&line) {
+                self.scratch.push(line);
+            }
         }
         if self.scratch.is_empty() {
             return 0;

@@ -11,6 +11,7 @@ use gcgt::core::{
     bc, bc_in, bfs, bfs_in, cc, cc_in, compact_frontier, label_propagation_in, launch_expansion,
     pagerank, pagerank_in, BcRun,
 };
+use gcgt::graph::UNREACHED;
 use gcgt::prelude::*;
 use gcgt::simt::Space;
 use proptest::prelude::{prop_assert, prop_assert_eq, proptest, ProptestConfig};
@@ -458,6 +459,48 @@ fn bc_matches_oracle_across_engines() {
         for (row, engine) in fx.engines(device(), DirectionMode::Push) {
             assert_bc_matches(&bc(&*engine, 0), &want, &format!("{name} / {row}"));
         }
+    }
+}
+
+/// Adaptive BC pulls forward levels and backward steps under every engine
+/// shape, and the pairs reach the host merge in one order: streamed through
+/// a partition cache or sharded over four devices, depth, σ and δ are
+/// bitwise the in-core answer.
+#[test]
+fn adaptive_bc_is_bitwise_across_engine_shapes() {
+    let fx = Fixture::new(social_graph(&SocialParams::twitter_like(700), 7).symmetrized());
+    let source = 7;
+    let want = refalgo::betweenness_from_source(&fx.graph, source);
+    // The backward pass takes both directions: a level with fewer edges
+    // than the one above it (its step pulls), and one with at least as many
+    // (its step pushes).
+    let mut level_edges = vec![0usize; fx.graph.num_nodes()];
+    for (v, &d) in want.depth.iter().enumerate() {
+        if d != UNREACHED {
+            level_edges[d as usize] += fx.graph.degree(v as NodeId);
+        }
+    }
+    let deepest = *want
+        .depth
+        .iter()
+        .filter(|&&d| d != UNREACHED)
+        .max()
+        .unwrap() as usize;
+    let mut steps = level_edges[..=deepest].windows(2);
+    assert!(steps.clone().any(|e| e[1] < e[0]) && steps.any(|e| e[1] >= e[0]));
+    let rows = fx.engines(device(), DirectionMode::Adaptive);
+    let run = |name: &str| {
+        let (_, engine) = rows.iter().find(|(row, _)| *row == name).unwrap();
+        bc(&**engine, source)
+    };
+    let in_core = run(Strategy::Full.name());
+    assert_bc_matches(&in_core, &want, "in-core");
+    for row in ["ooc", "shard4-gcgt", "shard4-ooc"] {
+        let got = run(row);
+        assert_eq!(got.depth, in_core.depth, "{row}");
+        let bits = |x: &[f64]| x.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got.sigma), bits(&in_core.sigma), "{row}: σ");
+        assert_eq!(bits(&got.delta), bits(&in_core.delta), "{row}: δ");
     }
 }
 
