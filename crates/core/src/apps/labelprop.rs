@@ -8,7 +8,7 @@
 //! emits `(u, v)` label votes with the label-array traffic accounted; the
 //! contraction tallies votes and updates labels host-side.
 
-use gcgt_graph::NodeId;
+use gcgt_graph::{bucket_by_key, LabelTally, NodeId};
 use gcgt_simt::{Device, OpClass, RunStats, Space, WarpSim};
 
 use crate::engine::{launch_expansion, Expander};
@@ -64,36 +64,29 @@ pub fn label_propagation_in(
     let scratch = crate::apps::alloc_scratch(engine, device);
     let mut label: Vec<NodeId> = (0..n as NodeId).collect();
     let all_nodes: Vec<NodeId> = (0..n as NodeId).collect();
-    // Per-node ballot: (candidate label, count), rebuilt every round.
-    let mut ballots: Vec<std::collections::HashMap<NodeId, u32>> =
-        vec![std::collections::HashMap::new(); n];
+    let mut tally = LabelTally::new(n);
 
     let mut rounds = 0usize;
     for _ in 0..max_rounds {
         rounds += 1;
         let sinks = launch_expansion(engine, device, &all_nodes, || VoteSink { out: Vec::new() });
-        for b in ballots.iter_mut() {
-            b.clear();
-        }
-        for sink in sinks {
-            for (u, v) in sink.out {
-                *ballots[v as usize].entry(label[u as usize]).or_insert(0) += 1;
-            }
-        }
+        // Group the votes by target, then tally each target's ballot.
+        let votes = || sinks.iter().flat_map(|s| &s.out).map(|&(u, v)| (v, u));
+        let (start, voters) = bucket_by_key(n, votes);
         let mut changed = false;
         let mut next = label.clone();
         for v in 0..n {
-            if ballots[v].is_empty() {
-                continue;
+            for &u in &voters[start[v]..start[v + 1]] {
+                tally.add(label[u as usize]);
             }
             let mut best = label[v];
             let mut best_count = 0u32;
-            for (&l, &c) in ballots[v].iter() {
+            tally.drain(|l, c| {
                 if c > best_count || (c == best_count && l < best) {
                     best = l;
                     best_count = c;
                 }
-            }
+            });
             if best != label[v] {
                 next[v] = best;
                 changed = true;
@@ -150,6 +143,17 @@ mod tests {
         let got = run_lp(&g, 8);
         assert_eq!(got.labels, want);
         assert_eq!(got.rounds, want_rounds);
+    }
+
+    #[test]
+    fn equal_votes_go_to_the_smaller_label() {
+        // Node 0 hears one vote each from nodes 1 and 2 every round. Round
+        // 1 ties labels 1 and 2; node 1 adopts 3 from node 3, so round 2
+        // ties labels 3 and 2, with the larger counted first.
+        let g = gcgt_graph::Csr::from_edges(4, &[(1, 0), (2, 0), (3, 1)]);
+        let (want, _) = refalgo::label_propagation(&g, 5);
+        assert_eq!(want, vec![2, 3, 2, 3]);
+        assert_eq!(run_lp(&g, 5).labels, want);
     }
 
     #[test]

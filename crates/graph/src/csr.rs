@@ -158,24 +158,10 @@ impl Csr {
 
     /// The transposed graph (every edge reversed).
     pub fn transpose(&self) -> Csr {
-        let n = self.num_nodes();
-        let mut offsets = vec![0usize; n + 1];
-        for &v in self.col_indices.iter() {
-            offsets[v as usize + 1] += 1;
-        }
-        for i in 0..n {
-            offsets[i + 1] += offsets[i];
-        }
-        let mut cursor = offsets.clone();
-        let mut cols = vec![0 as NodeId; self.num_edges()];
-        for u in 0..n as NodeId {
-            for &v in self.neighbors(u) {
-                cols[cursor[v as usize]] = u;
-                cursor[v as usize] += 1;
-            }
-        }
-        // Each per-node slice was filled in increasing u, so it is sorted
-        // and duplicate-free already.
+        // Bucketing keeps each node's sources in increasing order, so every
+        // list is sorted and duplicate-free already.
+        let reversed = || self.edges().map(|(u, v)| (v, u));
+        let (offsets, cols) = bucket_by_key(self.num_nodes(), reversed);
         Csr {
             row_offsets: offsets.into_boxed_slice(),
             col_indices: cols.into_boxed_slice(),
@@ -193,12 +179,8 @@ impl Csr {
 
     /// The symmetrized graph: for every edge `(u, v)` both directions exist.
     pub fn symmetrized(&self) -> Csr {
-        let mut b = CsrBuilder::new(self.num_nodes());
-        for (u, v) in self.edges() {
-            b.add_edge(u, v);
-            b.add_edge(v, u);
-        }
-        b.build()
+        let both = || self.edges().flat_map(|(u, v)| [(u, v), (v, u)]);
+        Csr::from_buckets(bucket_by_key(self.num_nodes(), both))
     }
 
     /// Relabels nodes: old node `u` becomes `perm[u]`. Adjacency lists are
@@ -206,23 +188,33 @@ impl Csr {
     /// Section 3.1 ("Node Reordering").
     pub fn permuted(&self, perm: &[NodeId]) -> Csr {
         assert_eq!(perm.len(), self.num_nodes(), "permutation length mismatch");
-        let n = self.num_nodes();
-        let mut offsets = vec![0usize; n + 1];
-        for u in 0..n as NodeId {
-            offsets[perm[u as usize] as usize + 1] = self.degree(u);
-        }
-        for i in 0..n {
-            offsets[i + 1] += offsets[i];
-        }
-        let mut cols = vec![0 as NodeId; self.num_edges()];
-        for u in 0..n as NodeId {
-            let nu = perm[u as usize] as usize;
-            let dst = &mut cols[offsets[nu]..offsets[nu] + self.degree(u)];
-            for (slot, &v) in dst.iter_mut().zip(self.neighbors(u)) {
-                *slot = perm[v as usize];
+        let relabelled = || {
+            self.edges()
+                .map(|(u, v)| (perm[u as usize], perm[v as usize]))
+        };
+        Csr::from_buckets(bucket_by_key(self.num_nodes(), relabelled))
+    }
+
+    /// The graph whose adjacency lists are [`bucket_by_key`]'s buckets,
+    /// each sorted and deduplicated in place.
+    fn from_buckets((mut offsets, mut cols): (Vec<usize>, Vec<NodeId>)) -> Csr {
+        let n = offsets.len() - 1;
+        // Sort each bucket and compact it left past the duplicates dropped
+        // so far; `offsets[u]` already holds the compacted start of `u`.
+        let (mut start, mut kept) = (0, 0);
+        for u in 0..n {
+            let end = offsets[u + 1];
+            cols[start..end].sort_unstable();
+            for i in start..end {
+                if kept == offsets[u] || cols[kept - 1] != cols[i] {
+                    cols[kept] = cols[i];
+                    kept += 1;
+                }
             }
-            dst.sort_unstable();
+            offsets[u + 1] = kept;
+            start = end;
         }
+        cols.truncate(kept);
         Csr {
             row_offsets: offsets.into_boxed_slice(),
             col_indices: cols.into_boxed_slice(),
@@ -304,29 +296,111 @@ impl CsrBuilder {
         self.add_edge(v, u);
     }
 
-    /// Finalizes into a [`Csr`], sorting and deduplicating.
-    pub fn build(mut self) -> Csr {
-        self.edges.sort_unstable();
-        self.edges.dedup();
-        let mut offsets = vec![0usize; self.n + 1];
-        for &(u, _) in &self.edges {
-            offsets[u as usize + 1] += 1;
-        }
-        for i in 0..self.n {
-            offsets[i + 1] += offsets[i];
-        }
-        let cols: Vec<NodeId> = self.edges.iter().map(|&(_, v)| v).collect();
-        Csr {
-            row_offsets: offsets.into_boxed_slice(),
-            col_indices: cols.into_boxed_slice(),
-        }
+    /// Finalizes into a [`Csr`], sorting and deduplicating. The pairs are
+    /// bucketed by source, then each list is sorted and deduplicated in
+    /// place: no global sort of the pairs.
+    pub fn build(self) -> Csr {
+        Csr::from_buckets(bucket_by_key(self.n, || self.edges.iter().copied()))
     }
+}
+
+/// Groups the `(key, value)` pairs `pairs()` yields by key in one counting
+/// sort (count, prefix sum, scatter; `pairs` is called twice). Returns
+/// `n + 1` offsets and the values: key `k`'s values are
+/// `values[offsets[k]..offsets[k + 1]]`, in input order. Keys must be
+/// below `n`.
+pub fn bucket_by_key<I>(n: usize, pairs: impl Fn() -> I) -> (Vec<usize>, Vec<NodeId>)
+where
+    I: Iterator<Item = (NodeId, NodeId)>,
+{
+    let mut offsets = vec![0usize; n + 1];
+    for (k, _) in pairs() {
+        offsets[k as usize + 1] += 1;
+    }
+    for i in 0..n {
+        offsets[i + 1] += offsets[i];
+    }
+    let mut cursor = offsets.clone();
+    let mut values = vec![0 as NodeId; offsets[n]];
+    for (k, v) in pairs() {
+        values[cursor[k as usize]] = v;
+        cursor[k as usize] += 1;
+    }
+    (offsets, values)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gen::toys;
+    use proptest::prelude::*;
+
+    /// The reference `CsrBuilder::build` must equal: one global sort and
+    /// dedup of the pairs, offsets counted from the sorted list.
+    fn globally_sorted(n: usize, mut edges: Vec<(NodeId, NodeId)>) -> Csr {
+        edges.sort_unstable();
+        edges.dedup();
+        let mut offsets = vec![0usize; n + 1];
+        for &(u, _) in &edges {
+            offsets[u as usize + 1] += 1;
+        }
+        for i in 0..n {
+            offsets[i + 1] += offsets[i];
+        }
+        Csr::from_parts(offsets, edges.iter().map(|&(_, v)| v).collect())
+    }
+
+    fn built(n: usize, edges: &[(NodeId, NodeId)]) -> Csr {
+        let mut b = CsrBuilder::new(n);
+        for &(u, v) in edges {
+            b.add_edge(u, v);
+        }
+        b.build()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Few nodes and many pairs, so duplicates, self-loops and isolated
+        /// nodes all occur; `n` reaches 0 and 1.
+        #[test]
+        fn builder_equals_a_global_sort_and_dedup(
+            case in (0usize..24).prop_flat_map(|n| {
+                let ids = 0..n.max(1) as NodeId;
+                let len = if n == 0 { 0..1 } else { 0..4 * n + 8 };
+                proptest::collection::vec((ids.clone(), ids), len)
+                    .prop_map(move |edges| (n, edges))
+            }),
+        ) {
+            let (n, edges) = case;
+            let got = built(n, &edges);
+            prop_assert_eq!(got.validate(), Ok(()));
+            prop_assert_eq!(&got, &globally_sorted(n, edges.clone()));
+            // Transpose and symmetrize bucket the same pairs.
+            let reversed: Vec<_> = edges.iter().map(|&(u, v)| (v, u)).collect();
+            prop_assert_eq!(got.transpose(), globally_sorted(n, reversed.clone()));
+            let both = [edges, reversed].concat();
+            prop_assert_eq!(got.symmetrized(), globally_sorted(n, both));
+        }
+    }
+
+    #[test]
+    fn builder_edge_cases_equal_the_global_sort() {
+        let cases: [(usize, Vec<(NodeId, NodeId)>); 5] = [
+            (0, vec![]),
+            (1, vec![]),
+            (1, vec![(0, 0), (0, 0)]),
+            (5, vec![(4, 0), (4, 0), (2, 2), (4, 1), (0, 4), (2, 2)]),
+            (6, vec![(5, 5)]),
+        ];
+        for (n, edges) in cases {
+            assert_eq!(
+                built(n, &edges),
+                globally_sorted(n, edges.clone()),
+                "{edges:?}"
+            );
+        }
+    }
 
     #[test]
     fn figure1_graph_matches_paper_csr() {

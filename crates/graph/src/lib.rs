@@ -12,7 +12,8 @@
 //! * [`vnode`] — virtual-node compression (Buehrer–Chellapilla), the uniform
 //!   preprocessing step of Section 7.2;
 //! * [`refalgo`] — serial reference BFS/CC/BC/PageRank used as correctness
-//!   oracles by every parallel implementation in the workspace.
+//!   oracles by every parallel implementation in the workspace;
+//! * [`tally`] — the dense label counter LLP and label propagation share.
 
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 pub mod csr;
@@ -20,8 +21,10 @@ pub mod edgelist;
 pub mod gen;
 pub mod order;
 pub mod refalgo;
+pub mod tally;
 pub mod vnode;
 
-pub use csr::{Csr, CsrBuilder, NodeId, UNREACHED};
+pub use csr::{bucket_by_key, Csr, CsrBuilder, NodeId, UNREACHED};
 pub use order::{Permutation, Reordering};
+pub use tally::LabelTally;
 pub use vnode::{VnodeConfig, VnodeGraph};

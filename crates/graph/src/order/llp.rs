@@ -12,6 +12,7 @@
 
 use crate::csr::{Csr, NodeId};
 use crate::order::{from_ranking, Permutation};
+use crate::tally::LabelTally;
 
 /// Configuration for LLP ([`crate::order::Reordering::Llp`]).
 #[derive(Clone, Debug, PartialEq)]
@@ -62,12 +63,17 @@ pub fn llp(graph: &Csr, cfg: &LlpConfig) -> Permutation {
 /// One label-propagation layer under the APM objective at resolution γ.
 /// Returns canonicalized labels (relabelled to first-occurrence order so the
 /// lexicographic sort is deterministic).
+///
+/// A node adopts the label with the highest score, ties to the smaller
+/// label. That rule picks the maximum of a total order on
+/// `(score, label)` pairs, so it does not depend on the order in which the
+/// candidate labels are visited: [`LabelTally`] visits them in first-count
+/// order, and any other order gives the same labels.
 fn propagate(sym: &Csr, gamma: f64, iters: usize) -> Vec<NodeId> {
     let n = sym.num_nodes();
     let mut label: Vec<NodeId> = (0..n as NodeId).collect();
     let mut volume: Vec<u32> = vec![1; n];
-    // Scratch: neighbour-label counts via a small hash-free two-pass scan.
-    let mut counts: std::collections::HashMap<NodeId, u32> = std::collections::HashMap::new();
+    let mut counts = LabelTally::new(n);
 
     for _ in 0..iters {
         let mut changed = 0usize;
@@ -76,14 +82,13 @@ fn propagate(sym: &Csr, gamma: f64, iters: usize) -> Vec<NodeId> {
             if neigh.is_empty() {
                 continue;
             }
-            counts.clear();
             for &v in neigh {
-                *counts.entry(label[v as usize]).or_insert(0) += 1;
+                counts.add(label[v as usize]);
             }
             let cur = label[u as usize];
             let mut best = cur;
             let mut best_score = f64::MIN;
-            for (&l, &k) in counts.iter() {
+            counts.drain(|l, k| {
                 // Exclude u itself from the label volume it evaluates.
                 let vol = volume[l as usize] - u32::from(l == cur);
                 let score = k as f64 - gamma * (vol as f64 - k as f64);
@@ -91,7 +96,7 @@ fn propagate(sym: &Csr, gamma: f64, iters: usize) -> Vec<NodeId> {
                     best = l;
                     best_score = score;
                 }
-            }
+            });
             if best != cur {
                 volume[cur as usize] -= 1;
                 volume[best as usize] += 1;
@@ -106,15 +111,21 @@ fn propagate(sym: &Csr, gamma: f64, iters: usize) -> Vec<NodeId> {
     canonicalize(&label)
 }
 
-/// Relabels to dense ids in first-occurrence order.
+/// Relabels to dense ids in first-occurrence order, through a dense map
+/// indexed by label.
 fn canonicalize(labels: &[NodeId]) -> Vec<NodeId> {
-    let mut map: std::collections::HashMap<NodeId, NodeId> = std::collections::HashMap::new();
-    let mut out = Vec::with_capacity(labels.len());
-    for &l in labels {
-        let next = map.len() as NodeId;
-        out.push(*map.entry(l).or_insert(next));
-    }
-    out
+    let mut map = vec![NodeId::MAX; labels.iter().max().map_or(0, |&l| l as usize + 1)];
+    let mut next = 0;
+    labels
+        .iter()
+        .map(|&l| {
+            if map[l as usize] == NodeId::MAX {
+                map[l as usize] = next;
+                next += 1;
+            }
+            map[l as usize]
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -153,6 +164,17 @@ mod tests {
         let spread = |v: &[u32]| *v.iter().max().unwrap() - *v.iter().min().unwrap();
         assert_eq!(spread(&new_a), 3, "clique A not contiguous: {new_a:?}");
         assert_eq!(spread(&new_b), 3, "clique B not contiguous: {new_b:?}");
+    }
+
+    #[test]
+    fn equal_scores_go_to_the_smaller_label() {
+        // Paths 0-2-4 and 1-3-4, one pass at γ = 0 in id order: node 2
+        // weighs its own label 2 (via 0) against 4, node 3 weighs 3 against
+        // 4, and node 4 weighs 2 against 3, each at one vote apiece. The
+        // smaller label wins every time: labels 2,3,2,3,2. The larger would
+        // give 2,3,4,4,4, which canonicalizes differently.
+        let g = Csr::from_edges(5, &[(0, 2), (1, 3), (2, 4), (3, 4)]).symmetrized();
+        assert_eq!(propagate(&g, 0.0, 1), vec![0, 1, 0, 1, 0]);
     }
 
     #[test]
