@@ -36,7 +36,7 @@
 use crate::config::CgrConfig;
 use crate::encode::CgrGraph;
 use gcgt_bits::{Code, PackedRun};
-use gcgt_graph::{Csr, CsrBuilder, NodeId};
+use gcgt_graph::{Csr, NodeId};
 
 /// What a trusted caller's `expect` says when the cursor reports an error.
 const INVALID: &str = "structurally invalid CGR payload";
@@ -579,14 +579,7 @@ pub fn decode_seg_num(cgr: &CgrGraph, u: NodeId) -> usize {
 
 /// Decodes the whole graph back into CSR form (round-trip oracle).
 pub fn decode_all(cgr: &CgrGraph) -> Csr {
-    let n = cgr.num_nodes();
-    let mut b = CsrBuilder::with_edge_capacity(n, cgr.num_edges());
-    for u in 0..n as NodeId {
-        for v in decode_node_unsorted(cgr, u) {
-            b.add_edge(u, v);
-        }
-    }
-    b.build()
+    decode_rows(cgr, |_| true)
 }
 
 /// Decodes every node whose payload proves structurally sound into a CSR
@@ -599,22 +592,36 @@ pub fn decode_all(cgr: &CgrGraph) -> Csr {
 /// touching query with a typed error) or fatal (anything that would decode
 /// the corrupt payload unchecked).
 pub fn decode_all_validated(cgr: &CgrGraph) -> (Csr, Option<String>) {
-    let n = cgr.num_nodes();
-    let mut b = CsrBuilder::with_edge_capacity(n, cgr.num_edges());
     let mut first_error = None;
-    for u in 0..n as NodeId {
+    let csr = decode_rows(cgr, |u| {
         match cgr.ensure_validated(u as usize, u as usize + 1) {
-            Ok(()) => {
-                for v in decode_node_unsorted(cgr, u) {
-                    b.add_edge(u, v);
-                }
-            }
+            Ok(()) => true,
             Err(e) => {
                 first_error.get_or_insert(e);
+                false
             }
         }
+    });
+    (csr, first_error)
+}
+
+/// The CSR of every node `keep` accepts (in id order; a rejected node's row
+/// is empty): each node's cursor drains straight into one column vector,
+/// its row closes at the column count, and [`Csr::from_rows`] sorts and
+/// deduplicates each row in place — no pair list, no counting pass.
+fn decode_rows(cgr: &CgrGraph, mut keep: impl FnMut(NodeId) -> bool) -> Csr {
+    let n = cgr.num_nodes();
+    let mut offsets = Vec::with_capacity(n + 1);
+    let mut cols = Vec::with_capacity(cgr.num_edges());
+    offsets.push(0);
+    for u in 0..n as NodeId {
+        if keep(u) {
+            let mut c = NodeCursor::open(cgr, u).expect(INVALID);
+            c.drain_into(&mut cols).expect(INVALID);
+        }
+        offsets.push(cols.len());
     }
-    (b.build(), first_error)
+    Csr::from_rows((offsets, cols))
 }
 
 /// What producing the next neighbour cost the decoder — the branch classes a
@@ -878,6 +885,8 @@ mod tests {
     use crate::stats::CompressionStats;
     use gcgt_bits::{BitWriter, EliasFano};
     use gcgt_graph::gen::{toys, web_graph, WebParams};
+    use gcgt_graph::CsrBuilder;
+    use proptest::prelude::{prop_assert, prop_assert_eq, proptest, ProptestConfig, Strategy};
 
     fn all_configs() -> Vec<CgrConfig> {
         let mut v = Vec::new();
@@ -1350,6 +1359,90 @@ mod tests {
                 }
             });
             assert_rejected_everywhere(&cgr, "copy blocks span");
+        }
+    }
+    /// The pair-list decode that [`decode_rows`] replaced: every node
+    /// `validated` accepts, through `CsrBuilder`, and the first error.
+    fn built_from_pairs(
+        cgr: &CgrGraph,
+        validated: impl Fn(usize) -> Result<(), String>,
+    ) -> (Csr, Option<String>) {
+        let mut b = CsrBuilder::new(cgr.num_nodes());
+        let mut first_error = None;
+        for u in 0..cgr.num_nodes() as NodeId {
+            match validated(u as usize) {
+                Ok(()) => {
+                    for v in decode_node_unsorted(cgr, u) {
+                        b.add_edge(u, v);
+                    }
+                }
+                Err(e) => {
+                    first_error.get_or_insert(e);
+                }
+            }
+        }
+        (b.build(), first_error)
+    }
+
+    /// An arbitrary small graph, a config of [`all_configs`], and where to
+    /// start looking for a payload flip.
+    fn graph_config_flip() -> impl Strategy<Value = (Csr, CgrConfig, usize)> {
+        (
+            (
+                1u32..60,
+                proptest::collection::vec((0u32..1_000, 0u32..1_000), 0..300),
+            ),
+            (0..all_configs().len(), 0usize..512),
+        )
+            .prop_map(|((n, raw), (config, flip))| {
+                let edges: Vec<(NodeId, NodeId)> =
+                    raw.iter().map(|&(a, b)| (a % n, b % n)).collect();
+                (
+                    Csr::from_edges(n as usize, &edges),
+                    all_configs()[config],
+                    flip,
+                )
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The row decode builds bitwise the CSR that the pair list through
+        /// `CsrBuilder` built — on an intact graph, and on a deferred load
+        /// whose payload has one bit flipped that only full validation
+        /// catches (corrupt nodes drop out, and the first error is the
+        /// same).
+        #[test]
+        fn row_decode_equals_the_builder(case in graph_config_flip()) {
+            let (g, config, flip) = case;
+            let cgr = CgrGraph::encode(&g, &config);
+            let (want, _) = built_from_pairs(&cgr, |_| Ok(()));
+            prop_assert_eq!(&decode_all(&cgr), &want);
+            prop_assert_eq!(&want, &g);
+
+            let mut buf = Vec::new();
+            write_cgr(&cgr, &mut buf).unwrap();
+            let tail = buf.len().min(64);
+            let flips = (0..8 * tail).map(|i| (i + flip) % (8 * tail));
+            let corrupt = flips
+                .map(|i| {
+                    let mut c = buf.clone();
+                    c[buf.len() - tail + i / 8] ^= 1 << (i % 8);
+                    c
+                })
+                .find(|c| {
+                    CgrGraph::from_bytes(c).is_err()
+                        && CgrGraph::from_bytes_with(c, ValidationMode::Deferred).is_ok()
+                });
+            if let Some(bytes) = corrupt {
+                let load = || CgrGraph::from_bytes_with(&bytes, ValidationMode::Deferred).unwrap();
+                let (direct, reference) = (load(), load());
+                let want = built_from_pairs(&reference, |u| reference.ensure_validated(u, u + 1));
+                let got = decode_all_validated(&direct);
+                prop_assert!(got.1.is_some());
+                prop_assert_eq!(got, want);
+            }
         }
     }
 }

@@ -26,11 +26,12 @@
 //!   allowed more attempts than the burst always succeeds, so under any
 //!   such plan surviving outputs are bitwise equal to the fault-free
 //!   oracle (faults only ever show up in statistics and modeled time).
-//! * [`TypedFailure`] — the panic payload recovery sites escalate with
-//!   when a fault cannot be absorbed (retries disabled or budget
-//!   exhausted, injected query failure, corrupt compressed payload). The
-//!   serving pool downcasts it back into a typed per-query error, so one
-//!   bad query can never take the pool down with an opaque panic.
+//! * [`TypedFailure`] — the error value recovery sites return when a fault
+//!   cannot be absorbed (retries disabled or budget exhausted, injected
+//!   query failure, corrupt compressed payload). It travels up through the
+//!   launches, the apps and the executor as `Err`, and the serving pool
+//!   maps it into a typed per-query error, so one bad query can never take
+//!   the pool down.
 //!
 //! The crate is dependency-free and sits below `gcgt-simt`: the simulated
 //! `Device` owns the injector and exposes the charge points; engines never
@@ -41,8 +42,9 @@
 /// Where in the modeled stack a fault strikes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultDomain {
-    /// A transient device allocation failure (`Device::alloc`): the
-    /// allocator stalls and the caller retries after backoff. Distinct
+    /// A transient device allocation failure (a query's scratch, or a
+    /// streamed partition's upload): the allocator stalls and the caller
+    /// retries after backoff. Distinct
     /// from a genuine capacity `OomError`, which is never injected.
     DeviceAlloc,
     /// A PCIe transfer failure on a coalesced partition upload
@@ -340,12 +342,11 @@ impl FaultInjector {
     }
 }
 
-/// The typed panic payload recovery sites escalate with when a fault
-/// cannot be absorbed. Raised via [`raise`] (`std::panic::panic_any`), it
-/// unwinds through the infallible `Expander`/`Algorithm` contract and is
-/// downcast back into a typed per-query error by the serving pool's
-/// `catch_unwind` backstop — a query can fail loudly without the failure
-/// ever being an opaque string panic.
+/// The error recovery sites return when a fault cannot be absorbed. It is
+/// an ordinary value: the `Expander` hook, the launches, the apps and the
+/// executor return it as `Err`, and the serving pool maps it into a typed
+/// per-query error — a query fails without unwinding and without the
+/// failure ever being an opaque string panic.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum TypedFailure {
     /// A retryable domain failed more times than the [`RetryPolicy`]
@@ -378,14 +379,6 @@ impl std::fmt::Display for TypedFailure {
 }
 
 impl std::error::Error for TypedFailure {}
-
-/// Unwinds with a [`TypedFailure`] payload. The serving pool's
-/// `catch_unwind` backstop downcasts it into a typed `QueryError`; outside
-/// a pool it is a loud (but typed) panic, which is the documented behavior
-/// of the direct `Session::run` path.
-pub fn raise(failure: TypedFailure) -> ! {
-    std::panic::panic_any(failure)
-}
 
 #[cfg(test)]
 mod tests {
@@ -458,17 +451,11 @@ mod tests {
     }
 
     #[test]
-    fn typed_failure_renders_and_raises() {
+    fn typed_failure_renders() {
         let f = TypedFailure::FaultBudgetExhausted {
             domain: "transfer",
             failures: 4,
         };
         assert!(f.to_string().contains("transfer"));
-        let caught = std::panic::catch_unwind(|| raise(TypedFailure::InjectedQueryFailure));
-        let payload = caught.expect_err("raise must unwind");
-        let typed = payload
-            .downcast::<TypedFailure>()
-            .expect("payload is typed");
-        assert_eq!(*typed, TypedFailure::InjectedQueryFailure);
     }
 }

@@ -19,7 +19,7 @@
 //! heterogeneous batches (`Session::run_batch`).
 
 use gcgt_graph::NodeId;
-use gcgt_simt::Device;
+use gcgt_simt::{Device, TypedFailure};
 
 use crate::apps::bc::{bc_in, BcRun};
 use crate::apps::bfs::{bfs_in, BfsRun};
@@ -61,7 +61,15 @@ pub trait Algorithm: Clone + Send + Sync {
     }
 
     /// Runs on `engine`, accounting on `device` (graph already resident).
-    fn execute(&self, engine: &dyn Expander, device: &mut Device) -> Self::Output;
+    ///
+    /// # Errors
+    /// The first [`TypedFailure`] of a launch or of the scratch allocation;
+    /// `device` is then mid-query and should be discarded.
+    fn execute(
+        &self,
+        engine: &dyn Expander,
+        device: &mut Device,
+    ) -> Result<Self::Output, TypedFailure>;
 
     /// Translates per-node output arrays from the internal id space back to
     /// original ids (`perm[original] = internal`). Identity by default.
@@ -109,7 +117,7 @@ impl Algorithm for Bfs {
         Some(self.source)
     }
 
-    fn execute(&self, engine: &dyn Expander, device: &mut Device) -> BfsRun {
+    fn execute(&self, engine: &dyn Expander, device: &mut Device) -> Result<BfsRun, TypedFailure> {
         bfs_in(engine, device, self.source)
     }
 
@@ -132,7 +140,7 @@ impl Algorithm for Cc {
         "cc"
     }
 
-    fn execute(&self, engine: &dyn Expander, device: &mut Device) -> CcRun {
+    fn execute(&self, engine: &dyn Expander, device: &mut Device) -> Result<CcRun, TypedFailure> {
         cc_in(engine, device)
     }
 
@@ -185,7 +193,7 @@ impl Algorithm for Bc {
         Some(self.source)
     }
 
-    fn execute(&self, engine: &dyn Expander, device: &mut Device) -> BcRun {
+    fn execute(&self, engine: &dyn Expander, device: &mut Device) -> Result<BcRun, TypedFailure> {
         bc_in(engine, device, self.source)
     }
 
@@ -225,7 +233,11 @@ impl Algorithm for Pagerank {
         "pagerank"
     }
 
-    fn execute(&self, engine: &dyn Expander, device: &mut Device) -> PagerankRun {
+    fn execute(
+        &self,
+        engine: &dyn Expander,
+        device: &mut Device,
+    ) -> Result<PagerankRun, TypedFailure> {
         pagerank_in(engine, device, self.damping, self.max_iters, self.tolerance)
     }
 
@@ -259,7 +271,11 @@ impl Algorithm for LabelProp {
         "labelprop"
     }
 
-    fn execute(&self, engine: &dyn Expander, device: &mut Device) -> LabelPropRun {
+    fn execute(
+        &self,
+        engine: &dyn Expander,
+        device: &mut Device,
+    ) -> Result<LabelPropRun, TypedFailure> {
         label_propagation_in(engine, device, self.max_rounds)
     }
 
@@ -376,13 +392,21 @@ impl Algorithm for Query {
         }
     }
 
-    fn execute(&self, engine: &dyn Expander, device: &mut Device) -> QueryOutput {
+    fn execute(
+        &self,
+        engine: &dyn Expander,
+        device: &mut Device,
+    ) -> Result<QueryOutput, TypedFailure> {
         match *self {
-            Query::Bfs(s) => QueryOutput::Bfs(Bfs { source: s }.execute(engine, device)),
-            Query::Cc => QueryOutput::Cc(Cc.execute(engine, device)),
-            Query::Bc(s) => QueryOutput::Bc(Bc { source: s }.execute(engine, device)),
-            Query::Pagerank(p) => QueryOutput::Pagerank(p.execute(engine, device)),
-            Query::LabelProp(l) => QueryOutput::LabelProp(l.execute(engine, device)),
+            Query::Bfs(s) => Bfs { source: s }
+                .execute(engine, device)
+                .map(QueryOutput::Bfs),
+            Query::Cc => Cc.execute(engine, device).map(QueryOutput::Cc),
+            Query::Bc(s) => Bc { source: s }
+                .execute(engine, device)
+                .map(QueryOutput::Bc),
+            Query::Pagerank(p) => p.execute(engine, device).map(QueryOutput::Pagerank),
+            Query::LabelProp(l) => l.execute(engine, device).map(QueryOutput::LabelProp),
         }
     }
 
@@ -415,7 +439,7 @@ mod tests {
         let engine = GcgtEngine::new(&cgr, DeviceConfig::default(), Strategy::Full).unwrap();
         let dyn_engine: &dyn Expander = &engine;
         let mut device = dyn_engine.new_device();
-        let run = Bfs::from(0).execute(dyn_engine, &mut device);
+        let run = Bfs::from(0).execute(dyn_engine, &mut device).unwrap();
         assert_eq!(run.depth, refalgo::bfs(&g, 0).depth);
     }
 
@@ -448,7 +472,7 @@ mod tests {
         ];
         let outputs: Vec<QueryOutput> = queries
             .iter()
-            .map(|q| q.execute(&engine, &mut device))
+            .map(|q| q.execute(&engine, &mut device).unwrap())
             .collect();
         assert!(outputs[0].as_bfs().is_some());
         assert!(matches!(outputs[1], QueryOutput::Cc(_)));

@@ -15,8 +15,9 @@
 //! bottom-up step, Gunrock's advance run the other way. A BC pull cannot
 //! exit at the first parent, because σ(v) sums over all of them, so the
 //! level pulls exactly when the unvisited nodes' edges are fewer than the
-//! frontier's, and it runs the full expansion kernels ([`launch_gather`]),
-//! never the early-exit scan. Push engines keep push levels throughout.
+//! frontier's, and it runs the full expansion kernels ([`launch_expansion`]
+//! as a `"pull"` level), never the early-exit scan. Push engines keep push
+//! levels throughout.
 //!
 //! The backward pass follows the same rule one level down: the step for
 //! level d expands level d+1 instead whenever that level has fewer edges.
@@ -30,9 +31,9 @@
 //! deepest level, whose δ is 0 by definition.
 
 use gcgt_graph::{NodeId, UNREACHED};
-use gcgt_simt::{Device, OpClass, RunStats, Space, WarpSim};
+use gcgt_simt::{Device, OpClass, RunStats, Space, TypedFailure, WarpSim};
 
-use crate::engine::{compact_frontier, launch_expansion, launch_gather, Expander};
+use crate::engine::{compact_frontier, launch_expansion, Expander};
 use crate::kernels::Sink;
 use crate::strategy::DirectionMode;
 
@@ -206,19 +207,30 @@ fn first_seen<'s>(seen: &'s mut Vec<NodeId>, pairs: &[(NodeId, NodeId)]) -> &'s 
 }
 
 /// Runs single-source betweenness centrality from `source`.
+///
+/// # Panics
+/// On a payload that fails deferred validation (a fresh device has no
+/// fault plan, so nothing else can fail it).
 pub fn bc(engine: &dyn Expander, source: NodeId) -> BcRun {
     let mut device = engine.new_device();
-    bc_in(engine, &mut device, source)
+    bc_in(engine, &mut device, source).expect(crate::apps::FRESH_DEVICE)
 }
 
 /// [`bc`] on an existing device with the graph already resident. The
 /// returned statistics cover only this run.
-pub fn bc_in(engine: &dyn Expander, device: &mut Device, source: NodeId) -> BcRun {
+///
+/// # Errors
+/// The first [`TypedFailure`] of a launch or of the scratch allocation.
+pub fn bc_in(
+    engine: &dyn Expander,
+    device: &mut Device,
+    source: NodeId,
+) -> Result<BcRun, TypedFailure> {
     let n = engine.num_nodes();
     assert!((source as usize) < n);
     let may_pull = engine.direction() != DirectionMode::Push;
     let before = device.stats();
-    let scratch = crate::apps::alloc_scratch(engine, device);
+    let scratch = crate::apps::alloc_scratch(engine, device)?;
     let mut depth = vec![UNREACHED; n];
     let mut sigma = vec![0.0f64; n];
     depth[source as usize] = 0;
@@ -256,12 +268,12 @@ pub fn bc_in(engine: &dyn Expander, device: &mut Device, source: NodeId) -> BcRu
             if engine.device_config().fills_device(candidates.len()) {
                 compact_frontier(engine, device, &mut candidates);
             }
-            let sinks = launch_gather(engine, device, &candidates, || ParentSink {
+            let sinks = launch_expansion(engine, device, &candidates, "pull", || ParentSink {
                 depth: &depth,
                 du,
                 found: Vec::new(),
                 out: Vec::new(),
-            });
+            })?;
             let outs: Vec<Vec<(NodeId, NodeId)>> = sinks.into_iter().map(|s| s.out).collect();
             for (v, u) in outs.into_iter().flatten() {
                 if depth[v as usize] == UNREACHED {
@@ -277,12 +289,12 @@ pub fn bc_in(engine: &dyn Expander, device: &mut Device, source: NodeId) -> BcRu
                 compacted = true;
             }
         } else {
-            let sinks = launch_expansion(engine, device, frontier, || LabelSink {
+            let sinks = launch_expansion(engine, device, frontier, "push", || LabelSink {
                 depth: &depth,
                 du,
                 keep_unvisited: true,
                 out: Vec::new(),
-            });
+            })?;
             // Detach the owned pair lists so the sinks' borrow of `depth`
             // ends before the merge mutates it.
             let outs: Vec<Vec<(NodeId, NodeId)>> = sinks.into_iter().map(|s| s.out).collect();
@@ -321,24 +333,24 @@ pub fn bc_in(engine: &dyn Expander, device: &mut Device, source: NodeId) -> BcRu
         let du = lvl as u32;
         // `(parent, child)` tree edges in emission order.
         let tree_edges: Vec<(NodeId, NodeId)> = if level_edges[lvl + 1] < level_edges[lvl] {
-            let sinks = launch_gather(engine, device, &levels[lvl + 1], || ChildSink {
+            let sinks = launch_expansion(engine, device, &levels[lvl + 1], "pull", || ChildSink {
                 depth: &depth,
                 du,
                 read: Vec::new(),
                 out: Vec::new(),
-            });
+            })?;
             sinks
                 .into_iter()
                 .flat_map(|s| s.out)
                 .map(|(v, u)| (u, v))
                 .collect()
         } else {
-            let sinks = launch_expansion(engine, device, &levels[lvl], || LabelSink {
+            let sinks = launch_expansion(engine, device, &levels[lvl], "push", || LabelSink {
                 depth: &depth,
                 du,
                 keep_unvisited: false,
                 out: Vec::new(),
-            });
+            })?;
             sinks.into_iter().flat_map(|s| s.out).collect()
         };
         for (u, v) in tree_edges {
@@ -347,12 +359,12 @@ pub fn bc_in(engine: &dyn Expander, device: &mut Device, source: NodeId) -> BcRu
     }
 
     device.free(scratch);
-    BcRun {
+    Ok(BcRun {
         depth,
         sigma,
         delta,
         stats: device.stats().since(&before),
-    }
+    })
 }
 
 #[cfg(test)]
@@ -442,7 +454,7 @@ mod tests {
         let levels = std::sync::Arc::new(Levels::default());
         let mut device = engine.new_device();
         device.set_observer(gcgt_simt::ObserverHandle::from_arc(levels.clone()));
-        let run = bc_in(&engine, &mut device, source);
+        let run = bc_in(&engine, &mut device, source).unwrap();
         let events = levels.0.lock().unwrap().clone();
         let launched = events
             .into_iter()

@@ -9,7 +9,7 @@
 //! as before.
 
 use gcgt_graph::{NodeId, UNREACHED};
-use gcgt_simt::{Charge, Device, OpClass, RunStats, Space, WarpSim};
+use gcgt_simt::{Charge, Device, OpClass, RunStats, Space, TypedFailure, WarpSim};
 
 use crate::bitset::BitSet;
 use crate::engine::{compact_frontier, launch_expansion, launch_pull, Expander};
@@ -95,9 +95,13 @@ impl Sink for QueueSink<'_> {
 /// graph, returning depths identical to the serial oracle plus the
 /// simulated-device cost. Allocates a fresh device per call; batched
 /// workloads that keep the graph resident should use [`bfs_in`].
+///
+/// # Panics
+/// On a payload that fails deferred validation (a fresh device has no
+/// fault plan, so nothing else can fail it).
 pub fn bfs(engine: &dyn Expander, source: NodeId) -> BfsRun {
     let mut device = engine.new_device();
-    bfs_in(engine, &mut device, source)
+    bfs_in(engine, &mut device, source).expect(crate::apps::FRESH_DEVICE)
 }
 
 /// [`bfs`] on an existing device with the graph already resident — the
@@ -110,13 +114,20 @@ pub fn bfs(engine: &dyn Expander, source: NodeId) -> BfsRun {
 /// frontier's out-degree sum exceeds `num_edges / `[`PULL_ALPHA`]. The
 /// per-level decision is host-side (it charges nothing), so a run whose
 /// heuristic always picks push is bitwise identical to a `Push` run.
-pub fn bfs_in(engine: &dyn Expander, device: &mut Device, source: NodeId) -> BfsRun {
+///
+/// # Errors
+/// The first [`TypedFailure`] of a launch or of the scratch allocation.
+pub fn bfs_in(
+    engine: &dyn Expander,
+    device: &mut Device,
+    source: NodeId,
+) -> Result<BfsRun, TypedFailure> {
     let n = engine.num_nodes();
     assert!((source as usize) < n, "source out of range");
     let mode = engine.direction();
     let total_edges = engine.num_edges();
     let before = device.stats();
-    let scratch = crate::apps::alloc_scratch(engine, device);
+    let scratch = crate::apps::alloc_scratch(engine, device)?;
     let mut depth = vec![UNREACHED; n];
     let mut visited = BitSet::new(n);
     visited.set(source);
@@ -145,7 +156,7 @@ pub fn bfs_in(engine: &dyn Expander, device: &mut Device, source: NodeId) -> Bfs
                 // push levels never probe it, so the default push schedule
                 // pays nothing for the bitmap.
                 let dense = Frontier::from_nodes(n, std::mem::take(&mut frontier));
-                let (pairs, examined) = launch_pull(engine, device, &candidates, &dense);
+                let (pairs, examined) = launch_pull(engine, device, &candidates, &dense)?;
                 device.record(Charge::PullStep(examined));
                 let mut next = Vec::with_capacity(pairs.len());
                 for (_, v) in pairs {
@@ -165,7 +176,9 @@ pub fn bfs_in(engine: &dyn Expander, device: &mut Device, source: NodeId) -> Bfs
             if engine.device_config().fills_device(frontier.len()) {
                 compact_frontier(engine, device, &mut frontier);
             }
-            let sinks = launch_expansion(engine, device, &frontier, || QueueSink::new(&visited));
+            let sinks = launch_expansion(engine, device, &frontier, "push", || {
+                QueueSink::new(&visited)
+            })?;
             // Take the owned survivor lists (and the expanded-edge tally)
             // so the sinks' borrow of `visited` ends before the contraction
             // merge mutates it.
@@ -198,12 +211,12 @@ pub fn bfs_in(engine: &dyn Expander, device: &mut Device, source: NodeId) -> Bfs
     }
 
     device.free(scratch);
-    BfsRun {
+    Ok(BfsRun {
         depth,
         reached,
         levels: level + 1,
         stats: device.stats().since(&before),
-    }
+    })
 }
 
 #[cfg(test)]

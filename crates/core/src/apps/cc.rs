@@ -20,7 +20,9 @@
 //! larger end, which is not CC).
 
 use gcgt_graph::NodeId;
-use gcgt_simt::{Charge, Device, DeviceConfig, IterationCost, OpClass, RunStats, Space, WarpSim};
+use gcgt_simt::{
+    Charge, Device, DeviceConfig, IterationCost, OpClass, RunStats, Space, TypedFailure, WarpSim,
+};
 
 use crate::engine::{launch_expansion, Expander};
 use crate::kernels::Sink;
@@ -52,22 +54,29 @@ impl Sink for EdgeSink {
 
 /// Runs connected components. The engine's CGR must encode the symmetrized
 /// graph for true (undirected) components.
+///
+/// # Panics
+/// On a payload that fails deferred validation (a fresh device has no
+/// fault plan, so nothing else can fail it).
 pub fn cc(engine: &dyn Expander) -> CcRun {
     let mut device = engine.new_device();
-    cc_in(engine, &mut device)
+    cc_in(engine, &mut device).expect(crate::apps::FRESH_DEVICE)
 }
 
 /// [`cc`] on an existing device with the graph already resident. The
 /// returned statistics cover only this run.
-pub fn cc_in(engine: &dyn Expander, device: &mut Device) -> CcRun {
+///
+/// # Errors
+/// The first [`TypedFailure`] of a launch or of the scratch allocation.
+pub fn cc_in(engine: &dyn Expander, device: &mut Device) -> Result<CcRun, TypedFailure> {
     let n = engine.num_nodes();
     let before = device.stats();
-    let scratch = crate::apps::alloc_scratch(engine, device);
+    let scratch = crate::apps::alloc_scratch(engine, device)?;
     // Every node starts as its own root.
     let mut comp: Vec<NodeId> = (0..n as NodeId).collect();
     if n > 0 {
         // The one expansion launch: every node is a work node.
-        let sinks = launch_expansion(engine, device, &comp, || EdgeSink(Vec::new()));
+        let sinks = launch_expansion(engine, device, &comp, "push", || EdgeSink(Vec::new()))?;
         let pairs = sinks.iter().flat_map(|sink| &sink.0);
         link_launch(engine.device_config(), device, &mut comp, pairs);
         // Pointer jumping: flatten every component tree to one level (each
@@ -96,12 +105,12 @@ pub fn cc_in(engine: &dyn Expander, device: &mut Device) -> CcRun {
         }
     }
     device.free(scratch);
-    CcRun {
+    Ok(CcRun {
         component: comp,
         count,
         iterations: u32::from(n > 0),
         stats: device.stats().since(&before),
-    }
+    })
 }
 
 /// Finds `x`'s root with path halving, appending to `hops` every node whose
@@ -338,7 +347,7 @@ mod tests {
             let levels = Arc::new(Levels::default());
             let mut device = engine.new_device();
             device.set_observer(ObserverHandle::from_arc(levels.clone()));
-            let got = cc_in(&engine, &mut device);
+            let got = cc_in(&engine, &mut device).unwrap();
             let want = refalgo::connected_components(&sym);
             assert_eq!(got.component, want.component, "{name}");
             assert_eq!(got.count, want.count, "{name}");

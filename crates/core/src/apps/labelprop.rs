@@ -9,7 +9,7 @@
 //! contraction tallies votes and updates labels host-side.
 
 use gcgt_graph::{bucket_by_key, LabelTally, NodeId};
-use gcgt_simt::{Device, OpClass, RunStats, Space, WarpSim};
+use gcgt_simt::{Device, OpClass, RunStats, Space, TypedFailure, WarpSim};
 
 use crate::engine::{launch_expansion, Expander};
 use crate::kernels::Sink;
@@ -27,6 +27,7 @@ pub struct LabelPropRun {
     pub stats: RunStats,
 }
 
+#[derive(Default)]
 struct VoteSink {
     out: Vec<(NodeId, NodeId)>,
 }
@@ -47,21 +48,28 @@ impl Sink for VoteSink {
 }
 
 /// Runs at most `max_rounds` synchronous label-propagation rounds.
+///
+/// # Panics
+/// On a payload that fails deferred validation (a fresh device has no
+/// fault plan, so nothing else can fail it).
 pub fn label_propagation(engine: &dyn Expander, max_rounds: usize) -> LabelPropRun {
     let mut device = engine.new_device();
-    label_propagation_in(engine, &mut device, max_rounds)
+    label_propagation_in(engine, &mut device, max_rounds).expect(crate::apps::FRESH_DEVICE)
 }
 
 /// [`label_propagation`] on an existing device with the graph already
 /// resident. The returned statistics cover only this run.
+///
+/// # Errors
+/// The first [`TypedFailure`] of a launch or of the scratch allocation.
 pub fn label_propagation_in(
     engine: &dyn Expander,
     device: &mut Device,
     max_rounds: usize,
-) -> LabelPropRun {
+) -> Result<LabelPropRun, TypedFailure> {
     let n = engine.num_nodes();
     let before = device.stats();
-    let scratch = crate::apps::alloc_scratch(engine, device);
+    let scratch = crate::apps::alloc_scratch(engine, device)?;
     let mut label: Vec<NodeId> = (0..n as NodeId).collect();
     let all_nodes: Vec<NodeId> = (0..n as NodeId).collect();
     let mut tally = LabelTally::new(n);
@@ -69,7 +77,7 @@ pub fn label_propagation_in(
     let mut rounds = 0usize;
     for _ in 0..max_rounds {
         rounds += 1;
-        let sinks = launch_expansion(engine, device, &all_nodes, || VoteSink { out: Vec::new() });
+        let sinks = launch_expansion(engine, device, &all_nodes, "push", VoteSink::default)?;
         // Group the votes by target, then tally each target's ballot.
         let votes = || sinks.iter().flat_map(|s| &s.out).map(|&(u, v)| (v, u));
         let (start, voters) = bucket_by_key(n, votes);
@@ -102,12 +110,12 @@ pub fn label_propagation_in(
     distinct.sort_unstable();
     distinct.dedup();
     device.free(scratch);
-    LabelPropRun {
+    Ok(LabelPropRun {
         communities: distinct.len(),
         labels: label,
         rounds,
         stats: device.stats().since(&before),
-    }
+    })
 }
 
 #[cfg(test)]

@@ -34,16 +34,25 @@ pub mod labelprop;
 pub mod pagerank;
 
 use crate::engine::Expander;
-use gcgt_simt::Device;
+use gcgt_simt::{Device, FaultDomain, TypedFailure};
+
+/// The `expect` of the fresh-device entry points (`bfs`, `bc`, ...).
+pub(crate) const FRESH_DEVICE: &str = "a fresh device fails only on a corrupt deferred payload";
 
 /// Shared app prologue: registers the engine's per-query scratch (frontier
 /// queues, output buffers, label arrays) on the device, returning the byte
 /// count the matching `device.free(..)` must release on exit. Engines verify
-/// at construction that structure + scratch fit, so this cannot OOM.
-pub(crate) fn alloc_scratch(engine: &dyn Expander, device: &mut Device) -> usize {
+/// at construction that structure + scratch fit, so this cannot OOM. A
+/// fault plan's transient allocator stalls resolve first, with backoff
+/// charged, or fail the query once they outlast the retry budget.
+pub(crate) fn alloc_scratch(
+    engine: &dyn Expander,
+    device: &mut Device,
+) -> Result<usize, TypedFailure> {
     let scratch = engine.scratch_bytes();
+    device.chaos_gate(FaultDomain::DeviceAlloc, 0.0)?;
     device
         .alloc(scratch)
         .expect("device capacity must be verified at engine construction");
-    scratch
+    Ok(scratch)
 }

@@ -6,7 +6,7 @@
 //! pushed along each edge in the filtering step, then damped host-side.
 
 use gcgt_graph::NodeId;
-use gcgt_simt::{Device, OpClass, RunStats, Space, WarpSim};
+use gcgt_simt::{Device, OpClass, RunStats, Space, TypedFailure, WarpSim};
 
 use crate::engine::{launch_expansion, Expander};
 use crate::kernels::Sink;
@@ -22,6 +22,7 @@ pub struct PagerankRun {
     pub stats: RunStats,
 }
 
+#[derive(Default)]
 struct PushSink {
     out: Vec<(NodeId, NodeId)>,
 }
@@ -43,6 +44,10 @@ impl Sink for PushSink {
 
 /// Runs damped PageRank for at most `max_iters` iterations, stopping when
 /// the L1 change drops below `tolerance`.
+///
+/// # Panics
+/// On a payload that fails deferred validation (a fresh device has no
+/// fault plan, so nothing else can fail it).
 pub fn pagerank(
     engine: &dyn Expander,
     damping: f64,
@@ -51,27 +56,31 @@ pub fn pagerank(
 ) -> PagerankRun {
     let mut device = engine.new_device();
     pagerank_in(engine, &mut device, damping, max_iters, tolerance)
+        .expect(crate::apps::FRESH_DEVICE)
 }
 
 /// [`pagerank`] on an existing device with the graph already resident. The
 /// returned statistics cover only this run.
+///
+/// # Errors
+/// The first [`TypedFailure`] of a launch or of the scratch allocation.
 pub fn pagerank_in(
     engine: &dyn Expander,
     device: &mut Device,
     damping: f64,
     max_iters: usize,
     tolerance: f64,
-) -> PagerankRun {
+) -> Result<PagerankRun, TypedFailure> {
     let n = engine.num_nodes();
     let before = device.stats();
     if n == 0 {
-        return PagerankRun {
+        return Ok(PagerankRun {
             ranks: Vec::new(),
             iterations: 0,
             stats: device.stats().since(&before),
-        };
+        });
     }
-    let scratch = crate::apps::alloc_scratch(engine, device);
+    let scratch = crate::apps::alloc_scratch(engine, device)?;
     let mut rank = vec![1.0 / n as f64; n];
     let mut degree = vec![0u32; n];
     let all_nodes: Vec<NodeId> = (0..n as NodeId).collect();
@@ -80,7 +89,7 @@ pub fn pagerank_in(
     for _ in 0..max_iters {
         iterations += 1;
         let mut next = vec![0.0f64; n];
-        let sinks = launch_expansion(engine, device, &all_nodes, || PushSink { out: Vec::new() });
+        let sinks = launch_expansion(engine, device, &all_nodes, "push", PushSink::default)?;
         // First iteration discovers degrees from the expansion itself.
         if iterations == 1 {
             for sink in &sinks {
@@ -112,11 +121,11 @@ pub fn pagerank_in(
         }
     }
     device.free(scratch);
-    PagerankRun {
+    Ok(PagerankRun {
         ranks: rank,
         iterations,
         stats: device.stats().since(&before),
-    }
+    })
 }
 
 #[cfg(test)]

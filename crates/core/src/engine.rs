@@ -10,7 +10,8 @@
 use gcgt_cgr::CgrGraph;
 use gcgt_graph::NodeId;
 use gcgt_simt::{
-    parallel_warps, Charge, Device, DeviceConfig, IterationCost, OomError, OpClass, Space, WarpSim,
+    parallel_warps, Charge, Device, DeviceConfig, IterationCost, OomError, OpClass, Space,
+    TypedFailure, WarpSim,
 };
 
 use crate::frontier::Frontier;
@@ -83,13 +84,24 @@ pub trait Expander: Send + Sync {
     }
 
     /// Hook called once per kernel launch, before any warp expands, with the
-    /// whole frontier. In-core engines ignore it (default no-op);
-    /// out-of-core engines fault the frontier's partitions onto the device
-    /// here, charging allocations and streamed-transfer time on `device`.
-    /// Running it serially (not per warp) keeps residency and its statistics
-    /// deterministic.
-    fn prepare_frontier(&self, device: &mut Device, frontier: &[NodeId]) {
+    /// whole frontier. In-core engines have nothing to prepare (default
+    /// `Ok(())`); out-of-core engines fault the frontier's partitions onto
+    /// the device here, charging allocations and streamed-transfer time on
+    /// `device`. Running it serially (not per warp) keeps residency and its
+    /// statistics deterministic.
+    ///
+    /// # Errors
+    /// A failure the query cannot absorb — a spent retry budget
+    /// ([`TypedFailure::FaultBudgetExhausted`]) or a payload that fails
+    /// deferred validation ([`TypedFailure::CorruptGraph`]). The launch
+    /// returns it before any warp runs, and the app returns it unchanged.
+    fn prepare_frontier(
+        &self,
+        device: &mut Device,
+        frontier: &[NodeId],
+    ) -> Result<(), TypedFailure> {
         let _ = (device, frontier);
+        Ok(())
     }
 
     /// Appends to `addrs` the device addresses one lane reads to learn
@@ -284,13 +296,13 @@ fn launch<T: Send>(
     split: bool,
     per_warp: impl Fn(&mut WarpSim, WarpWork) -> T + Sync,
     edges: impl Fn(&[T]) -> u64,
-) -> Vec<T> {
+) -> Result<Vec<T>, TypedFailure> {
     let start_ms = device.modeled_ms();
     // Residency first: out-of-core engines fault the work list's partitions
     // onto the device before any warp decodes (serial, hence deterministic)
     // — and before the schedule reads a degree, so a payload that fails
-    // deferred validation surfaces as the typed failure it raises.
-    expander.prepare_frontier(device, work);
+    // deferred validation is returned before any degree of it is decoded.
+    expander.prepare_frontier(device, work)?;
     let device_config = expander.device_config();
     let width = device_config.warp_width;
     let cache_lines = device_config.cache_lines_per_warp;
@@ -327,55 +339,31 @@ fn launch<T: Send>(
         launch: &cost,
         edges: &|| edges(&outs),
     });
-    outs
+    Ok(outs)
 }
 
-/// Launches one expansion kernel over `frontier`: cuts it into warps by the
+/// Launches one expansion kernel over `nodes`: cuts it into warps by the
 /// [`schedule`] (hubs split across warps, device-filling frontiers cut by
 /// edges), runs them host-parallel (deterministically merged in warp
 /// order), accounts the launch on `device`, and returns the per-warp sinks
-/// for the contraction merge.
+/// for the contraction merge. Every node's whole adjacency is expanded into
+/// a sink of its warp's own.
+///
+/// `direction` labels the level. `"push"` expands a frontier's out-edges;
+/// `"pull"` expands a pull level's ascending unvisited candidates whole, so
+/// that the sink can keep every frontier parent — for an app that cannot
+/// exit a scan at the first parent, as [`launch_pull`] does (Brandes' σ(v)
+/// sums over all of them). The kernels and the schedule are the same.
+///
+/// # Errors
+/// Whatever [`Expander::prepare_frontier`] fails with, before any warp runs.
 pub fn launch_expansion<S, F>(
-    expander: &dyn Expander,
-    device: &mut Device,
-    frontier: &[NodeId],
-    make_sink: F,
-) -> Vec<S>
-where
-    S: Sink + Send,
-    F: Fn() -> S + Sync,
-{
-    expansion(expander, device, frontier, "push", make_sink)
-}
-
-/// [`launch_expansion`] run in the other direction: the work list is a
-/// pull level's ascending unvisited `candidates`, whose whole adjacency is
-/// expanded so that the sink can keep every frontier parent — for an app
-/// that cannot exit a scan at the first parent, as [`launch_pull`] does
-/// (Brandes' σ(v) sums over all of them). Same kernels and schedule;
-/// reported as a `"pull"` level.
-pub fn launch_gather<S, F>(
-    expander: &dyn Expander,
-    device: &mut Device,
-    candidates: &[NodeId],
-    make_sink: F,
-) -> Vec<S>
-where
-    S: Sink + Send,
-    F: Fn() -> S + Sync,
-{
-    expansion(expander, device, candidates, "pull", make_sink)
-}
-
-/// The launch behind [`launch_expansion`] and [`launch_gather`]: every
-/// node's adjacency expanded into a sink of its warp's own.
-fn expansion<S, F>(
     expander: &dyn Expander,
     device: &mut Device,
     nodes: &[NodeId],
     direction: &'static str,
     make_sink: F,
-) -> Vec<S>
+) -> Result<Vec<S>, TypedFailure>
 where
     S: Sink + Send,
     F: Fn() -> S + Sync,
@@ -412,12 +400,15 @@ where
 /// holding the **candidates'** adjacency (not the frontier's), which is
 /// most of the structure on early dense levels — the residency tradeoff the
 /// adaptive heuristic's push levels avoid.
+///
+/// # Errors
+/// Whatever [`Expander::prepare_frontier`] fails with, before any warp runs.
 pub fn launch_pull(
     expander: &dyn Expander,
     device: &mut Device,
     candidates: &[NodeId],
     frontier: &Frontier,
-) -> (Vec<(NodeId, NodeId)>, u64) {
+) -> Result<(Vec<(NodeId, NodeId)>, u64), TypedFailure> {
     fn examined(outs: &[(Vec<(NodeId, NodeId)>, u64)]) -> u64 {
         outs.iter().map(|(_, seen)| seen).sum()
     }
@@ -433,9 +424,9 @@ pub fn launch_pull(
             (out, seen)
         },
         examined,
-    );
+    )?;
     let total = examined(&outs);
-    (outs.into_iter().flat_map(|(out, _)| out).collect(), total)
+    Ok((outs.into_iter().flat_map(|(out, _)| out).collect(), total))
 }
 
 /// Byte offset, inside [`Space::Frontier`], of the visited bitmap's
@@ -806,7 +797,8 @@ mod tests {
         let work = [5, 0, 6, 7, 8];
         let mut device = engine.new_device();
         device.set_observer(gcgt_simt::obs::ObserverHandle::from_arc(metrics.clone()));
-        let sinks = launch_expansion(&engine, &mut device, &work, CollectSink::default);
+        let sinks = launch_expansion(&engine, &mut device, &work, "push", CollectSink::default)
+            .expect("in-core launches cannot fail");
         let warps = schedule(&engine, &work, true);
         assert_eq!(sinks.len(), warps.len());
         assert_eq!(device.stats().launches, 1);
@@ -896,7 +888,14 @@ mod tests {
         let frontier: Vec<NodeId> = (0..g.num_nodes() as NodeId).collect();
         let run = || {
             let mut device = engine.new_device();
-            launch_expansion(&engine, &mut device, &frontier, CollectSink::default);
+            launch_expansion(
+                &engine,
+                &mut device,
+                &frontier,
+                "push",
+                CollectSink::default,
+            )
+            .expect("in-core launches cannot fail");
             let s = device.stats();
             (s.cycles.to_bits(), s.tally, s.mem)
         };

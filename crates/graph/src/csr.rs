@@ -180,7 +180,7 @@ impl Csr {
     /// The symmetrized graph: for every edge `(u, v)` both directions exist.
     pub fn symmetrized(&self) -> Csr {
         let both = || self.edges().flat_map(|(u, v)| [(u, v), (v, u)]);
-        Csr::from_buckets(bucket_by_key(self.num_nodes(), both))
+        Csr::from_rows(bucket_by_key(self.num_nodes(), both))
     }
 
     /// Relabels nodes: old node `u` becomes `perm[u]`. Adjacency lists are
@@ -192,12 +192,23 @@ impl Csr {
             self.edges()
                 .map(|(u, v)| (perm[u as usize], perm[v as usize]))
         };
-        Csr::from_buckets(bucket_by_key(self.num_nodes(), relabelled))
+        Csr::from_rows(bucket_by_key(self.num_nodes(), relabelled))
     }
 
-    /// The graph whose adjacency lists are [`bucket_by_key`]'s buckets,
-    /// each sorted and deduplicated in place.
-    fn from_buckets((mut offsets, mut cols): (Vec<usize>, Vec<NodeId>)) -> Csr {
+    /// The graph whose node `u` has the neighbours
+    /// `cols[offsets[u]..offsets[u + 1]]`, each row sorted and deduplicated
+    /// in place: [`bucket_by_key`]'s buckets, or a decoder's rows.
+    /// Neighbours must be below `offsets.len() - 1`.
+    ///
+    /// # Panics
+    /// Panics unless `offsets` runs monotonically from 0 to `cols.len()`.
+    pub fn from_rows((mut offsets, mut cols): (Vec<usize>, Vec<NodeId>)) -> Csr {
+        assert_eq!(offsets.first(), Some(&0), "rows start at 0");
+        assert_eq!(
+            offsets.last(),
+            Some(&cols.len()),
+            "rows end at the column count"
+        );
         let n = offsets.len() - 1;
         // Sort each bucket and compact it left past the duplicates dropped
         // so far; `offsets[u]` already holds the compacted start of `u`.
@@ -300,7 +311,7 @@ impl CsrBuilder {
     /// bucketed by source, then each list is sorted and deduplicated in
     /// place: no global sort of the pairs.
     pub fn build(self) -> Csr {
-        Csr::from_buckets(bucket_by_key(self.n, || self.edges.iter().copied()))
+        Csr::from_rows(bucket_by_key(self.n, || self.edges.iter().copied()))
     }
 }
 

@@ -43,7 +43,7 @@
 
 use std::ops::Range;
 
-use gcgt_simt::{Charge, Device, HOST_LINK, LINE_BYTES};
+use gcgt_simt::{Charge, Device, FaultDomain, TypedFailure, HOST_LINK, LINE_BYTES};
 
 use crate::partition::PartitionMap;
 
@@ -302,17 +302,30 @@ impl PartitionCache {
     }
 
     /// Makes every partition marked in `needed` resident for one launch:
-    /// [`PartitionCache::walk`], then [`PartitionCache::apply`].
-    pub fn stream(&mut self, needed: &[bool], parts: &PartitionMap, device: &mut Device) {
+    /// [`PartitionCache::walk`], then [`PartitionCache::apply`], whose
+    /// failure it returns.
+    pub fn stream(
+        &mut self,
+        needed: &[bool],
+        parts: &PartitionMap,
+        device: &mut Device,
+    ) -> Result<(), TypedFailure> {
         let walk = self.walk(needed, parts);
-        self.apply(walk, parts, device);
+        self.apply(walk, parts, device)
     }
 
     /// Charges `walk` — walked from this cache's current state — on
     /// `device`: per upload, its victims' frees and evictions, then its
     /// allocation and streamed transfer. Uploading a partition clears its
-    /// rent.
-    pub fn apply(&mut self, walk: Walk, parts: &PartitionMap, device: &mut Device) {
+    /// rent. Fails when an injected allocator stall or PCIe fault outlasts
+    /// the retry budget; the cache is then mid-walk, and is dropped with
+    /// the query that failed.
+    pub fn apply(
+        &mut self,
+        walk: Walk,
+        parts: &PartitionMap,
+        device: &mut Device,
+    ) -> Result<(), TypedFailure> {
         for upload in &walk.uploads {
             for &victim in &upload.victims {
                 let p = &parts.parts()[victim];
@@ -324,6 +337,7 @@ impl PartitionCache {
                     bytes: p.bytes as u64,
                 });
             }
+            device.chaos_gate(FaultDomain::DeviceAlloc, 0.0)?;
             device
                 .alloc(upload.resident_bytes)
                 .expect("partition budget must fit device capacity (verified at build)");
@@ -333,7 +347,7 @@ impl PartitionCache {
             // gate re-charges the full transfer price plus exponential
             // backoff for every failed attempt, then the successful upload
             // is charged below. No-op without an active fault plan.
-            device.chaos_gate(gcgt_simt::chaos::FaultDomain::Transfer, upload.transfer_ms);
+            device.chaos_gate(FaultDomain::Transfer, upload.transfer_ms)?;
             device.record(Charge::Upload {
                 first_partition: upload.run.start as u64,
                 partitions: upload.run.len() as u64,
@@ -349,6 +363,7 @@ impl PartitionCache {
             }
         }
         self.lru = walk.lru;
+        Ok(())
     }
 
     /// Whether `read` should serve a launch instead of `walk`: it is
@@ -365,17 +380,18 @@ impl PartitionCache {
     /// Serves a launch by `read`: its hits (from `walk`) are consumed as a
     /// streamed launch would consume them, its missing partitions stay
     /// non-resident, and each is charged its share of the reads as rent.
+    /// Fails when an injected PCIe fault outlasts the retry budget.
     pub fn read_through(
         &mut self,
         read: &ReadThrough,
         walk: &Walk,
         parts: &PartitionMap,
         device: &mut Device,
-    ) {
+    ) -> Result<(), TypedFailure> {
         self.lru.retain(|pid| walk.hits.binary_search(pid).is_err());
         self.lru.extend(&walk.hits);
         let ms = read.price_ms();
-        device.chaos_gate(gcgt_simt::chaos::FaultDomain::Transfer, ms);
+        device.chaos_gate(FaultDomain::Transfer, ms)?;
         let line_bytes = |lines: usize| lines as u64 * LINE_BYTES;
         let faults: Vec<(u64, u64)> = read
             .parts
@@ -394,6 +410,7 @@ impl PartitionCache {
         for (pid, share) in read.shares(ms) {
             self.rent[pid] += share;
         }
+        Ok(())
     }
 
     /// Releases every resident partition, freeing its bytes on `device` —
@@ -445,7 +462,7 @@ mod tests {
 
     /// Streams one launch needing `pids`.
     fn launch(cache: &mut PartitionCache, map: &PartitionMap, device: &mut Device, pids: &[usize]) {
-        cache.stream(&needed(map, pids), map, device);
+        cache.stream(&needed(map, pids), map, device).unwrap();
     }
 
     #[test]
@@ -483,7 +500,7 @@ mod tests {
         // make room for 0..4 and then fault them back in.
         let dense = needed(&map, &[0, 1, 2, 3, 4, 5]);
         assert_eq!(cache.plan(&dense, &map).hits, [4, 5]);
-        cache.stream(&dense, &map, &mut device);
+        cache.stream(&dense, &map, &mut device).unwrap();
         assert_eq!(device.stats().partition_faults, 6);
         assert!(cache.resident_bytes() <= budget);
         assert_eq!(device.allocated(), cache.resident_bytes());
@@ -795,7 +812,7 @@ mod tests {
             let mut cache = PartitionCache::new(budget);
             let mut model = LruModel::new(budget);
             for needed in &trace {
-                cache.stream(needed, &map, &mut device);
+                cache.stream(needed, &map, &mut device).unwrap();
                 model.launch(needed, &map);
                 let s = device.stats();
                 prop_assert!(
@@ -824,7 +841,7 @@ mod tests {
             for needed in &trace {
                 let mut model = LruModel::seeded(&cache);
                 let before = device.stats();
-                cache.stream(needed, &map, &mut device);
+                cache.stream(needed, &map, &mut device).unwrap();
                 model.launch(needed, &map);
                 let s = device.stats().since(&before);
                 prop_assert!(s.partition_faults <= model.faults);
@@ -868,7 +885,7 @@ mod tests {
                 for pid in 0..map.len() {
                     prop_assert_eq!(waves[pid], u32::from(needed[pid]));
                 }
-                cache.stream(needed, &map, &mut device);
+                cache.stream(needed, &map, &mut device).unwrap();
                 prop_assert_eq!(device.allocated(), cache.resident_bytes());
             }
             let peak = levels.0.lock().unwrap().iter().copied().max().unwrap_or(0);
@@ -891,7 +908,7 @@ mod tests {
                 // A fresh accounting view sums the charges from zero, in
                 // charge order, as the walk does.
                 let mut view = device.query_view();
-                cache.apply(walk, &map, &mut view);
+                cache.apply(walk, &map, &mut view).unwrap();
                 prop_assert_eq!(view.stats().transfer_ms.to_bits(), priced.to_bits());
                 prop_assert_eq!(view.allocated(), cache.resident_bytes());
                 device = view;
@@ -907,7 +924,7 @@ mod tests {
                 let mut device = Device::new(DeviceConfig::titan_v_scaled(1 << 30));
                 let mut cache = PartitionCache::new(budget);
                 for needed in &trace {
-                    cache.stream(needed, &map, &mut device);
+                    cache.stream(needed, &map, &mut device).unwrap();
                 }
                 device.stats()
             };

@@ -10,7 +10,7 @@ use gcgt_cgr::CgrGraph;
 use gcgt_core::kernels::{self, expand_warp, pull::pull_expand, Sink};
 use gcgt_core::{memory, DirectionMode, Expander, Frontier, Strategy};
 use gcgt_graph::NodeId;
-use gcgt_simt::{Device, DeviceConfig, OomError, WarpSim};
+use gcgt_simt::{Device, DeviceConfig, OomError, TypedFailure, WarpSim};
 
 use crate::cache::{PartitionCache, ReadThrough};
 use crate::partition::PartitionMap;
@@ -192,25 +192,30 @@ impl Expander for OocEngine<'_> {
     /// For graphs loaded with [`gcgt_cgr::ValidationMode::Deferred`] this is
     /// also where lazy structural validation lands: each needed partition is
     /// proven decodable before anything is uploaded (an already-validated
-    /// partition is a cheap bitmap check). Corruption discovered here
-    /// raises a typed [`gcgt_simt::chaos::TypedFailure::CorruptGraph`]
-    /// unwind — the `Expander` contract has no fallible path, which is
-    /// exactly the deferred mode's documented trade: a typed error at load
-    /// time, or a typed failure at first touch (which a serving pool maps
-    /// to a per-query `CorruptGraph` error instead of dying). Validation is
-    /// sticky: the same corrupt partition reports the same error on every
-    /// subsequent touch.
-    fn prepare_frontier(&self, device: &mut Device, frontier: &[NodeId]) {
+    /// partition is a cheap bitmap check). Corruption discovered here is
+    /// returned as [`TypedFailure::CorruptGraph`], naming the partition,
+    /// before anything of the launch is charged — the deferred mode's
+    /// documented trade: a typed error at load time, or a typed failure at
+    /// first touch, which the query returns and a serving pool maps to a
+    /// per-query `CorruptGraph` error. Validation is sticky: the same
+    /// corrupt partition reports the same error on every subsequent touch.
+    /// A spent retry budget of the partition cache's allocation and
+    /// transfer gates is returned the same way.
+    fn prepare_frontier(
+        &self,
+        device: &mut Device,
+        frontier: &[NodeId],
+    ) -> Result<(), TypedFailure> {
         let needed = self.needed(frontier);
         for (pid, _) in needed.iter().enumerate().filter(|(_, &n)| n) {
             let p = &self.parts.parts()[pid];
             self.cgr
                 .ensure_validated(p.first_node as usize, p.end_node as usize)
-                .unwrap_or_else(|e| {
-                    gcgt_simt::chaos::raise(gcgt_simt::chaos::TypedFailure::CorruptGraph(format!(
+                .map_err(|e| {
+                    TypedFailure::CorruptGraph(format!(
                         "corrupt CGR payload in partition {pid}: {e}"
-                    )))
-                });
+                    ))
+                })?;
         }
         let mut cache = self.cache.lock().expect("cache poisoned");
         let walk = cache.walk(&needed, self.parts);
@@ -220,11 +225,10 @@ impl Expander for OocEngine<'_> {
         if !walk.uploads.is_empty() && frontier.len() < self.num_nodes() / self.parts.len() {
             let read = self.read_plan(&cache, frontier);
             if cache.prefers(&read, &walk, self.parts) {
-                cache.read_through(&read, &walk, self.parts, device);
-                return;
+                return cache.read_through(&read, &walk, self.parts, device);
             }
         }
-        cache.apply(walk, self.parts, device);
+        cache.apply(walk, self.parts, device)
     }
 
     fn index_addrs(&self, u: NodeId, addrs: &mut Vec<u64>) {
@@ -360,7 +364,7 @@ mod tests {
         let engine = tight_engine(&cgr, &parts);
         let mut device = engine.new_device();
         assert_eq!(device.allocated(), 0);
-        let _ = bfs_in(&engine, &mut device, 0);
+        let _ = bfs_in(&engine, &mut device, 0).unwrap();
         // After the query: scratch freed, only cached partitions remain.
         assert!(device.allocated() <= engine.cache_budget());
     }
@@ -371,7 +375,7 @@ mod tests {
         let parts = PartitionMap::build(&cgr, 2 << 10);
         let engine = tight_engine(&cgr, &parts);
         let mut device = engine.new_device();
-        let _ = bfs_in(&engine, &mut device, 0);
+        let _ = bfs_in(&engine, &mut device, 0).unwrap();
         assert!(device.allocated() > 0, "cached partitions should remain");
         engine.release_residency(&mut device);
         assert_eq!(device.allocated(), 0);
@@ -384,7 +388,7 @@ mod tests {
         };
         // (A fresh accounting view, as a serving worker takes per query:
         // `since`-deltas on a used device round differently.)
-        let b = bfs_in(&engine, &mut device.query_view(), 0).stats;
+        let b = bfs_in(&engine, &mut device.query_view(), 0).unwrap().stats;
         assert_eq!(a.partition_faults, b.partition_faults);
         assert_eq!(a.partition_uploads, b.partition_uploads);
         assert_eq!(a.partition_evictions, b.partition_evictions);
@@ -415,7 +419,7 @@ mod tests {
         )
         .unwrap();
         let mut device = engine.new_device();
-        let run = bfs_in(&engine, &mut device, 0);
+        let run = bfs_in(&engine, &mut device, 0).unwrap();
         assert_eq!(run.depth, refalgo::bfs(&g, 0).depth);
         let s = run.stats;
         assert!(s.read_throughs > 0, "a BFS from one source starts sparse");
@@ -439,7 +443,7 @@ mod tests {
         let read = engine.read_plan(&engine.cache.lock().unwrap(), &work);
         assert_eq!(read.parts, [(parts.partition_of(5), read.lines)]);
         assert_eq!(read.rounds, 2, "no references, no extra round");
-        engine.prepare_frontier(&mut device, &work);
+        engine.prepare_frontier(&mut device, &work).unwrap();
         let s = device.stats();
         assert_eq!((s.read_throughs, s.partition_faults), (1, 1));
         assert_eq!(s.partition_uploads, 0);
@@ -476,7 +480,7 @@ mod tests {
                 (read.price_ms(), walk.price_ms())
             };
             let before = device.stats().read_throughs;
-            engine.prepare_frontier(&mut device, work);
+            engine.prepare_frontier(&mut device, work).unwrap();
             let read = device.stats().read_throughs > before;
             launches.push((read, work.len(), read_ms, walk_ms));
             let cache = engine.cache.lock().unwrap();
@@ -620,7 +624,7 @@ mod tests {
         // keeps resident — closures included — stays within the budget.
         let engine = engine(floor).unwrap();
         let mut device = engine.new_device();
-        let run = bfs_in(&engine, &mut device, 0);
+        let run = bfs_in(&engine, &mut device, 0).unwrap();
         assert_eq!(run.depth, refalgo::bfs(&g, 0).depth);
         assert!(device.allocated() <= floor);
         let own_bytes: u64 = parts.parts().iter().map(|p| p.bytes as u64).sum();

@@ -4,10 +4,11 @@
 //! query that cannot run (invalid source), must not run (admission
 //! control), ran out of its fault budget, or died on an unexpected panic
 //! resolves to a [`QueryError`] in its submission slot while every other
-//! query completes normally. Typed chaos failures
-//! ([`gcgt_simt::TypedFailure`]) are caught on the worker and downcast
-//! back into their matching variants; anything else is preserved as
-//! [`QueryError::Internal`] so no failure is ever silently swallowed.
+//! query completes normally. The executor returns a failed query's
+//! [`gcgt_simt::TypedFailure`] as a value, which maps into its matching
+//! variant (`From`); an unexpected panic is caught on the worker and
+//! preserved as [`QueryError::Internal`] so no failure is ever silently
+//! swallowed.
 
 use gcgt_simt::TypedFailure;
 
@@ -50,28 +51,30 @@ pub enum QueryError {
     Internal(String),
 }
 
-impl QueryError {
-    /// Maps a caught worker panic payload to its typed form: chaos
-    /// failures to their matching variants, everything else to
-    /// [`QueryError::Internal`] with the panic message preserved.
-    pub(crate) fn from_panic(payload: Box<dyn std::any::Any + Send + 'static>) -> QueryError {
-        match payload.downcast::<TypedFailure>() {
-            Ok(typed) => match *typed {
-                TypedFailure::FaultBudgetExhausted { domain, failures } => {
-                    QueryError::FaultBudgetExhausted { domain, failures }
-                }
-                TypedFailure::InjectedQueryFailure => QueryError::InjectedFault,
-                TypedFailure::CorruptGraph(message) => QueryError::CorruptGraph(message),
-            },
-            Err(payload) => {
-                let message = payload
-                    .downcast_ref::<&str>()
-                    .map(|s| (*s).to_string())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "opaque panic payload".to_string());
-                QueryError::Internal(message)
+/// A failure the executor returned, as the matching variant.
+impl From<TypedFailure> for QueryError {
+    fn from(failure: TypedFailure) -> Self {
+        match failure {
+            TypedFailure::FaultBudgetExhausted { domain, failures } => {
+                QueryError::FaultBudgetExhausted { domain, failures }
             }
+            TypedFailure::InjectedQueryFailure => QueryError::InjectedFault,
+            TypedFailure::CorruptGraph(message) => QueryError::CorruptGraph(message),
         }
+    }
+}
+
+impl QueryError {
+    /// Maps a caught worker panic payload to [`QueryError::Internal`] with
+    /// the panic message preserved. Failures the stack models never come
+    /// this way: they are values (`From<TypedFailure>`).
+    pub(crate) fn from_panic(payload: Box<dyn std::any::Any + Send + 'static>) -> QueryError {
+        let message = payload
+            .downcast_ref::<&str>()
+            .map(|s| (*s).to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "opaque panic payload".to_string());
+        QueryError::Internal(message)
     }
 }
 
@@ -121,9 +124,7 @@ mod tests {
             ),
         ];
         for (failure, expected) in cases {
-            let payload = std::panic::catch_unwind(|| gcgt_simt::chaos::raise(failure))
-                .expect_err("raise unwinds");
-            assert_eq!(QueryError::from_panic(payload), expected);
+            assert_eq!(QueryError::from(failure), expected);
         }
     }
 

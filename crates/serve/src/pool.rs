@@ -128,9 +128,10 @@ impl ServePool {
     /// 2. once `workers + max_pending` valid queries are admitted, the rest
     ///    shed with [`ServeError::Overloaded`];
     /// 3. execution failures — exhausted fault budgets, injected faults,
-    ///    corrupt payloads, unexpected panics — are caught on the worker
-    ///    and typed via [`QueryError`]; the worker keeps claiming queries,
-    ///    so one bad query never costs the batch;
+    ///    corrupt payloads — come back from [`Executor::try_run`] as values
+    ///    and map to their [`QueryError`] variants, and an unexpected panic
+    ///    is caught on the worker as [`QueryError::Internal`]; the worker
+    ///    keeps claiming queries, so one bad query never costs the batch;
     /// 4. queries completing past the policy deadline on the deterministic
     ///    FIFO timeline are discarded with [`ServeError::DeadlineExceeded`]
     ///    (the spent cost stays in the aggregates).
@@ -185,14 +186,17 @@ impl ServePool {
                             // execution traces are identical at any worker
                             // count.
                             executor.set_trace_track(index as u64);
-                            // Catch per-query panics so this worker keeps
-                            // claiming; the payload becomes the query's typed
-                            // error below. The executor is still valid: a
-                            // query runs on a local `query_view` that
-                            // unwinding simply drops, and worker state
-                            // commits only on success — no rebuild needed.
+                            // A failed query returns its typed failure; the
+                            // executor committed nothing and keeps claiming.
+                            // An unexpected panic is caught as the
+                            // `Internal` backstop: the query ran on a local
+                            // `query_view` that unwinding drops, so the
+                            // executor stays valid either way.
                             let query = queries[index].clone();
-                            let attempt = catch_unwind(AssertUnwindSafe(|| executor.run(query)));
+                            let attempt =
+                                catch_unwind(AssertUnwindSafe(|| executor.try_run(query)))
+                                    .map_err(QueryError::from_panic)
+                                    .and_then(|run| run.map_err(QueryError::from));
                             results.push((index, attempt));
                         }
                         (results, snapshot(worker, &executor))
@@ -209,13 +213,10 @@ impl ServePool {
         let mut workers = Vec::with_capacity(self.workers);
         for (results, report) in finished {
             for (index, attempt) in results {
-                outcomes[index] = Some(match attempt {
-                    Ok(run) => {
-                        per_query[index] = run.stats;
-                        Ok(run.output)
-                    }
-                    Err(payload) => Err(QueryError::from_panic(payload)),
-                });
+                outcomes[index] = Some(attempt.map(|run| {
+                    per_query[index] = run.stats;
+                    run.output
+                }));
             }
             workers.push(report);
         }

@@ -1181,8 +1181,8 @@ impl PreparedGraph {
     /// A worker device over `engine` with the structure resident, the
     /// observer installed and then the fault plan. The plan activates only
     /// after the upload: device setup is fault-free by construction, so a
-    /// typed chaos failure can only unwind out of a query (where the serving
-    /// pool catches it), never out of worker spawn.
+    /// typed chaos failure can only end a query (which returns it), never
+    /// worker spawn.
     fn worker_device(&self, engine: &dyn Expander) -> Device {
         let mut device = engine.new_device();
         if let Some(observer) = &self.observer {
@@ -1210,16 +1210,21 @@ impl PreparedGraph {
 
     /// Runs one application on a fresh single-query worker: uploads the
     /// structure, executes, maps results back to the caller's id space.
+    /// Returns the query's failure as [`Executor::try_run`] does.
     ///
     /// # Panics
     /// Panics if a node-id parameter (BFS/BC source) is out of range —
     /// range-check against [`PreparedGraph::num_nodes`] for untrusted
     /// input.
-    pub fn run<A: Algorithm>(&self, algo: A) -> Run<A::Output> {
-        let mut worker = Executor::new(self);
-        let mut run = worker.run(algo);
+    pub fn try_run<A: Algorithm>(&self, algo: A) -> Result<Run<A::Output>, TypedFailure> {
+        let mut run = Executor::new(self).try_run(algo)?;
         run.upload_ms = self.upload_ms();
-        run
+        Ok(run)
+    }
+
+    /// [`PreparedGraph::try_run`], panicking with the failure's message.
+    pub fn run<A: Algorithm>(&self, algo: A) -> Run<A::Output> {
+        self.try_run(algo).unwrap_or_else(|f| panic!("{f}"))
     }
 
     /// Runs many queries against **one** device residency: the structure is
@@ -1227,25 +1232,36 @@ impl PreparedGraph {
     /// device — the serving-scale amortization (compare
     /// `batch.total_ms()` with the sum of individual `run(..).total_ms()`).
     /// Out-of-core batches also share one partition cache, so later queries
-    /// hit partitions earlier ones faulted.
-    pub fn run_batch<A: Algorithm>(&self, queries: &[A]) -> BatchRun<A::Output> {
+    /// hit partitions earlier ones faulted. The batch stops at the first
+    /// query's failure and returns it.
+    pub fn try_run_batch<A: Algorithm>(
+        &self,
+        queries: &[A],
+    ) -> Result<BatchRun<A::Output>, TypedFailure> {
         let engine = self.engine();
         let mut device = self.worker_device(&*engine);
         let mut outputs = Vec::with_capacity(queries.len());
         let mut per_query = Vec::with_capacity(queries.len());
         for query in queries {
             let before = device.stats();
-            let output = self.remap(query.clone()).execute(&*engine, &mut device);
+            let output = self.remap(query.clone()).execute(&*engine, &mut device)?;
             per_query.push(device.stats().since(&before));
             outputs.push(self.unpermute::<A>(output));
         }
-        BatchRun {
+        Ok(BatchRun {
             outputs,
             per_query,
             stats: device.stats(),
             uploads: 1,
             upload_ms: self.upload_ms(),
-        }
+        })
+    }
+
+    /// [`PreparedGraph::try_run_batch`], panicking with the failure's
+    /// message.
+    pub fn run_batch<A: Algorithm>(&self, queries: &[A]) -> BatchRun<A::Output> {
+        self.try_run_batch(queries)
+            .unwrap_or_else(|f| panic!("{f}"))
     }
 }
 
@@ -1337,19 +1353,24 @@ impl<'p> Executor<'p> {
     /// [`PreparedGraph::run`]; `upload_ms` is 0 because the worker paid the
     /// upload at construction.
     ///
+    /// The query runs on a [`Device::query_view`], and the worker's state
+    /// (device, [`Executor::queries_served`], [`Executor::busy_ms`])
+    /// commits only on `Ok`, so a failed query leaves the worker as it was.
+    ///
+    /// # Errors
+    /// The [`TypedFailure`] that ends the query: an injected per-query
+    /// fault, an exhausted retry budget, or a payload that fails deferred
+    /// validation at first touch.
+    ///
     /// # Panics
-    /// Panics if a node-id parameter (BFS/BC source) is out of range, and
-    /// unwinds with a typed [`TypedFailure`] payload when the installed
-    /// fault plan fails this query (injected per-query fault, exhausted
-    /// retry budget, corrupt payload at first touch) — the serving pool
-    /// catches both and maps them to per-query errors.
-    pub fn run<A: Algorithm>(&mut self, algo: A) -> Run<A::Output> {
+    /// Panics if a node-id parameter (BFS/BC source) is out of range.
+    pub fn try_run<A: Algorithm>(&mut self, algo: A) -> Result<Run<A::Output>, TypedFailure> {
         let engine = self.prepared.engine();
         let mut device = self.device.query_view();
         if device.inject_query_fault() {
-            gcgt_simt::chaos::raise(TypedFailure::InjectedQueryFailure);
+            return Err(TypedFailure::InjectedQueryFailure);
         }
-        let output = self.prepared.remap(algo).execute(&*engine, &mut device);
+        let output = self.prepared.remap(algo).execute(&*engine, &mut device)?;
         let stats = device.stats();
         // Release what the query held beyond the structure (streamed
         // partitions; scratch was already freed by the app) so the next
@@ -1363,12 +1384,19 @@ impl<'p> Executor<'p> {
         self.device = device;
         self.served += 1;
         self.busy_ms += stats.est_ms + stats.transfer_ms + stats.exchange_ms;
-        Run {
+        Ok(Run {
             output: self.prepared.unpermute::<A>(output),
             stats,
             upload_ms: 0.0,
             device_config: self.prepared.device_config,
-        }
+        })
+    }
+
+    /// [`Executor::try_run`], panicking with the failure's message: for
+    /// callers with no fault plan and an eagerly validated graph, where no
+    /// query fails.
+    pub fn run<A: Algorithm>(&mut self, algo: A) -> Run<A::Output> {
+        self.try_run(algo).unwrap_or_else(|f| panic!("{f}"))
     }
 }
 

@@ -44,7 +44,7 @@
 use gcgt_core::kernels::Sink;
 use gcgt_core::{DirectionMode, Expander, Frontier};
 use gcgt_graph::{Csr, NodeId};
-use gcgt_simt::{Charge, Device, DeviceConfig, Link, WarpSim};
+use gcgt_simt::{Charge, Device, DeviceConfig, FaultDomain, Link, TypedFailure, WarpSim};
 
 use crate::exchange::{ActivityMatrix, ExchangeCost};
 use crate::plan::ShardPlan;
@@ -113,10 +113,12 @@ impl<'g> ShardEngine<'g> {
     /// Charges one BSP step on `device`: the barrier, then the boundary
     /// exchange for this step's `work` list (frontier nodes in push mode,
     /// unvisited candidates in pull mode), priced as the log-depth
-    /// dissemination schedule of [`crate::exchange`].
-    fn charge_step(&self, device: &mut Device, work: &[NodeId]) {
+    /// dissemination schedule of [`crate::exchange`]. Fails with
+    /// [`TypedFailure::FaultBudgetExhausted`] when injected link faults
+    /// outlast the retry budget.
+    fn charge_step(&self, device: &mut Device, work: &[NodeId]) -> Result<(), TypedFailure> {
         if self.plan.devices() <= 1 || work.is_empty() {
-            return;
+            return Ok(());
         }
         device.record(Charge::SyncStep);
         let (activity, boundary) = ActivityMatrix::of_step(self.graph, self.plan, work);
@@ -126,7 +128,7 @@ impl<'g> ShardEngine<'g> {
         // it: the chaos gate re-charges the failed exchange (plus backoff)
         // into `exchange_ms` per failed attempt before the successful one
         // is charged below. No-op without an active fault plan.
-        device.chaos_gate(gcgt_simt::chaos::FaultDomain::Exchange, exchange_ms);
+        device.chaos_gate(FaultDomain::Exchange, exchange_ms)?;
         device.record(Charge::Exchange {
             bytes: cost.bytes as u64,
             messages: cost.messages as u64,
@@ -134,6 +136,7 @@ impl<'g> ShardEngine<'g> {
             boundary_nodes: boundary,
             exchange_ms,
         });
+        Ok(())
     }
 }
 
@@ -166,13 +169,13 @@ impl Expander for ShardEngine<'_> {
         self.inner().structure_bytes()
     }
 
-    fn prepare_frontier(&self, device: &mut Device, work: &[NodeId]) {
+    fn prepare_frontier(&self, device: &mut Device, work: &[NodeId]) -> Result<(), TypedFailure> {
         // Residency first. A shared engine sees the whole list; per-device
         // engines each fault what their owned slice needs, in shard order
         // (serial, hence deterministic). One shard degenerates to the bare
-        // inner engine bit-for-bit.
+        // inner engine bit-for-bit. The first failure ends the step.
         if let [shared] = &self.per_device[..] {
-            shared.prepare_frontier(device, work);
+            shared.prepare_frontier(device, work)?;
         } else {
             let mut owned: Vec<Vec<NodeId>> = vec![Vec::new(); self.per_device.len()];
             for &u in work {
@@ -180,12 +183,12 @@ impl Expander for ShardEngine<'_> {
             }
             for (engine, nodes) in self.per_device.iter().zip(&owned) {
                 if !nodes.is_empty() {
-                    engine.prepare_frontier(device, nodes);
+                    engine.prepare_frontier(device, nodes)?;
                 }
             }
         }
         // Then the BSP barrier and boundary exchange for this step.
-        self.charge_step(device, work);
+        self.charge_step(device, work)
     }
 
     fn index_addrs(&self, u: NodeId, addrs: &mut Vec<u64>) {
@@ -259,7 +262,7 @@ mod tests {
         let want = bfs(&serial, 0);
         let want_stats = {
             let mut dev = serial.new_device();
-            let _ = gcgt_core::bfs_in(&serial, &mut dev, 0);
+            gcgt_core::bfs_in(&serial, &mut dev, 0).unwrap();
             dev.stats()
         };
         for devices in [1, 2, 4, 8] {
@@ -269,7 +272,7 @@ mod tests {
             assert_eq!(got.depth, want.depth, "{devices} devices");
             assert_eq!(got.reached, want.reached);
             let mut dev = sharded.new_device();
-            let _ = gcgt_core::bfs_in(&sharded, &mut dev, 0);
+            gcgt_core::bfs_in(&sharded, &mut dev, 0).unwrap();
             let stats = dev.stats();
             // Kernel-side numbers are bitwise the serial run's…
             assert_eq!(stats.est_ms.to_bits(), want_stats.est_ms.to_bits());
@@ -297,7 +300,7 @@ mod tests {
             let plan = ShardPlan::build(&cgr, devices);
             let e = sharded(&g, &cgr, &plan);
             let mut dev = e.new_device();
-            let _ = gcgt_core::bfs_in(&e, &mut dev, 0);
+            gcgt_core::bfs_in(&e, &mut dev, 0).unwrap();
             dev.stats().boundary_nodes
         };
         let (b1, b2, b4, b8) = (boundary(1), boundary(2), boundary(4), boundary(8));
@@ -339,9 +342,10 @@ mod tests {
         fn footprint(&self) -> usize {
             0
         }
-        fn prepare_frontier(&self, _: &mut Device, work: &[NodeId]) {
+        fn prepare_frontier(&self, _: &mut Device, work: &[NodeId]) -> Result<(), TypedFailure> {
             let mut calls = self.calls.lock().unwrap();
             calls.prepared.push((self.id, work.to_vec()));
+            Ok(())
         }
         fn index_addrs(&self, _: NodeId, _: &mut Vec<u64>) {}
         fn expand_chunk(&self, _: &mut WarpSim, _: &[NodeId], _: &mut dyn Sink) {}
@@ -399,7 +403,7 @@ mod tests {
             let engine = recording(&g, &plan, &calls, devices);
             let mut dev = engine.new_device();
             for work in work_lists(&g, &plan) {
-                engine.prepare_frontier(&mut dev, &work);
+                engine.prepare_frontier(&mut dev, &work).unwrap();
                 let prepared = std::mem::take(&mut calls.lock().unwrap().prepared);
                 // Each engine is called at most once, in shard order, with
                 // nodes it owns, in work-list order…
@@ -429,7 +433,7 @@ mod tests {
         let mut dev = engine.new_device();
         let lists = work_lists(&g, &plan);
         for work in &lists {
-            engine.prepare_frontier(&mut dev, work);
+            engine.prepare_frontier(&mut dev, work).unwrap();
         }
         let want: Vec<(usize, Vec<NodeId>)> = lists.into_iter().map(|w| (0, w)).collect();
         assert_eq!(calls.lock().unwrap().prepared, want);

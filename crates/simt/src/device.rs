@@ -291,10 +291,11 @@ impl Device {
         }
     }
 
-    /// Installs a fault plan: from here on the chaos charge points
-    /// ([`Device::alloc`], the partition-cache and shard-exchange gates,
-    /// the per-query check) evaluate a deterministic [`FaultInjector`]
-    /// derived from the plan and the current track. Installing the *empty*
+    /// Installs a fault plan: from here on the chaos charge points (the
+    /// scratch and partition-cache allocation gates, the partition-cache
+    /// transfer gate, the shard-exchange gate, the per-query check)
+    /// evaluate a deterministic [`FaultInjector`] derived from the plan and
+    /// the current track. Installing the *empty*
     /// plan is indistinguishable from never calling this — no verdicts, no
     /// float operations, bitwise-identical accounting.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
@@ -316,16 +317,20 @@ impl Device {
     /// the injector and records one [`Charge::FaultRetry`] per injected
     /// transient fault — exponential backoff plus `wasted_ms` (the modeled
     /// cost of the attempt that failed, so a failed partition upload or
-    /// boundary exchange is *re-charged*, not forgiven). Returns normally
-    /// once a verdict comes back clean; escalates with a typed
-    /// [`TypedFailure::FaultBudgetExhausted`] panic when retries are
-    /// disabled or the consecutive-failure budget is spent.
+    /// boundary exchange is *re-charged*, not forgiven). Returns `Ok` once
+    /// a verdict comes back clean.
     ///
     /// With no (or an empty) fault plan installed this is a single
     /// null-check: no verdict is drawn and nothing is charged.
-    pub fn chaos_gate(&mut self, domain: FaultDomain, wasted_ms: f64) {
+    ///
+    /// # Errors
+    /// [`TypedFailure::FaultBudgetExhausted`] when retries are disabled or
+    /// the consecutive-failure budget is spent, after charging
+    /// [`Charge::FaultExhausted`]. The caller returns it: the query fails as
+    /// a value, and the device view it ran on is discarded.
+    pub fn chaos_gate(&mut self, domain: FaultDomain, wasted_ms: f64) -> Result<(), TypedFailure> {
         let Some(mut chaos) = self.chaos.take() else {
-            return;
+            return Ok(());
         };
         let retry = chaos.plan().retry;
         let mut attempt: u32 = 0;
@@ -334,7 +339,7 @@ impl Device {
             if attempt > retry.max_attempts {
                 self.chaos = Some(chaos);
                 self.record(Charge::FaultExhausted { domain, attempt });
-                gcgt_chaos::raise(TypedFailure::FaultBudgetExhausted {
+                return Err(TypedFailure::FaultBudgetExhausted {
                     domain: domain.name(),
                     failures: attempt,
                 });
@@ -347,12 +352,13 @@ impl Device {
             });
         }
         self.chaos = Some(chaos);
+        Ok(())
     }
 
     /// Draws one terminal per-query fault verdict
     /// ([`FaultDomain::Query`]) — checked once when an executor takes a
     /// query view. Returns `true` when the query must fail; the caller
-    /// escalates with [`TypedFailure::InjectedQueryFailure`]. Never
+    /// returns [`TypedFailure::InjectedQueryFailure`]. Never
     /// retried: there is nothing below a query to recover.
     pub fn inject_query_fault(&mut self) -> bool {
         let domain = FaultDomain::Query;
@@ -373,12 +379,10 @@ impl Device {
 
     /// Registers a resident allocation (graph, frontier buffers, platform
     /// overhead). Fails when the sum exceeds capacity — the OOM bars of
-    /// Figures 8 and 15.
+    /// Figures 8 and 15. Draws no fault verdict: the allocations made under
+    /// a fault plan gate [`FaultDomain::DeviceAlloc`] themselves, through
+    /// [`Device::chaos_gate`], immediately before calling this.
     pub fn alloc(&mut self, bytes: usize) -> Result<(), OomError> {
-        // Transient allocator stalls (chaos) resolve — with backoff charged
-        // — before the genuine capacity check: an injected fault is never
-        // confused with a real OOM.
-        self.chaos_gate(FaultDomain::DeviceAlloc, 0.0);
         let total = self.stats.allocated_bytes.saturating_add(bytes);
         if total > self.config.mem_capacity {
             return Err(OomError {
@@ -727,7 +731,7 @@ mod tests {
         chaotic.set_fault_plan(FaultPlan::empty());
         for d in [&mut plain, &mut chaotic] {
             d.alloc(4096).unwrap();
-            d.chaos_gate(FaultDomain::Transfer, 1.0);
+            d.chaos_gate(FaultDomain::Transfer, 1.0).unwrap();
             d.record(Charge::Upload {
                 first_partition: 0,
                 partitions: 1,
@@ -753,7 +757,7 @@ mod tests {
         plan.exchange = gcgt_chaos::FaultRate::new(1000, 2);
         d.set_fault_plan(plan);
 
-        d.chaos_gate(FaultDomain::Transfer, 0.5);
+        d.chaos_gate(FaultDomain::Transfer, 0.5).unwrap();
         let s = d.stats();
         // A 2-burst at rate 1000‰ always injects exactly 2 faults per gate.
         assert_eq!(s.faults_injected, 2);
@@ -764,7 +768,7 @@ mod tests {
         assert_eq!(s.exchange_ms, 0.0);
 
         // Exchange-domain recovery charges the interconnect, not the link.
-        d.chaos_gate(FaultDomain::Exchange, 0.25);
+        d.chaos_gate(FaultDomain::Exchange, 0.25).unwrap();
         let s = d.stats();
         assert!((s.exchange_ms - (backoff + 2.0 * 0.25)).abs() < 1e-12);
         // Kernel-time estimate is never touched by recovery.
@@ -772,25 +776,18 @@ mod tests {
     }
 
     #[test]
-    fn chaos_gate_exhausts_with_typed_panic() {
+    fn chaos_gate_exhausts_with_typed_failure() {
         let cfg = DeviceConfig::titan_v_scaled(1 << 20);
         let mut d = cfg.new_device();
         let mut plan = FaultPlan::empty();
         plan.transfer = gcgt_chaos::FaultRate::new(1000, 8); // burst > budget
         d.set_fault_plan(plan);
-        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            d.chaos_gate(FaultDomain::Transfer, 0.0)
-        }))
-        .expect_err("budget must exhaust");
-        let typed = payload
-            .downcast::<TypedFailure>()
-            .expect("typed chaos payload");
         assert_eq!(
-            *typed,
-            TypedFailure::FaultBudgetExhausted {
+            d.chaos_gate(FaultDomain::Transfer, 0.0),
+            Err(TypedFailure::FaultBudgetExhausted {
                 domain: "transfer",
                 failures: 5, // max_attempts (4) + the escalating failure
-            }
+            })
         );
     }
 

@@ -82,7 +82,7 @@ fn per_query_scratch_released_between_queries() {
         Query::LabelProp(LabelProp::default()),
         Query::Bfs(3),
     ] {
-        let out = query.execute(&engine, &mut dev);
+        let out = query.execute(&engine, &mut dev).unwrap();
         assert_eq!(
             dev.allocated(),
             baseline,

@@ -368,11 +368,11 @@ proptest! {
         let cgr = CgrGraph::encode(&graph, &cfg);
         let engine = GcgtEngine::new(&cgr, dc, strategy).unwrap();
 
-        let (bfs_run, compacted) = observed(&engine, |d| bfs_in(&engine, d, 0));
+        let (bfs_run, compacted) = observed(&engine, |d| bfs_in(&engine, d, 0).unwrap());
         prop_assert!(compacted > 0.0);
         prop_assert_eq!(bfs_run.depth, refalgo::bfs(&graph, 0).depth);
 
-        let (got, compacted) = observed(&engine, |d| bc_in(&engine, d, 0));
+        let (got, compacted) = observed(&engine, |d| bc_in(&engine, d, 0).unwrap());
         prop_assert!(compacted > 0.0);
         let want = refalgo::betweenness_from_source(&graph, 0);
         prop_assert_eq!(got.depth, want.depth);
@@ -384,7 +384,7 @@ proptest! {
         let sym = graph.symmetrized();
         let sym_cgr = CgrGraph::encode(&sym, &cfg);
         let sym_engine = GcgtEngine::new(&sym_cgr, dc, strategy).unwrap();
-        let (cc_run, compacted) = observed(&sym_engine, |d| cc_in(&sym_engine, d));
+        let (cc_run, compacted) = observed(&sym_engine, |d| cc_in(&sym_engine, d).unwrap());
         prop_assert_eq!(cc_run.component, refalgo::connected_components(&sym).component);
         // Every iteration but the last (which hooks nothing) compacts.
         prop_assert_eq!(compacted, f64::from(cc_run.iterations - 1));

@@ -1,7 +1,7 @@
 //! Untrusted bytes on the out-of-core read-through path: a launch smaller
 //! than one partition reads its lines through instead of uploading the
 //! partition, but deferred validation still runs first. A corrupt partition
-//! touched first by such a launch raises the typed `CorruptGraph` failure,
+//! touched first by such a launch returns the typed `CorruptGraph` failure,
 //! which a serving pool maps to a per-query error — never a panic, never a
 //! silent decode of bad bytes.
 
@@ -82,18 +82,19 @@ fn a_corrupt_partition_read_through_first_is_a_typed_error() {
     assert!(run.stats.read_throughs > 0);
     assert_eq!(kinds.0.lock().unwrap().first(), Some(&"fault-read"));
 
-    // On the corrupt bytes the same launch raises the typed failure for
+    // On the corrupt bytes the same launch returns the typed failure for
     // the source's (last) partition before any line is read …
     let session = streaming(corrupt, budget, None);
     let last = format!(
         "corrupt CGR payload in partition {}:",
         session.num_partitions().unwrap() - 1
     );
-    let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| session.run(source)))
+    let failure = session
+        .try_run(source)
         .expect_err("a corrupt partition must not decode");
     assert!(
-        matches!(payload.downcast_ref::<TypedFailure>(), Some(TypedFailure::CorruptGraph(msg)) if msg.starts_with(&last)),
-        "the unwind carries a typed CorruptGraph failure"
+        matches!(&failure, TypedFailure::CorruptGraph(msg) if msg.starts_with(&last)),
+        "the query returns a typed CorruptGraph failure: {failure:?}"
     );
 
     // … which a serving pool turns into a per-query error, every time.

@@ -426,3 +426,131 @@ fn compress_auto_tunes_the_code_per_dataset() {
         .unwrap();
     assert_eq!(explicit.cgr().unwrap().config().code, Code::Delta);
 }
+
+// --- failures as values -------------------------------------------------
+
+/// A deferred-validation load of `g` with one payload bit flipped that only
+/// full validation catches: it loads, and the partition holding it fails
+/// at first touch.
+fn deferred_corrupt(g: &Csr) -> CgrGraph {
+    let cgr = CgrGraph::encode(g, &CgrConfig::paper_default());
+    let mut buf = Vec::new();
+    gcgt::cgr::io::write_cgr(&cgr, &mut buf).expect("in-memory write");
+    for byte in buf.len() - 64..buf.len() {
+        for bit in 0..8u8 {
+            let mut c = buf.clone();
+            c[byte] ^= 1 << bit;
+            if CgrGraph::from_bytes(&c).is_err() {
+                if let Ok(cgr) = gcgt::cgr::io::read_cgr_with(&c[..], ValidationMode::Deferred) {
+                    return cgr;
+                }
+            }
+        }
+    }
+    panic!("some payload flip is caught by validation only")
+}
+
+/// Every way a query can fail returns the failure from `try_run` and
+/// leaves the executor as it was; `run` panics with the same message. The
+/// three session shapes each meet a plan that exhausts the domain they
+/// gate (the scratch allocation in-core, the partition upload when
+/// streaming, the boundary exchange when sharded), a query plan at 1000‰,
+/// and a deferred-corrupt payload — which an in-core or sharded in-core
+/// build validates whole and rejects, so the streaming shape carries it.
+#[test]
+fn failures_are_values_and_run_panics_with_their_message() {
+    let g = web_graph(&WebParams::uk2002_like(600), 7);
+    let incore = Session::builder().graph(g.clone()).build().expect("probe");
+    let budget =
+        (incore.footprint() - incore.structure_bytes()) + (incore.structure_bytes() / 4).max(1);
+    let shape = |name: &str, builder: SessionBuilder| match name {
+        "in-core" => builder,
+        "streaming" => builder.memory_budget(budget).engine(EngineKind::OutOfCore {
+            inner: Strategy::Full,
+        }),
+        _ => builder.shards(4),
+    };
+    // Retries disabled and every operation of `domain` failing.
+    let exhausting = |domain| {
+        let mut plan = FaultPlan {
+            retry: RetryPolicy::disabled(),
+            ..FaultPlan::empty()
+        };
+        let rate = match domain {
+            "device-alloc" => &mut plan.device_alloc,
+            "transfer" => &mut plan.transfer,
+            _ => &mut plan.exchange,
+        };
+        *rate = FaultRate::new(1000, u32::MAX);
+        plan
+    };
+    let failing_queries = FaultPlan {
+        query: FaultRate::new(1000, 1),
+        ..FaultPlan::empty()
+    };
+    let query = Query::Pagerank(Pagerank::default());
+    for (name, domain) in [
+        ("in-core", "device-alloc"),
+        ("streaming", "transfer"),
+        ("4-shard", "exchange"),
+    ] {
+        let plain = || shape(name, Session::builder().graph(g.clone()));
+        let mut cases = vec![
+            (
+                plain().fault_plan(exhausting(domain)),
+                TypedFailure::FaultBudgetExhausted {
+                    domain,
+                    failures: 1,
+                },
+            ),
+            (
+                plain().fault_plan(failing_queries),
+                TypedFailure::InjectedQueryFailure,
+            ),
+        ];
+        let corrupt = shape(
+            name,
+            Session::builder().graph_compressed(deferred_corrupt(&g)),
+        );
+        if name == "streaming" {
+            cases.push((corrupt, TypedFailure::CorruptGraph(String::new())));
+        } else {
+            assert!(
+                matches!(corrupt.build(), Err(SessionError::CorruptGraph(_))),
+                "{name}: an in-core build validates the payload whole"
+            );
+        }
+        for (builder, want) in cases {
+            let session = builder.build().expect("every failing shape builds");
+            let mut executor = session.executor();
+            let (allocated, served, busy) = (
+                executor.allocated(),
+                executor.queries_served(),
+                executor.busy_ms(),
+            );
+            let failure = executor.try_run(query).expect_err("the query must fail");
+            match (&want, &failure) {
+                (TypedFailure::CorruptGraph(_), TypedFailure::CorruptGraph(msg)) => {
+                    assert!(msg.starts_with("corrupt CGR payload in partition"), "{msg}");
+                }
+                _ => assert_eq!(failure, want, "{name}"),
+            }
+            assert_eq!(executor.allocated(), allocated, "{name}: {failure}");
+            assert_eq!(executor.queries_served(), served, "{name}: {failure}");
+            assert_eq!(
+                executor.busy_ms().to_bits(),
+                busy.to_bits(),
+                "{name}: {failure}"
+            );
+
+            let panic =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| session.run(query)))
+                    .expect_err("run panics where try_run fails");
+            assert_eq!(
+                panic.downcast_ref::<String>(),
+                Some(&failure.to_string()),
+                "{name}"
+            );
+        }
+    }
+}

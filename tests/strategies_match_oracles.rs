@@ -243,7 +243,7 @@ fn a_hub_splits_alike_under_every_engine_shape() {
     let metrics = Arc::new(MetricsRegistry::new());
     let mut dev = incore.new_device();
     dev.set_observer(ObserverHandle::from_arc(metrics.clone()));
-    let want = bfs_in(&incore, &mut dev, hub);
+    let want = bfs_in(&incore, &mut dev, hub).unwrap();
     assert!(
         metrics.value("gcgt_split_nodes_total") >= Some(1.0),
         "hub {hub} of degree {} was not split",
@@ -341,7 +341,8 @@ proptest! {
             }
 
             let mut dev = engine.new_device();
-            let sinks = launch_expansion(&*engine, &mut dev, &frontier, CollectSink::default);
+            let sinks = launch_expansion(&*engine, &mut dev, &frontier, "push", CollectSink::default)
+                .unwrap();
             prop_assert_eq!(sinks.len(), warps.len());
             for (w, sink) in warps.iter().zip(&sinks) {
                 prop_assert!(!w.is_share() || !sink.pairs.is_empty(), "{row}: empty share");
@@ -573,18 +574,18 @@ fn every_engine_honours_the_expander_contract() {
                 assert_eq!(dev.allocated(), structure, "{ctx}: after {app}");
             };
 
-            let got = bfs_in(engine, &mut dev, 0);
+            let got = bfs_in(engine, &mut dev, 0).unwrap();
             at_baseline(&mut dev, "bfs");
             assert_eq!(got.depth, bfs_want.depth, "{ctx}");
             assert_eq!(got.reached, bfs_want.reached, "{ctx}");
             assert_eq!(bfs(pulling, 0).depth, got.depth, "{ctx}: pull vs push");
 
-            let got = cc_in(engine, &mut dev);
+            let got = cc_in(engine, &mut dev).unwrap();
             at_baseline(&mut dev, "cc");
             assert_eq!(got.component, cc_want.component, "{ctx}");
             assert_eq!(got.count, cc_want.count, "{ctx}");
 
-            let got = bc_in(engine, &mut dev, 0);
+            let got = bc_in(engine, &mut dev, 0).unwrap();
             at_baseline(&mut dev, "bc");
             assert_bc_matches(&got, &bc_want, &ctx);
 
@@ -594,11 +595,12 @@ fn every_engine_honours_the_expander_contract() {
                 short.damping,
                 short.max_iters,
                 short.tolerance,
-            );
+            )
+            .unwrap();
             at_baseline(&mut dev, "pagerank");
             assert_ranks_match(&got.ranks, &ranks_want, &ctx);
 
-            let got = label_propagation_in(engine, &mut dev, 5);
+            let got = label_propagation_in(engine, &mut dev, 5).unwrap();
             at_baseline(&mut dev, "labelprop");
             assert_eq!(got.labels, labels_want, "{ctx}");
         }
