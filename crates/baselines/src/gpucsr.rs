@@ -12,8 +12,8 @@
 //! the paper pairs Merrill-BFS with Soman-CC and Sriram-BC under the
 //! `GPUCSR` label: both sides run the same one-pass CC.
 
-use gcgt_core::kernels::Sink;
-use gcgt_core::{memory, DirectionMode, Expander, Frontier};
+use gcgt_core::kernels::{pull::frontier_bitmap_addr, Sink};
+use gcgt_core::{memory, DirectionMode, Expander};
 use gcgt_graph::{Csr, NodeId};
 use gcgt_simt::{Device, DeviceConfig, OomError, OpClass, Space, WarpSim};
 
@@ -107,10 +107,11 @@ impl Expander for GpuCsrEngine<'_> {
         &self,
         warp: &mut WarpSim,
         chunk: &[NodeId],
-        frontier: &Frontier,
+        depth: &[u32],
+        du: u32,
         out: &mut Vec<(NodeId, NodeId)>,
     ) -> u64 {
-        pull_csr_chunk(self.graph, warp, chunk, frontier, out)
+        pull_csr_chunk(self.graph, warp, chunk, depth, du, out)
     }
 }
 
@@ -123,12 +124,14 @@ pub(crate) fn row_offset_addrs(u: NodeId) -> [u64; 2] {
 /// Pull-mode (bottom-up) expansion over raw CSR: each lane walks its
 /// unvisited candidate's column range in lock-step rounds — one coalesced-
 /// per-lane column read plus one frontier-bitmap probe per round — and
-/// retires at the first frontier parent. Shared by both CSR baselines.
+/// retires at the first frontier parent (`depth[u] == du`). Shared by both
+/// CSR baselines.
 pub(crate) fn pull_csr_chunk(
     graph: &Csr,
     warp: &mut WarpSim,
     chunk: &[NodeId],
-    frontier: &Frontier,
+    depth: &[u32],
+    du: u32,
     out: &mut Vec<(NodeId, NodeId)>,
 ) -> u64 {
     let k = chunk.len();
@@ -167,13 +170,13 @@ pub(crate) fn pull_csr_chunk(
             active.len(),
             active
                 .iter()
-                .map(|&i| Frontier::bitmap_addr(graph.col_indices()[lanes[i].1])),
+                .map(|&i| frontier_bitmap_addr(graph.col_indices()[lanes[i].1])),
         );
         examined += active.len() as u64;
         for &i in &active {
             let (v, idx, rem) = lanes[i];
             let nbr = graph.col_indices()[idx];
-            if frontier.contains(nbr) {
+            if depth[nbr as usize] == du {
                 done[i] = true;
                 out.push((nbr, v));
             } else {

@@ -17,7 +17,7 @@ use crate::gpucsr::{
     csr_shares, expand_csr_chunk, expand_csr_share, pull_csr_chunk, row_offset_addrs,
 };
 use gcgt_core::kernels::Sink;
-use gcgt_core::{memory, DirectionMode, Expander, Frontier};
+use gcgt_core::{memory, DirectionMode, Expander};
 use gcgt_graph::{Csr, NodeId};
 use gcgt_simt::{Device, DeviceConfig, OomError, OpClass, Space, WarpSim};
 
@@ -129,7 +129,8 @@ impl Expander for GunrockEngine<'_> {
         &self,
         warp: &mut WarpSim,
         chunk: &[NodeId],
-        frontier: &Frontier,
+        depth: &[u32],
+        du: u32,
         out: &mut Vec<(NodeId, NodeId)>,
     ) -> u64 {
         // The platform's filter pass re-reads the candidate frontier slots
@@ -139,7 +140,7 @@ impl Expander for GunrockEngine<'_> {
             chunk.len(),
             (0..chunk.len() as u64).map(|i| Space::Output.addr((1 << 32) + 4 * i)),
         );
-        pull_csr_chunk(self.graph, warp, chunk, frontier, out)
+        pull_csr_chunk(self.graph, warp, chunk, depth, du, out)
     }
 }
 

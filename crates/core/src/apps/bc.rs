@@ -29,11 +29,18 @@
 //! Neither pass launches where nothing can come of it: the forward pass
 //! stops once every node is reached, and the backward pass skips the
 //! deepest level, whose δ is 0 by definition.
+//!
+//! The forward pass runs BFS's level loop (`Levels`), keeping every level
+//! for the backward pass: the loop scans the candidates, merges each
+//! level's `(parent, child)` pairs (this file adds σ along each pair into
+//! the next level) and compacts each device-filling level as soon as it is
+//! discovered, since the backward pass expands it again.
 
 use gcgt_graph::{NodeId, UNREACHED};
 use gcgt_simt::{Device, OpClass, RunStats, Space, TypedFailure, WarpSim};
 
-use crate::engine::{compact_frontier, launch_expansion, Expander};
+use crate::apps::levels::Levels;
+use crate::engine::{launch_expansion, Expander};
 use crate::kernels::Sink;
 use crate::strategy::DirectionMode;
 
@@ -120,7 +127,7 @@ struct ParentSink<'d> {
     du: u32,
     /// Candidates of this warp that found a parent.
     found: Vec<NodeId>,
-    /// `(candidate, parent)` pairs in emission order.
+    /// `(parent, candidate)` pairs in emission order.
     out: Vec<(NodeId, NodeId)>,
 }
 
@@ -134,16 +141,21 @@ impl Sink for ParentSink<'_> {
                 .map(|&(_, u)| Space::Visited.addr(u64::from(u) / 8)),
         );
         let kept = self.out.len();
-        self.out.extend(items.iter().filter(|&&(_, u)| {
-            let d = self.depth[u as usize];
-            debug_assert!(d == UNREACHED || d == self.du, "visited off the frontier");
-            d != UNREACHED
-        }));
+        self.out.extend(
+            items
+                .iter()
+                .filter(|&&(_, u)| {
+                    let d = self.depth[u as usize];
+                    debug_assert!(d == UNREACHED || d == self.du, "visited off the frontier");
+                    d != UNREACHED
+                })
+                .map(|&(v, u)| (u, v)),
+        );
         let parents = &self.out[kept..];
         if parents.is_empty() {
             return;
         }
-        warp.access(parents.iter().map(|&(_, u)| sigma_addr(u)));
+        warp.access(parents.iter().map(|&(u, _)| sigma_addr(u)));
         let fresh = first_seen(&mut self.found, parents);
         if !fresh.is_empty() {
             warp.access(fresh.iter().flat_map(|&v| [depth_addr(v), sigma_addr(v)]));
@@ -161,7 +173,7 @@ struct ChildSink<'d> {
     du: u32,
     /// Nodes of this warp whose σ and δ were read.
     read: Vec<NodeId>,
-    /// `(child, parent)` pairs in emission order.
+    /// `(parent, child)` pairs in emission order.
     out: Vec<(NodeId, NodeId)>,
 }
 
@@ -176,7 +188,8 @@ impl Sink for ChildSink<'_> {
         self.out.extend(
             items
                 .iter()
-                .filter(|&&(_, u)| self.depth[u as usize] == self.du),
+                .filter(|&&(_, u)| self.depth[u as usize] == self.du)
+                .map(|&(v, u)| (u, v)),
         );
         let parents = &self.out[kept..];
         if parents.is_empty() {
@@ -189,16 +202,16 @@ impl Sink for ChildSink<'_> {
         warp.issue_mem(
             OpClass::Atomic,
             parents.len(),
-            parents.iter().map(|&(_, u)| sigma_addr(u)),
+            parents.iter().map(|&(u, _)| sigma_addr(u)),
         );
     }
 }
 
-/// Appends to `seen` the first nodes of `pairs` it does not hold yet, and
-/// returns them.
+/// Appends to `seen` the first children of the `(parent, child)` `pairs`
+/// it does not hold yet, and returns them.
 fn first_seen<'s>(seen: &'s mut Vec<NodeId>, pairs: &[(NodeId, NodeId)]) -> &'s [NodeId] {
     let first = seen.len();
-    for &(v, _) in pairs {
+    for &(_, v) in pairs {
         if !seen.contains(&v) {
             seen.push(v);
         }
@@ -231,14 +244,11 @@ pub fn bc_in(
     let may_pull = engine.direction() != DirectionMode::Push;
     let before = device.stats();
     let scratch = crate::apps::alloc_scratch(engine, device)?;
-    let mut depth = vec![UNREACHED; n];
     let mut sigma = vec![0.0f64; n];
-    depth[source as usize] = 0;
     sigma[source as usize] = 1.0;
 
     // --- forward pass: levels, σ ---
-    let mut levels: Vec<Vec<NodeId>> = vec![vec![source]];
-    let mut unreached = n - 1;
+    let mut levels = Levels::new(n, source, true);
     // Edge sums of each level and of the unvisited nodes: the costs the
     // direction choices compare. Kept only when a level may pull, each
     // node's degree read once, when it is reached.
@@ -249,80 +259,41 @@ pub fn bc_in(
             0
         }
     };
-    let mut level_edges = vec![degrees(&levels[0])];
+    let mut level_edges = vec![degrees(levels.frontier())];
     let mut unvisited_edges = engine.num_edges() - level_edges[0];
-    while unreached > 0 {
-        let du = (levels.len() - 1) as u32;
-        let frontier = &levels[du as usize];
-        let mut next: Vec<NodeId> = Vec::new();
-        // Whether `next` is already compacted (or too small to be).
-        let mut compacted = false;
-        if may_pull && unvisited_edges < level_edges[du as usize] {
-            // Ascending candidates, and warps merge in order, so the next
-            // level comes out ascending. A device-filling list is still
-            // compacted (its sort a no-op): that launch computes the degree
-            // prefix the gather's edge cut reads.
-            let mut candidates: Vec<NodeId> = (0..n as NodeId)
-                .filter(|&v| depth[v as usize] == UNREACHED)
-                .collect();
-            if engine.device_config().fills_device(candidates.len()) {
-                compact_frontier(engine, device, &mut candidates);
-            }
-            let sinks = launch_expansion(engine, device, &candidates, "pull", || ParentSink {
-                depth: &depth,
-                du,
+    while levels.unreached() > 0 {
+        let du = levels.du() as usize;
+        // Detach the owned pair lists so the sinks' borrow of the depth
+        // labels ends before the merge writes them.
+        let pairs: Vec<Vec<(NodeId, NodeId)>> = if may_pull && unvisited_edges < level_edges[du] {
+            let level = levels.pull(engine, device, true);
+            let sinks = launch_expansion(engine, device, level.nodes, "pull", || ParentSink {
+                depth: level.depth,
+                du: level.du,
                 found: Vec::new(),
                 out: Vec::new(),
             })?;
-            let outs: Vec<Vec<(NodeId, NodeId)>> = sinks.into_iter().map(|s| s.out).collect();
-            for (v, u) in outs.into_iter().flatten() {
-                if depth[v as usize] == UNREACHED {
-                    depth[v as usize] = du + 1;
-                    next.push(v);
-                }
-                sigma[v as usize] += sigma[u as usize];
-            }
-            if next.len() == candidates.len() {
-                // Every candidate found a parent: the next level is the
-                // candidate list, compacted above if it fills the device.
-                next = candidates;
-                compacted = true;
-            }
+            sinks.into_iter().map(|s| s.out).collect()
         } else {
-            let sinks = launch_expansion(engine, device, frontier, "push", || LabelSink {
-                depth: &depth,
-                du,
+            let level = levels.push(engine, device);
+            let sinks = launch_expansion(engine, device, level.nodes, "push", || LabelSink {
+                depth: level.depth,
+                du: level.du,
                 keep_unvisited: true,
                 out: Vec::new(),
             })?;
-            // Detach the owned pair lists so the sinks' borrow of `depth`
-            // ends before the merge mutates it.
-            let outs: Vec<Vec<(NodeId, NodeId)>> = sinks.into_iter().map(|s| s.out).collect();
-            for (u, v) in outs.into_iter().flatten() {
-                if depth[v as usize] == UNREACHED {
-                    depth[v as usize] = du + 1;
-                    next.push(v);
-                }
-                if depth[v as usize] == du + 1 {
-                    sigma[v as usize] += sigma[u as usize];
-                }
-            }
-        }
-        // Same rule as BFS push levels: only a device-filling level is
-        // compacted, pushed or pulled, which sorts it and computes the
-        // degree prefix once for every launch that reads it: the next
-        // forward level and the backward pass.
-        if !compacted && engine.device_config().fills_device(next.len()) {
-            compact_frontier(engine, device, &mut next);
-        }
-        if next.is_empty() {
+            sinks.into_iter().map(|s| s.out).collect()
+        };
+        levels.merge(pairs.into_iter().flatten(), |u, v| {
+            sigma[v as usize] += sigma[u as usize];
+        });
+        if levels.advance(engine, device) == 0 {
             break;
         }
-        unreached -= next.len();
-        level_edges.push(degrees(&next));
-        unvisited_edges -= level_edges[du as usize + 1];
-        levels.push(next);
+        level_edges.push(degrees(levels.frontier()));
+        unvisited_edges -= level_edges[du + 1];
     }
+    let (depth, levels) = levels.into_parts();
 
     // --- backward pass: δ, walking levels deepest-first. The deepest
     // level's δ is 0, and its tree edges lead nowhere: it is not launched.
@@ -339,11 +310,7 @@ pub fn bc_in(
                 read: Vec::new(),
                 out: Vec::new(),
             })?;
-            sinks
-                .into_iter()
-                .flat_map(|s| s.out)
-                .map(|(v, u)| (u, v))
-                .collect()
+            sinks.into_iter().flat_map(|s| s.out).collect()
         } else {
             let sinks = launch_expansion(engine, device, &levels[lvl], "push", || LabelSink {
                 depth: &depth,

@@ -7,13 +7,20 @@
 //! [`crate::strategy::DirectionMode::Adaptive`] applies the Ligra/Beamer
 //! density heuristic per level. Push-only engines behave bitwise exactly
 //! as before.
+//!
+//! The level loop (the shared `Levels` of BC's forward pass) holds the one
+//! visited state, the depth labels: the push sink tests
+//! `depth[v] == UNREACHED`, a pull lane tests `depth[u] == du` for a
+//! frontier parent, and the loop scans the candidates, merges discoveries
+//! and compacts a device-filling push frontier. BFS keeps the direction
+//! choice, its launches and sinks, and stops at the first level that
+//! discovers nothing.
 
 use gcgt_graph::{NodeId, UNREACHED};
 use gcgt_simt::{Charge, Device, OpClass, RunStats, Space, TypedFailure, WarpSim};
 
-use crate::bitset::BitSet;
-use crate::engine::{compact_frontier, launch_expansion, launch_pull, Expander};
-use crate::frontier::Frontier;
+use crate::apps::levels::Levels;
+use crate::engine::{launch_expansion, launch_pull, Expander};
 use crate::kernels::Sink;
 use crate::strategy::{DirectionMode, PULL_ALPHA};
 
@@ -32,25 +39,15 @@ pub struct BfsRun {
 
 /// The `appendIfUnvisited` contraction (Algorithm 1 lines 25–32) as a sink:
 /// visited lookup, warp exclusive scan, one atomic queue reservation by
-/// lane 0, coalesced output writes. Candidates that pass the (per-iteration
-/// snapshot) visited test are buffered; duplicates across warps are resolved
-/// at the merge, like atomics would on hardware.
-pub(crate) struct QueueSink<'v> {
-    visited: &'v BitSet,
+/// lane 0, coalesced output writes. Candidates that pass the visited test
+/// (on the depth labels as of the level's start) are buffered; duplicates
+/// across warps are resolved at the merge, like atomics would on hardware.
+struct QueueSink<'d> {
+    depth: &'d [u32],
     /// Survivor pairs in emission order.
-    pub out: Vec<(NodeId, NodeId)>,
+    out: Vec<(NodeId, NodeId)>,
     /// Candidate pairs seen (pre-filter) — the level's expanded-edge count.
-    pub seen: u64,
-}
-
-impl<'v> QueueSink<'v> {
-    pub fn new(visited: &'v BitSet) -> Self {
-        Self {
-            visited,
-            out: Vec::new(),
-            seen: 0,
-        }
-    }
+    seen: u64,
 }
 
 impl Sink for QueueSink<'_> {
@@ -66,7 +63,7 @@ impl Sink for QueueSink<'_> {
         );
         let flags: Vec<u32> = items
             .iter()
-            .map(|&(_, v)| u32::from(!self.visited.get(v)))
+            .map(|&(_, v)| u32::from(self.depth[v as usize] == UNREACHED))
             .collect();
         let (scatter, total) = warp.exclusive_scan(&flags);
         if total == 0 {
@@ -128,93 +125,55 @@ pub fn bfs_in(
     let total_edges = engine.num_edges();
     let before = device.stats();
     let scratch = crate::apps::alloc_scratch(engine, device)?;
-    let mut depth = vec![UNREACHED; n];
-    let mut visited = BitSet::new(n);
-    visited.set(source);
-    depth[source as usize] = 0;
-    let mut frontier = vec![source];
-    let mut reached = 1usize;
-    let mut level = 0u32;
+    let mut levels = Levels::new(n, source, false);
 
-    while !frontier.is_empty() {
+    loop {
         let pull = match mode {
             DirectionMode::Push => false,
             DirectionMode::Pull => true,
             DirectionMode::Adaptive => {
                 // Ligra/Beamer density heuristic, multiplication-side so
                 // small graphs never divide the threshold to zero.
-                let frontier_edges: usize = frontier.iter().map(|&u| engine.out_degree(u)).sum();
+                let frontier_edges: usize = levels
+                    .frontier()
+                    .iter()
+                    .map(|&u| engine.out_degree(u))
+                    .sum();
                 frontier_edges.saturating_mul(PULL_ALPHA) > total_edges
             }
         };
-        let next: Vec<NodeId> = if pull {
-            let candidates: Vec<NodeId> = (0..n as NodeId).filter(|&v| !visited.get(v)).collect();
-            if candidates.is_empty() {
-                Vec::new()
-            } else {
-                // The dense membership view is built only for pull levels —
-                // push levels never probe it, so the default push schedule
-                // pays nothing for the bitmap.
-                let dense = Frontier::from_nodes(n, std::mem::take(&mut frontier));
-                let (pairs, examined) = launch_pull(engine, device, &candidates, &dense)?;
+        if pull {
+            let level = levels.pull(engine, device, false);
+            if !level.nodes.is_empty() {
+                let (pairs, examined) =
+                    launch_pull(engine, device, level.nodes, level.depth, level.du)?;
                 device.record(Charge::PullStep(examined));
-                let mut next = Vec::with_capacity(pairs.len());
-                for (_, v) in pairs {
-                    if visited.set(v) {
-                        depth[v as usize] = level + 1;
-                        next.push(v);
-                    }
-                }
-                next
+                levels.merge(pairs, |_, _| {});
             }
         } else {
-            // A device-filling frontier is compacted into ascending order
-            // first, so each warp decodes consecutive nodes, and with the
-            // degree prefix the schedule's edge cut reads. Smaller ones
-            // keep discovery order: the schedule spreads them over the SMs,
-            // and a compaction launch would cost more than it saves.
-            if engine.device_config().fills_device(frontier.len()) {
-                compact_frontier(engine, device, &mut frontier);
-            }
-            let sinks = launch_expansion(engine, device, &frontier, "push", || {
-                QueueSink::new(&visited)
+            let level = levels.push(engine, device);
+            let sinks = launch_expansion(engine, device, level.nodes, "push", || QueueSink {
+                depth: level.depth,
+                out: Vec::new(),
+                seen: 0,
             })?;
-            // Take the owned survivor lists (and the expanded-edge tally)
-            // so the sinks' borrow of `visited` ends before the contraction
-            // merge mutates it.
-            let mut expanded = 0u64;
-            let outs: Vec<Vec<(NodeId, NodeId)>> = sinks
-                .into_iter()
-                .map(|s| {
-                    expanded += s.seen;
-                    s.out
-                })
-                .collect();
-            device.record(Charge::PushStep(expanded));
-            let mut next = Vec::new();
-            for out in outs {
-                for (_, v) in out {
-                    if visited.set(v) {
-                        depth[v as usize] = level + 1;
-                        next.push(v);
-                    }
-                }
-            }
-            next
-        };
-        if next.is_empty() {
+            device.record(Charge::PushStep(sinks.iter().map(|s| s.seen).sum()));
+            // Take the owned survivor lists so the sinks' borrow of the
+            // depth labels ends before the merge writes them.
+            let outs: Vec<Vec<(NodeId, NodeId)>> = sinks.into_iter().map(|s| s.out).collect();
+            levels.merge(outs.into_iter().flatten(), |_, _| {});
+        }
+        if levels.advance(engine, device) == 0 {
             break;
         }
-        level += 1;
-        reached += next.len();
-        frontier = next;
     }
 
     device.free(scratch);
+    let (reached, level_count) = (levels.reached(), levels.du() + 1);
     Ok(BfsRun {
-        depth,
+        depth: levels.into_parts().0,
         reached,
-        levels: level + 1,
+        levels: level_count,
         stats: device.stats().since(&before),
     })
 }

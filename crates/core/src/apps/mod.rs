@@ -17,20 +17,23 @@
 //! traffic is accounted inside each app's [`crate::kernels::Sink`]; the
 //! contraction merge happens host-side in warp order, which keeps every
 //! statistic deterministic while matching level-synchronous GPU semantics.
-//! Warp order is a sawtooth of neighbour runs, so a next frontier that
-//! [fills the device](gcgt_simt::DeviceConfig::fills_device) is then
-//! compacted into ascending node order by one charged bitmap-to-queue
-//! launch ([`crate::engine::compact_frontier`]: BFS before a push level,
-//! BC after every forward level and before a device-filling gather), which
-//! also computes the degree prefix the launch schedule's edge cut reads.
-//! Smaller frontiers keep warp order, and a pull level's discoveries come
-//! out ascending. CC has no next frontier: its one expansion covers every
+//!
+//! BFS and BC's forward pass share one level loop (`levels.rs`): one depth
+//! array, which is also the visited state, that merge, and one compaction
+//! rule. Warp order is a sawtooth of neighbour runs, so a work list that
+//! [fills the device](gcgt_simt::DeviceConfig::fills_device) and that
+//! [`crate::engine::launch_expansion`] will split is compacted into
+//! ascending order just before that launch by one charged launch
+//! ([`crate::engine::compact_frontier`]), which also computes the degree
+//! prefix the schedule's edge cut reads; BC compacts its levels as they
+//! are discovered. CC has no next frontier: its one expansion covers every
 //! node.
 
 pub mod bc;
 pub mod bfs;
 pub mod cc;
 pub mod labelprop;
+mod levels;
 pub mod pagerank;
 
 use crate::engine::Expander;

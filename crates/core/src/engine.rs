@@ -14,7 +14,6 @@ use gcgt_simt::{
     TypedFailure, WarpSim,
 };
 
-use crate::frontier::Frontier;
 use crate::kernels::{self, expand_warp, Sink};
 use crate::memory;
 use crate::strategy::{DirectionMode, Strategy};
@@ -142,15 +141,17 @@ pub trait Expander: Send + Sync {
     }
 
     /// Pull-mode expansion of one warp's chunk of **unvisited candidates**:
-    /// for each candidate, scan its adjacency for the first neighbour in
-    /// `frontier` (early exit) and push `(parent, candidate)` onto `out`.
-    /// Returns the number of neighbours examined (the
-    /// `RunStats::pulled_edges` contribution).
+    /// for each candidate, scan its adjacency for the first neighbour on
+    /// the frontier — `depth[u] == du`, charged as a probe of the frontier
+    /// bitmap ([`kernels::pull::frontier_bitmap_addr`]) — with early exit,
+    /// and push `(parent, candidate)` onto `out`. Returns the number of
+    /// neighbours examined (the `RunStats::pulled_edges` contribution).
     fn pull_chunk(
         &self,
         warp: &mut WarpSim,
         chunk: &[NodeId],
-        frontier: &Frontier,
+        depth: &[u32],
+        du: u32,
         out: &mut Vec<(NodeId, NodeId)>,
     ) -> u64;
 
@@ -391,9 +392,10 @@ where
 /// Launches one pull-mode kernel over the unvisited `candidates`: cuts them
 /// into warps by the [`schedule`] (spread, never split — a scan exits
 /// early, so its work is not its degree), scans each candidate's compressed
-/// adjacency for a frontier parent (early exit), merges discoveries in warp
-/// order and accounts the launch on `device`. Returns the
-/// `(parent, candidate)` discoveries plus the total neighbours examined.
+/// adjacency for a frontier parent — a neighbour `u` with `depth[u] == du`
+/// (early exit) — merges discoveries in warp order and accounts the launch
+/// on `device`. Returns the `(parent, candidate)` discoveries plus the
+/// total neighbours examined.
 ///
 /// Out-of-core composition falls out of the shared
 /// [`Expander::prepare_frontier`] hook: a pull level faults the partitions
@@ -407,7 +409,8 @@ pub fn launch_pull(
     expander: &dyn Expander,
     device: &mut Device,
     candidates: &[NodeId],
-    frontier: &Frontier,
+    depth: &[u32],
+    du: u32,
 ) -> Result<(Vec<(NodeId, NodeId)>, u64), TypedFailure> {
     fn examined(outs: &[(Vec<(NodeId, NodeId)>, u64)]) -> u64 {
         outs.iter().map(|(_, seen)| seen).sum()
@@ -420,7 +423,7 @@ pub fn launch_pull(
         false,
         |warp, work| {
             let mut out = Vec::new();
-            let seen = expander.pull_chunk(warp, work.nodes, frontier, &mut out);
+            let seen = expander.pull_chunk(warp, work.nodes, depth, du, &mut out);
             (out, seen)
         },
         examined,
@@ -431,7 +434,7 @@ pub fn launch_pull(
 
 /// Byte offset, inside [`Space::Frontier`], of the visited bitmap's
 /// pre-level copy that [`compact_frontier`] diffs against: above the pull
-/// bitmap ([`Frontier::bitmap_addr`], from `2^40`) and inside the
+/// bitmap ([`kernels::pull::frontier_bitmap_addr`], from `2^40`) and inside the
 /// ping-pong queue allowance, so it moves no footprint.
 const VISITED_COPY: u64 = 1 << 41;
 
@@ -645,10 +648,11 @@ impl Expander for GcgtEngine<'_> {
         &self,
         warp: &mut WarpSim,
         chunk: &[NodeId],
-        frontier: &Frontier,
+        depth: &[u32],
+        du: u32,
         out: &mut Vec<(NodeId, NodeId)>,
     ) -> u64 {
-        crate::kernels::pull::pull_expand(warp, self.cgr, chunk, frontier, out)
+        kernels::pull::pull_expand(warp, self.cgr, chunk, depth, du, out)
     }
 }
 

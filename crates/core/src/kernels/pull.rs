@@ -3,16 +3,18 @@
 //! on CGR with **no decompression pass**: each lane streams one *unvisited*
 //! node's compressed list through the early-exit
 //! [`NeighborScanner`] and stops at the first
-//! neighbour that is in the frontier.
+//! neighbour on the frontier — a node `u` with `depth[u] == du`.
 //!
 //! Per SIMT round the serialized branch classes mirror Algorithm 1's
 //! schedule: lanes at an interval start pay one [`OpClass::ItvDecode`]
 //! step, lanes in a residual run one [`OpClass::ResDecode`] step, lanes
 //! mid-interval get their neighbour by register arithmetic — then every
-//! lane holding a neighbour probes the dense frontier bitmap in one
-//! [`OpClass::Handle`] step. A lane whose probe hits retires immediately;
-//! the neighbours it never decoded are the saving the paper's push-only
-//! engine leaves on the table.
+//! lane holding a neighbour probes the dense frontier bitmap
+//! ([`frontier_bitmap_addr`]) in one [`OpClass::Handle`] step. The host
+//! reads the same fact from the depth labels, so no bitmap is built. A
+//! lane whose probe hits retires immediately; the neighbours it never
+//! decoded are the saving the paper's push-only engine leaves on the
+//! table.
 //!
 //! Pull decodes each candidate's list serially on its own lane (like the
 //! intuitive schedule): its win is *edge savings*, not intra-list
@@ -22,7 +24,15 @@ use gcgt_cgr::{CgrGraph, DecodeStep, NeighborScanner};
 use gcgt_graph::NodeId;
 use gcgt_simt::{OpClass, Space, WarpSim};
 
-use crate::frontier::Frontier;
+/// Simulated device address of the frontier-bitmap byte a pull lane probes
+/// for neighbour `v`. It lies in the frontier space above the queue slots
+/// (`4 × u32::MAX < 2^34`; the bitmap starts at `2^40`), and its `n / 8`
+/// bytes fit inside the queue allowance that
+/// [`crate::memory::traversal_buffers_bytes`] charges.
+#[inline]
+pub fn frontier_bitmap_addr(v: NodeId) -> u64 {
+    Space::Frontier.addr((1 << 40) + u64::from(v) / 8)
+}
 
 /// Per-lane pull state: the candidate node and its streaming decoder.
 struct Lane<'a> {
@@ -33,14 +43,15 @@ struct Lane<'a> {
 
 /// Expands one warp's chunk of **unvisited candidates** in pull mode:
 /// each lane scans its candidate's compressed adjacency for a frontier
-/// member, pushing `(parent, candidate)` on the first hit. Returns the
-/// number of neighbours examined (decoded and probed) before early exits —
-/// the quantity reported as `RunStats::pulled_edges`.
+/// member (`depth[u] == du`), pushing `(parent, candidate)` on the first
+/// hit. Returns the number of neighbours examined (decoded and probed)
+/// before early exits — the quantity reported as `RunStats::pulled_edges`.
 pub fn pull_expand(
     warp: &mut WarpSim,
     cgr: &CgrGraph,
     chunk: &[NodeId],
-    frontier: &Frontier,
+    depth: &[u32],
+    du: u32,
     out: &mut Vec<(NodeId, NodeId)>,
 ) -> u64 {
     let k = chunk.len();
@@ -123,11 +134,11 @@ pub fn pull_expand(
         warp.issue_mem(
             OpClass::Handle,
             holding.len(),
-            holding.iter().map(|&(_, nbr)| Frontier::bitmap_addr(nbr)),
+            holding.iter().map(|&(_, nbr)| frontier_bitmap_addr(nbr)),
         );
         examined += holding.len() as u64;
         for (i, nbr) in holding {
-            if frontier.contains(nbr) {
+            if depth[nbr as usize] == du {
                 lanes[i].done = true;
                 out.push((nbr, lanes[i].v));
             }
@@ -142,10 +153,19 @@ mod tests {
     use crate::strategy::Strategy;
     use gcgt_cgr::CgrConfig;
     use gcgt_graph::gen::{toys, web_graph, WebParams};
-    use gcgt_graph::Csr;
+    use gcgt_graph::{Csr, UNREACHED};
 
     fn encode(g: &Csr, strategy: Strategy) -> CgrGraph {
         CgrGraph::encode(g, &strategy.cgr_config(&CgrConfig::paper_default()))
+    }
+
+    /// Depth labels of `n` nodes whose frontier, at depth 0, is `frontier`.
+    fn frontier_depth(n: usize, frontier: &[NodeId]) -> Vec<u32> {
+        let mut depth = vec![UNREACHED; n];
+        for &u in frontier {
+            depth[u as usize] = 0;
+        }
+        depth
     }
 
     /// Pull over every node with a one-node frontier finds exactly the
@@ -156,13 +176,13 @@ mod tests {
         let n = g.num_nodes();
         for strategy in [Strategy::Full, Strategy::TwoPhase] {
             let cgr = encode(&g, strategy);
-            let frontier = Frontier::from_nodes(n, vec![0]);
+            let depth = frontier_depth(n, &[0]);
             let candidates: Vec<NodeId> = (1..n as NodeId).collect();
             let mut out = Vec::new();
             let mut examined = 0;
             for chunk in candidates.chunks(8) {
                 let mut warp = WarpSim::new(8, 64);
-                examined += pull_expand(&mut warp, &cgr, chunk, &frontier, &mut out);
+                examined += pull_expand(&mut warp, &cgr, chunk, &depth, 0, &mut out);
             }
             let mut found: Vec<NodeId> = out.iter().map(|&(_, v)| v).collect();
             found.sort_unstable();
@@ -180,13 +200,13 @@ mod tests {
         let g = web_graph(&WebParams::uk2002_like(400), 3).symmetrized();
         let n = g.num_nodes();
         let cgr = encode(&g, Strategy::Full);
-        let frontier = Frontier::from_nodes(n, (0..n as NodeId).collect());
+        let depth = vec![0; n];
         let candidates: Vec<NodeId> = (0..n as NodeId).collect();
         let mut out = Vec::new();
         let mut examined = 0u64;
         for chunk in candidates.chunks(32) {
             let mut warp = WarpSim::new(32, 64);
-            examined += pull_expand(&mut warp, &cgr, chunk, &frontier, &mut out);
+            examined += pull_expand(&mut warp, &cgr, chunk, &depth, 0, &mut out);
         }
         let non_isolated = (0..n as NodeId).filter(|&v| g.degree(v) > 0).count();
         assert_eq!(out.len(), non_isolated);
@@ -200,11 +220,11 @@ mod tests {
     fn rounds_charge_decode_and_probe_steps() {
         let g = toys::figure1().symmetrized();
         let cgr = encode(&g, Strategy::Full);
-        let frontier = Frontier::from_nodes(g.num_nodes(), vec![0]);
+        let depth = frontier_depth(g.num_nodes(), &[0]);
         let mut warp = WarpSim::new(8, 64);
         let mut out = Vec::new();
         let candidates: Vec<NodeId> = (1..g.num_nodes() as NodeId).collect();
-        let examined = pull_expand(&mut warp, &cgr, &candidates[..7], &frontier, &mut out);
+        let examined = pull_expand(&mut warp, &cgr, &candidates[..7], &depth, 0, &mut out);
         assert!(examined > 0);
         let t = warp.tally();
         assert!(t.issues[OpClass::Handle as usize] >= 1);
@@ -216,11 +236,20 @@ mod tests {
     fn isolated_candidates_examine_nothing() {
         let g = Csr::from_edges(16, &[(0, 1), (1, 0)]);
         let cgr = encode(&g, Strategy::Full);
-        let frontier = Frontier::from_nodes(16, vec![0]);
+        let depth = frontier_depth(16, &[0]);
         let mut warp = WarpSim::new(8, 64);
         let mut out = Vec::new();
-        let examined = pull_expand(&mut warp, &cgr, &[5, 6, 7], &frontier, &mut out);
+        let examined = pull_expand(&mut warp, &cgr, &[5, 6, 7], &depth, 0, &mut out);
         assert_eq!(examined, 0);
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn bitmap_addresses_are_dense_and_disjoint_from_the_queue() {
+        // Neighbouring nodes share a bitmap byte (coalescing-friendly) and
+        // the bitmap region sits above any realistic queue offset.
+        assert_eq!(frontier_bitmap_addr(0), frontier_bitmap_addr(7));
+        assert_ne!(frontier_bitmap_addr(0), frontier_bitmap_addr(8));
+        assert!(frontier_bitmap_addr(0) > Space::Frontier.addr(4 * (u32::MAX as u64)));
     }
 }

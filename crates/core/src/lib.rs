@@ -22,9 +22,7 @@
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 pub mod algorithm;
 pub mod apps;
-pub mod bitset;
 pub mod engine;
-pub mod frontier;
 pub mod kernels;
 pub mod memory;
 pub mod strategy;
@@ -35,7 +33,5 @@ pub use apps::bfs::{bfs, bfs_in, BfsRun};
 pub use apps::cc::{cc, cc_in, CcRun};
 pub use apps::labelprop::{label_propagation, label_propagation_in, LabelPropRun};
 pub use apps::pagerank::{pagerank, pagerank_in, PagerankRun};
-pub use bitset::BitSet;
 pub use engine::{compact_frontier, launch_expansion, launch_pull, Expander, GcgtEngine};
-pub use frontier::Frontier;
 pub use strategy::{DirectionMode, Strategy, PULL_ALPHA};

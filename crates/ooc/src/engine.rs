@@ -8,7 +8,7 @@ use std::sync::Mutex;
 
 use gcgt_cgr::CgrGraph;
 use gcgt_core::kernels::{self, expand_warp, pull::pull_expand, Sink};
-use gcgt_core::{memory, DirectionMode, Expander, Frontier, Strategy};
+use gcgt_core::{memory, DirectionMode, Expander, Strategy};
 use gcgt_graph::NodeId;
 use gcgt_simt::{Device, DeviceConfig, OomError, TypedFailure, WarpSim};
 
@@ -261,10 +261,11 @@ impl Expander for OocEngine<'_> {
         &self,
         warp: &mut WarpSim,
         chunk: &[NodeId],
-        frontier: &Frontier,
+        depth: &[u32],
+        du: u32,
         out: &mut Vec<(NodeId, NodeId)>,
     ) -> u64 {
-        pull_expand(warp, self.cgr, chunk, frontier, out)
+        pull_expand(warp, self.cgr, chunk, depth, du, out)
     }
 
     /// Frees every partition this engine's **private** cache (one per

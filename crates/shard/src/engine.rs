@@ -42,7 +42,7 @@
 //! attributable.
 
 use gcgt_core::kernels::Sink;
-use gcgt_core::{DirectionMode, Expander, Frontier};
+use gcgt_core::{DirectionMode, Expander};
 use gcgt_graph::{Csr, NodeId};
 use gcgt_simt::{Charge, Device, DeviceConfig, FaultDomain, Link, TypedFailure, WarpSim};
 
@@ -218,10 +218,11 @@ impl Expander for ShardEngine<'_> {
         &self,
         warp: &mut WarpSim,
         chunk: &[NodeId],
-        frontier: &Frontier,
+        depth: &[u32],
+        du: u32,
         out: &mut Vec<(NodeId, NodeId)>,
     ) -> u64 {
-        self.inner().pull_chunk(warp, chunk, frontier, out)
+        self.inner().pull_chunk(warp, chunk, depth, du, out)
     }
 
     fn release_residency(&self, device: &mut Device) {
@@ -353,7 +354,8 @@ mod tests {
             &self,
             _: &mut WarpSim,
             _: &[NodeId],
-            _: &Frontier,
+            _: &[u32],
+            _: u32,
             _: &mut Vec<(NodeId, NodeId)>,
         ) -> u64 {
             0

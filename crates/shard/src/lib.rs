@@ -32,7 +32,7 @@
 //!
 //! ```
 //! use gcgt_cgr::{CgrConfig, CgrGraph};
-//! use gcgt_core::{bfs, kernels::Sink, Expander, Frontier, GcgtEngine, Strategy};
+//! use gcgt_core::{bfs, kernels::Sink, Expander, GcgtEngine, Strategy};
 //! use gcgt_graph::{gen::toys, NodeId};
 //! use gcgt_shard::{ShardEngine, ShardPlan};
 //! use gcgt_simt::{DeviceConfig, Link, WarpSim};
@@ -54,9 +54,9 @@
 //!                     sink: &mut dyn Sink) {
 //!         self.0.expand_share(warp, u, share, of, sink)
 //!     }
-//!     fn pull_chunk(&self, warp: &mut WarpSim, chunk: &[NodeId], frontier: &Frontier,
+//!     fn pull_chunk(&self, warp: &mut WarpSim, chunk: &[NodeId], depth: &[u32], du: u32,
 //!                   out: &mut Vec<(NodeId, NodeId)>) -> u64 {
-//!         self.0.pull_chunk(warp, chunk, frontier, out)
+//!         self.0.pull_chunk(warp, chunk, depth, du, out)
 //!     }
 //! }
 //!
