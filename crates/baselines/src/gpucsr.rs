@@ -15,7 +15,7 @@
 use gcgt_core::kernels::{pull::frontier_bitmap_addr, Sink};
 use gcgt_core::{memory, DirectionMode, Expander};
 use gcgt_graph::{Csr, NodeId};
-use gcgt_simt::{Device, DeviceConfig, OomError, OpClass, Space, WarpSim};
+use gcgt_simt::{DeviceConfig, OpClass, Space, WarpSim};
 
 /// A CSR-resident traversal engine on the simulated device.
 pub struct GpuCsrEngine<'g> {
@@ -25,16 +25,14 @@ pub struct GpuCsrEngine<'g> {
 }
 
 impl<'g> GpuCsrEngine<'g> {
-    /// Binds the engine; fails when CSR plus traversal buffers exceed the
-    /// device capacity.
-    pub fn new(graph: &'g Csr, device_config: DeviceConfig) -> Result<Self, OomError> {
-        let mut probe = Device::new(device_config);
-        probe.alloc(memory::csr_footprint(graph))?;
-        Ok(Self {
+    /// Binds the engine. Capacity (CSR plus traversal buffers) is checked
+    /// when a device is made ([`Expander::new_device`]).
+    pub fn new(graph: &'g Csr, device_config: DeviceConfig) -> Self {
+        Self {
             graph,
             device_config,
             direction: DirectionMode::Push,
-        })
+        }
     }
 
     /// Sets the expansion-direction policy. Pull semantics require
@@ -70,10 +68,6 @@ impl Expander for GpuCsrEngine<'_> {
 
     fn device_config(&self) -> &DeviceConfig {
         &self.device_config
-    }
-
-    fn footprint(&self) -> usize {
-        memory::csr_footprint(self.graph)
     }
 
     fn structure_bytes(&self) -> usize {
@@ -298,7 +292,7 @@ mod tests {
     use gcgt_graph::refalgo;
 
     fn engine(graph: &Csr) -> GpuCsrEngine<'_> {
-        GpuCsrEngine::new(graph, DeviceConfig::default()).unwrap()
+        GpuCsrEngine::new(graph, DeviceConfig::default())
     }
 
     #[test]
@@ -379,6 +373,6 @@ mod tests {
             mem_capacity: 1000,
             ..DeviceConfig::default()
         };
-        assert!(GpuCsrEngine::new(&g, dc).is_err());
+        assert!(GpuCsrEngine::new(&g, dc).new_device().is_err());
     }
 }

@@ -19,7 +19,7 @@ use crate::gpucsr::{
 use gcgt_core::kernels::Sink;
 use gcgt_core::{memory, DirectionMode, Expander};
 use gcgt_graph::{Csr, NodeId};
-use gcgt_simt::{Device, DeviceConfig, OomError, OpClass, Space, WarpSim};
+use gcgt_simt::{DeviceConfig, OpClass, Space, WarpSim};
 
 /// A Gunrock-style advance+filter engine on the simulated device.
 pub struct GunrockEngine<'g> {
@@ -29,16 +29,14 @@ pub struct GunrockEngine<'g> {
 }
 
 impl<'g> GunrockEngine<'g> {
-    /// Binds the engine; fails when the platform footprint (3× CSR plus
-    /// doubled traversal buffers) exceeds the device capacity.
-    pub fn new(graph: &'g Csr, device_config: DeviceConfig) -> Result<Self, OomError> {
-        let mut probe = Device::new(device_config);
-        probe.alloc(memory::gunrock_footprint(graph))?;
-        Ok(Self {
+    /// Binds the engine. Capacity (3× CSR plus doubled traversal buffers)
+    /// is checked when a device is made ([`Expander::new_device`]).
+    pub fn new(graph: &'g Csr, device_config: DeviceConfig) -> Self {
+        Self {
             graph,
             device_config,
             direction: DirectionMode::Push,
-        })
+        }
     }
 
     /// Sets the expansion-direction policy (Gunrock's advance operator
@@ -90,10 +88,6 @@ impl Expander for GunrockEngine<'_> {
 
     fn device_config(&self) -> &DeviceConfig {
         &self.device_config
-    }
-
-    fn footprint(&self) -> usize {
-        memory::gunrock_footprint(self.graph)
     }
 
     fn structure_bytes(&self) -> usize {
@@ -154,7 +148,7 @@ mod tests {
     #[test]
     fn bfs_matches_oracle() {
         let g = web_graph(&WebParams::uk2002_like(700), 21);
-        let e = GunrockEngine::new(&g, DeviceConfig::default()).unwrap();
+        let e = GunrockEngine::new(&g, DeviceConfig::default());
         let got = gcgt_core::bfs(&e, 0);
         assert_eq!(got.depth, refalgo::bfs(&g, 0).depth);
     }
@@ -162,8 +156,8 @@ mod tests {
     #[test]
     fn slower_than_gpucsr_but_correct() {
         let g = web_graph(&WebParams::uk2002_like(1200), 4);
-        let gunrock = GunrockEngine::new(&g, DeviceConfig::default()).unwrap();
-        let gpucsr = GpuCsrEngine::new(&g, DeviceConfig::default()).unwrap();
+        let gunrock = GunrockEngine::new(&g, DeviceConfig::default());
+        let gpucsr = GpuCsrEngine::new(&g, DeviceConfig::default());
         let a = gcgt_core::bfs(&gunrock, 0);
         let b = gcgt_core::bfs(&gpucsr, 0);
         assert_eq!(a.depth, b.depth);
@@ -176,15 +170,39 @@ mod tests {
     }
 
     #[test]
-    fn ooms_before_gpucsr() {
+    fn new_device_fits_exactly_the_footprint() {
         let g = web_graph(&WebParams::uk2002_like(3000), 2);
-        // Capacity between the two footprints: GPUCSR fits, Gunrock does not.
-        let capacity = (memory::csr_footprint(&g) + memory::gunrock_footprint(&g)) / 2;
-        let dc = DeviceConfig {
-            mem_capacity: capacity,
+        let at = |mem_capacity| DeviceConfig {
+            mem_capacity,
             ..DeviceConfig::default()
         };
-        assert!(GpuCsrEngine::new(&g, dc).is_ok());
-        assert!(GunrockEngine::new(&g, dc).is_err());
+        let engines = |dc| -> [Box<dyn Expander + '_>; 2] {
+            [
+                Box::new(GpuCsrEngine::new(&g, dc)),
+                Box::new(GunrockEngine::new(&g, dc)),
+            ]
+        };
+        let footprints = [memory::csr_footprint(&g), memory::gunrock_footprint(&g)];
+        let structures = [
+            memory::csr_structure_bytes(&g),
+            memory::gunrock_structure_bytes(&g),
+        ];
+        for (i, footprint) in footprints.into_iter().enumerate() {
+            let engine = &engines(at(footprint))[i];
+            assert_eq!(engine.footprint(), footprint);
+            let device = engine.new_device().unwrap();
+            assert_eq!(device.allocated(), structures[i]);
+            assert_eq!(
+                engines(at(footprint - 1))[i].new_device().err(),
+                Some(gcgt_simt::OomError {
+                    requested: footprint,
+                    capacity: footprint - 1,
+                })
+            );
+        }
+        // The platform needs more: between the two, only GPUCSR fits.
+        let between = engines(at((footprints[0] + footprints[1]) / 2));
+        assert!(between[0].new_device().is_ok());
+        assert!(between[1].new_device().is_err());
     }
 }

@@ -19,6 +19,7 @@
 //! deterministic cost model as GCGT, so the comparison isolates exactly what
 //! the paper measures: the price of decoding CGR versus raw CSR.
 
+#![forbid(unsafe_code)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 pub mod gpucsr;
 pub mod gunrock_like;

@@ -27,7 +27,7 @@ fn bench(c: &mut Criterion) {
     for width in [8usize, 32] {
         let mut device = ctx.device;
         device.warp_width = width;
-        let engine = GcgtEngine::new(&cgr, device, Strategy::Full).unwrap();
+        let engine = GcgtEngine::new(&cgr, device, Strategy::Full);
         group.bench_function(format!("w{width}"), |b| {
             b.iter(|| bfs(&engine, source).reached)
         });

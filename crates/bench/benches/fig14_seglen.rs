@@ -26,7 +26,7 @@ fn bench(c: &mut Criterion) {
             ..CgrConfig::paper_default()
         };
         let cgr = CgrGraph::encode(&ds.graph, &cfg);
-        let engine = GcgtEngine::new(&cgr, ctx.device, Strategy::Full).unwrap();
+        let engine = GcgtEngine::new(&cgr, ctx.device, Strategy::Full);
         group.bench_function(format!("seg{seg}B"), |b| {
             b.iter(|| bfs(&engine, source).reached)
         });

@@ -20,10 +20,10 @@ fn bench(c: &mut Criterion) {
 
     let sym = ds.graph.symmetrized();
     let cgr_sym = CgrGraph::encode(&sym, &cfg);
-    let engine_sym = GcgtEngine::new(&cgr_sym, ctx.device, Strategy::Full).unwrap();
+    let engine_sym = GcgtEngine::new(&cgr_sym, ctx.device, Strategy::Full);
 
     let cgr = CgrGraph::encode(&ds.graph, &cfg);
-    let engine = GcgtEngine::new(&cgr, ctx.device, Strategy::Full).unwrap();
+    let engine = GcgtEngine::new(&cgr, ctx.device, Strategy::Full);
     let source = sources_for(ds, 1)[0];
 
     let mut group = c.benchmark_group("fig15_apps");

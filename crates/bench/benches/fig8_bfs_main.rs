@@ -6,7 +6,7 @@ use gcgt_baselines::GpuCsrEngine;
 use gcgt_bench::datasets::Scale;
 use gcgt_bench::experiments::{fig8, sources_for, ExperimentContext};
 use gcgt_cgr::{CgrConfig, CgrGraph};
-use gcgt_core::{bfs, GcgtEngine, Strategy};
+use gcgt_core::{bfs, Expander, GcgtEngine, Strategy};
 
 fn bench(c: &mut Criterion) {
     let ctx = ExperimentContext::new(Scale::BENCH, 1);
@@ -18,11 +18,12 @@ fn bench(c: &mut Criterion) {
         let source = sources_for(ds, 1)[0];
         let cfg = Strategy::Full.cgr_config(&CgrConfig::paper_default());
         let cgr = CgrGraph::encode(&ds.graph, &cfg);
-        let gcgt = GcgtEngine::new(&cgr, ctx.device, Strategy::Full).unwrap();
+        let gcgt = GcgtEngine::new(&cgr, ctx.device, Strategy::Full);
         group.bench_function(format!("gcgt/{}", ds.id.name()), |b| {
             b.iter(|| bfs(&gcgt, source).reached)
         });
-        if let Ok(gpucsr) = GpuCsrEngine::new(&ds.graph, ctx.device) {
+        let gpucsr = GpuCsrEngine::new(&ds.graph, ctx.device);
+        if gpucsr.new_device().is_ok() {
             group.bench_function(format!("gpucsr/{}", ds.id.name()), |b| {
                 b.iter(|| bfs(&gpucsr, source).reached)
             });

@@ -22,7 +22,7 @@ fn bench(c: &mut Criterion) {
         for strategy in Strategy::LADDER {
             let cfg = strategy.cgr_config(&CgrConfig::paper_default());
             let cgr = CgrGraph::encode(&ds.graph, &cfg);
-            let engine = GcgtEngine::new(&cgr, ctx.device, strategy).unwrap();
+            let engine = GcgtEngine::new(&cgr, ctx.device, strategy);
             group.bench_function(format!("{}/{}", ds.id.name(), strategy.name()), |b| {
                 b.iter(|| bfs(&engine, source).reached)
             });

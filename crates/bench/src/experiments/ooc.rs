@@ -12,8 +12,9 @@
 //! explicitly (faults, the coalesced uploads they crossed the link in,
 //! the sparse launches that read their lines through instead and how many
 //! lines those fetched, evictions, streamed milliseconds) — the EMOGI-style
-//! "traversal beyond device memory" workload, made cheaper because the
-//! partitions cross the link compressed.
+//! "traversal beyond device memory" workload. The partitions cross the
+//! link compressed, but the sweep has no uncompressed streaming row, so
+//! the table does not measure what compression saves in transfer.
 
 use super::ExperimentContext;
 use crate::table::{fmt_ms, Table};

@@ -7,6 +7,7 @@
 //! `benches/` time the underlying operations and print the same tables into
 //! the bench log.
 
+#![forbid(unsafe_code)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 pub mod bench_json;
 pub mod datasets;

@@ -35,6 +35,7 @@
 //! }
 //! ```
 
+#![forbid(unsafe_code)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 mod bitvec;
 mod bytecode;

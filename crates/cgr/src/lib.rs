@@ -71,6 +71,7 @@
 //! field value; the tests check it against a table-free oracle
 //! (`Code::decode_at` plus the same shift).
 
+#![forbid(unsafe_code)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 pub mod byterle;
 pub mod config;

@@ -37,6 +37,7 @@
 //! `Device` owns the injector and exposes the charge points; engines never
 //! see randomness, only the (deterministic) verdicts.
 
+#![forbid(unsafe_code)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
 /// Where in the modeled stack a fault strikes.

@@ -436,9 +436,9 @@ mod tests {
         let g = toys::figure1();
         let cfg = Strategy::Full.cgr_config(&CgrConfig::paper_default());
         let cgr = CgrGraph::encode(&g, &cfg);
-        let engine = GcgtEngine::new(&cgr, DeviceConfig::default(), Strategy::Full).unwrap();
+        let engine = GcgtEngine::new(&cgr, DeviceConfig::default(), Strategy::Full);
         let dyn_engine: &dyn Expander = &engine;
-        let mut device = dyn_engine.new_device();
+        let mut device = dyn_engine.new_device().unwrap();
         let run = Bfs::from(0).execute(dyn_engine, &mut device).unwrap();
         assert_eq!(run.depth, refalgo::bfs(&g, 0).depth);
     }
@@ -463,8 +463,8 @@ mod tests {
         let g = toys::figure1().symmetrized();
         let cfg = Strategy::Full.cgr_config(&CgrConfig::paper_default());
         let cgr = CgrGraph::encode(&g, &cfg);
-        let engine = GcgtEngine::new(&cgr, DeviceConfig::default(), Strategy::Full).unwrap();
-        let mut device = engine.new_device();
+        let engine = GcgtEngine::new(&cgr, DeviceConfig::default(), Strategy::Full);
+        let mut device = engine.new_device().unwrap();
         let queries = [
             Query::Bfs(0),
             Query::Cc,

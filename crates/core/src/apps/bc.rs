@@ -222,10 +222,10 @@ fn first_seen<'s>(seen: &'s mut Vec<NodeId>, pairs: &[(NodeId, NodeId)]) -> &'s 
 /// Runs single-source betweenness centrality from `source`.
 ///
 /// # Panics
-/// On a payload that fails deferred validation (a fresh device has no
-/// fault plan, so nothing else can fail it).
+/// When the engine does not fit the device, or on a payload that fails
+/// deferred validation (nothing else can fail a fresh device).
 pub fn bc(engine: &dyn Expander, source: NodeId) -> BcRun {
-    let mut device = engine.new_device();
+    let mut device = engine.new_device().expect(crate::apps::FITS);
     bc_in(engine, &mut device, source).expect(crate::apps::FRESH_DEVICE)
 }
 
@@ -348,7 +348,7 @@ mod tests {
     fn run_bc(graph: &Csr, strategy: Strategy, source: NodeId) -> BcRun {
         let cfg = strategy.cgr_config(&CgrConfig::paper_default());
         let cgr = CgrGraph::encode(graph, &cfg);
-        let engine = GcgtEngine::new(&cgr, DeviceConfig::default(), strategy).unwrap();
+        let engine = GcgtEngine::new(&cgr, DeviceConfig::default(), strategy);
         bc(&engine, source)
     }
 
@@ -416,10 +416,9 @@ mod tests {
             &Strategy::Full.cgr_config(&CgrConfig::paper_default()),
         );
         let engine = GcgtEngine::new(&cgr, DeviceConfig::default(), Strategy::Full)
-            .unwrap()
             .with_direction(direction);
         let levels = std::sync::Arc::new(Levels::default());
-        let mut device = engine.new_device();
+        let mut device = engine.new_device().unwrap();
         device.set_observer(gcgt_simt::ObserverHandle::from_arc(levels.clone()));
         let run = bc_in(&engine, &mut device, source).unwrap();
         let events = levels.0.lock().unwrap().clone();
@@ -564,7 +563,7 @@ mod tests {
         let g = web_graph(&WebParams::uk2002_like(600), 3);
         let cfg = Strategy::Full.cgr_config(&CgrConfig::paper_default());
         let cgr = CgrGraph::encode(&g, &cfg);
-        let engine = GcgtEngine::new(&cgr, DeviceConfig::default(), Strategy::Full).unwrap();
+        let engine = GcgtEngine::new(&cgr, DeviceConfig::default(), Strategy::Full);
         let bfs_run = crate::apps::bfs::bfs(&engine, 0);
         let bc_run = bc(&engine, 0);
         assert!(bc_run.stats.est_ms > bfs_run.stats.est_ms);

@@ -94,10 +94,10 @@ impl Sink for QueueSink<'_> {
 /// workloads that keep the graph resident should use [`bfs_in`].
 ///
 /// # Panics
-/// On a payload that fails deferred validation (a fresh device has no
-/// fault plan, so nothing else can fail it).
+/// When the engine does not fit the device, or on a payload that fails
+/// deferred validation (nothing else can fail a fresh device).
 pub fn bfs(engine: &dyn Expander, source: NodeId) -> BfsRun {
-    let mut device = engine.new_device();
+    let mut device = engine.new_device().expect(crate::apps::FITS);
     bfs_in(engine, &mut device, source).expect(crate::apps::FRESH_DEVICE)
 }
 
@@ -192,7 +192,7 @@ mod tests {
     fn run_bfs(graph: &Csr, strategy: Strategy, source: NodeId) -> BfsRun {
         let cfg = strategy.cgr_config(&CgrConfig::paper_default());
         let cgr = CgrGraph::encode(graph, &cfg);
-        let engine = GcgtEngine::new(&cgr, DeviceConfig::default(), strategy).unwrap();
+        let engine = GcgtEngine::new(&cgr, DeviceConfig::default(), strategy);
         bfs(&engine, source)
     }
 
@@ -258,9 +258,8 @@ mod tests {
     ) -> BfsRun {
         let cfg = strategy.cgr_config(&CgrConfig::paper_default());
         let cgr = CgrGraph::encode(graph, &cfg);
-        let engine = GcgtEngine::new(&cgr, DeviceConfig::default(), strategy)
-            .unwrap()
-            .with_direction(direction);
+        let engine =
+            GcgtEngine::new(&cgr, DeviceConfig::default(), strategy).with_direction(direction);
         bfs(&engine, source)
     }
 
@@ -369,7 +368,7 @@ mod tests {
         let edges: Vec<(NodeId, NodeId)> = (1..=leaves).rev().map(|v| (0, v)).collect();
         let g = Csr::from_edges(leaves as usize + 1, &edges);
         let cgr = CgrGraph::encode(&g, &Strategy::Full.cgr_config(&CgrConfig::paper_default()));
-        let engine = GcgtEngine::new(&cgr, DeviceConfig::test_tiny(), Strategy::Full).unwrap();
+        let engine = GcgtEngine::new(&cgr, DeviceConfig::test_tiny(), Strategy::Full);
         let run = bfs(&engine, 0);
         assert_eq!(run.levels, 2);
         assert_eq!(run.stats.push_steps, 2);

@@ -56,10 +56,10 @@ impl Sink for EdgeSink {
 /// graph for true (undirected) components.
 ///
 /// # Panics
-/// On a payload that fails deferred validation (a fresh device has no
-/// fault plan, so nothing else can fail it).
+/// When the engine does not fit the device, or on a payload that fails
+/// deferred validation (nothing else can fail a fresh device).
 pub fn cc(engine: &dyn Expander) -> CcRun {
-    let mut device = engine.new_device();
+    let mut device = engine.new_device().expect(crate::apps::FITS);
     cc_in(engine, &mut device).expect(crate::apps::FRESH_DEVICE)
 }
 
@@ -250,7 +250,7 @@ mod tests {
         let sym = graph.symmetrized();
         let cfg = strategy.cgr_config(&CgrConfig::paper_default());
         let cgr = CgrGraph::encode(&sym, &cfg);
-        let engine = GcgtEngine::new(&cgr, DeviceConfig::default(), strategy).unwrap();
+        let engine = GcgtEngine::new(&cgr, DeviceConfig::default(), strategy);
         cc(&engine)
     }
 
@@ -343,9 +343,9 @@ mod tests {
             let sym = graph.symmetrized();
             let cfg = Strategy::Full.cgr_config(&CgrConfig::paper_default());
             let cgr = CgrGraph::encode(&sym, &cfg);
-            let engine = GcgtEngine::new(&cgr, DeviceConfig::default(), Strategy::Full).unwrap();
+            let engine = GcgtEngine::new(&cgr, DeviceConfig::default(), Strategy::Full);
             let levels = Arc::new(Levels::default());
-            let mut device = engine.new_device();
+            let mut device = engine.new_device().unwrap();
             device.set_observer(ObserverHandle::from_arc(levels.clone()));
             let got = cc_in(&engine, &mut device).unwrap();
             let want = refalgo::connected_components(&sym);

@@ -50,10 +50,10 @@ impl Sink for VoteSink {
 /// Runs at most `max_rounds` synchronous label-propagation rounds.
 ///
 /// # Panics
-/// On a payload that fails deferred validation (a fresh device has no
-/// fault plan, so nothing else can fail it).
+/// When the engine does not fit the device, or on a payload that fails
+/// deferred validation (nothing else can fail a fresh device).
 pub fn label_propagation(engine: &dyn Expander, max_rounds: usize) -> LabelPropRun {
-    let mut device = engine.new_device();
+    let mut device = engine.new_device().expect(crate::apps::FITS);
     label_propagation_in(engine, &mut device, max_rounds).expect(crate::apps::FRESH_DEVICE)
 }
 
@@ -131,7 +131,7 @@ mod tests {
     fn run_lp(graph: &gcgt_graph::Csr, rounds: usize) -> LabelPropRun {
         let cfg = Strategy::Full.cgr_config(&CgrConfig::paper_default());
         let cgr = CgrGraph::encode(graph, &cfg);
-        let engine = GcgtEngine::new(&cgr, DeviceConfig::default(), Strategy::Full).unwrap();
+        let engine = GcgtEngine::new(&cgr, DeviceConfig::default(), Strategy::Full);
         label_propagation(&engine, rounds)
     }
 

@@ -39,13 +39,14 @@ pub mod pagerank;
 use crate::engine::Expander;
 use gcgt_simt::{Device, FaultDomain, TypedFailure};
 
-/// The `expect` of the fresh-device entry points (`bfs`, `bc`, ...).
+/// The `expect`s of the fresh-device entry points (`bfs`, `bc`, ...).
+pub(crate) const FITS: &str = "the engine's footprint must fit the device";
 pub(crate) const FRESH_DEVICE: &str = "a fresh device fails only on a corrupt deferred payload";
 
 /// Shared app prologue: registers the engine's per-query scratch (frontier
 /// queues, output buffers, label arrays) on the device, returning the byte
-/// count the matching `device.free(..)` must release on exit. Engines verify
-/// at construction that structure + scratch fit, so this cannot OOM. A
+/// count the matching `device.free(..)` must release on exit. On a device
+/// from [`Expander::new_device`], which checks the footprint, it cannot OOM. A
 /// fault plan's transient allocator stalls resolve first, with backoff
 /// charged, or fail the query once they outlast the retry budget.
 pub(crate) fn alloc_scratch(
@@ -56,6 +57,6 @@ pub(crate) fn alloc_scratch(
     device.chaos_gate(FaultDomain::DeviceAlloc, 0.0)?;
     device
         .alloc(scratch)
-        .expect("device capacity must be verified at engine construction");
+        .expect("device capacity is checked when the device is made");
     Ok(scratch)
 }

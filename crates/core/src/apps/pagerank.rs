@@ -46,15 +46,15 @@ impl Sink for PushSink {
 /// the L1 change drops below `tolerance`.
 ///
 /// # Panics
-/// On a payload that fails deferred validation (a fresh device has no
-/// fault plan, so nothing else can fail it).
+/// When the engine does not fit the device, or on a payload that fails
+/// deferred validation (nothing else can fail a fresh device).
 pub fn pagerank(
     engine: &dyn Expander,
     damping: f64,
     max_iters: usize,
     tolerance: f64,
 ) -> PagerankRun {
-    let mut device = engine.new_device();
+    let mut device = engine.new_device().expect(crate::apps::FITS);
     pagerank_in(engine, &mut device, damping, max_iters, tolerance)
         .expect(crate::apps::FRESH_DEVICE)
 }
@@ -141,7 +141,7 @@ mod tests {
     fn run_pr(graph: &gcgt_graph::Csr, strategy: Strategy) -> PagerankRun {
         let cfg = strategy.cgr_config(&CgrConfig::paper_default());
         let cgr = CgrGraph::encode(graph, &cfg);
-        let engine = GcgtEngine::new(&cgr, DeviceConfig::default(), strategy).unwrap();
+        let engine = GcgtEngine::new(&cgr, DeviceConfig::default(), strategy);
         pagerank(&engine, 0.85, 100, 1e-9)
     }
 

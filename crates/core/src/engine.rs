@@ -6,6 +6,8 @@
 //! (the paper's contribution); the `gcgt-baselines` crate provides CSR-based
 //! expanders (GPUCSR, Gunrock-style) over the *same* apps and cost model, so
 //! the comparison isolates exactly the decoding overhead the paper studies.
+//! Streaming and sharding are [`Placement`]s: they decode through the
+//! engine they wrap and add only residency.
 
 use gcgt_cgr::CgrGraph;
 use gcgt_graph::NodeId;
@@ -63,23 +65,22 @@ pub trait Expander: Send + Sync {
     /// The simulated device's configuration.
     fn device_config(&self) -> &DeviceConfig;
 
-    /// Peak resident bytes (graph structure **plus** per-query traversal
-    /// scratch) for OOM accounting — what a capacity check must admit.
-    fn footprint(&self) -> usize;
-
-    /// The query-invariant part of [`Expander::footprint`]: the uploaded
-    /// graph structure that stays resident for the engine's whole life.
-    /// The default (everything) suits engines with no per-query scratch.
-    fn structure_bytes(&self) -> usize {
-        self.footprint()
-    }
+    /// The uploaded graph structure that stays resident for the engine's
+    /// whole life: what [`Expander::new_device`] allocates.
+    fn structure_bytes(&self) -> usize;
 
     /// Per-query scratch (frontier queues, output buffers, label arrays):
     /// apps allocate this on entry and free it on exit, so
     /// [`gcgt_simt::Device::allocated`] returns to the post-upload baseline
     /// between batched queries.
     fn scratch_bytes(&self) -> usize {
-        self.footprint() - self.structure_bytes()
+        memory::traversal_buffers_bytes(self.num_nodes())
+    }
+
+    /// Peak resident bytes, structure **plus** per-query scratch: what
+    /// [`Expander::new_device`] checks against the device capacity.
+    fn footprint(&self) -> usize {
+        self.structure_bytes() + self.scratch_bytes()
     }
 
     /// Hook called once per kernel launch, before any warp expands, with the
@@ -166,17 +167,118 @@ pub trait Expander: Send + Sync {
     }
 
     /// Creates a per-run device with the graph structure resident (apps add
-    /// and remove their scratch around each query).
+    /// and remove their scratch around each query) — the one capacity
+    /// check, so a streaming layer can wrap a decoder larger than the device.
     ///
-    /// # Panics
-    /// Panics if the structure exceeds capacity — engines are expected to
-    /// verify capacity at construction.
-    fn new_device(&self) -> Device {
-        let mut device = self.device_config().new_device();
-        device
-            .alloc(self.structure_bytes())
-            .expect("device capacity must be verified at engine construction");
-        device
+    /// # Errors
+    /// [`OomError`] when the [`Expander::footprint`] exceeds the device
+    /// capacity — probed on a throwaway device, so nothing is charged.
+    fn new_device(&self) -> Result<Device, OomError> {
+        let config = self.device_config();
+        config.new_device().alloc(self.footprint())?;
+        let mut device = config.new_device();
+        device.alloc(self.structure_bytes())?;
+        Ok(device)
+    }
+}
+
+/// A residency layer over a decoder: streamed partitions or shards. The
+/// blanket impl makes every placement an [`Expander`] that forwards each
+/// decode call to [`Placement::decoder`], so a streamed or sharded launch
+/// decodes exactly as in-core; only residency is the placement's own.
+pub trait Placement: Send + Sync {
+    /// The engine that decodes every launch.
+    fn decoder(&self) -> &dyn Expander;
+
+    /// The placement's [`Expander::structure_bytes`]; by default the
+    /// decoder's.
+    fn structure_bytes(&self) -> usize {
+        self.decoder().structure_bytes()
+    }
+
+    /// The placement's [`Expander::prepare_frontier`].
+    ///
+    /// # Errors
+    /// As [`Expander::prepare_frontier`].
+    fn prepare_frontier(
+        &self,
+        device: &mut Device,
+        frontier: &[NodeId],
+    ) -> Result<(), TypedFailure>;
+
+    /// The placement's [`Expander::release_residency`].
+    fn release_residency(&self, device: &mut Device);
+}
+
+impl<P: Placement> Expander for P {
+    fn num_nodes(&self) -> usize {
+        self.decoder().num_nodes()
+    }
+
+    fn num_edges(&self) -> usize {
+        self.decoder().num_edges()
+    }
+
+    fn out_degree(&self, u: NodeId) -> usize {
+        self.decoder().out_degree(u)
+    }
+
+    fn direction(&self) -> DirectionMode {
+        self.decoder().direction()
+    }
+
+    fn device_config(&self) -> &DeviceConfig {
+        self.decoder().device_config()
+    }
+
+    fn structure_bytes(&self) -> usize {
+        Placement::structure_bytes(self)
+    }
+
+    fn prepare_frontier(
+        &self,
+        device: &mut Device,
+        frontier: &[NodeId],
+    ) -> Result<(), TypedFailure> {
+        Placement::prepare_frontier(self, device, frontier)
+    }
+
+    fn index_addrs(&self, u: NodeId, addrs: &mut Vec<u64>) {
+        self.decoder().index_addrs(u, addrs);
+    }
+
+    fn expand_chunk(&self, warp: &mut WarpSim, chunk: &[NodeId], sink: &mut dyn Sink) {
+        self.decoder().expand_chunk(warp, chunk, sink);
+    }
+
+    fn shares(&self, u: NodeId) -> usize {
+        self.decoder().shares(u)
+    }
+
+    fn expand_share(
+        &self,
+        warp: &mut WarpSim,
+        u: NodeId,
+        share: usize,
+        of: usize,
+        sink: &mut dyn Sink,
+    ) {
+        self.decoder().expand_share(warp, u, share, of, sink);
+    }
+
+    fn pull_chunk(
+        &self,
+        warp: &mut WarpSim,
+        chunk: &[NodeId],
+        depth: &[u32],
+        du: u32,
+        out: &mut Vec<(NodeId, NodeId)>,
+    ) -> u64 {
+        self.decoder().pull_chunk(warp, chunk, depth, du, out)
+    }
+
+    fn release_residency(&self, device: &mut Device) {
+        Placement::release_residency(self, device);
     }
 }
 
@@ -550,23 +652,17 @@ pub struct GcgtEngine<'g> {
 }
 
 impl<'g> GcgtEngine<'g> {
-    /// Binds an engine to `cgr`. Fails if the graph plus traversal buffers
-    /// exceed the device's memory capacity, or if the CGR layout does not
-    /// match the strategy (segmented ↔ `Strategy::Full`).
-    pub fn new(
-        cgr: &'g CgrGraph,
-        device_config: DeviceConfig,
-        strategy: Strategy,
-    ) -> Result<Self, OomError> {
+    /// Binds an engine to `cgr`; capacity is checked when a device is made
+    /// ([`Expander::new_device`]). Panics if the CGR layout does not match
+    /// the strategy (segmented ↔ `Strategy::Full`).
+    pub fn new(cgr: &'g CgrGraph, device_config: DeviceConfig, strategy: Strategy) -> Self {
         strategy.assert_layout(cgr.config());
-        let mut probe = Device::new(device_config);
-        probe.alloc(memory::gcgt_footprint(cgr))?;
-        Ok(Self {
+        Self {
             cgr,
             device_config,
             strategy,
             direction: DirectionMode::Push,
-        })
+        }
     }
 
     /// Sets the expansion-direction policy (defaults to
@@ -611,10 +707,6 @@ impl Expander for GcgtEngine<'_> {
 
     fn device_config(&self) -> &DeviceConfig {
         &self.device_config
-    }
-
-    fn footprint(&self) -> usize {
-        memory::gcgt_footprint(self.cgr)
     }
 
     fn structure_bytes(&self) -> usize {
@@ -679,13 +771,29 @@ mod tests {
     }
 
     #[test]
-    fn oom_when_graph_too_big() {
+    fn new_device_fits_exactly_the_footprint() {
         let g = toys::figure1();
         let cfg = Strategy::TwoPhase.cgr_config(&CgrConfig::paper_default());
         let cgr = CgrGraph::encode(&g, &cfg);
-        let mut dc = tiny_cfg();
-        dc.mem_capacity = 8; // absurdly small
-        assert!(GcgtEngine::new(&cgr, dc, Strategy::TwoPhase).is_err());
+        let at = |mem_capacity| {
+            let dc = DeviceConfig {
+                mem_capacity,
+                ..tiny_cfg()
+            };
+            GcgtEngine::new(&cgr, dc, Strategy::TwoPhase)
+        };
+        // Building the engine checks nothing, however small the device.
+        let footprint = at(0).footprint();
+        assert_eq!(footprint, memory::gcgt_footprint(&cgr));
+        let device = at(footprint).new_device().unwrap();
+        assert_eq!(device.allocated(), memory::gcgt_structure_bytes(&cgr));
+        assert_eq!(
+            at(footprint - 1).new_device().err(),
+            Some(OomError {
+                requested: footprint,
+                capacity: footprint - 1,
+            })
+        );
     }
 
     /// Node 0 is a hub of 2,000 scattered residuals (many segments); nodes
@@ -719,7 +827,7 @@ mod tests {
         // into shares as in a small frontier.
         let g = hub_graph();
         let cgr = CgrGraph::encode(&g, &Strategy::Full.cgr_config(&CgrConfig::paper_default()));
-        let engine = GcgtEngine::new(&cgr, tiny_cfg(), Strategy::Full).unwrap();
+        let engine = GcgtEngine::new(&cgr, tiny_cfg(), Strategy::Full);
         for len in [32, 33, 39, 40] {
             let work: Vec<NodeId> = (0..len).collect();
             let total: usize = work.iter().map(|&u| engine.out_degree(u)).sum();
@@ -745,7 +853,7 @@ mod tests {
     fn small_frontiers_spread_over_the_sms() {
         let g = hub_graph();
         let cgr = CgrGraph::encode(&g, &Strategy::Full.cgr_config(&CgrConfig::paper_default()));
-        let engine = GcgtEngine::new(&cgr, tiny_cfg(), Strategy::Full).unwrap();
+        let engine = GcgtEngine::new(&cgr, tiny_cfg(), Strategy::Full);
         assert!(schedule(&engine, &[], true).is_empty());
         // ⌈len / 4 SMs⌉ nodes per warp, in order.
         for (len, per_warp) in [(1, 1), (3, 1), (4, 1), (5, 2), (16, 4), (31, 8)] {
@@ -759,7 +867,7 @@ mod tests {
     fn a_hub_is_cut_in_place_and_only_when_pushing() {
         let g = hub_graph();
         let cgr = CgrGraph::encode(&g, &Strategy::Full.cgr_config(&CgrConfig::paper_default()));
-        let engine = GcgtEngine::new(&cgr, tiny_cfg(), Strategy::Full).unwrap();
+        let engine = GcgtEngine::new(&cgr, tiny_cfg(), Strategy::Full);
         let work = [5, 0, 6, 7, 8];
         // 2 nodes per warp; target = max(⌈2,008 / 4⌉, 8) = 502.
         let total: usize = work.iter().map(|&u| engine.out_degree(u)).sum();
@@ -785,7 +893,7 @@ mod tests {
         let g = hub_graph();
         let cfg = Strategy::TwoPhase.cgr_config(&CgrConfig::paper_default());
         let cgr = CgrGraph::encode(&g, &cfg);
-        let engine = GcgtEngine::new(&cgr, tiny_cfg(), Strategy::TwoPhase).unwrap();
+        let engine = GcgtEngine::new(&cgr, tiny_cfg(), Strategy::TwoPhase);
         assert_eq!(engine.shares(0), 1);
         let work = [5, 0, 6];
         let want: Vec<WarpWork> = work.chunks(1).map(whole).collect();
@@ -796,10 +904,10 @@ mod tests {
     fn launch_merges_warps_in_schedule_order() {
         let g = hub_graph();
         let cgr = CgrGraph::encode(&g, &Strategy::Full.cgr_config(&CgrConfig::paper_default()));
-        let engine = GcgtEngine::new(&cgr, tiny_cfg(), Strategy::Full).unwrap();
+        let engine = GcgtEngine::new(&cgr, tiny_cfg(), Strategy::Full);
         let metrics = std::sync::Arc::new(gcgt_simt::obs::MetricsRegistry::new());
         let work = [5, 0, 6, 7, 8];
-        let mut device = engine.new_device();
+        let mut device = engine.new_device().unwrap();
         device.set_observer(gcgt_simt::obs::ObserverHandle::from_arc(metrics.clone()));
         let sinks = launch_expansion(&engine, &mut device, &work, "push", CollectSink::default)
             .expect("in-core launches cannot fail");
@@ -838,7 +946,7 @@ mod tests {
     fn compaction_sorts_and_costs_alike_under_any_permutation() {
         let g = hub_graph();
         let cgr = CgrGraph::encode(&g, &Strategy::Full.cgr_config(&CgrConfig::paper_default()));
-        let engine = GcgtEngine::new(&cgr, tiny_cfg(), Strategy::Full).unwrap();
+        let engine = GcgtEngine::new(&cgr, tiny_cfg(), Strategy::Full);
         let ids: Vec<NodeId> = (0..g.num_nodes() as NodeId)
             .filter(|v| v % 7 == 3 || v % 61 == 0)
             .collect();
@@ -846,7 +954,7 @@ mod tests {
         for seed in 0..8u64 {
             let mut list = ids.clone();
             list.sort_by_key(|&u| (u64::from(u) ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            let mut device = engine.new_device();
+            let mut device = engine.new_device().unwrap();
             let before = device.stats();
             compact_frontier(&engine, &mut device, &mut list);
             let delta = device.stats().since(&before);
@@ -862,7 +970,7 @@ mod tests {
         // 4 warps, the last one 4 lanes wide. Survivors 1 / 2 / 0 / 1.
         let g = Csr::from_edges(600, &[(5, 6), (300, 1), (301, 2), (599, 0)]);
         let cgr = CgrGraph::encode(&g, &Strategy::Full.cgr_config(&CgrConfig::paper_default()));
-        let engine = GcgtEngine::new(&cgr, tiny_cfg(), Strategy::Full).unwrap();
+        let engine = GcgtEngine::new(&cgr, tiny_cfg(), Strategy::Full);
         let cost = compaction_cost(&engine, &[5, 300, 301, 599]);
         assert_eq!(cost.warps, 4);
         let issues = |cost: &IterationCost, class: OpClass| cost.tally.issues[class as usize];
@@ -887,11 +995,10 @@ mod tests {
         let g = gcgt_graph::gen::web_graph(&gcgt_graph::gen::WebParams::uk2002_like(500), 3);
         let cfg = Strategy::TaskStealing.cgr_config(&CgrConfig::paper_default());
         let cgr = CgrGraph::encode(&g, &cfg);
-        let engine =
-            GcgtEngine::new(&cgr, DeviceConfig::default(), Strategy::TaskStealing).unwrap();
+        let engine = GcgtEngine::new(&cgr, DeviceConfig::default(), Strategy::TaskStealing);
         let frontier: Vec<NodeId> = (0..g.num_nodes() as NodeId).collect();
         let run = || {
-            let mut device = engine.new_device();
+            let mut device = engine.new_device().unwrap();
             launch_expansion(
                 &engine,
                 &mut device,

@@ -19,6 +19,7 @@
 //! apps ([`apps::bfs`], [`apps::cc`], [`apps::bc`], [`apps::pagerank`])
 //! instantiate the expansion–filtering–contraction pipeline of Section 6.
 
+#![forbid(unsafe_code)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 pub mod algorithm;
 pub mod apps;
@@ -33,5 +34,6 @@ pub use apps::bfs::{bfs, bfs_in, BfsRun};
 pub use apps::cc::{cc, cc_in, CcRun};
 pub use apps::labelprop::{label_propagation, label_propagation_in, LabelPropRun};
 pub use apps::pagerank::{pagerank, pagerank_in, PagerankRun};
-pub use engine::{compact_frontier, launch_expansion, launch_pull, Expander, GcgtEngine};
+pub use engine::{compact_frontier, launch_expansion, launch_pull};
+pub use engine::{Expander, GcgtEngine, Placement};
 pub use strategy::{DirectionMode, Strategy, PULL_ALPHA};

@@ -15,6 +15,7 @@
 //!   oracles by every parallel implementation in the workspace;
 //! * [`tally`] — the dense label counter LLP and label propagation share.
 
+#![forbid(unsafe_code)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 pub mod csr;
 pub mod edgelist;

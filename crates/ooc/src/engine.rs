@@ -1,4 +1,4 @@
-//! The streaming expander: GCGT traversal over a graph that is **not**
+//! The streaming placement: GCGT traversal over a graph that is **not**
 //! device-resident, streaming each launch's compressed partitions in as
 //! coalesced, double-buffered waves — or, for a launch too small to fill
 //! one partition, reading only the lines it decodes through.
@@ -6,62 +6,58 @@
 use std::collections::BTreeSet;
 use std::sync::Mutex;
 
-use gcgt_cgr::CgrGraph;
-use gcgt_core::kernels::{self, expand_warp, pull::pull_expand, Sink};
-use gcgt_core::{memory, DirectionMode, Expander, Strategy};
+use gcgt_core::{kernels, Expander, GcgtEngine, Placement};
 use gcgt_graph::NodeId;
-use gcgt_simt::{Device, DeviceConfig, OomError, TypedFailure, WarpSim};
+use gcgt_simt::{Device, OomError, TypedFailure};
 
 use crate::cache::{PartitionCache, ReadThrough};
 use crate::partition::PartitionMap;
 
-/// An out-of-core GCGT engine: decodes the same compressed representation
-/// as [`gcgt_core::GcgtEngine`] and plugs into the identical
-/// [`Expander`]/`Algorithm` contract, but only a bounded byte budget of
-/// partitions is device-resident at a time. Before every kernel launch the
-/// frontier's partitions are made resident by one launch-scoped plan
-/// ([`PartitionCache::walk`]: hits first, then coalesced chunked PCIe
-/// uploads) — unless the launch has fewer work nodes than an average
-/// partition holds, in which case it may read the lines it decodes through
-/// instead ([`PartitionCache::prefers`] decides, by price and per-partition
-/// rent). The kernels address the global layout either way, so kernel time
-/// and memory counters are bitwise the in-core engine's; BFS, CC, BC,
-/// PageRank and label propagation run unmodified on top.
+/// An out-of-core placement of a [`GcgtEngine`]: the engine decodes every
+/// launch exactly as in-core (it is the [`Placement::decoder`]), but only a
+/// bounded byte budget of its partitions is device-resident at a time.
+/// Before every kernel launch the frontier's partitions are made resident
+/// by one launch-scoped plan ([`PartitionCache::walk`]: hits first, then
+/// coalesced chunked PCIe uploads) — unless the launch has fewer work nodes
+/// than an average partition holds, in which case it may read the lines it
+/// decodes through instead ([`PartitionCache::prefers`] decides, by price
+/// and per-partition rent). The kernels address the global layout either
+/// way, so kernel time and memory counters are bitwise the in-core
+/// engine's; BFS, CC, BC, PageRank and label propagation run unmodified on
+/// top.
+///
+/// **Residency tradeoff** of the inner engine's pull direction: a pull
+/// level faults the partitions holding every *unvisited candidate's*
+/// adjacency — on an early dense level that is most of the structure, so
+/// under a tight budget pulling trades expanded-edge savings for extra
+/// partition churn. The adaptive heuristic only pulls on dense frontiers,
+/// where the whole structure was about to be touched anyway.
 pub struct OocEngine<'g> {
-    cgr: &'g CgrGraph,
+    inner: GcgtEngine<'g>,
     parts: &'g PartitionMap,
-    device_config: DeviceConfig,
-    strategy: Strategy,
     cache_budget: usize,
-    direction: DirectionMode,
     cache: Mutex<PartitionCache>,
 }
 
 impl<'g> OocEngine<'g> {
-    /// Binds a streaming engine: partitions stream into `cache_budget`
+    /// Streams `inner`'s graph, cut into `parts`, through `cache_budget`
     /// bytes of device memory while the per-query traversal scratch stays
     /// resident beside it. Fails when even one partition with its
     /// reference-chain closure (plus scratch) cannot fit.
-    ///
-    /// # Panics
-    /// Panics if the CGR layout does not match the strategy (segmented ↔
-    /// `Strategy::Full`), like [`gcgt_core::GcgtEngine::new`].
     pub fn new(
-        cgr: &'g CgrGraph,
+        inner: GcgtEngine<'g>,
         parts: &'g PartitionMap,
-        device_config: DeviceConfig,
-        strategy: Strategy,
         cache_budget: usize,
     ) -> Result<Self, OomError> {
-        strategy.assert_layout(cgr.config());
-        let scratch = memory::traversal_buffers_bytes(cgr.num_nodes());
+        let scratch = inner.scratch_bytes();
+        let capacity = inner.device_config().mem_capacity;
         // Each limit is reported in its own terms, scratch on both sides:
         // the device cannot hold scratch plus cache, or the cache cannot
         // hold the largest partition with its closure.
-        if scratch + cache_budget > device_config.mem_capacity {
+        if scratch + cache_budget > capacity {
             return Err(OomError {
                 requested: scratch + cache_budget,
-                capacity: device_config.mem_capacity,
+                capacity,
             });
         }
         let floor = parts.max_resident_bytes();
@@ -72,32 +68,11 @@ impl<'g> OocEngine<'g> {
             });
         }
         Ok(Self {
-            cgr,
+            inner,
             parts,
-            device_config,
-            strategy,
             cache_budget,
-            direction: DirectionMode::Push,
             cache: Mutex::new(PartitionCache::new(cache_budget)),
         })
-    }
-
-    /// Sets the expansion-direction policy. **Residency tradeoff**: a pull
-    /// level faults the partitions holding every *unvisited candidate's*
-    /// adjacency through the shared `prepare_frontier` hook — on an early
-    /// dense level that is most of the structure, so under a tight budget
-    /// pulling trades expanded-edge savings for extra partition churn. The
-    /// adaptive heuristic only pulls on dense frontiers, where the whole
-    /// structure was about to be touched anyway.
-    #[must_use]
-    pub fn with_direction(mut self, direction: DirectionMode) -> Self {
-        self.direction = direction;
-        self
-    }
-
-    /// The compressed graph being streamed.
-    pub fn cgr(&self) -> &CgrGraph {
-        self.cgr
     }
 
     /// The residency byte budget of the partition cache.
@@ -137,7 +112,7 @@ impl<'g> OocEngine<'g> {
         let (mut seen, mut hops) = (BTreeSet::new(), 0);
         for group in missing.chunk_by(|a, b| a.0 == b.0) {
             let nodes: Vec<NodeId> = group.iter().map(|&(_, u)| u).collect();
-            let (lines, depth) = kernels::decode_lines(self.cgr, &nodes);
+            let (lines, depth) = kernels::decode_lines(self.inner.cgr(), &nodes);
             let own = lines.into_iter().filter(|&l| seen.insert(l)).count();
             read.parts.push((group[0].0, own));
             hops = hops.max(depth);
@@ -150,33 +125,13 @@ impl<'g> OocEngine<'g> {
     }
 }
 
-impl Expander for OocEngine<'_> {
-    fn num_nodes(&self) -> usize {
-        self.cgr.num_nodes()
+impl Placement for OocEngine<'_> {
+    fn decoder(&self) -> &dyn Expander {
+        &self.inner
     }
 
-    fn num_edges(&self) -> usize {
-        self.cgr.num_edges()
-    }
-
-    fn out_degree(&self, u: NodeId) -> usize {
-        gcgt_cgr::decode::decode_degree(self.cgr, u)
-    }
-
-    fn direction(&self) -> DirectionMode {
-        self.direction
-    }
-
-    fn device_config(&self) -> &DeviceConfig {
-        &self.device_config
-    }
-
-    /// Peak bytes outside the partition cache: only the per-query traversal
-    /// scratch — nothing is uploaded up front.
-    fn footprint(&self) -> usize {
-        memory::traversal_buffers_bytes(self.cgr.num_nodes())
-    }
-
+    /// Nothing is uploaded up front: the device holds only the per-query
+    /// traversal scratch outside the partition cache.
     fn structure_bytes(&self) -> usize {
         0
     }
@@ -209,7 +164,8 @@ impl Expander for OocEngine<'_> {
         let needed = self.needed(frontier);
         for (pid, _) in needed.iter().enumerate().filter(|(_, &n)| n) {
             let p = &self.parts.parts()[pid];
-            self.cgr
+            self.inner
+                .cgr()
                 .ensure_validated(p.first_node as usize, p.end_node as usize)
                 .map_err(|e| {
                     TypedFailure::CorruptGraph(format!(
@@ -222,50 +178,13 @@ impl Expander for OocEngine<'_> {
         // Only a launch that cannot fill even one partition may read
         // through: denser ones keep whole-partition residency, which later
         // launches reuse.
-        if !walk.uploads.is_empty() && frontier.len() < self.num_nodes() / self.parts.len() {
+        if !walk.uploads.is_empty() && frontier.len() < self.inner.num_nodes() / self.parts.len() {
             let read = self.read_plan(&cache, frontier);
             if cache.prefers(&read, &walk, self.parts) {
                 return cache.read_through(&read, &walk, self.parts, device);
             }
         }
         cache.apply(walk, self.parts, device)
-    }
-
-    fn index_addrs(&self, u: NodeId, addrs: &mut Vec<u64>) {
-        addrs.extend(kernels::extent_addrs(self.cgr, u));
-    }
-
-    fn expand_chunk(&self, warp: &mut WarpSim, chunk: &[NodeId], sink: &mut dyn Sink) {
-        expand_warp(self.strategy, warp, self.cgr, chunk, sink);
-    }
-
-    fn shares(&self, u: NodeId) -> usize {
-        kernels::shares(self.strategy, self.cgr, u)
-    }
-
-    fn expand_share(
-        &self,
-        warp: &mut WarpSim,
-        u: NodeId,
-        share: usize,
-        of: usize,
-        sink: &mut dyn Sink,
-    ) {
-        kernels::expand_share(self.strategy, warp, self.cgr, u, share, of, sink);
-    }
-
-    /// Pull over whatever `prepare_frontier` made resident: the launcher
-    /// passed the pull candidates to that hook, so the partitions holding
-    /// their compressed adjacency are on the device before any lane scans.
-    fn pull_chunk(
-        &self,
-        warp: &mut WarpSim,
-        chunk: &[NodeId],
-        depth: &[u32],
-        du: u32,
-        out: &mut Vec<(NodeId, NodeId)>,
-    ) -> u64 {
-        pull_expand(warp, self.cgr, chunk, depth, du, out)
     }
 
     /// Frees every partition this engine's **private** cache (one per
@@ -285,11 +204,11 @@ impl Expander for OocEngine<'_> {
 mod tests {
     use super::*;
     use crate::cache::warm_upload_ms;
-    use gcgt_cgr::CgrConfig;
-    use gcgt_core::{bfs, bfs_in, GcgtEngine};
+    use gcgt_cgr::{CgrConfig, CgrGraph};
+    use gcgt_core::{bfs, bfs_in, memory, Strategy};
     use gcgt_graph::gen::{web_graph, WebParams};
     use gcgt_graph::refalgo;
-    use gcgt_simt::RunStats;
+    use gcgt_simt::{DeviceConfig, RunStats};
     use proptest::prelude::{prop_assert, prop_assert_eq, proptest, ProptestConfig};
     use proptest::strategy::Strategy as PropStrategy;
 
@@ -303,10 +222,8 @@ mod tests {
         // Room for roughly two partitions → plenty of eviction churn.
         let budget = parts.max_partition_bytes() * 2;
         OocEngine::new(
-            cgr,
+            GcgtEngine::new(cgr, DeviceConfig::titan_v_scaled(1 << 30), Strategy::Full),
             parts,
-            DeviceConfig::titan_v_scaled(1 << 30),
-            Strategy::Full,
             budget,
         )
         .unwrap()
@@ -350,7 +267,7 @@ mod tests {
         let parts = PartitionMap::build(&cgr, 2 << 10);
         let ooc = tight_engine(&cgr, &parts);
         let config = DeviceConfig::titan_v_scaled(1 << 30);
-        let incore = GcgtEngine::new(&cgr, config, Strategy::Full).unwrap();
+        let incore = GcgtEngine::new(&cgr, config, Strategy::Full);
         let a = bfs(&ooc, 0);
         let b = bfs(&incore, 0);
         assert_eq!(a.stats.est_ms.to_bits(), b.stats.est_ms.to_bits());
@@ -363,7 +280,7 @@ mod tests {
         let (_, cgr) = encoded();
         let parts = PartitionMap::build(&cgr, 2 << 10);
         let engine = tight_engine(&cgr, &parts);
-        let mut device = engine.new_device();
+        let mut device = engine.new_device().unwrap();
         assert_eq!(device.allocated(), 0);
         let _ = bfs_in(&engine, &mut device, 0).unwrap();
         // After the query: scratch freed, only cached partitions remain.
@@ -375,10 +292,10 @@ mod tests {
         let (_, cgr) = encoded();
         let parts = PartitionMap::build(&cgr, 2 << 10);
         let engine = tight_engine(&cgr, &parts);
-        let mut device = engine.new_device();
+        let mut device = engine.new_device().unwrap();
         let _ = bfs_in(&engine, &mut device, 0).unwrap();
         assert!(device.allocated() > 0, "cached partitions should remain");
-        engine.release_residency(&mut device);
+        Expander::release_residency(&engine, &mut device);
         assert_eq!(device.allocated(), 0);
         // A second query after the release behaves exactly like the first
         // did: the cache is empty again, so its first upload is cold again
@@ -412,14 +329,12 @@ mod tests {
         let cgr = CgrGraph::encode(&g, &Strategy::Full.cgr_config(&cfg));
         let parts = PartitionMap::build(&cgr, 2 << 10);
         let engine = OocEngine::new(
-            &cgr,
+            GcgtEngine::new(&cgr, DeviceConfig::titan_v_scaled(1 << 30), Strategy::Full),
             &parts,
-            DeviceConfig::titan_v_scaled(1 << 30),
-            Strategy::Full,
             parts.max_resident_bytes() * 2,
         )
         .unwrap();
-        let mut device = engine.new_device();
+        let mut device = engine.new_device().unwrap();
         let run = bfs_in(&engine, &mut device, 0).unwrap();
         assert_eq!(run.depth, refalgo::bfs(&g, 0).depth);
         let s = run.stats;
@@ -429,7 +344,7 @@ mod tests {
         // A read-through allocates nothing: the device holds only what
         // the cache admitted.
         assert!(device.allocated() <= engine.cache_budget());
-        engine.release_residency(&mut device);
+        Expander::release_residency(&engine, &mut device);
         assert_eq!(device.allocated(), 0);
         assert!(rents(&engine).iter().all(|&r| r == 0.0));
     }
@@ -439,12 +354,12 @@ mod tests {
         let (_, cgr) = encoded();
         let parts = PartitionMap::build(&cgr, 2 << 10);
         let engine = tight_engine(&cgr, &parts);
-        let mut device = engine.new_device();
+        let mut device = engine.new_device().unwrap();
         let work = [5];
         let read = engine.read_plan(&engine.cache.lock().unwrap(), &work);
         assert_eq!(read.parts, [(parts.partition_of(5), read.lines)]);
         assert_eq!(read.rounds, 2, "no references, no extra round");
-        engine.prepare_frontier(&mut device, &work).unwrap();
+        Expander::prepare_frontier(&engine, &mut device, &work).unwrap();
         let s = device.stats();
         assert_eq!((s.read_throughs, s.partition_faults), (1, 1));
         assert_eq!(s.partition_uploads, 0);
@@ -468,8 +383,9 @@ mod tests {
         trace: &[Vec<NodeId>],
     ) -> (Vec<Launch>, Vec<Vec<f64>>, RunStats) {
         let config = DeviceConfig::titan_v_scaled(1 << 30);
-        let engine = OocEngine::new(cgr, parts, config, Strategy::Full, budget).unwrap();
-        let mut device = engine.new_device();
+        let engine =
+            OocEngine::new(GcgtEngine::new(cgr, config, Strategy::Full), parts, budget).unwrap();
+        let mut device = engine.new_device().unwrap();
         let (mut launches, mut rent) = (Vec::new(), Vec::new());
         for work in trace {
             let (read_ms, walk_ms) = {
@@ -481,7 +397,7 @@ mod tests {
                 (read.price_ms(), walk.price_ms())
             };
             let before = device.stats().read_throughs;
-            engine.prepare_frontier(&mut device, work).unwrap();
+            Expander::prepare_frontier(&engine, &mut device, work).unwrap();
             let read = device.stats().read_throughs > before;
             launches.push((read, work.len(), read_ms, walk_ms));
             let cache = engine.cache.lock().unwrap();
@@ -612,10 +528,8 @@ mod tests {
         );
         let engine = |budget: usize| {
             OocEngine::new(
-                &cgr,
+                GcgtEngine::new(&cgr, DeviceConfig::titan_v_scaled(1 << 30), Strategy::Full),
                 &parts,
-                DeviceConfig::titan_v_scaled(1 << 30),
-                Strategy::Full,
                 budget,
             )
         };
@@ -624,7 +538,7 @@ mod tests {
         // At the floor it streams, answers like the oracle, and what it
         // keeps resident — closures included — stays within the budget.
         let engine = engine(floor).unwrap();
-        let mut device = engine.new_device();
+        let mut device = engine.new_device().unwrap();
         let run = bfs_in(&engine, &mut device, 0).unwrap();
         assert_eq!(run.depth, refalgo::bfs(&g, 0).depth);
         assert!(device.allocated() <= floor);
@@ -649,10 +563,8 @@ mod tests {
             let parts = PartitionMap::build(&cgr, 2 << 10);
             let built = std::panic::catch_unwind(|| {
                 OocEngine::new(
-                    &cgr,
+                    GcgtEngine::new(&cgr, DeviceConfig::titan_v_scaled(1 << 30), strategy),
                     &parts,
-                    DeviceConfig::titan_v_scaled(1 << 30),
-                    strategy,
                     parts.max_resident_bytes(),
                 )
                 .is_ok()
@@ -663,10 +575,8 @@ mod tests {
 
     fn oom_of(cgr: &CgrGraph, parts: &PartitionMap, capacity: usize, budget: usize) -> OomError {
         OocEngine::new(
-            cgr,
+            GcgtEngine::new(cgr, DeviceConfig::titan_v_scaled(capacity), Strategy::Full),
             parts,
-            DeviceConfig::titan_v_scaled(capacity),
-            Strategy::Full,
             budget,
         )
         .err()

@@ -23,9 +23,11 @@
 //!   double-buffering that halves a warm upload's charge). It also keeps a
 //!   per-partition **rent**: what zero-copy read-throughs have spent on a
 //!   non-resident partition since it was last uploaded;
-//! * [`OocEngine`] — an [`gcgt_core::Expander`] whose `prepare_frontier`
-//!   hook hands each launch's partition set to the cache, so every
-//!   application (BFS/CC/BC/PageRank/label propagation) runs unmodified. A
+//! * [`OocEngine`] — a [`gcgt_core::Placement`] of a
+//!   [`gcgt_core::GcgtEngine`]: the wrapped engine decodes every launch,
+//!   and the placement's `prepare_frontier` hook hands each launch's
+//!   partition set to the cache, so every application
+//!   (BFS/CC/BC/PageRank/label propagation) runs unmodified. A
 //!   launch with fewer work nodes than an average partition holds may read
 //!   the 128-byte lines it decodes through instead, when that is cheaper
 //!   than the upload plan and keeps every rent within one warm upload.
@@ -42,6 +44,7 @@
 //! Sessions select this engine through `EngineKind::OutOfCore` +
 //! `SessionBuilder::memory_budget` in `gcgt-session`.
 
+#![forbid(unsafe_code)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 pub mod cache;
 pub mod engine;

@@ -62,6 +62,7 @@
 //! assert!(report.workers.iter().all(|w| w.allocated == w.baseline));
 //! ```
 
+#![forbid(unsafe_code)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 mod error;
 mod pool;

@@ -138,6 +138,7 @@
 //! assert!(run.stats.transfer_ms > 0.0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 use std::sync::Arc;
 
@@ -696,29 +697,22 @@ impl SessionBuilder {
             EngineKind::Gcgt(strategy) | EngineKind::OutOfCore { inner: strategy } => {
                 // A pre-encoded graph skips the encode; its baked-in config
                 // faces the same layout check an explicit compress(..) does.
-                let cgr = match self.compressed {
-                    Some(cgr) => {
-                        let config_segmented = cgr.config().segment_len_bytes.is_some();
-                        if config_segmented != strategy.needs_segmented_layout() {
-                            return Err(SessionError::LayoutMismatch {
-                                strategy,
-                                config_segmented,
-                            });
-                        }
-                        cgr
+                let chosen = self.compressed.as_ref().map(|cgr| *cgr.config());
+                let chosen = chosen.or(self.compress);
+                if let Some(config) = chosen {
+                    let config_segmented = config.segment_len_bytes.is_some();
+                    if config_segmented != strategy.needs_segmented_layout() {
+                        return Err(SessionError::LayoutMismatch {
+                            strategy,
+                            config_segmented,
+                        });
                     }
+                }
+                let cgr = match self.compressed {
+                    Some(cgr) => cgr,
                     None => {
-                        let config = match self.compress {
-                            Some(config) => {
-                                let config_segmented = config.segment_len_bytes.is_some();
-                                if config_segmented != strategy.needs_segmented_layout() {
-                                    return Err(SessionError::LayoutMismatch {
-                                        strategy,
-                                        config_segmented,
-                                    });
-                                }
-                                config
-                            }
+                        let config = match chosen {
+                            Some(config) => config,
                             None if self.compress_auto => {
                                 strategy.cgr_config(&CgrConfig::autotune(&graph))
                             }
@@ -1143,37 +1137,24 @@ impl PreparedGraph {
     /// The single-device engine of this prepared graph — this `match` is
     /// the only place in the crate that knows the engine types.
     fn base_engine(&self) -> Box<dyn Expander + '_> {
-        let cgr = || self.cgr.as_ref().expect("GCGT sessions always encode");
-        const VERIFIED: &str = "capacity verified at build time";
+        let gcgt = |strategy| {
+            let cgr = self.cgr.as_ref().expect("GCGT sessions always encode");
+            GcgtEngine::new(cgr, self.device_config, strategy).with_direction(self.direction)
+        };
         match (self.kind, &self.ooc) {
             // An out-of-core graph that fits is the in-core engine.
             (EngineKind::Gcgt(strategy), _) | (EngineKind::OutOfCore { inner: strategy }, None) => {
-                Box::new(
-                    GcgtEngine::new(cgr(), self.device_config, strategy)
-                        .expect(VERIFIED)
-                        .with_direction(self.direction),
-                )
+                Box::new(gcgt(strategy))
             }
             (EngineKind::OutOfCore { inner }, Some(plan)) => Box::new(
-                OocEngine::new(
-                    cgr(),
-                    &plan.parts,
-                    self.device_config,
-                    inner,
-                    plan.cache_budget,
-                )
-                .expect(VERIFIED)
-                .with_direction(self.direction),
+                OocEngine::new(gcgt(inner), &plan.parts, plan.cache_budget)
+                    .expect("streaming plan verified at build time"),
             ),
             (EngineKind::GpuCsr, _) => Box::new(
-                GpuCsrEngine::new(&self.graph, self.device_config)
-                    .expect(VERIFIED)
-                    .with_direction(self.direction),
+                GpuCsrEngine::new(&self.graph, self.device_config).with_direction(self.direction),
             ),
             (EngineKind::Gunrock, _) => Box::new(
-                GunrockEngine::new(&self.graph, self.device_config)
-                    .expect(VERIFIED)
-                    .with_direction(self.direction),
+                GunrockEngine::new(&self.graph, self.device_config).with_direction(self.direction),
             ),
         }
     }
@@ -1184,7 +1165,9 @@ impl PreparedGraph {
     /// typed chaos failure can only end a query (which returns it), never
     /// worker spawn.
     fn worker_device(&self, engine: &dyn Expander) -> Device {
-        let mut device = engine.new_device();
+        let mut device = engine
+            .new_device()
+            .expect("capacity verified at build time");
         if let Some(observer) = &self.observer {
             device.set_observer(observer.clone());
         }

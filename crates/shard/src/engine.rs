@@ -1,12 +1,13 @@
 //! The sharded traversal engine: owner-computes BSP over N modeled devices.
 //!
-//! [`ShardEngine`] wraps engines it knows only as `dyn` [`Expander`] and
-//! implements the contract itself, so any engine — stock or user-defined —
-//! can be sharded, and every application runs on a sharded deployment
-//! unmodified (the crate docs shard a user-defined engine). Each kernel launch
-//! is one bulk-synchronous step: every shard expands exactly the work nodes
-//! it owns (the union across shards is the serial work list, each node
-//! expanded once), then every shard that discovered nodes owned elsewhere
+//! [`ShardEngine`] wraps engines it knows only as `dyn` [`Expander`] and is
+//! a [`Placement`] of them: the first one decodes every launch, so any
+//! engine — stock or user-defined — can be sharded, and every application
+//! runs on a sharded deployment unmodified (the crate docs shard a
+//! user-defined engine). Each kernel launch is one bulk-synchronous step:
+//! every shard expands exactly the work nodes it owns (the union across
+//! shards is the serial work list, each node expanded once), then every
+//! shard that discovered nodes owned elsewhere
 //! holds, per such owner, one dense frontier-bitmap segment over the owner's
 //! range. The segments are delivered over the modeled
 //! [`Link`] by the log-depth dissemination schedule of
@@ -41,19 +42,19 @@
 //! streamed transfer time. Results stay comparable, overheads stay
 //! attributable.
 
-use gcgt_core::kernels::Sink;
-use gcgt_core::{DirectionMode, Expander};
+use gcgt_core::{Expander, Placement};
 use gcgt_graph::{Csr, NodeId};
-use gcgt_simt::{Charge, Device, DeviceConfig, FaultDomain, Link, TypedFailure, WarpSim};
+use gcgt_simt::{Charge, Device, FaultDomain, Link, TypedFailure};
 
 use crate::exchange::{ActivityMatrix, ExchangeCost};
 use crate::plan::ShardPlan;
 
 /// A sharded traversal engine: N modeled devices, each expanding its owned
 /// slice of every frontier, exchanging boundary discoveries as merged
-/// frontier-bitmap segments between steps. A decorator: it wraps engines it
-/// knows only as `dyn` [`Expander`] and implements [`Expander`] itself, so
-/// all applications and the session/serving layers run on it unmodified.
+/// frontier-bitmap segments between steps. A [`Placement`]: it wraps
+/// engines it knows only as `dyn` [`Expander`], decodes through the first,
+/// and is an [`Expander`] by the blanket impl, so all applications and the
+/// session/serving layers run on it unmodified.
 pub struct ShardEngine<'g> {
     graph: &'g Csr,
     plan: &'g ShardPlan,
@@ -75,8 +76,8 @@ impl<'g> ShardEngine<'g> {
     /// Capacity is the caller's to verify: private residencies coexist on
     /// the one modeled memory pool, so their aggregate must fit it.
     ///
-    /// Direction, footprints and the device configuration are the inner
-    /// engines'. Pull composes with sharding by ownership of the
+    /// Decoding, direction, footprints and the device configuration are the
+    /// first inner engine's. Pull composes with sharding by ownership of the
     /// **candidate scan**: a pull step's work list is the unvisited
     /// candidates, each scanned by its owning shard, with remote parents
     /// learned through the same bitmap exchange.
@@ -101,13 +102,6 @@ impl<'g> ShardEngine<'g> {
             interconnect,
             per_device,
         }
-    }
-
-    /// The engine every shard decodes with. Per-device engines differ only
-    /// in their private residency, so the first stands in for all of them
-    /// wherever residency is not involved.
-    fn inner(&self) -> &dyn Expander {
-        &*self.per_device[0]
     }
 
     /// Charges one BSP step on `device`: the barrier, then the boundary
@@ -140,33 +134,12 @@ impl<'g> ShardEngine<'g> {
     }
 }
 
-impl Expander for ShardEngine<'_> {
-    fn num_nodes(&self) -> usize {
-        self.inner().num_nodes()
-    }
-
-    fn num_edges(&self) -> usize {
-        self.inner().num_edges()
-    }
-
-    fn out_degree(&self, u: NodeId) -> usize {
-        self.inner().out_degree(u)
-    }
-
-    fn direction(&self) -> DirectionMode {
-        self.inner().direction()
-    }
-
-    fn device_config(&self) -> &DeviceConfig {
-        self.inner().device_config()
-    }
-
-    fn footprint(&self) -> usize {
-        self.inner().footprint()
-    }
-
-    fn structure_bytes(&self) -> usize {
-        self.inner().structure_bytes()
+impl Placement for ShardEngine<'_> {
+    /// The engine every shard decodes with. Per-device engines differ only
+    /// in their private residency, so the first stands in for all of them
+    /// wherever residency is not involved.
+    fn decoder(&self) -> &dyn Expander {
+        &*self.per_device[0]
     }
 
     fn prepare_frontier(&self, device: &mut Device, work: &[NodeId]) -> Result<(), TypedFailure> {
@@ -191,40 +164,6 @@ impl Expander for ShardEngine<'_> {
         self.charge_step(device, work)
     }
 
-    fn index_addrs(&self, u: NodeId, addrs: &mut Vec<u64>) {
-        self.inner().index_addrs(u, addrs);
-    }
-
-    fn expand_chunk(&self, warp: &mut WarpSim, chunk: &[NodeId], sink: &mut dyn Sink) {
-        self.inner().expand_chunk(warp, chunk, sink);
-    }
-
-    fn shares(&self, u: NodeId) -> usize {
-        self.inner().shares(u)
-    }
-
-    fn expand_share(
-        &self,
-        warp: &mut WarpSim,
-        u: NodeId,
-        share: usize,
-        of: usize,
-        sink: &mut dyn Sink,
-    ) {
-        self.inner().expand_share(warp, u, share, of, sink);
-    }
-
-    fn pull_chunk(
-        &self,
-        warp: &mut WarpSim,
-        chunk: &[NodeId],
-        depth: &[u32],
-        du: u32,
-        out: &mut Vec<(NodeId, NodeId)>,
-    ) -> u64 {
-        self.inner().pull_chunk(warp, chunk, depth, du, out)
-    }
-
     fn release_residency(&self, device: &mut Device) {
         for engine in &self.per_device {
             engine.release_residency(device);
@@ -236,8 +175,10 @@ impl Expander for ShardEngine<'_> {
 mod tests {
     use super::*;
     use gcgt_cgr::{CgrConfig, CgrGraph};
+    use gcgt_core::kernels::Sink;
     use gcgt_core::{bfs, GcgtEngine, Strategy};
     use gcgt_graph::gen::{web_graph, WebParams};
+    use gcgt_simt::{DeviceConfig, WarpSim};
     use std::sync::Mutex;
 
     fn fixture() -> (Csr, CgrGraph) {
@@ -252,17 +193,17 @@ mod tests {
     }
 
     fn sharded<'g>(g: &'g Csr, cgr: &'g CgrGraph, plan: &'g ShardPlan) -> ShardEngine<'g> {
-        let inner = GcgtEngine::new(cgr, device(), Strategy::Full).unwrap();
+        let inner = GcgtEngine::new(cgr, device(), Strategy::Full);
         ShardEngine::new(g, plan, Link::nvlink(), vec![Box::new(inner)])
     }
 
     #[test]
     fn outputs_and_kernel_stats_bitwise_serial_at_any_device_count() {
         let (g, cgr) = fixture();
-        let serial = GcgtEngine::new(&cgr, device(), Strategy::Full).unwrap();
+        let serial = GcgtEngine::new(&cgr, device(), Strategy::Full);
         let want = bfs(&serial, 0);
         let want_stats = {
-            let mut dev = serial.new_device();
+            let mut dev = serial.new_device().unwrap();
             gcgt_core::bfs_in(&serial, &mut dev, 0).unwrap();
             dev.stats()
         };
@@ -272,7 +213,7 @@ mod tests {
             let got = bfs(&sharded, 0);
             assert_eq!(got.depth, want.depth, "{devices} devices");
             assert_eq!(got.reached, want.reached);
-            let mut dev = sharded.new_device();
+            let mut dev = sharded.new_device().unwrap();
             gcgt_core::bfs_in(&sharded, &mut dev, 0).unwrap();
             let stats = dev.stats();
             // Kernel-side numbers are bitwise the serial run's…
@@ -300,7 +241,7 @@ mod tests {
         let boundary = |devices: usize| {
             let plan = ShardPlan::build(&cgr, devices);
             let e = sharded(&g, &cgr, &plan);
-            let mut dev = e.new_device();
+            let mut dev = e.new_device().unwrap();
             gcgt_core::bfs_in(&e, &mut dev, 0).unwrap();
             dev.stats().boundary_nodes
         };
@@ -340,7 +281,7 @@ mod tests {
         fn device_config(&self) -> &DeviceConfig {
             &self.config
         }
-        fn footprint(&self) -> usize {
+        fn structure_bytes(&self) -> usize {
             0
         }
         fn prepare_frontier(&self, _: &mut Device, work: &[NodeId]) -> Result<(), TypedFailure> {
@@ -403,9 +344,9 @@ mod tests {
             let plan = ShardPlan::build(&cgr, devices);
             let calls = Mutex::new(Calls::default());
             let engine = recording(&g, &plan, &calls, devices);
-            let mut dev = engine.new_device();
+            let mut dev = engine.new_device().unwrap();
             for work in work_lists(&g, &plan) {
-                engine.prepare_frontier(&mut dev, &work).unwrap();
+                Expander::prepare_frontier(&engine, &mut dev, &work).unwrap();
                 let prepared = std::mem::take(&mut calls.lock().unwrap().prepared);
                 // Each engine is called at most once, in shard order, with
                 // nodes it owns, in work-list order…
@@ -432,10 +373,10 @@ mod tests {
         let plan = ShardPlan::build(&cgr, 4);
         let calls = Mutex::new(Calls::default());
         let engine = recording(&g, &plan, &calls, 1);
-        let mut dev = engine.new_device();
+        let mut dev = engine.new_device().unwrap();
         let lists = work_lists(&g, &plan);
         for work in &lists {
-            engine.prepare_frontier(&mut dev, work).unwrap();
+            Expander::prepare_frontier(&engine, &mut dev, work).unwrap();
         }
         let want: Vec<(usize, Vec<NodeId>)> = lists.into_iter().map(|w| (0, w)).collect();
         assert_eq!(calls.lock().unwrap().prepared, want);
@@ -451,7 +392,7 @@ mod tests {
         for engines in [1, 4] {
             let calls = Mutex::new(Calls::default());
             let engine = recording(&g, &plan, &calls, engines);
-            engine.release_residency(&mut engine.new_device());
+            Expander::release_residency(&engine, &mut engine.new_device().unwrap());
             let want: Vec<usize> = (0..engines).collect();
             assert_eq!(calls.lock().unwrap().released, want);
         }

@@ -7,21 +7,23 @@
 //! compressed or CSR bytes), so a shard is a [`gcgt_ooc::Partition`] and
 //! this crate carries no range type or bisection of its own. A
 //! [`ShardEngine`] runs any inner engine as an owner-computes
-//! bulk-synchronous loop. It is
-//! a decorator over `dyn Expander` and names no engine type: in-core GCGT,
-//! the CSR baselines, streaming out-of-core under a per-device budget, or
-//! an engine of your own all shard through the one constructor. Every step, each shard expands exactly the
-//! frontier nodes it owns; discoveries of remotely-owned nodes become
-//! per-owner dense frontier-bitmap segments, delivered over a modeled
-//! [`gcgt_simt::Link`] (NVLink or PCIe peer links) by one
-//! log-depth dissemination schedule ([`exchange`]): `⌈log₂ d⌉` rounds, one
+//! bulk-synchronous loop. It is a [`gcgt_core::Placement`] over
+//! `dyn Expander`: it decodes through its first inner engine, adds only
+//! residency and exchange, and names no engine type. In-core GCGT, the CSR
+//! baselines, streaming out-of-core under a per-device budget, or an
+//! engine of your own all shard through the one constructor. Every step,
+//! each shard expands exactly the frontier nodes it owns; discoveries of
+//! remotely-owned nodes become per-owner dense frontier-bitmap segments,
+//! delivered over a modeled [`gcgt_simt::Link`] (NVLink or PCIe peer
+//! links) by one log-depth dissemination schedule ([`exchange`]): `⌈log₂ d⌉` rounds, one
 //! merged message per device per round, at most `d·⌈log₂ d⌉` messages a
 //! step where point-to-point delivery needs up to `d·(d−1)`. Per-message
 //! setup is ~98 % of the exchange bill at bitmap sizes, so that count is
 //! the lever; bytes stay what they were.
 //!
-//! The engine implements the `Expander` contract, so all five applications,
-//! the session layer and the serving pools run sharded unmodified — and
+//! The engine is an `Expander` by the blanket impl over placements, so all
+//! five applications, the session layer and the serving pools run sharded
+//! unmodified — and
 //! because the per-step union of per-shard work is exactly the serial
 //! schedule, `QueryOutput`s and kernel-side `RunStats` are **bitwise
 //! identical at any shard count**; the sharding overhead is charged into
@@ -43,7 +45,7 @@
 //!     fn num_edges(&self) -> usize { self.0.num_edges() }
 //!     fn out_degree(&self, u: NodeId) -> usize { self.0.out_degree(u) }
 //!     fn device_config(&self) -> &DeviceConfig { self.0.device_config() }
-//!     fn footprint(&self) -> usize { self.0.footprint() }
+//!     fn structure_bytes(&self) -> usize { self.0.structure_bytes() }
 //!     fn index_addrs(&self, u: NodeId, addrs: &mut Vec<u64>) { self.0.index_addrs(u, addrs) }
 //!     fn expand_chunk(&self, warp: &mut WarpSim, chunk: &[NodeId], sink: &mut dyn Sink) {
 //!         self.0.expand_chunk(warp, chunk, sink)
@@ -62,7 +64,7 @@
 //!
 //! let graph = toys::grid(8, 8);
 //! let cgr = CgrGraph::encode(&graph, &Strategy::Full.cgr_config(&CgrConfig::paper_default()));
-//! let mine = Mine(GcgtEngine::new(&cgr, DeviceConfig::default(), Strategy::Full).unwrap());
+//! let mine = Mine(GcgtEngine::new(&cgr, DeviceConfig::default(), Strategy::Full));
 //! let plan = ShardPlan::build(&cgr, 4);
 //! let sharded = ShardEngine::new(&graph, &plan, Link::nvlink(), vec![Box::new(mine)]);
 //! let run = bfs(&sharded, 0);
@@ -70,6 +72,7 @@
 //! assert!(run.stats.exchange_ms > 0.0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 pub mod engine;
 pub mod exchange;

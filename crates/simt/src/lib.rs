@@ -38,6 +38,7 @@
 //! observer installed no event is constructed and no reported number ever
 //! changes.
 
+#![forbid(unsafe_code)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 pub mod device;
 pub mod link;

@@ -26,43 +26,35 @@ where
         return (0..count).map(f).collect();
     }
 
+    // Each thread returns the `(index, value)` pairs it claimed from the
+    // atomic cursor; the join puts them into their slots.
+    let cursor = AtomicUsize::new(0);
     let mut slots: Vec<Option<T>> = Vec::with_capacity(count);
     slots.resize_with(count, || None);
-    let cursor = AtomicUsize::new(0);
-    let slots_ptr = SendPtr(slots.as_mut_ptr());
-
     std::thread::scope(|scope| {
-        for _ in 0..threads.min(count) {
-            let f = &f;
-            let cursor = &cursor;
-            let slots_ptr = &slots_ptr;
-            scope.spawn(move || loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= count {
-                    break;
-                }
-                let value = f(i);
-                // SAFETY: each index is claimed exactly once by the atomic
-                // cursor, so no two threads write the same slot, and the
-                // scope joins all threads before `slots` is read.
-                unsafe {
-                    *slots_ptr.0.add(i) = Some(value);
-                }
-            });
+        let workers: Vec<_> = (0..threads.min(count))
+            .map(|_| {
+                scope.spawn(|| {
+                    let claim = || cursor.fetch_add(1, Ordering::Relaxed);
+                    let indices = std::iter::from_fn(|| Some(claim()).filter(|&i| i < count));
+                    indices.map(|i| (i, f(i))).collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        for worker in workers {
+            let claimed = worker
+                .join()
+                .unwrap_or_else(|e| std::panic::resume_unwind(e));
+            for (i, value) in claimed {
+                slots[i] = Some(value);
+            }
         }
     });
-
     slots
         .into_iter()
         .map(|s| s.expect("every warp index must be produced"))
         .collect()
 }
-
-/// Raw-pointer wrapper that asserts cross-thread sendability for the
-/// disjoint-slot write pattern above.
-struct SendPtr<T>(*mut T);
-unsafe impl<T: Send> Send for SendPtr<T> {}
-unsafe impl<T: Send> Sync for SendPtr<T> {}
 
 #[cfg(test)]
 mod tests {

@@ -47,6 +47,7 @@
 //! assert!(batch.total_ms() < (0..8).map(|s| session.run(Bfs::from(s)).total_ms()).sum());
 //! ```
 
+#![forbid(unsafe_code)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 pub use gcgt_baselines as baselines;
 pub use gcgt_bench as bench;

@@ -6,6 +6,7 @@ use gcgt::core::memory;
 // The low-level engine layer is exercised deliberately here.
 use gcgt::core::bfs;
 use gcgt::prelude::*;
+use gcgt::simt::OomError;
 
 fn device(capacity: usize) -> DeviceConfig {
     DeviceConfig::titan_v_scaled(capacity)
@@ -19,7 +20,7 @@ fn full_pipeline_is_bit_deterministic() {
         let graph = raw.permuted(&perm);
         let cfg = Strategy::Full.cgr_config(&CgrConfig::paper_default());
         let cgr = CgrGraph::encode(&graph, &cfg);
-        let engine = GcgtEngine::new(&cgr, device(1 << 30), Strategy::Full).unwrap();
+        let engine = GcgtEngine::new(&cgr, device(1 << 30), Strategy::Full);
         let run = bfs(&engine, 0);
         (
             cgr.bits().len(),
@@ -32,27 +33,50 @@ fn full_pipeline_is_bit_deterministic() {
     assert_eq!(run_once(), run_once());
 }
 
+/// `new_device` is the one fit check: at a capacity of exactly the
+/// engine's footprint it uploads the structure, one byte below it reports
+/// the footprint as the request.
+fn assert_fits_exactly<'g>(make: impl Fn(DeviceConfig) -> Box<dyn Expander + 'g>) {
+    let footprint = make(device(1 << 30)).footprint();
+    let engine = make(device(footprint));
+    let dev = engine.new_device().expect("the footprint fits");
+    assert_eq!(dev.allocated(), engine.structure_bytes());
+    assert_eq!(
+        make(device(footprint - 1)).new_device().err(),
+        Some(OomError {
+            requested: footprint,
+            capacity: footprint - 1,
+        })
+    );
+}
+
 #[test]
 fn oom_ladder_matches_footprints() {
     let graph = web_graph(&WebParams::uk2002_like(4_000), 9);
     let cfg = Strategy::Full.cgr_config(&CgrConfig::paper_default());
     let cgr = CgrGraph::encode(&graph, &cfg);
+    let gcgt = |dc| GcgtEngine::new(&cgr, dc, Strategy::Full);
+    let (gcgt_need, csr_need) = (gcgt(device(0)).footprint(), memory::csr_footprint(&graph));
+    assert!(gcgt_need < csr_need && csr_need < memory::gunrock_footprint(&graph));
+    assert_fits_exactly(|dc| Box::new(gcgt(dc)));
+    assert_fits_exactly(|dc| Box::new(GpuCsrEngine::new(&graph, dc)));
+    assert_fits_exactly(|dc| Box::new(GunrockEngine::new(&graph, dc)));
 
-    let gcgt_need = memory::gcgt_footprint(&cgr);
-    let csr_need = memory::csr_footprint(&graph);
-    let gunrock_need = memory::gunrock_footprint(&graph);
-    assert!(gcgt_need < csr_need && csr_need < gunrock_need);
+    // A sharded engine's footprint is its decoder's.
+    let plan = ShardPlan::build(&cgr, 4);
+    let sharded = |dc| ShardEngine::new(&graph, &plan, Link::nvlink(), vec![Box::new(gcgt(dc))]);
+    assert_eq!(sharded(device(0)).footprint(), gcgt_need);
+    assert_fits_exactly(|dc| Box::new(sharded(dc)));
 
-    // A capacity between GCGT's and CSR's: only the compressed engine runs.
-    let capacity = (gcgt_need + csr_need) / 2;
-    assert!(GcgtEngine::new(&cgr, device(capacity), Strategy::Full).is_ok());
-    assert!(GpuCsrEngine::new(&graph, device(capacity)).is_err());
-    assert!(GunrockEngine::new(&graph, device(capacity)).is_err());
-
-    // Between CSR and Gunrock: the platform OOMs, hand-tuned CSR fits.
-    let capacity = (csr_need + gunrock_need) / 2;
-    assert!(GpuCsrEngine::new(&graph, device(capacity)).is_ok());
-    assert!(GunrockEngine::new(&graph, device(capacity)).is_err());
+    // A streaming engine uploads nothing: its footprint is the scratch,
+    // and its constructor has already checked that scratch and cache fit.
+    let parts = PartitionMap::build(&cgr, 2 << 10);
+    let scratch = memory::traversal_buffers_bytes(cgr.num_nodes());
+    let budget = parts.max_resident_bytes();
+    let streaming = OocEngine::new(gcgt(device(scratch + budget)), &parts, budget)
+        .expect("scratch and cache fit");
+    assert_eq!(streaming.footprint(), scratch);
+    assert_eq!(streaming.new_device().expect("scratch fits").allocated(), 0);
 }
 
 #[test]
@@ -64,9 +88,9 @@ fn per_query_scratch_released_between_queries() {
     let graph = web_graph(&WebParams::uk2002_like(900), 2).symmetrized();
     let cfg = Strategy::Full.cgr_config(&CgrConfig::paper_default());
     let cgr = CgrGraph::encode(&graph, &cfg);
-    let engine = GcgtEngine::new(&cgr, device(1 << 30), Strategy::Full).unwrap();
+    let engine = GcgtEngine::new(&cgr, device(1 << 30), Strategy::Full);
 
-    let mut dev = Expander::new_device(&engine);
+    let mut dev = Expander::new_device(&engine).expect("the graph fits");
     let baseline = dev.allocated();
     assert_eq!(baseline, Expander::structure_bytes(&engine));
     assert_eq!(
@@ -182,8 +206,8 @@ fn compressed_traversal_overhead_is_bounded() {
 
     let cfg = Strategy::Full.cgr_config(&CgrConfig::paper_default());
     let cgr = CgrGraph::encode(&graph, &cfg);
-    let gcgt = GcgtEngine::new(&cgr, device(1 << 30), Strategy::Full).unwrap();
-    let gpucsr = GpuCsrEngine::new(&graph, device(1 << 30)).unwrap();
+    let gcgt = GcgtEngine::new(&cgr, device(1 << 30), Strategy::Full);
+    let gpucsr = GpuCsrEngine::new(&graph, device(1 << 30));
 
     let a = bfs(&gcgt, 0).stats.est_ms;
     let b = bfs(&gpucsr, 0).stats.est_ms;
@@ -202,11 +226,11 @@ fn segmentation_beats_unsegmented_on_skewed_graphs() {
     let graph = social_graph(&SocialParams::twitter_like(12_000), 4);
     let seg_cfg = Strategy::Full.cgr_config(&CgrConfig::paper_default());
     let seg = CgrGraph::encode(&graph, &seg_cfg);
-    let seg_engine = GcgtEngine::new(&seg, device(1 << 30), Strategy::Full).unwrap();
+    let seg_engine = GcgtEngine::new(&seg, device(1 << 30), Strategy::Full);
 
     let unseg_cfg = Strategy::WarpCentric.cgr_config(&CgrConfig::paper_default());
     let unseg = CgrGraph::encode(&graph, &unseg_cfg);
-    let unseg_engine = GcgtEngine::new(&unseg, device(1 << 30), Strategy::WarpCentric).unwrap();
+    let unseg_engine = GcgtEngine::new(&unseg, device(1 << 30), Strategy::WarpCentric);
 
     let with_seg = bfs(&seg_engine, 0).stats.est_ms;
     let without = bfs(&unseg_engine, 0).stats.est_ms;
@@ -223,7 +247,7 @@ fn deeper_graphs_cost_more_launches() {
     let path = toys::path(300);
     let cfg = Strategy::Full.cgr_config(&CgrConfig::paper_default());
     let cgr = CgrGraph::encode(&path, &cfg);
-    let engine = GcgtEngine::new(&cgr, device(1 << 30), Strategy::Full).unwrap();
+    let engine = GcgtEngine::new(&cgr, device(1 << 30), Strategy::Full);
     let run = bfs(&engine, 0);
     assert_eq!(run.levels, 300);
     // One launch per level, including the final one that discovers nothing.
@@ -241,7 +265,7 @@ fn edge_list_io_feeds_the_pipeline() {
     assert_eq!(loaded, graph);
     let cfg = Strategy::Full.cgr_config(&CgrConfig::paper_default());
     let cgr = CgrGraph::encode(&loaded, &cfg);
-    let engine = GcgtEngine::new(&cgr, device(1 << 30), Strategy::Full).unwrap();
+    let engine = GcgtEngine::new(&cgr, device(1 << 30), Strategy::Full);
     assert_eq!(bfs(&engine, 0).depth, refalgo::bfs(&graph, 0).depth);
     std::fs::remove_file(&path).ok();
 }

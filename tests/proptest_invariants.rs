@@ -68,7 +68,7 @@ fn arb_wide_graph() -> impl PropStrategy<Value = Csr> {
 /// attached; returns its result and the compaction levels it reported.
 fn observed<T>(engine: &dyn Expander, run: impl FnOnce(&mut Device) -> T) -> (T, f64) {
     let metrics = Arc::new(MetricsRegistry::new());
-    let mut device = engine.new_device();
+    let mut device = engine.new_device().unwrap();
     device.set_observer(ObserverHandle::from_arc(metrics.clone()));
     let out = run(&mut device);
     let compacted = metrics.value("gcgt_levels_total{direction=\"compact\"}");
@@ -116,7 +116,7 @@ proptest! {
         let cfg = strategy.cgr_config(&CgrConfig::paper_default());
         let cgr = CgrGraph::encode(&graph, &cfg);
         let device = DeviceConfig::titan_v_scaled(1 << 30);
-        let engine = GcgtEngine::new(&cgr, device, strategy).unwrap();
+        let engine = GcgtEngine::new(&cgr, device, strategy);
         let got = bfs(&engine, source);
         let want = refalgo::bfs(&graph, source);
         prop_assert_eq!(got.depth, want.depth);
@@ -201,7 +201,7 @@ proptest! {
         let cfg = Strategy::Full.cgr_config(&CgrConfig::paper_default());
         let cgr = CgrGraph::encode(&sym, &cfg);
         let device = DeviceConfig::titan_v_scaled(1 << 30);
-        let engine = GcgtEngine::new(&cgr, device, Strategy::Full).unwrap();
+        let engine = GcgtEngine::new(&cgr, device, Strategy::Full);
         let got = cc(&engine);
         prop_assert_eq!(got.component, want.component);
     }
@@ -366,7 +366,7 @@ proptest! {
         let strategy = Strategy::LADDER[strategy_idx];
         let cfg = strategy.cgr_config(&CgrConfig::paper_default());
         let cgr = CgrGraph::encode(&graph, &cfg);
-        let engine = GcgtEngine::new(&cgr, dc, strategy).unwrap();
+        let engine = GcgtEngine::new(&cgr, dc, strategy);
 
         let (bfs_run, compacted) = observed(&engine, |d| bfs_in(&engine, d, 0).unwrap());
         prop_assert!(compacted > 0.0);
@@ -383,7 +383,7 @@ proptest! {
 
         let sym = graph.symmetrized();
         let sym_cgr = CgrGraph::encode(&sym, &cfg);
-        let sym_engine = GcgtEngine::new(&sym_cgr, dc, strategy).unwrap();
+        let sym_engine = GcgtEngine::new(&sym_cgr, dc, strategy);
         let (cc_run, compacted) = observed(&sym_engine, |d| cc_in(&sym_engine, d).unwrap());
         prop_assert_eq!(cc_run.component, refalgo::connected_components(&sym).component);
         // Every iteration but the last (which hooks nothing) compacts.
@@ -396,7 +396,7 @@ proptest! {
         let cfg = Strategy::Full.cgr_config(&CgrConfig::paper_default());
         let cgr = CgrGraph::encode(&graph, &cfg);
         let device = DeviceConfig::titan_v_scaled(1 << 30);
-        let engine = GcgtEngine::new(&cgr, device, Strategy::Full).unwrap();
+        let engine = GcgtEngine::new(&cgr, device, Strategy::Full);
         let got = gcgt::core::label_propagation(&engine, 5);
         prop_assert_eq!(got.labels, want);
     }

@@ -170,7 +170,7 @@ fn five_apps_match_oracle_on_ref_graphs() {
             cgr.stats().ref_nodes > 0,
             "workload must exercise references ({strategy:?})"
         );
-        let engine = GcgtEngine::new(&cgr, device, strategy).unwrap();
+        let engine = GcgtEngine::new(&cgr, device, strategy);
 
         let want = refalgo::bfs(&graph, 0);
         let got = bfs(&engine, 0);

@@ -91,7 +91,7 @@ impl Fixture {
                 shard_row: (strategy == Strategy::Full).then_some("shard4-gcgt"),
                 private_residency: false,
                 make: Box::new(move || {
-                    let engine = GcgtEngine::new(cgr, dc, strategy).unwrap();
+                    let engine = GcgtEngine::new(cgr, dc, strategy);
                     Box::new(engine.with_direction(direction))
                 }),
             });
@@ -101,7 +101,7 @@ impl Fixture {
             shard_row: Some("shard4-gpucsr"),
             private_residency: false,
             make: Box::new(move || {
-                let engine = GpuCsrEngine::new(&self.graph, dc).unwrap();
+                let engine = GpuCsrEngine::new(&self.graph, dc);
                 Box::new(engine.with_direction(direction))
             }),
         });
@@ -110,7 +110,7 @@ impl Fixture {
             shard_row: Some("shard4-gunrock"),
             private_residency: false,
             make: Box::new(move || {
-                let engine = GunrockEngine::new(&self.graph, dc).unwrap();
+                let engine = GunrockEngine::new(&self.graph, dc);
                 Box::new(engine.with_direction(direction))
             }),
         });
@@ -119,9 +119,8 @@ impl Fixture {
             shard_row: Some("shard4-ooc"),
             private_residency: true,
             make: Box::new(move || {
-                let engine =
-                    OocEngine::new(full, &self.parts, dc, Strategy::Full, cache_budget).unwrap();
-                Box::new(engine.with_direction(direction))
+                let inner = GcgtEngine::new(full, dc, Strategy::Full).with_direction(direction);
+                Box::new(OocEngine::new(inner, &self.parts, cache_budget).unwrap())
             }),
         });
         bases
@@ -239,9 +238,9 @@ fn a_hub_splits_alike_under_every_engine_shape() {
     let fx = Fixture::new(social_graph(&SocialParams::twitter_like(700), 7).symmetrized());
     let full = &fx.cgrs[Strategy::LADDER.len() - 1];
     let hub = hub_of(&fx.graph);
-    let incore = GcgtEngine::new(full, device(), Strategy::Full).unwrap();
+    let incore = GcgtEngine::new(full, device(), Strategy::Full);
     let metrics = Arc::new(MetricsRegistry::new());
-    let mut dev = incore.new_device();
+    let mut dev = incore.new_device().unwrap();
     dev.set_observer(ObserverHandle::from_arc(metrics.clone()));
     let want = bfs_in(&incore, &mut dev, hub).unwrap();
     assert!(
@@ -252,11 +251,16 @@ fn a_hub_splits_alike_under_every_engine_shape() {
 
     let (one, four) = (ShardPlan::build(full, 1), ShardPlan::build(full, 4));
     let shard = |plan| {
-        let inner = GcgtEngine::new(full, device(), Strategy::Full).unwrap();
+        let inner = GcgtEngine::new(full, device(), Strategy::Full);
         ShardEngine::new(&fx.graph, plan, Link::nvlink(), vec![Box::new(inner)])
     };
     let cache_budget = fx.parts.max_resident_bytes() * fx.parts.len();
-    let ooc = OocEngine::new(full, &fx.parts, device(), Strategy::Full, cache_budget).unwrap();
+    let ooc = OocEngine::new(
+        GcgtEngine::new(full, device(), Strategy::Full),
+        &fx.parts,
+        cache_budget,
+    )
+    .unwrap();
     let d1 = bfs(&shard(&one), hub);
     assert_eq!(d1.stats, want.stats, "d = 1 is the bare engine");
     for (shape, run) in [("d = 4", bfs(&shard(&four), hub)), ("ooc", bfs(&ooc, hub))] {
@@ -340,7 +344,7 @@ proptest! {
                 }
             }
 
-            let mut dev = engine.new_device();
+            let mut dev = engine.new_device().unwrap();
             let sinks = launch_expansion(&*engine, &mut dev, &frontier, "push", CollectSink::default)
                 .unwrap();
             prop_assert_eq!(sinks.len(), warps.len());
@@ -371,7 +375,7 @@ fn compaction_touches_no_graph_line() {
         }
         assert!(addrs.len() >= 2 * n as usize, "{row}");
         assert!(addrs.iter().all(|a| offsets.contains(a)), "{row}");
-        let mut dev = engine.new_device();
+        let mut dev = engine.new_device().unwrap();
         let before = dev.stats();
         let mut frontier: Vec<NodeId> = (0..n).rev().step_by(3).collect();
         compact_frontier(&*engine, &mut dev, &mut frontier);
@@ -567,7 +571,7 @@ fn every_engine_honours_the_expander_contract() {
                 structure + engine.scratch_bytes(),
                 "{ctx}"
             );
-            let mut dev = engine.new_device();
+            let mut dev = engine.new_device().unwrap();
             assert_eq!(dev.allocated(), structure, "{ctx}");
             let at_baseline = |dev: &mut Device, app: &str| {
                 engine.release_residency(dev);
@@ -647,8 +651,8 @@ fn gcgt_is_competitive_with_gpucsr() {
             &graph,
             &Strategy::Full.cgr_config(&CgrConfig::paper_default()),
         );
-        let gcgt = GcgtEngine::new(&cgr, dc, Strategy::Full).unwrap();
-        let gpucsr = GpuCsrEngine::new(&graph, dc).unwrap();
+        let gcgt = GcgtEngine::new(&cgr, dc, Strategy::Full);
+        let gpucsr = GpuCsrEngine::new(&graph, dc);
         let est_ms = |engine: &dyn Expander| -> f64 {
             [0, 7, 100, 1000]
                 .iter()
